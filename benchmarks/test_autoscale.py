@@ -24,7 +24,7 @@ from pathlib import Path
 import pytest
 
 from repro.autoscale import AutoscaleConfig
-from repro.engine import synthesize_trace
+from repro.engine import ClosureStepCost, synthesize_trace
 from repro.fleet import simulate_fleet
 
 pytestmark = pytest.mark.skipif(
@@ -45,8 +45,8 @@ MEAN_PROMPT, MEAN_GEN = 32, 16
 MAX_BATCH = 4
 SEED = 33
 
-COSTS = dict(prompt_time=lambda b, p: 0.02 + 0.001 * p,
-             step_time=lambda b: 0.01 + 0.001 * b)
+COSTS = ClosureStepCost(prompt_time=lambda b, p: 0.02 + 0.001 * p,
+                        step_time=lambda b: 0.01 + 0.001 * b)
 
 AUTOSCALE = AutoscaleConfig(
     min_replicas=1, max_replicas=6, ttft_slo_s=0.3,
@@ -70,7 +70,7 @@ def test_autoscaler_beats_equal_cost_fixed_fleets():
 
     t0 = time.perf_counter()
     auto = simulate_fleet(
-        trace, num_replicas=1, max_batch=MAX_BATCH, **COSTS,
+        trace, num_replicas=1, max_batch=MAX_BATCH, costs=COSTS,
         routing="least_outstanding", autoscaler=AUTOSCALE)
     wall_auto = time.perf_counter() - t0
     assert auto.num_completed == NUM_REQUESTS
@@ -83,7 +83,7 @@ def test_autoscaler_beats_equal_cost_fixed_fleets():
     ladder = []
     for k in range(1, budget + 1):
         fixed = simulate_fleet(trace, num_replicas=k, max_batch=MAX_BATCH,
-                               **COSTS, routing="least_outstanding")
+                               costs=COSTS, routing="least_outstanding")
         ladder.append({
             "replicas": k,
             "ttft_p99_s": round(fixed.ttft_percentile(trace, 99), 4),

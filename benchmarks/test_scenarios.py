@@ -31,7 +31,12 @@ from pathlib import Path
 
 import pytest
 
-from repro.engine import DenseLatencyModel, DenseStepCost, simulate_serving
+from repro.engine import (
+    ClosureStepCost,
+    DenseLatencyModel,
+    DenseStepCost,
+    simulate_serving,
+)
 from repro.hardware import dgx_a100_cluster
 from repro.model import DENSE_ZOO
 from repro.scenarios import chat_scenario, strip_prefix_sharing
@@ -136,10 +141,11 @@ def test_scenarios_smoke():
     trace = chat_scenario(num_sessions=8, session_rate=4.0,
                           mean_prompt=64, mean_gen=16,
                           num_requests=64, seed=5)
-    costs = dict(prompt_time=lambda b, p: 0.02 + 0.001 * p,
-                 step_time=lambda b: 0.01 + 0.001 * b)
-    on = simulate_serving(trace, max_batch=4, **costs)
-    off = simulate_serving(strip_prefix_sharing(trace), max_batch=4, **costs)
+    costs = ClosureStepCost(prompt_time=lambda b, p: 0.02 + 0.001 * p,
+                            step_time=lambda b: 0.01 + 0.001 * b)
+    on = simulate_serving(trace, max_batch=4, costs=costs)
+    off = simulate_serving(strip_prefix_sharing(trace), max_batch=4,
+                           costs=costs)
     assert len(on.finish_times) == 64 == len(off.finish_times)
     assert on.prefix_hits > 0 and off.prefix_hits == 0
     assert on.kv_dedup_ratio > 0 == off.kv_dedup_ratio

@@ -3,8 +3,8 @@
 ROADMAP's "price a million-request day in seconds" item, made
 measurable: one large dense trace through the event-compressed
 :func:`~repro.engine.serving_sim.simulate_serving` and (a slice of the
-same workload through) the retained per-step oracle
-:func:`~repro.engine.serving_sim.simulate_serving_reference`, reporting
+same workload through) the per-step oracle
+``tests.serving_oracle.simulate_serving_reference``, reporting
 *simulated requests per wall-second* for both and writing
 ``BENCH_serving_speed.json`` at the repo root — the perf-trajectory
 artifact CI's ``bench-speed`` job regenerates, uploads, and gates
@@ -34,11 +34,11 @@ from repro.engine import (
     DenseLatencyModel,
     DenseStepCost,
     simulate_serving,
-    simulate_serving_reference,
     synthesize_trace,
 )
 from repro.hardware import dgx_a100_cluster
 from repro.model import DENSE_ZOO
+from tests.serving_oracle import simulate_serving_reference
 
 pytestmark = pytest.mark.skipif(
     os.environ.get("BENCH_SPEED") != "1",

@@ -23,13 +23,11 @@ import math
 from collections import Counter
 
 from repro.autoscale import AutoscaleConfig, tune_autoscaler
-from repro.engine import synthesize_trace
-from repro.engine.costs import resolve_step_costs
+from repro.engine import ClosureStepCost, synthesize_trace
 from repro.fleet import FaultPlan, ReplicaFault, simulate_fleet
 
-COSTS = resolve_step_costs(None,
-                           prompt_time=lambda b, p: 0.02 + 0.001 * p,
-                           step_time=lambda b: 0.01 + 0.001 * b)
+COSTS = ClosureStepCost(prompt_time=lambda b, p: 0.02 + 0.001 * p,
+                        step_time=lambda b: 0.01 + 0.001 * b)
 
 AUTOSCALE = AutoscaleConfig(
     min_replicas=1, max_replicas=6,   # the GPU budget

@@ -27,7 +27,12 @@ import tempfile
 
 import numpy as np
 
-from repro.engine import DenseLatencyModel, DenseStepCost, synthesize_trace
+from repro.engine import (
+    ClosureStepCost,
+    DenseLatencyModel,
+    DenseStepCost,
+    synthesize_trace,
+)
 from repro.fleet import (
     FaultPlan,
     ReplicaFault,
@@ -86,8 +91,8 @@ def functional_demo() -> None:
     prompts = synthesize_prompts(trace, vocab=cfg.vocab, seed=1)
     res = run_fleet_functional(
         model, trace, num_replicas=3,
-        prompt_time=lambda b, p: 0.02 + 0.001 * p,
-        step_time=lambda b: 0.01 + 0.001 * b,
+        costs=ClosureStepCost(prompt_time=lambda b, p: 0.02 + 0.001 * p,
+                              step_time=lambda b: 0.01 + 0.001 * b),
         max_batch=4, routing="least_outstanding", fault_plan=plan,
         prompts=prompts)
     for r in trace.requests:  # retries included: no dead token leaks

@@ -9,7 +9,6 @@ from .costs import (
     PromptShape,
     StepCostModel,
     ZeroStepCost,
-    resolve_step_costs,
 )
 from .generation import GenerationRequest, GenerationSession
 from .inference import InferenceEngine, MoEInferenceEngine
@@ -21,10 +20,7 @@ from .serving_sim import (
     Request,
     ServingReport,
     WorkloadTrace,
-    batch_state_of,
-    serving_step_times,
     simulate_serving,
-    simulate_serving_reference,
     synthesize_trace,
 )
 from .offload import (
@@ -57,9 +53,7 @@ __all__ = [
     "ServingTuningResult",
     "StepCostModel",
     "ZeroStepCost",
-    "batch_state_of",
     "moe_max_batch_size",
-    "resolve_step_costs",
     "tune_serving_deployment",
     "DenseLatencyModel",
     "GenerationRequest",
@@ -74,9 +68,7 @@ __all__ = [
     "ServingReport",
     "WorkloadTrace",
     "SUMMARY_DETAIL_THRESHOLD",
-    "serving_step_times",
     "simulate_serving",
-    "simulate_serving_reference",
     "synthesize_trace",
     "ThroughputPoint",
     "Workload",

@@ -4,13 +4,10 @@ The serving ladder — :class:`~repro.engine.scheduler.Scheduler` →
 :func:`~repro.engine.serving_sim.simulate_serving` →
 :func:`~repro.fleet.sim.simulate_fleet` → the tuners — makes *lifecycle*
 decisions; what turns those decisions into seconds is a pricing model.
-Historically that seam was a pair of closures built by
-:func:`~repro.engine.serving_sim.serving_step_times` around the dense
-latency model only, and every decode step was priced at one
-representative KV length. This module replaces the closure pair with a
-first-class interface so any model family (dense, sparse/MoE,
-ZeRO-offloaded — the paper's three pillars, Secs. IV-VI) plugs into the
-same serving/fleet/tuning stack with one adapter:
+This module is that seam: one interface, so any model family (dense,
+sparse/MoE, ZeRO-offloaded — the paper's three pillars, Secs. IV-VI)
+plugs into the same serving/fleet/tuning stack with one adapter, passed
+to every simulator as its required ``costs=`` argument:
 
 * :class:`BatchState` — the live batch at pricing time: one KV length
   per running sequence (prompt + tokens generated so far);
@@ -20,15 +17,16 @@ same serving/fleet/tuning stack with one adapter:
   scheduling); ``decode_cost(state)`` prices one decode iteration that
   generates one token for every sequence in ``state``;
 * :class:`DenseStepCost` — wraps :class:`~repro.engine.latency
-  .DenseLatencyModel`. ``representative_kv`` selects the legacy compat
-  mode (bit-for-bit the old ``serving_step_times`` numbers); the default
-  true-KV mode prices each decode at the batch's actual KV lengths;
+  .DenseLatencyModel`. ``representative_kv`` prices every step at one
+  fixed KV length (the tuners' sizing mode); the default true-KV mode
+  prices each decode at the batch's actual KV lengths;
 * :class:`MoEStepCost` — wraps :class:`~repro.engine.moe
   .MoELatencyModel` (gating + all-to-all + expert FFN per step);
 * :class:`ZeroStepCost` — wraps :class:`~repro.zero.inference
   .ZeroInferenceEngine`'s streamed forward pass;
-* :class:`ClosureStepCost` — wraps a legacy ``(prompt_time,
-  step_time)`` closure pair, so existing call sites keep working.
+* :class:`ClosureStepCost` — wraps a plain ``(prompt_time,
+  step_time)`` function pair, for hand-written costs in tests and
+  examples.
 
 Adapters memoize on the (batch, kv, prompt_len) shapes they price —
 a serving replay re-prices the same few shapes thousands of times.
@@ -38,7 +36,7 @@ Beyond the two scalar methods, every model prices whole *runs*:
 ``steps`` consecutive decode iterations in one NumPy evaluation. Between
 scheduler-relevant events the live batch's composition is frozen — every
 KV length just grows by one per iteration — so the event-compressed
-serving loop (:func:`~repro.engine.serving_sim.simulate_serving`) prices
+serving loop (:class:`~repro.engine.replica._Replica`) prices
 a whole stretch with one call instead of ``steps`` Python round-trips.
 The ABC ships a per-step reference fallback; the shipped adapters
 override it with an evaluate-once, slice-forever scheme (a per-batch
@@ -64,7 +62,6 @@ __all__ = [
     "DenseStepCost",
     "MoEStepCost",
     "ZeroStepCost",
-    "resolve_step_costs",
 ]
 
 
@@ -239,12 +236,12 @@ class StepCostModel(ABC):
 
 
 class ClosureStepCost(StepCostModel):
-    """Adapter over the legacy ``(prompt_time, step_time)`` closure pair.
+    """Adapter over a plain ``(prompt_time, step_time)`` function pair.
 
     ``prompt_time(batch, prompt_len)`` takes the batch size *including*
-    the admitted request (the pre-refactor convention); ``step_time
-    (batch)`` the live batch size. State KV contents are ignored — the
-    closures never saw them either. Likewise prefix-blind: a prompt with
+    the admitted request; ``step_time(batch)`` the live batch size.
+    State KV contents are ignored — the functions never see them.
+    Likewise prefix-blind: a prompt with
     ``shared_prefix_len`` set still pays ``prompt_time`` on its full
     length, because the closure signature has no slot for the split
     (use :class:`DenseStepCost` and friends for prefix-aware pricing).
@@ -274,9 +271,8 @@ class DenseStepCost(StepCostModel):
 
     ``representative_kv`` selects the compat mode: every decode (and
     every rider folded into a prompt pass) is priced at that one KV
-    length, reproducing the deprecated
-    :func:`~repro.engine.serving_sim.serving_step_times` closures
-    bit-for-bit (they used ``mean_prompt + mean_gen // 2``). With the
+    length (the tuners pass ``mean_prompt + mean_gen // 2``, which
+    keeps their historical numbers bit-for-bit). With the
     default ``None``, each call is priced at the live batch's actual
     KV-length distribution (the ceiling-mean, exact for the
     linear-in-KV attention term).
@@ -458,24 +454,3 @@ class ZeroStepCost(StepCostModel):
         return self._runs.run(batch, max(1, state.mean_kv), steps,
                               lambda kv: self._pass(batch, 1, kv))
 
-
-def resolve_step_costs(
-    costs: StepCostModel | None,
-    prompt_time: Callable[[int, int], float] | None,
-    step_time: Callable[[int], float] | None,
-) -> StepCostModel:
-    """Normalize the dual pricing interface of the serving entry points.
-
-    Callers pass either ``costs`` (a :class:`StepCostModel`) or the
-    legacy ``prompt_time``/``step_time`` closure pair — never both.
-    """
-    if costs is not None:
-        if prompt_time is not None or step_time is not None:
-            raise ValueError(
-                "pass either costs= or prompt_time=/step_time=, not both")
-        return costs
-    if prompt_time is None or step_time is None:
-        raise ValueError(
-            "pricing required: pass costs= (a StepCostModel) or both "
-            "prompt_time= and step_time=")
-    return ClosureStepCost(prompt_time, step_time)

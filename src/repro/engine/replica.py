@@ -1,0 +1,455 @@
+"""The replica stepper: the one continuous-batching serving loop.
+
+The paper's runtime serves with a single loop per server (Sec. IV-C1's
+hybrid prompt+token scheduling): admit a queued request and run its
+prompt pass with the live batch riding along, otherwise decode one token
+for every live sequence. :class:`_Replica` is that loop split into
+atomic actions, pricing the shared
+:class:`~repro.engine.scheduler.Scheduler`'s decisions with a
+:class:`~repro.engine.costs.StepCostModel` and keeping the analytical KV
+ledger (:class:`_KvTracker`) and a priced
+:class:`~repro.simcore.trace.Timeline`.
+
+Both simulators drive it:
+:func:`~repro.engine.serving_sim.simulate_serving` runs one replica to
+completion, and :func:`~repro.fleet.sim.simulate_fleet` interleaves many
+behind a router, adding crashes, recoveries, slowdowns and drains.
+
+Decode is *event-compressed*: between scheduler-relevant events the
+batch composition is frozen, so a whole stretch of decode iterations is
+priced with one :meth:`~repro.engine.costs.StepCostModel.decode_run_cost`
+call and committed with one bulk
+:meth:`~repro.engine.scheduler.Scheduler.record_tokens`. Results are
+bit-for-bit those of per-step stepping.
+"""
+
+from __future__ import annotations
+
+import math
+from collections import deque
+from typing import TYPE_CHECKING
+
+import numpy as np
+
+from ..model.paged_kv import blocks_needed
+from ..simcore.trace import Timeline
+from .costs import BatchState, PromptShape, StepCostModel
+from .scheduler import SchedRequest, Scheduler
+
+if TYPE_CHECKING:
+    from .serving_sim import Request
+
+_INF = math.inf
+
+# Cap on how many decode iterations one vectorized pricing call covers
+# while an event with a *time* bound (an arrival, a fault) is pending —
+# those can split the run mid-stretch, so pricing far past them is
+# wasted work for per-step cost models. Without such an event the next
+# retirement bounds the run exactly and no cap is needed. Chunking is
+# observably identical (the loop just re-enters mid-stretch).
+_RUN_CHUNK_STEPS = 256
+
+
+class _KvTracker:
+    """Analytical KV-block accounting mirroring the functional paged
+    allocator, including copy-on-write prefix sharing.
+
+    The functional engine's cache for a request retired after ``G``
+    tokens holds ``prompt + G - 1`` positions (the final emitted token
+    is never appended), occupying ``num_layers * ceil(positions /
+    block_size)`` pool blocks. With ``prefix_sharing`` on, a
+    session-tagged retiree's cache is *parked*; the session's next turn
+    forks it up to ``eff = min(shared_prefix_len, parked positions)``
+    tokens — inheriting the covering blocks by aliasing instead of
+    allocating them — and the parked parent is freed at the fork (its
+    remaining blocks return to the pool, so no copy-on-write fires in
+    this flow). The tracker replays exactly that arithmetic, so its
+    counters equal the functional allocator's measurements.
+
+    Stretch discipline: callers grow every live request (retirees
+    included — they participate in all of a stretch's steps) *before*
+    retiring, matching the functional order of operations within a
+    decode step; block usage is monotone inside a stretch, so the peak
+    is exact.
+    """
+
+    def __init__(
+        self,
+        requests,
+        *,
+        block_size: int = 16,
+        num_layers: int = 1,
+        prefix_sharing: bool = True,
+    ) -> None:
+        if block_size < 1 or num_layers < 1:
+            raise ValueError("block_size and num_layers must be >= 1")
+        self.block_size = block_size
+        self.num_layers = num_layers
+        self.prefix_sharing = prefix_sharing
+        self._by_id = {r.request_id: r for r in requests}
+        # session -> (parked cache positions, blocks it occupies)
+        self._parked: dict[int, tuple[int, int]] = {}
+        self._pos: dict[int, int] = {}  # live rid -> cached positions
+        self._used = 0
+        self.peak_blocks = 0
+        self.allocated = 0
+        self.hits = 0
+        self.hit_tokens = 0
+        self.saved_blocks = 0
+
+    def _blocks(self, positions: int) -> int:
+        return self.num_layers * (-(-positions // self.block_size))
+
+    def admit(self, rid: int) -> int:
+        """Account one admission; returns the effective shared prefix
+        (0 = full prefill) for prefix-aware prompt pricing."""
+        r = self._by_id[rid]
+        eff = 0
+        if (self.prefix_sharing and r.shared_prefix_len
+                and r.session in self._parked):
+            ctx, parked_blocks = self._parked.pop(r.session)
+            eff = min(r.shared_prefix_len, ctx)
+            # Fork: the child aliases the prefix blocks; the parked
+            # parent is freed, returning its suffix blocks to the pool.
+            self._used -= parked_blocks - self._blocks(eff)
+            self.hits += 1
+            self.hit_tokens += eff
+            self.saved_blocks += self._blocks(eff)
+        fresh = blocks_needed(r.prompt_len, block_size=self.block_size,
+                              num_layers=self.num_layers,
+                              shared_prefix_len=eff)
+        self._used += fresh
+        self.allocated += fresh
+        if self._used > self.peak_blocks:
+            self.peak_blocks = self._used
+        self._pos[rid] = r.prompt_len
+        return eff
+
+    def grow_all(self, steps: int) -> None:
+        """Every live request appends ``steps`` positions (one per
+        decode iteration of a stretch)."""
+        for rid, pos in self._pos.items():
+            delta = self._blocks(pos + steps) - self._blocks(pos)
+            self._used += delta
+            self.allocated += delta
+            self._pos[rid] = pos + steps
+        if self._used > self.peak_blocks:
+            self.peak_blocks = self._used
+
+    def retire(self, rid: int) -> None:
+        """Release (or park) a finished request's cache."""
+        pos = self._pos.pop(rid)
+        r = self._by_id[rid]
+        blocks = self._blocks(pos)
+        if self.prefix_sharing and r.session is not None:
+            prev = self._parked.get(r.session)
+            if prev is not None:  # newer turn supersedes the parked one
+                self._used -= prev[1]
+            self._parked[r.session] = (pos, blocks)
+        else:
+            self._used -= blocks
+
+    def reset_live(self) -> None:
+        """Drop all live (non-parked) accounting — a replica crash wipes
+        in-flight caches; parked state dies with them too."""
+        for pos in self._pos.values():
+            self._used -= self._blocks(pos)
+        self._pos.clear()
+        for _, blocks in self._parked.values():
+            self._used -= blocks
+        self._parked.clear()
+
+
+class _Replica:
+    """One priced server: the continuous-batching loop as atomic actions
+    (admit one request with its prompt pass, or decode a stretch), so a
+    driver can run it alone or interleave it with others."""
+
+    def __init__(self, index: int, *, max_batch: int, policy: str,
+                 costs: StepCostModel, kv: _KvTracker, full: bool = True,
+                 join_time: float = 0.0,
+                 ttft_sink: list[tuple[float, float]] | None = None) -> None:
+        self.index = index
+        self.max_batch = max_batch
+        self.policy = policy
+        self.sched = Scheduler(max_batch, policy=policy)
+        self.costs = costs
+        # Per-replica KV pool accounting: parked session prefixes live
+        # (and die) with this replica; counters span incarnations.
+        self.kv = kv
+        self.full = full  # full timelines vs summary (aggregated) spans
+        self.now = join_time
+        self.alive = True
+        self.draining = False   # unroutable; finishes assigned work
+        self.retired = False    # drained dry: gone for good
+        self.join_time = join_time
+        self.retire_time: float | None = None
+        self.slow_from = _INF
+        self.slow_factor = 1.0
+        self.crash_step: int | None = None
+        self._mid_round = False
+        self.inbox: deque[tuple[float, Request]] = deque()  # delivered, unenqueued
+        self.by_id: dict[int, Request] = {}
+        # Incremental batch view: rid -> prompt + generated, admission
+        # order (mirrors ``sched.active``) — no per-step tuple rebuilds.
+        self._live_kv: dict[int, int] = {}
+        self.admit_start: dict[int, float] = {}
+        self.first: dict[int, float] = {}
+        self.finish: dict[int, float] = {}
+        self.tokens = 0  # every token generated here, kept or discarded
+        self.discarded = 0  # of those, thrown away by crashes so far
+        self.timeline = Timeline()
+        # Closed up-time segments + the currently-open segment start;
+        # crash/retire close a segment, recover opens the next.
+        self.segments: list[tuple[float, float]] = []
+        self.seg_open: float | None = join_time
+        # Past incarnations: (scheduler, crash step) per crash that was
+        # followed by a recovery; the functional replay re-runs each.
+        self.past: list[tuple[Scheduler, int | None]] = []
+        # When set, the fleet's autoscaler collects (time, ttft) samples
+        # here; None keeps the non-autoscaled path allocation-free.
+        self.ttft_sink = ttft_sink
+
+    # -- delivery --------------------------------------------------------
+
+    def deliver(self, request: Request, t: float) -> None:
+        """Hand over a request arriving at ``t`` (enqueued by the first
+        action at or after ``t``). Deliveries must come in time order."""
+        self.inbox.append((t, request))
+        self.by_id[request.request_id] = request
+
+    def _enqueue_arrived(self) -> None:
+        inbox, now = self.inbox, self.now
+        while inbox and inbox[0][0] <= now:
+            t, r = inbox.popleft()
+            self.sched.enqueue(SchedRequest(
+                request_id=r.request_id,
+                prompt_len=r.prompt_len,
+                max_new_tokens=r.gen_tokens,
+                arrival=t,
+                tenant=r.tenant,
+            ))
+
+    # -- the action interface --------------------------------------------
+
+    def next_action_time(self) -> float:
+        """Start time of this replica's next atomic action (inf if idle)."""
+        if not self.alive or self.retired:
+            return _INF
+        if self.sched.num_active or self.sched.num_waiting:
+            return self.now
+        if self.inbox:
+            return max(self.now, self.inbox[0][0])  # idle fast-forward
+        return _INF
+
+    def perform_action(self, on_complete, *, t_limit: float = _INF,
+                       max_steps: int | None = None) -> str | None:
+        """Run one atomic action: admit one request (paying its prompt
+        pass) if possible, else decode a whole *stretch* of iterations.
+        Returns what ran, or ``None`` when there is nothing to do.
+
+        ``on_complete(index, request, t)`` is called for every request
+        that finishes. ``t_limit`` bounds a decode stretch: only
+        iterations *starting* strictly before it are committed (the
+        fleet loop passes the next arrival/fault time, so a run splits
+        exactly where a per-step replica would have yielded to the event
+        loop). A replica's own inbox, the next length retirement, and a
+        pending slowdown onset split the run the same way. ``max_steps``
+        caps the stretch (``1`` recovers per-step stepping, used by
+        :meth:`crash`).
+        """
+        t = self.next_action_time()
+        if t == _INF:
+            return None
+        if t > self.now:
+            self.now = t
+        self._enqueue_arrived()
+        sched = self.sched
+        live_kv = self._live_kv
+        admitted = sched.admit(max_admit=1)
+        if admitted:
+            s = admitted[0]
+            rid = s.request_id
+            self._mid_round = True
+            start = self.now
+            eff = self.kv.admit(rid)
+            # ``live_kv`` excludes the newcomer: inserted after pricing.
+            # A prefix hit prices the unshared suffix only; ``eff == 0``
+            # passes the scheduler's request through untouched.
+            shape = (PromptShape(s.prompt_len, shared_prefix_len=eff)
+                     if eff else s)
+            dt = self.costs.prompt_cost(
+                BatchState(tuple(live_kv.values())), shape)
+            if start >= self.slow_from:
+                dt *= self.slow_factor
+            now = self.now = start + dt
+            label = (f"prefill r{rid} (+{eff} cached)" if eff
+                     else f"prefill r{rid}")
+            self.timeline.record("server", start, now, label)
+            if self.full:
+                self.timeline.record(f"req-{rid}", s.arrival, start,
+                                     "queued")
+            self.admit_start[rid] = start
+            self.first[rid] = now  # prompt pass yields token 1
+            if self.ttft_sink is not None:
+                # TTFT from the *original* arrival (a retried request's
+                # clock ran through the crash), matching the report.
+                self.ttft_sink.append((now, now - self.by_id[rid].arrival))
+            self.tokens += 1
+            if sched.record_token(rid) is not None:
+                self.finish[rid] = now
+                self.kv.retire(rid)
+                if self.full:
+                    self.timeline.record(f"req-{rid}", start, now, "decode")
+                on_complete(self.index, self.by_id[rid], now)
+            else:
+                live_kv[rid] = s.prompt_len + 1
+            return "admit"
+        batch = sched.num_active
+        if not batch:
+            return None
+        start = self.now
+        slow_from = self.slow_from
+        # Iterations are committed only while every intermediate step
+        # start stays strictly before each break time: the event-loop
+        # limit, this replica's own next delivery, and — while still at
+        # full speed — the slowdown onset.
+        t_break = t_limit
+        if self.inbox and self.inbox[0][0] < t_break:
+            t_break = self.inbox[0][0]
+        if start < slow_from < t_break:
+            t_break = slow_from
+        horizon = sched.decode_horizon()
+        if t_break != _INF and horizon > _RUN_CHUNK_STEPS:
+            horizon = _RUN_CHUNK_STEPS
+        if max_steps is not None and horizon > max_steps:
+            horizon = max_steps
+        run = self.costs.decode_run_cost(
+            BatchState(tuple(live_kv.values())), horizon)
+        if start >= slow_from:  # unslowed replicas skip the multiply
+            run = run * self.slow_factor
+        buf = np.empty(horizon + 1)
+        buf[0] = start
+        buf[1:] = run
+        # The cumsum *includes* ``start`` so the float additions
+        # associate exactly as a per-step ``now += cost`` loop.
+        ends = np.cumsum(buf, out=buf)[1:]
+        n = horizon
+        if t_break != _INF:
+            k = int(np.searchsorted(ends, t_break, side="left"))
+            if k + 1 < n:
+                n = k + 1
+        ends_list = ends[:n].tolist()  # exact float64 -> float
+        now = self.now = ends_list[-1]
+        retired = sched.record_tokens(n)
+        self.tokens += n * batch
+        if self.full:
+            s_prev = start
+            for e in ends_list:
+                self.timeline.record("server", s_prev, e, f"decode x{batch}")
+                s_prev = e
+        else:
+            self.timeline.record("server", start, now,
+                                 f"decode x{batch} ({n} steps)")
+        # Caches grow before retirement (a retiree participates in every
+        # step of the stretch — it retires *at* the last one).
+        self.kv.grow_all(n)
+        for rid in retired:
+            self.finish[rid] = now
+            self.kv.retire(rid)
+            if self.full:
+                self.timeline.record(f"req-{rid}", self.first[rid], now,
+                                     "decode")
+            on_complete(self.index, self.by_id[rid], now)
+            del live_kv[rid]
+        for rid in live_kv:
+            live_kv[rid] += n
+        self._mid_round = False
+        return "decode"
+
+    # -- crash handling --------------------------------------------------
+
+    def crash(self, t_fault: float, on_complete) -> list[tuple[float, Request]]:
+        """Kill the replica: finish the in-flight round so it dies at a
+        scheduler step boundary, then surrender every unfinished request
+        (queued, in flight, or undelivered) for requeueing. Returns
+        ``(requeue_time, request)`` victims in scheduler order."""
+        while self._mid_round:
+            # Per-step stepping: the in-flight round must finish exactly
+            # where a per-step replica would, not run a whole stretch.
+            if self.perform_action(on_complete, max_steps=1) is None:
+                # The round cannot reach its decode (everything retired
+                # in prompt passes); close the step so the event log
+                # stays boundary-aligned for functional replay.
+                self.sched.advance()
+                self._mid_round = False
+        self.alive = False
+        self.crash_step = self.sched.step
+        # The machine's KV pool dies with it: in-flight caches *and*
+        # parked session prefixes are gone (counters survive — they
+        # describe work that really happened here).
+        self.kv.reset_live()
+        t_requeue = max(self.now, t_fault)
+        if self.seg_open is not None:
+            self.segments.append((self.seg_open, t_requeue))
+            self.seg_open = None
+        victims: list[tuple[float, Request]] = []
+        for rid in self.sched.active:          # in flight: output discarded
+            victims.append((t_requeue, self.by_id[rid]))
+        for rid in self.sched.waiting:         # queued, never started
+            victims.append((t_requeue, self.by_id[rid]))
+        for t, r in self.inbox:                # routed, never enqueued
+            victims.append((max(t_requeue, t), r))
+        self.inbox.clear()
+        self.timeline.record_instant("server", t_requeue,
+                                     f"crash ({len(victims)} requeued)")
+        return victims
+
+    def recover(self, t: float) -> None:
+        """Reboot a crashed replica at time ``t``: a *fresh* scheduler
+        (nothing of the dead incarnation's state survives the machine),
+        empty batch, routable again. The old scheduler and its crash
+        step are archived for the functional replay; completion records
+        survive because those requests really did finish here."""
+        if self.alive:
+            raise RuntimeError(
+                f"replica {self.index} is alive; only a crashed replica "
+                f"can recover")
+        self.past.append((self.sched, self.crash_step))
+        self.sched = Scheduler(self.max_batch, policy=self.policy)
+        self._live_kv.clear()
+        self.alive = True
+        self.crash_step = None
+        self._mid_round = False
+        self.now = max(self.now, t)
+        self.seg_open = self.now
+        self.timeline.record_instant("server", self.now, "recover")
+
+    def maybe_retire(self, t: float) -> bool:
+        """Retire a draining replica the moment it runs dry (no active,
+        queued, or undelivered work). Returns whether it retired now."""
+        if (self.draining and self.alive and not self.retired
+                and not self.sched.num_active and not self.sched.num_waiting
+                and not self.inbox):
+            self.retired = True
+            self.retire_time = max(self.now, t)
+            if self.seg_open is not None:
+                self.segments.append((self.seg_open, self.retire_time))
+                self.seg_open = None
+            self.timeline.record_instant("server", self.retire_time,
+                                         "retired")
+            return True
+        return False
+
+    # -- reporting -------------------------------------------------------
+
+    def completed_tokens(self) -> int:
+        """Tokens of the requests that finished here (kept tokens)."""
+        return sum(self.by_id[rid].gen_tokens for rid in self.finish)
+
+    def lifetime(self, makespan: float) -> tuple[tuple[float, float], ...]:
+        """Up-time segments, the open one closed at ``makespan``."""
+        segments = list(self.segments)
+        if self.seg_open is not None:
+            segments.append((self.seg_open, max(self.seg_open, makespan)))
+        return tuple(segments)

@@ -10,28 +10,29 @@ time-to-first-token and end-to-end latency percentiles plus sustained
 throughput — the numbers an operator actually quotes against an SLA.
 
 Admission and retirement decisions are **not** made here: the replay
-drives the same :class:`~repro.engine.scheduler.Scheduler` that the
-functional :class:`~repro.engine.generation.GenerationSession` uses, and
-merely *prices* its decisions with the cost model — so the analytical
-and functional serving paths cannot diverge. The scheduler (with its
-event log) and a priced :class:`~repro.simcore.trace.Timeline` come back
-on the report for chrome-trace export.
+runs one :class:`~repro.engine.replica._Replica` — the serving loop the
+fleet simulator also runs, once per replica — which drives the same
+:class:`~repro.engine.scheduler.Scheduler` that the functional
+:class:`~repro.engine.generation.GenerationSession` uses and merely
+*prices* its decisions with the cost model, so the analytical and
+functional serving paths cannot diverge. The scheduler (with its event
+log) and a priced :class:`~repro.simcore.trace.Timeline` come back on
+the report for chrome-trace export.
 """
 
 from __future__ import annotations
 
-import warnings
+import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
-from ..model.paged_kv import blocks_needed
 from ..rng import SeedLike, as_generator
 from ..simcore.trace import Timeline
-from .costs import BatchState, DenseStepCost, PromptShape, StepCostModel, resolve_step_costs
+from .costs import StepCostModel
+from .replica import _KvTracker, _Replica
 from .report_stats import ReportStats
-from .scheduler import SchedRequest, Scheduler
+from .scheduler import Scheduler
 
 __all__ = [
     "Request",
@@ -39,9 +40,6 @@ __all__ = [
     "synthesize_trace",
     "ServingReport",
     "simulate_serving",
-    "simulate_serving_reference",
-    "serving_step_times",
-    "batch_state_of",
     "SUMMARY_DETAIL_THRESHOLD",
 ]
 
@@ -49,14 +47,6 @@ __all__ = [
 #: size — per-request lanes allocate O(requests) span objects that
 #: nobody exporting only percentiles ever reads.
 SUMMARY_DETAIL_THRESHOLD = 10_000
-
-# Cap on how many decode iterations one vectorized pricing call covers
-# while an event with a *time* bound (an arrival, a fault) is pending —
-# those can split the run mid-stretch, so pricing far past them is
-# wasted work for per-step cost models. Without such an event the next
-# retirement bounds the run exactly and no cap is needed. Chunking is
-# observably identical (the loop just re-enters mid-stretch).
-_RUN_CHUNK_STEPS = 256
 
 
 @dataclass(frozen=True)
@@ -92,6 +82,11 @@ class Request:
     shared_prefix_len: int = 0
 
     def __post_init__(self) -> None:
+        # A NaN arrival slips past ``< 0`` and never compares <= the
+        # simulated clock, so it would stall the replay forever.
+        if not math.isfinite(self.arrival):
+            raise ValueError(
+                f"arrival must be a finite time, got {self.arrival!r}")
         if self.arrival < 0 or self.prompt_len < 1 or self.gen_tokens < 1:
             raise ValueError("invalid request parameters")
         if self.turn_index < 0:
@@ -288,134 +283,6 @@ class ServingReport(ReportStats):
     timeline: Timeline | None = field(default=None, compare=False)
 
 
-class _KvTracker:
-    """Analytical KV-block accounting mirroring the functional paged
-    allocator, including copy-on-write prefix sharing.
-
-    The functional engine's cache for a request retired after ``G``
-    tokens holds ``prompt + G - 1`` positions (the final emitted token
-    is never appended), occupying ``num_layers * ceil(positions /
-    block_size)`` pool blocks. With ``prefix_sharing`` on, a
-    session-tagged retiree's cache is *parked*; the session's next turn
-    forks it up to ``eff = min(shared_prefix_len, parked positions)``
-    tokens — inheriting the covering blocks by aliasing instead of
-    allocating them — and the parked parent is freed at the fork (its
-    remaining blocks return to the pool, so no copy-on-write fires in
-    this flow). The tracker replays exactly that arithmetic, so its
-    counters equal the functional allocator's measurements.
-
-    Stretch discipline: callers grow every live request (retirees
-    included — they participate in all of a stretch's steps) *before*
-    retiring, matching the functional order of operations within a
-    decode step; block usage is monotone inside a stretch, so the peak
-    is exact.
-    """
-
-    def __init__(
-        self,
-        requests,
-        *,
-        block_size: int = 16,
-        num_layers: int = 1,
-        prefix_sharing: bool = True,
-    ) -> None:
-        if block_size < 1 or num_layers < 1:
-            raise ValueError("block_size and num_layers must be >= 1")
-        self.block_size = block_size
-        self.num_layers = num_layers
-        self.prefix_sharing = prefix_sharing
-        self._by_id = {r.request_id: r for r in requests}
-        # session -> (parked cache positions, blocks it occupies)
-        self._parked: dict[int, tuple[int, int]] = {}
-        self._pos: dict[int, int] = {}  # live rid -> cached positions
-        self._used = 0
-        self.peak_blocks = 0
-        self.allocated = 0
-        self.hits = 0
-        self.hit_tokens = 0
-        self.saved_blocks = 0
-
-    def _blocks(self, positions: int) -> int:
-        return self.num_layers * (-(-positions // self.block_size))
-
-    def admit(self, rid: int) -> int:
-        """Account one admission; returns the effective shared prefix
-        (0 = full prefill) for prefix-aware prompt pricing."""
-        r = self._by_id[rid]
-        eff = 0
-        if (self.prefix_sharing and r.shared_prefix_len
-                and r.session in self._parked):
-            ctx, parked_blocks = self._parked.pop(r.session)
-            eff = min(r.shared_prefix_len, ctx)
-            # Fork: the child aliases the prefix blocks; the parked
-            # parent is freed, returning its suffix blocks to the pool.
-            self._used -= parked_blocks - self._blocks(eff)
-            self.hits += 1
-            self.hit_tokens += eff
-            self.saved_blocks += self._blocks(eff)
-        fresh = blocks_needed(r.prompt_len, block_size=self.block_size,
-                              num_layers=self.num_layers,
-                              shared_prefix_len=eff)
-        self._used += fresh
-        self.allocated += fresh
-        if self._used > self.peak_blocks:
-            self.peak_blocks = self._used
-        self._pos[rid] = r.prompt_len
-        return eff
-
-    def grow_all(self, steps: int) -> None:
-        """Every live request appends ``steps`` positions (one per
-        decode iteration of a stretch)."""
-        for rid, pos in self._pos.items():
-            delta = self._blocks(pos + steps) - self._blocks(pos)
-            self._used += delta
-            self.allocated += delta
-            self._pos[rid] = pos + steps
-        if self._used > self.peak_blocks:
-            self.peak_blocks = self._used
-
-    def retire(self, rid: int) -> None:
-        """Release (or park) a finished request's cache."""
-        pos = self._pos.pop(rid)
-        r = self._by_id[rid]
-        blocks = self._blocks(pos)
-        if self.prefix_sharing and r.session is not None:
-            prev = self._parked.get(r.session)
-            if prev is not None:  # newer turn supersedes the parked one
-                self._used -= prev[1]
-            self._parked[r.session] = (pos, blocks)
-        else:
-            self._used -= blocks
-
-    def reset_live(self) -> None:
-        """Drop all live (non-parked) accounting — a replica crash wipes
-        in-flight caches; parked state dies with them too."""
-        for pos in self._pos.values():
-            self._used -= self._blocks(pos)
-        self._pos.clear()
-        for _, blocks in self._parked.values():
-            self._used -= blocks
-        self._parked.clear()
-
-
-def batch_state_of(
-    sched: Scheduler,
-    prompt_lens: dict[int, int],
-    *,
-    exclude: int | None = None,
-) -> BatchState:
-    """The live batch's :class:`BatchState` as seen by the scheduler.
-
-    Each active sequence's KV length is its prompt plus the tokens
-    recorded so far; ``exclude`` drops one request id (used to price a
-    prompt pass against the *riders*, not the newcomer itself).
-    """
-    return BatchState(tuple(
-        prompt_lens[rid] + sched.generated(rid)
-        for rid in sched.active if rid != exclude
-    ))
-
-
 def _resolve_detail(detail: str, num_requests: int) -> bool:
     """True for full per-step/per-request timelines, False for summary."""
     if detail not in ("auto", "full", "summary"):
@@ -426,12 +293,14 @@ def _resolve_detail(detail: str, num_requests: int) -> bool:
     return detail == "full"
 
 
+def _ignore_completion(index: int, request: Request, t: float) -> None:
+    """A lone server has no router to tell about completions."""
+
+
 def simulate_serving(
     trace: WorkloadTrace,
     *,
-    costs: StepCostModel | None = None,
-    prompt_time: Callable[[int, int], float] | None = None,
-    step_time: Callable[[int], float] | None = None,
+    costs: StepCostModel,
     max_batch: int,
     policy: str = "fcfs",
     detail: str = "auto",
@@ -443,14 +312,15 @@ def simulate_serving(
 
     Lifecycle decisions come from the shared
     :class:`~repro.engine.scheduler.Scheduler` (the same class the
-    functional engine runs); this function only maps arrivals into the
-    queue and prices the scheduler's decisions with ``costs`` (any
+    functional engine runs); this function only delivers arrivals to one
+    :class:`~repro.engine.replica._Replica` and lets it price the
+    scheduler's decisions with ``costs`` (any
     :class:`~repro.engine.costs.StepCostModel`:
     :class:`~repro.engine.costs.DenseStepCost`,
     :class:`~repro.engine.costs.MoEStepCost`,
-    :class:`~repro.engine.costs.ZeroStepCost`, ...). The legacy
-    ``prompt_time(batch, prompt_len)`` / ``step_time(batch)`` closure
-    pair is still accepted in place of ``costs``.
+    :class:`~repro.engine.costs.ZeroStepCost`, or
+    :class:`~repro.engine.costs.ClosureStepCost` over a plain
+    ``(prompt_time, step_time)`` function pair).
 
     ``prefix_sharing`` (with ``kv_block_size``/``kv_num_layers`` sizing
     the mirrored paged pool) enables session prefix reuse: a
@@ -467,9 +337,9 @@ def simulate_serving(
     one :meth:`~repro.engine.costs.StepCostModel.decode_run_cost` call
     and committed with one bulk
     :meth:`~repro.engine.scheduler.Scheduler.record_tokens`. Reports are
-    bit-for-bit identical to the retained per-step oracle
-    (:func:`simulate_serving_reference`) — same makespan, same
-    per-request times, same scheduler event log.
+    bit-for-bit identical to per-step stepping — same makespan, same
+    per-request times, same scheduler event log (the test suite holds
+    them against a per-step oracle, ``tests/serving_oracle.py``).
 
     ``detail`` controls timeline fidelity: ``"full"`` records per-step
     server spans and per-request queued/decode lanes; ``"summary"``
@@ -486,289 +356,26 @@ def simulate_serving(
     if max_batch < 1:
         raise ValueError("max_batch must be >= 1")
     full = _resolve_detail(detail, len(trace.requests))
-    cost_model = resolve_step_costs(costs, prompt_time, step_time)
-    sched = Scheduler(max_batch, policy=policy)
-    timeline = Timeline()
-    requests = trace.requests
-    kv = _KvTracker(requests, block_size=kv_block_size,
+    kv = _KvTracker(trace.requests, block_size=kv_block_size,
                     num_layers=kv_num_layers, prefix_sharing=prefix_sharing)
-    cursor = 0  # arrival cursor: O(1) per drain, no per-call trace copy
-    admit_at: dict[int, float] = {}
-    now = 0.0
-    finish: dict[int, float] = {}
-    first: dict[int, float] = {}
-    delays: dict[int, float] = {}
-    total_tokens = 0
-    # Incrementally maintained batch view: rid -> prompt + generated, in
-    # admission order (mirrors ``sched.active``), replacing per-step
-    # ``batch_state_of`` rebuilds.
-    live_kv: dict[int, int] = {}
-
-    def enqueue_arrived() -> None:
-        nonlocal cursor
-        while cursor < len(requests) and requests[cursor].arrival <= now:
-            r = requests[cursor]
-            cursor += 1
-            sched.enqueue(SchedRequest(
-                request_id=r.request_id,
-                prompt_len=r.prompt_len,
-                max_new_tokens=r.gen_tokens,
-                arrival=r.arrival,
-                tenant=r.tenant,
-            ))
-
-    while cursor < len(requests) or sched.num_waiting or sched.num_active:
-        # Fast-forward to the next arrival when idle.
-        if (not sched.num_active and not sched.num_waiting
-                and cursor < len(requests)
-                and requests[cursor].arrival > now):
-            now = requests[cursor].arrival
-        enqueue_arrived()
-        # Admit one at a time, paying each prompt pass, so requests
-        # arriving *during* a prompt pass can join this round's queue.
-        while True:
-            admitted = sched.admit(max_admit=1)
-            if not admitted:
-                break
-            s = admitted[0]
-            delays[s.request_id] = now - s.arrival
-            start = now
-            eff = kv.admit(s.request_id)
-            # ``live_kv`` excludes the newcomer by construction: it is
-            # inserted only after its prompt pass is priced. A prefix
-            # hit prices the unshared suffix only; ``eff == 0`` passes
-            # the scheduler's request through untouched (bit-for-bit the
-            # pre-sharing numbers).
-            shape = (PromptShape(s.prompt_len, shared_prefix_len=eff)
-                     if eff else s)
-            now += cost_model.prompt_cost(
-                BatchState(tuple(live_kv.values())), shape)
-            label = (f"prefill r{s.request_id} (+{eff} cached)" if eff
-                     else f"prefill r{s.request_id}")
-            timeline.record("server", start, now, label)
-            if full:
-                timeline.record(f"req-{s.request_id}", s.arrival, start,
-                                "queued")
-            admit_at[s.request_id] = now
-            first[s.request_id] = now  # prompt pass yields token 1
-            total_tokens += 1
-            if sched.record_token(s.request_id) is not None:
-                finish[s.request_id] = now
-                kv.retire(s.request_id)
-                if full:
-                    timeline.record(f"req-{s.request_id}", start, now,
-                                    "decode")
-            else:
-                live_kv[s.request_id] = s.prompt_len + 1
-            enqueue_arrived()
-        if not sched.num_active:
-            continue
-        # Event-compressed decode: until the next arrival or length
-        # retirement the batch is frozen, so price the whole stretch in
-        # one vectorized call and commit it in one bulk advance. The
-        # cumsum *includes* ``now`` so the float additions associate
-        # exactly as the per-step ``now += cost`` loop.
-        batch = sched.num_active
-        horizon = sched.decode_horizon()
-        if cursor < len(requests):
-            horizon = min(horizon, _RUN_CHUNK_STEPS)
-        run = cost_model.decode_run_cost(
-            BatchState(tuple(live_kv.values())), horizon)
-        buf = np.empty(horizon + 1)
-        buf[0] = now
-        buf[1:] = run
-        ends = np.cumsum(buf, out=buf)[1:]
-        n = horizon
-        if cursor < len(requests):
-            # Steps are pure only while every intermediate loop-top stays
-            # strictly before the next arrival's enqueue point.
-            k = int(np.searchsorted(ends, requests[cursor].arrival,
-                                    side="left"))
-            n = min(n, k + 1)
-        ends_list = ends[:n].tolist()  # exact float64 -> float
-        start = now
-        now = ends_list[-1]
-        retired = sched.record_tokens(n)
-        total_tokens += n * batch
-        if full:
-            s_prev = start
-            for e in ends_list:
-                timeline.record("server", s_prev, e, f"decode x{batch}")
-                s_prev = e
-        else:
-            timeline.record("server", start, now,
-                            f"decode x{batch} ({n} steps)")
-        # Caches grow before retirement (a retiree participates in every
-        # step of the stretch — it retires *at* the last one).
-        kv.grow_all(n)
-        for rid in retired:
-            finish[rid] = now
-            kv.retire(rid)
-            if full:
-                timeline.record(f"req-{rid}", admit_at[rid], now, "decode")
-            del live_kv[rid]
-        for rid in live_kv:
-            live_kv[rid] += n
-
+    server = _Replica(0, max_batch=max_batch, policy=policy, costs=costs,
+                      kv=kv, full=full)
+    for r in trace.requests:
+        server.deliver(r, r.arrival)
+    while server.perform_action(_ignore_completion) is not None:
+        pass
     return ServingReport(
-        makespan=now,
-        finish_times=finish,
-        first_token_times=first,
-        queue_delays=delays,
-        total_tokens=total_tokens,
+        makespan=server.now,
+        finish_times=server.finish,
+        first_token_times=server.first,
+        queue_delays={rid: t - server.by_id[rid].arrival
+                      for rid, t in server.admit_start.items()},
+        total_tokens=server.tokens,
         prefix_hits=kv.hits,
         prefix_hit_tokens=kv.hit_tokens,
         kv_blocks_allocated=kv.allocated,
         kv_blocks_saved=kv.saved_blocks,
         peak_kv_blocks=kv.peak_blocks,
-        scheduler=sched,
-        timeline=timeline,
+        scheduler=server.sched,
+        timeline=server.timeline,
     )
-
-
-def simulate_serving_reference(
-    trace: WorkloadTrace,
-    *,
-    costs: StepCostModel | None = None,
-    prompt_time: Callable[[int, int], float] | None = None,
-    step_time: Callable[[int], float] | None = None,
-    max_batch: int,
-    policy: str = "fcfs",
-    kv_block_size: int = 16,
-    kv_num_layers: int = 1,
-    prefix_sharing: bool = True,
-) -> ServingReport:
-    """Per-step reference oracle for :func:`simulate_serving`.
-
-    The pre-compression implementation, retained verbatim: one Python
-    round-trip per decode iteration, ``batch_state_of`` tuple rebuild
-    per pricing call, always-full timelines. The equivalence tests (and
-    the speed benchmark's baseline leg) hold :func:`simulate_serving`
-    bit-for-bit against this — including the prefix-sharing KV counters.
-    """
-    if max_batch < 1:
-        raise ValueError("max_batch must be >= 1")
-    cost_model = resolve_step_costs(costs, prompt_time, step_time)
-    plens = {r.request_id: r.prompt_len for r in trace.requests}
-    sched = Scheduler(max_batch, policy=policy)
-    timeline = Timeline()
-    requests = trace.requests
-    kv = _KvTracker(requests, block_size=kv_block_size,
-                    num_layers=kv_num_layers, prefix_sharing=prefix_sharing)
-    cursor = 0  # arrival cursor: O(1) per drain, no per-call trace copy
-    admit_at: dict[int, float] = {}
-    now = 0.0
-    finish: dict[int, float] = {}
-    first: dict[int, float] = {}
-    delays: dict[int, float] = {}
-    total_tokens = 0
-
-    def enqueue_arrived() -> None:
-        nonlocal cursor
-        while cursor < len(requests) and requests[cursor].arrival <= now:
-            r = requests[cursor]
-            cursor += 1
-            sched.enqueue(SchedRequest(
-                request_id=r.request_id,
-                prompt_len=r.prompt_len,
-                max_new_tokens=r.gen_tokens,
-                arrival=r.arrival,
-                tenant=r.tenant,
-            ))
-
-    while cursor < len(requests) or sched.num_waiting or sched.num_active:
-        # Fast-forward to the next arrival when idle.
-        if (not sched.num_active and not sched.num_waiting
-                and cursor < len(requests)
-                and requests[cursor].arrival > now):
-            now = requests[cursor].arrival
-        enqueue_arrived()
-        # Admit one at a time, paying each prompt pass, so requests
-        # arriving *during* a prompt pass can join this round's queue.
-        while True:
-            admitted = sched.admit(max_admit=1)
-            if not admitted:
-                break
-            s = admitted[0]
-            delays[s.request_id] = now - s.arrival
-            start = now
-            eff = kv.admit(s.request_id)
-            shape = (PromptShape(s.prompt_len, shared_prefix_len=eff)
-                     if eff else s)
-            now += cost_model.prompt_cost(
-                batch_state_of(sched, plens, exclude=s.request_id), shape)
-            label = (f"prefill r{s.request_id} (+{eff} cached)" if eff
-                     else f"prefill r{s.request_id}")
-            timeline.record("server", start, now, label)
-            timeline.record(f"req-{s.request_id}", s.arrival, start, "queued")
-            admit_at[s.request_id] = now
-            first[s.request_id] = now  # prompt pass yields token 1
-            total_tokens += 1
-            if sched.record_token(s.request_id) is not None:
-                finish[s.request_id] = now
-                kv.retire(s.request_id)
-                timeline.record(f"req-{s.request_id}", start, now, "decode")
-            enqueue_arrived()
-        if not sched.num_active:
-            continue
-        # One decode iteration for every live sequence — priced once,
-        # whatever the batch size (the batched-forward semantics).
-        batch = sched.num_active
-        start = now
-        now += cost_model.decode_cost(batch_state_of(sched, plens))
-        timeline.record("server", start, now, f"decode x{batch}")
-        total_tokens += batch
-        kv.grow_all(1)  # every live cache appends this step's token
-        for rid in sched.active:
-            if sched.record_token(rid) is not None:
-                finish[rid] = now
-                kv.retire(rid)
-                timeline.record(f"req-{rid}", admit_at[rid], now, "decode")
-        sched.advance()
-
-    return ServingReport(
-        makespan=now,
-        finish_times=finish,
-        first_token_times=first,
-        queue_delays=delays,
-        total_tokens=total_tokens,
-        prefix_hits=kv.hits,
-        prefix_hit_tokens=kv.hit_tokens,
-        kv_blocks_allocated=kv.allocated,
-        kv_blocks_saved=kv.saved_blocks,
-        peak_kv_blocks=kv.peak_blocks,
-        scheduler=sched,
-        timeline=timeline,
-    )
-
-
-def serving_step_times(latency_model, *, mean_prompt: int, mean_gen: int):
-    """Deprecated: build (prompt_time, step_time) closures from a dense
-    latency model.
-
-    This is a thin shim over :class:`~repro.engine.costs.DenseStepCost`
-    in its ``representative_kv`` compat mode (``mean_prompt + mean_gen
-    // 2``) and reproduces its numbers bit-for-bit. New code should pass
-    ``costs=DenseStepCost(latency_model, ...)`` to
-    :func:`simulate_serving` / :func:`~repro.fleet.sim.simulate_fleet`
-    directly — the default (no ``representative_kv``) prices each decode
-    at the batch's *actual* KV lengths instead of one representative
-    point.
-    """
-    warnings.warn(
-        "serving_step_times is deprecated; pass a StepCostModel (e.g. "
-        "DenseStepCost) via the costs= parameter instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    costs = DenseStepCost(latency_model,
-                          representative_kv=mean_prompt + mean_gen // 2)
-
-    def prompt_time(batch: int, prompt_len: int) -> float:
-        riders = BatchState.uniform(max(0, batch - 1), 1)
-        return costs.prompt_cost(riders, PromptShape(prompt_len))
-
-    def step_time(batch: int) -> float:
-        return costs.decode_cost(BatchState.uniform(max(1, batch), 1))
-
-    return prompt_time, step_time

@@ -2,18 +2,20 @@
 
 Scale-out beyond one server multiplies the paper's single-instance
 runtime (Secs. IV-V) behind a :class:`~repro.fleet.router.Router`. Each
-replica is the *same* scheduler-backed continuous-batching server PR 1
-built — here decomposed into atomic actions (admit-one-with-prompt-pass,
-decode-one-iteration) so a global event loop can interleave many
-replicas, arrivals, and scripted faults in start-time order.
+replica is the engine's one serving loop,
+:class:`~repro.engine.replica._Replica` — the same stepper
+:func:`~repro.engine.serving_sim.simulate_serving` runs alone — whose
+atomic actions (admit one request with its prompt pass, decode a
+stretch) let a global event loop interleave many replicas, arrivals,
+and scripted faults in start-time order.
 
 Two backends, one control plane:
 
 * :func:`simulate_fleet` — analytical: every replica prices the shared
   :class:`~repro.engine.scheduler.Scheduler`'s decisions with the
-  latency model (exactly :func:`~repro.engine.serving_sim
-  .simulate_serving`'s round structure; a one-replica fleet reproduces
-  it bit-for-bit), producing a :class:`~repro.fleet.report.FleetReport`;
+  step-cost model (a one-replica fleet reproduces
+  :func:`~repro.engine.serving_sim.simulate_serving` bit-for-bit),
+  producing a :class:`~repro.fleet.report.FleetReport`;
 * :func:`run_fleet_functional` — functional: replays the analytical
   run's per-replica enqueue schedule into one real
   :class:`~repro.engine.generation.GenerationSession` per replica. The
@@ -37,28 +39,17 @@ import heapq
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
 from ..autoscale.actions import AutoscaleEvent
 from ..autoscale.controller import Autoscaler, AutoscaleConfig, resolve_autoscaler
 from ..autoscale.signals import FleetSignals, ReplicaSnapshot
-from ..engine.costs import (
-    BatchState,
-    PromptShape,
-    StepCostModel,
-    resolve_step_costs,
-)
+from ..engine.costs import StepCostModel
 from ..engine.generation import GenerationSession
-from ..engine.scheduler import SchedRequest, Scheduler
-from ..engine.serving_sim import (
-    _RUN_CHUNK_STEPS,
-    _KvTracker,
-    Request,
-    WorkloadTrace,
-    _resolve_detail,
-)
+from ..engine.replica import _KvTracker, _Replica
+from ..engine.scheduler import Scheduler
+from ..engine.serving_sim import Request, WorkloadTrace, _resolve_detail
 from ..rng import SeedLike, as_generator
 from ..simcore.trace import Timeline
 from .faults import FaultPlan
@@ -76,314 +67,26 @@ __all__ = [
 _INF = math.inf
 
 
-class _Replica:
-    """One priced replica: simulate_serving's loop split into atomic
-    actions so the fleet event loop can interleave replicas."""
-
-    def __init__(self, index: int, *, max_batch: int, policy: str,
-                 costs: StepCostModel, kv: _KvTracker, full: bool = True,
-                 join_time: float = 0.0,
-                 ttft_sink: list[tuple[float, float]] | None = None) -> None:
-        self.index = index
-        self.max_batch = max_batch
-        self.policy = policy
-        self.sched = Scheduler(max_batch, policy=policy)
-        self.costs = costs
-        # Per-replica KV pool accounting: parked session prefixes live
-        # (and die) with this replica; counters span incarnations.
-        self.kv = kv
-        self.full = full  # full timelines vs summary (aggregated) spans
-        self.now = join_time
-        self.alive = True
-        self.draining = False   # unroutable; finishes assigned work
-        self.retired = False    # drained dry: gone for good
-        self.join_time = join_time
-        self.retire_time: float | None = None
-        self.slow_from = _INF
-        self.slow_factor = 1.0
-        self.crash_step: int | None = None
-        self._mid_round = False
-        self.inbox: deque[tuple[float, Request]] = deque()  # delivered, unenqueued
-        self.by_id: dict[int, Request] = {}
-        # Incremental batch view: rid -> prompt + generated, admission
-        # order (mirrors ``sched.active``) — no per-step tuple rebuilds.
-        self._live_kv: dict[int, int] = {}
-        self.admit_start: dict[int, float] = {}
-        self.admit_at: dict[int, float] = {}
-        self.first: dict[int, float] = {}
-        self.finish: dict[int, float] = {}
-        self.tokens = 0  # every token generated here, kept or discarded
-        self.discarded = 0  # of those, thrown away by crashes so far
-        self.timeline = Timeline()
-        # Closed up-time segments + the currently-open segment start;
-        # crash/retire close a segment, recover opens the next.
-        self.segments: list[tuple[float, float]] = []
-        self.seg_open: float | None = join_time
-        # Past incarnations: (scheduler, crash step) per crash that was
-        # followed by a recovery; the functional replay re-runs each.
-        self.past: list[tuple[Scheduler, int | None]] = []
-        # When set, the fleet's autoscaler collects (time, ttft) samples
-        # here; None keeps the non-autoscaled path allocation-free.
-        self.ttft_sink = ttft_sink
-
-    # -- delivery --------------------------------------------------------
-
-    def deliver(self, request: Request, t: float) -> None:
-        """Hand over a routed request (enqueued before the next action)."""
-        self.inbox.append((t, request))
-        self.by_id[request.request_id] = request
-
-    def _enqueue_arrived(self) -> None:
-        while self.inbox and self.inbox[0][0] <= self.now:
-            t, r = self.inbox.popleft()
-            self.sched.enqueue(SchedRequest(
-                request_id=r.request_id,
-                prompt_len=r.prompt_len,
-                max_new_tokens=r.gen_tokens,
-                arrival=t,
-                tenant=r.tenant,
-            ))
-
-    # -- the action interface --------------------------------------------
-
-    def next_action_time(self) -> float:
-        """Start time of this replica's next atomic action (inf if idle)."""
-        if not self.alive or self.retired:
-            return _INF
-        if self.sched.num_active or self.sched.num_waiting:
-            return self.now
-        if self.inbox:
-            return max(self.now, self.inbox[0][0])  # idle fast-forward
-        return _INF
-
-    def _cost(self, dt: float) -> float:
-        return dt * (self.slow_factor if self.now >= self.slow_from else 1.0)
-
-    def perform_action(self, on_complete, *, t_limit: float = _INF,
-                       max_steps: int | None = None) -> str | None:
-        """Run one atomic action: admit one request (paying its prompt
-        pass) if possible, else decode a whole *stretch* of iterations.
-        Returns what ran.
-
-        ``t_limit`` bounds a decode stretch: only iterations *starting*
-        strictly before it are committed (the fleet loop passes the next
-        arrival/fault time, so a run splits exactly where a per-step
-        replica would have yielded to the event loop). A replica's own
-        inbox, the next length retirement, and a pending slowdown onset
-        split the run the same way. ``max_steps`` caps the stretch
-        (``1`` recovers per-step stepping, used by :meth:`crash`).
-        """
-        t = self.next_action_time()
-        if t == _INF:
-            return None
-        self.now = max(self.now, t)
-        self._enqueue_arrived()
-        admitted = self.sched.admit(max_admit=1)
-        if admitted:
-            s = admitted[0]
-            self._mid_round = True
-            start = self.now
-            eff = self.kv.admit(s.request_id)
-            # ``_live_kv`` excludes the newcomer: inserted after pricing.
-            # A prefix hit prices the unshared suffix only; ``eff == 0``
-            # passes the scheduler's request through untouched.
-            shape = (PromptShape(s.prompt_len, shared_prefix_len=eff)
-                     if eff else s)
-            self.now += self._cost(self.costs.prompt_cost(
-                BatchState(tuple(self._live_kv.values())), shape))
-            label = (f"prefill r{s.request_id} (+{eff} cached)" if eff
-                     else f"prefill r{s.request_id}")
-            self.timeline.record("server", start, self.now, label)
-            if self.full:
-                self.timeline.record(f"req-{s.request_id}", s.arrival, start,
-                                     "queued")
-            self.admit_start[s.request_id] = start
-            self.admit_at[s.request_id] = self.now
-            self.first[s.request_id] = self.now  # prompt pass yields token 1
-            if self.ttft_sink is not None:
-                # TTFT from the *original* arrival (a retried request's
-                # clock ran through the crash), matching the report.
-                self.ttft_sink.append(
-                    (self.now,
-                     self.now - self.by_id[s.request_id].arrival))
-            self.tokens += 1
-            if self.sched.record_token(s.request_id) is not None:
-                self.finish[s.request_id] = self.now
-                self.kv.retire(s.request_id)
-                if self.full:
-                    self.timeline.record(f"req-{s.request_id}", start,
-                                         self.now, "decode")
-                on_complete(self.index, self.by_id[s.request_id], self.now)
-            else:
-                self._live_kv[s.request_id] = s.prompt_len + 1
-            return "admit"
-        if self.sched.num_active:
-            batch = self.sched.num_active
-            # Iterations are committed only while every intermediate
-            # step start stays strictly before each break time: the
-            # event-loop limit, this replica's own next delivery, and —
-            # while still at full speed — the slowdown onset.
-            t_break = t_limit
-            if self.inbox:
-                t_break = min(t_break, self.inbox[0][0])
-            if self.now < self.slow_from < t_break:
-                t_break = self.slow_from
-            horizon = self.sched.decode_horizon()
-            if t_break != _INF:
-                horizon = min(horizon, _RUN_CHUNK_STEPS)
-            if max_steps is not None:
-                horizon = min(horizon, max_steps)
-            factor = self.slow_factor if self.now >= self.slow_from else 1.0
-            raw = self.costs.decode_run_cost(
-                BatchState(tuple(self._live_kv.values())), horizon)
-            costs_arr = raw * factor  # x * 1.0 is exact, so always safe
-            buf = np.empty(horizon + 1)
-            buf[0] = self.now
-            buf[1:] = costs_arr
-            ends = np.cumsum(buf, out=buf)[1:]
-            n = horizon
-            if t_break != _INF:
-                k = int(np.searchsorted(ends, t_break, side="left"))
-                n = min(n, k + 1)
-            ends_list = ends[:n].tolist()  # exact float64 -> float
-            start = self.now
-            self.now = ends_list[-1]
-            retired = self.sched.record_tokens(n)
-            self.tokens += n * batch
-            if self.full:
-                s_prev = start
-                for e in ends_list:
-                    self.timeline.record("server", s_prev, e,
-                                         f"decode x{batch}")
-                    s_prev = e
-            else:
-                self.timeline.record("server", start, self.now,
-                                     f"decode x{batch} ({n} steps)")
-            # Caches grow before retirement (a retiree participates in
-            # every step of the stretch — it retires *at* the last one).
-            self.kv.grow_all(n)
-            for rid in retired:
-                self.finish[rid] = self.now
-                self.kv.retire(rid)
-                if self.full:
-                    self.timeline.record(f"req-{rid}", self.admit_at[rid],
-                                         self.now, "decode")
-                on_complete(self.index, self.by_id[rid], self.now)
-                del self._live_kv[rid]
-            for rid in self._live_kv:
-                self._live_kv[rid] += n
-            self._mid_round = False
-            return "decode"
-        return None
-
-    # -- crash handling --------------------------------------------------
-
-    def crash(self, t_fault: float, on_complete) -> list[tuple[float, Request]]:
-        """Kill the replica: finish the in-flight round so it dies at a
-        scheduler step boundary, then surrender every unfinished request
-        (queued, in flight, or undelivered) for requeueing. Returns
-        ``(requeue_time, request)`` victims in scheduler order."""
-        while self._mid_round:
-            # Per-step stepping: the in-flight round must finish exactly
-            # where a per-step replica would, not run a whole stretch.
-            if self.perform_action(on_complete, max_steps=1) is None:
-                # The round cannot reach its decode (everything retired
-                # in prompt passes); close the step so the event log
-                # stays boundary-aligned for functional replay.
-                self.sched.advance()
-                self._mid_round = False
-        self.alive = False
-        self.crash_step = self.sched.step
-        # The machine's KV pool dies with it: in-flight caches *and*
-        # parked session prefixes are gone (counters survive — they
-        # describe work that really happened here).
-        self.kv.reset_live()
-        t_requeue = max(self.now, t_fault)
-        if self.seg_open is not None:
-            self.segments.append((self.seg_open, t_requeue))
-            self.seg_open = None
-        victims: list[tuple[float, Request]] = []
-        for rid in self.sched.active:          # in flight: output discarded
-            victims.append((t_requeue, self.by_id[rid]))
-        for rid in self.sched.waiting:         # queued, never started
-            victims.append((t_requeue, self.by_id[rid]))
-        for t, r in self.inbox:                # routed, never enqueued
-            victims.append((max(t_requeue, t), r))
-        self.inbox.clear()
-        self.timeline.record_instant("server", t_requeue,
-                                     f"crash ({len(victims)} requeued)")
-        return victims
-
-    def recover(self, t: float) -> None:
-        """Reboot a crashed replica at time ``t``: a *fresh* scheduler
-        (nothing of the dead incarnation's state survives the machine),
-        empty batch, routable again. The old scheduler and its crash
-        step are archived for the functional replay; completion records
-        survive because those requests really did finish here."""
-        if self.alive:
-            raise RuntimeError(
-                f"replica {self.index} is alive; only a crashed replica "
-                f"can recover")
-        self.past.append((self.sched, self.crash_step))
-        self.sched = Scheduler(self.max_batch, policy=self.policy)
-        self._live_kv.clear()
-        self.alive = True
-        self.crash_step = None
-        self._mid_round = False
-        self.now = max(self.now, t)
-        self.seg_open = self.now
-        self.timeline.record_instant("server", self.now, "recover")
-
-    def maybe_retire(self, t: float) -> bool:
-        """Retire a draining replica the moment it runs dry (no active,
-        queued, or undelivered work). Returns whether it retired now."""
-        if (self.draining and self.alive and not self.retired
-                and not self.sched.num_active and not self.sched.num_waiting
-                and not self.inbox):
-            self.retired = True
-            self.retire_time = max(self.now, t)
-            if self.seg_open is not None:
-                self.segments.append((self.seg_open, self.retire_time))
-                self.seg_open = None
-            self.timeline.record_instant("server", self.retire_time,
-                                         "retired")
-            return True
-        return False
-
-    # -- reporting -------------------------------------------------------
-
-    def completed_tokens(self) -> int:
-        """Tokens of the requests that finished here (kept tokens)."""
-        return sum(self.by_id[rid].gen_tokens for rid in self.finish)
-
-    def stats(self) -> ReplicaStats:
-        return ReplicaStats(
-            replica=self.index,
-            alive=self.alive,
-            num_requests=len(self.finish),
-            tokens=self.completed_tokens(),
-            tokens_discarded=self.tokens - self.completed_tokens(),
-            busy_time=self.timeline.busy_time("server"),
-            join_time=self.join_time,
-            retire_time=self.retire_time,
-            draining=self.draining,
-        )
-
-    def lifetime(self, makespan: float) -> tuple[tuple[float, float], ...]:
-        """Up-time segments, the open one closed at ``makespan``."""
-        segments = list(self.segments)
-        if self.seg_open is not None:
-            segments.append((self.seg_open, max(self.seg_open, makespan)))
-        return tuple(segments)
+def _replica_stats(rep: _Replica) -> ReplicaStats:
+    completed = rep.completed_tokens()
+    return ReplicaStats(
+        replica=rep.index,
+        alive=rep.alive,
+        num_requests=len(rep.finish),
+        tokens=completed,
+        tokens_discarded=rep.tokens - completed,
+        busy_time=rep.timeline.busy_time("server"),
+        join_time=rep.join_time,
+        retire_time=rep.retire_time,
+        draining=rep.draining,
+    )
 
 
 def simulate_fleet(
     trace: WorkloadTrace,
     *,
     num_replicas: int,
-    costs: StepCostModel | None = None,
-    prompt_time: Callable[[int, int], float] | None = None,
-    step_time: Callable[[int], float] | None = None,
+    costs: StepCostModel,
     max_batch: int,
     policy: str = "fcfs",
     routing: str | RoutingPolicy = "round_robin",
@@ -397,9 +100,8 @@ def simulate_fleet(
 ) -> FleetReport:
     """Serve ``trace`` on ``num_replicas`` priced replicas behind a router.
 
-    ``costs`` (any :class:`~repro.engine.costs.StepCostModel`; the
-    legacy ``prompt_time``/``step_time`` closure pair is still accepted)
-    plus ``max_batch``/``policy`` configure every replica exactly as
+    ``costs`` (any :class:`~repro.engine.costs.StepCostModel`) plus
+    ``max_batch``/``policy`` configure every replica exactly as
     :func:`~repro.engine.serving_sim.simulate_serving` would one server;
     ``routing`` names a :data:`~repro.fleet.policies.ROUTING_POLICIES`
     entry or is a policy instance; ``fault_plan`` scripts
@@ -408,9 +110,9 @@ def simulate_fleet(
     every replica is simultaneously dead (which
     :meth:`FaultPlan.validate_against` rejects up front).
 
-    Each replica carries its own analytical KV-block ledger (the
-    single-server :class:`~repro.engine.serving_sim.simulate_serving`
-    tracker, ``kv_block_size``/``kv_num_layers``-sized): with
+    Each replica carries its own analytical KV-block ledger
+    (:class:`~repro.engine.replica._KvTracker`,
+    ``kv_block_size``/``kv_num_layers``-sized): with
     ``prefix_sharing`` on, a session-tagged retiree's cache parks on its
     replica and the session's next turn — if routed back there — forks
     it, pricing only the unshared prompt suffix. A crash wipes the
@@ -429,7 +131,7 @@ def simulate_fleet(
     historical static fleet on the exact same code path.
 
     Replicas decode in event-compressed stretches (see
-    :func:`~repro.engine.serving_sim.simulate_serving`); arrivals,
+    :mod:`repro.engine.replica`); arrivals,
     faults, control epochs, replica joins, slowdown onsets and
     retirements split a stretch exactly where per-step stepping would
     act, so reports are bit-for-bit independent of the compression.
@@ -444,13 +146,12 @@ def simulate_fleet(
     if max_batch < 1:
         raise ValueError("max_batch must be >= 1")
     full = _resolve_detail(detail, len(trace.requests))
-    cost_model = resolve_step_costs(costs, prompt_time, step_time)
     plan = fault_plan or FaultPlan()
     plan.validate_against(num_replicas)
     scaler = resolve_autoscaler(autoscaler)
     ttft_sink: list[tuple[float, float]] | None = None
     if scaler is not None:
-        scaler.bind(costs=cost_model, initial_replicas=num_replicas)
+        scaler.bind(costs=costs, initial_replicas=num_replicas)
         ttft_sink = []
 
     def make_tracker() -> _KvTracker:
@@ -459,7 +160,7 @@ def simulate_fleet(
                           prefix_sharing=prefix_sharing)
 
     replicas = [
-        _Replica(i, max_batch=max_batch, policy=policy, costs=cost_model,
+        _Replica(i, max_batch=max_batch, policy=policy, costs=costs,
                  kv=make_tracker(), full=full, ttft_sink=ttft_sink)
         for i in range(num_replicas)
     ]
@@ -560,7 +261,7 @@ def simulate_fleet(
             t = joins.popleft()
             new_index = router.add_replica()
             rep = _Replica(new_index, max_batch=max_batch, policy=policy,
-                           costs=cost_model, kv=make_tracker(), full=full,
+                           costs=costs, kv=make_tracker(), full=full,
                            join_time=t, ttft_sink=ttft_sink)
             replicas.append(rep)
             autoscale_log.append(AutoscaleEvent(
@@ -643,7 +344,7 @@ def simulate_fleet(
         retried=frozenset(retried),
         total_tokens=sum(by_id[rid].gen_tokens for rid in finish),
         tokens_discarded=tokens_discarded,
-        replica_stats=tuple(rep.stats() for rep in replicas),
+        replica_stats=tuple(_replica_stats(rep) for rep in replicas),
         routing=tuple(router.decisions),
         prefix_hits=sum(rep.kv.hits for rep in replicas),
         prefix_hit_tokens=sum(rep.kv.hit_tokens for rep in replicas),
@@ -736,9 +437,7 @@ def run_fleet_functional(
     trace: WorkloadTrace,
     *,
     num_replicas: int,
-    costs: StepCostModel | None = None,
-    prompt_time: Callable[[int, int], float] | None = None,
-    step_time: Callable[[int], float] | None = None,
+    costs: StepCostModel,
     max_batch: int,
     policy: str = "fcfs",
     routing: str | RoutingPolicy = "round_robin",
@@ -779,8 +478,7 @@ def run_fleet_functional(
     and changes no behavior.
     """
     report = simulate_fleet(
-        trace, num_replicas=num_replicas, costs=costs,
-        prompt_time=prompt_time, step_time=step_time, max_batch=max_batch,
+        trace, num_replicas=num_replicas, costs=costs, max_batch=max_batch,
         policy=policy, routing=routing, fault_plan=fault_plan,
         autoscaler=autoscaler, kv_block_size=kv_block_size,
         kv_num_layers=model.config.layers, prefix_sharing=prefix_sharing,

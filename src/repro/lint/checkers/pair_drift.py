@@ -1,13 +1,14 @@
 """RP008: registered backend pairs must not drift apart.
 
 The equivalence machinery only means something while the paired seams
-really are comparable: :func:`repro.engine.serving_sim.simulate_serving`
-is held bit-for-bit against its retained per-step oracle
-``simulate_serving_reference``, and the fleet stack prices replicas with
-the same knobs the single-server simulator exposes. Those pairs rot
-silently — someone adds a kwarg to one side, or nudges a default — and
-the equivalence tests keep passing because they pin every argument
-explicitly. A drifted *default* is the worst kind: every caller who
+really are comparable: a one-replica
+:func:`repro.fleet.sim.simulate_fleet` is held bit-for-bit against
+:func:`repro.engine.serving_sim.simulate_serving`, so both must expose
+the same knobs with the same defaults, and the functional fleet replay
+must configure the scheduler exactly as the analytical control plane it
+replays. Those pairs rot silently — someone adds a kwarg to one side, or
+nudges a default — and the equivalence tests keep passing because they
+pin every argument explicitly. A drifted *default* is the worst kind: every caller who
 relied on "same call, same answer" now compares different systems.
 
 The checker keeps a registry of :class:`SeamPair` entries and, using the
@@ -20,9 +21,8 @@ project symbol table, verifies for each that
   ``allow_extra`` set — unless the pair is ``shared_only`` (endpoints
   with intentionally different surfaces, compared on the overlap).
 
-Extend :data:`PAIRED_SEAMS` when a new analytical/functional or
-compressed/oracle seam lands; fixtures can instantiate the checker with
-their own pairs.
+Extend :data:`PAIRED_SEAMS` when a new analytical/functional seam
+lands; fixtures can instantiate the checker with their own pairs.
 """
 
 from __future__ import annotations
@@ -51,13 +51,6 @@ class SeamPair:
 
 #: the seams this repo's equivalence tests lean on
 PAIRED_SEAMS: tuple[SeamPair, ...] = (
-    SeamPair(
-        left="repro.engine.serving_sim:simulate_serving",
-        right="repro.engine.serving_sim:simulate_serving_reference",
-        allow_extra=frozenset({"detail"}),
-        why="event-compressed fast path vs retained per-step oracle: "
-            "bit-for-bit equivalence is tested across the shared surface",
-    ),
     SeamPair(
         left="repro.engine.serving_sim:simulate_serving",
         right="repro.fleet.sim:simulate_fleet",

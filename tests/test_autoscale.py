@@ -22,12 +22,11 @@ from repro.autoscale import (
     resolve_autoscaler,
     tune_autoscaler,
 )
-from repro.engine import synthesize_trace
-from repro.engine.costs import resolve_step_costs
+from repro.engine import ClosureStepCost, synthesize_trace
 from repro.fleet import FaultPlan, ReplicaFault, simulate_fleet
 
-COSTS = dict(prompt_time=lambda b, p: 0.02 + 0.001 * p,
-             step_time=lambda b: 0.01 + 0.001 * b)
+COSTS = ClosureStepCost(prompt_time=lambda b, p: 0.02 + 0.001 * p,
+                        step_time=lambda b: 0.01 + 0.001 * b)
 
 
 def _snap(index, *, alive=True, draining=False, retired=False, queue=0,
@@ -188,7 +187,7 @@ class TestAutoscalerVerifier:
         return scaler.epoch(now, snaps, pending_joins=0, max_batch=4)
 
     def _bind(self, scaler):
-        scaler.bind(costs=resolve_step_costs(None, **COSTS),
+        scaler.bind(costs=COSTS,
                     initial_replicas=scaler.config.min_replicas)
         return scaler
 
@@ -240,7 +239,7 @@ class TestAutoscalerVerifier:
             self._bind(scaler)
         fresh = Autoscaler(_cfg(min_replicas=2, max_replicas=4))
         with pytest.raises(ValueError, match="outside the autoscale budget"):
-            fresh.bind(costs=resolve_step_costs(None, **COSTS),
+            fresh.bind(costs=COSTS,
                        initial_replicas=1)
 
     def test_epoch_before_bind_raises(self):
@@ -250,7 +249,7 @@ class TestAutoscalerVerifier:
     def test_cold_start_derived_from_cost_model(self):
         cfg = _cfg(cold_start_s=None, warmup_prompts=4, mean_prompt=100)
         scaler = Autoscaler(cfg)
-        scaler.bind(costs=resolve_step_costs(None, **COSTS),
+        scaler.bind(costs=COSTS,
                     initial_replicas=1)
         assert scaler.cold_start_s == pytest.approx(4 * (0.02 + 0.001 * 100))
 
@@ -318,7 +317,7 @@ class TestClosedLoop:
     def test_diurnal_overload_scales_out_and_completes(self):
         trace = _diurnal_trace()
         rep = simulate_fleet(
-            trace, num_replicas=1, max_batch=4, **COSTS,
+            trace, num_replicas=1, max_batch=4, costs=COSTS,
             routing="least_outstanding",
             autoscaler=AutoscaleConfig(min_replicas=1, max_replicas=4,
                                        ttft_slo_s=0.5, epoch_s=0.5))
@@ -333,7 +332,7 @@ class TestClosedLoop:
         trace = _diurnal_trace(n=800, rate=90.0)
         cfg = AutoscaleConfig(min_replicas=1, max_replicas=3,
                               ttft_slo_s=0.2, epoch_s=0.5, sustain_epochs=1)
-        rep = simulate_fleet(trace, num_replicas=1, max_batch=4, **COSTS,
+        rep = simulate_fleet(trace, num_replicas=1, max_batch=4, costs=COSTS,
                              routing="least_outstanding", autoscaler=cfg)
         # max_replicas + 1 is legal only transiently during a
         # drain-and-replace overlap; plain growth must stay at max.
@@ -346,7 +345,7 @@ class TestClosedLoop:
         trace = _diurnal_trace(n=400, rate=50.0)
         plan = FaultPlan((ReplicaFault(1, 1.0),))
         rep = simulate_fleet(
-            trace, num_replicas=2, max_batch=4, **COSTS,
+            trace, num_replicas=2, max_batch=4, costs=COSTS,
             routing="least_outstanding", fault_plan=plan,
             autoscaler=AutoscaleConfig(min_replicas=2, max_replicas=3,
                                        ttft_slo_s=0.5, epoch_s=0.5))
@@ -364,7 +363,7 @@ class TestClosedLoop:
         plan = FaultPlan((
             ReplicaFault(1, 0.5, kind="slowdown", factor=8.0),))
         rep = simulate_fleet(
-            trace, num_replicas=2, max_batch=4, **COSTS,
+            trace, num_replicas=2, max_batch=4, costs=COSTS,
             routing="least_outstanding", fault_plan=plan,
             autoscaler=AutoscaleConfig(min_replicas=2, max_replicas=3,
                                        ttft_slo_s=0.5, epoch_s=0.5,
@@ -383,7 +382,7 @@ class TestClosedLoop:
             num_requests=800, arrival_rate=40.0, mean_prompt=16, mean_gen=8,
             arrival_shape="diurnal", diurnal_amplitude=1.0, seed=9)
         rep = simulate_fleet(
-            trace, num_replicas=2, max_batch=4, **COSTS,
+            trace, num_replicas=2, max_batch=4, costs=COSTS,
             routing="least_outstanding",
             autoscaler=AutoscaleConfig(
                 min_replicas=1, max_replicas=4, ttft_slo_s=0.3, epoch_s=0.5,
@@ -409,10 +408,10 @@ class TestInertAutoscalerExactness:
 
     def test_pinned_budget_matches_autoscaler_off(self):
         trace = _diurnal_trace(n=300, rate=40.0)
-        base = simulate_fleet(trace, num_replicas=3, max_batch=4, **COSTS,
+        base = simulate_fleet(trace, num_replicas=3, max_batch=4, costs=COSTS,
                               routing="least_outstanding")
         pinned = simulate_fleet(
-            trace, num_replicas=3, max_batch=4, **COSTS,
+            trace, num_replicas=3, max_batch=4, costs=COSTS,
             routing="least_outstanding",
             autoscaler=AutoscaleConfig(min_replicas=3, max_replicas=3,
                                        ttft_slo_s=1e9, epoch_s=0.5))
@@ -428,7 +427,7 @@ class TestInertAutoscalerExactness:
         trace = _diurnal_trace(n=300, rate=40.0)
         plan = FaultPlan((ReplicaFault(0, 1.0),))
         pinned = simulate_fleet(
-            trace, num_replicas=3, max_batch=4, **COSTS,
+            trace, num_replicas=3, max_batch=4, costs=COSTS,
             routing="least_outstanding", fault_plan=plan,
             autoscaler=AutoscaleConfig(min_replicas=3, max_replicas=3,
                                        ttft_slo_s=1e9, epoch_s=0.5))
@@ -446,7 +445,7 @@ class TestInertAutoscalerExactness:
 
         def run(**kw):
             return simulate_fleet(
-                trace, num_replicas=1, max_batch=4, **COSTS,
+                trace, num_replicas=1, max_batch=4, costs=COSTS,
                 routing="least_outstanding",
                 autoscaler=AutoscaleConfig(
                     min_replicas=1, max_replicas=4, ttft_slo_s=0.4,
@@ -468,7 +467,7 @@ class TestTuneAutoscaler:
         trace = _diurnal_trace(n=250, rate=45.0)
         result = tune_autoscaler(
             trace, self._base(),
-            costs=resolve_step_costs(None, **COSTS), max_batch=4,
+            costs=COSTS, max_batch=4,
             epoch_grid=(0.5, 1.0), queue_high_grid=(2.0, 4.0),
             sustain_grid=(1, 2))
         assert len(result.candidates) == 2 * 2 * 2
@@ -484,7 +483,7 @@ class TestTuneAutoscaler:
 
     def test_deterministic(self):
         trace = _diurnal_trace(n=150, rate=40.0)
-        kw = dict(costs=resolve_step_costs(None, **COSTS), max_batch=4,
+        kw = dict(costs=COSTS, max_batch=4,
                   epoch_grid=(0.5,), queue_high_grid=(4.0,),
                   sustain_grid=(1,))
         a = tune_autoscaler(trace, self._base(), **kw)
@@ -502,7 +501,7 @@ def test_autoscaled_beats_fixed_fleet_of_equal_cost():
         num_requests=2000, arrival_rate=30.0, mean_prompt=32, mean_gen=16,
         arrival_shape="diurnal", diurnal_amplitude=1.0, seed=13)
     auto = simulate_fleet(
-        trace, num_replicas=1, max_batch=4, **COSTS,
+        trace, num_replicas=1, max_batch=4, costs=COSTS,
         routing="least_outstanding",
         autoscaler=AutoscaleConfig(min_replicas=1, max_replicas=6,
                                    ttft_slo_s=0.3, epoch_s=0.5,
@@ -512,7 +511,7 @@ def test_autoscaled_beats_fixed_fleet_of_equal_cost():
     p99_auto = auto.ttft_percentile(trace, 99)
     assert budget >= 2  # the loop actually grew; the bar is not trivial
     for k in range(1, budget + 1):
-        fixed = simulate_fleet(trace, num_replicas=k, max_batch=4, **COSTS,
+        fixed = simulate_fleet(trace, num_replicas=k, max_batch=4, costs=COSTS,
                                routing="least_outstanding")
         assert p99_auto < fixed.ttft_percentile(trace, 99), (
             f"fixed fleet of {k} (cost <= {auto.avg_replicas:.2f}) "

@@ -1,14 +1,13 @@
 """Tests for the step-cost pricing interface (engine/costs.py).
 
 Covers the compat guarantee — ``DenseStepCost(representative_kv=...)``
-reproduces the deprecated ``serving_step_times`` closures bit-for-bit
-through both the serving and fleet simulators — and the adapter
-contract every model family must satisfy: finite, strictly positive
-costs, monotone non-decreasing in batch size and KV length.
+is KV-blind, so through both the serving and fleet simulators it prices
+bit-for-bit like a closure pair that sees only batch sizes — and the
+adapter contract every model family must satisfy: finite, strictly
+positive costs, monotone non-decreasing in batch size and KV length.
 """
 
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -23,8 +22,6 @@ from repro.engine import (
     PromptShape,
     StepCostModel,
     ZeroStepCost,
-    resolve_step_costs,
-    serving_step_times,
     simulate_serving,
     synthesize_trace,
 )
@@ -85,36 +82,23 @@ class TestBatchState:
             PromptShape(0)
 
 
-class TestResolveStepCosts:
-    def test_passthrough(self):
-        costs = ClosureStepCost(lambda b, p: 1.0, lambda b: 0.1)
-        assert resolve_step_costs(costs, None, None) is costs
-
+class TestClosureStepCost:
     def test_wraps_closures(self):
-        got = resolve_step_costs(None, lambda b, p: 2.5, lambda b: 0.5)
-        assert isinstance(got, ClosureStepCost)
-        # Old convention: prompt_time's batch includes the newcomer.
+        got = ClosureStepCost(lambda b, p: 2.5, lambda b: 0.5)
         assert got.prompt_cost(BatchState.uniform(3, 7), PromptShape(16)) == 2.5
         assert got.decode_cost(BatchState.uniform(3, 7)) == 0.5
 
     def test_closure_convention_includes_newcomer(self):
-        got = resolve_step_costs(None, lambda b, p: float(b * 1000 + p),
-                                 lambda b: float(b))
+        # prompt_time's batch counts the admitted request too.
+        got = ClosureStepCost(lambda b, p: float(b * 1000 + p),
+                              lambda b: float(b))
         assert got.prompt_cost(BatchState(()), PromptShape(9)) == 1009.0
         assert got.prompt_cost(BatchState.uniform(3, 50), PromptShape(9)) == 4009.0
 
-    def test_rejects_both_and_neither(self):
-        costs = ClosureStepCost(lambda b, p: 1.0, lambda b: 0.1)
-        with pytest.raises(ValueError, match="not both"):
-            resolve_step_costs(costs, lambda b, p: 1.0, lambda b: 0.1)
-        with pytest.raises(ValueError, match="pricing required"):
-            resolve_step_costs(None, None, None)
-        with pytest.raises(ValueError, match="pricing required"):
-            resolve_step_costs(None, lambda b, p: 1.0, None)
-
 
 class TestCompatEquivalence:
-    """The representative-KV compat mode is bit-for-bit the legacy path."""
+    """The representative-KV compat mode pins every step's KV length, so
+    it simulates bit-for-bit like a closure pair over batch sizes only."""
 
     MEAN_PROMPT, MEAN_GEN = 128, 16
 
@@ -122,20 +106,21 @@ class TestCompatEquivalence:
     def setup(self):
         model = DenseLatencyModel(DENSE_ZOO["gpt-13b"], dgx_a100_cluster(1),
                                   tp=4)
-        with pytest.deprecated_call():
-            closures = serving_step_times(model, mean_prompt=self.MEAN_PROMPT,
-                                          mean_gen=self.MEAN_GEN)
         compat = DenseStepCost(
             model, representative_kv=self.MEAN_PROMPT + self.MEAN_GEN // 2)
+        # KV 1 is arbitrary: compat mode must ignore it.
+        batch_only = ClosureStepCost(
+            lambda b, p: compat.prompt_cost(BatchState.uniform(b - 1, 1),
+                                            PromptShape(p)),
+            lambda b: compat.decode_cost(BatchState.uniform(b, 1)))
         trace = synthesize_trace(num_requests=80, arrival_rate=12.0,
                                  mean_prompt=self.MEAN_PROMPT,
                                  mean_gen=self.MEAN_GEN, seed=11)
-        return closures, compat, trace
+        return batch_only, compat, trace
 
     def test_serving_bit_for_bit(self, setup):
-        (prompt_t, step_t), compat, trace = setup
-        old = simulate_serving(trace, prompt_time=prompt_t, step_time=step_t,
-                               max_batch=8)
+        batch_only, compat, trace = setup
+        old = simulate_serving(trace, costs=batch_only, max_batch=8)
         new = simulate_serving(trace, costs=compat, max_batch=8)
         assert new.finish_times == old.finish_times
         assert new.first_token_times == old.first_token_times
@@ -143,18 +128,18 @@ class TestCompatEquivalence:
         assert new.total_tokens == old.total_tokens
 
     def test_fleet_single_replica_bit_for_bit(self, setup):
-        (prompt_t, step_t), compat, trace = setup
-        old = simulate_fleet(trace, num_replicas=1, prompt_time=prompt_t,
-                             step_time=step_t, max_batch=8)
+        batch_only, compat, trace = setup
+        old = simulate_fleet(trace, num_replicas=1, costs=batch_only,
+                             max_batch=8)
         new = simulate_fleet(trace, num_replicas=1, costs=compat, max_batch=8)
         assert new.finish_times == old.finish_times
         assert new.first_token_times == old.first_token_times
         assert new.makespan == old.makespan
 
     def test_policy_and_scheduling_identical(self, setup):
-        (prompt_t, step_t), compat, trace = setup
-        old = simulate_serving(trace, prompt_time=prompt_t, step_time=step_t,
-                               max_batch=4, policy="shortest_prompt")
+        batch_only, compat, trace = setup
+        old = simulate_serving(trace, costs=batch_only, max_batch=4,
+                               policy="shortest_prompt")
         new = simulate_serving(trace, costs=compat, max_batch=4,
                                policy="shortest_prompt")
         assert new.finish_times == old.finish_times
@@ -230,52 +215,6 @@ class TestDenseStepCost:
                                   tp=4)
         with pytest.raises(ValueError):
             DenseStepCost(model, representative_kv=0)
-
-
-class TestServingStepTimesShim:
-    def test_warns_and_matches_compat(self):
-        model = DenseLatencyModel(DENSE_ZOO["gpt-13b"], dgx_a100_cluster(1),
-                                  tp=4)
-        with pytest.warns(DeprecationWarning, match="serving_step_times"):
-            prompt_t, step_t = serving_step_times(model, mean_prompt=128,
-                                                  mean_gen=16)
-        compat = DenseStepCost(model, representative_kv=128 + 16 // 2)
-        assert prompt_t(1, 64) == compat.prompt_cost(BatchState(()),
-                                                     PromptShape(64))
-        assert prompt_t(5, 64) == compat.prompt_cost(
-            BatchState.uniform(4, 136), PromptShape(64))
-        assert step_t(4) == compat.decode_cost(BatchState.uniform(4, 136))
-
-    def test_warning_is_deprecation_from_caller_frame(self):
-        model = DenseLatencyModel(DENSE_ZOO["gpt-13b"], dgx_a100_cluster(1),
-                                  tp=4)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            serving_step_times(model, mean_prompt=64, mean_gen=8)
-        (w,) = [c for c in caught if c.category is DeprecationWarning]
-        # stacklevel=2 attributes the warning to this test, not the shim.
-        assert w.filename == __file__
-        assert "costs=" in str(w.message)
-
-    def test_grid_bit_for_bit_equal_to_compat(self):
-        """The shim's closures equal DenseStepCost compat mode on every
-        (batch, prompt_len) point of a grid — not just one sample."""
-        model = DenseLatencyModel(DENSE_ZOO["gpt-13b"], dgx_a100_cluster(1),
-                                  tp=4)
-        mean_prompt, mean_gen = 96, 24
-        with pytest.deprecated_call():
-            prompt_t, step_t = serving_step_times(
-                model, mean_prompt=mean_prompt, mean_gen=mean_gen)
-        compat = DenseStepCost(
-            model, representative_kv=mean_prompt + mean_gen // 2)
-        rep_kv = mean_prompt + mean_gen // 2
-        for batch in (1, 2, 3, 8, 17):
-            assert step_t(batch) == compat.decode_cost(
-                BatchState.uniform(batch, rep_kv))
-            for prompt_len in (1, 16, 128, 512):
-                assert prompt_t(batch, prompt_len) == compat.prompt_cost(
-                    BatchState.uniform(batch - 1, rep_kv),
-                    PromptShape(prompt_len))
 
 
 class TestDecodeRunCost:

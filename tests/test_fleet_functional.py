@@ -10,7 +10,12 @@ completed output must equal solo ``model.generate``.
 import numpy as np
 import pytest
 
-from repro.engine import Request, WorkloadTrace, synthesize_trace
+from repro.engine import (
+    ClosureStepCost,
+    Request,
+    WorkloadTrace,
+    synthesize_trace,
+)
 from repro.fleet import (
     FaultPlan,
     ReplicaFault,
@@ -21,8 +26,8 @@ from repro.model import DenseTransformer, ModelConfig
 
 CFG = ModelConfig(name="fleet-eq", hidden=32, layers=2, heads=4, vocab=53,
                   max_seq=64)
-COSTS = dict(prompt_time=lambda b, p: 0.02 + 0.001 * p,
-             step_time=lambda b: 0.01 + 0.001 * b)
+COSTS = ClosureStepCost(prompt_time=lambda b, p: 0.02 + 0.001 * p,
+                        step_time=lambda b: 0.01 + 0.001 * b)
 
 
 @pytest.fixture(scope="module")
@@ -73,7 +78,7 @@ def test_healthy_fleet_matches_solo_generate(model, routing):
     prompts = synthesize_prompts(trace, vocab=CFG.vocab, seed=1)
     result = run_fleet_functional(
         model, trace, num_replicas=3, max_batch=3, routing=routing,
-        prompts=prompts, **COSTS)
+        prompts=prompts, costs=COSTS)
     assert result.report.num_completed == len(trace.requests)
     _check_equivalence(result, model, trace, prompts)
 
@@ -91,7 +96,7 @@ def test_crash_retries_match_solo_generate(model, seed):
     result = run_fleet_functional(
         model, trace, num_replicas=3, max_batch=3,
         routing="least_outstanding", fault_plan=plan, prompts=prompts,
-        **COSTS)
+        costs=COSTS)
     report = result.report
     assert report.num_completed == len(trace.requests)
     assert report.retried, "the crash must have produced victims"
@@ -105,7 +110,7 @@ def test_one_replica_functional_run(model):
     trace = _trace(n=8)
     prompts = synthesize_prompts(trace, vocab=CFG.vocab)
     result = run_fleet_functional(model, trace, num_replicas=1, max_batch=2,
-                                  prompts=prompts, **COSTS)
+                                  prompts=prompts, costs=COSTS)
     _check_equivalence(result, model, trace, prompts)
 
 
@@ -113,7 +118,7 @@ def test_prompt_length_mismatch_rejected(model):
     trace = WorkloadTrace((Request(0, 0.0, 4, 2),))
     with pytest.raises(ValueError, match="trace says 4"):
         run_fleet_functional(model, trace, num_replicas=1, max_batch=1,
-                             prompts={0: np.array([1, 2])}, **COSTS)
+                             prompts={0: np.array([1, 2])}, costs=COSTS)
 
 
 def test_synthesize_prompts_deterministic():

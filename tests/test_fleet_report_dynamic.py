@@ -10,11 +10,11 @@ and the merged timeline must all stay coherent.
 import pytest
 
 from repro.autoscale import AutoscaleConfig
-from repro.engine import synthesize_trace
+from repro.engine import ClosureStepCost, synthesize_trace
 from repro.fleet import FaultPlan, ReplicaFault, simulate_fleet
 
-COSTS = dict(prompt_time=lambda b, p: 0.02 + 0.001 * p,
-             step_time=lambda b: 0.01 + 0.001 * b)
+COSTS = ClosureStepCost(prompt_time=lambda b, p: 0.02 + 0.001 * p,
+                        step_time=lambda b: 0.01 + 0.001 * b)
 
 
 def _scaled_report(seed=7, n=400, rate=50.0):
@@ -24,7 +24,7 @@ def _scaled_report(seed=7, n=400, rate=50.0):
                              arrival_shape="diurnal", diurnal_amplitude=1.0,
                              seed=seed)
     rep = simulate_fleet(
-        trace, num_replicas=1, max_batch=4, **COSTS,
+        trace, num_replicas=1, max_batch=4, costs=COSTS,
         routing="least_outstanding",
         autoscaler=AutoscaleConfig(min_replicas=1, max_replicas=4,
                                    ttft_slo_s=0.3, epoch_s=0.5,
@@ -95,7 +95,7 @@ class TestStaticPoolUnchanged:
     def test_fixed_pool_has_trivial_lifetimes(self):
         trace = synthesize_trace(num_requests=60, arrival_rate=30.0,
                                  mean_prompt=8, mean_gen=6, seed=1)
-        rep = simulate_fleet(trace, num_replicas=3, max_batch=4, **COSTS)
+        rep = simulate_fleet(trace, num_replicas=3, max_batch=4, costs=COSTS)
         assert rep.avg_replicas == pytest.approx(3.0)
         assert rep.replica_seconds == pytest.approx(3 * rep.makespan)
         for segments in rep.replica_lifetimes.values():
@@ -108,7 +108,7 @@ class TestStaticPoolUnchanged:
                                  mean_prompt=8, mean_gen=6, seed=2)
         plan = FaultPlan((ReplicaFault(0, 0.5),
                           ReplicaFault(0, 1.5, kind="recover")))
-        rep = simulate_fleet(trace, num_replicas=2, max_batch=4, **COSTS,
+        rep = simulate_fleet(trace, num_replicas=2, max_batch=4, costs=COSTS,
                              routing="least_outstanding", fault_plan=plan)
         segments = rep.replica_lifetimes[0]
         assert len(segments) == 2
@@ -121,7 +121,7 @@ class TestStaticPoolUnchanged:
         # One request, two replicas: replica 1 never completes anything.
         trace = synthesize_trace(num_requests=1, arrival_rate=5.0,
                                  mean_prompt=8, mean_gen=4, seed=3)
-        rep = simulate_fleet(trace, num_replicas=2, max_batch=2, **COSTS,
+        rep = simulate_fleet(trace, num_replicas=2, max_batch=2, costs=COSTS,
                              routing="round_robin")
         idle = {s.replica: s for s in rep.replica_stats}[1]
         assert idle.num_requests == 0 and idle.tokens == 0

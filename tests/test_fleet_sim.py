@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.engine import simulate_serving, synthesize_trace
+from repro.engine import ClosureStepCost, simulate_serving, synthesize_trace
 from repro.fleet import FaultPlan, ReplicaFault, simulate_fleet
 
-COSTS = dict(prompt_time=lambda b, p: 0.02 + 0.001 * p,
-             step_time=lambda b: 0.01 + 0.001 * b)
+COSTS = ClosureStepCost(prompt_time=lambda b, p: 0.02 + 0.001 * p,
+                        step_time=lambda b: 0.01 + 0.001 * b)
 
 
 def _trace(n=40, rate=30.0, seed=0, num_sessions=None):
@@ -22,9 +22,9 @@ class TestSingleReplicaEquivalence:
         """A fleet of one must reproduce the single-server simulator
         bit for bit — same control plane, same pricing."""
         trace = _trace(seed=seed)
-        solo = simulate_serving(trace, max_batch=max_batch, **COSTS)
+        solo = simulate_serving(trace, max_batch=max_batch, costs=COSTS)
         fleet = simulate_fleet(trace, num_replicas=1, max_batch=max_batch,
-                               **COSTS)
+                               costs=COSTS)
         assert fleet.finish_times == solo.finish_times
         assert fleet.first_token_times == solo.first_token_times
         assert fleet.queue_delays == solo.queue_delays
@@ -36,7 +36,7 @@ class TestHealthyFleet:
     def test_all_complete_and_load_spreads(self):
         trace = _trace()
         rep = simulate_fleet(trace, num_replicas=4, max_batch=4,
-                             routing="round_robin", **COSTS)
+                             routing="round_robin", costs=COSTS)
         assert rep.num_completed == len(trace.requests)
         assert rep.total_tokens == trace.total_gen_tokens
         assert rep.tokens_discarded == 0
@@ -49,7 +49,7 @@ class TestHealthyFleet:
         trace = _trace(n=60, rate=60.0)
         makespans = [
             simulate_fleet(trace, num_replicas=k, max_batch=4,
-                           routing="least_outstanding", **COSTS).makespan
+                           routing="least_outstanding", costs=COSTS).makespan
             for k in (1, 2, 4)
         ]
         assert makespans[0] > makespans[1] > makespans[2]
@@ -57,7 +57,7 @@ class TestHealthyFleet:
     def test_session_affinity_keeps_sessions_together(self):
         trace = _trace(num_sessions=6)
         rep = simulate_fleet(trace, num_replicas=3, max_batch=4,
-                             routing="session_affinity", **COSTS)
+                             routing="session_affinity", costs=COSTS)
         by_session = {}
         for r in trace.requests:
             by_session.setdefault(r.session, set()).add(
@@ -66,7 +66,7 @@ class TestHealthyFleet:
 
     def test_merged_timeline_has_replica_and_router_lanes(self):
         trace = _trace(n=10)
-        rep = simulate_fleet(trace, num_replicas=2, max_batch=2, **COSTS)
+        rep = simulate_fleet(trace, num_replicas=2, max_batch=2, costs=COSTS)
         lanes = rep.timeline.lanes()
         assert any(lane.startswith("replica0/") for lane in lanes)
         assert any(lane.startswith("replica1/") for lane in lanes)
@@ -77,9 +77,9 @@ class TestHealthyFleet:
     def test_validation(self):
         trace = _trace(n=5)
         with pytest.raises(ValueError, match="num_replicas"):
-            simulate_fleet(trace, num_replicas=0, max_batch=2, **COSTS)
+            simulate_fleet(trace, num_replicas=0, max_batch=2, costs=COSTS)
         with pytest.raises(ValueError, match="max_batch"):
-            simulate_fleet(trace, num_replicas=2, max_batch=0, **COSTS)
+            simulate_fleet(trace, num_replicas=2, max_batch=0, costs=COSTS)
 
 
 class TestCrashFailover:
@@ -93,10 +93,10 @@ class TestCrashFailover:
         t_crash = trace.requests[-1].arrival + 0.05
         plan = FaultPlan((ReplicaFault(1, t_crash),))
         healthy = simulate_fleet(trace, num_replicas=3, max_batch=4,
-                                 routing="least_outstanding", **COSTS)
+                                 routing="least_outstanding", costs=COSTS)
         faulted = simulate_fleet(trace, num_replicas=3, max_batch=4,
                                  routing="least_outstanding",
-                                 fault_plan=plan, **COSTS)
+                                 fault_plan=plan, costs=COSTS)
         # 100% completion despite the crash.
         assert faulted.num_completed == len(trace.requests)
         assert faulted.total_tokens == trace.total_gen_tokens
@@ -119,7 +119,7 @@ class TestCrashFailover:
         t_crash = trace.requests[-1].arrival + 0.05
         plan = FaultPlan((ReplicaFault(0, t_crash),))
         rep = simulate_fleet(trace, num_replicas=2, max_batch=4,
-                             fault_plan=plan, **COSTS)
+                             fault_plan=plan, costs=COSTS)
         dead = rep.replica_stats[0]
         assert rep.tokens_discarded == dead.tokens_discarded > 0
         # Useful throughput counts only kept tokens.
@@ -133,7 +133,7 @@ class TestCrashFailover:
         trace = _trace(n=12)
         plan = FaultPlan((ReplicaFault(2, 0.0),))
         rep = simulate_fleet(trace, num_replicas=3, max_batch=4,
-                             fault_plan=plan, **COSTS)
+                             fault_plan=plan, costs=COSTS)
         assert rep.num_completed == len(trace.requests)
         assert rep.retried == frozenset()
         assert rep.request_counts[2] == 0
@@ -143,7 +143,7 @@ class TestCrashFailover:
         plan = FaultPlan((ReplicaFault(5, 1.0),))
         with pytest.raises(ValueError, match="only has 2"):
             simulate_fleet(trace, num_replicas=2, max_batch=2,
-                           fault_plan=plan, **COSTS)
+                           fault_plan=plan, costs=COSTS)
 
 
 class TestSlowdown:
@@ -152,7 +152,7 @@ class TestSlowdown:
         plan = FaultPlan((ReplicaFault(0, 0.0, kind="slowdown", factor=8.0),))
         rep = simulate_fleet(trace, num_replicas=3, max_batch=4,
                              routing="least_outstanding",
-                             fault_plan=plan, **COSTS)
+                             fault_plan=plan, costs=COSTS)
         counts = rep.request_counts
         assert counts[0] < counts[1] and counts[0] < counts[2]
         assert rep.num_completed == len(trace.requests)
@@ -166,9 +166,10 @@ class TestSlowdown:
         trace = _trace(n=20, rate=1e6)
         plan = FaultPlan((ReplicaFault(1, 0.0, kind="slowdown", factor=4.0),))
         fast = simulate_fleet(trace, num_replicas=2, max_batch=3,
-                              routing="round_robin", **COSTS)
+                              routing="round_robin", costs=COSTS)
         slow = simulate_fleet(trace, num_replicas=2, max_batch=3,
-                              routing="round_robin", fault_plan=plan, **COSTS)
+                              routing="round_robin", fault_plan=plan,
+                              costs=COSTS)
         assert slow.replica_of == fast.replica_of
         for a, b in zip(fast.schedulers, slow.schedulers):
             assert a.admission_order == b.admission_order
@@ -186,7 +187,7 @@ class TestRecovery:
                           ReplicaFault(0, 1.0, kind="recover")))
         rep = simulate_fleet(trace, num_replicas=2, max_batch=4,
                              routing="least_outstanding", fault_plan=plan,
-                             **COSTS)
+                             costs=COSTS)
         assert rep.num_completed == len(trace.requests)
         served_late = [rid for rid, t in rep.finish_times.items()
                        if rep.replica_of[rid] == 0 and t > 1.0]
@@ -204,10 +205,10 @@ class TestRecovery:
                                   ReplicaFault(0, 1.0, kind="recover")))
         worse = simulate_fleet(trace, num_replicas=2, max_batch=4,
                                routing="least_outstanding",
-                               fault_plan=crash_only, **COSTS)
+                               fault_plan=crash_only, costs=COSTS)
         better = simulate_fleet(trace, num_replicas=2, max_batch=4,
                                 routing="least_outstanding",
-                                fault_plan=with_recover, **COSTS)
+                                fault_plan=with_recover, costs=COSTS)
         assert better.makespan <= worse.makespan
         assert better.num_completed == worse.num_completed
 
@@ -218,7 +219,7 @@ class TestRecovery:
                           ReplicaFault(0, 1.2)))
         rep = simulate_fleet(trace, num_replicas=2, max_batch=4,
                              routing="least_outstanding", fault_plan=plan,
-                             **COSTS)
+                             costs=COSTS)
         assert rep.num_completed == len(trace.requests)
         assert len(rep.replica_lifetimes[0]) == 2  # up, down, up, down
         assert rep.replica_stats[0].alive is False

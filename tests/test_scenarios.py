@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 
 from repro.engine import (
+    ClosureStepCost,
     Request,
     WorkloadTrace,
     simulate_serving,
-    simulate_serving_reference,
     synthesize_trace,
 )
 from repro.engine import DenseLatencyModel, DenseStepCost
@@ -34,8 +34,10 @@ from repro.scenarios import (
 )
 from repro.scenarios.arrivals import draw_arrivals
 from repro.scenarios.generators import _SESSION_STRIDE
+from tests.serving_oracle import simulate_serving_reference
 
-COSTS = dict(prompt_time=lambda p, kv: 0.002 * p, step_time=lambda kv: 0.001)
+COSTS = ClosureStepCost(prompt_time=lambda p, kv: 0.002 * p,
+                        step_time=lambda kv: 0.001)
 
 
 def _dense_costs():
@@ -169,7 +171,7 @@ class TestMultiTenant:
     def test_slo_summary_and_tenant_percentiles(self):
         trace = multi_tenant_scenario(self.SPECS, seed=1)
         rep = simulate_serving(trace, max_batch=4,
-                               policy=tenant_policy(self.SPECS), **COSTS)
+                               policy=tenant_policy(self.SPECS), costs=COSTS)
         assert rep.tenants(trace) == ["batch", "chatty"]
         for name in ("batch", "chatty"):
             assert rep.tenant_ttft_percentile(trace, name, 99) > 0
@@ -303,18 +305,20 @@ def _chat_trace():
 class TestServingEquivalence:
     def test_compressed_equals_reference_including_kv_counters(self):
         trace = _chat_trace()
-        rep = simulate_serving(trace, max_batch=3, kv_block_size=4, **COSTS)
+        rep = simulate_serving(trace, max_batch=3, kv_block_size=4,
+                               costs=COSTS)
         ref = simulate_serving_reference(trace, max_batch=3, kv_block_size=4,
-                                         **COSTS)
+                                         costs=COSTS)
         assert rep == ref
         assert rep.prefix_hits == ref.prefix_hits
         assert rep.peak_kv_blocks == ref.peak_kv_blocks
 
     def test_one_replica_fleet_prices_chat_identically(self):
         trace = _chat_trace()
-        rep = simulate_serving(trace, max_batch=3, kv_block_size=4, **COSTS)
+        rep = simulate_serving(trace, max_batch=3, kv_block_size=4,
+                               costs=COSTS)
         fleet = simulate_fleet(trace, num_replicas=1, max_batch=3,
-                               kv_block_size=4, **COSTS)
+                               kv_block_size=4, costs=COSTS)
         for f in ("makespan", "finish_times", "first_token_times",
                   "queue_delays", "total_tokens", "prefix_hits",
                   "prefix_hit_tokens", "kv_blocks_allocated",
@@ -345,9 +349,9 @@ class TestServingEquivalence:
         """A no-prefix scenario prices bit-for-bit identically whatever
         the flag — the acceptance pin for legacy traces."""
         trace = strip_prefix_sharing(_chat_trace())
-        on = simulate_serving(trace, max_batch=3, **COSTS)
+        on = simulate_serving(trace, max_batch=3, costs=COSTS)
         off = simulate_serving(trace, max_batch=3, prefix_sharing=False,
-                               **COSTS)
+                               costs=COSTS)
         assert on.makespan == off.makespan
         assert on.finish_times == off.finish_times
         assert on.first_token_times == off.first_token_times
@@ -361,7 +365,7 @@ class TestFunctionalEquivalence:
         res = run_fleet_functional(
             eq_model, trace, num_replicas=1, max_batch=3,
             kv_block_size=4, kv_pool_blocks=8192, prefix_sharing=True,
-            **COSTS)
+            costs=COSTS)
         rep = res.report
         sess = res.sessions[0]
         assert rep.prefix_hits > 0
@@ -397,7 +401,7 @@ class TestFunctionalEquivalence:
         trace = multi_tenant_scenario(specs, seed=2)
         pick = tenant_policy(specs)
         res = run_fleet_functional(eq_model, trace, num_replicas=1,
-                                   max_batch=3, policy=pick, **COSTS)
+                                   max_batch=3, policy=pick, costs=COSTS)
 
         # Within a step the analytical loop interleaves enqueues between
         # admissions while the replay submits them up front, so compare

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from repro.engine import (
+    ClosureStepCost,
     GenerationSession,
     Request,
     SchedRequest,
@@ -349,8 +350,8 @@ def test_functional_and_analytical_orderings_identical(
     admission and retirement orderings are identical."""
     trace = _shared_trace(seed)
     functional = _functional_scheduler(trace, eq_model, policy, max_batch)
-    rep = simulate_serving(trace, prompt_time=lambda b, p: 0.3 + 0.01 * p,
-                           step_time=lambda b: 0.1, max_batch=max_batch,
+    costs = ClosureStepCost(lambda b, p: 0.3 + 0.01 * p, lambda b: 0.1)
+    rep = simulate_serving(trace, costs=costs, max_batch=max_batch,
                            policy=policy)
     analytical = rep.scheduler
     assert functional.admission_order == analytical.admission_order
@@ -372,8 +373,9 @@ def test_event_streams_identical_when_no_prefill_retirement(eq_model):
         for i in range(8)
     ))
     functional = _functional_scheduler(trace, eq_model, "fcfs", 3)
-    rep = simulate_serving(trace, prompt_time=lambda b, p: 1.0,
-                           step_time=lambda b: 0.1, max_batch=3)
+    rep = simulate_serving(
+        trace, costs=ClosureStepCost(lambda b, p: 1.0, lambda b: 0.1),
+        max_batch=3)
     f_events = [(e.step, e.kind, e.request_id) for e in functional.events]
     a_events = [(e.step, e.kind, e.request_id) for e in rep.scheduler.events]
     assert f_events == a_events

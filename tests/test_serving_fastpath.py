@@ -1,7 +1,7 @@
 """Bit-for-bit equivalence of the event-compressed serving fast path.
 
 ``simulate_serving`` prices whole decode stretches with one vectorized
-``decode_run_cost`` call; ``simulate_serving_reference`` retains the
+``decode_run_cost`` call; ``tests/serving_oracle.py`` retains the
 per-step loop it replaced. The refactor's contract is *exactness*, not
 approximation: with ``detail="full"`` the compressed simulator must
 reproduce the reference — report, scheduler event log, and timeline —
@@ -23,13 +23,14 @@ from repro.engine import (
     MoEStepCost,
     ZeroStepCost,
     simulate_serving,
-    simulate_serving_reference,
     synthesize_trace,
 )
 from repro.fleet import FaultPlan, ReplicaFault, simulate_fleet
 from repro.hardware import dgx2_v100, dgx_a100_cluster
 from repro.model import DENSE_ZOO, MOE_PARALLELISM, MOE_ZOO, get_model
 from repro.zero import ZeroInferenceEngine
+
+from tests.serving_oracle import simulate_serving_reference
 
 MAX_BATCH = 4
 

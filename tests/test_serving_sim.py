@@ -4,11 +4,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.engine import (
+    BatchState,
+    ClosureStepCost,
     DenseLatencyModel,
+    DenseStepCost,
+    PromptShape,
     Request,
     ServingReport,
     WorkloadTrace,
-    serving_step_times,
     simulate_serving,
     synthesize_trace,
 )
@@ -17,7 +20,8 @@ from repro.model import DENSE_ZOO
 
 
 def unit_costs(prompt_cost=1.0, step_cost=0.1):
-    return (lambda batch, plen: prompt_cost, lambda batch: step_cost)
+    return ClosureStepCost(lambda batch, plen: prompt_cost,
+                           lambda batch: step_cost)
 
 
 class TestTraceSynthesis:
@@ -51,6 +55,12 @@ class TestTraceSynthesis:
         with pytest.raises(ValueError, match="unique"):
             WorkloadTrace((Request(3, 0.0, 1, 1), Request(3, 1.0, 1, 1)))
 
+    @pytest.mark.parametrize("arrival", [float("nan"), float("inf")])
+    def test_non_finite_arrival_rejected(self, arrival):
+        # NaN passes ``arrival < 0`` and used to hang simulate_serving.
+        with pytest.raises(ValueError, match="finite"):
+            Request(0, arrival, 4, 4)
+
     def test_session_tags(self):
         t = synthesize_trace(num_requests=30, arrival_rate=5.0,
                              num_sessions=3, seed=2)
@@ -65,9 +75,8 @@ class TestTraceSynthesis:
 class TestServingSimulator:
     def test_single_request_latency(self):
         trace = WorkloadTrace((Request(0, 0.0, 16, 4),))
-        prompt_t, step_t = unit_costs(prompt_cost=2.0, step_cost=0.5)
-        rep = simulate_serving(trace, prompt_time=prompt_t, step_time=step_t,
-                               max_batch=4)
+        costs = unit_costs(prompt_cost=2.0, step_cost=0.5)
+        rep = simulate_serving(trace, costs=costs, max_batch=4)
         # prompt (2.0, yields token 1) + 3 decode steps (1.5)
         assert rep.latency(trace.requests[0]) == pytest.approx(3.5)
         assert rep.first_token_times[0] == pytest.approx(2.0)
@@ -75,16 +84,14 @@ class TestServingSimulator:
 
     def test_idle_server_waits_for_arrival(self):
         trace = WorkloadTrace((Request(0, 10.0, 8, 2),))
-        prompt_t, step_t = unit_costs()
-        rep = simulate_serving(trace, prompt_time=prompt_t, step_time=step_t,
-                               max_batch=1)
+        costs = unit_costs()
+        rep = simulate_serving(trace, costs=costs, max_batch=1)
         assert rep.finish_times[0] == pytest.approx(10.0 + 1.0 + 0.1)
 
     def test_queueing_delay_under_capacity_1(self):
         trace = WorkloadTrace((Request(0, 0.0, 8, 5), Request(1, 0.0, 8, 5)))
-        prompt_t, step_t = unit_costs(prompt_cost=1.0, step_cost=1.0)
-        rep = simulate_serving(trace, prompt_time=prompt_t, step_time=step_t,
-                               max_batch=1)
+        costs = unit_costs(prompt_cost=1.0, step_cost=1.0)
+        rep = simulate_serving(trace, costs=costs, max_batch=1)
         assert rep.queue_delays[0] == pytest.approx(0.0)
         assert rep.queue_delays[1] > 0.0
         assert rep.finish_times[1] > rep.finish_times[0]
@@ -93,28 +100,24 @@ class TestServingSimulator:
         """Two concurrent requests at max_batch 2 finish much sooner than
         serialized at max_batch 1."""
         trace = WorkloadTrace((Request(0, 0.0, 8, 10), Request(1, 0.0, 8, 10)))
-        prompt_t, step_t = unit_costs(prompt_cost=0.5, step_cost=1.0)
-        together = simulate_serving(trace, prompt_time=prompt_t,
-                                    step_time=step_t, max_batch=2)
-        alone = simulate_serving(trace, prompt_time=prompt_t,
-                                 step_time=step_t, max_batch=1)
+        costs = unit_costs(prompt_cost=0.5, step_cost=1.0)
+        together = simulate_serving(trace, costs=costs, max_batch=2)
+        alone = simulate_serving(trace, costs=costs, max_batch=1)
         assert together.makespan < 0.7 * alone.makespan
 
     def test_every_request_finishes(self):
         trace = synthesize_trace(num_requests=30, arrival_rate=5.0,
                                  mean_prompt=16, mean_gen=8, seed=11)
-        prompt_t, step_t = unit_costs(prompt_cost=0.05, step_cost=0.02)
-        rep = simulate_serving(trace, prompt_time=prompt_t, step_time=step_t,
-                               max_batch=8)
+        costs = unit_costs(prompt_cost=0.05, step_cost=0.02)
+        rep = simulate_serving(trace, costs=costs, max_batch=8)
         assert set(rep.finish_times) == {r.request_id for r in trace.requests}
         assert rep.total_tokens == trace.total_gen_tokens
 
     def test_percentiles_ordered(self):
         trace = synthesize_trace(num_requests=50, arrival_rate=10.0,
                                  mean_prompt=16, mean_gen=8, seed=2)
-        prompt_t, step_t = unit_costs(prompt_cost=0.05, step_cost=0.02)
-        rep = simulate_serving(trace, prompt_time=prompt_t, step_time=step_t,
-                               max_batch=4)
+        costs = unit_costs(prompt_cost=0.05, step_cost=0.02)
+        rep = simulate_serving(trace, costs=costs, max_batch=4)
         p50 = rep.latency_percentile(trace, 50)
         p99 = rep.latency_percentile(trace, 99)
         assert p50 <= p99
@@ -122,19 +125,17 @@ class TestServingSimulator:
 
     def test_validation(self):
         trace = WorkloadTrace((Request(0, 0.0, 1, 1),))
-        prompt_t, step_t = unit_costs()
+        costs = unit_costs()
         with pytest.raises(ValueError):
-            simulate_serving(trace, prompt_time=prompt_t, step_time=step_t,
-                             max_batch=0)
+            simulate_serving(trace, costs=costs, max_batch=0)
 
 
 class TestReportEdgeCases:
     def test_single_request_percentiles_collapse(self):
         """With one request, every percentile is that request's value."""
         trace = WorkloadTrace((Request(0, 0.5, 4, 3),))
-        prompt_t, step_t = unit_costs(prompt_cost=1.0, step_cost=0.1)
-        rep = simulate_serving(trace, prompt_time=prompt_t,
-                               step_time=step_t, max_batch=2)
+        costs = unit_costs(prompt_cost=1.0, step_cost=0.1)
+        rep = simulate_serving(trace, costs=costs, max_batch=2)
         lat = rep.latency(trace.requests[0])
         for q in (0, 50, 99, 100):
             assert rep.latency_percentile(trace, q) == pytest.approx(lat)
@@ -151,9 +152,8 @@ class TestReportEdgeCases:
         """gen_tokens=1 retires inside the prompt pass: first token and
         finish coincide at the end of that pass."""
         trace = WorkloadTrace((Request(0, 0.0, 4, 1),))
-        prompt_t, step_t = unit_costs(prompt_cost=1.0, step_cost=0.1)
-        rep = simulate_serving(trace, prompt_time=prompt_t,
-                               step_time=step_t, max_batch=2)
+        costs = unit_costs(prompt_cost=1.0, step_cost=0.1)
+        rep = simulate_serving(trace, costs=costs, max_batch=2)
         assert rep.first_token_times[0] == pytest.approx(1.0)
         assert rep.finish_times[0] == rep.first_token_times[0]
         assert rep.total_tokens == 1
@@ -164,9 +164,8 @@ class TestSchedulerReplay:
 
     def test_report_carries_scheduler_and_timeline(self):
         trace = WorkloadTrace((Request(0, 0.0, 8, 3), Request(1, 0.0, 4, 2)))
-        prompt_t, step_t = unit_costs()
-        rep = simulate_serving(trace, prompt_time=prompt_t, step_time=step_t,
-                               max_batch=2)
+        costs = unit_costs()
+        rep = simulate_serving(trace, costs=costs, max_batch=2)
         assert rep.scheduler.admission_order == [0, 1]
         assert sorted(rep.scheduler.retirement_order) == [0, 1]
         events = rep.timeline.to_chrome_trace()
@@ -176,10 +175,9 @@ class TestSchedulerReplay:
 
     def test_policy_changes_admission_order(self):
         trace = WorkloadTrace((Request(0, 0.0, 30, 2), Request(1, 0.0, 2, 2)))
-        prompt_t, step_t = unit_costs()
-        fcfs = simulate_serving(trace, prompt_time=prompt_t, step_time=step_t,
-                                max_batch=1)
-        sp = simulate_serving(trace, prompt_time=prompt_t, step_time=step_t,
+        costs = unit_costs()
+        fcfs = simulate_serving(trace, costs=costs, max_batch=1)
+        sp = simulate_serving(trace, costs=costs,
                               max_batch=1, policy="shortest_prompt")
         assert fcfs.scheduler.admission_order == [0, 1]
         assert sp.scheduler.admission_order == [1, 0]
@@ -189,12 +187,10 @@ class TestModelIntegration:
     def test_serving_with_dense_latency_model(self):
         model = DenseLatencyModel(DENSE_ZOO["gpt-13b"], dgx_a100_cluster(1),
                                   tp=4)
-        prompt_t, step_t = serving_step_times(model, mean_prompt=128,
-                                              mean_gen=16)
+        costs = DenseStepCost(model, representative_kv=128 + 16 // 2)
         trace = synthesize_trace(num_requests=20, arrival_rate=20.0,
                                  mean_prompt=128, mean_gen=16, seed=4)
-        rep = simulate_serving(trace, prompt_time=prompt_t, step_time=step_t,
-                               max_batch=16)
+        rep = simulate_serving(trace, costs=costs, max_batch=16)
         assert rep.tokens_per_second > 0
         # Queueing pushes P99 above P50 under this arrival pressure.
         assert rep.latency_percentile(trace, 99) >= rep.latency_percentile(
@@ -205,10 +201,9 @@ class TestModelIntegration:
         live batch into the prompt pass — cost must grow with batch."""
         model = DenseLatencyModel(DENSE_ZOO["gpt-13b"], dgx_a100_cluster(1),
                                   tp=4)
-        prompt_t, step_t = serving_step_times(model, mean_prompt=128,
-                                              mean_gen=16)
-        idle = prompt_t(1, 128)
-        busy = prompt_t(8, 128)
+        costs = DenseStepCost(model, representative_kv=128 + 16 // 2)
+        idle = costs.prompt_cost(BatchState(()), PromptShape(128))
+        busy = costs.prompt_cost(BatchState.uniform(7, 136), PromptShape(128))
         assert busy > idle
         # The increment is exactly one decode iteration for the 7 riders.
         assert busy - idle == pytest.approx(
@@ -234,9 +229,8 @@ def test_serving_conservation_property(n, rate, cap):
     """
     trace = synthesize_trace(num_requests=n, arrival_rate=rate,
                              mean_prompt=8, mean_gen=4, seed=n)
-    prompt_t, step_t = (lambda b, p: 0.01, lambda b: 0.02)
-    rep = simulate_serving(trace, prompt_time=prompt_t, step_time=step_t,
-                           max_batch=cap)
+    costs = ClosureStepCost(lambda b, p: 0.01, lambda b: 0.02)
+    rep = simulate_serving(trace, costs=costs, max_batch=cap)
     for r in trace.requests:
         assert rep.finish_times[r.request_id] >= r.arrival
         assert rep.first_token_times[r.request_id] >= r.arrival
@@ -246,10 +240,8 @@ def test_serving_conservation_property(n, rate, cap):
                 prompt_len=r.prompt_len, gen_tokens=r.gen_tokens)
         for r in trace.requests
     ])
-    small = simulate_serving(saturated, prompt_time=prompt_t,
-                             step_time=step_t, max_batch=cap)
-    bigger = simulate_serving(saturated, prompt_time=prompt_t,
-                              step_time=step_t, max_batch=cap + 1)
+    small = simulate_serving(saturated, costs=costs, max_batch=cap)
+    bigger = simulate_serving(saturated, costs=costs, max_batch=cap + 1)
     assert bigger.makespan <= small.makespan + 1e-9
 
 
@@ -336,9 +328,8 @@ class TestWorkloadTraceEdges:
     def test_single_request_trace_has_zero_duration(self):
         trace = WorkloadTrace((Request(0, 2.0, 6, 3),))
         assert trace.duration == 0.0
-        prompt_t, step_t = unit_costs(prompt_cost=1.0, step_cost=0.1)
-        rep = simulate_serving(trace, prompt_time=prompt_t,
-                               step_time=step_t, max_batch=4)
+        costs = unit_costs(prompt_cost=1.0, step_cost=0.1)
+        rep = simulate_serving(trace, costs=costs, max_batch=4)
         # Serving starts at the lone arrival, not at t=0.
         assert rep.finish_times[0] == pytest.approx(2.0 + 1.0 + 2 * 0.1)
         assert rep.total_tokens == 3
@@ -358,9 +349,8 @@ class TestWorkloadTraceEdges:
         from repro.fleet.sim import simulate_fleet
 
         trace = self._tagged_trace()
-        prompt_t, step_t = unit_costs()
-        rep = simulate_fleet(trace, num_replicas=2, prompt_time=prompt_t,
-                             step_time=step_t, max_batch=2)
+        costs = unit_costs()
+        rep = simulate_fleet(trace, num_replicas=2, costs=costs, max_batch=2)
         assert rep.tenants(trace) == ["gold", "free"]
         assert [r.turn_index for r in rep.tenant_requests(trace, "gold")] \
             == [0, 1]
@@ -378,10 +368,10 @@ class TestWorkloadTraceEdges:
         cfg = ModelConfig(name="edge-rt", hidden=32, layers=2, heads=4,
                           vocab=53, max_seq=64)
         model = DenseTransformer(cfg, seed=11)
-        prompt_t, step_t = unit_costs()
+        costs = unit_costs()
         res = run_fleet_functional(model, trace, num_replicas=1,
-                                   prompt_time=prompt_t, step_time=step_t,
-                                   max_batch=2, prefix_sharing=True)
+                                   costs=costs, max_batch=2,
+                                   prefix_sharing=True)
         sess = res.sessions[0]
         for r in trace.requests:
             got = sess.result(r.request_id)

@@ -93,13 +93,12 @@ class TestServingTuner:
         r = tune_serving_deployment(DENSE_ZOO["gpt-13b"], CLUSTER,
                                     self.TRACE, max_gpus=8)
         assert r.num_gpus == r.tp <= 8
-        from repro.engine import serving_step_times, simulate_serving
+        from repro.engine import DenseStepCost, simulate_serving
 
         model = DenseLatencyModel(DENSE_ZOO["gpt-13b"], CLUSTER, tp=r.tp)
-        prompt_t, step_t = serving_step_times(model, mean_prompt=64,
-                                              mean_gen=8)
-        rep = simulate_serving(self.TRACE, prompt_time=prompt_t,
-                               step_time=step_t, max_batch=r.max_batch)
+        costs = DenseStepCost(model, representative_kv=64 + 8 // 2)
+        rep = simulate_serving(self.TRACE, costs=costs,
+                               max_batch=r.max_batch)
         assert rep.tokens_per_second == pytest.approx(r.tokens_per_second)
         assert rep.ttft_percentile(self.TRACE, 99) == pytest.approx(r.ttft_p99)
 
