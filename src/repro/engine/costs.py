@@ -28,8 +28,14 @@ to every simulator as its required ``costs=`` argument:
   step_time)`` function pair, for hand-written costs in tests and
   examples.
 
-Adapters memoize on the (batch, kv, prompt_len) shapes they price —
-a serving replay re-prices the same few shapes thousands of times.
+Every iteration is a forward pass of shape ``(batch, tokens_per_seq,
+kv)``, and the three model adapters differ only in what one pass costs.
+They share :class:`_PassPricedCost`, which prices both iteration kinds
+from a subclass's ``_price(batch, tokens_per_seq, kv)`` hook and
+memoizes on that shape — a serving replay re-prices the same few shapes
+thousands of times. Each freshly priced pass is checked finite and
+non-negative once, so a broken latency model fails at its first bad
+shape instead of poisoning simulated time.
 
 Beyond the two scalar methods, every model prices whole *runs*:
 :meth:`StepCostModel.decode_run_cost` returns the per-iteration costs of
@@ -38,11 +44,11 @@ scheduler-relevant events the live batch's composition is frozen — every
 KV length just grows by one per iteration — so the event-compressed
 serving loop (:class:`~repro.engine.replica._Replica`) prices
 a whole stretch with one call instead of ``steps`` Python round-trips.
-The ABC ships a per-step reference fallback; the shipped adapters
+The ABC ships a per-step reference fallback; the pass-priced adapters
 override it with an evaluate-once, slice-forever scheme (a per-batch
-cost-vs-KV array, :class:`_KvRunCache`) whose entries are produced by the
-*same* scalar routine ``decode_cost`` uses, so run pricing is bit-for-bit
-identical to the per-step path.
+cost-vs-KV array) whose entries come from the *same* memoized pass
+``decode_cost`` uses, so run pricing is bit-for-bit identical to the
+per-step path.
 """
 
 from __future__ import annotations
@@ -155,37 +161,6 @@ class BatchState:
         return BatchState(tuple(kv + steps for kv in self.kv_lens))
 
 
-class _KvRunCache:
-    """Growable cost-vs-KV arrays, one per cache key (e.g. batch size).
-
-    The adapters' decode cost is a pure function of a small shape key
-    plus the (mean) KV length, and a decode run walks a *contiguous* KV
-    range — so the natural vectorized store is an array indexed by KV.
-    Each missing entry is evaluated exactly once via the ``fill``
-    callback (the adapter's scalar pricing routine, so the stored floats
-    are bit-for-bit the scalar path's); after warm-up a whole run prices
-    as one NumPy slice.
-    """
-
-    def __init__(self) -> None:
-        self._arrays: dict = {}
-
-    def run(self, key, kv0: int, steps: int, fill: Callable[[int], float]) -> np.ndarray:
-        """Costs for KV lengths ``kv0 .. kv0+steps-1`` under ``key``."""
-        need = kv0 + steps
-        arr = self._arrays.get(key)
-        if arr is None:
-            arr = self._arrays[key] = np.full(max(need, 64), np.nan)
-        elif arr.size < need:
-            grown = np.full(max(need, 2 * arr.size), np.nan)
-            grown[: arr.size] = arr
-            arr = self._arrays[key] = grown
-        seg = arr[kv0:need]
-        for i in np.nonzero(np.isnan(seg))[0]:
-            seg[i] = fill(kv0 + int(i))
-        return seg.copy()
-
-
 class StepCostModel(ABC):
     """Prices a continuous-batching server's two iteration kinds.
 
@@ -266,13 +241,85 @@ class ClosureStepCost(StepCostModel):
         return np.full(steps, self._step_time(state.batch))
 
 
-class DenseStepCost(StepCostModel):
+class _PassPricedCost(StepCostModel):
+    """Shared pricing for adapters whose iterations are forward passes.
+
+    Every iteration of the hybrid prompt+token schedule (Sec. IV-C1) is a
+    forward pass of shape ``(batch, tokens_per_seq, kv)``: a prompt pass
+    is ``(1, suffix, prompt_len)``, the live batch riding along or
+    decoding is ``(batch, 1, kv)``. Model families differ only in what
+    one pass costs, so a subclass implements :meth:`_price` and this
+    class does the rest: the two iteration kinds, one memo keyed on the
+    pass shape, and the vectorized decode runs.
+    """
+
+    def __init__(self) -> None:
+        self._memo: dict[tuple[int, int, int], float] = {}
+        # batch -> decode-pass cost indexed by KV length (NaN = unpriced)
+        self._kv_runs: dict[int, np.ndarray] = {}
+
+    @abstractmethod
+    def _price(self, batch: int, tokens_per_seq: int, kv: int) -> float:
+        """Seconds for one forward pass of this shape (unmemoized)."""
+
+    def _pass(self, batch: int, tokens_per_seq: int, kv: int) -> float:
+        key = (batch, tokens_per_seq, kv)
+        got = self._memo.get(key)
+        if got is None:
+            got = self._price(batch, tokens_per_seq, kv)
+            if not 0.0 <= got < math.inf:
+                raise ValueError(
+                    f"{type(self).__name__} priced a pass of shape (batch="
+                    f"{batch}, tokens_per_seq={tokens_per_seq}, kv={kv}) at "
+                    f"{got!r} s; costs must be finite and >= 0")
+            self._memo[key] = got
+        return got
+
+    def _rider_kv(self, state: BatchState) -> int:
+        """KV length a decode pass over ``state`` is priced at: the
+        ceiling-mean, exact for the linear-in-KV attention term."""
+        return max(1, state.mean_kv)
+
+    def prompt_cost(self, state: BatchState, request: _HasPromptLen) -> float:
+        plen = request.prompt_len
+        # A prefix-hit prompt prefills only its unshared suffix, attending
+        # over the full context (the cached prefix is KV, not new tokens).
+        spl = getattr(request, "shared_prefix_len", 0)
+        cost = self._pass(1, plen - spl, plen)
+        if state.batch:  # the live batch rides along in the same iteration
+            cost += self._pass(state.batch, 1, self._rider_kv(state))
+        return cost
+
+    def decode_cost(self, state: BatchState) -> float:
+        return self._pass(max(1, state.batch), 1, self._rider_kv(state))
+
+    def _decode_run_cost(self, state: BatchState, steps: int) -> np.ndarray:
+        # Every sequence gains one token per iteration, so the ceiling-mean
+        # KV grows exactly +1 per step: the run is a contiguous slice of
+        # this batch size's cost-vs-KV array, each entry priced once by the
+        # same ``_pass`` that ``decode_cost`` uses.
+        batch = state.batch
+        kv0 = max(1, state.mean_kv)
+        need = kv0 + steps
+        arr = self._kv_runs.get(batch)
+        if arr is None or arr.size < need:
+            grown = np.full(max(need, 64 if arr is None else 2 * arr.size),
+                            np.nan)
+            if arr is not None:
+                grown[: arr.size] = arr
+            arr = self._kv_runs[batch] = grown
+        seg = arr[kv0:need]
+        for i in np.flatnonzero(np.isnan(seg)):
+            seg[i] = self._pass(batch, 1, kv0 + int(i))
+        return seg.copy()
+
+
+class DenseStepCost(_PassPricedCost):
     """Price serving steps with a :class:`DenseLatencyModel`.
 
     ``representative_kv`` selects the compat mode: every decode (and
     every rider folded into a prompt pass) is priced at that one KV
-    length (the tuners pass ``mean_prompt + mean_gen // 2``, which
-    keeps their historical numbers bit-for-bit). With the
+    length (the tuners pass ``mean_prompt + mean_gen // 2``). With the
     default ``None``, each call is priced at the live batch's actual
     KV-length distribution (the ceiling-mean, exact for the
     linear-in-KV attention term).
@@ -281,83 +328,40 @@ class DenseStepCost(StepCostModel):
     def __init__(self, latency_model, *, representative_kv: int | None = None) -> None:
         if representative_kv is not None and representative_kv < 1:
             raise ValueError("representative_kv must be >= 1 when given")
+        super().__init__()
         self.latency_model = latency_model
         self.representative_kv = representative_kv
-        self._memo: dict[tuple, float] = {}
-        self._pass_memo: dict[tuple, tuple[float, float]] = {}
-        self._runs = _KvRunCache()
+
+    def _price(self, batch: int, tokens_per_seq: int, kv: int) -> float:
+        k, c = self.latency_model.step_time(batch, tokens_per_seq, kv)
+        return k + c
 
     def _rider_kv(self, state: BatchState) -> int:
         if self.representative_kv is not None:
             return self.representative_kv
-        return max(1, state.mean_kv)
-
-    def _fwd_pass(self, batch: int, tokens_per_seq: int, kv: int) -> tuple[float, float]:
-        """Memoized ``step_time`` — a prompt pass and a decode pass reuse
-        the same sub-results across thousands of distinct cache keys."""
-        key = (batch, tokens_per_seq, kv)
-        got = self._pass_memo.get(key)
-        if got is None:
-            got = self._pass_memo[key] = self.latency_model.step_time(
-                batch, tokens_per_seq, kv)
-        return got
-
-    def prompt_cost(self, state: BatchState, request: _HasPromptLen) -> float:
-        riders = state.batch
-        kv = self._rider_kv(state) if riders else 0
-        plen = request.prompt_len
-        # A prefix-hit prompt prefills only its unshared suffix, attending
-        # over the full context (the cached prefix is KV, not new tokens).
-        spl = getattr(request, "shared_prefix_len", 0)
-        key = ("prompt", plen, spl, riders, kv)
-        got = self._memo.get(key)
-        if got is None:
-            k, c = self._fwd_pass(1, plen - spl, plen)
-            if riders:  # the live batch rides along in the same iteration
-                dk, dc = self._fwd_pass(riders, 1, kv)
-                k, c = k + dk, c + dc
-            got = self._memo[key] = k + c
-        return got
-
-    def decode_cost(self, state: BatchState) -> float:
-        kv = self._rider_kv(state)
-        key = ("decode", state.batch, kv)
-        got = self._memo.get(key)
-        if got is None:
-            k, c = self._fwd_pass(max(1, state.batch), 1, kv)
-            got = self._memo[key] = k + c
-        return got
+        return super()._rider_kv(state)
 
     def _decode_run_cost(self, state: BatchState, steps: int) -> np.ndarray:
         if self.representative_kv is not None:
             # Compat mode pins KV, so the whole run costs one value.
             return np.full(steps, self.decode_cost(state))
-        batch = state.batch
-        # mean_kv grows exactly +1 per iteration (every sequence gains one
-        # token, so the ceiling-mean shifts by one).
-        def fill(kv: int) -> float:
-            k, c = self._fwd_pass(batch, 1, kv)
-            return k + c
-        return self._runs.run(batch, max(1, state.mean_kv), steps, fill)
+        return super()._decode_run_cost(state, steps)
 
 
-class MoEStepCost(StepCostModel):
+class MoEStepCost(_PassPricedCost):
     """Price serving steps with a :class:`MoELatencyModel`.
 
     The MoE model is token-count driven — gating, the two all-to-alls,
     and the expert FFN all scale with the tokens flowing through a step
-    — so a prompt pass of ``L`` tokens is priced as a step carrying
-    ``L`` tokens attending over the prompt, and a decode iteration as a
-    step carrying one token per live sequence at the batch's KV lengths.
+    — so a pass of shape ``(batch, tokens_per_seq, kv)`` is priced as
+    one step carrying ``batch * tokens_per_seq`` tokens at KV ``kv``.
 
     ``skew`` opts into skew-aware dispatch pricing: any object with
     ``load_ratio(tokens)`` and ``stall_time(tokens)`` (duck-typed so the
     engine never imports :mod:`repro.moe_placement`, e.g. a
-    :class:`~repro.moe_placement.SkewedDispatchSpec`). Both hooks depend
-    only on the step's token count, so the memoized ``(tokens, kv)``
-    pricing — and with it the vectorized :meth:`decode_run_cost` fast
-    path — survives intact. A spec whose ratio is 1.0 and stall 0.0
-    prices bit-for-bit like ``skew=None``.
+    :class:`~repro.moe_placement.SkewedDispatchSpec`), passed through to
+    :meth:`~repro.engine.moe.MoELatencyModel.token_step`. A spec whose
+    ratio is 1.0 and stall 0.0 prices bit-for-bit like ``skew=None``.
     """
 
     def __init__(self, moe_model, *, skew=None) -> None:
@@ -367,90 +371,42 @@ class MoEStepCost(StepCostModel):
         ):
             raise TypeError(
                 "skew must expose load_ratio(tokens) and stall_time(tokens)")
+        super().__init__()
         self.moe_model = moe_model
         self.skew = skew
-        self._memo: dict[tuple, float] = {}
         self._skew_memo: dict[int, tuple[float, float]] = {}
-        self._runs = _KvRunCache()
 
-    def _skew_terms(self, tokens: int) -> tuple[float, float]:
-        got = self._skew_memo.get(tokens)
-        if got is None:
-            got = self._skew_memo[tokens] = (
-                self.skew.load_ratio(tokens),
-                self.skew.stall_time(tokens),
-            )
-        return got
-
-    def _step(self, tokens: int, kv: int) -> float:
-        key = (tokens, kv)
-        got = self._memo.get(key)
-        if got is None:
-            if self.skew is None:
-                total = self.moe_model.token_step(tokens, kv).total
-            else:
-                ratio, stall = self._skew_terms(tokens)
-                total = self.moe_model.skewed_token_step(
-                    tokens, kv, load_ratio=ratio, stall_time=stall
-                ).total
-            got = self._memo[key] = total
-        return got
-
-    def prompt_cost(self, state: BatchState, request: _HasPromptLen) -> float:
-        spl = getattr(request, "shared_prefix_len", 0)
-        # Prefix-hit prompts route only the unshared suffix tokens through
-        # gating/all-to-all/FFN, attending over the full context.
-        cost = self._step(request.prompt_len - spl, request.prompt_len)
-        if state.batch:  # the live batch rides along in the same iteration
-            cost += self._step(state.batch, max(1, state.mean_kv))
-        return cost
-
-    def decode_cost(self, state: BatchState) -> float:
-        return self._step(max(1, state.batch), max(1, state.mean_kv))
-
-    def _decode_run_cost(self, state: BatchState, steps: int) -> np.ndarray:
-        tokens = max(1, state.batch)
-        return self._runs.run(tokens, max(1, state.mean_kv), steps,
-                              lambda kv: self._step(tokens, kv))
+    def _price(self, batch: int, tokens_per_seq: int, kv: int) -> float:
+        tokens = batch * tokens_per_seq
+        if self.skew is None:
+            return self.moe_model.token_step(tokens, kv).total
+        terms = self._skew_memo.get(tokens)
+        if terms is None:
+            # The hooks see only the token count, which every KV length of
+            # a decode run shares; re-evaluating them per pass shape costs
+            # a quarter of skewed pricing time.
+            terms = self._skew_memo[tokens] = (
+                self.skew.load_ratio(tokens), self.skew.stall_time(tokens))
+        ratio, stall = terms
+        return self.moe_model.token_step(
+            tokens, kv, load_ratio=ratio, stall_time=stall).total
 
 
-class ZeroStepCost(StepCostModel):
+class ZeroStepCost(_PassPricedCost):
     """Price serving steps with a :class:`ZeroInferenceEngine`.
 
     Every iteration streams the full weight set through the GPUs (Sec.
     VI-A), so per-step cost is dominated by the fetch/compute overlap
-    the engine's prefetch pipeline models. This is a throughput-oriented
-    backend: sensible traces batch aggressively, and the tuners treat it
-    as such.
+    the engine's prefetch pipeline models. Weights stream regardless,
+    but only a prompt's unshared suffix runs through its pass. This is a
+    throughput-oriented backend: sensible traces batch aggressively, and
+    the tuners treat it as such.
     """
 
     def __init__(self, zero_engine) -> None:
+        super().__init__()
         self.zero_engine = zero_engine
-        self._memo: dict[tuple, float] = {}
-        self._runs = _KvRunCache()
 
-    def _pass(self, batch: int, tokens_per_seq: int, kv: int) -> float:
-        key = (batch, tokens_per_seq, kv)
-        got = self._memo.get(key)
-        if got is None:
-            got = self._memo[key] = self.zero_engine.forward_pass(
-                batch=batch, tokens_per_seq=tokens_per_seq, kv_len=kv).time
-        return got
-
-    def prompt_cost(self, state: BatchState, request: _HasPromptLen) -> float:
-        spl = getattr(request, "shared_prefix_len", 0)
-        # Weights stream regardless, but only the unshared suffix runs
-        # through the pass; it attends over the full context.
-        cost = self._pass(1, request.prompt_len - spl, request.prompt_len)
-        if state.batch:  # riders pay a decode pass in the same round
-            cost += self._pass(state.batch, 1, max(1, state.mean_kv))
-        return cost
-
-    def decode_cost(self, state: BatchState) -> float:
-        return self._pass(max(1, state.batch), 1, max(1, state.mean_kv))
-
-    def _decode_run_cost(self, state: BatchState, steps: int) -> np.ndarray:
-        batch = max(1, state.batch)
-        return self._runs.run(batch, max(1, state.mean_kv), steps,
-                              lambda kv: self._pass(batch, 1, kv))
-
+    def _price(self, batch: int, tokens_per_seq: int, kv: int) -> float:
+        return self.zero_engine.forward_pass(
+            batch=batch, tokens_per_seq=tokens_per_seq, kv_len=kv).time

@@ -14,6 +14,13 @@ Per token step, a DeepSpeed-MoE deployment pays, layer by layer:
 * two all-to-alls per MoE layer — naive ``O(p)`` for the baseline,
   PCC ``O(p/L) (+ O(L))`` for DeepSpeed (Sec. V-B);
 * two tensor-parallel all-reduces per layer when ``mp > 1``.
+
+:meth:`MoELatencyModel.token_step` sums these for one step. By default
+it is the paper's uniform-gate model; its ``load_ratio`` and
+``stall_time`` arguments price skewed gates (the straggler rank
+stretches the expert FFN and the all-to-alls) and streamed-expert
+prefetch misses, for :class:`~repro.engine.costs.MoEStepCost`'s
+``skew=`` hook.
 """
 
 from __future__ import annotations
@@ -162,17 +169,11 @@ class MoELatencyModel:
             + flops / (gpu.peak_flops(DType.FP16) * 0.05)
         )
 
-    def expert_time(self, batch: int) -> float:
+    def expert_time(self, expert_tokens: int) -> float:
         """Critical-path expert FFN time (experts run in parallel on their
-        own GPUs; the slowest processes ``c_e`` tokens)."""
-        e = self.config.moe.num_experts
-        ce = expert_capacity(batch, e, self.config.moe.capacity_factor)
-        return self.expert_time_at(ce)
-
-    def expert_time_at(self, expert_tokens: int) -> float:
-        """Expert FFN time when the critical-path expert processes
-        ``expert_tokens`` tokens — the uniform model passes ``c_e``,
-        skew-aware pricing the straggler rank's actual share."""
+        own GPUs) when the slowest expert processes ``expert_tokens``
+        tokens — ``c_e`` under uniform gates, the straggler rank's
+        actual share under skew."""
         if expert_tokens < 1:
             raise ValueError("expert_tokens must be >= 1")
         shape = LayerShape(
@@ -232,32 +233,7 @@ class MoELatencyModel:
 
     # -- end to end ---------------------------------------------------------
 
-    def token_step(self, batch: int, kv_len: int = 228) -> MoEStepBreakdown:
-        """Latency breakdown of one generation step (default kv 128+100,
-        the Sec. VII-A3 sparse workload)."""
-        if batch < 1:
-            raise ValueError("batch must be >= 1")
-        layers = self.config.layers
-        n_moe = self.config.num_moe_layers
-        n_dense_ffn = layers - n_moe
-
-        dense = (
-            n_dense_ffn * self.dense_layer_time(batch, kv_len, with_ffn=True)
-            + n_moe * self.dense_layer_time(batch, kv_len, with_ffn=False)
-        )
-        gating = n_moe * self.gating_time(batch)
-        experts = n_moe * self.expert_time(batch)
-        a2a = n_moe * self.alltoall_time(batch)
-        ar = layers * self.allreduce_time(batch)
-        return MoEStepBreakdown(
-            dense_time=dense,
-            gating_time=gating,
-            expert_time=experts,
-            alltoall_time=a2a,
-            allreduce_time=ar,
-        )
-
-    def skewed_token_step(
+    def token_step(
         self,
         batch: int,
         kv_len: int = 228,
@@ -265,24 +241,24 @@ class MoELatencyModel:
         load_ratio: float = 1.0,
         stall_time: float = 0.0,
     ) -> MoEStepBreakdown:
-        """Latency breakdown under a skewed gate distribution.
+        """Latency breakdown of one step carrying ``batch`` tokens
+        (default kv 128+100, the Sec. VII-A3 sparse workload).
 
-        ``load_ratio`` is the straggler rank's token load over the mean
-        (>= 1.0, e.g. from
+        The defaults are the paper's uniform-gate model: the critical-path
+        expert processes ``c_e`` tokens and nothing stalls. Skew-aware
+        pricing passes ``load_ratio``, the straggler rank's token load
+        over the mean (>= 1.0, e.g. from
         :meth:`repro.moe_placement.SkewedDispatchSpec.load_ratio`): the
         expert-FFN critical path and the all-to-all volume both stretch
         by it, because dispatch waits for the most-loaded rank.
         ``stall_time`` is the expected per-MoE-layer prefetch-miss stall.
-        At ``load_ratio=1.0`` and ``stall_time=0.0`` this reproduces
-        :meth:`token_step` bit-for-bit — the uniform-placement compat
-        oracle.
         """
         if batch < 1:
             raise ValueError("batch must be >= 1")
-        if load_ratio < 1.0:
-            raise ValueError("load_ratio must be >= 1.0")
-        if stall_time < 0.0:
-            raise ValueError("stall_time must be >= 0")
+        if not 1.0 <= load_ratio < math.inf:
+            raise ValueError("load_ratio must be finite and >= 1.0")
+        if not 0.0 <= stall_time < math.inf:
+            raise ValueError("stall_time must be finite and >= 0")
         layers = self.config.layers
         n_moe = self.config.num_moe_layers
         n_dense_ffn = layers - n_moe
@@ -294,10 +270,8 @@ class MoELatencyModel:
             + n_moe * self.dense_layer_time(batch, kv_len, with_ffn=False)
         )
         gating = n_moe * self.gating_time(batch)
-        experts = n_moe * self.expert_time_at(
-            max(1, math.ceil(ce * load_ratio))
-        )
-        a2a = n_moe * self.alltoall_time(max(1, math.ceil(batch * load_ratio)))
+        experts = n_moe * self.expert_time(math.ceil(ce * load_ratio))
+        a2a = n_moe * self.alltoall_time(math.ceil(batch * load_ratio))
         ar = layers * self.allreduce_time(batch)
         return MoEStepBreakdown(
             dense_time=dense,

@@ -282,6 +282,10 @@ class _Replica:
                 BatchState(tuple(live_kv.values())), shape)
             if start >= self.slow_from:
                 dt *= self.slow_factor
+            if not 0.0 <= dt < _INF:
+                raise ValueError(
+                    f"replica {self.index}: prompt pass of request {rid} "
+                    f"priced at {dt!r} s; step costs must be finite and >= 0")
             now = self.now = start + dt
             label = (f"prefill r{rid} (+{eff} cached)" if eff
                      else f"prefill r{rid}")
@@ -340,7 +344,13 @@ class _Replica:
             if k + 1 < n:
                 n = k + 1
         ends_list = ends[:n].tolist()  # exact float64 -> float
-        now = self.now = ends_list[-1]
+        now = ends_list[-1]
+        if not start <= now < _INF:
+            raise ValueError(
+                f"replica {self.index}: decode stretch of {n} steps x{batch} "
+                f"from t={start!r} ends at {now!r}; step costs must be "
+                f"finite and >= 0")
+        self.now = now
         retired = sched.record_tokens(n)
         self.tokens += n * batch
         if self.full:

@@ -149,7 +149,6 @@ def synthesize_trace(
     mean_prompt: int = 128,
     mean_gen: int = 32,
     num_sessions: int | None = None,
-    session_mode: str = "uniform",
     expert_skew: float | None = None,
     arrival_shape: str = "poisson",
     diurnal_amplitude: float = 0.8,
@@ -171,20 +170,12 @@ def synthesize_trace(
     identical traces.
 
     ``num_sessions`` tags requests with session ids for the fleet
-    layer's affinity routing; ``session_mode`` picks how:
-
-    * ``"uniform"`` (default, historical) — each request's session id is
-      drawn i.i.d. uniform from ``range(num_sessions)``. A "session" is
-      then just a routing tag: its requests have independent arrivals,
-      interleave arbitrarily, and carry no turn ordering or shared
-      prefix. Bit-for-bit the old behavior.
-    * ``"chat"`` — delegate to
-      :func:`repro.scenarios.chat_scenario`'s session machinery:
-      ``num_sessions`` conversations whose turns arrive *causally*
-      (each turn follows the previous turn's estimated completion) with
-      ``turn_index``/``shared_prefix_len`` set for prefix reuse. Draws
-      differ from uniform mode; ``arrival_rate`` becomes the session
-      arrival rate and ``arrival_shape`` must be ``"poisson"``.
+    layer's affinity routing: each request's session id is drawn i.i.d.
+    uniform from ``range(num_sessions)``. A "session" is then just a
+    routing tag: its requests have independent arrivals, interleave
+    arbitrarily, and carry no turn ordering or shared prefix. For
+    causally chained turns with prefix reuse use
+    :func:`repro.scenarios.chat_scenario`.
 
     ``expert_skew`` stamps the trace with a Zipf-s gate skew (see
     :func:`repro.moe_placement.zipf_expert_probs`) so MoE benchmarks can
@@ -194,8 +185,7 @@ def synthesize_trace(
     """
     # Function-local import: repro.scenarios builds WorkloadTrace objects
     # from this module, so the package dependency points scenarios ->
-    # engine; the compat wrapper resolves its helpers lazily.
-    from ..scenarios import chat_scenario
+    # engine; the compat wrapper resolves its helper lazily.
     from ..scenarios.arrivals import draw_arrivals
 
     if num_requests < 1 or arrival_rate <= 0:
@@ -204,28 +194,8 @@ def synthesize_trace(
         raise ValueError("mean lengths must be >= 1")
     if num_sessions is not None and num_sessions < 1:
         raise ValueError("num_sessions must be >= 1 when given")
-    if session_mode not in ("uniform", "chat"):
-        raise ValueError(
-            f"unknown session_mode {session_mode!r}; "
-            "choose 'uniform' or 'chat'")
     if expert_skew is not None and expert_skew < 0:
         raise ValueError("expert_skew must be >= 0 when given")
-    if session_mode == "chat":
-        if num_sessions is None:
-            raise ValueError("session_mode='chat' requires num_sessions=")
-        if arrival_shape != "poisson":
-            raise ValueError(
-                "session_mode='chat' supports only arrival_shape='poisson' "
-                "(sessions arrive Poisson; turns follow causally)")
-        return chat_scenario(
-            num_sessions=num_sessions,
-            session_rate=arrival_rate,
-            mean_prompt=mean_prompt,
-            mean_gen=mean_gen,
-            num_requests=num_requests,
-            expert_skew=expert_skew,
-            seed=seed,
-        )
     rng = as_generator(seed)
     arrivals = draw_arrivals(
         rng, num_requests, arrival_rate,

@@ -22,8 +22,8 @@ reads (``getattr(p, "lit")`` counts), and mutable ``self`` attributes:
   innermost ``if`` body holding the store (the ``if got is None:``
   idiom) or, failing that, the stored value itself. Calls to sibling
   methods pull in that method's own ``self`` attribute reads — one
-  level of the call graph, enough for memoized-helper towers like
-  ``_fwd_pass``.
+  level of the call graph, enough for a memo whose miss calls a
+  pricing hook like ``self._price``.
 
 A miss-read input that the key does not cover is flagged at the store.
 ``self`` attributes assigned only in ``__init__`` are exempt — they are

@@ -71,7 +71,7 @@ class FunctionSummary:
     #: unit the function returns, per the suffix convention: the
     #: function's own name wins, else a unanimous vote of its returns.
     return_unit: str | None = None
-    #: raw dotted call targets as written (``self._fwd_pass``, ``np.full``)
+    #: raw dotted call targets as written (``self._pass``, ``np.full``)
     calls: tuple[str, ...] = ()
 
     @property

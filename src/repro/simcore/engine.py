@@ -93,7 +93,7 @@ class Simulator:
             if t < self.now - 1e-18:
                 raise SimulationError("event scheduled in the past")
             self.now = max(self.now, t)
-            self._step(proc, value)
+            self._advance(proc, value)
             steps += 1
             if steps > max_events:
                 raise SimulationError(f"exceeded {max_events} events; livelock?")
@@ -108,7 +108,7 @@ class Simulator:
     def _schedule(self, proc: Process, when: float, value: Any) -> None:
         heapq.heappush(self._heap, (when, next(self._seq), proc, value))
 
-    def _step(self, proc: Process, send_value: Any) -> None:
+    def _advance(self, proc: Process, send_value: Any) -> None:
         try:
             cmd = proc.gen.send(send_value)
         except StopIteration as stop:

@@ -196,6 +196,38 @@ class TestAdapterContract:
         assert cost.decode_cost(state) == cost.decode_cost(state)
 
 
+class _ConstLatency:
+    """A latency model whose every pass costs ``value`` seconds."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def step_time(self, batch, tokens_per_seq, kv_len):
+        return self.value, 0.0
+
+
+class TestPassPriceGuard:
+    """Each freshly priced pass must be finite and >= 0. A bad price is
+    never memoized, so asking again fails again."""
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1e-3])
+    def test_bad_pass_raises(self, bad):
+        cost = DenseStepCost(_ConstLatency(bad))
+        for _ in range(2):
+            with pytest.raises(ValueError, match=(
+                    r"DenseStepCost priced a pass of shape \(batch=4, "
+                    r"tokens_per_seq=1, kv=16\)")):
+                cost.decode_cost(BatchState.uniform(4, 16))
+        with pytest.raises(ValueError):
+            cost.decode_run_cost(BatchState.uniform(2, 8), 3)
+        with pytest.raises(ValueError):
+            cost.prompt_cost(BatchState(()), PromptShape(8))
+
+    def test_zero_cost_is_legal(self):
+        cost = DenseStepCost(_ConstLatency(0.0))
+        assert cost.decode_cost(BatchState.uniform(4, 16)) == 0.0
+
+
 class TestDenseStepCost:
     def test_true_kv_mode_tracks_context_growth(self, dense_cost):
         short = dense_cost.decode_cost(BatchState.uniform(4, 64))

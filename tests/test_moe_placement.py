@@ -15,7 +15,7 @@ from repro.engine.tuner import tune_serving_deployment
 from repro.fleet.sim import simulate_fleet
 from repro.hardware.topology import dgx_a100_cluster
 from repro.model.config import MOE_PARALLELISM, MOE_ZOO
-from repro.model.gating import topk_gating
+from repro.model.gating import expert_capacity, topk_gating
 from repro.moe_placement import (
     ExpertPlacement,
     GateHistoryPredictor,
@@ -327,15 +327,28 @@ class TestSkewPricingCompat:
     """Replication 1 + uniform gates + no prefetch == the old numbers."""
 
     def test_token_step_identity(self):
-        _, _, model = small_moe_model()
+        """``token_step``'s defaults are the paper's uniform-gate model:
+        the critical-path expert runs ``c_e`` tokens, the all-to-alls
+        carry the batch, and nothing stalls."""
+        cfg, _, model = small_moe_model()
+        n_moe = cfg.num_moe_layers
         for batch in (1, 2, 16, 128):
-            assert (model.skewed_token_step(batch).total
-                    == model.token_step(batch).total)
+            ce = expert_capacity(batch, cfg.moe.num_experts,
+                                 cfg.moe.capacity_factor)
             plain = model.token_step(batch)
-            skewed = model.skewed_token_step(batch)
-            assert plain.expert_time == skewed.expert_time
-            assert plain.alltoall_time == skewed.alltoall_time
-            assert skewed.stall_time == 0.0
+            assert plain.expert_time == n_moe * model.expert_time(ce)
+            assert plain.alltoall_time == n_moe * model.alltoall_time(batch)
+            assert plain.stall_time == 0.0
+
+    @pytest.mark.parametrize("kw", [
+        {"load_ratio": 0.5}, {"load_ratio": float("nan")},
+        {"load_ratio": float("inf")}, {"stall_time": -1e-3},
+        {"stall_time": float("nan")},
+    ])
+    def test_token_step_rejects_bad_skew_terms(self, kw):
+        _, _, model = small_moe_model()
+        with pytest.raises(ValueError):
+            model.token_step(4, **kw)
 
     def test_step_cost_identity(self):
         cfg, par, model = small_moe_model()

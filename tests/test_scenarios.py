@@ -14,10 +14,16 @@ from repro.engine import (
     simulate_serving,
     synthesize_trace,
 )
-from repro.engine import DenseLatencyModel, DenseStepCost
+from repro.engine import (
+    DenseLatencyModel,
+    DenseStepCost,
+    MoELatencyModel,
+    MoEStepCost,
+    ZeroStepCost,
+)
 from repro.engine.costs import BatchState, PromptShape
 from repro.engine.scheduler import TenantFairShare
-from repro.hardware import dgx_a100_cluster
+from repro.hardware import dgx2_v100, dgx_a100_cluster
 from repro.fleet.sim import run_fleet_functional, simulate_fleet
 from repro.model import DenseTransformer, ModelConfig
 from repro.scenarios import (
@@ -34,6 +40,7 @@ from repro.scenarios import (
 )
 from repro.scenarios.arrivals import draw_arrivals
 from repro.scenarios.generators import _SESSION_STRIDE
+from repro.zero import ZeroInferenceEngine
 from tests.serving_oracle import simulate_serving_reference
 
 COSTS = ClosureStepCost(prompt_time=lambda p, kv: 0.002 * p,
@@ -44,6 +51,32 @@ def _dense_costs():
     from repro.model import DENSE_ZOO
     return DenseStepCost(DenseLatencyModel(
         DENSE_ZOO["gpt-13b"], dgx_a100_cluster(1), tp=4))
+
+
+def _moe_costs():
+    from repro.model import MOE_PARALLELISM, MOE_ZOO
+    cfg = MOE_ZOO["1.3b-moe-128"]
+    return MoEStepCost(MoELatencyModel(
+        cfg, dgx_a100_cluster(16), MOE_PARALLELISM[cfg.name]))
+
+
+def _zero_costs():
+    from repro.model import get_model
+    return ZeroStepCost(ZeroInferenceEngine(get_model("gpt-neox-20b"),
+                                            dgx2_v100(1)))
+
+
+# adapter -> (factory, the 128-token suffix of a 512-token prompt priced
+# directly by the adapter's own model, attending over all 512 tokens)
+_SUFFIX_PASS = {
+    "dense": (_dense_costs,
+              lambda c: sum(c.latency_model.step_time(1, 128, 512))),
+    "moe": (_moe_costs,
+            lambda c: c.moe_model.token_step(128, 512).total),
+    "zero": (_zero_costs,
+             lambda c: c.zero_engine.forward_pass(
+                 batch=1, tokens_per_seq=128, kv_len=512).time),
+}
 
 
 def _by_session(trace):
@@ -243,28 +276,6 @@ class TestSynthesizeTraceCompat:
         assert all(r.shared_prefix_len == 0 and r.turn_index == 0
                    for r in got.requests)
 
-    def test_chat_mode_routes_through_session_machinery(self):
-        got = synthesize_trace(num_requests=12, arrival_rate=2.0,
-                               mean_prompt=16, mean_gen=4, num_sessions=3,
-                               session_mode="chat", seed=8)
-        want = chat_scenario(num_sessions=3, session_rate=2.0,
-                             mean_prompt=16, mean_gen=4, num_requests=12,
-                             seed=8)
-        assert got == want
-        assert any(r.shared_prefix_len for r in got.requests)
-
-    def test_chat_mode_validation(self):
-        with pytest.raises(ValueError, match="requires num_sessions"):
-            synthesize_trace(num_requests=4, arrival_rate=1.0,
-                             session_mode="chat")
-        with pytest.raises(ValueError, match="poisson"):
-            synthesize_trace(num_requests=4, arrival_rate=1.0,
-                             num_sessions=2, session_mode="chat",
-                             arrival_shape="diurnal")
-        with pytest.raises(ValueError, match="session_mode"):
-            synthesize_trace(num_requests=4, arrival_rate=1.0,
-                             session_mode="bursty")
-
 
 class TestPrefixAwarePricing:
     def test_prompt_shape_validates(self):
@@ -274,16 +285,17 @@ class TestPrefixAwarePricing:
         with pytest.raises(ValueError):
             PromptShape(10, shared_prefix_len=-1)
 
-    def test_dense_prompt_cost_discounts_cached_prefix(self):
-        cost = _dense_costs()
+    @pytest.mark.parametrize("adapter", sorted(_SUFFIX_PASS))
+    def test_prompt_cost_discounts_cached_prefix(self, adapter):
+        make, suffix_pass = _SUFFIX_PASS[adapter]
+        cost = make()
         state = BatchState(())
         full = cost.prompt_cost(state, PromptShape(512))
         hit = cost.prompt_cost(state, PromptShape(512, shared_prefix_len=384))
         assert hit < full
         # The discount equals pricing only the suffix, attending over the
         # full context (the cached prefix is KV, not new tokens).
-        assert hit == pytest.approx(
-            sum(cost.latency_model.step_time(1, 128, 512)))
+        assert hit == suffix_pass(cost)
 
 
 # -- analytical vs functional equivalence on chat workloads ----------------

@@ -130,6 +130,41 @@ class TestServingSimulator:
             simulate_serving(trace, costs=costs, max_batch=0)
 
 
+_BAD_COSTS = [float("nan"), float("inf"), -0.1]
+
+
+class TestBadPriceRejected:
+    """A non-finite or negative price fails at the replica that paid it,
+    instead of yielding a NaN makespan, an inf TTFT, a Timeline error or
+    (in a fleet) a silently empty report."""
+
+    TRACE = WorkloadTrace((Request(0, 0.0, 8, 4), Request(1, 0.0, 8, 4)))
+
+    @pytest.mark.parametrize("detail", ["full", "summary"])
+    @pytest.mark.parametrize("bad", _BAD_COSTS)
+    def test_bad_step_cost(self, bad, detail):
+        with pytest.raises(ValueError,
+                           match=r"replica 0: decode stretch .* ends at"):
+            simulate_serving(self.TRACE, costs=unit_costs(step_cost=bad),
+                             max_batch=2, detail=detail)
+
+    @pytest.mark.parametrize("detail", ["full", "summary"])
+    @pytest.mark.parametrize("bad", _BAD_COSTS)
+    def test_bad_prompt_cost(self, bad, detail):
+        with pytest.raises(ValueError, match=(
+                rf"replica 0: prompt pass of request 0 priced at {bad!r}")):
+            simulate_serving(self.TRACE, costs=unit_costs(prompt_cost=bad),
+                             max_batch=2, detail=detail)
+
+    def test_fleet_nan_step_cost(self):
+        from repro.fleet import simulate_fleet
+        trace = synthesize_trace(num_requests=20, arrival_rate=5.0,
+                                 mean_prompt=8, mean_gen=4, seed=1)
+        with pytest.raises(ValueError, match="decode stretch .* ends at nan"):
+            simulate_fleet(trace, num_replicas=2, max_batch=4,
+                           costs=unit_costs(step_cost=float("nan")))
+
+
 class TestReportEdgeCases:
     def test_single_request_percentiles_collapse(self):
         """With one request, every percentile is that request's value."""
