@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..comm.hierarchical import CommGroup, hierarchical_allreduce_time
-from ..comm.primitives import p2p_time
+from ..comm.primitives import allreduce_time, p2p_time
 from ..hardware.specs import DType
 from ..hardware.topology import ClusterSpec
 from ..kernels.costmodel import KernelCostModel
@@ -132,6 +132,7 @@ class DenseLatencyModel:
         self._tp_group = (
             CommGroup(cluster, list(range(tp))) if tp > 1 else None
         )
+        self._token_memo: dict[int, tuple[float, float]] = {}
 
     @property
     def num_gpus(self) -> int:
@@ -156,19 +157,26 @@ class DenseLatencyModel:
         """(kernel seconds, comm seconds) for one layer on one TP rank."""
         shape = self._layer_shape(batch, tokens_per_seq, kv_len)
         kernel = self.kernel_model.layer_cost(shape).total_time
-        comm = 0.0
-        if self._tp_group is not None:
-            act_bytes = shape.act_bytes
-            if self.hierarchical_comm or self._tp_group.is_single_node:
-                one = hierarchical_allreduce_time(self._tp_group, act_bytes).total
-            else:
-                from ..comm.primitives import allreduce_time
+        return kernel, self._token_terms(shape.tokens)[0]
 
-                one = allreduce_time(
-                    self.cluster.inter_link, act_bytes, self.tp
-                ).total
-            comm = 2.0 * one  # two all-reduces per layer (Sec. IV-A)
-        return kernel, comm
+    def _token_terms(self, tokens: int) -> tuple[float, float]:
+        """(per-layer TP all-reduce seconds, LM-head seconds) for a pass
+        of ``tokens`` new tokens. Neither depends on KV length, so each
+        token count is priced once."""
+        terms = self._token_memo.get(tokens)
+        if terms is None:
+            comm = 0.0
+            if self._tp_group is not None:
+                act_bytes = tokens * self.config.hidden * DType.FP16.itemsize
+                if self.hierarchical_comm or self._tp_group.is_single_node:
+                    one = hierarchical_allreduce_time(self._tp_group, act_bytes).total
+                else:
+                    one = allreduce_time(
+                        self.cluster.inter_link, act_bytes, self.tp
+                    ).total
+                comm = 2.0 * one  # two all-reduces per layer (Sec. IV-A)
+            terms = self._token_memo[tokens] = (comm, self.lm_head_time(tokens, 1))
+        return terms
 
     def lm_head_time(self, batch: int, tokens_per_seq: int) -> float:
         """Final logits GeMM (vocab-sharded across TP ranks)."""
@@ -183,10 +191,10 @@ class DenseLatencyModel:
     def step_time(self, batch: int, tokens_per_seq: int, kv_len: int) -> tuple[float, float]:
         """(kernel, comm) seconds for a full forward pass of the model
         (all layers; the per-stage division is the scheduler's business)."""
-        k1, c1 = self.layer_time(batch, tokens_per_seq, kv_len)
-        kernels = k1 * self.config.layers + self.lm_head_time(batch, tokens_per_seq)
-        comm = c1 * self.config.layers
-        return kernels, comm
+        shape = self._layer_shape(batch, tokens_per_seq, kv_len)
+        k1 = self.kernel_model.layer_cost(shape).total_time
+        c1, head = self._token_terms(shape.tokens)
+        return k1 * self.config.layers + head, c1 * self.config.layers
 
     def stage_time(self, batch: int, tokens_per_seq: int, kv_len: int) -> float:
         """Seconds one pipeline stage spends on one micro-batch."""

@@ -34,7 +34,7 @@ from ..comm.primitives import naive_alltoall_time
 from ..hardware.specs import DType
 from ..hardware.topology import ClusterSpec
 from ..kernels.costmodel import KernelCostModel
-from ..kernels.graph import LayerShape, moe_expert_ffn_ops, transformer_layer_ops
+from ..kernels.graph import LayerShape, moe_expert_ffn_ops
 from ..kernels.profiles import DEEPSPEED_FP16, PYTORCH_FP16, ImplementationProfile
 from ..model.config import ModelConfig, MoEParallelism
 from ..model.gating import expert_capacity
@@ -115,6 +115,8 @@ class MoELatencyModel:
             if parallelism.mp_degree > 1
             else None
         )
+        self._token_memo: dict[tuple[int, int, int],
+                               tuple[float, float, float, float]] = {}
 
     # -- component times ----------------------------------------------------
 
@@ -132,14 +134,8 @@ class MoELatencyModel:
 
     def dense_layer_time(self, batch: int, kv_len: int, *, with_ffn: bool) -> float:
         """Kernel time of one layer's dense components on one GPU."""
-        ops = transformer_layer_ops(self._shape(batch, kv_len))
-        if not with_ffn:
-            ops = [
-                o
-                for o in ops
-                if not o.name.startswith("mlp_") and o.name != "gelu_bias"
-            ]
-        return self.kernel_model.chain_cost(ops, tokens=batch).total_time
+        return self.kernel_model.layer_cost(
+            self._shape(batch, kv_len), ffn=with_ffn).total_time
 
     def gating_time(self, batch: int) -> float:
         """Gating + dispatch/combine kernel time per MoE layer."""
@@ -269,18 +265,33 @@ class MoELatencyModel:
             n_dense_ffn * self.dense_layer_time(batch, kv_len, with_ffn=True)
             + n_moe * self.dense_layer_time(batch, kv_len, with_ffn=False)
         )
-        gating = n_moe * self.gating_time(batch)
-        experts = n_moe * self.expert_time(math.ceil(ce * load_ratio))
-        a2a = n_moe * self.alltoall_time(math.ceil(batch * load_ratio))
-        ar = layers * self.allreduce_time(batch)
+        gating, experts, a2a, ar = self._token_terms(
+            batch, math.ceil(ce * load_ratio), math.ceil(batch * load_ratio))
         return MoEStepBreakdown(
             dense_time=dense,
-            gating_time=gating,
-            expert_time=experts,
-            alltoall_time=a2a,
-            allreduce_time=ar,
+            gating_time=n_moe * gating,
+            expert_time=n_moe * experts,
+            alltoall_time=n_moe * a2a,
+            allreduce_time=layers * ar,
             stall_time=n_moe * stall_time,
         )
+
+    def _token_terms(
+        self, batch: int, expert_tokens: int, a2a_tokens: int
+    ) -> tuple[float, float, float, float]:
+        """Per-layer gating, expert FFN, all-to-all and all-reduce
+        seconds. They depend on token counts only (not on KV length), so
+        each count is priced once."""
+        key = (batch, expert_tokens, a2a_tokens)
+        terms = self._token_memo.get(key)
+        if terms is None:
+            terms = self._token_memo[key] = (
+                self.gating_time(batch),
+                self.expert_time(expert_tokens),
+                self.alltoall_time(a2a_tokens),
+                self.allreduce_time(batch),
+            )
+        return terms
 
     def token_latency(self, batch: int, kv_len: int = 228) -> float:
         """Per generated-token latency (Fig. 7's y-axis)."""

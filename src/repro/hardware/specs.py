@@ -54,26 +54,28 @@ MS = 1e-3
 
 
 class DType(enum.Enum):
-    """Numeric datatypes supported by the inference kernels (Sec. III-D)."""
+    """Numeric datatypes supported by the inference kernels (Sec. III-D).
 
-    FP32 = "fp32"
-    FP16 = "fp16"
-    INT8 = "int8"
+    Each member carries two constants, plain attributes so the pricing
+    hot path reads them without hashing the member:
 
-    @property
-    def itemsize(self) -> int:
-        """Size of one element in bytes."""
-        return {DType.FP32: 4, DType.FP16: 2, DType.INT8: 1}[self]
+    * ``itemsize`` — size of one element in bytes;
+    * ``cacheline_pack`` — elements per thread read to fill a 128-byte
+      L1 cache line. Sec. III-C3: the SBI-GeMM weight layout transposes
+      M rows per column so each thread reads M contiguous elements; the
+      paper sets M=2 for FP16 and M=4 for INT8 against a 128-byte line.
+    """
 
-    @property
-    def cacheline_pack(self) -> int:
-        """Elements per thread read to fill a 128-byte L1 cache line.
+    FP32 = "fp32", 4, 1
+    FP16 = "fp16", 2, 2
+    INT8 = "int8", 1, 4
 
-        Sec. III-C3: the SBI-GeMM weight layout transposes M rows per
-        column so each thread reads M contiguous elements; the paper sets
-        M=2 for FP16 and M=4 for INT8 against a 128-byte line.
-        """
-        return {DType.FP32: 1, DType.FP16: 2, DType.INT8: 4}[self]
+    def __new__(cls, value: str, itemsize: int, cacheline_pack: int) -> "DType":
+        member = object.__new__(cls)
+        member._value_ = value
+        member.itemsize = itemsize
+        member.cacheline_pack = cacheline_pack
+        return member
 
 
 @dataclass(frozen=True)
@@ -116,11 +118,13 @@ class GPUSpec:
 
     def peak_flops(self, dtype: DType) -> float:
         """Peak math throughput for ``dtype`` in ops/s."""
-        return {
-            DType.FP32: self.fp32_flops,
-            DType.FP16: self.fp16_flops,
-            DType.INT8: self.int8_ops,
-        }[dtype]
+        if dtype is DType.FP16:
+            return self.fp16_flops
+        if dtype is DType.INT8:
+            return self.int8_ops
+        if dtype is DType.FP32:
+            return self.fp32_flops
+        raise KeyError(dtype)
 
     def ideal_weight_read_time(self, nbytes: float) -> float:
         """Lower bound on reading ``nbytes`` of weights from device memory.

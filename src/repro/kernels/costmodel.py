@@ -11,6 +11,23 @@ the left branch (weight streaming, Sec. III-A), large-batch the right
 SBI-GeMM bandwidth curves, FP16 vs INT8 peaks and weight traffic — and
 whether launch cost is paid per kernel (eager), per kernel minus dispatch
 (compiled runtime) or eliminated entirely (CUDA graph, Sec. III-D).
+
+Compiled layers. A dense layer's op graph and its fusion partition depend
+only on the structural key ``(hidden, heads, dtype, tp_degree, ffn_mult,
+small_batch, ffn)``. Within a key, each region's weight bytes are
+constant and its activation bytes and flops are affine in ``(1, t,
+batch*kv, t*kv)``, ``t`` being the new tokens. So
+:meth:`KernelCostModel.layer_cost` compiles each key once per model
+instance: it evaluates :func:`~repro.kernels.graph.transformer_layer_ops`
+at four probe shapes and differences the results into per-region
+coefficients, keeping the op graph the only source of the formulas.
+Every later shape of that key is priced from those closed forms. All the
+counts are integers, so the differences and evaluations are exact (below
+2**53) and a compiled cost equals :meth:`KernelCostModel.chain_cost`
+over the op chain bit for bit. Each compile checks that at a fifth shape
+and raises on any difference, so a future non-affine op fails loudly
+instead of mispricing. ``chain_cost`` stays the generic path for
+arbitrary chains (expert FFNs, analysis, baselines) and the test oracle.
 """
 
 from __future__ import annotations
@@ -33,6 +50,20 @@ __all__ = ["RegionTime", "LayerCost", "KernelCostModel"]
 
 # Residual per-node cost of replaying a kernel inside a CUDA graph.
 _GRAPH_NODE_OVERHEAD = 0.3e-6
+
+# Probe shapes (batch, tokens_per_seq, kv_len) a layer compiles from. At
+# batch 1 their rows of (1, t, batch*kv, t*kv) form a unimodular matrix,
+# so integer counts difference into integer coefficients exactly.
+_PROBES = ((1, 1, 1), (1, 1, 2), (1, 2, 2), (1, 2, 3))
+
+
+def _affine(f0: float, f1: float, f2: float, f3: float) -> tuple[float, ...]:
+    """Coefficients ``c`` of ``c0 + c1*t + c2*batch*kv + c3*t*kv`` from
+    its values ``f0..f3`` at the four :data:`_PROBES`."""
+    c3 = (f3 - f2) - (f1 - f0)
+    c2 = (f1 - f0) - c3
+    c1 = (f2 - f1) - 2 * c3
+    return (f0 - c1 - c2 - c3, c1, c2, c3)
 
 
 @dataclass(frozen=True)
@@ -84,7 +115,8 @@ class LayerCost:
 
     @property
     def launch_time(self) -> float:
-        """Total launch/dispatch overhead."""
+        """Total driver launch cost; the synchronous per-region
+        ``dispatch_time`` is not included."""
         return sum(r.launch_time for r in self.regions)
 
     @property
@@ -104,19 +136,94 @@ class LayerCost:
         return self.hbm_bytes / t if t > 0 else 0.0
 
 
+@dataclass(frozen=True)
+class _RegionForm:
+    """One fused region of a compiled layer in closed form: with ``x =
+    (1, t, batch*kv, t*kv)``, its HBM bytes are ``weight_bytes + act·x``
+    and its flops ``flops·x``."""
+
+    name: str
+    weight_bytes: float
+    act: tuple[float, ...]
+    flops: tuple[float, ...]
+    has_weight_gemm: bool
+    has_attention: bool
+    sbi_out_features: int  # local width of the weight GeMM (0 without one)
+
+
+class _CompiledLayer:
+    """A layer's fused regions, priced at any shape of its key."""
+
+    def __init__(self, model: "KernelCostModel", forms: tuple[_RegionForm, ...]) -> None:
+        self.model = model
+        self.forms = forms
+        self.launch = model._launch_cost()
+        self.dispatch = model.profile.dispatch_overhead
+        # tokens -> per-region (HBM bytes/s, math ops/s): the efficiencies
+        # depend on the token count only, which a decode run holds fixed.
+        self._rate_cache: dict[int, tuple[tuple[float, float], ...]] = {}
+
+    def cost(self, shape: LayerShape) -> LayerCost:
+        t = shape.tokens
+        rates = self._rate_cache.get(t)
+        if rates is None:
+            rates = self._rate_cache[t] = tuple(
+                self.model._rates(f.has_weight_gemm, f.has_attention,
+                                  f.sbi_out_features, t)
+                for f in self.forms)
+        bk = shape.batch * shape.kv_len
+        tk = t * shape.kv_len
+        launch, dispatch = self.launch, self.dispatch
+        regions = []
+        for f, (mem_rate, math_rate) in zip(self.forms, rates):
+            a0, a1, a2, a3 = f.act
+            f0, f1, f2, f3 = f.flops
+            hbm = f.weight_bytes + (a0 + a1 * t + a2 * bk + a3 * tk)
+            flops = f0 + f1 * t + f2 * bk + f3 * tk
+            regions.append(RegionTime(
+                f.name, hbm / mem_rate, flops / math_rate if flops else 0.0,
+                launch, hbm, flops, dispatch))
+        return LayerCost(tuple(regions))
+
+
 class KernelCostModel:
-    """Times fused regions of a transformer layer on one GPU."""
+    """Times fused regions of a transformer layer on one GPU.
+
+    ``gpu`` and ``profile`` are read-only: compiled layers are cached per
+    instance on the structural key alone.
+    """
 
     def __init__(self, gpu: GPUSpec, profile: ImplementationProfile) -> None:
-        self.gpu = gpu
-        self.profile = profile
+        self._gpu = gpu
+        self._profile = profile
+        self._layer_cache: dict[tuple, _CompiledLayer] = {}
+
+    @property
+    def gpu(self) -> GPUSpec:
+        """The device every region is timed on."""
+        return self._gpu
+
+    @property
+    def profile(self) -> ImplementationProfile:
+        """The implementation's mechanism settings."""
+        return self._profile
 
     # -- public API -------------------------------------------------------
 
-    def layer_cost(self, shape: LayerShape) -> LayerCost:
-        """Cost of one dense transformer layer with this implementation."""
-        ops = transformer_layer_ops(shape)
-        return self.chain_cost(ops, tokens=shape.tokens)
+    def layer_cost(self, shape: LayerShape, *, ffn: bool = True) -> LayerCost:
+        """Cost of one dense transformer layer with this implementation.
+
+        ``ffn=False`` prices the layer without its FFN (an MoE layer's
+        dense part). Equal bit for bit to :meth:`chain_cost` over
+        ``transformer_layer_ops(shape, ffn=ffn)``, priced from the
+        layer's compiled closed forms.
+        """
+        key = (shape.hidden, shape.heads, shape.dtype, shape.tp_degree,
+               shape.ffn_mult, self._small_batch(shape.tokens), ffn)
+        layer = self._layer_cache.get(key)
+        if layer is None:
+            layer = self._layer_cache[key] = self._compile(*key)
+        return layer.cost(shape)
 
     def chain_cost(self, ops, *, tokens: int) -> LayerCost:
         """Cost of an arbitrary op chain (used for MoE blocks too)."""
@@ -128,17 +235,22 @@ class KernelCostModel:
         """Roofline + launch time for one fused region."""
         if tokens < 1:
             raise ValueError("tokens must be >= 1")
-        hbm = self._region_hbm_bytes(region)
-        bw_eff = self._bw_efficiency(region, tokens)
-        memory_time = hbm / (self.gpu.mem_bw * bw_eff)
-        compute_time = self._compute_time(region, tokens)
+        gemm = any(op.is_weight_gemm for op in region.ops)
+        mem_rate, math_rate = self._rates(
+            gemm,
+            any(op.kind is OpKind.ATTENTION for op in region.ops),
+            self._gemm_out_features(region, tokens) if gemm else 0,
+            tokens,
+        )
+        hbm = self._region_weight_bytes(region) + region.act_bytes
+        flops = region.flops
         return RegionTime(
             name=region.name,
-            memory_time=memory_time,
-            compute_time=compute_time,
+            memory_time=hbm / mem_rate,
+            compute_time=flops / math_rate if flops else 0.0,
             launch_time=self._launch_cost(),
             hbm_bytes=hbm,
-            flops=region.flops,
+            flops=flops,
             dispatch_time=self.profile.dispatch_overhead,
         )
 
@@ -146,6 +258,50 @@ class KernelCostModel:
 
     def _small_batch(self, tokens: int) -> bool:
         return tokens <= self.profile.small_batch_tokens
+
+    def _compile(self, hidden: int, heads: int, dtype: DType, tp_degree: int,
+                 ffn_mult: int, small: bool, ffn: bool) -> _CompiledLayer:
+        """Closed forms of one layer key, self-checked against the chain."""
+
+        def shape(batch: int, tokens_per_seq: int, kv_len: int) -> LayerShape:
+            return LayerShape(hidden, heads, batch, tokens_per_seq, kv_len,
+                              dtype, tp_degree, ffn_mult)
+
+        probes = [
+            partition(transformer_layer_ops(shape(*p), ffn=ffn),
+                      self.profile.fusion, small_batch=small)
+            for p in _PROBES
+        ]
+        forms = []
+        for regions in zip(*probes):
+            first = regions[0]  # a probe with t == 1
+            gemm = any(op.is_weight_gemm for op in first.ops)
+            forms.append(_RegionForm(
+                name=first.name,
+                weight_bytes=self._region_weight_bytes(first),
+                act=_affine(*(r.act_bytes for r in regions)),
+                flops=_affine(*(r.flops for r in regions)),
+                has_weight_gemm=gemm,
+                has_attention=any(op.kind is OpKind.ATTENTION for op in first.ops),
+                sbi_out_features=self._gemm_out_features(first, 1) if gemm else 0,
+            ))
+        layer = _CompiledLayer(self, tuple(forms))
+        # The fifth shape: off the probes' batch-1 plane, on this key's
+        # side of the small-batch threshold.
+        limit = self.profile.small_batch_tokens
+        if small:
+            batch = 2 if limit >= 2 else 1
+            tokens_per_seq = max(1, limit // batch)
+        else:
+            batch, tokens_per_seq = 2, max(1, limit // 2 + 1)
+        check = shape(batch, tokens_per_seq, tokens_per_seq + 3)
+        if layer.cost(check) != self.chain_cost(
+                transformer_layer_ops(check, ffn=ffn), tokens=check.tokens):
+            raise RuntimeError(
+                f"compiled layer differs from its op chain at {check}: an "
+                f"op's bytes or flops are not affine in (tokens, batch*kv, "
+                f"tokens*kv)")
+        return layer
 
     def _weight_scale(self) -> float:
         """Weight-traffic scale: quantized storage (INT8 halves FP16) and
@@ -155,12 +311,11 @@ class KernelCostModel:
             / self.profile.compute_dtype.itemsize
         ) * self.profile.weight_traffic_scale
 
-    def _region_hbm_bytes(self, region: FusedRegion) -> float:
-        w = sum(
+    def _region_weight_bytes(self, region: FusedRegion) -> float:
+        return sum(
             op.weight_bytes * (self._weight_scale() if op.is_weight_gemm else 1.0)
             for op in region.ops
         )
-        return w + region.act_bytes
 
     def _gemm_out_features(self, region: FusedRegion, tokens: int) -> int:
         """Recover the (local) output width of the region's weight GeMM."""
@@ -170,38 +325,36 @@ class KernelCostModel:
                 return max(1, int(op.act_out_bytes / (tokens * d)))
         raise ValueError("region has no weight GeMM")
 
-    def _bw_efficiency(self, region: FusedRegion, tokens: int) -> float:
-        has_weight_gemm = any(op.is_weight_gemm for op in region.ops)
-        if not has_weight_gemm:
-            return self.profile.nongemm_bw_eff
-        if self.profile.sbi_gemm and self._small_batch(tokens):
-            out_features = self._gemm_out_features(region, tokens)
-            return sbi_bw_efficiency(
-                self.gpu, tokens, out_features, self.profile.weight_dtype
-            )
-        return cublas_bw_efficiency(tokens)
-
-    def _compute_time(self, region: FusedRegion, tokens: int) -> float:
-        has_weight_gemm = any(op.is_weight_gemm for op in region.ops)
-        has_attention = any(op.kind is OpKind.ATTENTION for op in region.ops)
-        if has_weight_gemm:
-            if self.profile.weight_dtype is DType.INT8:
-                peak = self.gpu.peak_flops(DType.INT8)
+    def _rates(self, weight_gemm: bool, attention: bool, out_features: int,
+               tokens: int) -> tuple[float, float]:
+        """(HBM bytes/s, math ops/s) a region achieves at ``tokens``:
+        peak bandwidth and peak math scaled by their efficiencies."""
+        profile, gpu = self.profile, self.gpu
+        if not weight_gemm:
+            bw_eff = profile.nongemm_bw_eff
+        elif profile.sbi_gemm and self._small_batch(tokens):
+            bw_eff = sbi_bw_efficiency(gpu, tokens, out_features,
+                                       profile.weight_dtype)
+        else:
+            bw_eff = cublas_bw_efficiency(tokens)
+        if weight_gemm:
+            if profile.weight_dtype is DType.INT8:
+                peak = gpu.peak_flops(DType.INT8)
                 eff = cutlass_int8_compute_efficiency(tokens)
             else:
-                peak = self.gpu.peak_flops(self.profile.compute_dtype)
+                peak = gpu.peak_flops(profile.compute_dtype)
                 eff = cublas_compute_efficiency(tokens)
-        elif has_attention:
+        elif attention:
             # Batched per-head contractions achieve lower utilization than
             # weight GeMMs of the same flop count.
-            peak = self.gpu.peak_flops(self.profile.compute_dtype)
+            peak = gpu.peak_flops(profile.compute_dtype)
             eff = 0.5 * cublas_compute_efficiency(max(1, tokens))
         else:
             # Elementwise/reduction math is never the roofline binder, but
             # keep a finite term so the max() is well defined.
-            peak = self.gpu.peak_flops(DType.FP32)
+            peak = gpu.peak_flops(DType.FP32)
             eff = 0.5
-        return region.flops / (peak * eff) if region.flops else 0.0
+        return gpu.mem_bw * bw_eff, peak * eff
 
     def _launch_cost(self) -> float:
         if self.profile.cuda_graph:

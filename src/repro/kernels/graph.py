@@ -104,8 +104,12 @@ def _gemm(
     )
 
 
-def transformer_layer_ops(shape: LayerShape) -> list[Op]:
-    """Operator chain of one dense transformer decoder layer (Fig. 1c)."""
+def transformer_layer_ops(shape: LayerShape, *, ffn: bool = True) -> list[Op]:
+    """Operator chain of one dense transformer decoder layer (Fig. 1c).
+
+    ``ffn=False`` stops after the post-attention layer-norm: the dense
+    part of an MoE layer, whose FFN is the routed experts (Sec. V).
+    """
     h, tp = shape.hidden, shape.tp_degree
     t = shape.tokens
     d = shape.dtype.itemsize
@@ -227,6 +231,8 @@ def transformer_layer_ops(shape: LayerShape) -> list[Op]:
             tile_dims=frozenset({TOKEN}),
         )
     )
+    if not ffn:
+        return ops
     ops.append(_gemm("mlp_h_to_4h_gemm", shape, h, shape.ffn_mult * h))
     ops.append(
         Op(

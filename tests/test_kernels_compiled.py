@@ -1,0 +1,164 @@
+"""Compiled layer pricing: ``KernelCostModel.layer_cost`` prices each
+shape from per-region closed forms built once per structural key. The
+op-chain path (``chain_cost`` over ``transformer_layer_ops``) is the
+oracle, and the two must agree bit for bit on every region field."""
+
+import dataclasses
+import struct
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.bench.ablations import ablation_cuda_graph
+from repro.engine import DenseLatencyModel
+from repro.hardware import GPU_REGISTRY, A100_40GB, DType, dgx_a100_cluster
+from repro.kernels import (
+    DEEPSPEED_FP16,
+    PROFILE_REGISTRY,
+    PYTORCH_FP16,
+    FusionStrategy,
+    KernelCostModel,
+    LayerShape,
+    Op,
+    OpKind,
+    TOKEN,
+    transformer_layer_ops,
+)
+from repro.kernels import costmodel
+from repro.model import DENSE_ZOO
+
+
+def _bits(value):
+    """A region field as comparable bits: floats by their IEEE encoding
+    (so -0.0 != 0.0), strings as themselves."""
+    if isinstance(value, float):
+        return ("float", struct.pack("<d", value))
+    return (type(value).__name__, value)
+
+
+def _region_fields(cost):
+    return [
+        {f.name: _bits(getattr(r, f.name)) for f in dataclasses.fields(r)}
+        for r in cost.regions
+    ]
+
+
+def _oracle(model, shape, ffn=True):
+    return model.chain_cost(transformer_layer_ops(shape, ffn=ffn),
+                            tokens=shape.tokens)
+
+
+@st.composite
+def _layer_cases(draw):
+    profile = PROFILE_REGISTRY[draw(st.sampled_from(sorted(PROFILE_REGISTRY)))]
+    gpu = GPU_REGISTRY[draw(st.sampled_from(sorted(GPU_REGISTRY)))]
+    tp = draw(st.sampled_from([1, 2, 4, 8]))
+    heads = tp * draw(st.sampled_from([1, 2, 5, 8]))
+    hidden = heads * draw(st.sampled_from([64, 80, 128]))
+    limit = profile.small_batch_tokens
+    small = draw(st.booleans())  # which side of the small-batch threshold
+    if draw(st.sampled_from(["decode", "prompt"])) == "decode":
+        tokens_per_seq = 1
+        batch = (draw(st.integers(1, limit)) if small
+                 else draw(st.integers(limit + 1, 256)))
+    else:
+        batch = draw(st.integers(1, 4))
+        tokens_per_seq = (draw(st.integers(1, limit // batch)) if small
+                          else draw(st.integers(limit // batch + 1, 2048)))
+    shape = LayerShape(
+        hidden=hidden, heads=heads, batch=batch,
+        tokens_per_seq=tokens_per_seq,
+        kv_len=tokens_per_seq + draw(st.integers(0, 4096)),
+        dtype=draw(st.sampled_from(list(DType))), tp_degree=tp,
+        ffn_mult=draw(st.sampled_from([1, 4])))
+    assert (shape.tokens <= limit) == small
+    return gpu, profile, shape, draw(st.booleans()), draw(st.integers(1, 64))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_layer_cases())
+def test_compiled_layer_matches_op_chain_bit_for_bit(case):
+    gpu, profile, shape, ffn, kv_step = case
+    model = KernelCostModel(gpu, profile)
+    # The first shape compiles its key; the second reuses the closed forms.
+    for s in (shape, dataclasses.replace(shape, kv_len=shape.kv_len + kv_step)):
+        got = model.layer_cost(s, ffn=ffn)
+        assert _region_fields(got) == _region_fields(_oracle(model, s, ffn))
+
+
+def _with_quadratic_op(shape, *, ffn=True):
+    """The real chain plus an op whose flops grow with kv_len squared."""
+    ops = transformer_layer_ops(shape, ffn=ffn)
+    act = shape.act_bytes
+    ops.append(Op("kv_squared", OpKind.ELEMENTWISE,
+                  flops=float(shape.kv_len ** 2), weight_bytes=0.0,
+                  act_in_bytes=act, act_out_bytes=act,
+                  tile_dims=frozenset({TOKEN})))
+    return ops
+
+
+@pytest.mark.parametrize("batch", [1, 64])  # both small-batch sides
+def test_self_check_rejects_non_affine_op(monkeypatch, batch):
+    monkeypatch.setattr(costmodel, "transformer_layer_ops", _with_quadratic_op)
+    model = KernelCostModel(A100_40GB, DEEPSPEED_FP16)
+    shape = LayerShape(hidden=1024, heads=16, batch=batch, tokens_per_seq=1,
+                       kv_len=100)
+    with pytest.raises(RuntimeError, match="not affine"):
+        model.layer_cost(shape)
+
+
+class TestCompiledStateIsolation:
+    SHAPE = LayerShape(hidden=4096, heads=32, batch=8, tokens_per_seq=1,
+                       kv_len=128)
+
+    @pytest.mark.parametrize("change", [
+        {"cuda_graph": False},
+        {"sbi_gemm": False},
+        {"fusion": FusionStrategy.ELEMENTWISE},
+        {"weight_dtype": DType.INT8},
+        {"dispatch_overhead": 1e-6},
+        {"nongemm_bw_eff": 0.5},
+        {"small_batch_tokens": 4},
+        {"weight_traffic_scale": 0.5},
+    ])
+    def test_one_field_apart_never_share(self, change):
+        # with_() keeps the name, so nothing may key on it.
+        variant = DEEPSPEED_FP16.with_(**change)
+        base = KernelCostModel(A100_40GB, DEEPSPEED_FP16)
+        other = KernelCostModel(A100_40GB, variant)
+        first = base.layer_cost(self.SHAPE)
+        got = other.layer_cost(self.SHAPE)
+        assert got == _oracle(other, self.SHAPE)
+        assert got != first
+        assert base.layer_cost(self.SHAPE) == first
+
+    def test_cuda_graph_ablation_still_prices_differently(self):
+        rows = ablation_cuda_graph().rows
+        assert rows and all(r["speedup"] > 1.0 for r in rows)
+
+    def test_gpu_and_profile_are_read_only(self):
+        model = KernelCostModel(A100_40GB, DEEPSPEED_FP16)
+        with pytest.raises(AttributeError):
+            model.profile = PYTORCH_FP16
+        with pytest.raises(AttributeError):
+            model.gpu = GPU_REGISTRY["V100-32GB-SXM"]
+
+
+def test_ffn_flag_drops_exactly_the_mlp_ops():
+    shape = LayerShape(hidden=1024, heads=16, batch=2, tokens_per_seq=3,
+                       kv_len=9, tp_degree=4)
+    full = transformer_layer_ops(shape)
+    assert transformer_layer_ops(shape, ffn=False) == [
+        o for o in full
+        if not o.name.startswith("mlp_") and o.name != "gelu_bias"
+    ]
+
+
+def test_dense_step_time_composes_memoized_token_terms():
+    model = DenseLatencyModel(DENSE_ZOO["gpt-13b"], dgx_a100_cluster(1), tp=4)
+    layers = model.config.layers
+    for batch, tps, kv in [(1, 128, 128), (4, 1, 300), (4, 1, 301), (1, 40, 128)]:
+        k1, c1 = model.layer_time(batch, tps, kv)
+        assert c1 > 0
+        assert model.step_time(batch, tps, kv) == (
+            k1 * layers + model.lm_head_time(batch, tps), c1 * layers)
