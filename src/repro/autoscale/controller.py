@@ -67,20 +67,23 @@ class AutoscaleConfig:
             raise ValueError("min_replicas must be >= 1")
         if self.max_replicas < self.min_replicas:
             raise ValueError("max_replicas must be >= min_replicas")
-        if self.ttft_slo_s <= 0:
-            raise ValueError("ttft_slo_s must be > 0")
-        if self.epoch_s <= 0:
-            raise ValueError("epoch_s must be > 0")
-        if self.window_s is not None and self.window_s <= 0:
-            raise ValueError("window_s must be > 0 when given")
+        # ``not x > 0`` rather than ``x <= 0``: NaN fails every comparison.
+        if not (math.isfinite(self.ttft_slo_s) and self.ttft_slo_s > 0):
+            raise ValueError("ttft_slo_s must be finite and > 0")
+        if not (math.isfinite(self.epoch_s) and self.epoch_s > 0):
+            raise ValueError("epoch_s must be finite and > 0")
+        if self.window_s is not None and not (
+                math.isfinite(self.window_s) and self.window_s > 0):
+            raise ValueError("window_s must be finite and > 0 when given")
         if self.queue_low_depth > self.queue_high_depth:
             raise ValueError(
                 "queue_low_depth must not exceed queue_high_depth "
                 "(the hysteresis band would invert)")
         if self.sustain_epochs < 1:
             raise ValueError("sustain_epochs must be >= 1")
-        if self.cold_start_s is not None and self.cold_start_s < 0:
-            raise ValueError("cold_start_s must be >= 0 when given")
+        if self.cold_start_s is not None and not (
+                math.isfinite(self.cold_start_s) and self.cold_start_s >= 0):
+            raise ValueError("cold_start_s must be finite and >= 0 when given")
         if self.warmup_prompts < 1 or self.mean_prompt < 1:
             raise ValueError("warmup_prompts and mean_prompt must be >= 1")
         if not 0.0 < self.slow_replica_ratio < 1.0:

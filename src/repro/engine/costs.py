@@ -257,6 +257,8 @@ class _PassPricedCost(StepCostModel):
         self._memo: dict[tuple[int, int, int], float] = {}
         # batch -> decode-pass cost indexed by KV length (NaN = unpriced)
         self._kv_runs: dict[int, np.ndarray] = {}
+        # batch -> a KV range [lo, hi) of its array known to hold no NaN
+        self._kv_priced: dict[int, tuple[int, int]] = {}
 
     @abstractmethod
     def _price(self, batch: int, tokens_per_seq: int, kv: int) -> float:
@@ -309,8 +311,16 @@ class _PassPricedCost(StepCostModel):
                 grown[: arr.size] = arr
             arr = self._kv_runs[batch] = grown
         seg = arr[kv0:need]
-        for i in np.flatnonzero(np.isnan(seg)):
-            seg[i] = self._pass(batch, 1, kv0 + int(i))
+        # Consecutive stretches of one batch size mostly continue where
+        # the last one stopped, so one contiguous priced range spares
+        # the NaN scan on most calls.
+        lo, hi = self._kv_priced.get(batch, (0, 0))
+        if not lo <= kv0 < need <= hi:
+            for i in np.flatnonzero(np.isnan(seg)):
+                seg[i] = self._pass(batch, 1, kv0 + int(i))
+            self._kv_priced[batch] = ((min(lo, kv0), max(hi, need))
+                                      if kv0 <= hi and lo <= need
+                                      else (kv0, need))
         return seg.copy()
 
 

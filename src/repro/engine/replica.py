@@ -29,8 +29,6 @@ import math
 from collections import deque
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from ..model.paged_kv import blocks_needed
 from ..simcore.trace import Timeline
 from .costs import BatchState, PromptShape, StepCostModel
@@ -128,11 +126,17 @@ class _KvTracker:
     def grow_all(self, steps: int) -> None:
         """Every live request appends ``steps`` positions (one per
         decode iteration of a stretch)."""
-        for rid, pos in self._pos.items():
-            delta = self._blocks(pos + steps) - self._blocks(pos)
-            self._used += delta
-            self.allocated += delta
-            self._pos[rid] = pos + steps
+        # ceil(p / bs) == (p - 1) // bs + 1 for p >= 1, so each request
+        # needs (pos + steps - 1) // bs - (pos - 1) // bs more blocks.
+        bs = self.block_size
+        pos_of = self._pos
+        grown = 0
+        for rid, pos in pos_of.items():
+            grown += (pos + steps - 1) // bs - (pos - 1) // bs
+            pos_of[rid] = pos + steps
+        delta = self.num_layers * grown
+        self._used += delta
+        self.allocated += delta
         if self._used > self.peak_blocks:
             self.peak_blocks = self._used
 
@@ -332,19 +336,17 @@ class _Replica:
             BatchState(tuple(live_kv.values())), horizon)
         if start >= slow_from:  # unslowed replicas skip the multiply
             run = run * self.slow_factor
-        buf = np.empty(horizon + 1)
-        buf[0] = start
-        buf[1:] = run
-        # The cumsum *includes* ``start`` so the float additions
-        # associate exactly as a per-step ``now += cost`` loop.
-        ends = np.cumsum(buf, out=buf)[1:]
-        n = horizon
-        if t_break != _INF:
-            k = int(np.searchsorted(ends, t_break, side="left"))
-            if k + 1 < n:
-                n = k + 1
-        ends_list = ends[:n].tolist()  # exact float64 -> float
-        now = ends_list[-1]
+        # A sequential ``now += cost`` is the per-step loop's exact float
+        # association; the stretch ends at the first step whose end
+        # reaches the break time.
+        costs = run.tolist()  # exact float64 -> float
+        now = start
+        n = 0
+        for c in costs:
+            now += c
+            n += 1
+            if now >= t_break:
+                break
         if not start <= now < _INF:
             raise ValueError(
                 f"replica {self.index}: decode stretch of {n} steps x{batch} "
@@ -355,7 +357,8 @@ class _Replica:
         self.tokens += n * batch
         if self.full:
             s_prev = start
-            for e in ends_list:
+            for c in costs[:n]:
+                e = s_prev + c
                 self.timeline.record("server", s_prev, e, f"decode x{batch}")
                 s_prev = e
         else:
@@ -418,9 +421,10 @@ class _Replica:
     def recover(self, t: float) -> None:
         """Reboot a crashed replica at time ``t``: a *fresh* scheduler
         (nothing of the dead incarnation's state survives the machine),
-        empty batch, routable again. The old scheduler and its crash
-        step are archived for the functional replay; completion records
-        survive because those requests really did finish here."""
+        empty batch, routable again unless it was draining (then it
+        retires at once). The old scheduler and its crash step are
+        archived for the functional replay; completion records survive
+        because those requests really did finish here."""
         if self.alive:
             raise RuntimeError(
                 f"replica {self.index} is alive; only a crashed replica "

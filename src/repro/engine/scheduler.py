@@ -248,6 +248,8 @@ class Scheduler:
         self._queue: deque[SchedRequest] = deque()
         self._active: dict[int, SchedRequest] = {}  # admission order
         self._generated: dict[int, int] = {}
+        # Cached decode_horizon() of a non-empty active set; None = stale.
+        self._horizon: int | None = None
         self._step = 0
         self.events: list[SchedulerEvent] = []
         self._enqueue_step: dict[int, int] = {}
@@ -384,6 +386,11 @@ class Scheduler:
                 self._queue.popleft()
             else:
                 self._queue.remove(cand)
+            if not self._active:
+                self._horizon = cand.max_new_tokens
+            elif self._horizon is not None \
+                    and cand.max_new_tokens < self._horizon:
+                self._horizon = cand.max_new_tokens
             self._active[cand.request_id] = cand
             self._generated[cand.request_id] = 0
             self._admit_step[cand.request_id] = self._step
@@ -402,16 +409,21 @@ class Scheduler:
         if request_id not in self._active:
             raise KeyError(f"request {request_id} is not active")
         req = self._active[request_id]
-        self._generated[request_id] += 1
+        generated = self._generated[request_id] = \
+            self._generated[request_id] + 1
         reason: str | None = None
         if self.eos_token is not None and token == self.eos_token:
             reason = "eos"
-        elif self._generated[request_id] >= req.max_new_tokens:
+        elif generated >= req.max_new_tokens:
             reason = "length"
         if reason is not None:
             del self._active[request_id]
+            self._horizon = None  # the minimum may have left
             self._retire_step[request_id] = self._step
             self._log("retire", request_id, reason)
+        elif self._horizon is not None \
+                and req.max_new_tokens - generated < self._horizon:
+            self._horizon = req.max_new_tokens - generated
         return reason
 
     def advance(self) -> int:
@@ -428,12 +440,16 @@ class Scheduler:
         active request survives the next ``decode_horizon() - 1``
         iterations and at least one retires on the last. This is the
         longest stretch :meth:`record_tokens` may commit in one call.
-        Returns 0 when no request is active.
+        Returns 0 when no request is active. Kept incrementally by
+        :meth:`admit`, :meth:`record_token` and :meth:`record_tokens`,
+        so a call is O(1) except after a single-token retirement.
         """
         if not self._active:
             return 0
-        return min(req.max_new_tokens - self._generated[rid]
-                   for rid, req in self._active.items())
+        if self._horizon is None:
+            self._horizon = min(req.max_new_tokens - self._generated[rid]
+                                for rid, req in self._active.items())
+        return self._horizon
 
     def record_tokens(self, steps: int) -> list[int]:
         """Commit ``steps`` whole decode iterations in one call.
@@ -456,14 +472,19 @@ class Scheduler:
                 f"({self.decode_horizon()}): a retirement would be skipped")
         self._step += steps - 1  # land on the retiring iteration
         retired: list[int] = []
-        for rid in list(self._active):
-            req = self._active[rid]
-            self._generated[rid] += steps
-            if self._generated[rid] >= req.max_new_tokens:
+        generated = self._generated
+        horizon: int | None = None  # of the survivors
+        for rid, req in list(self._active.items()):
+            left = req.max_new_tokens - generated[rid] - steps
+            generated[rid] += steps
+            if left <= 0:
                 del self._active[rid]
                 self._retire_step[rid] = self._step
                 self._log("retire", rid, "length")
                 retired.append(rid)
+            elif horizon is None or left < horizon:
+                horizon = left
+        self._horizon = horizon
         self._step += 1
         return retired
 

@@ -52,8 +52,9 @@ class ReplicaFault:
             raise ValueError("fault time must be finite and >= 0")
         if self.kind not in _KINDS:
             raise ValueError(f"kind must be one of {_KINDS}, got {self.kind!r}")
-        if self.kind == "slowdown" and self.factor <= 1.0:
-            raise ValueError("a slowdown needs factor > 1")
+        if self.kind == "slowdown" and not (
+                math.isfinite(self.factor) and self.factor > 1.0):
+            raise ValueError("a slowdown needs a finite factor > 1")
 
 
 @dataclass(frozen=True)
@@ -79,22 +80,30 @@ class FaultPlan:
         # row nor rejoin without having died).
         for replica, events in by_replica.items():
             events.sort(key=lambda f: f.time)
-            crashed = False
+            crashed_at: float | None = None
             for f in events:
                 if f.kind == "crash":
-                    if crashed:
+                    if crashed_at is not None:
                         raise ValueError(
                             f"replica {replica} has more than one crash "
                             f"without an intervening recover"
                         )
-                    crashed = True
+                    crashed_at = f.time
                 else:  # recover
-                    if not crashed:
+                    if crashed_at is None:
                         raise ValueError(
                             f"replica {replica} recovers at t={f.time} "
                             f"without a preceding crash"
                         )
-                    crashed = False
+                    # The simulator applies a recovery before a crash at
+                    # the same instant, so a zero-length outage would
+                    # recover a replica that is still alive.
+                    if f.time <= crashed_at:
+                        raise ValueError(
+                            f"replica {replica} recovers at t={f.time}, "
+                            f"not after its crash at t={crashed_at}"
+                        )
+                    crashed_at = None
 
     def validate_against(self, num_replicas: int) -> None:
         """Reject faults naming replicas outside the pool, and plans

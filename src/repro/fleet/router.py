@@ -136,9 +136,9 @@ class Router:
 
     def mark_recovered(self, replica: int) -> None:
         """Return a crashed replica to rotation with a clean load
-        register and full weight."""
+        register and full weight. A replica drained before its crash
+        stays drained: scale-in or a replacement already took its slot."""
         self._alive[replica] = True
-        self._draining[replica] = False
         self._weights[replica] = 1.0
         self._outstanding[replica] = 0.0
 

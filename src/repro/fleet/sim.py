@@ -217,13 +217,29 @@ def simulate_fleet(
     heapq.heapify(heap)
     seq = len(trace.requests)
 
+    # Replica action times, lazily invalidated: an entry is live while
+    # it equals its replica's next_action_time(), and stale entries are
+    # dropped when they reach the top. Only a delivery or an action can
+    # lower a replica's time, so only those push a fresh entry. Crash,
+    # drain and retire raise it to inf; a recovered or joining replica
+    # is idle until its first delivery. (t, index) order picks the
+    # lowest index among equal times, as a full scan would.
+    acts: list[tuple[float, int]] = []
+
+    def push_action(i: int) -> None:
+        t = replicas[i].next_action_time()
+        if t < _INF:
+            heapq.heappush(acts, (t, i))
+
     while True:
         t_arr = heap[0][0] if heap else _INF
         t_act, act_i = _INF, -1
-        for i, rep in enumerate(replicas):
-            t = rep.next_action_time()
-            if t < t_act:
+        while acts:
+            t, i = acts[0]
+            if t == replicas[i].next_action_time():
                 t_act, act_i = t, i
+                break
+            heapq.heappop(acts)
         t_fault = (fault_events[fault_cursor][0]
                    if fault_cursor < len(fault_events) else _INF)
         t_join = joins[0] if joins else _INF
@@ -240,9 +256,17 @@ def simulate_fleet(
             t, _, target_i, kind = fault_events[fault_cursor]
             fault_cursor += 1
             target = replicas[target_i]
+            if target.retired:
+                # Scaled in before its crash: the machine has left the
+                # fleet, so neither the crash nor a recovery applies (a
+                # recovery would make the router route to it again).
+                continue
             if kind == "recover":
                 target.recover(t)
                 router.mark_recovered(target_i)
+                # Drained before the crash: scale-in or a replacement
+                # already took its slot, so the empty reboot retires.
+                target.maybe_retire(t)
                 if scaler is not None:
                     autoscale_log.append(AutoscaleEvent(
                         t, "recover", target_i, "fault plan recovery"))
@@ -301,11 +325,13 @@ def simulate_fleet(
                 retried.add(r.request_id)
             replica_of[r.request_id] = target_i
             replicas[target_i].deliver(r, t)
+            push_action(target_i)
             continue
-        replicas[act_i].perform_action(on_complete,
-                                       t_limit=t_split,
-                                       max_steps=_max_run_steps)
-        replicas[act_i].maybe_retire(replicas[act_i].now)
+        rep = replicas[act_i]
+        rep.perform_action(on_complete, t_limit=t_split,
+                           max_steps=_max_run_steps)
+        rep.maybe_retire(rep.now)
+        push_action(act_i)
 
     # -- assemble the report --------------------------------------------
     finish: dict[int, float] = {}

@@ -47,8 +47,10 @@ class Timeline:
         span = Span(start, end, label)
         spans = self._lanes.setdefault(lane, [])
         # Simulators append in time order; skip insort's O(log n)
-        # dataclass comparisons (equivalent to insort at the end).
-        if not spans or not span < spans[-1]:
+        # dataclass comparisons (equivalent to insort at the end). A
+        # later start decides the order without building Span's tuples.
+        if (not spans or start > spans[-1].start
+                or not (start < spans[-1].start or span < spans[-1])):
             spans.append(span)
         else:
             insort(spans, span)
@@ -78,8 +80,14 @@ class Timeline:
         chrome-trace export. Returns ``self`` for chaining.
         """
         for lane, spans in other._lanes.items():
+            name = prefix + lane
+            if name not in self._lanes:
+                # Spans are frozen and the source lane is sorted: share
+                # them instead of re-recording one by one.
+                self._lanes[name] = list(spans)
+                continue
             for s in spans:
-                self.record(prefix + lane, s.start, s.end, s.label)
+                self.record(name, s.start, s.end, s.label)
         for lane, instants in other._instants.items():
             for t, label in instants:
                 self.record_instant(prefix + lane, t, label)

@@ -22,7 +22,12 @@ from repro.autoscale import (
     resolve_autoscaler,
     tune_autoscaler,
 )
-from repro.engine import ClosureStepCost, synthesize_trace
+from repro.engine import (
+    ClosureStepCost,
+    Request,
+    WorkloadTrace,
+    synthesize_trace,
+)
 from repro.fleet import FaultPlan, ReplicaFault, simulate_fleet
 
 COSTS = ClosureStepCost(prompt_time=lambda b, p: 0.02 + 0.001 * p,
@@ -273,6 +278,13 @@ class TestConfigValidation:
         (dict(sustain_epochs=0), "sustain_epochs"),
         (dict(cold_start_s=-1.0), "cold_start_s"),
         (dict(slow_replica_ratio=1.0), "slow_replica_ratio"),
+        # Non-finite inputs: NaN slips past a bare ``<= 0`` guard (with
+        # epoch_s=nan a fleet run used to hold zero control epochs).
+        (dict(ttft_slo_s=math.nan), "ttft_slo_s must be finite"),
+        (dict(epoch_s=math.inf), "epoch_s must be finite"),
+        (dict(epoch_s=math.nan), "epoch_s must be finite"),
+        (dict(window_s=math.nan), "window_s must be finite"),
+        (dict(cold_start_s=math.nan), "cold_start_s must be finite"),
     ])
     def test_rejects(self, kw, match):
         with pytest.raises(ValueError, match=match):
@@ -392,6 +404,61 @@ class TestClosedLoop:
         assert "scale_in" in kinds
         retired = [s for s in rep.replica_stats if s.retire_time is not None]
         assert retired  # a drained replica actually left the pool
+
+
+class TestFaultsOnDrainedReplicas:
+    """A scripted crash/recover can hit a replica the autoscaler has
+    drained. A drained replica that crashes and recovers stays drained
+    and retires at once (its replacement already holds its slot, so
+    the routable pool never outgrows ``max_replicas``); a retired one
+    has left the fleet and its faults no longer apply. Either way no
+    request may be routed to a replica that will never serve it."""
+
+    @pytest.mark.parametrize("max_replicas", [2, 3])
+    def test_recovered_drain_retires_at_once(self, max_replicas):
+        trace = synthesize_trace(num_requests=500, arrival_rate=60.0,
+                                 mean_prompt=32, mean_gen=16, seed=5)
+        # The sustained throttle earns replica 1 a drain-and-replace at
+        # t=2.5; it crashes mid-drain and reboots at t=3.
+        plan = FaultPlan((
+            ReplicaFault(1, 0.5, kind="slowdown", factor=8.0),
+            ReplicaFault(1, 2.51),
+            ReplicaFault(1, 3.0, kind="recover")))
+        rep = simulate_fleet(
+            trace, num_replicas=2, max_batch=4, costs=COSTS,
+            routing="least_outstanding", fault_plan=plan,
+            autoscaler=AutoscaleConfig(min_replicas=2,
+                                       max_replicas=max_replicas,
+                                       ttft_slo_s=0.5, epoch_s=0.5,
+                                       window_s=2.0))
+        assert (2.5, "replace", 1) in [(e.time_s, e.kind, e.replica)
+                                         for e in rep.autoscale_log]
+        assert rep.num_completed == len(trace.requests)
+        stats = rep.replica_stats[1]
+        assert stats.draining and stats.retire_time == 3.0
+        assert not [d for d in rep.routing
+                    if d.replica == 1 and d.time >= 2.5]
+        routable = [s for s in rep.replica_stats
+                    if s.alive and not s.draining and s.retire_time is None]
+        assert len(routable) <= max_replicas
+
+    def test_faults_on_a_retired_replica_are_moot(self):
+        trace = WorkloadTrace(tuple(
+            Request(i, t, 1, 1) for i, t in enumerate([0.0] * 16 + [0.2])))
+        plan = FaultPlan((ReplicaFault(0, 0.15),
+                          ReplicaFault(0, 0.2, kind="recover")))
+        rep = simulate_fleet(
+            trace, num_replicas=4, max_batch=1, costs=COSTS,
+            routing="round_robin", fault_plan=plan,
+            autoscaler=AutoscaleConfig(
+                min_replicas=1, max_replicas=6, ttft_slo_s=0.3, epoch_s=0.1,
+                sustain_epochs=1, queue_high_depth=0.5, queue_low_depth=0.5,
+                scale_in_cooldown_s=0.2, cold_start_s=0.0))
+        assert ("scale_in", 0) in [(e.kind, e.replica)
+                                   for e in rep.autoscale_log]
+        assert rep.replica_stats[0].retire_time == pytest.approx(0.1)
+        assert rep.num_completed == len(trace.requests)
+        assert rep.replica_of[16] != 0
 
 
 class TestInertAutoscalerExactness:

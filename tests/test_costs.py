@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.engine import (
     BatchState,
@@ -206,6 +207,13 @@ class _ConstLatency:
         return self.value, 0.0
 
 
+class _KvLatency:
+    """A latency model whose pass cost grows with batch and KV."""
+
+    def step_time(self, batch, tokens_per_seq, kv_len):
+        return 1e-3 * batch * tokens_per_seq + 1e-6 * kv_len, 0.0
+
+
 class TestPassPriceGuard:
     """Each freshly priced pass must be finite and >= 0. A bad price is
     never memoized, so asking again fails again."""
@@ -286,6 +294,20 @@ class TestDecodeRunCost:
         longer = cost.decode_run_cost(state, 3 * self.STEPS)
         assert longer[:self.STEPS].tolist() == first.tolist()
         assert longer.tolist() == self._reference(cost, state, 3 * self.STEPS)
+
+    @settings(max_examples=100, deadline=None)
+    @given(runs=st.lists(st.tuples(st.integers(1, 3), st.integers(1, 120),
+                                   st.integers(1, 40)), min_size=1,
+                         max_size=12))
+    def test_any_run_sequence_prices_every_step(self, runs):
+        """Runs of one batch size that continue, overlap, skip ahead or
+        jump back all equal the scalar loop: the priced-range shortcut
+        never returns an unpriced slot."""
+        cost = DenseStepCost(_KvLatency())
+        for batch, kv, steps in runs:
+            state = BatchState.uniform(batch, kv)
+            assert (cost.decode_run_cost(state, steps).tolist()
+                    == self._reference(cost, state, steps))
 
     def test_closure_adapter(self):
         cost = ClosureStepCost(lambda b, p: 1.0, lambda b: 0.25 * b)

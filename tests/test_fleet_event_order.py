@@ -1,0 +1,152 @@
+"""Fleet event-loop action order.
+
+``simulate_fleet`` finds the next replica to act through a lazily
+invalidated heap of action times. The contract is the one a full scan
+over every replica gives: each action the loop runs belongs to the
+replica with the minimum ``next_action_time()``, the lowest index among
+equal times. This test registers every ``_Replica`` of a run, wraps
+``perform_action``, and checks that contract at every action over a
+randomized configuration space; simultaneous arrivals and grid-valued
+step costs make ties common.
+"""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.autoscale import AutoscaleConfig
+from repro.engine import ClosureStepCost, Request, WorkloadTrace
+from repro.engine.replica import _Replica
+from repro.fleet import FaultPlan, ReplicaFault, simulate_fleet
+
+COSTS = ClosureStepCost(prompt_time=lambda b, p: 0.02 + 0.001 * p,
+                        step_time=lambda b: 0.01 + 0.001 * b)
+GRID_S = 0.05
+
+
+def checked_fleet_run(trace, **kwargs):
+    """Run ``simulate_fleet`` asserting the scan order at every action
+    the event loop takes; returns the report and the action count."""
+    replicas: list[_Replica] = []
+    in_crash = [False]
+    actions = [0]
+    init, perform, crash = (_Replica.__init__, _Replica.perform_action,
+                            _Replica.crash)
+
+    def registering_init(self, *args, **kw):
+        init(self, *args, **kw)
+        replicas.append(self)
+
+    def flagged_crash(self, *args, **kw):
+        # A crash finishes its in-flight round through perform_action;
+        # those calls are the dying replica's own, not the loop's picks.
+        in_crash[0] = True
+        try:
+            return crash(self, *args, **kw)
+        finally:
+            in_crash[0] = False
+
+    def checked_perform(self, *args, **kw):
+        if not in_crash[0]:
+            want = min((rep.next_action_time(), rep.index)
+                       for rep in replicas)
+            assert (self.next_action_time(), self.index) == want, (
+                f"loop ran replica {self.index} at "
+                f"{self.next_action_time()!r}; a scan picks {want}")
+            actions[0] += 1
+        return perform(self, *args, **kw)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_Replica, "__init__", registering_init)
+        mp.setattr(_Replica, "perform_action", checked_perform)
+        mp.setattr(_Replica, "crash", flagged_crash)
+        report = simulate_fleet(trace, costs=COSTS, **kwargs)
+    assert [rep.index for rep in replicas] == list(range(len(replicas)))
+    return report, actions[0]
+
+
+@st.composite
+def _traces(draw):
+    n = draw(st.integers(2, 24))
+    # Few distinct grid slots for many requests: simultaneous arrivals.
+    slots = sorted(draw(st.lists(st.integers(0, 12), min_size=n,
+                                 max_size=n)))
+    sessions = draw(st.booleans())
+    return WorkloadTrace(tuple(
+        Request(request_id=i, arrival=k * GRID_S,
+                prompt_len=draw(st.integers(1, 16)),
+                gen_tokens=draw(st.integers(1, 16)),
+                session=draw(st.integers(0, 3)) if sessions else None)
+        for i, k in enumerate(slots)))
+
+
+@st.composite
+def _fleet_cases(draw):
+    trace = draw(_traces())
+    num_replicas = draw(st.integers(1, 4))
+    faults = []
+    if num_replicas > 1 and draw(st.booleans()):
+        t_crash = draw(st.integers(0, 12)) * GRID_S
+        faults.append(ReplicaFault(0, t_crash))
+        if draw(st.booleans()):
+            faults.append(ReplicaFault(
+                0, t_crash + draw(st.integers(1, 12)) * GRID_S,
+                kind="recover"))
+    if draw(st.booleans()):
+        faults.append(ReplicaFault(
+            draw(st.integers(0, num_replicas - 1)),
+            draw(st.integers(0, 12)) * GRID_S, kind="slowdown",
+            factor=draw(st.sampled_from([2.0, 3.0]))))
+    autoscaler = None
+    if draw(st.booleans()):
+        autoscaler = AutoscaleConfig(
+            min_replicas=1, max_replicas=num_replicas + 2,
+            ttft_slo_s=draw(st.sampled_from([0.05, 0.3])),
+            epoch_s=draw(st.sampled_from([0.05, 0.1, 0.25])),
+            sustain_epochs=1, queue_high_depth=0.5, queue_low_depth=0.5,
+            cold_start_s=draw(st.sampled_from([0.0, 0.1])),
+            window_s=0.5, scale_in_cooldown_s=0.2)
+    return trace, dict(
+        num_replicas=num_replicas,
+        max_batch=draw(st.integers(1, 4)),
+        routing=draw(st.sampled_from(["round_robin", "least_outstanding",
+                                      "power_of_two", "session_affinity"])),
+        fault_plan=FaultPlan(tuple(faults)),
+        autoscaler=autoscaler,
+        detail=draw(st.sampled_from(["full", "summary"])),
+        _max_run_steps=draw(st.sampled_from([None, 1])),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_fleet_cases())
+def test_every_action_is_the_scan_pick(case):
+    trace, kwargs = case
+    try:
+        report, actions = checked_fleet_run(trace, **kwargs)
+    except RuntimeError as exc:
+        # Autoscaler drains plus a crash can leave nothing routable,
+        # which the router reports; every action up to it was checked.
+        if kwargs["autoscaler"] is None \
+                or "every replica has failed" not in str(exc):
+            raise
+        return
+    assert actions >= len(trace.requests)  # one admission each, at least
+    assert report.num_completed == len(trace.requests)
+
+
+def test_simultaneous_idle_replicas_act_lowest_index_first():
+    """Four requests at one instant on four idle replicas: every replica
+    is due at that instant and they must act 0, 1, 2, 3."""
+    trace = WorkloadTrace(tuple(Request(i, 1.0, 4, 2) for i in range(4)))
+    order: list[int] = []
+    perform = _Replica.perform_action
+
+    def logged(self, *args, **kw):
+        order.append(self.index)
+        return perform(self, *args, **kw)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_Replica, "perform_action", logged)
+        simulate_fleet(trace, num_replicas=4, max_batch=2, costs=COSTS,
+                       routing="round_robin")
+    assert order[:4] == [0, 1, 2, 3]

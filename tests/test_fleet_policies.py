@@ -37,6 +37,18 @@ class TestRouterAccounting:
         assert targets == {0, 2}
         assert router.alive_replicas() == [0, 2]
 
+    def test_recovery_keeps_a_drain(self):
+        router = Router(4)
+        router.mark_draining(1)
+        router.mark_failed(2)
+        assert router.alive_replicas() == [0, 3]
+        assert router.add_replica() == 4
+        router.mark_recovered(2)
+        router.mark_failed(1)  # crashes mid-drain...
+        router.mark_recovered(1)  # ...and reboots still drained
+        assert router.is_alive(1) and not router.is_routable(1)
+        assert router.alive_replicas() == [0, 2, 3, 4]
+
     def test_all_dead_raises(self):
         router = Router(2)
         router.mark_failed(0)
@@ -124,6 +136,11 @@ class TestFaultPlan:
         with pytest.raises(ValueError, match="more than one crash"):
             FaultPlan((ReplicaFault(0, 1.0), ReplicaFault(0, 2.0)))
 
+    @pytest.mark.parametrize("factor", [float("nan"), float("inf")])
+    def test_slowdown_factor_must_be_finite(self, factor):
+        with pytest.raises(ValueError, match="finite factor > 1"):
+            ReplicaFault(0, 1.0, kind="slowdown", factor=factor)
+
     def test_validate_against_pool(self):
         plan = FaultPlan((ReplicaFault(3, 1.0),))
         with pytest.raises(ValueError, match="only has 2"):
@@ -160,6 +177,13 @@ class TestFaultPlanRecovery:
         assert plan.recover_events() == [(2.0, 0)]
         # crashes() keeps its historic first-crash shape for old callers.
         assert plan.crashes() == {0: 1.0}
+
+    def test_recover_must_come_after_its_crash(self):
+        # Recoveries apply before crashes at one instant, so a
+        # zero-length outage used to recover a still-alive replica.
+        with pytest.raises(ValueError, match="not after its crash"):
+            FaultPlan((ReplicaFault(0, 1.0),
+                       ReplicaFault(0, 1.0, kind="recover")))
 
     def test_double_crash_without_recover_still_rejected(self):
         with pytest.raises(ValueError, match="more than one crash"):

@@ -3,6 +3,7 @@ functional-vs-analytical decision-equivalence guarantee."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.engine import (
     ClosureStepCost,
@@ -267,6 +268,33 @@ class TestBulkStepping:
         assert bulk.admission_order == single.admission_order
         assert bulk.retirement_order == single.retirement_order
         assert bulk.to_timeline().to_rows() == single.to_timeline().to_rows()
+
+    @settings(max_examples=200, deadline=None)
+    @given(ops=st.lists(st.tuples(
+        st.sampled_from(["enqueue", "admit", "token", "eos", "bulk"]),
+        st.integers(1, 6)), max_size=40))
+    def test_incremental_horizon_matches_a_rescan(self, ops):
+        """decode_horizon() is kept incrementally; after any mix of
+        admissions, single tokens (EOS included) and bulk stretches it
+        equals the minimum remaining budget over the active set."""
+        s = Scheduler(3, eos_token=0)
+        budget: dict[int, int] = {}
+        for op, k in ops:
+            active = s.active
+            if op == "enqueue":
+                rid = len(budget)
+                budget[rid] = k
+                s.enqueue(_req(rid, max_new=k))
+            elif op == "admit":
+                s.admit(max_admit=k)
+            elif op in ("token", "eos") and active:
+                s.record_token(active[k % len(active)],
+                               token=0 if op == "eos" else 1)
+            elif op == "bulk" and active:
+                s.record_tokens(min(k, s.decode_horizon()))
+            rescan = min((budget[rid] - s.generated(rid) for rid in s.active),
+                         default=0)
+            assert s.decode_horizon() == rescan
 
     def test_partial_run_retires_nobody(self):
         s = Scheduler(2)

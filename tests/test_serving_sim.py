@@ -415,3 +415,27 @@ class TestWorkloadTraceEdges:
             assert got.shared_prefix_len == r.shared_prefix_len
         assert sess.result(2).prefix_reused > 0
         assert res.report.tenants(trace) == ["gold", "free"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(prompts=st.lists(st.integers(1, 40), min_size=1, max_size=6),
+       block_size=st.integers(1, 8), num_layers=st.integers(1, 3),
+       stretches=st.lists(st.integers(1, 20), max_size=6))
+def test_kv_growth_counts_every_request_block_by_block(
+        prompts, block_size, num_layers, stretches):
+    """A stretch's bulk block arithmetic equals each live request's
+    ceil(positions / block_size) growth, one block per layer."""
+    from repro.engine.replica import _KvTracker
+
+    trace = WorkloadTrace(tuple(Request(i, 0.0, p, 1)
+                                for i, p in enumerate(prompts)))
+    kv = _KvTracker(trace.requests, block_size=block_size,
+                    num_layers=num_layers)
+    for r in trace.requests:
+        kv.admit(r.request_id)
+    pos = list(prompts)
+    for steps in stretches:
+        kv.grow_all(steps)
+        pos = [p + steps for p in pos]
+    live = num_layers * sum(-(-p // block_size) for p in pos)
+    assert kv.allocated == kv.peak_blocks == live

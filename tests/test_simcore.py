@@ -301,6 +301,25 @@ class TestTimeline:
         assert a.busy_time("l") == pytest.approx(2.0)
         assert a.has_overlap("l")
 
+    def test_merge_copies_new_lanes_independently(self):
+        b = Timeline()
+        b.record("server", 0.0, 1.0, "x")
+        a = Timeline().merge(b, prefix="r/")
+        b.record("server", 2.0, 3.0, "later")
+        assert [s.label for s in a.spans("r/server")] == ["x"]
+
+    @given(spans=st.lists(st.tuples(
+        st.sampled_from([0.0, 1.0, 2.0]), st.sampled_from([0.0, 1.0, 3.0]),
+        st.sampled_from(["a", "b"])), max_size=12))
+    def test_record_keeps_lanes_sorted_like_insort(self, spans):
+        """Equal starts fall back to the (start, end, label) order, so
+        any recording order leaves the lane fully sorted."""
+        tl = Timeline()
+        for start, length, label in spans:
+            tl.record("l", start, start + length, label)
+        got = [(s.start, s.end, s.label) for s in tl.spans("l")]
+        assert got == sorted(got)
+
 
 @given(
     durations=st.lists(
