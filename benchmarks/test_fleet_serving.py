@@ -20,7 +20,7 @@ TRACE = synthesize_trace(num_requests=200, arrival_rate=80.0,
 
 def _costs():
     model = DenseLatencyModel(DENSE_ZOO["gpt-13b"], dgx_a100_cluster(1), tp=2)
-    return DenseStepCost(model, representative_kv=128 + 16 // 2)
+    return DenseStepCost(model)
 
 
 def test_fleet_scales_out_a_serving_trace(benchmark):

@@ -3,7 +3,7 @@ serving and fleet stack via the step-cost interface.
 
 Before the pricing refactor only dense models could be served; these
 benchmarks time an MoE deployment end to end — the shared scheduler,
-the fleet router with a mid-trace crash, and the serving tuner — all
+the fleet router with a mid-trace crash, and the deployment tuner — all
 priced by :class:`~repro.engine.costs.MoEStepCost` at the live batch's
 true KV lengths.
 """
@@ -17,11 +17,15 @@ from repro.engine import (
     MoEStepCost,
     simulate_serving,
     synthesize_trace,
-    tune_serving_deployment,
 )
-from repro.fleet import FaultPlan, ReplicaFault, simulate_fleet
+from repro.fleet import (
+    FaultPlan,
+    ReplicaFault,
+    simulate_fleet,
+    tune_fleet_deployment,
+)
 from repro.hardware import dgx_a100_cluster
-from repro.model import MOE_PARALLELISM, MOE_ZOO
+from repro.model import MOE_PARALLELISM, MOE_ZOO, MoEParallelism
 
 CLUSTER = dgx_a100_cluster(16)  # 128 GPUs: one full EP-128 deployment
 CONFIG = MOE_ZOO["1.3b-moe-128"]
@@ -79,26 +83,29 @@ def test_moe_fleet_failover(benchmark):
 
 
 def test_moe_serving_tuner(benchmark):
-    """The serving tuner searches Table II-shaped MP x EP deployments
+    """The deployment tuner searches Table II-shaped MP x EP deployments
     for an MoE model and returns a feasible winner."""
     trace = synthesize_trace(num_requests=40, arrival_rate=25.0,
                              mean_prompt=96, mean_gen=12, seed=22)
 
     def tune():
-        return tune_serving_deployment(CONFIG, CLUSTER, trace)
+        return tune_fleet_deployment(CONFIG, CLUSTER, trace,
+                                     gpu_budget=CLUSTER.num_gpus)
 
     best = benchmark.pedantic(tune, rounds=3, iterations=1, warmup_rounds=1)
     assert best.num_gpus <= CLUSTER.num_gpus
     assert CONFIG.heads % best.tp == 0
     assert best.tokens_per_second > 0
     # The winner's numbers must reproduce outside the search loop.
-    model = MoELatencyModel(
-        CONFIG, CLUSTER,
-        next(p for n, p in MOE_PARALLELISM.items() if n == CONFIG.name),
-        optimized=True)
-    rep = simulate_serving(trace, costs=MoEStepCost(model),
-                           max_batch=best.max_batch)
-    assert math.isfinite(rep.tokens_per_second)
+    per_replica = best.num_gpus // best.replicas
+    par = MoEParallelism(mp_degree=best.tp, ep_degree=per_replica,
+                         expert_slicing=1, num_gpus=per_replica)
+    model = MoELatencyModel(CONFIG, CLUSTER, par, optimized=True)
+    rep = simulate_fleet(trace, num_replicas=best.replicas,
+                         costs=MoEStepCost(model), max_batch=best.max_batch,
+                         routing=best.routing)
+    assert rep.tokens_per_second == best.tokens_per_second
+    assert rep.ttft_percentile(trace, 99) == best.ttft_p99
     benchmark.extra_info["winner_mp"] = best.tp
     benchmark.extra_info["winner_gpus"] = best.num_gpus
     benchmark.extra_info["winner_max_batch"] = best.max_batch

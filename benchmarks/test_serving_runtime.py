@@ -71,7 +71,7 @@ def test_analytical_replay_reports_sla_numbers(benchmark):
     trace = synthesize_trace(num_requests=64, arrival_rate=20.0,
                              mean_prompt=128, mean_gen=16, seed=3)
     model = DenseLatencyModel(DENSE_ZOO["gpt-13b"], dgx_a100_cluster(1), tp=4)
-    costs = DenseStepCost(model, representative_kv=128 + 16 // 2)
+    costs = DenseStepCost(model)
 
     rep = benchmark.pedantic(
         lambda: simulate_serving(trace, costs=costs, max_batch=16),

@@ -8,8 +8,8 @@ model:
 
 * :class:`~repro.engine.MoEStepCost` wraps a Table II MoE deployment
   (MP x EP, Sec. V) — one replica serves a trace, then a 3-replica
-  fleet survives a mid-trace crash, then the serving tuner searches
-  MP x EP x max_batch;
+  fleet survives a mid-trace crash, then the deployment tuner searches
+  replicas x MP x EP x max_batch;
 * :class:`~repro.engine.ZeroStepCost` wraps the ZeRO-Inference streamed
   engine (Sec. VI) — same trace, GPU-budget hardware, throughput over
   latency.
@@ -23,9 +23,13 @@ from repro.engine import (
     ZeroStepCost,
     simulate_serving,
     synthesize_trace,
-    tune_serving_deployment,
 )
-from repro.fleet import FaultPlan, ReplicaFault, simulate_fleet
+from repro.fleet import (
+    FaultPlan,
+    ReplicaFault,
+    simulate_fleet,
+    tune_fleet_deployment,
+)
 from repro.hardware import dgx2_v100, dgx_a100_cluster
 from repro.model import MOE_PARALLELISM, MOE_ZOO, get_model
 from repro.zero import ZeroInferenceEngine
@@ -63,11 +67,12 @@ def moe_fleet_demo() -> None:
 
 
 def moe_tuning_demo() -> None:
-    print("\n=== serving tuner over MP x EP deployments ===")
+    print("\n=== deployment tuner over MP x EP deployments ===")
     trace = synthesize_trace(num_requests=40, arrival_rate=25.0,
                              mean_prompt=96, mean_gen=12, seed=19)
-    best = tune_serving_deployment(CONFIG, CLUSTER, trace)
-    print(f"  best: mp={best.tp} ({best.num_gpus} GPUs), "
+    best = tune_fleet_deployment(CONFIG, CLUSTER, trace,
+                                 gpu_budget=CLUSTER.num_gpus)
+    print(f"  best: {best.replicas} x mp={best.tp} ({best.num_gpus} GPUs), "
           f"max_batch={best.max_batch} -> "
           f"{best.tokens_per_second:.0f} tok/s "
           f"(TTFT p99 {best.ttft_p99 * 1e3:.0f} ms)")

@@ -13,8 +13,10 @@ example demonstrates the two extension features built on that framing:
   replaying the *same* scheduler priced by the latency model, with a
   chrome-trace exportable timeline;
 * :func:`~repro.engine.tune_dense_deployment` /
-  :func:`~repro.engine.tune_serving_deployment` — search deployments for
-  the best SLA-compliant throughput, steady-state or trace-level.
+  :func:`~repro.fleet.tune_fleet_deployment` — search deployments for
+  the best SLA-compliant throughput, steady-state or trace-level. The
+  trace-level winner is priced by the model the simulator runs, so it
+  reproduces exactly under :func:`~repro.fleet.simulate_fleet`.
 
 Run:  python examples/serving_and_tuning.py
 """
@@ -31,8 +33,8 @@ from repro.engine import (
     simulate_serving,
     synthesize_trace,
     tune_dense_deployment,
-    tune_serving_deployment,
 )
+from repro.fleet import simulate_fleet, tune_fleet_deployment
 from repro.hardware import dgx_a100_cluster
 from repro.model import DENSE_ZOO, DenseTransformer, ModelConfig
 
@@ -102,11 +104,21 @@ def analytical_serving_demo() -> None:
         print(f"  scheduler timeline -> {f.name} "
               "(load in ui.perfetto.dev)")
 
-    best = tune_serving_deployment(DENSE_ZOO["gpt-13b"], cluster, trace,
-                                   ttft_sla=1.0, max_gpus=8)
-    print(f"  best under 1 s P99-TTFT SLA: tp={best.tp} "
+    best = tune_fleet_deployment(DENSE_ZOO["gpt-13b"], cluster, trace,
+                                 gpu_budget=8, ttft_sla=1.0)
+    print(f"  best under 1 s P99-TTFT SLA: {best.replicas} x tp={best.tp} "
           f"max_batch={best.max_batch} -> {best.tokens_per_second:.0f} tok/s "
           f"(p99 TTFT {best.ttft_p99 * 1e3:.0f} ms)")
+    assert best.ttft_p99 <= 1.0 and best.num_gpus <= 8
+    # The winner reproduces outside the search, bit for bit.
+    again = simulate_fleet(
+        trace, num_replicas=best.replicas,
+        costs=DenseStepCost(DenseLatencyModel(DENSE_ZOO["gpt-13b"], cluster,
+                                              tp=best.tp)),
+        max_batch=best.max_batch, routing=best.routing)
+    assert again.tokens_per_second == best.tokens_per_second
+    assert again.ttft_percentile(trace, 99) == best.ttft_p99
+    print("  re-simulated winner: identical tok/s and p99 TTFT.")
 
 
 def tuning_demo() -> None:
@@ -115,6 +127,7 @@ def tuning_demo() -> None:
     cfg = DENSE_ZOO["gpt-13b"]
     print(f"  {'SLA':>8s} {'TP':>3s} {'PP':>3s} {'batch':>6s} "
           f"{'token ms':>9s} {'tok/s':>8s}")
+    prev = 0.0
     for sla_ms in (12, 20, 40, None):
         r = tune_dense_deployment(
             cfg, cluster, prompt_len=128, gen_tokens=8,
@@ -124,6 +137,9 @@ def tuning_demo() -> None:
         label = "none" if sla_ms is None else f"{sla_ms} ms"
         print(f"  {label:>8s} {r.tp:3d} {r.pp:3d} {r.batch:6d} "
               f"{r.token_latency * 1e3:9.2f} {r.tokens_per_second:8.0f}")
+        assert sla_ms is None or r.token_latency <= sla_ms * 1e-3
+        assert r.num_gpus <= 8 and r.tokens_per_second >= prev
+        prev = r.tokens_per_second
     print("  tighter SLAs force smaller batches; throughput is the price.")
 
 

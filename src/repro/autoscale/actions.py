@@ -14,8 +14,9 @@ from dataclasses import dataclass
 __all__ = ["ScaleAction", "AutoscaleEvent", "ACTION_KINDS"]
 
 #: scale_out adds one replica (live after the cold start); scale_in
-#: drains one replica and retires it once idle; replace drains a slow
-#: replica (no-op for a dead one) *and* adds a fresh replacement;
+#: drains one replica and retires it once idle; replace drains its
+#: target *and* adds a fresh replacement (a dead target stays drained,
+#: so if it recovers it retires at once instead of rejoining the pool);
 #: reweight adjusts one replica's routing weight without changing the
 #: pool.
 ACTION_KINDS = ("scale_out", "scale_in", "replace", "reweight")

@@ -297,7 +297,7 @@ def ablation_serving_load() -> ExperimentResult:
     from ..engine.serving_sim import simulate_serving, synthesize_trace
 
     model = DenseLatencyModel(DENSE_ZOO["gpt-13b"], dgx_a100_cluster(1), tp=4)
-    costs = DenseStepCost(model, representative_kv=128 + 16 // 2)
+    costs = DenseStepCost(model)
     rows = []
     for rate in (2.0, 5.0, 10.0, 20.0, 40.0):
         trace = synthesize_trace(num_requests=120, arrival_rate=rate,

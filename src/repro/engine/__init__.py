@@ -33,12 +33,7 @@ from .offload import (
 )
 from .throughput import ThroughputPoint, best_throughput, candidate_batches
 from .trace_run import DeploymentTrace, trace_generation
-from .tuner import (
-    ServingTuningResult,
-    TuningResult,
-    tune_dense_deployment,
-    tune_serving_deployment,
-)
+from .tuner import TuningResult, tune_dense_deployment
 
 __all__ = [
     "ADMISSION_POLICIES",
@@ -50,11 +45,9 @@ __all__ = [
     "SchedRequest",
     "Scheduler",
     "SchedulerEvent",
-    "ServingTuningResult",
     "StepCostModel",
     "ZeroStepCost",
     "moe_max_batch_size",
-    "tune_serving_deployment",
     "DenseLatencyModel",
     "GenerationRequest",
     "GenerationSession",

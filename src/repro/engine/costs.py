@@ -17,9 +17,7 @@ to every simulator as its required ``costs=`` argument:
   scheduling); ``decode_cost(state)`` prices one decode iteration that
   generates one token for every sequence in ``state``;
 * :class:`DenseStepCost` — wraps :class:`~repro.engine.latency
-  .DenseLatencyModel`. ``representative_kv`` prices every step at one
-  fixed KV length (the tuners' sizing mode); the default true-KV mode
-  prices each decode at the batch's actual KV lengths;
+  .DenseLatencyModel`;
 * :class:`MoEStepCost` — wraps :class:`~repro.engine.moe
   .MoELatencyModel` (gating + all-to-all + expert FFN per step);
 * :class:`ZeroStepCost` — wraps :class:`~repro.zero.inference
@@ -247,10 +245,11 @@ class _PassPricedCost(StepCostModel):
     Every iteration of the hybrid prompt+token schedule (Sec. IV-C1) is a
     forward pass of shape ``(batch, tokens_per_seq, kv)``: a prompt pass
     is ``(1, suffix, prompt_len)``, the live batch riding along or
-    decoding is ``(batch, 1, kv)``. Model families differ only in what
-    one pass costs, so a subclass implements :meth:`_price` and this
-    class does the rest: the two iteration kinds, one memo keyed on the
-    pass shape, and the vectorized decode runs.
+    decoding is ``(batch, 1, kv)`` at the batch's ceiling-mean KV length
+    (exact for the linear-in-KV attention term). Model families differ
+    only in what one pass costs, so a subclass implements :meth:`_price`
+    and this class does the rest: the two iteration kinds, one memo
+    keyed on the pass shape, and the vectorized decode runs.
     """
 
     def __init__(self) -> None:
@@ -277,11 +276,6 @@ class _PassPricedCost(StepCostModel):
             self._memo[key] = got
         return got
 
-    def _rider_kv(self, state: BatchState) -> int:
-        """KV length a decode pass over ``state`` is priced at: the
-        ceiling-mean, exact for the linear-in-KV attention term."""
-        return max(1, state.mean_kv)
-
     def prompt_cost(self, state: BatchState, request: _HasPromptLen) -> float:
         plen = request.prompt_len
         # A prefix-hit prompt prefills only its unshared suffix, attending
@@ -289,11 +283,11 @@ class _PassPricedCost(StepCostModel):
         spl = getattr(request, "shared_prefix_len", 0)
         cost = self._pass(1, plen - spl, plen)
         if state.batch:  # the live batch rides along in the same iteration
-            cost += self._pass(state.batch, 1, self._rider_kv(state))
+            cost += self._pass(state.batch, 1, max(1, state.mean_kv))
         return cost
 
     def decode_cost(self, state: BatchState) -> float:
-        return self._pass(max(1, state.batch), 1, self._rider_kv(state))
+        return self._pass(max(1, state.batch), 1, max(1, state.mean_kv))
 
     def _decode_run_cost(self, state: BatchState, steps: int) -> np.ndarray:
         # Every sequence gains one token per iteration, so the ceiling-mean
@@ -325,37 +319,17 @@ class _PassPricedCost(StepCostModel):
 
 
 class DenseStepCost(_PassPricedCost):
-    """Price serving steps with a :class:`DenseLatencyModel`.
+    """Price serving steps with a :class:`DenseLatencyModel`: each pass
+    is its ``step_time`` kernel plus communication seconds, at the live
+    batch's true KV lengths."""
 
-    ``representative_kv`` selects the compat mode: every decode (and
-    every rider folded into a prompt pass) is priced at that one KV
-    length (the tuners pass ``mean_prompt + mean_gen // 2``). With the
-    default ``None``, each call is priced at the live batch's actual
-    KV-length distribution (the ceiling-mean, exact for the
-    linear-in-KV attention term).
-    """
-
-    def __init__(self, latency_model, *, representative_kv: int | None = None) -> None:
-        if representative_kv is not None and representative_kv < 1:
-            raise ValueError("representative_kv must be >= 1 when given")
+    def __init__(self, latency_model) -> None:
         super().__init__()
         self.latency_model = latency_model
-        self.representative_kv = representative_kv
 
     def _price(self, batch: int, tokens_per_seq: int, kv: int) -> float:
         k, c = self.latency_model.step_time(batch, tokens_per_seq, kv)
         return k + c
-
-    def _rider_kv(self, state: BatchState) -> int:
-        if self.representative_kv is not None:
-            return self.representative_kv
-        return super()._rider_kv(state)
-
-    def _decode_run_cost(self, state: BatchState, steps: int) -> np.ndarray:
-        if self.representative_kv is not None:
-            # Compat mode pins KV, so the whole run costs one value.
-            return np.full(steps, self.decode_cost(state))
-        return super()._decode_run_cost(state, steps)
 
 
 class MoEStepCost(_PassPricedCost):

@@ -121,8 +121,9 @@ class WorkloadTrace:
     def __post_init__(self) -> None:
         if not self.requests:
             raise ValueError("a trace needs at least one request")
-        if self.expert_skew is not None and self.expert_skew < 0:
-            raise ValueError("expert_skew must be >= 0 when given")
+        if self.expert_skew is not None and not (
+                math.isfinite(self.expert_skew) and self.expert_skew >= 0):
+            raise ValueError("expert_skew must be finite and >= 0 when given")
         arrivals = [r.arrival for r in self.requests]
         if arrivals != sorted(arrivals):
             raise ValueError("requests must be sorted by arrival time")
@@ -188,14 +189,11 @@ def synthesize_trace(
     # engine; the compat wrapper resolves its helper lazily.
     from ..scenarios.arrivals import draw_arrivals
 
-    if num_requests < 1 or arrival_rate <= 0:
-        raise ValueError("num_requests >= 1 and arrival_rate > 0 required")
+    # draw_arrivals validates the count and rate, WorkloadTrace the skew.
     if mean_prompt < 1 or mean_gen < 1:
         raise ValueError("mean lengths must be >= 1")
     if num_sessions is not None and num_sessions < 1:
         raise ValueError("num_sessions must be >= 1 when given")
-    if expert_skew is not None and expert_skew < 0:
-        raise ValueError("expert_skew must be >= 0 when given")
     rng = as_generator(seed)
     arrivals = draw_arrivals(
         rng, num_requests, arrival_rate,

@@ -7,22 +7,18 @@ the deployment space the paper's systems expose — tensor-parallel degree
 prompt factor, and batch size — and returns the best throughput whose
 per-token latency meets the SLA.
 
-:func:`tune_serving_deployment` lifts the same search to the serving
-level: instead of a single steady-state workload, it replays an arrival
-trace through :func:`~repro.engine.serving_sim.simulate_serving` (the
-shared-scheduler analytical backend) for every candidate and optimizes
-sustained tokens/sec subject to a tail time-to-first-token SLA — the
-quantity an operator actually provisions against.
-:func:`repro.fleet.tuning.tune_fleet_deployment` extends the ladder one
-more rung, splitting a GPU budget between tensor-parallel scale-up and
-replica scale-out (it shares :func:`_tp_candidates` with this module).
+Trace-level tuning — replaying an arrival trace for every candidate and
+optimizing sustained tokens/sec under a tail time-to-first-token SLA —
+is :func:`repro.fleet.tuning.tune_fleet_deployment`, which also splits a
+GPU budget between tensor-parallel scale-up and replica scale-out. This
+module supplies its deployment candidates
+(:func:`_serving_cost_candidates`), each priced by the same step-cost
+model the simulators run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from ..hardware.topology import ClusterSpec
 from ..model.config import ModelConfig, MoEParallelism
@@ -30,14 +26,11 @@ from .costs import DenseStepCost, MoEStepCost
 from .latency import DenseLatencyModel, Workload
 from .moe import MoELatencyModel
 from .offload import max_batch_size, moe_max_batch_size
-from .serving_sim import WorkloadTrace, simulate_serving
 from .throughput import candidate_batches
 
 __all__ = [
     "TuningResult",
-    "ServingTuningResult",
     "tune_dense_deployment",
-    "tune_serving_deployment",
 ]
 
 
@@ -137,21 +130,19 @@ def _serving_cost_candidates(
     cluster: ClusterSpec,
     *,
     max_gpus: int,
-    representative_kv: int,
     seq: int,
     expert_skew: float | None = None,
 ):
-    """Yield ``(tp, num_gpus, batch_cap, costs, replication)`` candidates.
+    """Yield ``(tp, num_gpus, batch_cap, costs, replication)`` candidates
+    for :func:`repro.fleet.tuning.tune_fleet_deployment`.
 
-    Dense models sweep TP with a compat-mode :class:`DenseStepCost`
-    (``representative_kv`` preserves the pre-cost-model tuner numbers
-    bit-for-bit); MoE models sweep the MP degree of Table II-shaped
-    deployments priced by :class:`MoEStepCost` at true KV lengths. When
-    the trace declares an ``expert_skew``, each MoE deployment is
-    additionally swept over expert replication factors with skew-aware
-    dispatch pricing (the paper's uniform assumption is the
-    ``replication=1`` row). Shared by :func:`tune_serving_deployment`
-    and :func:`repro.fleet.tuning.tune_fleet_deployment`.
+    Dense models sweep TP priced by :class:`DenseStepCost`; MoE models
+    sweep the MP degree of Table II-shaped deployments priced by
+    :class:`MoEStepCost`, both at true KV lengths. When the trace
+    declares an ``expert_skew``, each MoE deployment is additionally
+    swept over expert replication factors with skew-aware dispatch
+    pricing (the paper's uniform assumption is the ``replication=1``
+    row).
     """
     if config.moe is None:
         for tp in _tp_candidates(config, cluster, max_gpus):
@@ -159,8 +150,7 @@ def _serving_cost_candidates(
             if cap < 1:
                 continue
             model = DenseLatencyModel(config, cluster, tp=tp)
-            yield tp, tp, cap, DenseStepCost(
-                model, representative_kv=representative_kv), 1
+            yield tp, tp, cap, DenseStepCost(model), 1
     else:
         for par in _moe_parallelism_candidates(config, cluster, max_gpus):
             cap = moe_max_batch_size(config, cluster, par, seq_len=seq)
@@ -235,83 +225,5 @@ def tune_dense_deployment(
         raise ValueError(
             f"no feasible deployment of {config.name} on {cluster.name} "
             f"meets the constraints (sla={latency_sla}, max_gpus={max_gpus})"
-        )
-    return best
-
-
-@dataclass(frozen=True)
-class ServingTuningResult:
-    """Winning serving configuration for one trace."""
-
-    tp: int
-    max_batch: int
-    policy: str
-    tokens_per_second: float
-    ttft_p99: float
-    latency_p99: float
-    num_gpus: int
-    replication: int = 1  # expert replication factor (MoE, skewed traces)
-
-    @property
-    def tokens_per_second_per_gpu(self) -> float:
-        """Cost-normalized sustained throughput."""
-        return self.tokens_per_second / self.num_gpus
-
-
-def tune_serving_deployment(
-    config: ModelConfig,
-    cluster: ClusterSpec,
-    trace: WorkloadTrace,
-    *,
-    ttft_sla: float | None = None,
-    max_gpus: int | None = None,
-    policy: str = "fcfs",
-) -> ServingTuningResult:
-    """Search TP x max_batch for the best trace-level throughput whose
-    P99 time-to-first-token meets ``ttft_sla`` (seconds; None = no bound).
-
-    Each candidate replays ``trace`` through the shared-scheduler
-    simulator priced by a :class:`~repro.engine.costs.StepCostModel`:
-    dense models by :class:`DenseStepCost` over a TP-only
-    :class:`DenseLatencyModel` (decode pipelining is not priced at
-    serving granularity), MoE models by :class:`MoEStepCost` over Table
-    II-shaped MP x EP deployments (``tp`` then reports the MP degree and
-    ``num_gpus`` the whole deployment). Raises ``ValueError`` when no
-    candidate meets the SLA.
-    """
-    max_gpus = cluster.num_gpus if max_gpus is None else max_gpus
-    if max_gpus < 1:
-        raise ValueError("max_gpus must be >= 1")
-    mean_prompt = max(1, round(float(np.mean(
-        [r.prompt_len for r in trace.requests]))))
-    mean_gen = max(1, round(float(np.mean(
-        [r.gen_tokens for r in trace.requests]))))
-    seq = max(r.prompt_len + r.gen_tokens for r in trace.requests)
-
-    best: ServingTuningResult | None = None
-    for tp, num_gpus, cap, costs, replication in _serving_cost_candidates(
-            config, cluster, max_gpus=max_gpus,
-            representative_kv=mean_prompt + mean_gen // 2, seq=seq,
-            expert_skew=trace.expert_skew):
-        for max_batch in candidate_batches(cap):
-            rep = simulate_serving(trace, costs=costs, max_batch=max_batch,
-                                   policy=policy)
-            ttft = rep.ttft_percentile(trace, 99)
-            if ttft_sla is not None and ttft > ttft_sla:
-                continue
-            cand = ServingTuningResult(
-                tp=tp, max_batch=max_batch, policy=policy,
-                tokens_per_second=rep.tokens_per_second,
-                ttft_p99=ttft,
-                latency_p99=rep.latency_percentile(trace, 99),
-                num_gpus=num_gpus,
-                replication=replication,
-            )
-            if best is None or cand.tokens_per_second > best.tokens_per_second:
-                best = cand
-    if best is None:
-        raise ValueError(
-            f"no serving deployment of {config.name} on {cluster.name} "
-            f"meets ttft_sla={ttft_sla} within {max_gpus} GPUs"
         )
     return best

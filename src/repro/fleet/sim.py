@@ -307,9 +307,9 @@ def simulate_fleet(
                 if action.kind == "scale_out":
                     joins.append(t + scaler.cold_start_s)
                 elif action.kind == "replace":
-                    rep = replicas[action.replica]
-                    if rep.alive and not rep.retired:
-                        start_drain(action.replica, t)
+                    # A dead target drains too, so if it recovers beside
+                    # its replacement the empty reboot retires at once.
+                    start_drain(action.replica, t)
                     joins.append(t + scaler.cold_start_s)
                 elif action.kind == "scale_in":
                     start_drain(action.replica, t)

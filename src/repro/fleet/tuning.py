@@ -10,13 +10,18 @@ replaying the reference trace through :func:`~repro.fleet.sim
 .simulate_fleet` for every candidate — optionally under a
 :class:`~repro.fleet.faults.FaultPlan`, so the returned deployment can
 be required to hold its SLA *through* a replica loss.
+
+This is the one trace-level tuner. Its one-replica candidates are
+single servers (a one-replica fleet simulates bit-for-bit like
+:func:`~repro.engine.serving_sim.simulate_serving`), so its winner is
+never worse than the best single server within the same budget. Every
+candidate is priced at its live batches' true KV lengths, the model the
+simulators run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from ..engine.serving_sim import WorkloadTrace
 from ..engine.throughput import candidate_batches
@@ -68,27 +73,24 @@ def tune_fleet_deployment(
     :class:`~repro.engine.costs.StepCostModel` — dense models a
     ``tp``-way :class:`~repro.engine.costs.DenseStepCost` (replicas are
     TP-only islands — decode pipelining is not priced at serving
-    granularity, matching
-    :func:`~repro.engine.tuner.tune_serving_deployment`), MoE models a
+    granularity), MoE models a
     :class:`~repro.engine.costs.MoEStepCost` over a Table II-shaped
-    MP x EP deployment — and replays ``trace`` through the fleet
-    simulator under ``routing`` and the optional ``fault_plan``. Ties on
-    throughput go to the cheaper deployment. Raises ``ValueError`` when
-    nothing feasible meets the SLA.
+    MP x EP deployment (``tp`` then reports the MP degree) — and
+    replays ``trace`` through the fleet simulator under ``routing``,
+    the admission ``policy`` and the optional ``fault_plan``. The
+    winner's numbers are exactly what :func:`~repro.fleet.sim
+    .simulate_fleet` reports for that deployment priced the same way.
+    Ties on throughput go to the cheaper deployment. Raises
+    ``ValueError`` when nothing feasible meets the SLA.
     """
     if gpu_budget < 1:
         raise ValueError("gpu_budget must be >= 1")
-    mean_prompt = max(1, round(float(np.mean(
-        [r.prompt_len for r in trace.requests]))))
-    mean_gen = max(1, round(float(np.mean(
-        [r.gen_tokens for r in trace.requests]))))
     seq = max(r.prompt_len + r.gen_tokens for r in trace.requests)
 
     best: FleetTuningResult | None = None
     for tp, gpus_per_replica, cap, costs, replication in (
             _serving_cost_candidates(
-                config, cluster, max_gpus=gpu_budget,
-                representative_kv=mean_prompt + mean_gen // 2, seq=seq,
+                config, cluster, max_gpus=gpu_budget, seq=seq,
                 expert_skew=trace.expert_skew)):
         batches = tuple(candidate_batches(cap))
         for replicas in range(1, gpu_budget // gpus_per_replica + 1):

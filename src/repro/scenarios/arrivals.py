@@ -9,6 +9,7 @@ pure function of its seed — moving the code did not move a single draw.
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
@@ -74,8 +75,10 @@ def draw_arrivals(
       (each 4% of the nominal span wide): a link-from-the-frontpage
       spike.
     """
-    if num_requests < 1 or arrival_rate <= 0:
-        raise ValueError("num_requests >= 1 and arrival_rate > 0 required")
+    if num_requests < 1 or not (math.isfinite(arrival_rate)
+                                and arrival_rate > 0):
+        raise ValueError(
+            "num_requests >= 1 and a finite arrival_rate > 0 required")
     if arrival_shape not in ARRIVAL_SHAPES:
         raise ValueError(
             f"unknown arrival_shape {arrival_shape!r}; "

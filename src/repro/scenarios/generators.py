@@ -31,6 +31,7 @@ functions of their seed.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -177,8 +178,10 @@ def chat_scenario(
     exactly that many earliest-arriving turns. Generations are floored
     at 2 tokens (see :func:`_causal_sessions`).
     """
-    if num_sessions < 1 or session_rate <= 0:
-        raise ValueError("num_sessions >= 1 and session_rate > 0 required")
+    if num_sessions < 1 or not (math.isfinite(session_rate)
+                                and session_rate > 0):
+        raise ValueError(
+            "num_sessions >= 1 and a finite session_rate > 0 required")
     if mean_turns <= 0 or mean_prompt < 1 or mean_gen < 1:
         raise ValueError("mean_turns > 0 and mean lengths >= 1 required")
     if est_prefill_s < 0 or est_step_s < 0 or mean_think_time < 0:
@@ -234,8 +237,9 @@ def agentic_scenario(
     has, and the one where *without* sharing the KV pool refills the
     same context dozens of times.
     """
-    if num_agents < 1 or agent_rate <= 0:
-        raise ValueError("num_agents >= 1 and agent_rate > 0 required")
+    if num_agents < 1 or not (math.isfinite(agent_rate) and agent_rate > 0):
+        raise ValueError(
+            "num_agents >= 1 and a finite agent_rate > 0 required")
     if mean_iterations <= 0 or context_len < 1:
         raise ValueError("mean_iterations > 0 and context_len >= 1 required")
     if mean_observation < 1 or mean_gen < 1:
@@ -285,10 +289,11 @@ def heavy_tailed_scenario(
     ``arrival_shape`` passes through to
     :func:`~repro.scenarios.arrivals.draw_arrivals`.
     """
-    if num_requests < 1 or arrival_rate <= 0:
-        raise ValueError("num_requests >= 1 and arrival_rate > 0 required")
-    if median_prompt < 1 or prompt_sigma <= 0:
-        raise ValueError("median_prompt >= 1 and prompt_sigma > 0 required")
+    # draw_arrivals validates num_requests and arrival_rate.
+    if median_prompt < 1 or not (math.isfinite(prompt_sigma)
+                                 and prompt_sigma > 0):
+        raise ValueError(
+            "median_prompt >= 1 and a finite prompt_sigma > 0 required")
     if gen_zipf_a <= 1.0:
         raise ValueError("gen_zipf_a must be > 1")
     if max_gen < 1:
@@ -333,8 +338,10 @@ class TenantSpec:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("tenant name must be non-empty")
-        if self.arrival_rate <= 0 or self.num_requests < 1:
-            raise ValueError("arrival_rate > 0 and num_requests >= 1 required")
+        if not (math.isfinite(self.arrival_rate) and self.arrival_rate > 0) \
+                or self.num_requests < 1:
+            raise ValueError(
+                "a finite arrival_rate > 0 and num_requests >= 1 required")
         if self.workload not in ("independent", "chat"):
             raise ValueError(
                 f"unknown workload {self.workload!r}; "

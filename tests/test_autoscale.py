@@ -408,9 +408,10 @@ class TestClosedLoop:
 
 class TestFaultsOnDrainedReplicas:
     """A scripted crash/recover can hit a replica the autoscaler has
-    drained. A drained replica that crashes and recovers stays drained
-    and retires at once (its replacement already holds its slot, so
-    the routable pool never outgrows ``max_replicas``); a retired one
+    drained. A drained replica that crashes and recovers, or a dead one
+    the autoscaler replaced, stays drained and retires at once on
+    recovery (its replacement already holds its slot, so the routable
+    pool never outgrows ``max_replicas``); a retired one
     has left the fleet and its faults no longer apply. Either way no
     request may be routed to a replica that will never serve it."""
 
@@ -441,6 +442,26 @@ class TestFaultsOnDrainedReplicas:
         routable = [s for s in rep.replica_stats
                     if s.alive and not s.draining and s.retire_time is None]
         assert len(routable) <= max_replicas
+
+    def test_replaced_dead_replica_retires_on_recovery(self):
+        # Replica 0 is dead when the autoscaler replaces it; its reboot
+        # must not rejoin the pool beside the replacement.
+        trace = _diurnal_trace(n=300, rate=40.0)
+        plan = FaultPlan((ReplicaFault(0, 1.0),
+                          ReplicaFault(0, 3.0, kind="recover")))
+        rep = simulate_fleet(
+            trace, num_replicas=3, max_batch=4, costs=COSTS,
+            routing="least_outstanding", fault_plan=plan,
+            autoscaler=AutoscaleConfig(min_replicas=3, max_replicas=3,
+                                       ttft_slo_s=1e9, epoch_s=0.5))
+        assert ("replace", 0) in [(e.kind, e.replica)
+                                  for e in rep.autoscale_log]
+        assert rep.num_completed == len(trace.requests)
+        assert rep.replica_stats[0].retire_time == 3.0
+        assert not [d for d in rep.routing if d.replica == 0 and d.time >= 3.0]
+        routable = [s for s in rep.replica_stats
+                    if s.alive and not s.draining and s.retire_time is None]
+        assert len(routable) <= 3
 
     def test_faults_on_a_retired_replica_are_moot(self):
         trace = WorkloadTrace(tuple(

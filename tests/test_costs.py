@@ -1,10 +1,10 @@
 """Tests for the step-cost pricing interface (engine/costs.py).
 
-Covers the compat guarantee — ``DenseStepCost(representative_kv=...)``
-is KV-blind, so through both the serving and fleet simulators it prices
-bit-for-bit like a closure pair that sees only batch sizes — and the
-adapter contract every model family must satisfy: finite, strictly
-positive costs, monotone non-decreasing in batch size and KV length.
+Covers the adapter contract every model family must satisfy (finite,
+strictly positive costs, monotone non-decreasing in batch size and KV
+length), the pass-price guard, and the guarantee the event-compressed
+simulators rest on: vectorized run pricing equals the per-step scalar
+loop bit-for-bit.
 """
 
 import math
@@ -26,7 +26,6 @@ from repro.engine import (
     simulate_serving,
     synthesize_trace,
 )
-from repro.fleet import simulate_fleet
 from repro.hardware import dgx2_v100, dgx_a100_cluster
 from repro.model import DENSE_ZOO, MOE_PARALLELISM, MOE_ZOO, get_model
 from repro.zero import ZeroInferenceEngine
@@ -95,55 +94,6 @@ class TestClosureStepCost:
                               lambda b: float(b))
         assert got.prompt_cost(BatchState(()), PromptShape(9)) == 1009.0
         assert got.prompt_cost(BatchState.uniform(3, 50), PromptShape(9)) == 4009.0
-
-
-class TestCompatEquivalence:
-    """The representative-KV compat mode pins every step's KV length, so
-    it simulates bit-for-bit like a closure pair over batch sizes only."""
-
-    MEAN_PROMPT, MEAN_GEN = 128, 16
-
-    @pytest.fixture(scope="class")
-    def setup(self):
-        model = DenseLatencyModel(DENSE_ZOO["gpt-13b"], dgx_a100_cluster(1),
-                                  tp=4)
-        compat = DenseStepCost(
-            model, representative_kv=self.MEAN_PROMPT + self.MEAN_GEN // 2)
-        # KV 1 is arbitrary: compat mode must ignore it.
-        batch_only = ClosureStepCost(
-            lambda b, p: compat.prompt_cost(BatchState.uniform(b - 1, 1),
-                                            PromptShape(p)),
-            lambda b: compat.decode_cost(BatchState.uniform(b, 1)))
-        trace = synthesize_trace(num_requests=80, arrival_rate=12.0,
-                                 mean_prompt=self.MEAN_PROMPT,
-                                 mean_gen=self.MEAN_GEN, seed=11)
-        return batch_only, compat, trace
-
-    def test_serving_bit_for_bit(self, setup):
-        batch_only, compat, trace = setup
-        old = simulate_serving(trace, costs=batch_only, max_batch=8)
-        new = simulate_serving(trace, costs=compat, max_batch=8)
-        assert new.finish_times == old.finish_times
-        assert new.first_token_times == old.first_token_times
-        assert new.makespan == old.makespan
-        assert new.total_tokens == old.total_tokens
-
-    def test_fleet_single_replica_bit_for_bit(self, setup):
-        batch_only, compat, trace = setup
-        old = simulate_fleet(trace, num_replicas=1, costs=batch_only,
-                             max_batch=8)
-        new = simulate_fleet(trace, num_replicas=1, costs=compat, max_batch=8)
-        assert new.finish_times == old.finish_times
-        assert new.first_token_times == old.first_token_times
-        assert new.makespan == old.makespan
-
-    def test_policy_and_scheduling_identical(self, setup):
-        batch_only, compat, trace = setup
-        old = simulate_serving(trace, costs=batch_only, max_batch=4,
-                               policy="shortest_prompt")
-        new = simulate_serving(trace, costs=compat, max_batch=4,
-                               policy="shortest_prompt")
-        assert new.finish_times == old.finish_times
 
 
 def _adapter_cases(cost, prompt_len=64):
@@ -242,20 +192,6 @@ class TestDenseStepCost:
         long = dense_cost.decode_cost(BatchState.uniform(4, 2048))
         assert long > short
 
-    def test_compat_mode_ignores_state_kv(self):
-        model = DenseLatencyModel(DENSE_ZOO["gpt-13b"], dgx_a100_cluster(1),
-                                  tp=4)
-        compat = DenseStepCost(model, representative_kv=136)
-        a = compat.decode_cost(BatchState.uniform(4, 64))
-        b = compat.decode_cost(BatchState.uniform(4, 2048))
-        assert a == b
-
-    def test_compat_validates(self):
-        model = DenseLatencyModel(DENSE_ZOO["gpt-13b"], dgx_a100_cluster(1),
-                                  tp=4)
-        with pytest.raises(ValueError):
-            DenseStepCost(model, representative_kv=0)
-
 
 class TestDecodeRunCost:
     """Vectorized run pricing must equal the per-step scalar loop
@@ -314,15 +250,6 @@ class TestDecodeRunCost:
         state = BatchState.uniform(4, 10)
         run = cost.decode_run_cost(state, 5)
         assert run.tolist() == self._reference(cost, state, 5)
-
-    def test_compat_mode_is_flat(self):
-        model = DenseLatencyModel(DENSE_ZOO["gpt-13b"], dgx_a100_cluster(1),
-                                  tp=4)
-        compat = DenseStepCost(model, representative_kv=136)
-        state = BatchState.uniform(4, 64)
-        run = compat.decode_run_cost(state, 6)
-        assert run.tolist() == [compat.decode_cost(state)] * 6
-        assert run.tolist() == self._reference(compat, state, 6)
 
     def test_base_class_fallback(self):
         """A subclass that does not override _decode_run_cost gets the

@@ -11,8 +11,8 @@ import pytest
 from repro.engine.costs import BatchState, MoEStepCost, PromptShape
 from repro.engine.moe import MoELatencyModel
 from repro.engine.serving_sim import simulate_serving, synthesize_trace
-from repro.engine.tuner import tune_serving_deployment
 from repro.fleet.sim import simulate_fleet
+from repro.fleet.tuning import tune_fleet_deployment
 from repro.hardware.topology import dgx_a100_cluster
 from repro.model.config import MOE_PARALLELISM, MOE_ZOO
 from repro.model.gating import expert_capacity, topk_gating
@@ -452,7 +452,8 @@ class TestTunerReplicationSweep:
                                  mean_prompt=32, mean_gen=16,
                                  expert_skew=1.3, seed=23)
         assert trace.expert_skew == 1.3
-        result = tune_serving_deployment(cfg, cluster, trace)
+        result = tune_fleet_deployment(cfg, cluster, trace,
+                                       gpu_budget=cluster.num_gpus)
         assert result.replication in (1, 2, 4)
 
     def test_unskewed_trace_keeps_replication_one(self):
@@ -460,5 +461,6 @@ class TestTunerReplicationSweep:
         cluster = dgx_a100_cluster(16)
         trace = synthesize_trace(num_requests=40, arrival_rate=30.0,
                                  mean_prompt=32, mean_gen=16, seed=23)
-        result = tune_serving_deployment(cfg, cluster, trace)
+        result = tune_fleet_deployment(cfg, cluster, trace,
+                                       gpu_budget=cluster.num_gpus)
         assert result.replication == 1

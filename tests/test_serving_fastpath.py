@@ -65,10 +65,6 @@ def cost(request, dense_cost, moe_cost, zero_cost):
         return moe_cost
     if request.param == "zero":
         return zero_cost
-    if request.param == "dense-compat":
-        model = DenseLatencyModel(DENSE_ZOO["gpt-13b"], dgx_a100_cluster(1),
-                                  tp=4)
-        return DenseStepCost(model, representative_kv=136)
     assert request.param == "closure"
     return ClosureStepCost(lambda b, p: 0.3 + 0.01 * p,
                            lambda b: 0.05 + 0.01 * b)
@@ -89,7 +85,7 @@ class TestServingBitForBit:
     """The acceptance matrix: adapters x policies, full fidelity."""
 
     @pytest.mark.parametrize(
-        "cost", ["dense", "dense-compat", "moe", "zero", "closure"],
+        "cost", ["dense", "moe", "zero", "closure"],
         indirect=True)
     @pytest.mark.parametrize("policy", ["fcfs", "shortest_prompt"])
     def test_report_events_and_timeline_identical(self, cost, policy):

@@ -17,6 +17,14 @@ from repro.engine import (
 )
 from repro.hardware import dgx_a100_cluster
 from repro.model import DENSE_ZOO
+from repro.scenarios import (
+    TenantSpec,
+    agentic_scenario,
+    chat_scenario,
+    heavy_tailed_scenario,
+)
+
+_NAN, _INF = float("nan"), float("inf")
 
 
 def unit_costs(prompt_cost=1.0, step_cost=0.1):
@@ -55,11 +63,32 @@ class TestTraceSynthesis:
         with pytest.raises(ValueError, match="unique"):
             WorkloadTrace((Request(3, 0.0, 1, 1), Request(3, 1.0, 1, 1)))
 
-    @pytest.mark.parametrize("arrival", [float("nan"), float("inf")])
-    def test_non_finite_arrival_rejected(self, arrival):
-        # NaN passes ``arrival < 0`` and used to hang simulate_serving.
+    @pytest.mark.parametrize("make", [
+        lambda: Request(0, _NAN, 4, 4),
+        lambda: Request(0, _INF, 4, 4),
+        lambda: WorkloadTrace((Request(0, 0.0, 4, 4),), expert_skew=_NAN),
+        lambda: synthesize_trace(num_requests=4, arrival_rate=1.0,
+                                 expert_skew=_NAN),
+        lambda: synthesize_trace(num_requests=4, arrival_rate=_INF),
+        lambda: chat_scenario(num_sessions=2, session_rate=_INF),
+        lambda: chat_scenario(num_sessions=2, session_rate=1.0,
+                              expert_skew=_NAN),
+        lambda: agentic_scenario(num_agents=2, agent_rate=_INF),
+        lambda: heavy_tailed_scenario(num_requests=4, arrival_rate=_INF),
+        lambda: heavy_tailed_scenario(num_requests=4, arrival_rate=1.0,
+                                      prompt_sigma=_NAN),
+        lambda: TenantSpec(name="t", arrival_rate=_INF, num_requests=4),
+    ], ids=["nan", "inf", "trace-skew-nan", "synth-skew-nan",
+            "synth-rate-inf", "chat-rate-inf", "chat-skew-nan",
+            "agentic-rate-inf", "heavy-rate-inf", "heavy-sigma-nan",
+            "tenant-rate-inf"])
+    def test_non_finite_arrival_rejected(self, make):
+        """Every non-finite arrival time, rate or shape parameter fails
+        fast. NaN passes ``x < 0`` guards: a NaN arrival used to hang
+        simulate_serving, an inf rate gave all-zero arrivals, and a NaN
+        prompt_sigma cast NaN prompt lengths to int."""
         with pytest.raises(ValueError, match="finite"):
-            Request(0, arrival, 4, 4)
+            make()
 
     def test_session_tags(self):
         t = synthesize_trace(num_requests=30, arrival_rate=5.0,
@@ -222,7 +251,7 @@ class TestModelIntegration:
     def test_serving_with_dense_latency_model(self):
         model = DenseLatencyModel(DENSE_ZOO["gpt-13b"], dgx_a100_cluster(1),
                                   tp=4)
-        costs = DenseStepCost(model, representative_kv=128 + 16 // 2)
+        costs = DenseStepCost(model)
         trace = synthesize_trace(num_requests=20, arrival_rate=20.0,
                                  mean_prompt=128, mean_gen=16, seed=4)
         rep = simulate_serving(trace, costs=costs, max_batch=16)
@@ -236,13 +265,14 @@ class TestModelIntegration:
         live batch into the prompt pass — cost must grow with batch."""
         model = DenseLatencyModel(DENSE_ZOO["gpt-13b"], dgx_a100_cluster(1),
                                   tp=4)
-        costs = DenseStepCost(model, representative_kv=128 + 16 // 2)
+        costs = DenseStepCost(model)
         idle = costs.prompt_cost(BatchState(()), PromptShape(128))
         busy = costs.prompt_cost(BatchState.uniform(7, 136), PromptShape(128))
         assert busy > idle
-        # The increment is exactly one decode iteration for the 7 riders.
+        # The increment is exactly one decode iteration for the 7 riders,
+        # priced at their (uniform) KV length.
         assert busy - idle == pytest.approx(
-            sum(model.step_time(7, 1, 128 + 8)))
+            sum(model.step_time(7, 1, 136)))
 
 
 @given(

@@ -2,13 +2,15 @@
 
 import pytest
 
+import repro.fleet.tuning as fleet_tuning
 from repro.engine import (
     DenseLatencyModel,
+    DenseStepCost,
     Workload,
     synthesize_trace,
     tune_dense_deployment,
-    tune_serving_deployment,
 )
+from repro.fleet import simulate_fleet, tune_fleet_deployment
 from repro.hardware import dgx_a100_cluster
 from repro.model import DENSE_ZOO
 
@@ -84,45 +86,64 @@ class TestTuner:
 
 
 class TestServingTuner:
-    """Trace-level tuning: throughput under a P99 TTFT SLA."""
+    """Trace-level tuning (the fleet search): throughput under a P99
+    TTFT SLA, priced by the same model the simulator runs."""
 
     TRACE = synthesize_trace(num_requests=25, arrival_rate=10.0,
                              mean_prompt=64, mean_gen=8, seed=9)
 
-    def test_winner_reproduces_its_numbers(self):
-        r = tune_serving_deployment(DENSE_ZOO["gpt-13b"], CLUSTER,
-                                    self.TRACE, max_gpus=8)
-        assert r.num_gpus == r.tp <= 8
-        from repro.engine import DenseStepCost, simulate_serving
-
+    def _resimulate(self, r, policy="fcfs"):
         model = DenseLatencyModel(DENSE_ZOO["gpt-13b"], CLUSTER, tp=r.tp)
-        costs = DenseStepCost(model, representative_kv=64 + 8 // 2)
-        rep = simulate_serving(self.TRACE, costs=costs,
-                               max_batch=r.max_batch)
-        assert rep.tokens_per_second == pytest.approx(r.tokens_per_second)
-        assert rep.ttft_percentile(self.TRACE, 99) == pytest.approx(r.ttft_p99)
+        return simulate_fleet(self.TRACE, num_replicas=r.replicas,
+                              costs=DenseStepCost(model),
+                              max_batch=r.max_batch, policy=policy,
+                              routing=r.routing)
+
+    def test_winner_reproduces_its_numbers(self):
+        """The tuner prices what the simulator runs: re-simulating the
+        winner at true KV gives its numbers exactly."""
+        r = tune_fleet_deployment(DENSE_ZOO["gpt-13b"], CLUSTER,
+                                  self.TRACE, gpu_budget=8)
+        assert r.num_gpus == r.replicas * r.tp <= 8
+        rep = self._resimulate(r)
+        assert rep.tokens_per_second == r.tokens_per_second
+        assert rep.ttft_percentile(self.TRACE, 99) == r.ttft_p99
+        assert rep.latency_percentile(self.TRACE, 99) == r.latency_p99
 
     def test_sla_respected_and_costs_throughput(self):
-        loose = tune_serving_deployment(DENSE_ZOO["gpt-13b"], CLUSTER,
-                                        self.TRACE, max_gpus=8)
-        tight = tune_serving_deployment(DENSE_ZOO["gpt-13b"], CLUSTER,
-                                        self.TRACE, max_gpus=8,
-                                        ttft_sla=loose.ttft_p99 * 0.5)
+        loose = tune_fleet_deployment(DENSE_ZOO["gpt-13b"], CLUSTER,
+                                      self.TRACE, gpu_budget=8)
+        tight = tune_fleet_deployment(DENSE_ZOO["gpt-13b"], CLUSTER,
+                                      self.TRACE, gpu_budget=8,
+                                      ttft_sla=loose.ttft_p99 * 0.5)
         assert tight.ttft_p99 <= loose.ttft_p99 * 0.5
         assert tight.tokens_per_second <= loose.tokens_per_second
 
     def test_impossible_sla_raises(self):
-        with pytest.raises(ValueError, match="no serving deployment"):
-            tune_serving_deployment(DENSE_ZOO["gpt-13b"], CLUSTER,
-                                    self.TRACE, ttft_sla=1e-9)
+        # Even the whole cluster cannot beat a nanosecond first token.
+        with pytest.raises(ValueError, match="no fleet deployment"):
+            tune_fleet_deployment(DENSE_ZOO["gpt-13b"], CLUSTER, self.TRACE,
+                                  gpu_budget=CLUSTER.num_gpus, ttft_sla=1e-9)
 
-    def test_policy_threads_through(self):
-        r = tune_serving_deployment(DENSE_ZOO["gpt-13b"], CLUSTER,
-                                    self.TRACE, max_gpus=4,
-                                    policy="shortest_prompt")
-        assert r.policy == "shortest_prompt"
+    def test_policy_threads_through(self, monkeypatch):
+        seen = []
+        real = fleet_tuning.simulate_fleet
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs["policy"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(fleet_tuning, "simulate_fleet", spy)
+        r = tune_fleet_deployment(DENSE_ZOO["gpt-13b"], CLUSTER, self.TRACE,
+                                  gpu_budget=4, policy="shortest_prompt")
+        assert seen and set(seen) == {"shortest_prompt"}
+        rep = self._resimulate(r, policy="shortest_prompt")
+        assert rep.ttft_percentile(self.TRACE, 99) == r.ttft_p99
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            tune_serving_deployment(DENSE_ZOO["gpt-13b"], CLUSTER,
-                                    self.TRACE, max_gpus=0)
+        # gpu_budget is covered in tests/test_fleet_tuning.py.
+        for kwargs, match in (({"policy": "nope"}, "unknown policy"),
+                              ({"routing": "nope"}, "unknown routing")):
+            with pytest.raises(ValueError, match=match):
+                tune_fleet_deployment(DENSE_ZOO["gpt-13b"], CLUSTER,
+                                      self.TRACE, gpu_budget=4, **kwargs)
