@@ -21,12 +21,24 @@ priced with one :meth:`~repro.engine.costs.StepCostModel.decode_run_cost`
 call and committed with one bulk
 :meth:`~repro.engine.scheduler.Scheduler.record_tokens`. Results are
 bit-for-bit those of per-step stepping.
+
+Only events that can change a replica split its stretch: its own next
+delivery, its slowdown onset and retirements, plus the fleet-wide
+faults, joins and control epochs. An arrival routed to another replica
+does not. In a fleet, a stretch that reaches past the next arrival is
+priced in full and *held*: the replica is due again at the start of the
+stretch's last step, the earliest point its completions can change what
+the router reads, and commits the whole stretch then. A delivery before
+that commits only the steps starting before the arrival, exactly where
+a per-step replica would have seen it.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
+from functools import reduce
+from operator import add
 from typing import TYPE_CHECKING
 
 from ..model.paged_kv import blocks_needed
@@ -40,7 +52,7 @@ if TYPE_CHECKING:
 _INF = math.inf
 
 # Cap on how many decode iterations one vectorized pricing call covers
-# while an event with a *time* bound (an arrival, a fault) is pending —
+# while an event with a *time* bound (a delivery, a fault) is pending —
 # those can split the run mid-stretch, so pricing far past them is
 # wasted work for per-step cost models. Without such an event the next
 # retirement bounds the run exactly and no cap is needed. Chunking is
@@ -213,12 +225,33 @@ class _Replica:
         # When set, the fleet's autoscaler collects (time, ttft) samples
         # here; None keeps the non-autoscaled path allocation-free.
         self.ttft_sink = ttft_sink
+        # A priced, uncommitted decode stretch (start, step costs, steps,
+        # end, on_complete) and the start of its last step; see
+        # perform_action's ``t_arrival``.
+        self._plan: tuple | None = None
+        self._plan_key = _INF
 
     # -- delivery --------------------------------------------------------
 
     def deliver(self, request: Request, t: float) -> None:
         """Hand over a request arriving at ``t`` (enqueued by the first
-        action at or after ``t``). Deliveries must come in time order."""
+        action at or after ``t``). Deliveries must come in time order.
+
+        A held decode stretch is first committed up to ``t``: only its
+        steps starting strictly before ``t`` run, so the newcomer is
+        seen exactly where a per-step replica would see it. The stretch
+        is held only while ``t`` is at most its last step's start, so
+        the cut retires nobody."""
+        if self._plan is not None:
+            start, costs, _, _, on_complete = self._plan
+            self._plan = None
+            now, m = start, 0
+            for c in costs:
+                now += c
+                m += 1
+                if now >= t:
+                    break
+            self._commit(start, costs, m, now, on_complete)
         self.inbox.append((t, request))
         self.by_id[request.request_id] = request
 
@@ -237,7 +270,10 @@ class _Replica:
     # -- the action interface --------------------------------------------
 
     def next_action_time(self) -> float:
-        """Start time of this replica's next atomic action (inf if idle)."""
+        """Start time of this replica's next atomic action (inf if idle);
+        for a held decode stretch, the start of its last step."""
+        if self._plan is not None:
+            return self._plan_key
         if not self.alive or self.retired:
             return _INF
         if self.sched.num_active or self.sched.num_waiting:
@@ -247,6 +283,7 @@ class _Replica:
         return _INF
 
     def perform_action(self, on_complete, *, t_limit: float = _INF,
+                       t_arrival: float = _INF,
                        max_steps: int | None = None) -> str | None:
         """Run one atomic action: admit one request (paying its prompt
         pass) if possible, else decode a whole *stretch* of iterations.
@@ -255,13 +292,26 @@ class _Replica:
         ``on_complete(index, request, t)`` is called for every request
         that finishes. ``t_limit`` bounds a decode stretch: only
         iterations *starting* strictly before it are committed (the
-        fleet loop passes the next arrival/fault time, so a run splits
-        exactly where a per-step replica would have yielded to the event
-        loop). A replica's own inbox, the next length retirement, and a
-        pending slowdown onset split the run the same way. ``max_steps``
-        caps the stretch (``1`` recovers per-step stepping, used by
-        :meth:`crash`).
+        fleet loop passes its next fault, join or control epoch, so a
+        run splits exactly where a per-step replica would have yielded
+        to the event loop). A replica's own inbox, the next length
+        retirement, and a pending slowdown onset split the run the same
+        way. ``max_steps`` caps the stretch (``1`` recovers per-step
+        stepping, used by :meth:`crash`).
+
+        ``t_arrival`` is the fleet's next arrival, which may go to any
+        replica. A stretch whose last step starts at or after it is
+        *held* instead of committed: :meth:`next_action_time` reports
+        that last step's start (where its completions become visible to
+        the router), the next action commits the stretch whole, and a
+        :meth:`deliver` before then commits only the steps starting
+        before the delivery. Arrivals routed elsewhere never cut it.
         """
+        plan = self._plan
+        if plan is not None:
+            self._plan = None
+            self._commit(*plan)
+            return "decode"
         t = self.next_action_time()
         if t == _INF:
             return None
@@ -352,6 +402,23 @@ class _Replica:
                 f"replica {self.index}: decode stretch of {n} steps x{batch} "
                 f"from t={start!r} ends at {now!r}; step costs must be "
                 f"finite and >= 0")
+        if now >= t_arrival and n > 1:
+            # Same association as the loop above, so the key is exact.
+            last = reduce(add, costs[:n - 1], start)
+            if last >= t_arrival:
+                self._plan = (start, costs, n, now, on_complete)
+                self._plan_key = last
+                return "decode"
+        self._commit(start, costs, n, now, on_complete)
+        return "decode"
+
+    def _commit(self, start: float, costs: list[float], n: int, now: float,
+                on_complete) -> None:
+        """Commit the first ``n`` steps of a priced decode stretch
+        (per-step ``costs`` from ``start``) ending at ``now``."""
+        sched = self.sched
+        live_kv = self._live_kv
+        batch = sched.num_active
         self.now = now
         retired = sched.record_tokens(n)
         self.tokens += n * batch
@@ -378,7 +445,6 @@ class _Replica:
         for rid in live_kv:
             live_kv[rid] += n
         self._mid_round = False
-        return "decode"
 
     # -- crash handling --------------------------------------------------
 

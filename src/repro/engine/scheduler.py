@@ -24,6 +24,7 @@ and retirement decisions by construction.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -112,11 +113,17 @@ class TenantFairShare:
         slot_caps: dict[str, int] | None = None,
         default_weight: float = 1.0,
     ) -> None:
-        if default_weight <= 0:
-            raise ValueError("default_weight must be > 0")
+        # ``not w > 0`` alone would let NaN through, and a NaN-weighted
+        # tenant would win every pick.
+        if not (math.isfinite(default_weight) and default_weight > 0):
+            raise ValueError(
+                f"default_weight must be finite and > 0, got "
+                f"{default_weight!r}")
         for name, w in (weights or {}).items():
-            if w <= 0:
-                raise ValueError(f"weight of tenant {name!r} must be > 0")
+            if not (math.isfinite(w) and w > 0):
+                raise ValueError(
+                    f"weight of tenant {name!r} must be finite and > 0, "
+                    f"got {w!r}")
         for name, cap in (slot_caps or {}).items():
             if cap < 1:
                 raise ValueError(f"slot cap of tenant {name!r} must be >= 1")

@@ -54,6 +54,8 @@ class Router:
         self._draining = [False] * num_replicas
         self._weights = [1.0] * num_replicas
         self._outstanding = [0.0] * num_replicas
+        # alive_replicas(), rebuilt only after a pool change (None).
+        self._routable: list[int] | None = None
         self.decisions: list[RoutingDecision] = []
 
     # -- FleetView (what policies may observe) ---------------------------
@@ -75,7 +77,10 @@ class Router:
     def alive_replicas(self) -> list[int]:
         """Indices of routable replicas, ascending (a draining replica
         is alive but no longer a placement candidate)."""
-        return [i for i in range(len(self._alive)) if self.is_routable(i)]
+        if self._routable is None:
+            self._routable = [i for i in range(len(self._alive))
+                              if self.is_routable(i)]
+        return list(self._routable)
 
     def outstanding(self, replica: int) -> float:
         """Token work assigned to ``replica`` and not yet completed."""
@@ -90,7 +95,7 @@ class Router:
     def route(self, request: Request, time: float, *,
               retry: bool = False) -> int:
         """Place one request; returns the chosen replica index."""
-        if not any(map(self.is_routable, range(len(self._alive)))):
+        if not self.alive_replicas():
             raise RuntimeError(
                 "every replica has failed; the fleet cannot serve "
                 f"request {request.request_id}"
@@ -117,6 +122,7 @@ class Router:
         (the sim re-routes the victims, which re-adds their work)."""
         self._alive[replica] = False
         self._outstanding[replica] = 0.0
+        self._routable = None
 
     # -- autoscale mutations ----------------------------------------------
 
@@ -126,6 +132,7 @@ class Router:
         self._draining.append(False)
         self._weights.append(1.0)
         self._outstanding.append(0.0)
+        self._routable = None
         return len(self._alive) - 1
 
     def mark_draining(self, replica: int) -> None:
@@ -133,6 +140,7 @@ class Router:
         keeps running to completion (the graceful half of scale-in and
         drain-and-replace)."""
         self._draining[replica] = True
+        self._routable = None
 
     def mark_recovered(self, replica: int) -> None:
         """Return a crashed replica to rotation with a clean load
@@ -141,6 +149,7 @@ class Router:
         self._alive[replica] = True
         self._weights[replica] = 1.0
         self._outstanding[replica] = 0.0
+        self._routable = None
 
     def set_weight(self, replica: int, weight: float) -> None:
         """Bias load-aware policies for/against ``replica`` (e.g. 0.5

@@ -131,10 +131,12 @@ def simulate_fleet(
     historical static fleet on the exact same code path.
 
     Replicas decode in event-compressed stretches (see
-    :mod:`repro.engine.replica`); arrivals,
-    faults, control epochs, replica joins, slowdown onsets and
-    retirements split a stretch exactly where per-step stepping would
-    act, so reports are bit-for-bit independent of the compression.
+    :mod:`repro.engine.replica`). Faults, control epochs and replica
+    joins split every replica's stretch; an arrival splits only the
+    stretch of the replica it is routed to, and a replica's slowdown
+    onset and retirements split its own. Each split falls exactly where
+    per-step stepping would act, so reports are bit-for-bit independent
+    of the compression.
     ``detail`` has the single-server semantics (``"summary"`` skips
     per-request lanes and aggregates per-stretch server spans;
     ``"auto"`` switches on trace size). ``_max_run_steps`` caps every
@@ -220,9 +222,11 @@ def simulate_fleet(
     # Replica action times, lazily invalidated: an entry is live while
     # it equals its replica's next_action_time(), and stale entries are
     # dropped when they reach the top. Only a delivery or an action can
-    # lower a replica's time, so only those push a fresh entry. Crash,
-    # drain and retire raise it to inf; a recovered or joining replica
-    # is idle until its first delivery. (t, index) order picks the
+    # lower a replica's time, so only those push a fresh entry (a
+    # replica holding a decode stretch is due at its last step's start,
+    # and a delivery cuts that back to the arrival). Crash, drain and
+    # retire raise it to inf; a recovered or joining replica is idle
+    # until its first delivery. (t, index) order picks the
     # lowest index among equal times, as a full scan would.
     acts: list[tuple[float, int]] = []
 
@@ -249,7 +253,10 @@ def simulate_fleet(
         t_epoch = (next_epoch_s
                    if scaler is not None and (heap or t_act < _INF)
                    else _INF)
-        t_split = min(t_arr, t_fault, t_join, t_epoch)
+        # Faults, joins and epochs cut every replica's decode stretch;
+        # an arrival cuts only the replica it is routed to (deliver).
+        t_cut = min(t_fault, t_join, t_epoch)
+        t_split = min(t_arr, t_cut)
         if min(t_split, t_act) == _INF:
             break
         if t_fault <= t_split and t_fault <= t_act:
@@ -328,7 +335,7 @@ def simulate_fleet(
             push_action(target_i)
             continue
         rep = replicas[act_i]
-        rep.perform_action(on_complete, t_limit=t_split,
+        rep.perform_action(on_complete, t_limit=t_cut, t_arrival=t_arr,
                            max_steps=_max_run_steps)
         rep.maybe_retire(rep.now)
         push_action(act_i)

@@ -56,6 +56,20 @@ __all__ = [
 ]
 
 
+def _check_positive(**values: float) -> None:
+    """Reject a NaN, infinite or non-positive value, naming it."""
+    for name, value in values.items():
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+
+
+def _check_times(**times: float) -> None:
+    """Reject a NaN, infinite or negative time estimate, naming it."""
+    for name, value in times.items():
+        if not (math.isfinite(value) and value >= 0):
+            raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+
+
 def _causal_sessions(
     rng: np.random.Generator,
     *,
@@ -182,10 +196,11 @@ def chat_scenario(
                                 and session_rate > 0):
         raise ValueError(
             "num_sessions >= 1 and a finite session_rate > 0 required")
-    if mean_turns <= 0 or mean_prompt < 1 or mean_gen < 1:
-        raise ValueError("mean_turns > 0 and mean lengths >= 1 required")
-    if est_prefill_s < 0 or est_step_s < 0 or mean_think_time < 0:
-        raise ValueError("time estimates must be >= 0")
+    if mean_prompt < 1 or mean_gen < 1:
+        raise ValueError("mean lengths >= 1 required")
+    _check_positive(mean_turns=mean_turns)
+    _check_times(est_prefill_s=est_prefill_s, est_step_s=est_step_s,
+                 mean_think_time=mean_think_time)
     if num_requests is not None and num_requests < 1:
         raise ValueError("num_requests must be >= 1 when given")
     if mean_utterance is None:
@@ -240,12 +255,11 @@ def agentic_scenario(
     if num_agents < 1 or not (math.isfinite(agent_rate) and agent_rate > 0):
         raise ValueError(
             "num_agents >= 1 and a finite agent_rate > 0 required")
-    if mean_iterations <= 0 or context_len < 1:
-        raise ValueError("mean_iterations > 0 and context_len >= 1 required")
-    if mean_observation < 1 or mean_gen < 1:
-        raise ValueError("mean lengths must be >= 1")
-    if tool_time < 0 or est_prefill_s < 0 or est_step_s < 0:
-        raise ValueError("time estimates must be >= 0")
+    _check_positive(mean_iterations=mean_iterations)
+    if context_len < 1 or mean_observation < 1 or mean_gen < 1:
+        raise ValueError("context_len and mean lengths must be >= 1")
+    _check_times(tool_time=tool_time, est_prefill_s=est_prefill_s,
+                 est_step_s=est_step_s)
     if num_requests is not None and num_requests < 1:
         raise ValueError("num_requests must be >= 1 when given")
     rng = as_generator(seed)
@@ -346,14 +360,13 @@ class TenantSpec:
             raise ValueError(
                 f"unknown workload {self.workload!r}; "
                 "choose 'independent' or 'chat'")
-        if self.mean_prompt < 1 or self.mean_gen < 1 or self.mean_turns <= 0:
-            raise ValueError("mean lengths >= 1 and mean_turns > 0 required")
-        if self.weight <= 0:
-            raise ValueError("weight must be > 0")
+        if self.mean_prompt < 1 or self.mean_gen < 1:
+            raise ValueError("mean lengths >= 1 required")
+        _check_positive(mean_turns=self.mean_turns, weight=self.weight)
         if self.slot_cap is not None and self.slot_cap < 1:
             raise ValueError("slot_cap must be >= 1 when given")
-        if self.p99_ttft_slo_s is not None and self.p99_ttft_slo_s <= 0:
-            raise ValueError("p99_ttft_slo_s must be > 0 when given")
+        if self.p99_ttft_slo_s is not None:
+            _check_positive(p99_ttft_slo_s=self.p99_ttft_slo_s)
 
 
 # Session-id namespacing: tenant ``i``'s sessions live in

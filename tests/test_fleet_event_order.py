@@ -1,14 +1,25 @@
 """Fleet event-loop action order.
 
 ``simulate_fleet`` finds the next replica to act through a lazily
-invalidated heap of action times. The contract is the one a full scan
-over every replica gives: each action the loop runs belongs to the
-replica with the minimum ``next_action_time()``, the lowest index among
-equal times. This test registers every ``_Replica`` of a run, wraps
-``perform_action``, and checks that contract at every action over a
-randomized configuration space; simultaneous arrivals and grid-valued
-step costs make ties common.
+invalidated heap of event keys, each replica's ``next_action_time()``:
+when its next action starts or, for a replica holding a priced decode
+stretch, the start of that stretch's last step (where its completions
+become visible to the router). The contract is the one a full scan over
+every replica gives: each action the loop runs belongs to the replica
+with the minimum key, the lowest index among equal keys. Arrivals cut
+only the replica they are routed to: a delivery to a replica holding a
+stretch commits exactly the steps starting before the arrival and
+retires nobody. This test registers every ``_Replica`` of a run, wraps
+``perform_action`` and ``deliver``, and checks those contracts at every
+action and delivery over a randomized configuration space; simultaneous
+arrivals and grid-valued step costs make ties common. Every drawn case
+is also run in the other stepping mode (compressed vs ``_max_run_steps=1``)
+and must give the same report and scheduler event logs.
 """
+
+from functools import reduce
+from itertools import accumulate
+from operator import add
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,12 +36,17 @@ GRID_S = 0.05
 
 def checked_fleet_run(trace, **kwargs):
     """Run ``simulate_fleet`` asserting the scan order at every action
-    the event loop takes; returns the report and the action count."""
+    the event loop takes and the cut at every delivery to a replica
+    holding a stretch; returns the report, the action count and the
+    number of such cuts."""
     replicas: list[_Replica] = []
     in_crash = [False]
     actions = [0]
-    init, perform, crash = (_Replica.__init__, _Replica.perform_action,
-                            _Replica.crash)
+    cuts = [0]
+    per_step = kwargs.get("_max_run_steps") == 1
+    init, perform, deliver, crash = (
+        _Replica.__init__, _Replica.perform_action, _Replica.deliver,
+        _Replica.crash)
 
     def registering_init(self, *args, **kw):
         init(self, *args, **kw)
@@ -53,15 +69,49 @@ def checked_fleet_run(trace, **kwargs):
                 f"loop ran replica {self.index} at "
                 f"{self.next_action_time()!r}; a scan picks {want}")
             actions[0] += 1
-        return perform(self, *args, **kw)
+        result = perform(self, *args, **kw)
+        if self._plan is not None:
+            # Per-step stepping never holds a stretch; a held one is
+            # keyed exactly at its last step's start.
+            assert not per_step, "a one-step stretch was held"
+            start, costs, n = self._plan[:3]
+            assert self.next_action_time() == reduce(add, costs[:n - 1],
+                                                     start)
+        return result
+
+    def checked_deliver(self, request, t):
+        if self._plan is None:
+            return deliver(self, request, t)
+        start, costs, n = self._plan[:3]
+        step, done, active = (self.sched.step, len(self.finish),
+                              self.sched.num_active)
+        deliver(self, request, t)
+        committed = self.sched.step - step
+        starts = list(accumulate(costs[:n - 1], add, initial=start))
+        assert committed == sum(s < t for s in starts), (
+            f"replica {self.index} committed {committed} of {n} held steps "
+            f"at an arrival at {t!r}; step starts {starts}")
+        assert committed < n
+        assert len(self.finish) == done and self.sched.num_active == active
+        assert self._plan is None and self.now >= t
+        cuts[0] += 1
+        return None
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_Replica, "__init__", registering_init)
         mp.setattr(_Replica, "perform_action", checked_perform)
+        mp.setattr(_Replica, "deliver", checked_deliver)
         mp.setattr(_Replica, "crash", flagged_crash)
         report = simulate_fleet(trace, costs=COSTS, **kwargs)
     assert [rep.index for rep in replicas] == list(range(len(replicas)))
-    return report, actions[0]
+    return report, actions[0], cuts[0]
+
+
+def event_logs(report):
+    """Every scheduler's event log, past incarnations included."""
+    return ([s.events for s in report.schedulers],
+            {i: [s.events for s, _ in past]
+             for i, past in report.past_schedulers.items()})
 
 
 @st.composite
@@ -121,17 +171,27 @@ def _fleet_cases(draw):
 @given(case=_fleet_cases())
 def test_every_action_is_the_scan_pick(case):
     trace, kwargs = case
+    other = dict(kwargs, _max_run_steps=(
+        None if kwargs["_max_run_steps"] == 1 else 1))
     try:
-        report, actions = checked_fleet_run(trace, **kwargs)
+        report, actions, cuts = checked_fleet_run(trace, **kwargs)
     except RuntimeError as exc:
         # Autoscaler drains plus a crash can leave nothing routable,
-        # which the router reports; every action up to it was checked.
+        # which the router reports; every action up to it was checked,
+        # and the other stepping mode must fail the same way.
         if kwargs["autoscaler"] is None \
                 or "every replica has failed" not in str(exc):
             raise
+        with pytest.raises(RuntimeError, match="every replica has failed"):
+            simulate_fleet(trace, costs=COSTS, **other)
         return
     assert actions >= len(trace.requests)  # one admission each, at least
     assert report.num_completed == len(trace.requests)
+    if kwargs["_max_run_steps"] == 1:
+        assert cuts == 0
+    twin = simulate_fleet(trace, costs=COSTS, **other)
+    assert report == twin
+    assert event_logs(report) == event_logs(twin)
 
 
 def test_simultaneous_idle_replicas_act_lowest_index_first():

@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.engine import ClosureStepCost, simulate_serving, synthesize_trace
+from repro.engine import (
+    ClosureStepCost,
+    Request,
+    WorkloadTrace,
+    simulate_serving,
+    synthesize_trace,
+)
 from repro.fleet import FaultPlan, ReplicaFault, simulate_fleet
 
 COSTS = ClosureStepCost(prompt_time=lambda b, p: 0.02 + 0.001 * p,
@@ -63,6 +69,27 @@ class TestHealthyFleet:
             by_session.setdefault(r.session, set()).add(
                 rep.replica_of[r.request_id])
         assert all(len(replicas) == 1 for replicas in by_session.values())
+
+    def test_arrivals_routed_elsewhere_do_not_cut_a_stretch(self):
+        """Replica 0 decodes one long request while 60 arrivals go to
+        replica 1: with per-stretch summary spans, replica 0 records one
+        decode span, because only its own events can split its stretch.
+        The report still equals per-step stepping's."""
+        trace = WorkloadTrace(
+            (Request(0, 0.0, 8, 400, session=0),)
+            + tuple(Request(i, 0.05 * i, 8, 4, session=1)
+                    for i in range(1, 61)))
+        kwargs = dict(num_replicas=2, max_batch=4, costs=COSTS,
+                      routing="session_affinity", detail="summary")
+        rep = simulate_fleet(trace, **kwargs)
+        assert rep.replica_of[0] == 0
+        assert all(rep.replica_of[i] == 1 for i in range(1, 61))
+        assert rep.finish_times[0] > trace.requests[-1].arrival
+        decodes = [s for s in rep.timeline.spans("replica0/server")
+                   if s.label.startswith("decode")]
+        assert len(decodes) == 1
+        assert decodes[0].label == "decode x1 (399 steps)"
+        assert rep == simulate_fleet(trace, _max_run_steps=1, **kwargs)
 
     def test_merged_timeline_has_replica_and_router_lanes(self):
         trace = _trace(n=10)

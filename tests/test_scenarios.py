@@ -131,6 +131,13 @@ class TestChatScenario:
         with pytest.raises(ValueError):
             chat_scenario(num_sessions=1, session_rate=1.0, num_requests=0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("param", ["est_prefill_s", "est_step_s",
+                                       "mean_think_time", "mean_turns"])
+    def test_rejects_non_finite_estimates(self, param, bad):
+        with pytest.raises(ValueError, match=param):
+            chat_scenario(num_sessions=2, session_rate=1.0, **{param: bad})
+
 
 class TestAgenticScenario:
     def test_iterations_share_whole_transcript(self):
@@ -146,6 +153,13 @@ class TestAgenticScenario:
         trace = agentic_scenario(num_agents=2, agent_rate=1.0,
                                  context_len=200, seed=0)
         assert min(r.prompt_len for r in trace.requests) >= 100
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("param", ["est_prefill_s", "est_step_s",
+                                       "tool_time", "mean_iterations"])
+    def test_rejects_non_finite_estimates(self, param, bad):
+        with pytest.raises(ValueError, match=param):
+            agentic_scenario(num_agents=2, agent_rate=1.0, **{param: bad})
 
 
 class TestHeavyTailedScenario:
@@ -225,6 +239,15 @@ class TestMultiTenant:
         with pytest.raises(ValueError):
             TenantSpec(name="a", arrival_rate=1.0, num_requests=1,
                        slot_cap=0)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("field", ["weight", "mean_turns",
+                                       "p99_ttft_slo_s"])
+    def test_spec_rejects_non_finite_fields(self, field, bad):
+        # A NaN SLO used to pass and report ``met: False`` silently.
+        with pytest.raises(ValueError, match=field):
+            TenantSpec(name="a", arrival_rate=1.0, num_requests=1,
+                       **{field: bad})
 
 
 class TestRegistryAndAblation:

@@ -129,6 +129,16 @@ class TestTenantPolicies:
         with pytest.raises(ValueError):
             TenantFairShare(slot_caps={"a": 0})
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_fair_share_rejects_non_finite_weights(self, bad):
+        # A NaN weight once passed the ``w <= 0`` guard and its tenant
+        # then won every pick: tenant "a" holding a slot was admitted
+        # ahead of an idle tenant "b".
+        with pytest.raises(ValueError, match="weight of tenant 'a'"):
+            TenantFairShare(weights={"a": bad, "b": 1.0})
+        with pytest.raises(ValueError, match="default_weight"):
+            TenantFairShare(default_weight=bad)
+
 
 class TestLifecycle:
     def test_length_retirement_frees_slot(self):
