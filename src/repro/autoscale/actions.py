@@ -9,6 +9,7 @@ fleet report.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 __all__ = ["ScaleAction", "AutoscaleEvent", "ACTION_KINDS"]
@@ -46,8 +47,8 @@ class ScaleAction:
         if self.kind in ("scale_in", "replace", "reweight") \
                 and self.replica is None:
             raise ValueError(f"a {self.kind} action must name a replica")
-        if self.weight <= 0:
-            raise ValueError("weight must be > 0")
+        if not (math.isfinite(self.weight) and self.weight > 0):
+            raise ValueError("weight must be finite and > 0")
 
 
 @dataclass(frozen=True)

@@ -44,9 +44,10 @@ serving loop (:class:`~repro.engine.replica._Replica`) prices
 a whole stretch with one call instead of ``steps`` Python round-trips.
 The ABC ships a per-step reference fallback; the pass-priced adapters
 override it with an evaluate-once, slice-forever scheme (a per-batch
-cost-vs-KV array) whose entries come from the *same* memoized pass
-``decode_cost`` uses, so run pricing is bit-for-bit identical to the
-per-step path.
+cost-vs-KV array and a bytemask of its priced entries) whose entries
+come from the *same* memoized pass ``decode_cost`` uses, so run pricing
+is bit-for-bit identical to the per-step path. Every run is a fresh
+array the caller may overwrite.
 """
 
 from __future__ import annotations
@@ -180,15 +181,17 @@ class StepCostModel(ABC):
 
     def decode_run_cost(self, state: BatchState, steps: int) -> np.ndarray:
         """Per-iteration seconds of ``steps`` consecutive decode
-        iterations starting from ``state``, as a float64 array.
+        iterations starting from ``state``, as a fresh float64 array.
 
         Element ``i`` equals ``decode_cost(state.advanced(i))``
         bit-for-bit — the batch's composition is frozen across the run
         and every KV length grows by one per iteration, which is exactly
-        the situation between two scheduler-relevant events. The base
-        implementation is the per-step reference loop; the shipped
-        adapters override :meth:`_decode_run_cost` with vectorized
-        evaluation.
+        the situation between two scheduler-relevant events. The caller
+        owns the array (the serving loop turns it into step end times in
+        place), so an override must never return a view of its own
+        cache. The base implementation is the per-step reference loop;
+        the shipped adapters override :meth:`_decode_run_cost` with
+        vectorized evaluation.
         """
         if steps < 0:
             raise ValueError("steps must be >= 0")
@@ -254,10 +257,9 @@ class _PassPricedCost(StepCostModel):
 
     def __init__(self) -> None:
         self._memo: dict[tuple[int, int, int], float] = {}
-        # batch -> decode-pass cost indexed by KV length (NaN = unpriced)
-        self._kv_runs: dict[int, np.ndarray] = {}
-        # batch -> a KV range [lo, hi) of its array known to hold no NaN
-        self._kv_priced: dict[int, tuple[int, int]] = {}
+        # batch -> (decode-pass cost indexed by KV length, and a bytemask
+        # over the same indices: 1 = that entry is priced)
+        self._kv_runs: dict[int, tuple[np.ndarray, bytearray]] = {}
 
     @abstractmethod
     def _price(self, batch: int, tokens_per_seq: int, kv: int) -> float:
@@ -297,25 +299,22 @@ class _PassPricedCost(StepCostModel):
         batch = state.batch
         kv0 = max(1, state.mean_kv)
         need = kv0 + steps
-        arr = self._kv_runs.get(batch)
-        if arr is None or arr.size < need:
-            grown = np.full(max(need, 64 if arr is None else 2 * arr.size),
-                            np.nan)
-            if arr is not None:
-                grown[: arr.size] = arr
-            arr = self._kv_runs[batch] = grown
-        seg = arr[kv0:need]
-        # Consecutive stretches of one batch size mostly continue where
-        # the last one stopped, so one contiguous priced range spares
-        # the NaN scan on most calls.
-        lo, hi = self._kv_priced.get(batch, (0, 0))
-        if not lo <= kv0 < need <= hi:
-            for i in np.flatnonzero(np.isnan(seg)):
-                seg[i] = self._pass(batch, 1, kv0 + int(i))
-            self._kv_priced[batch] = ((min(lo, kv0), max(hi, need))
-                                      if kv0 <= hi and lo <= need
-                                      else (kv0, need))
-        return seg.copy()
+        entry = self._kv_runs.get(batch)
+        if entry is None or entry[0].size < need:
+            old, priced = entry or (np.empty(0), bytearray())
+            arr = np.empty(max(need, 64, 2 * old.size))
+            arr[: old.size] = old
+            priced.extend(bytes(arr.size - old.size))
+            entry = self._kv_runs[batch] = (arr, priced)
+        arr, priced = entry
+        # Stretches of one batch size overlap, continue and jump back, so
+        # the unpriced entries are found by a C scan over the bytemask.
+        kv = priced.find(0, kv0, need)
+        while kv != -1:
+            arr[kv] = self._pass(batch, 1, kv)
+            priced[kv] = 1
+            kv = priced.find(0, kv + 1, need)
+        return arr[kv0:need].copy()
 
 
 class DenseStepCost(_PassPricedCost):

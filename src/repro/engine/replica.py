@@ -18,8 +18,12 @@ behind a router, adding crashes, recoveries, slowdowns and drains.
 Decode is *event-compressed*: between scheduler-relevant events the
 batch composition is frozen, so a whole stretch of decode iterations is
 priced with one :meth:`~repro.engine.costs.StepCostModel.decode_run_cost`
-call and committed with one bulk
-:meth:`~repro.engine.scheduler.Scheduler.record_tokens`. Results are
+call, up to the next retirement, and committed with one bulk
+:meth:`~repro.engine.scheduler.Scheduler.record_tokens`. One in-place
+cumulative sum (``np.add.accumulate``, a sequential left fold: the
+per-step clock's own association) turns the priced run into exact step
+end times, and ``searchsorted`` on them finds where the stretch ends or
+is cut, so a stretch costs no Python work per step. Results are
 bit-for-bit those of per-step stepping.
 
 Only events that can change a replica split its stretch: its own next
@@ -37,9 +41,9 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from functools import reduce
-from operator import add
 from typing import TYPE_CHECKING
+
+import numpy as np
 
 from ..model.paged_kv import blocks_needed
 from ..simcore.trace import Timeline
@@ -50,14 +54,6 @@ if TYPE_CHECKING:
     from .serving_sim import Request
 
 _INF = math.inf
-
-# Cap on how many decode iterations one vectorized pricing call covers
-# while an event with a *time* bound (a delivery, a fault) is pending —
-# those can split the run mid-stretch, so pricing far past them is
-# wasted work for per-step cost models. Without such an event the next
-# retirement bounds the run exactly and no cap is needed. Chunking is
-# observably identical (the loop just re-enters mid-stretch).
-_RUN_CHUNK_STEPS = 256
 
 
 class _KvTracker:
@@ -225,8 +221,8 @@ class _Replica:
         # When set, the fleet's autoscaler collects (time, ttft) samples
         # here; None keeps the non-autoscaled path allocation-free.
         self.ttft_sink = ttft_sink
-        # A priced, uncommitted decode stretch (start, step costs, steps,
-        # end, on_complete) and the start of its last step; see
+        # A priced, uncommitted decode stretch (start, step end times,
+        # steps, on_complete) and the start of its last step; see
         # perform_action's ``t_arrival``.
         self._plan: tuple | None = None
         self._plan_key = _INF
@@ -243,15 +239,10 @@ class _Replica:
         is held only while ``t`` is at most its last step's start, so
         the cut retires nobody."""
         if self._plan is not None:
-            start, costs, _, _, on_complete = self._plan
+            start, ends, _, on_complete = self._plan
             self._plan = None
-            now, m = start, 0
-            for c in costs:
-                now += c
-                m += 1
-                if now >= t:
-                    break
-            self._commit(start, costs, m, now, on_complete)
+            self._commit(start, ends, int(ends.searchsorted(t)) + 1,
+                         on_complete)
         self.inbox.append((t, request))
         self.by_id[request.request_id] = request
 
@@ -378,54 +369,50 @@ class _Replica:
         if start < slow_from < t_break:
             t_break = slow_from
         horizon = sched.decode_horizon()
-        if t_break != _INF and horizon > _RUN_CHUNK_STEPS:
-            horizon = _RUN_CHUNK_STEPS
         if max_steps is not None and horizon > max_steps:
             horizon = max_steps
         run = self.costs.decode_run_cost(
             BatchState(tuple(live_kv.values())), horizon)
         if start >= slow_from:  # unslowed replicas skip the multiply
-            run = run * self.slow_factor
-        # A sequential ``now += cost`` is the per-step loop's exact float
-        # association; the stretch ends at the first step whose end
-        # reaches the break time.
-        costs = run.tolist()  # exact float64 -> float
-        now = start
-        n = 0
-        for c in costs:
-            now += c
-            n += 1
-            if now >= t_break:
-                break
+            run *= self.slow_factor
+        # ``np.add.accumulate`` is a sequential left fold, so with the
+        # start folded into the first cost every entry is bit-for-bit the
+        # per-step clock (``now += cost``) after that step. The stretch
+        # ends at the first step whose end reaches the break time.
+        run[0] += start
+        ends = np.add.accumulate(run, out=run)
+        n = ends.size
+        now = ends.item(-1)
+        if now >= t_break:
+            n = min(int(ends.searchsorted(t_break)) + 1, n)
+            now = ends.item(n - 1)
         if not start <= now < _INF:
             raise ValueError(
                 f"replica {self.index}: decode stretch of {n} steps x{batch} "
                 f"from t={start!r} ends at {now!r}; step costs must be "
                 f"finite and >= 0")
         if now >= t_arrival and n > 1:
-            # Same association as the loop above, so the key is exact.
-            last = reduce(add, costs[:n - 1], start)
+            last = ends.item(n - 2)
             if last >= t_arrival:
-                self._plan = (start, costs, n, now, on_complete)
+                self._plan = (start, ends, n, on_complete)
                 self._plan_key = last
                 return "decode"
-        self._commit(start, costs, n, now, on_complete)
+        self._commit(start, ends, n, on_complete)
         return "decode"
 
-    def _commit(self, start: float, costs: list[float], n: int, now: float,
+    def _commit(self, start: float, ends: np.ndarray, n: int,
                 on_complete) -> None:
-        """Commit the first ``n`` steps of a priced decode stretch
-        (per-step ``costs`` from ``start``) ending at ``now``."""
+        """Commit the first ``n`` steps of a priced decode stretch from
+        ``start`` (``ends[i]`` is step ``i``'s end time)."""
         sched = self.sched
         live_kv = self._live_kv
         batch = sched.num_active
-        self.now = now
+        now = self.now = ends.item(n - 1)
         retired = sched.record_tokens(n)
         self.tokens += n * batch
         if self.full:
             s_prev = start
-            for c in costs[:n]:
-                e = s_prev + c
+            for e in ends[:n].tolist():
                 self.timeline.record("server", s_prev, e, f"decode x{batch}")
                 s_prev = e
         else:

@@ -16,6 +16,7 @@ the fleet-level analogue of the PR-1 decision-equivalence guarantee.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from ..engine.serving_sim import Request
@@ -154,8 +155,8 @@ class Router:
     def set_weight(self, replica: int, weight: float) -> None:
         """Bias load-aware policies for/against ``replica`` (e.g. 0.5
         halves its share while a slowdown is remediated)."""
-        if weight <= 0:
-            raise ValueError("weight must be > 0")
+        if not (math.isfinite(weight) and weight > 0):
+            raise ValueError("weight must be finite and > 0")
         self._weights[replica] = weight
 
     # -- reporting -------------------------------------------------------

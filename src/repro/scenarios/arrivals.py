@@ -94,8 +94,9 @@ def draw_arrivals(
             raise ValueError("diurnal_amplitude must be in [0, 1]")
         period = (nominal_span / 2.0 if diurnal_period is None
                   else diurnal_period)
-        if period <= 0:
-            raise ValueError("diurnal_period must be > 0 when given")
+        if not (math.isfinite(period) and period > 0):
+            raise ValueError(
+                "diurnal_period must be finite and > 0 when given")
         omega = 2.0 * np.pi / period
 
         def rate_of(t: np.ndarray) -> np.ndarray:
@@ -105,8 +106,8 @@ def draw_arrivals(
             rng, num_requests, rate_of,
             arrival_rate * (1.0 + diurnal_amplitude))
     # flash_crowd
-    if burst_factor <= 1.0:
-        raise ValueError("burst_factor must be > 1")
+    if not (math.isfinite(burst_factor) and burst_factor > 1.0):
+        raise ValueError("burst_factor must be finite and > 1")
     if num_bursts < 1:
         raise ValueError("num_bursts must be >= 1")
     centers = np.array([(j + 0.5) / num_bursts * nominal_span

@@ -298,6 +298,12 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="weight"):
             ScaleAction(kind="reweight", replica=0, weight=0.0)
 
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf"),
+                                        float("-inf")])
+    def test_action_rejects_non_finite_weight(self, weight):
+        with pytest.raises(ValueError, match="weight must be finite"):
+            ScaleAction(kind="reweight", replica=0, weight=weight)
+
     def test_resolved_defaults_scale_with_epoch(self):
         cfg = _cfg(epoch_s=0.5)
         assert cfg.resolved_window_s == pytest.approx(4.0)

@@ -193,6 +193,12 @@ class TestDenseStepCost:
         assert long > short
 
 
+class _PerStepFallback(ClosureStepCost):
+    """Prices runs with the ABC's per-step reference loop."""
+
+    _decode_run_cost = StepCostModel._decode_run_cost
+
+
 class TestDecodeRunCost:
     """Vectorized run pricing must equal the per-step scalar loop
     bit-for-bit — it is the foundation of the event-compressed serving
@@ -237,7 +243,7 @@ class TestDecodeRunCost:
                          max_size=12))
     def test_any_run_sequence_prices_every_step(self, runs):
         """Runs of one batch size that continue, overlap, skip ahead or
-        jump back all equal the scalar loop: the priced-range shortcut
+        jump back all equal the scalar loop: the priced bytemask
         never returns an unpriced slot."""
         cost = DenseStepCost(_KvLatency())
         for batch, kv, steps in runs:
@@ -254,12 +260,29 @@ class TestDecodeRunCost:
     def test_base_class_fallback(self):
         """A subclass that does not override _decode_run_cost gets the
         per-step reference loop from the ABC."""
-        class Plain(ClosureStepCost):
-            _decode_run_cost = StepCostModel._decode_run_cost
-
-        cost = Plain(lambda b, p: 1.0, lambda b: 0.5 * b)
+        cost = _PerStepFallback(lambda b, p: 1.0, lambda b: 0.5 * b)
         state = BatchState.uniform(2, 8)
         assert cost.decode_run_cost(state, 4).tolist() == [1.0] * 4
+
+    @pytest.mark.parametrize("name", ["dense", "moe", "zero", "closure",
+                                      "fallback"])
+    def test_caller_owns_the_returned_array(self, name, dense_cost, moe_cost,
+                                            zero_cost):
+        """The serving loop writes step end times into the run it gets
+        back, so overwriting it must not reach any adapter's cache."""
+        cost = {"dense": dense_cost, "moe": moe_cost, "zero": zero_cost,
+                "closure": ClosureStepCost(lambda b, p: 1.0,
+                                           lambda b: 0.25 * b),
+                "fallback": _PerStepFallback(lambda b, p: 1.0,
+                                             lambda b: 0.5 * b),
+                }[name]
+        state = BatchState.uniform(3, 40)
+        run = cost.decode_run_cost(state, self.STEPS)
+        run[0] += 1e3
+        run.cumsum(out=run)
+        run *= -1.0
+        assert (cost.decode_run_cost(state, self.STEPS).tolist()
+                == self._reference(cost, state, self.STEPS))
 
     def test_validation(self, dense_cost):
         state = BatchState.uniform(2, 16)

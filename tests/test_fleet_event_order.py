@@ -10,9 +10,11 @@ with the minimum key, the lowest index among equal keys. Arrivals cut
 only the replica they are routed to: a delivery to a replica holding a
 stretch commits exactly the steps starting before the arrival and
 retires nobody. This test registers every ``_Replica`` of a run, wraps
-``perform_action`` and ``deliver``, and checks those contracts at every
-action and delivery over a randomized configuration space; simultaneous
-arrivals and grid-valued step costs make ties common. Every drawn case
+``perform_action`` and ``deliver`` (and ``decode_run_cost``, to re-sum
+each held stretch from its priced step costs), and checks those
+contracts at every action and delivery over a randomized configuration
+space; simultaneous arrivals and grid-valued step costs make ties
+common. Every drawn case
 is also run in the other stepping mode (compressed vs ``_max_run_steps=1``)
 and must give the same report and scheduler event logs.
 """
@@ -43,10 +45,19 @@ def checked_fleet_run(trace, **kwargs):
     in_crash = [False]
     actions = [0]
     cuts = [0]
+    priced: list[list[float]] = []  # step costs the acting replica priced
+    held: dict[int, list[float]] = {}  # replica -> held stretch's costs
     per_step = kwargs.get("_max_run_steps") == 1
-    init, perform, deliver, crash = (
+    init, perform, deliver, crash, run_cost = (
         _Replica.__init__, _Replica.perform_action, _Replica.deliver,
-        _Replica.crash)
+        _Replica.crash, ClosureStepCost.decode_run_cost)
+
+    def copying_run_cost(self, *args, **kw):
+        # The replica writes step end times into the returned array, so
+        # keep a copy of the per-step costs as priced.
+        run = run_cost(self, *args, **kw)
+        priced.append(run.tolist())
+        return run
 
     def registering_init(self, *args, **kw):
         init(self, *args, **kw)
@@ -69,12 +80,18 @@ def checked_fleet_run(trace, **kwargs):
                 f"loop ran replica {self.index} at "
                 f"{self.next_action_time()!r}; a scan picks {want}")
             actions[0] += 1
+        priced.clear()
         result = perform(self, *args, **kw)
         if self._plan is not None:
             # Per-step stepping never holds a stretch; a held one is
-            # keyed exactly at its last step's start.
+            # keyed exactly at its last step's start, summed here from
+            # the priced costs (slowed as the replica slows them).
             assert not per_step, "a one-step stretch was held"
-            start, costs, n = self._plan[:3]
+            (costs,) = priced
+            start, n = self._plan[0], self._plan[2]
+            if start >= self.slow_from:
+                costs = [c * self.slow_factor for c in costs]
+            held[self.index] = costs
             assert self.next_action_time() == reduce(add, costs[:n - 1],
                                                      start)
         return result
@@ -82,7 +99,8 @@ def checked_fleet_run(trace, **kwargs):
     def checked_deliver(self, request, t):
         if self._plan is None:
             return deliver(self, request, t)
-        start, costs, n = self._plan[:3]
+        start, n = self._plan[0], self._plan[2]
+        costs = held[self.index]
         step, done, active = (self.sched.step, len(self.finish),
                               self.sched.num_active)
         deliver(self, request, t)
@@ -102,6 +120,7 @@ def checked_fleet_run(trace, **kwargs):
         mp.setattr(_Replica, "perform_action", checked_perform)
         mp.setattr(_Replica, "deliver", checked_deliver)
         mp.setattr(_Replica, "crash", flagged_crash)
+        mp.setattr(ClosureStepCost, "decode_run_cost", copying_run_cost)
         report = simulate_fleet(trace, costs=COSTS, **kwargs)
     assert [rep.index for rep in replicas] == list(range(len(replicas)))
     return report, actions[0], cuts[0]

@@ -68,6 +68,14 @@ class TestRouterAccounting:
         with pytest.raises(ValueError, match="num_replicas"):
             Router(0)
 
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf")])
+    def test_set_weight_rejects_non_finite(self, weight):
+        """A NaN weight would otherwise win every least-outstanding
+        comparison and send all traffic to one replica."""
+        router = Router(2, policy=LeastOutstanding())
+        with pytest.raises(ValueError, match="weight must be finite"):
+            router.set_weight(0, weight)
+
 
 class TestPolicies:
     def test_round_robin_cycles(self):

@@ -21,6 +21,8 @@ from repro.engine import (
     DenseStepCost,
     MoELatencyModel,
     MoEStepCost,
+    Request,
+    WorkloadTrace,
     ZeroStepCost,
     simulate_serving,
     synthesize_trace,
@@ -145,6 +147,21 @@ class TestDetailLevels:
         assert any(lane.startswith("req-") for lane in small.timeline.lanes())
         assert not any(lane.startswith("req-")
                        for lane in big.timeline.lanes())
+
+    def test_pending_arrival_does_not_chunk_a_long_stretch(self, dense_cost):
+        """A 1000-token generation with the next arrival due only after it
+        finishes decodes as one summary span: a pending delivery splits a
+        stretch where it lands, never at a fixed step count."""
+        trace = WorkloadTrace((Request(0, 0.0, 32, 1000),
+                               Request(1, 1e4, 32, 4)))
+        summary = simulate_serving(trace, costs=dense_cost,
+                                   max_batch=MAX_BATCH, detail="summary")
+        assert summary.finish_times[0] < 1e4
+        labels = [s.label for s in summary.timeline.spans("server")]
+        assert labels == ["prefill r0", "decode x1 (999 steps)",
+                          "prefill r1", "decode x1 (3 steps)"]
+        assert summary == simulate_serving_reference(
+            trace, costs=dense_cost, max_batch=MAX_BATCH)
 
     def test_unknown_detail_rejected(self, dense_cost):
         with pytest.raises(ValueError, match="detail"):

@@ -378,6 +378,19 @@ class TestArrivalShapes:
             synthesize_trace(num_requests=5, arrival_rate=1.0,
                              arrival_shape="flash_crowd", num_bursts=0)
 
+    @pytest.mark.parametrize("shape, kw", [
+        ("diurnal", {"diurnal_period": float("nan")}),
+        ("flash_crowd", {"burst_factor": float("nan")}),
+        ("flash_crowd", {"burst_factor": float("inf")}),
+    ])
+    def test_non_finite_shape_parameter_rejected(self, shape, kw):
+        """These once slipped past ``<=`` guards and hung the thinning
+        sampler forever."""
+        (name,) = kw
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            synthesize_trace(num_requests=5, arrival_rate=1.0,
+                             arrival_shape=shape, **kw)
+
     def test_lengths_and_sessions_still_drawn(self):
         t = synthesize_trace(num_requests=100, arrival_rate=10.0, seed=9,
                              arrival_shape="diurnal", num_sessions=4,
