@@ -186,12 +186,14 @@ class StepCostModel(ABC):
         Element ``i`` equals ``decode_cost(state.advanced(i))``
         bit-for-bit — the batch's composition is frozen across the run
         and every KV length grows by one per iteration, which is exactly
-        the situation between two scheduler-relevant events. The caller
-        owns the array (the serving loop turns it into step end times in
-        place), so an override must never return a view of its own
-        cache. The base implementation is the per-step reference loop;
-        the shipped adapters override :meth:`_decode_run_cost` with
-        vectorized evaluation.
+        the situation between two scheduler-relevant events. The serving
+        loop prices every step up to the next retirement, past where an
+        arrival may end the stretch, turns the run into step end times
+        in place and binary-searches them: an override of
+        :meth:`_decode_run_cost` must return a fresh float64 array (never
+        a view of a cache) of finite costs ``>= 0``. The base
+        implementation is the per-step reference loop, one
+        ``decode_cost`` call per step; the shipped adapters vectorize.
         """
         if steps < 0:
             raise ValueError("steps must be >= 0")
@@ -206,7 +208,10 @@ class StepCostModel(ABC):
         # round-trip per iteration.
         out = np.empty(steps)
         for i in range(steps):
-            out[i] = self.decode_cost(state)
+            c = out[i] = self.decode_cost(state)
+            if not 0.0 <= c < math.inf:
+                raise ValueError(f"decode step {i} of a run priced at {c!r} "
+                                 "s; step costs must be finite and >= 0")
             state = state.advanced()
         return out
 
@@ -238,8 +243,9 @@ class ClosureStepCost(StepCostModel):
         return self._step_time(state.batch)
 
     def _decode_run_cost(self, state: BatchState, steps: int) -> np.ndarray:
-        # KV-blind: the run is one closure call broadcast across steps.
-        return np.full(steps, self._step_time(state.batch))
+        # KV-blind: one closure call broadcast across steps, as float64
+        # even when ``step_time`` returns an int.
+        return np.full(steps, self._step_time(state.batch), np.float64)
 
 
 class _PassPricedCost(StepCostModel):

@@ -377,8 +377,8 @@ class _Replica:
             run *= self.slow_factor
         # ``np.add.accumulate`` is a sequential left fold, so with the
         # start folded into the first cost every entry is bit-for-bit the
-        # per-step clock (``now += cost``) after that step. The stretch
-        # ends at the first step whose end reaches the break time.
+        # per-step clock (``now += cost``) after that step. Costs >= 0
+        # keep the ends sorted; the first to reach the break ends it.
         run[0] += start
         ends = np.add.accumulate(run, out=run)
         n = ends.size

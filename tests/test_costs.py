@@ -21,7 +21,9 @@ from repro.engine import (
     MoELatencyModel,
     MoEStepCost,
     PromptShape,
+    Request,
     StepCostModel,
+    WorkloadTrace,
     ZeroStepCost,
     simulate_serving,
     synthesize_trace,
@@ -283,6 +285,37 @@ class TestDecodeRunCost:
         run *= -1.0
         assert (cost.decode_run_cost(state, self.STEPS).tolist()
                 == self._reference(cost, state, self.STEPS))
+
+    def test_closure_run_is_float64_for_int_step_times(self):
+        """The serving loop folds fractional start times into the run in
+        place, so an int ``step_time`` must still price a float64 run."""
+        cost = ClosureStepCost(lambda b, p: 1, lambda b: 1)
+        run = cost.decode_run_cost(BatchState.uniform(2, 8), 3)
+        assert run.dtype == np.float64
+        assert run.tolist() == [1.0] * 3
+
+    def test_fallback_rejects_a_bad_mid_run_price(self):
+        """The serving loop binary-searches a run's running sum, so the
+        per-step fallback rejects a negative step anywhere in the run,
+        not just one that drags the run's end before its start."""
+
+        class DipAtKv20(_PerStepFallback):
+            def decode_cost(self, state):
+                return -0.5 if state.mean_kv == 20 else 1.0
+
+        cost = DipAtKv20(lambda b, p: 1.0, None)
+        state = BatchState.uniform(1, 16)
+        assert cost.decode_run_cost(state, 4).tolist() == [1.0] * 4
+        with pytest.raises(ValueError,
+                           match=r"decode step 4 of a run priced at -0.5 "
+                                 r"s"):
+            cost.decode_run_cost(state, 8)
+        # In a server: one request decoding through KV 20 while a second
+        # is due mid-stretch.
+        trace = WorkloadTrace((Request(0, 0.0, 15, 12),
+                               Request(1, 4.5, 15, 2)))
+        with pytest.raises(ValueError, match="priced at -0.5 s"):
+            simulate_serving(trace, costs=cost, max_batch=2)
 
     def test_validation(self, dense_cost):
         state = BatchState.uniform(2, 16)

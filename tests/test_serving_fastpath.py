@@ -169,6 +169,35 @@ class TestDetailLevels:
                              max_batch=MAX_BATCH, detail="chatty")
 
 
+class TestIntegerStepTimes:
+    """``ClosureStepCost`` accepts functions returning ints. The serving
+    loop folds each stretch's (fractional) start into its run in place,
+    so the run must be float64: an int run would truncate the clock."""
+
+    INT = ClosureStepCost(lambda b, p: 1, lambda b: 1)
+    FLOAT = ClosureStepCost(lambda b, p: 1.0, lambda b: 1.0)
+    TRACE = WorkloadTrace((Request(0, 0.5, 8, 6), Request(1, 2.25, 8, 4)))
+
+    def test_serving_equals_per_step(self):
+        fast = simulate_serving(self.TRACE, costs=self.INT,
+                                max_batch=MAX_BATCH, detail="full")
+        ref = simulate_serving_reference(self.TRACE, costs=self.INT,
+                                         max_batch=MAX_BATCH)
+        assert fast == ref
+        assert fast.finish_times[0] == 7.5
+        assert fast.timeline.to_rows() == ref.timeline.to_rows()
+
+    def test_slowed_fleet_equals_float_costs(self):
+        kwargs = dict(num_replicas=1, max_batch=MAX_BATCH, detail="full",
+                      fault_plan=FaultPlan((ReplicaFault(
+                          0, 3.0, "slowdown", factor=1.5),)))
+        ints = simulate_fleet(self.TRACE, costs=self.INT, **kwargs)
+        floats = simulate_fleet(self.TRACE, costs=self.FLOAT, **kwargs)
+        assert ints == floats
+        assert ints == simulate_fleet(self.TRACE, costs=self.INT,
+                                      _max_run_steps=1, **kwargs)
+
+
 FAULT_PLANS = {
     "none": None,
     "crash": FaultPlan((ReplicaFault(1, 0.9, "crash"),)),
