@@ -8,7 +8,11 @@ atomic actions, pricing the shared
 :class:`~repro.engine.scheduler.Scheduler`'s decisions with a
 :class:`~repro.engine.costs.StepCostModel` and keeping the analytical KV
 ledger (:class:`_KvTracker`) and a priced
-:class:`~repro.simcore.trace.Timeline`.
+:class:`~repro.simcore.trace.Timeline`. The ledger's ``live`` dict
+(request id -> KV length) is the replica's one record of its running
+batch: every pass is priced on it as is, and each stretch walks it
+once. The requests themselves live in the replica's ``by_id``, which
+hands each one to the ledger at admission and retirement.
 
 Both simulators drive it:
 :func:`~repro.engine.serving_sim.simulate_serving` runs one replica to
@@ -72,6 +76,10 @@ class _KvTracker:
     this flow). The tracker replays exactly that arithmetic, so its
     counters equal the functional allocator's measurements.
 
+    :attr:`live` maps each running request to its KV length (cached
+    positions plus the token being generated), in admission order; a
+    request of KV length ``n`` caches ``n - 1`` positions.
+
     Stretch discipline: callers grow every live request (retirees
     included — they participate in all of a stretch's steps) *before*
     retiring, matching the functional order of operations within a
@@ -81,7 +89,6 @@ class _KvTracker:
 
     def __init__(
         self,
-        requests,
         *,
         block_size: int = 16,
         num_layers: int = 1,
@@ -92,10 +99,9 @@ class _KvTracker:
         self.block_size = block_size
         self.num_layers = num_layers
         self.prefix_sharing = prefix_sharing
-        self._by_id = {r.request_id: r for r in requests}
         # session -> (parked cache positions, blocks it occupies)
         self._parked: dict[int, tuple[int, int]] = {}
-        self._pos: dict[int, int] = {}  # live rid -> cached positions
+        self.live: dict[int, int] = {}  # rid -> KV length, admission order
         self._used = 0
         self.peak_blocks = 0
         self.allocated = 0
@@ -106,10 +112,9 @@ class _KvTracker:
     def _blocks(self, positions: int) -> int:
         return self.num_layers * (-(-positions // self.block_size))
 
-    def admit(self, rid: int) -> int:
+    def admit(self, r: Request) -> int:
         """Account one admission; returns the effective shared prefix
         (0 = full prefill) for prefix-aware prompt pricing."""
-        r = self._by_id[rid]
         eff = 0
         if (self.prefix_sharing and r.shared_prefix_len
                 and r.session in self._parked):
@@ -128,30 +133,30 @@ class _KvTracker:
         self.allocated += fresh
         if self._used > self.peak_blocks:
             self.peak_blocks = self._used
-        self._pos[rid] = r.prompt_len
+        self.live[r.request_id] = r.prompt_len + 1
         return eff
 
     def grow_all(self, steps: int) -> None:
         """Every live request appends ``steps`` positions (one per
         decode iteration of a stretch)."""
-        # ceil(p / bs) == (p - 1) // bs + 1 for p >= 1, so each request
-        # needs (pos + steps - 1) // bs - (pos - 1) // bs more blocks.
+        # ceil(p / bs) == (p - 1) // bs + 1 for p >= 1, so a request
+        # caching p = n - 1 positions needs (n + steps - 2) // bs -
+        # (n - 2) // bs more blocks.
         bs = self.block_size
-        pos_of = self._pos
+        live = self.live
         grown = 0
-        for rid, pos in pos_of.items():
-            grown += (pos + steps - 1) // bs - (pos - 1) // bs
-            pos_of[rid] = pos + steps
+        for rid, n in live.items():
+            grown += (n + steps - 2) // bs - (n - 2) // bs
+            live[rid] = n + steps
         delta = self.num_layers * grown
         self._used += delta
         self.allocated += delta
         if self._used > self.peak_blocks:
             self.peak_blocks = self._used
 
-    def retire(self, rid: int) -> None:
+    def retire(self, r: Request) -> None:
         """Release (or park) a finished request's cache."""
-        pos = self._pos.pop(rid)
-        r = self._by_id[rid]
+        pos = self.live.pop(r.request_id) - 1
         blocks = self._blocks(pos)
         if self.prefix_sharing and r.session is not None:
             prev = self._parked.get(r.session)
@@ -164,9 +169,9 @@ class _KvTracker:
     def reset_live(self) -> None:
         """Drop all live (non-parked) accounting — a replica crash wipes
         in-flight caches; parked state dies with them too."""
-        for pos in self._pos.values():
-            self._used -= self._blocks(pos)
-        self._pos.clear()
+        for n in self.live.values():
+            self._used -= self._blocks(n - 1)
+        self.live.clear()
         for _, blocks in self._parked.values():
             self._used -= blocks
         self._parked.clear()
@@ -202,14 +207,10 @@ class _Replica:
         self._mid_round = False
         self.inbox: deque[tuple[float, Request]] = deque()  # delivered, unenqueued
         self.by_id: dict[int, Request] = {}
-        # Incremental batch view: rid -> prompt + generated, admission
-        # order (mirrors ``sched.active``) — no per-step tuple rebuilds.
-        self._live_kv: dict[int, int] = {}
         self.admit_start: dict[int, float] = {}
         self.first: dict[int, float] = {}
         self.finish: dict[int, float] = {}
         self.tokens = 0  # every token generated here, kept or discarded
-        self.discarded = 0  # of those, thrown away by crashes so far
         self.timeline = Timeline()
         # Closed up-time segments + the currently-open segment start;
         # crash/retire close a segment, recover opens the next.
@@ -310,21 +311,22 @@ class _Replica:
             self.now = t
         self._enqueue_arrived()
         sched = self.sched
-        live_kv = self._live_kv
+        kv = self.kv
         admitted = sched.admit(max_admit=1)
         if admitted:
             s = admitted[0]
             rid = s.request_id
+            request = self.by_id[rid]
             self._mid_round = True
             start = self.now
-            eff = self.kv.admit(rid)
-            # ``live_kv`` excludes the newcomer: inserted after pricing.
+            # The riders: the live batch before the newcomer joins it.
+            riders = BatchState(tuple(kv.live.values()))
+            eff = kv.admit(request)
             # A prefix hit prices the unshared suffix only; ``eff == 0``
             # passes the scheduler's request through untouched.
             shape = (PromptShape(s.prompt_len, shared_prefix_len=eff)
                      if eff else s)
-            dt = self.costs.prompt_cost(
-                BatchState(tuple(live_kv.values())), shape)
+            dt = self.costs.prompt_cost(riders, shape)
             if start >= self.slow_from:
                 dt *= self.slow_factor
             if not 0.0 <= dt < _INF:
@@ -343,16 +345,14 @@ class _Replica:
             if self.ttft_sink is not None:
                 # TTFT from the *original* arrival (a retried request's
                 # clock ran through the crash), matching the report.
-                self.ttft_sink.append((now, now - self.by_id[rid].arrival))
+                self.ttft_sink.append((now, now - request.arrival))
             self.tokens += 1
             if sched.record_token(rid) is not None:
                 self.finish[rid] = now
-                self.kv.retire(rid)
+                kv.retire(request)
                 if self.full:
                     self.timeline.record(f"req-{rid}", start, now, "decode")
-                on_complete(self.index, self.by_id[rid], now)
-            else:
-                live_kv[rid] = s.prompt_len + 1
+                on_complete(self.index, request, now)
             return "admit"
         batch = sched.num_active
         if not batch:
@@ -372,7 +372,7 @@ class _Replica:
         if max_steps is not None and horizon > max_steps:
             horizon = max_steps
         run = self.costs.decode_run_cost(
-            BatchState(tuple(live_kv.values())), horizon)
+            BatchState(tuple(kv.live.values())), horizon)
         if start >= slow_from:  # unslowed replicas skip the multiply
             run *= self.slow_factor
         # ``np.add.accumulate`` is a sequential left fold, so with the
@@ -405,7 +405,6 @@ class _Replica:
         """Commit the first ``n`` steps of a priced decode stretch from
         ``start`` (``ends[i]`` is step ``i``'s end time)."""
         sched = self.sched
-        live_kv = self._live_kv
         batch = sched.num_active
         now = self.now = ends.item(n - 1)
         retired = sched.record_tokens(n)
@@ -422,15 +421,13 @@ class _Replica:
         # step of the stretch — it retires *at* the last one).
         self.kv.grow_all(n)
         for rid in retired:
+            request = self.by_id[rid]
             self.finish[rid] = now
-            self.kv.retire(rid)
+            self.kv.retire(request)
             if self.full:
                 self.timeline.record(f"req-{rid}", self.first[rid], now,
                                      "decode")
-            on_complete(self.index, self.by_id[rid], now)
-            del live_kv[rid]
-        for rid in live_kv:
-            live_kv[rid] += n
+            on_complete(self.index, request, now)
         self._mid_round = False
 
     # -- crash handling --------------------------------------------------
@@ -484,7 +481,6 @@ class _Replica:
                 f"can recover")
         self.past.append((self.sched, self.crash_step))
         self.sched = Scheduler(self.max_batch, policy=self.policy)
-        self._live_kv.clear()
         self.alive = True
         self.crash_step = None
         self._mid_round = False

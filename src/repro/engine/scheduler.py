@@ -12,9 +12,10 @@ nothing about tensors or wall-clock pricing: backends enqueue requests
 as they arrive, call :meth:`admit` to fill free slots under a pluggable
 policy, report every generated token through :meth:`record_token` (which
 owns EOS/length retirement), and call :meth:`advance` once per decode
-iteration. Every decision lands in an event log; :meth:`to_timeline`
-renders it as a :class:`~repro.simcore.trace.Timeline` for
-``to_chrome_trace`` export.
+iteration. Every decision lands in ``events``, the one lifecycle
+record: ``enqueue_steps``, ``admission_order``, ``retirement_order``
+and :meth:`to_timeline` (a :class:`~repro.simcore.trace.Timeline` for
+``to_chrome_trace`` export) each read it in one pass.
 
 Both :class:`~repro.engine.generation.GenerationSession` (real tensors)
 and :func:`~repro.engine.serving_sim.simulate_serving` (priced time)
@@ -62,8 +63,10 @@ class SchedRequest:
             raise ValueError("prompt_len must be >= 1")
         if self.max_new_tokens < 1:
             raise ValueError("max_new_tokens must be >= 1")
-        if self.arrival < 0:
-            raise ValueError("arrival must be >= 0")
+        # Written as a range test so that NaN fails it too.
+        if not 0 <= self.arrival < math.inf:
+            raise ValueError(
+                f"arrival must be finite and >= 0, got {self.arrival!r}")
 
 
 @dataclass(frozen=True)
@@ -258,13 +261,9 @@ class Scheduler:
         # Cached decode_horizon() of a non-empty active set; None = stale.
         self._horizon: int | None = None
         self._step = 0
+        # The lifecycle record: every view below is read off this log.
         self.events: list[SchedulerEvent] = []
-        self._enqueue_step: dict[int, int] = {}
-        self._admit_step: dict[int, int] = {}
-        self._retire_step: dict[int, int] = {}
-        self._known: set[int] = set()
-        self._admission_order: list[int] = []
-        self._retirement_order: list[int] = []
+        self._known: set[int] = set()  # O(1) duplicate-enqueue check
 
     # -- state views ---------------------------------------------------------
 
@@ -328,32 +327,30 @@ class Scheduler:
 
     @property
     def enqueue_steps(self) -> dict[int, int]:
-        """Step at which each request was enqueued (a copy).
+        """Step at which each request was enqueued, in enqueue order (a
+        copy).
 
         This is the replay interface: a driver that enqueues requests
-        into a fresh scheduler-backed backend at these steps reproduces
-        this scheduler's queue evolution exactly (see the fleet layer's
-        functional mode)."""
-        return dict(self._enqueue_step)
+        into a fresh scheduler-backed backend at these steps, in this
+        order, reproduces this scheduler's queue evolution exactly (see
+        the fleet layer's functional mode)."""
+        return {e.request_id: e.step for e in self.events
+                if e.kind == "enqueue"}
 
     @property
     def admission_order(self) -> list[int]:
         """Request ids in the order they were admitted (a copy)."""
-        return list(self._admission_order)
+        return [e.request_id for e in self.events if e.kind == "admit"]
 
     @property
     def retirement_order(self) -> list[int]:
         """Request ids in the order they retired (a copy)."""
-        return list(self._retirement_order)
+        return [e.request_id for e in self.events if e.kind == "retire"]
 
     # -- lifecycle -----------------------------------------------------------
 
     def _log(self, kind: str, request_id: int, reason: str = "") -> None:
         self.events.append(SchedulerEvent(self._step, kind, request_id, reason))
-        if kind == "admit":
-            self._admission_order.append(request_id)
-        elif kind == "retire":
-            self._retirement_order.append(request_id)
 
     def enqueue(self, req: SchedRequest) -> None:
         """Add a request to the waiting queue."""
@@ -361,7 +358,6 @@ class Scheduler:
             raise ValueError(f"request {req.request_id} already scheduled")
         self._known.add(req.request_id)
         self._queue.append(req)
-        self._enqueue_step[req.request_id] = self._step
         self._log("enqueue", req.request_id)
 
     def admit(
@@ -400,7 +396,6 @@ class Scheduler:
                 self._horizon = cand.max_new_tokens
             self._active[cand.request_id] = cand
             self._generated[cand.request_id] = 0
-            self._admit_step[cand.request_id] = self._step
             self._log("admit", cand.request_id)
             admitted.append(cand)
         return admitted
@@ -426,7 +421,6 @@ class Scheduler:
         if reason is not None:
             del self._active[request_id]
             self._horizon = None  # the minimum may have left
-            self._retire_step[request_id] = self._step
             self._log("retire", request_id, reason)
         elif self._horizon is not None \
                 and req.max_new_tokens - generated < self._horizon:
@@ -486,7 +480,6 @@ class Scheduler:
             generated[rid] += steps
             if left <= 0:
                 del self._active[rid]
-                self._retire_step[rid] = self._step
                 self._log("retire", rid, "length")
                 retired.append(rid)
             elif horizon is None or left < horizon:
@@ -504,20 +497,27 @@ class Scheduler:
         phases (a retirement during step ``s`` ends the span at ``s+1``);
         export with ``to_chrome_trace(time_unit=...)``.
         """
+        # One pass over the log: rid -> step of each lifecycle event.
+        at: dict[str, dict[int, int]] = {
+            "enqueue": {}, "admit": {}, "retire": {}}
+        reason: dict[int, str] = {}
+        for e in self.events:
+            at[e.kind][e.request_id] = e.step
+            if e.kind == "retire":
+                reason[e.request_id] = e.reason
+        enqueued, admitted, retired = at["enqueue"], at["admit"], at["retire"]
         tl = Timeline()
-        for rid in sorted(self._enqueue_step):
+        for rid in sorted(enqueued):
             lane = f"request-{rid}"
-            enq = self._enqueue_step[rid]
-            adm = self._admit_step.get(rid, self._step)
+            enq = enqueued[rid]
+            adm = admitted.get(rid, self._step)
             tl.record_instant(lane, enq, "enqueue")
             if adm > enq:
                 tl.record(lane, enq, adm, "queued")
-            if rid in self._admit_step:
-                end = self._retire_step.get(rid, self._step)
+            if rid in admitted:
+                end = retired.get(rid, self._step)
                 tl.record(lane, adm, end + 1, "active")
-            if rid in self._retire_step:
-                reason = next(e.reason for e in self.events
-                              if e.kind == "retire" and e.request_id == rid)
-                tl.record_instant(lane, self._retire_step[rid] + 1,
-                                  f"retire ({reason})")
+            if rid in retired:
+                tl.record_instant(lane, retired[rid] + 1,
+                                  f"retire ({reason[rid]})")
         return tl

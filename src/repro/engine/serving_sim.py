@@ -324,8 +324,8 @@ def simulate_serving(
     if max_batch < 1:
         raise ValueError("max_batch must be >= 1")
     full = _resolve_detail(detail, len(trace.requests))
-    kv = _KvTracker(trace.requests, block_size=kv_block_size,
-                    num_layers=kv_num_layers, prefix_sharing=prefix_sharing)
+    kv = _KvTracker(block_size=kv_block_size, num_layers=kv_num_layers,
+                    prefix_sharing=prefix_sharing)
     server = _Replica(0, max_batch=max_batch, policy=policy, costs=costs,
                       kv=kv, full=full)
     for r in trace.requests:

@@ -156,14 +156,11 @@ def simulate_fleet(
         scaler.bind(costs=costs, initial_replicas=num_replicas)
         ttft_sink = []
 
-    def make_tracker() -> _KvTracker:
-        return _KvTracker(trace.requests, block_size=kv_block_size,
-                          num_layers=kv_num_layers,
-                          prefix_sharing=prefix_sharing)
-
+    kv_opts = dict(block_size=kv_block_size, num_layers=kv_num_layers,
+                   prefix_sharing=prefix_sharing)
     replicas = [
         _Replica(i, max_batch=max_batch, policy=policy, costs=costs,
-                 kv=make_tracker(), full=full, ttft_sink=ttft_sink)
+                 kv=_KvTracker(**kv_opts), full=full, ttft_sink=ttft_sink)
         for i in range(num_replicas)
     ]
     for i, (t, factor) in plan.slowdowns().items():
@@ -178,9 +175,6 @@ def simulate_fleet(
     fault_cursor = 0
 
     router = Router(num_replicas, policy=routing)
-    replica_of: dict[int, int] = {}
-    retried: set[int] = set()
-    tokens_discarded = 0
     autoscale_log: list[AutoscaleEvent] = []
     telemetry: list[FleetSignals] = []
     # Pending scale-out boots: cold-start completion times, FIFO.
@@ -280,10 +274,6 @@ def simulate_fleet(
                 continue
             victims = target.crash(t, on_complete)
             router.mark_failed(target_i)
-            delta = target.tokens - target.completed_tokens() \
-                - target.discarded
-            target.discarded += delta
-            tokens_discarded += delta
             for t_req, r in victims:
                 heapq.heappush(heap, (t_req, seq, r, True))
                 seq += 1
@@ -292,7 +282,7 @@ def simulate_fleet(
             t = joins.popleft()
             new_index = router.add_replica()
             rep = _Replica(new_index, max_batch=max_batch, policy=policy,
-                           costs=costs, kv=make_tracker(), full=full,
+                           costs=costs, kv=_KvTracker(**kv_opts), full=full,
                            join_time=t, ttft_sink=ttft_sink)
             replicas.append(rep)
             autoscale_log.append(AutoscaleEvent(
@@ -328,9 +318,6 @@ def simulate_fleet(
         if t_arr <= t_act:
             t, _, r, retry = heapq.heappop(heap)
             target_i = router.route(r, t, retry=retry)
-            if retry:
-                retried.add(r.request_id)
-            replica_of[r.request_id] = target_i
             replicas[target_i].deliver(r, t)
             push_action(target_i)
             continue
@@ -341,16 +328,22 @@ def simulate_fleet(
         push_action(act_i)
 
     # -- assemble the report --------------------------------------------
+    # Placement lives in the router's log; everything per request lives
+    # on the replica that served it last.
+    replica_of = router.assignments()
     finish: dict[int, float] = {}
     first: dict[int, float] = {}
     delays: dict[int, float] = {}
-    by_id = {r.request_id: r for r in trace.requests}
+    total_tokens = 0
     for rid, i in replica_of.items():
         rep = replicas[i]
         if rid in rep.finish:  # the serving replica's record is final
             finish[rid] = rep.finish[rid]
             first[rid] = rep.first[rid]
-            delays[rid] = rep.admit_start[rid] - by_id[rid].arrival
+            request = rep.by_id[rid]
+            delays[rid] = rep.admit_start[rid] - request.arrival
+            total_tokens += request.gen_tokens
+    replica_stats = tuple(_replica_stats(rep) for rep in replicas)
 
     timeline = Timeline()
     for i, rep in enumerate(replicas):
@@ -373,11 +366,11 @@ def simulate_fleet(
         finish_times=finish,
         first_token_times=first,
         queue_delays=delays,
-        replica_of=dict(replica_of),
-        retried=frozenset(retried),
-        total_tokens=sum(by_id[rid].gen_tokens for rid in finish),
-        tokens_discarded=tokens_discarded,
-        replica_stats=tuple(_replica_stats(rep) for rep in replicas),
+        replica_of=replica_of,
+        retried=frozenset(d.request_id for d in router.decisions if d.retry),
+        total_tokens=total_tokens,
+        tokens_discarded=sum(s.tokens_discarded for s in replica_stats),
+        replica_stats=replica_stats,
         routing=tuple(router.decisions),
         prefix_hits=sum(rep.kv.hits for rep in replicas),
         prefix_hit_tokens=sum(rep.kv.hit_tokens for rep in replicas),
@@ -434,12 +427,11 @@ def _replay_replica(model, trace: WorkloadTrace,
     at the recorded scheduler steps; the session's own scheduler then
     re-makes every admission/retirement decision."""
     by_id = {r.request_id: r for r in trace.requests}
+    # enqueue_steps iterates in enqueue order, so each step's list keeps
+    # the analytical enqueue order.
     enq: dict[int, list[int]] = {}
     for rid, step in sched.enqueue_steps.items():
         enq.setdefault(step, []).append(rid)
-    # Within a step, preserve the analytical enqueue order.
-    order = {e.request_id: k for k, e in enumerate(sched.events)
-             if e.kind == "enqueue"}
     steps = sorted(enq)
     session = GenerationSession(model, max_concurrency=max_batch,
                                 policy=policy, kv_block_size=kv_block_size,
@@ -451,7 +443,7 @@ def _replay_replica(model, trace: WorkloadTrace,
         if crash_step is not None and step >= crash_step:
             break  # the replica died at this boundary; discard the rest
         while qi < len(steps) and steps[qi] <= step:
-            for rid in sorted(enq[steps[qi]], key=order.__getitem__):
+            for rid in enq[steps[qi]]:
                 r = by_id[rid]
                 session.submit(prompts[rid],
                                max_new_tokens=r.gen_tokens,

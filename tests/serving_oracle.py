@@ -55,8 +55,9 @@ def simulate_serving_reference(
     sched = Scheduler(max_batch, policy=policy)
     timeline = Timeline()
     requests = trace.requests
-    kv = _KvTracker(requests, block_size=kv_block_size,
-                    num_layers=kv_num_layers, prefix_sharing=prefix_sharing)
+    by_id = {r.request_id: r for r in requests}
+    kv = _KvTracker(block_size=kv_block_size, num_layers=kv_num_layers,
+                    prefix_sharing=prefix_sharing)
     cursor = 0  # arrival cursor: O(1) per drain, no per-call trace copy
     admit_at: dict[int, float] = {}
     now = 0.0
@@ -94,7 +95,7 @@ def simulate_serving_reference(
             s = admitted[0]
             delays[s.request_id] = now - s.arrival
             start = now
-            eff = kv.admit(s.request_id)
+            eff = kv.admit(by_id[s.request_id])
             shape = (PromptShape(s.prompt_len, shared_prefix_len=eff)
                      if eff else s)
             now += costs.prompt_cost(
@@ -108,7 +109,7 @@ def simulate_serving_reference(
             total_tokens += 1
             if sched.record_token(s.request_id) is not None:
                 finish[s.request_id] = now
-                kv.retire(s.request_id)
+                kv.retire(by_id[s.request_id])
                 timeline.record(f"req-{s.request_id}", start, now, "decode")
             enqueue_arrived()
         if not sched.num_active:
@@ -124,7 +125,7 @@ def simulate_serving_reference(
         for rid in sched.active:
             if sched.record_token(rid) is not None:
                 finish[rid] = now
-                kv.retire(rid)
+                kv.retire(by_id[rid])
                 timeline.record(f"req-{rid}", admit_at[rid], now, "decode")
         sched.advance()
 

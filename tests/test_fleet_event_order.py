@@ -206,6 +206,13 @@ def test_every_action_is_the_scan_pick(case):
         return
     assert actions >= len(trace.requests)  # one admission each, at least
     assert report.num_completed == len(trace.requests)
+    # Conservation: no request finishes twice, every kept token is one
+    # the trace asked for, and the fleet's discard count is the sum of
+    # its replicas' own.
+    assert sum(report.request_counts) == len(trace.requests)
+    assert report.total_tokens == trace.total_gen_tokens
+    assert report.tokens_discarded == sum(
+        s.tokens_discarded for s in report.replica_stats)
     if kwargs["_max_run_steps"] == 1:
         assert cuts == 0
     twin = simulate_fleet(trace, costs=COSTS, **other)

@@ -224,6 +224,10 @@ class TestLifecycle:
             SchedRequest(0, prompt_len=0, max_new_tokens=1)
         with pytest.raises(ValueError):
             SchedRequest(0, prompt_len=1, max_new_tokens=0)
+        for arrival in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="arrival"):
+                SchedRequest(0, prompt_len=4, max_new_tokens=2,
+                             arrival=arrival)
 
 
 class TestBulkStepping:
