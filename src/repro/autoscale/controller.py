@@ -147,7 +147,7 @@ class Autoscaler:
                 f"budget [{cfg.min_replicas}, {cfg.max_replicas}]")
         if self.cold_start_s is None:
             warm = costs.prompt_cost(
-                BatchState(()), PromptShape(cfg.mean_prompt))
+                BatchState(0, 0), PromptShape(cfg.mean_prompt))
             self.cold_start_s = cfg.warmup_prompts * warm
 
     # -- the control epoch ---------------------------------------------------

@@ -19,6 +19,7 @@ dependency arrow points fleet → autoscale only.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -92,8 +93,8 @@ class SignalCollector:
     """
 
     def __init__(self, *, window_s: float, ema_alpha: float = 0.3) -> None:
-        if window_s <= 0:
-            raise ValueError("window_s must be > 0")
+        if not 0 < window_s < math.inf:
+            raise ValueError("window_s must be finite and > 0")
         if not 0.0 < ema_alpha <= 1.0:
             raise ValueError("ema_alpha must be in (0, 1]")
         self.window_s = window_s

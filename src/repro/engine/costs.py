@@ -9,8 +9,9 @@ sparse/MoE, ZeRO-offloaded — the paper's three pillars, Secs. IV-VI)
 plugs into the same serving/fleet/tuning stack with one adapter, passed
 to every simulator as its required ``costs=`` argument:
 
-* :class:`BatchState` — the live batch at pricing time: one KV length
-  per running sequence (prompt + tokens generated so far);
+* :class:`BatchState` — the live batch at pricing time: its size and
+  the sum of its KV lengths (each one prompt + tokens generated so
+  far), the two numbers per-step attention work depends on;
 * :class:`StepCostModel` — ``prompt_cost(state, request)`` prices
   admitting one prompt while ``state`` (the sequences already live)
   rides along in the same iteration (Sec. IV-C1's hybrid prompt+token
@@ -30,7 +31,7 @@ Every iteration is a forward pass of shape ``(batch, tokens_per_seq,
 kv)``, and the three model adapters differ only in what one pass costs.
 They share :class:`_PassPricedCost`, which prices both iteration kinds
 from a subclass's ``_price(batch, tokens_per_seq, kv)`` hook and
-memoizes on that shape — a serving replay re-prices the same few shapes
+memoizes each shape — a serving replay re-prices the same few shapes
 thousands of times. Each freshly priced pass is checked finite and
 non-negative once, so a broken latency model fails at its first bad
 shape instead of poisoning simulated time.
@@ -43,11 +44,15 @@ KV length just grows by one per iteration — so the event-compressed
 serving loop (:class:`~repro.engine.replica._Replica`) prices
 a whole stretch with one call instead of ``steps`` Python round-trips.
 The ABC ships a per-step reference fallback; the pass-priced adapters
-override it with an evaluate-once, slice-forever scheme (a per-batch
-cost-vs-KV array and a bytemask of its priced entries) whose entries
-come from the *same* memoized pass ``decode_cost`` uses, so run pricing
-is bit-for-bit identical to the per-step path. Every run is a fresh
-array the caller may overwrite.
+override it with an evaluate-once, slice-forever scheme: a per-batch
+cost-vs-KV array and a bytemask of its priced entries, which
+``decode_cost`` and a prompt's riders read too, so run pricing is
+bit-for-bit identical to the per-step path. Each contiguous unpriced
+KV span is priced by one ``_price_kvs(batch, kvs)`` call: the dense
+and MoE adapters evaluate it as one NumPy expression over the kernel
+model's compiled closed forms (equal by IEEE bits to pricing each entry
+alone), anything else one ``_price`` call per entry. Every run is a
+fresh array the caller may overwrite.
 """
 
 from __future__ import annotations
@@ -100,30 +105,40 @@ class PromptShape:
                 "shared_prefix_len must satisfy 0 <= prefix < prompt_len")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BatchState:
-    """The live batch at pricing time.
+    """The live batch at pricing time: ``batch`` running sequences whose
+    context lengths — each one's prompt plus every token generated so
+    far — sum to ``total_kv``.
 
-    ``kv_lens[i]`` is sequence ``i``'s context length — its prompt plus
-    every token generated so far. An empty state is legal (pricing a
-    prompt pass that joins an idle server has no riders).
+    Per-step attention work is linear in each sequence's KV length, so
+    the two numbers are all any pricing needs, and a replica keeps them
+    as running counts. Every sequence holds at least one token, so
+    ``0 <= batch <= total_kv``, and ``total_kv`` is 0 exactly when the
+    batch is empty (legal: a prompt pass that joins an idle server has
+    no riders). :meth:`of` builds a state from explicit lengths.
     """
 
-    kv_lens: tuple[int, ...]
+    batch: int
+    total_kv: int
 
     def __post_init__(self) -> None:
-        if any(kv < 1 for kv in self.kv_lens):
+        batch, total = self.batch, self.total_kv
+        if not (isinstance(batch, int) and isinstance(total, int)):
+            raise TypeError("batch and total_kv must be ints")
+        if not 0 <= batch <= total or (total and not batch):
+            raise ValueError(
+                f"need 0 <= batch <= total_kv, with total_kv == 0 only for "
+                f"an empty batch; got batch={batch}, total_kv={total}")
+
+    @classmethod
+    def of(cls, kv_lens) -> "BatchState":
+        """The state of sequences with these context lengths (each
+        ``>= 1``)."""
+        kv_lens = tuple(kv_lens)
+        if any(kv < 1 for kv in kv_lens):
             raise ValueError("KV lengths must be >= 1")
-
-    @property
-    def batch(self) -> int:
-        """Number of live sequences."""
-        return len(self.kv_lens)
-
-    @property
-    def total_kv(self) -> int:
-        """Sum of context lengths — the attention work of one decode."""
-        return sum(self.kv_lens)
+        return cls(len(kv_lens), sum(kv_lens))
 
     @property
     def mean_kv(self) -> int:
@@ -133,21 +148,14 @@ class BatchState:
         so a uniform batch at the mean prices the same attention work as
         the ragged batch; the ceiling keeps the pricing conservative.
         """
-        if not self.kv_lens:
+        if not self.batch:
             return 0
         return math.ceil(self.total_kv / self.batch)
-
-    @property
-    def max_kv(self) -> int:
-        """Longest context in the batch (0 for an empty state)."""
-        return max(self.kv_lens, default=0)
 
     @classmethod
     def uniform(cls, batch: int, kv_len: int) -> "BatchState":
         """A batch of ``batch`` sequences all at ``kv_len``."""
-        if batch < 0:
-            raise ValueError("batch must be >= 0")
-        return cls((kv_len,) * batch)
+        return cls(batch, batch * kv_len)
 
     def advanced(self, steps: int = 1) -> "BatchState":
         """The state after ``steps`` decode iterations with this exact
@@ -157,7 +165,7 @@ class BatchState:
             raise ValueError("steps must be >= 0")
         if steps == 0:
             return self
-        return BatchState(tuple(kv + steps for kv in self.kv_lens))
+        return BatchState(self.batch, self.total_kv + self.batch * steps)
 
 
 class StepCostModel(ABC):
@@ -257,8 +265,10 @@ class _PassPricedCost(StepCostModel):
     decoding is ``(batch, 1, kv)`` at the batch's ceiling-mean KV length
     (exact for the linear-in-KV attention term). Model families differ
     only in what one pass costs, so a subclass implements :meth:`_price`
-    and this class does the rest: the two iteration kinds, one memo
-    keyed on the pass shape, and the vectorized decode runs.
+    and this class does the rest: the two iteration kinds, a memo of
+    prompt passes, and per-batch cost-vs-KV arrays of decode passes.
+    A subclass may also override :meth:`_price_kvs` to price a span of
+    decode passes at once.
     """
 
     def __init__(self) -> None:
@@ -271,40 +281,33 @@ class _PassPricedCost(StepCostModel):
     def _price(self, batch: int, tokens_per_seq: int, kv: int) -> float:
         """Seconds for one forward pass of this shape (unmemoized)."""
 
+    def _price_kvs(self, batch: int, kvs: np.ndarray) -> np.ndarray:
+        """Seconds of the decode passes ``(batch, 1, kv)`` for each ``kv``
+        in ``kvs``, as a float64 array (unmemoized); one :meth:`_price`
+        call per entry unless a subclass vectorizes."""
+        return np.array([self._price(batch, 1, kv) for kv in kvs.tolist()],
+                        np.float64)
+
+    def _bad(self, batch: int, tokens_per_seq: int, kv: int,
+             got: float) -> ValueError:
+        return ValueError(
+            f"{type(self).__name__} priced a pass of shape (batch={batch}, "
+            f"tokens_per_seq={tokens_per_seq}, kv={kv}) at {got!r} s; "
+            f"costs must be finite and >= 0")
+
     def _pass(self, batch: int, tokens_per_seq: int, kv: int) -> float:
         key = (batch, tokens_per_seq, kv)
         got = self._memo.get(key)
         if got is None:
             got = self._price(batch, tokens_per_seq, kv)
             if not 0.0 <= got < math.inf:
-                raise ValueError(
-                    f"{type(self).__name__} priced a pass of shape (batch="
-                    f"{batch}, tokens_per_seq={tokens_per_seq}, kv={kv}) at "
-                    f"{got!r} s; costs must be finite and >= 0")
+                raise self._bad(batch, tokens_per_seq, kv, got)
             self._memo[key] = got
         return got
 
-    def prompt_cost(self, state: BatchState, request: _HasPromptLen) -> float:
-        plen = request.prompt_len
-        # A prefix-hit prompt prefills only its unshared suffix, attending
-        # over the full context (the cached prefix is KV, not new tokens).
-        spl = getattr(request, "shared_prefix_len", 0)
-        cost = self._pass(1, plen - spl, plen)
-        if state.batch:  # the live batch rides along in the same iteration
-            cost += self._pass(state.batch, 1, max(1, state.mean_kv))
-        return cost
-
-    def decode_cost(self, state: BatchState) -> float:
-        return self._pass(max(1, state.batch), 1, max(1, state.mean_kv))
-
-    def _decode_run_cost(self, state: BatchState, steps: int) -> np.ndarray:
-        # Every sequence gains one token per iteration, so the ceiling-mean
-        # KV grows exactly +1 per step: the run is a contiguous slice of
-        # this batch size's cost-vs-KV array, each entry priced once by the
-        # same ``_pass`` that ``decode_cost`` uses.
-        batch = state.batch
-        kv0 = max(1, state.mean_kv)
-        need = kv0 + steps
+    def _decode_passes(self, batch: int, kv0: int, need: int) -> np.ndarray:
+        """This batch size's cost-vs-KV array, priced over ``[kv0,
+        need)``."""
         entry = self._kv_runs.get(batch)
         if entry is None or entry[0].size < need:
             old, priced = entry or (np.empty(0), bytearray())
@@ -314,13 +317,46 @@ class _PassPricedCost(StepCostModel):
             entry = self._kv_runs[batch] = (arr, priced)
         arr, priced = entry
         # Stretches of one batch size overlap, continue and jump back, so
-        # the unpriced entries are found by a C scan over the bytemask.
-        kv = priced.find(0, kv0, need)
-        while kv != -1:
-            arr[kv] = self._pass(batch, 1, kv)
-            priced[kv] = 1
-            kv = priced.find(0, kv + 1, need)
-        return arr[kv0:need].copy()
+        # each unpriced span is found by a C scan over the bytemask and
+        # priced, then checked, in one call.
+        lo = priced.find(0, kv0, need)
+        while lo != -1:
+            hi = priced.find(1, lo, need)
+            if hi == -1:
+                hi = need
+            got = self._price_kvs(batch, np.arange(lo, hi))
+            ok = (got >= 0.0) & (got < math.inf)
+            if not ok.all():
+                i = int(ok.argmin())
+                raise self._bad(batch, 1, lo + i, got.item(i))
+            arr[lo:hi] = got
+            priced[lo:hi] = b"\x01" * (hi - lo)
+            lo = priced.find(0, hi, need)
+        return arr
+
+    def prompt_cost(self, state: BatchState, request: _HasPromptLen) -> float:
+        plen = request.prompt_len
+        # A prefix-hit prompt prefills only its unshared suffix, attending
+        # over the full context (the cached prefix is KV, not new tokens).
+        spl = getattr(request, "shared_prefix_len", 0)
+        cost = self._pass(1, plen - spl, plen)
+        if state.batch:  # the live batch rides along in the same iteration
+            kv = state.mean_kv
+            cost += self._decode_passes(state.batch, kv, kv + 1).item(kv)
+        return cost
+
+    def decode_cost(self, state: BatchState) -> float:
+        kv = max(1, state.mean_kv)
+        return self._decode_passes(max(1, state.batch), kv, kv + 1).item(kv)
+
+    def _decode_run_cost(self, state: BatchState, steps: int) -> np.ndarray:
+        # Every sequence gains one token per iteration, so the ceiling-mean
+        # KV grows exactly +1 per step: the run is a contiguous slice of
+        # this batch size's cost-vs-KV array, which ``decode_cost`` reads
+        # too.
+        kv0 = max(1, state.mean_kv)
+        return self._decode_passes(state.batch, kv0, kv0 + steps)[
+            kv0:kv0 + steps].copy()
 
 
 class DenseStepCost(_PassPricedCost):
@@ -335,6 +371,14 @@ class DenseStepCost(_PassPricedCost):
     def _price(self, batch: int, tokens_per_seq: int, kv: int) -> float:
         k, c = self.latency_model.step_time(batch, tokens_per_seq, kv)
         return k + c
+
+    def _price_kvs(self, batch: int, kvs: np.ndarray) -> np.ndarray:
+        # Vectorized only when the model offers it: a duck-typed latency
+        # model with just ``step_time`` is priced one entry at a time.
+        times = getattr(self.latency_model, "decode_pass_times", None)
+        if times is None:
+            return super()._price_kvs(batch, kvs)
+        return times(batch, kvs)
 
 
 class MoEStepCost(_PassPricedCost):
@@ -365,10 +409,10 @@ class MoEStepCost(_PassPricedCost):
         self.skew = skew
         self._skew_memo: dict[int, tuple[float, float]] = {}
 
-    def _price(self, batch: int, tokens_per_seq: int, kv: int) -> float:
-        tokens = batch * tokens_per_seq
+    def _skew_terms(self, tokens: int) -> tuple[float, float]:
+        """``(load_ratio, stall_time)`` of a step carrying ``tokens``."""
         if self.skew is None:
-            return self.moe_model.token_step(tokens, kv).total
+            return 1.0, 0.0
         terms = self._skew_memo.get(tokens)
         if terms is None:
             # The hooks see only the token count, which every KV length of
@@ -376,9 +420,18 @@ class MoEStepCost(_PassPricedCost):
             # a quarter of skewed pricing time.
             terms = self._skew_memo[tokens] = (
                 self.skew.load_ratio(tokens), self.skew.stall_time(tokens))
-        ratio, stall = terms
+        return terms
+
+    def _price(self, batch: int, tokens_per_seq: int, kv: int) -> float:
+        tokens = batch * tokens_per_seq
+        ratio, stall = self._skew_terms(tokens)
         return self.moe_model.token_step(
             tokens, kv, load_ratio=ratio, stall_time=stall).total
+
+    def _price_kvs(self, batch: int, kvs: np.ndarray) -> np.ndarray:
+        ratio, stall = self._skew_terms(batch)
+        return self.moe_model.token_step_times(
+            batch, kvs, load_ratio=ratio, stall_time=stall)
 
 
 class ZeroStepCost(_PassPricedCost):

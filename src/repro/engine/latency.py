@@ -19,6 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..comm.hierarchical import CommGroup, hierarchical_allreduce_time
 from ..comm.primitives import allreduce_time, p2p_time
 from ..hardware.specs import DType
@@ -195,6 +197,16 @@ class DenseLatencyModel:
         k1 = self.kernel_model.layer_cost(shape).total_time
         c1, head = self._token_terms(shape.tokens)
         return k1 * self.config.layers + head, c1 * self.config.layers
+
+    def decode_pass_times(self, batch: int, kv_lens) -> np.ndarray:
+        """Seconds of one decode pass ``(batch, 1, kv)`` at each KV length
+        in ``kv_lens``: ``sum(step_time(batch, 1, kv))`` bit for bit, in
+        that method's order, from one vectorized kernel evaluation."""
+        k1 = self.kernel_model.layer_times(
+            self._layer_shape(batch, 1, 1), kv_lens)
+        c1, head = self._token_terms(batch)
+        layers = self.config.layers
+        return (k1 * layers + head) + c1 * layers
 
     def stage_time(self, batch: int, tokens_per_seq: int, kv_len: int) -> float:
         """Seconds one pipeline stage spends on one micro-batch."""

@@ -28,6 +28,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..comm.hierarchical import CommGroup, hierarchical_allreduce_time
 from ..comm.pcc import pcc_alltoall
 from ..comm.primitives import naive_alltoall_time
@@ -249,32 +251,54 @@ class MoELatencyModel:
         by it, because dispatch waits for the most-loaded rank.
         ``stall_time`` is the expected per-MoE-layer prefetch-miss stall.
         """
+        terms = self._step_terms(batch, load_ratio, stall_time)
+        n_moe = self.config.num_moe_layers
+        dense = (
+            (self.config.layers - n_moe)
+            * self.dense_layer_time(batch, kv_len, with_ffn=True)
+            + n_moe * self.dense_layer_time(batch, kv_len, with_ffn=False)
+        )
+        return MoEStepBreakdown(dense, *terms)
+
+    def token_step_times(
+        self,
+        batch: int,
+        kv_lens,
+        *,
+        load_ratio: float = 1.0,
+        stall_time: float = 0.0,
+    ) -> np.ndarray:
+        """``token_step(batch, kv, load_ratio=, stall_time=).total`` at
+        each KV length in ``kv_lens``, bit for bit: the dense layers come
+        from one vectorized kernel evaluation per layer kind, and the
+        terms add in :attr:`MoEStepBreakdown.total`'s order."""
+        gating, experts, a2a, ar, stall = self._step_terms(
+            batch, load_ratio, stall_time)
+        n_moe = self.config.num_moe_layers
+        shape = self._shape(batch, 1)
+        times = self.kernel_model.layer_times
+        dense = ((self.config.layers - n_moe) * times(shape, kv_lens)
+                 + n_moe * times(shape, kv_lens, ffn=False))
+        return dense + gating + experts + a2a + ar + stall
+
+    def _step_terms(
+        self, batch: int, load_ratio: float, stall_time: float
+    ) -> tuple[float, float, float, float, float]:
+        """A step's KV-independent totals: gating, expert FFN,
+        all-to-all, all-reduce and stall seconds over all layers."""
         if batch < 1:
             raise ValueError("batch must be >= 1")
         if not 1.0 <= load_ratio < math.inf:
             raise ValueError("load_ratio must be finite and >= 1.0")
         if not 0.0 <= stall_time < math.inf:
             raise ValueError("stall_time must be finite and >= 0")
-        layers = self.config.layers
         n_moe = self.config.num_moe_layers
-        n_dense_ffn = layers - n_moe
         e = self.config.moe.num_experts
         ce = expert_capacity(batch, e, self.config.moe.capacity_factor)
-
-        dense = (
-            n_dense_ffn * self.dense_layer_time(batch, kv_len, with_ffn=True)
-            + n_moe * self.dense_layer_time(batch, kv_len, with_ffn=False)
-        )
         gating, experts, a2a, ar = self._token_terms(
             batch, math.ceil(ce * load_ratio), math.ceil(batch * load_ratio))
-        return MoEStepBreakdown(
-            dense_time=dense,
-            gating_time=n_moe * gating,
-            expert_time=n_moe * experts,
-            alltoall_time=n_moe * a2a,
-            allreduce_time=layers * ar,
-            stall_time=n_moe * stall_time,
-        )
+        return (n_moe * gating, n_moe * experts, n_moe * a2a,
+                self.config.layers * ar, n_moe * stall_time)
 
     def _token_terms(
         self, batch: int, expert_tokens: int, a2a_tokens: int

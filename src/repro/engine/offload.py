@@ -16,6 +16,7 @@ Two concerns are modeled:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from ..hardware.specs import DType
@@ -195,7 +196,8 @@ def simulate_offload(
     """
     if scheme not in ("naive", "odd_even"):
         raise ValueError(f"unknown scheme {scheme!r}")
-    if num_layers < 1 or bytes_per_layer < 0 or layer_compute_time <= 0:
+    if (num_layers < 1 or not 0 <= bytes_per_layer < math.inf
+            or not 0 < layer_compute_time < math.inf):
         raise ValueError("invalid workload parameters")
 
     pcie = cluster.node.pcie

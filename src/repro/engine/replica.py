@@ -10,9 +10,10 @@ atomic actions, pricing the shared
 ledger (:class:`_KvTracker`) and a priced
 :class:`~repro.simcore.trace.Timeline`. The ledger's ``live`` dict
 (request id -> KV length) is the replica's one record of its running
-batch: every pass is priced on it as is, and each stretch walks it
-once. The requests themselves live in the replica's ``by_id``, which
-hands each one to the ledger at admission and retirement.
+batch: every pass is priced from its size and running KV total, and
+each stretch walks it once. The requests themselves live in the
+replica's ``by_id``, which hands each one to the ledger at admission
+and retirement.
 
 Both simulators drive it:
 :func:`~repro.engine.serving_sim.simulate_serving` runs one replica to
@@ -79,6 +80,8 @@ class _KvTracker:
     :attr:`live` maps each running request to its KV length (cached
     positions plus the token being generated), in admission order; a
     request of KV length ``n`` caches ``n - 1`` positions.
+    :attr:`total_kv` is the running sum of those lengths, so the live
+    batch's :class:`BatchState` costs O(1).
 
     Stretch discipline: callers grow every live request (retirees
     included — they participate in all of a stretch's steps) *before*
@@ -102,6 +105,7 @@ class _KvTracker:
         # session -> (parked cache positions, blocks it occupies)
         self._parked: dict[int, tuple[int, int]] = {}
         self.live: dict[int, int] = {}  # rid -> KV length, admission order
+        self.total_kv = 0  # sum(live.values())
         self._used = 0
         self.peak_blocks = 0
         self.allocated = 0
@@ -134,7 +138,12 @@ class _KvTracker:
         if self._used > self.peak_blocks:
             self.peak_blocks = self._used
         self.live[r.request_id] = r.prompt_len + 1
+        self.total_kv += r.prompt_len + 1
         return eff
+
+    def state(self) -> BatchState:
+        """The live batch, priced as is."""
+        return BatchState(len(self.live), self.total_kv)
 
     def grow_all(self, steps: int) -> None:
         """Every live request appends ``steps`` positions (one per
@@ -148,6 +157,7 @@ class _KvTracker:
         for rid, n in live.items():
             grown += (n + steps - 2) // bs - (n - 2) // bs
             live[rid] = n + steps
+        self.total_kv += steps * len(live)
         delta = self.num_layers * grown
         self._used += delta
         self.allocated += delta
@@ -156,7 +166,9 @@ class _KvTracker:
 
     def retire(self, r: Request) -> None:
         """Release (or park) a finished request's cache."""
-        pos = self.live.pop(r.request_id) - 1
+        n = self.live.pop(r.request_id)
+        self.total_kv -= n
+        pos = n - 1
         blocks = self._blocks(pos)
         if self.prefix_sharing and r.session is not None:
             prev = self._parked.get(r.session)
@@ -172,6 +184,7 @@ class _KvTracker:
         for n in self.live.values():
             self._used -= self._blocks(n - 1)
         self.live.clear()
+        self.total_kv = 0
         for _, blocks in self._parked.values():
             self._used -= blocks
         self._parked.clear()
@@ -320,7 +333,7 @@ class _Replica:
             self._mid_round = True
             start = self.now
             # The riders: the live batch before the newcomer joins it.
-            riders = BatchState(tuple(kv.live.values()))
+            riders = kv.state()
             eff = kv.admit(request)
             # A prefix hit prices the unshared suffix only; ``eff == 0``
             # passes the scheduler's request through untouched.
@@ -371,8 +384,7 @@ class _Replica:
         horizon = sched.decode_horizon()
         if max_steps is not None and horizon > max_steps:
             horizon = max_steps
-        run = self.costs.decode_run_cost(
-            BatchState(tuple(kv.live.values())), horizon)
+        run = self.costs.decode_run_cost(kv.state(), horizon)
         if start >= slow_from:  # unslowed replicas skip the multiply
             run *= self.slow_factor
         # ``np.add.accumulate`` is a sequential left fold, so with the

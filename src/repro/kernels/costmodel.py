@@ -28,11 +28,22 @@ over the op chain bit for bit. Each compile checks that at a fifth shape
 and raises on any difference, so a future non-affine op fails loudly
 instead of mispricing. ``chain_cost`` stays the generic path for
 arbitrary chains (expert FFNs, analysis, baselines) and the test oracle.
+
+Float span path. :meth:`KernelCostModel.layer_times` prices one shape at
+a whole span of KV lengths with no per-region objects: the closed forms,
+cached per token count as ``(regions, 1)`` float64 columns, broadcast
+over the span, and the regions fold in ``LayerCost.total_time``'s
+order. The same exactness below 2**53 makes each entry equal
+``layer_cost(...).total_time`` bit for bit. The serving stack prices its
+decode-run misses this way; ``layer_cost`` and :class:`RegionTime`
+stay for breakdowns (Figs. 10/11) and prompt passes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from ..hardware.specs import DType, GPUSpec
 from .fusion import FusedRegion, partition
@@ -162,15 +173,22 @@ class _CompiledLayer:
         # tokens -> per-region (HBM bytes/s, math ops/s): the efficiencies
         # depend on the token count only, which a decode run holds fixed.
         self._rate_cache: dict[int, tuple[tuple[float, float], ...]] = {}
+        # tokens -> the closed forms as (regions, 1) float64 columns, see
+        # :meth:`times`.
+        self._column_cache: dict[int, tuple[np.ndarray, ...]] = {}
 
-    def cost(self, shape: LayerShape) -> LayerCost:
-        t = shape.tokens
+    def _rates(self, t: int) -> tuple[tuple[float, float], ...]:
         rates = self._rate_cache.get(t)
         if rates is None:
             rates = self._rate_cache[t] = tuple(
                 self.model._rates(f.has_weight_gemm, f.has_attention,
                                   f.sbi_out_features, t)
                 for f in self.forms)
+        return rates
+
+    def cost(self, shape: LayerShape) -> LayerCost:
+        t = shape.tokens
+        rates = self._rates(t)
         bk = shape.batch * shape.kv_len
         tk = t * shape.kv_len
         launch, dispatch = self.launch, self.dispatch
@@ -184,6 +202,42 @@ class _CompiledLayer:
                 f.name, hbm / mem_rate, flops / math_rate if flops else 0.0,
                 launch, hbm, flops, dispatch))
         return LayerCost(tuple(regions))
+
+    def times(self, shape: LayerShape, kvs: np.ndarray) -> np.ndarray:
+        """``cost(replace(shape, kv_len=kv)).total_time`` for each ``kv``
+        in ``kvs``, as one float64 array, bit for bit.
+
+        The regions form the rows of one ``(regions, len(kvs))`` grid,
+        evaluated in :meth:`cost`'s operation order. Every count below
+        2**53 is exact in float64 as in Python ints, so each entry is the
+        scalar path's float. The rows fold with a sequential
+        ``np.add.accumulate``, ``LayerCost.total_time``'s left-to-right
+        sum."""
+        t = shape.tokens
+        cols = self._column_cache.get(t)
+        if cols is None:
+            forms = self.forms
+            cols = self._column_cache[t] = tuple(
+                np.array(c, np.float64).reshape(-1, 1) for c in (
+                    [f.weight_bytes for f in forms],
+                    [f.act[0] + f.act[1] * t for f in forms],
+                    [f.act[2] for f in forms],
+                    [f.act[3] for f in forms],
+                    [f.flops[0] + f.flops[1] * t for f in forms],
+                    [f.flops[2] for f in forms],
+                    [f.flops[3] for f in forms],
+                    *zip(*self._rates(t))))
+        weight, a01, a2, a3, f01, f2, f3, mem_rate, math_rate = cols
+        # int64 rows: never the target of an in-place float op.
+        bk = shape.batch * kvs
+        tk = t * kvs
+        hbm = weight + ((a01 + a2 * bk) + a3 * tk)
+        flops = (f01 + f2 * bk) + f3 * tk
+        # ``flops / rate`` is 0.0 where ``flops`` is, the scalar's branch.
+        region = np.maximum(hbm / mem_rate, flops / math_rate)
+        np.maximum(region, self.launch, out=region)
+        region += self.dispatch
+        return np.add.accumulate(region, axis=0)[-1]
 
 
 class KernelCostModel:
@@ -218,12 +272,24 @@ class KernelCostModel:
         ``transformer_layer_ops(shape, ffn=ffn)``, priced from the
         layer's compiled closed forms.
         """
-        key = (shape.hidden, shape.heads, shape.dtype, shape.tp_degree,
-               shape.ffn_mult, self._small_batch(shape.tokens), ffn)
-        layer = self._layer_cache.get(key)
-        if layer is None:
-            layer = self._layer_cache[key] = self._compile(*key)
-        return layer.cost(shape)
+        return self._layer(shape, ffn).cost(shape)
+
+    def layer_times(self, shape: LayerShape, kv_lens, *,
+                    ffn: bool = True) -> np.ndarray:
+        """Layer times of ``shape`` at each KV length in ``kv_lens``.
+
+        Element ``i`` equals ``layer_cost(replace(shape,
+        kv_len=kv_lens[i]), ffn=ffn).total_time`` bit for bit
+        (``shape.kv_len`` itself is ignored), evaluated as one NumPy
+        expression over the compiled closed forms with no per-region
+        objects: the serving path's float-only pricing of a decode run.
+        """
+        kvs = np.asarray(kv_lens)
+        if kvs.ndim != 1 or kvs.size and kvs.dtype.kind not in "iu":
+            raise TypeError("kv_lens must be a 1-D sequence of ints")
+        if kvs.size and kvs.min() < shape.tokens_per_seq:
+            raise ValueError("kv_len must include the tokens being processed")
+        return self._layer(shape, ffn).times(shape, kvs)
 
     def chain_cost(self, ops, *, tokens: int) -> LayerCost:
         """Cost of an arbitrary op chain (used for MoE blocks too)."""
@@ -258,6 +324,14 @@ class KernelCostModel:
 
     def _small_batch(self, tokens: int) -> bool:
         return tokens <= self.profile.small_batch_tokens
+
+    def _layer(self, shape: LayerShape, ffn: bool) -> _CompiledLayer:
+        key = (shape.hidden, shape.heads, shape.dtype, shape.tp_degree,
+               shape.ffn_mult, self._small_batch(shape.tokens), ffn)
+        layer = self._layer_cache.get(key)
+        if layer is None:
+            layer = self._layer_cache[key] = self._compile(*key)
+        return layer
 
     def _compile(self, hidden: int, heads: int, dtype: DType, tp_degree: int,
                  ffn_mult: int, small: bool, ffn: bool) -> _CompiledLayer:

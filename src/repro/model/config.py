@@ -12,6 +12,7 @@ total, and tests assert our architectural estimate is consistent with it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from ..hardware.specs import DType
@@ -48,8 +49,8 @@ class MoESpec:
             raise ValueError("num_experts, every and top_k must be >= 1")
         if self.top_k > self.num_experts:
             raise ValueError("top_k cannot exceed num_experts")
-        if self.capacity_factor <= 0:
-            raise ValueError("capacity_factor must be positive")
+        if not 0 < self.capacity_factor < math.inf:
+            raise ValueError("capacity_factor must be finite and positive")
 
 
 @dataclass(frozen=True)

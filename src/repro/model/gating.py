@@ -16,6 +16,7 @@ dispatch), and tested for exact agreement.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,8 +38,8 @@ def expert_capacity(num_tokens: int, num_experts: int, capacity_factor: float) -
     """Slots per expert: ``ceil(factor * S / E)``, at least 1."""
     if num_tokens < 1 or num_experts < 1:
         raise ValueError("num_tokens and num_experts must be >= 1")
-    if capacity_factor <= 0:
-        raise ValueError("capacity_factor must be positive")
+    if not 0 < capacity_factor < math.inf:
+        raise ValueError("capacity_factor must be finite and positive")
     return max(1, int(np.ceil(capacity_factor * num_tokens / num_experts)))
 
 

@@ -19,6 +19,7 @@ this package.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -154,8 +155,8 @@ class SkewedDispatchSpec:
             raise ValueError("top_k must be >= 1")
         if not 0.0 <= self.prefetch_hit_rate <= 1.0:
             raise ValueError("prefetch_hit_rate must be in [0, 1]")
-        if self.expert_fetch_time < 0:
-            raise ValueError("expert_fetch_time must be >= 0")
+        if not 0.0 <= self.expert_fetch_time < math.inf:
+            raise ValueError("expert_fetch_time must be finite and >= 0")
         for ex in self.streamed:
             if not 0 <= ex < self.placement.num_experts:
                 raise ValueError(f"streamed expert {ex} out of range")

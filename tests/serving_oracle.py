@@ -31,10 +31,10 @@ def batch_state_of(
     recorded so far; ``exclude`` drops one request id (used to price a
     prompt pass against the *riders*, not the newcomer itself).
     """
-    return BatchState(tuple(
+    return BatchState.of(
         prompt_lens[rid] + sched.generated(rid)
         for rid in sched.active if rid != exclude
-    ))
+    )
 
 
 def simulate_serving_reference(

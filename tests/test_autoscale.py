@@ -52,6 +52,11 @@ def _cfg(**kw):
 
 
 class TestSignalCollector:
+    @pytest.mark.parametrize("window", [math.nan, math.inf, 0.0])
+    def test_rejects_bad_window(self, window):
+        with pytest.raises(ValueError, match="window_s must be finite"):
+            SignalCollector(window_s=window)
+
     def test_rolling_window_prunes_old_samples(self):
         col = SignalCollector(window_s=2.0)
         col.observe(1.0, [_snap(0)], max_batch=4,

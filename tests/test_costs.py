@@ -56,28 +56,39 @@ def zero_cost():
 
 class TestBatchState:
     def test_empty_state_is_legal(self):
-        s = BatchState(())
+        s = BatchState(0, 0)
         assert s.batch == 0
         assert s.total_kv == 0
         assert s.mean_kv == 0
-        assert s.max_kv == 0
 
     def test_accounting(self):
-        s = BatchState((100, 101, 205))
+        s = BatchState.of((100, 101, 205))
         assert s.batch == 3
         assert s.total_kv == 406
         assert s.mean_kv == math.ceil(406 / 3)
-        assert s.max_kv == 205
 
     def test_uniform(self):
-        assert BatchState.uniform(4, 128) == BatchState((128,) * 4)
-        assert BatchState.uniform(0, 128) == BatchState(())
+        assert BatchState.uniform(4, 128) == BatchState.of((128,) * 4)
+        assert BatchState.uniform(0, 128) == BatchState(0, 0)
         with pytest.raises(ValueError):
             BatchState.uniform(-1, 128)
 
     def test_rejects_nonpositive_kv(self):
         with pytest.raises(ValueError):
-            BatchState((4, 0))
+            BatchState.of((4, 0))
+
+    @pytest.mark.parametrize("batch, total_kv", [
+        (-1, 0), (3, 2), (0, 5), (1, -1)])
+    def test_rejects_inconsistent_counts(self, batch, total_kv):
+        # Every live sequence holds at least one token, and only an empty
+        # batch holds none.
+        with pytest.raises(ValueError, match="0 <= batch <= total_kv"):
+            BatchState(batch, total_kv)
+
+    @pytest.mark.parametrize("batch, total_kv", [(2.0, 4), (2, 4.0)])
+    def test_rejects_non_int_counts(self, batch, total_kv):
+        with pytest.raises(TypeError, match="must be ints"):
+            BatchState(batch, total_kv)
 
     def test_prompt_shape_validates(self):
         with pytest.raises(ValueError):
@@ -94,19 +105,19 @@ class TestClosureStepCost:
         # prompt_time's batch counts the admitted request too.
         got = ClosureStepCost(lambda b, p: float(b * 1000 + p),
                               lambda b: float(b))
-        assert got.prompt_cost(BatchState(()), PromptShape(9)) == 1009.0
+        assert got.prompt_cost(BatchState(0, 0), PromptShape(9)) == 1009.0
         assert got.prompt_cost(BatchState.uniform(3, 50), PromptShape(9)) == 4009.0
 
 
 def _adapter_cases(cost, prompt_len=64):
     """(name, value) cost samples every adapter must price sensibly."""
     return [
-        ("prompt-idle", cost.prompt_cost(BatchState(()),
+        ("prompt-idle", cost.prompt_cost(BatchState(0, 0),
                                          PromptShape(prompt_len))),
         ("prompt-riders", cost.prompt_cost(BatchState.uniform(4, 96),
                                            PromptShape(prompt_len))),
         ("decode-1", cost.decode_cost(BatchState.uniform(1, 32))),
-        ("decode-ragged", cost.decode_cost(BatchState((17, 128, 301)))),
+        ("decode-ragged", cost.decode_cost(BatchState.of((17, 128, 301)))),
     ]
 
 
@@ -140,7 +151,7 @@ class TestAdapterContract:
         assert all(b >= a for a, b in zip(costs, costs[1:]))
 
     def test_prompt_riders_cost_extra(self, cost):
-        idle = cost.prompt_cost(BatchState(()), PromptShape(128))
+        idle = cost.prompt_cost(BatchState(0, 0), PromptShape(128))
         loaded = cost.prompt_cost(BatchState.uniform(8, 128), PromptShape(128))
         assert loaded > idle
 
@@ -166,6 +177,34 @@ class _KvLatency:
         return 1e-3 * batch * tokens_per_seq + 1e-6 * kv_len, 0.0
 
 
+class _VectorKvLatency(_KvLatency):
+    """A latency model with the vector decode-pass method, returning NaN
+    from KV ``bad_from`` on; records every span it is asked for."""
+
+    def __init__(self, bad_from):
+        self.bad_from = bad_from
+        self.spans = []
+
+    def decode_pass_times(self, batch, kv_lens):
+        kvs = kv_lens.tolist()
+        self.spans.append((batch, kvs))
+        return np.array([math.nan if kv >= self.bad_from
+                         else sum(self.step_time(batch, 1, kv))
+                         for kv in kvs])
+
+
+class _StepTimeOnly:
+    """Exposes only a real latency model's ``step_time``, counting calls."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = 0
+
+    def step_time(self, batch, tokens_per_seq, kv_len):
+        self.calls += 1
+        return self.inner.step_time(batch, tokens_per_seq, kv_len)
+
+
 class TestPassPriceGuard:
     """Each freshly priced pass must be finite and >= 0. A bad price is
     never memoized, so asking again fails again."""
@@ -181,11 +220,41 @@ class TestPassPriceGuard:
         with pytest.raises(ValueError):
             cost.decode_run_cost(BatchState.uniform(2, 8), 3)
         with pytest.raises(ValueError):
-            cost.prompt_cost(BatchState(()), PromptShape(8))
+            cost.prompt_cost(BatchState(0, 0), PromptShape(8))
 
     def test_zero_cost_is_legal(self):
         cost = DenseStepCost(_ConstLatency(0.0))
         assert cost.decode_cost(BatchState.uniform(4, 16)) == 0.0
+
+    def test_vector_span_names_first_bad_kv_and_memoizes_nothing(self):
+        """A whole unpriced span is priced in one vector call and checked
+        at once: the first bad entry is named, and no entry of the span
+        is kept, so asking again prices (and fails) again."""
+        model = _VectorKvLatency(bad_from=20)
+        cost = DenseStepCost(model)
+        for _ in range(2):
+            with pytest.raises(ValueError, match=(
+                    r"DenseStepCost priced a pass of shape \(batch=1, "
+                    r"tokens_per_seq=1, kv=20\) at nan s")):
+                cost.decode_run_cost(BatchState.uniform(1, 16), 8)
+        assert model.spans == [(1, list(range(16, 24)))] * 2
+        # The good entries before the bad one were not kept either.
+        assert cost.decode_cost(BatchState.uniform(1, 16)) == 1e-3 + 16e-6
+        assert model.spans[-1] == (1, [16])
+
+    def test_duck_typed_model_prices_per_entry_bit_identically(self,
+                                                               dense_cost):
+        """A latency model with only ``step_time`` goes through the
+        per-entry hook and prices exactly what the vector path does."""
+        duck = DenseStepCost(_StepTimeOnly(dense_cost.latency_model))
+        vector = DenseStepCost(dense_cost.latency_model)
+        for state, steps in [(BatchState.uniform(3, 50), 40),
+                             (BatchState.of((17, 128, 301)), 25),
+                             (BatchState.uniform(8, 1), 5)]:
+            want = vector.decode_run_cost(state, steps).tolist()
+            got = duck.decode_run_cost(state, steps).tolist()
+            assert [v.hex() for v in got] == [v.hex() for v in want]
+        assert duck.latency_model.calls == 40 + 25 + 5
 
 
 class TestDenseStepCost:
@@ -222,7 +291,7 @@ class TestDecodeRunCost:
     @pytest.mark.parametrize("state", [
         BatchState.uniform(1, 32),
         BatchState.uniform(4, 128),
-        BatchState((17, 128, 301)),  # ragged KV
+        BatchState.of((17, 128, 301)),  # ragged KV
     ])
     def test_bitwise_equals_scalar_loop(self, cost, state):
         run = cost.decode_run_cost(state, self.STEPS)
@@ -323,12 +392,12 @@ class TestDecodeRunCost:
         with pytest.raises(ValueError):
             dense_cost.decode_run_cost(state, -1)
         with pytest.raises(ValueError):
-            dense_cost.decode_run_cost(BatchState(()), 3)
+            dense_cost.decode_run_cost(BatchState(0, 0), 3)
 
     def test_advanced(self):
-        s = BatchState((5, 9))
+        s = BatchState.of((5, 9))
         assert s.advanced(0) is s
-        assert s.advanced(3) == BatchState((8, 12))
+        assert s.advanced(3) == BatchState.of((8, 12))
         with pytest.raises(ValueError):
             s.advanced(-1)
 

@@ -1,6 +1,7 @@
 """Tests for the MoE latency model (Sec. V mechanisms)."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.engine import MoEInferenceEngine, MoELatencyModel
 from repro.hardware import dgx_a100_cluster
@@ -99,3 +100,39 @@ class TestFacade:
     def test_dense_model_rejected(self):
         with pytest.raises(ValueError):
             MoEInferenceEngine("gpt-13b")
+
+
+class TestVectorTokenStep:
+    """``token_step_times`` is the decode-run path: one kernel evaluation
+    per layer kind for a whole span of KV lengths. It must equal
+    ``token_step(...).total`` at each length by IEEE bits."""
+
+    MODELS = {(name, opt): mk(name, optimized=opt)
+              for name in ("1.3b-moe-128", "24b-moe-128")
+              for opt in (True, False)}
+
+    @settings(max_examples=80, deadline=None)
+    @given(key=st.sampled_from(sorted(MODELS)),
+           batch=st.integers(1, 64),
+           kvs=st.lists(st.integers(1, 4096), min_size=1, max_size=16),
+           load_ratio=st.one_of(st.just(1.0), st.floats(1.0, 4.0)),
+           stall=st.one_of(st.just(0.0), st.floats(0.0, 1e-3)))
+    def test_matches_token_step_total(self, key, batch, kvs, load_ratio,
+                                      stall):
+        model = self.MODELS[key]
+        got = model.token_step_times(batch, kvs, load_ratio=load_ratio,
+                                     stall_time=stall)
+        want = [model.token_step(batch, kv, load_ratio=load_ratio,
+                                 stall_time=stall).total for kv in kvs]
+        assert [v.hex() for v in got.tolist()] == [v.hex() for v in want]
+
+    @pytest.mark.parametrize("kw", [{"load_ratio": float("nan")},
+                                    {"load_ratio": 0.5},
+                                    {"stall_time": float("nan")},
+                                    {"stall_time": -1.0}])
+    def test_shares_token_step_validation(self, kw):
+        model = self.MODELS[("1.3b-moe-128", True)]
+        with pytest.raises(ValueError, match="must be finite"):
+            model.token_step_times(4, [100], **kw)
+        with pytest.raises(ValueError, match="must be finite"):
+            model.token_step(4, 100, **kw)

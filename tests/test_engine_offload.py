@@ -75,3 +75,14 @@ class TestPCIeScheduling:
         with pytest.raises(ValueError):
             simulate_offload(CLUSTER, num_layers=0, bytes_per_layer=1.0,
                              layer_compute_time=1.0)
+
+    @pytest.mark.parametrize("kw", [
+        {"bytes_per_layer": float("nan")},
+        {"bytes_per_layer": float("inf")},
+        {"layer_compute_time": float("nan")},
+        {"layer_compute_time": float("inf")},
+    ])
+    def test_rejects_non_finite_workload(self, kw):
+        args = {"bytes_per_layer": 1.0, "layer_compute_time": 1.0, **kw}
+        with pytest.raises(ValueError, match="invalid workload parameters"):
+            simulate_offload(CLUSTER, num_layers=2, **args)

@@ -121,7 +121,15 @@ def checked_fleet_run(trace, **kwargs):
         mp.setattr(_Replica, "deliver", checked_deliver)
         mp.setattr(_Replica, "crash", flagged_crash)
         mp.setattr(ClosureStepCost, "decode_run_cost", copying_run_cost)
-        report = simulate_fleet(trace, costs=COSTS, **kwargs)
+        try:
+            report = simulate_fleet(trace, costs=COSTS, **kwargs)
+        finally:
+            # Conservation: each ledger's running KV total is the sum of
+            # its live lengths, whether the run finished or failed.
+            for rep in replicas:
+                assert rep.kv.total_kv == sum(rep.kv.live.values()), (
+                    f"replica {rep.index}: total_kv {rep.kv.total_kv} != "
+                    f"{sum(rep.kv.live.values())}")
     assert [rep.index for rep in replicas] == list(range(len(replicas)))
     return report, actions[0], cuts[0]
 

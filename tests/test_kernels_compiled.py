@@ -6,6 +6,7 @@ oracle, and the two must agree bit for bit on every region field."""
 import dataclasses
 import struct
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -86,6 +87,39 @@ def test_compiled_layer_matches_op_chain_bit_for_bit(case):
         assert _region_fields(got) == _region_fields(_oracle(model, s, ffn))
 
 
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_layer_cases(),
+       offsets=st.lists(st.integers(0, 4096), min_size=1, max_size=24))
+def test_layer_times_match_layer_cost_bit_for_bit(case, offsets):
+    """The float span path equals ``LayerCost.total_time`` at each KV
+    length by IEEE bits, whatever the order the lengths come in."""
+    gpu, profile, shape, ffn, _ = case
+    model = KernelCostModel(gpu, profile)
+    kvs = [shape.tokens_per_seq + o for o in offsets]
+    got = model.layer_times(shape, kvs, ffn=ffn)
+    assert got.dtype == np.float64 and got.shape == (len(kvs),)
+    assert _hex(got) == _hex(
+        model.layer_cost(dataclasses.replace(shape, kv_len=kv),
+                         ffn=ffn).total_time for kv in kvs)
+
+
+def test_layer_times_validates_kv_lens():
+    model = KernelCostModel(A100_40GB, DEEPSPEED_FP16)
+    shape = LayerShape(hidden=1024, heads=16, batch=2, tokens_per_seq=4,
+                       kv_len=4)
+    assert model.layer_times(shape, []).shape == (0,)
+    with pytest.raises(ValueError, match="kv_len must include"):
+        model.layer_times(shape, [8, 3])
+    with pytest.raises(TypeError, match="1-D sequence of ints"):
+        model.layer_times(shape, [8.0])
+    with pytest.raises(TypeError, match="1-D sequence of ints"):
+        model.layer_times(shape, [[8]])
+
+
 def _with_quadratic_op(shape, *, ffn=True):
     """The real chain plus an op whose flops grow with kv_len squared."""
     ops = transformer_layer_ops(shape, ffn=ffn)
@@ -162,3 +196,18 @@ def test_dense_step_time_composes_memoized_token_terms():
         assert c1 > 0
         assert model.step_time(batch, tps, kv) == (
             k1 * layers + model.lm_head_time(batch, tps), c1 * layers)
+
+
+@settings(max_examples=60, deadline=None)
+@given(model_name=st.sampled_from(["gpt-13b", "gpt-neox-20b"]),
+       profile=st.sampled_from(sorted(PROFILE_REGISTRY)),
+       batch=st.integers(1, 64),
+       kvs=st.lists(st.integers(1, 8192), min_size=1, max_size=16))
+def test_dense_decode_pass_times_match_step_time(model_name, profile, batch,
+                                                 kvs):
+    """The vector decode pass equals ``sum(step_time(b, 1, kv))`` by IEEE
+    bits: ``(k1·L + head) + c1·L`` in the scalar's order."""
+    model = DenseLatencyModel(DENSE_ZOO[model_name], dgx_a100_cluster(1),
+                              tp=4, profile=PROFILE_REGISTRY[profile])
+    assert _hex(model.decode_pass_times(batch, kvs)) == _hex(
+        sum(model.step_time(batch, 1, kv)) for kv in kvs)

@@ -142,6 +142,11 @@ class TestValidationAndLookup:
         with pytest.raises(ValueError):
             MoESpec(num_experts=4, capacity_factor=0)
 
+    @pytest.mark.parametrize("factor", [float("nan"), float("inf")])
+    def test_moe_spec_rejects_non_finite_capacity_factor(self, factor):
+        with pytest.raises(ValueError, match="capacity_factor must be finite"):
+            MoESpec(num_experts=4, capacity_factor=factor)
+
     def test_moe_layer_count(self):
         cfg = MOE_ZOO["1.3b-moe-128"]
         assert cfg.num_moe_layers == 12  # every other of 24

@@ -319,6 +319,19 @@ class TestSkewedDispatchSpec:
             SkewedDispatchSpec(probs=np.full(4, 0.25), placement=placement,
                                streamed=(9,))
 
+    @pytest.mark.parametrize("fetch", [float("nan"), float("inf"), -1e-3])
+    def test_rejects_bad_expert_fetch_time(self, fetch):
+        with pytest.raises(ValueError,
+                           match="expert_fetch_time must be finite"):
+            SkewedDispatchSpec(probs=np.full(4, 0.25),
+                               placement=uniform_placement(4, 2),
+                               expert_fetch_time=fetch)
+
+    @pytest.mark.parametrize("factor", [float("nan"), float("inf"), 0.0])
+    def test_expert_capacity_rejects_bad_factor(self, factor):
+        with pytest.raises(ValueError, match="capacity_factor must be finite"):
+            expert_capacity(16, 4, factor)
+
 
 # -- pricing compat oracle ---------------------------------------------------
 

@@ -312,7 +312,7 @@ class TestPrefixAwarePricing:
     def test_prompt_cost_discounts_cached_prefix(self, adapter):
         make, suffix_pass = _SUFFIX_PASS[adapter]
         cost = make()
-        state = BatchState(())
+        state = BatchState(0, 0)
         full = cost.prompt_cost(state, PromptShape(512))
         hit = cost.prompt_cost(state, PromptShape(512, shared_prefix_len=384))
         assert hit < full

@@ -266,7 +266,7 @@ class TestModelIntegration:
         model = DenseLatencyModel(DENSE_ZOO["gpt-13b"], dgx_a100_cluster(1),
                                   tp=4)
         costs = DenseStepCost(model)
-        idle = costs.prompt_cost(BatchState(()), PromptShape(128))
+        idle = costs.prompt_cost(BatchState(0, 0), PromptShape(128))
         busy = costs.prompt_cost(BatchState.uniform(7, 136), PromptShape(128))
         assert busy > idle
         # The increment is exactly one decode iteration for the 7 riders,
