@@ -125,24 +125,63 @@ class PowerOfTwoChoices(RoutingPolicy):
 
     Seeded, so a fleet run is reproducible; with a single live replica
     it degenerates to that replica.
+
+    The pair is exactly ``rng.choice(n, 2, replace=False)`` over the
+    ``n`` live replicas, replayed (:meth:`_two_of`) on the bit
+    generator's own C ``next_uint32``: for any ``BitGenerator`` it
+    picks the same pair and leaves the same generator state, so a
+    shared generator sees the same stream. Unlike ``choice`` it does
+    not take the generator's lock: do not draw from that generator on
+    another thread while this policy routes.
     """
 
     name = "power_of_two"
 
     def __init__(self, seed: SeedLike = 0) -> None:
         self._rng = as_generator(seed)
+        bitgen = self._rng.bit_generator.ctypes
+        self._next_uint32 = bitgen.next_uint32
+        self._state = bitgen.state
+
+    def __reduce__(self):
+        # The ctypes handles point into this generator: rebuild them.
+        return type(self), (self._rng,)
+
+    def _bounded(self, hi: int) -> int:
+        """NumPy's ``random_bounded_uint64(bitgen, 0, hi, 0, 0)`` for
+        ``0 < hi < 2**32 - 1``: Lemire's multiply-shift with rejection."""
+        excl = hi + 1
+        m = self._next_uint32(self._state) * excl
+        if (m & 0xFFFFFFFF) < excl:
+            threshold = (0xFFFFFFFF - hi) % excl
+            while (m & 0xFFFFFFFF) < threshold:
+                m = self._next_uint32(self._state) * excl
+        return m >> 32
+
+    def _two_of(self, n: int) -> tuple[int, int]:
+        """``choice(n, 2, replace=False)``: Floyd's algorithm, then a
+        two-element shuffle (a 0 on ``[0, 1]`` swaps the pair)."""
+        a = self._bounded(n - 2) if n > 2 else 0  # [0, 0] draws nothing
+        b = self._bounded(n - 1)
+        if b == a:
+            b = n - 1
+        if self._bounded(1) == 0:
+            a, b = b, a
+        return a, b
 
     def choose(self, request: Request, view: FleetView) -> int:
-        alive = list(view.alive_replicas())
+        alive = view.alive_replicas()
         if not alive:
             raise RuntimeError("no live replica to route to")
         if len(alive) == 1:
             return alive[0]
-        a, b = self._rng.choice(len(alive), size=2, replace=False)
-        a, b = alive[int(a)], alive[int(b)]
-        return min((a, b),
-                   key=lambda i: (view.outstanding(i) / _weight_of(view, i),
-                                  i))
+        a, b = self._two_of(len(alive))
+        a, b = alive[a], alive[b]
+        # As min((a, b), key=...): b only on a strictly smaller key.
+        if (view.outstanding(b) / _weight_of(view, b), b) \
+                < (view.outstanding(a) / _weight_of(view, a), a):
+            return b
+        return a
 
 
 class SessionAffinity(RoutingPolicy):

@@ -55,8 +55,8 @@ class Router:
         self._draining = [False] * num_replicas
         self._weights = [1.0] * num_replicas
         self._outstanding = [0.0] * num_replicas
-        # alive_replicas(), rebuilt only after a pool change (None).
-        self._routable: list[int] | None = None
+        # alive_replicas(), rebuilt on every pool change.
+        self._routable = list(range(num_replicas))
         self.decisions: list[RoutingDecision] = []
 
     # -- FleetView (what policies may observe) ---------------------------
@@ -78,9 +78,6 @@ class Router:
     def alive_replicas(self) -> list[int]:
         """Indices of routable replicas, ascending (a draining replica
         is alive but no longer a placement candidate)."""
-        if self._routable is None:
-            self._routable = [i for i in range(len(self._alive))
-                              if self.is_routable(i)]
         return list(self._routable)
 
     def outstanding(self, replica: int) -> float:
@@ -96,7 +93,7 @@ class Router:
     def route(self, request: Request, time: float, *,
               retry: bool = False) -> int:
         """Place one request; returns the chosen replica index."""
-        if not self.alive_replicas():
+        if not self._routable:
             raise RuntimeError(
                 "every replica has failed; the fleet cannot serve "
                 f"request {request.request_id}"
@@ -123,7 +120,7 @@ class Router:
         (the sim re-routes the victims, which re-adds their work)."""
         self._alive[replica] = False
         self._outstanding[replica] = 0.0
-        self._routable = None
+        self._pool_changed()
 
     # -- autoscale mutations ----------------------------------------------
 
@@ -133,7 +130,7 @@ class Router:
         self._draining.append(False)
         self._weights.append(1.0)
         self._outstanding.append(0.0)
-        self._routable = None
+        self._pool_changed()
         return len(self._alive) - 1
 
     def mark_draining(self, replica: int) -> None:
@@ -141,7 +138,7 @@ class Router:
         keeps running to completion (the graceful half of scale-in and
         drain-and-replace)."""
         self._draining[replica] = True
-        self._routable = None
+        self._pool_changed()
 
     def mark_recovered(self, replica: int) -> None:
         """Return a crashed replica to rotation with a clean load
@@ -150,7 +147,7 @@ class Router:
         self._alive[replica] = True
         self._weights[replica] = 1.0
         self._outstanding[replica] = 0.0
-        self._routable = None
+        self._pool_changed()
 
     def set_weight(self, replica: int, weight: float) -> None:
         """Bias load-aware policies for/against ``replica`` (e.g. 0.5
@@ -158,6 +155,10 @@ class Router:
         if not (math.isfinite(weight) and weight > 0):
             raise ValueError("weight must be finite and > 0")
         self._weights[replica] = weight
+
+    def _pool_changed(self) -> None:
+        self._routable = [i for i in range(len(self._alive))
+                          if self.is_routable(i)]
 
     # -- reporting -------------------------------------------------------
 

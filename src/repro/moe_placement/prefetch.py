@@ -78,8 +78,9 @@ def simulate_expert_stream(
         raise ValueError("stream must be (steps, num_experts) with >= 1 step")
     if prefetch_slots < 0:
         raise ValueError("prefetch_slots must be >= 0")
-    if fetch_time_per_expert < 0 or compute_time_per_step < 0:
-        raise ValueError("times must be >= 0")
+    if not (0 <= fetch_time_per_expert < math.inf
+            and 0 <= compute_time_per_step < math.inf):
+        raise ValueError("times must be finite and >= 0")
     num_experts = counts.shape[1]
     streamed_ids = np.asarray(sorted(set(int(e) for e in streamed)),
                               dtype=np.int64)

@@ -13,6 +13,8 @@ bit-for-bit.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..rng import SeedLike, as_generator
@@ -37,8 +39,8 @@ def zipf_expert_probs(
     """
     if num_experts < 1:
         raise ValueError("num_experts must be >= 1")
-    if skew < 0:
-        raise ValueError("skew must be >= 0 (0 = uniform)")
+    if not 0 <= skew < math.inf:
+        raise ValueError("skew must be finite and >= 0 (0 = uniform)")
     rng = as_generator(seed)
     weights = np.arange(1, num_experts + 1, dtype=np.float64) ** -skew
     probs = weights / weights.sum()

@@ -11,6 +11,7 @@ broken schedule).
 
 from __future__ import annotations
 
+import math
 from bisect import insort
 from dataclasses import dataclass
 
@@ -157,8 +158,8 @@ class Timeline:
         (default: seconds -> us). Load the JSON list under a
         ``{"traceEvents": [...]}`` wrapper.
         """
-        if time_unit <= 0:
-            raise ValueError("time_unit must be positive")
+        if not 0 < time_unit < math.inf:
+            raise ValueError("time_unit must be finite and positive")
         events = []
         lane_order = sorted(set(self._lanes) | set(self._instants))
         for pid, lane in enumerate(lane_order):

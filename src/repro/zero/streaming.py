@@ -11,6 +11,7 @@ emerge rather than being asserted.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from ..simcore import (
@@ -69,7 +70,8 @@ def simulate_layer_stream(
         raise ValueError("num_layers must be >= 1")
     if prefetch_depth < 0:
         raise ValueError("prefetch_depth must be >= 0")
-    if fetch_time_per_layer < 0 or compute_time_per_layer <= 0:
+    if not (0 <= fetch_time_per_layer < math.inf
+            and 0 < compute_time_per_layer < math.inf):
         raise ValueError("invalid per-layer times")
 
     sim = Simulator()

@@ -85,3 +85,13 @@ class TestChromeTrace:
 
         with pytest.raises(ValueError):
             Timeline().to_chrome_trace(time_unit=0)
+
+    @pytest.mark.parametrize("unit", [float("nan"), float("inf")])
+    def test_non_finite_unit(self, unit):
+        """A NaN unit used to emit NaN ts/dur values."""
+        from repro.simcore import Timeline
+
+        tl = Timeline()
+        tl.record("gpu0", 0.0, 1e-3, "fwd")
+        with pytest.raises(ValueError, match="time_unit must be finite"):
+            tl.to_chrome_trace(time_unit=unit)

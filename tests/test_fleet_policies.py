@@ -1,5 +1,9 @@
 """Tests for routing policies, the router, and fault plans."""
 
+import copy
+import pickle
+
+import numpy as np
 import pytest
 
 from repro.engine import Request
@@ -11,6 +15,7 @@ from repro.fleet import (
     ReplicaFault,
     RoundRobin,
     Router,
+    RoutingPolicy,
     SessionAffinity,
     resolve_routing_policy,
 )
@@ -131,6 +136,124 @@ class TestPolicies:
         assert resolve_routing_policy(inst) is inst
         with pytest.raises(ValueError, match="unknown routing policy"):
             resolve_routing_policy("nope")
+
+
+_BIT_GENERATORS = [np.random.PCG64, np.random.PCG64DXSM, np.random.MT19937,
+                   np.random.Philox, np.random.SFC64]
+
+
+def _same_state(a, b):
+    """Deep equality of two ``bit_generator.state`` values (MT19937's
+    holds an array, which a plain ``==`` cannot compare)."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same_state(a[k], b[k])
+                                            for k in a)
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and np.array_equal(a, b)
+    return type(a) is type(b) and a == b
+
+
+class _ChoicePowerOfTwo(RoutingPolicy):
+    """Reference power-of-two: the candidates from ``Generator.choice``."""
+
+    name = "power_of_two_reference"
+
+    def __init__(self, rng):
+        self._rng = rng
+
+    def choose(self, request, view):
+        alive = list(view.alive_replicas())
+        if len(alive) == 1:
+            return alive[0]
+        a, b = self._rng.choice(len(alive), size=2, replace=False)
+        a, b = alive[int(a)], alive[int(b)]
+        return min((a, b),
+                   key=lambda i: (view.outstanding(i) / view.weight(i), i))
+
+
+class TestPowerOfTwoReplay:
+    """The replayed draw is NumPy's ``choice(n, 2, replace=False)`` bit
+    for bit; a NumPy upgrade that changes ``choice`` must fail here."""
+
+    # 3 * 2**30 rejects about a quarter of its 32-bit words.
+    @pytest.mark.parametrize("n", [2, 3, 7, 32, 64, 1000, 10_001, 3 * 2**30])
+    @pytest.mark.parametrize("bitgen", _BIT_GENERATORS,
+                             ids=lambda c: c.__name__)
+    def test_draw_matches_choice(self, bitgen, n):
+        for seed in (0, 1, 2**40 + 7):
+            ref = np.random.Generator(bitgen(seed))
+            rng = np.random.Generator(bitgen(seed))
+            policy = PowerOfTwoChoices(rng)
+            for k in range(150):
+                assert policy._two_of(n) == tuple(
+                    ref.choice(n, 2, replace=False).tolist())
+                # Other draws on the shared generator, between routes:
+                # 32-bit (buffered), 64-bit and double paths.
+                if k % 5 == 0:
+                    assert rng.integers(0, 1000) == ref.integers(0, 1000)
+                if k % 7 == 0:
+                    assert rng.integers(0, 2**40) == ref.integers(0, 2**40)
+                if k % 11 == 0:
+                    assert rng.random() == ref.random()
+            assert _same_state(rng.bit_generator.state,
+                               ref.bit_generator.state)
+
+    @pytest.mark.parametrize("bitgen", _BIT_GENERATORS,
+                             ids=lambda c: c.__name__)
+    def test_router_matches_choice_reference(self, bitgen):
+        """Decisions and the final generator state equal the ``choice``
+        reference while the routable set and weights keep changing."""
+        rng = np.random.Generator(bitgen(5))
+        ref_rng = np.random.Generator(bitgen(5))
+        routers = [Router(6, PowerOfTwoChoices(rng)),
+                   Router(6, _ChoicePowerOfTwo(ref_rng))]
+        script = np.random.default_rng(11)
+        placed = []
+        pool_sizes = set()
+        for step in range(800):
+            op = int(script.integers(0, 12))
+            num = routers[0].num_replicas
+            replica = int(script.integers(0, num))
+            routable = routers[0].alive_replicas()
+            if op < 6:
+                req = _req(step, prompt=int(script.integers(1, 64)),
+                           gen=int(script.integers(1, 64)))
+                target, ref_target = (router.route(req, float(step))
+                                      for router in routers)
+                assert target == ref_target
+                placed.append((req, target))
+            elif op == 6 and placed:
+                req, target = placed.pop(int(script.integers(0, len(placed))))
+                for router in routers:
+                    router.complete(req, target)
+            elif op == 7 and len(routable) > 1:
+                for router in routers:
+                    router.mark_failed(replica)
+            elif op == 8 and len(routable) > 3:  # drains are permanent
+                for router in routers:
+                    router.mark_draining(replica)
+            elif op == 9 and not routers[0].is_alive(replica):
+                for router in routers:
+                    router.mark_recovered(replica)
+            elif op == 10 and num < 12:
+                for router in routers:
+                    router.add_replica()
+            elif op == 11:
+                weight = float(script.choice([0.25, 0.5, 1.0, 2.0]))
+                for router in routers:
+                    router.set_weight(replica, weight)
+            pool_sizes.add(len(routable))
+        assert routers[0].decisions == routers[1].decisions
+        assert _same_state(rng.bit_generator.state, ref_rng.bit_generator.state)
+        assert pool_sizes >= {1, 2, 3, 4, 5, 6}  # one replica draws nothing
+
+    def test_copies_draw_from_their_own_generator(self):
+        policy = PowerOfTwoChoices(seed=9)
+        twins = [copy.deepcopy(policy), pickle.loads(pickle.dumps(policy))]
+        expected = [policy._two_of(32) for _ in range(50)]
+        for twin in twins:
+            assert twin._rng is not policy._rng
+            assert [twin._two_of(32) for _ in range(50)] == expected
 
 
 class TestFaultPlan:

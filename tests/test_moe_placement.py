@@ -87,6 +87,12 @@ class TestZipfSkew:
         with pytest.raises(ValueError):
             synthesize_gate_stream(0, 8, np.full(4, 0.25))
 
+    @pytest.mark.parametrize("skew", [float("nan"), float("inf")])
+    def test_rejects_non_finite_skew(self, skew):
+        """A NaN skew used to return all-NaN probabilities."""
+        with pytest.raises(ValueError, match="skew must be finite"):
+            zipf_expert_probs(8, skew)
+
 
 # -- predictor ---------------------------------------------------------------
 
@@ -263,6 +269,14 @@ class TestPrefetch:
         assert report.prefetch_hits == 0
         assert report.prefetch_misses == 0
         assert report.hit_rate == 1.0
+
+    @pytest.mark.parametrize("field", ["fetch_time_per_expert",
+                                       "compute_time_per_step"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_rejects_non_finite_times(self, field, bad):
+        stream = synthesize_gate_stream(4, 32, np.full(8, 0.125), seed=1)
+        with pytest.raises(ValueError, match="times must be finite"):
+            simulate_expert_stream(stream, (0, 1), **{field: bad})
 
     def test_calibrated_dispatch_measures_hit_rate(self):
         probs = zipf_expert_probs(32, 1.4, seed=4)

@@ -120,6 +120,17 @@ class TestStreamingPipeline:
             simulate_layer_stream(num_layers=1, fetch_time_per_layer=1,
                                   compute_time_per_layer=1, prefetch_depth=-1)
 
+    @pytest.mark.parametrize("fetch, compute", [
+        (float("nan"), 1.0), (float("inf"), 1.0),
+        (1.0, float("nan")), (1.0, float("inf")),
+    ])
+    def test_rejects_non_finite_times(self, fetch, compute):
+        """A NaN fetch time used to report makespan 3.0 next to a NaN
+        fetch_time."""
+        with pytest.raises(ValueError, match="invalid per-layer times"):
+            simulate_layer_stream(num_layers=3, fetch_time_per_layer=fetch,
+                                  compute_time_per_layer=compute)
+
 
 @given(
     layers=st.integers(min_value=1, max_value=40),
