@@ -12,9 +12,10 @@ nothing about tensors or wall-clock pricing: backends enqueue requests
 as they arrive, call :meth:`admit` to fill free slots under a pluggable
 policy, report every generated token through :meth:`record_token` (which
 owns EOS/length retirement), and call :meth:`advance` once per decode
-iteration. Every decision lands in ``events``, the one lifecycle
-record: ``enqueue_steps``, ``admission_order``, ``retirement_order``
-and :meth:`to_timeline` (a :class:`~repro.simcore.trace.Timeline` for
+iteration. Every decision lands in the lifecycle log, the one
+lifecycle record (typed columns; ``events`` renders them):
+``enqueue_steps``, ``admission_order``, ``retirement_order`` and
+:meth:`to_timeline` (a :class:`~repro.simcore.trace.Timeline` for
 ``to_chrome_trace`` export) each read it in one pass.
 
 Both :class:`~repro.engine.generation.GenerationSession` (real tensors)
@@ -26,6 +27,8 @@ and retirement decisions by construction.
 from __future__ import annotations
 
 import math
+import operator
+from array import array
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -59,6 +62,16 @@ class SchedRequest:
     tenant: str | None = None
 
     def __post_init__(self) -> None:
+        # The lifecycle log stores ids in an int64 column.
+        try:
+            rid = operator.index(self.request_id)
+        except TypeError:
+            raise TypeError(
+                f"request_id must be an integer, got "
+                f"{self.request_id!r}") from None
+        if not -2**63 <= rid < 2**63:
+            raise ValueError(
+                f"request_id must fit in int64, got {self.request_id!r}")
         if self.prompt_len < 1:
             raise ValueError("prompt_len must be >= 1")
         if self.max_new_tokens < 1:
@@ -77,6 +90,12 @@ class SchedulerEvent:
     kind: str
     request_id: int
     reason: str = ""
+
+
+# Event codes of the lifecycle log, and the (kind, reason) each renders.
+_ENQUEUE, _ADMIT, _RETIRE_LENGTH, _RETIRE_EOS = range(4)
+_KIND_REASON = (("enqueue", ""), ("admit", ""), ("retire", "length"),
+                ("retire", "eos"))
 
 
 def _fcfs(queue: Sequence[SchedRequest]) -> SchedRequest:
@@ -225,6 +244,11 @@ class Scheduler:
     ``eos_token`` makes :meth:`record_token` retire a request the moment
     it emits that token (reason ``"eos"``); length retirement at
     ``max_new_tokens`` always applies.
+
+    The lifecycle log is three parallel columns — ``array("q")`` steps,
+    a ``bytearray`` of event codes and ``array("q")`` request ids, 17
+    bytes per event. :attr:`events` is a rendered copy, not the log:
+    appending to it changes nothing.
     """
 
     def __init__(
@@ -261,8 +285,10 @@ class Scheduler:
         # Cached decode_horizon() of a non-empty active set; None = stale.
         self._horizon: int | None = None
         self._step = 0
-        # The lifecycle record: every view below is read off this log.
-        self.events: list[SchedulerEvent] = []
+        # The lifecycle log: every view below is read off it.
+        self._log_steps = array("q")
+        self._log_codes = bytearray()
+        self._log_rids = array("q")
         self._known: set[int] = set()  # O(1) duplicate-enqueue check
 
     # -- state views ---------------------------------------------------------
@@ -334,23 +360,39 @@ class Scheduler:
         into a fresh scheduler-backed backend at these steps, in this
         order, reproduces this scheduler's queue evolution exactly (see
         the fleet layer's functional mode)."""
-        return {e.request_id: e.step for e in self.events
-                if e.kind == "enqueue"}
+        return {rid: step for step, code, rid in zip(
+            self._log_steps, self._log_codes, self._log_rids)
+            if code == _ENQUEUE}
 
     @property
     def admission_order(self) -> list[int]:
         """Request ids in the order they were admitted (a copy)."""
-        return [e.request_id for e in self.events if e.kind == "admit"]
+        return [rid for code, rid in zip(self._log_codes, self._log_rids)
+                if code == _ADMIT]
 
     @property
     def retirement_order(self) -> list[int]:
         """Request ids in the order they retired (a copy)."""
-        return [e.request_id for e in self.events if e.kind == "retire"]
+        return [rid for code, rid in zip(self._log_codes, self._log_rids)
+                if code >= _RETIRE_LENGTH]
+
+    @property
+    def events(self) -> list[SchedulerEvent]:
+        """The lifecycle log rendered as events, in log order (a fresh
+        list on every read)."""
+        events = []
+        for step, code, rid in zip(
+                self._log_steps, self._log_codes, self._log_rids):
+            kind, reason = _KIND_REASON[code]
+            events.append(SchedulerEvent(step, kind, rid, reason))
+        return events
 
     # -- lifecycle -----------------------------------------------------------
 
-    def _log(self, kind: str, request_id: int, reason: str = "") -> None:
-        self.events.append(SchedulerEvent(self._step, kind, request_id, reason))
+    def _log(self, code: int, request_id: int) -> None:
+        self._log_steps.append(self._step)
+        self._log_codes.append(code)
+        self._log_rids.append(request_id)
 
     def enqueue(self, req: SchedRequest) -> None:
         """Add a request to the waiting queue."""
@@ -358,7 +400,7 @@ class Scheduler:
             raise ValueError(f"request {req.request_id} already scheduled")
         self._known.add(req.request_id)
         self._queue.append(req)
-        self._log("enqueue", req.request_id)
+        self._log(_ENQUEUE, req.request_id)
 
     def admit(
         self,
@@ -396,7 +438,7 @@ class Scheduler:
                 self._horizon = cand.max_new_tokens
             self._active[cand.request_id] = cand
             self._generated[cand.request_id] = 0
-            self._log("admit", cand.request_id)
+            self._log(_ADMIT, cand.request_id)
             admitted.append(cand)
         return admitted
 
@@ -421,7 +463,8 @@ class Scheduler:
         if reason is not None:
             del self._active[request_id]
             self._horizon = None  # the minimum may have left
-            self._log("retire", request_id, reason)
+            self._log(_RETIRE_EOS if reason == "eos" else _RETIRE_LENGTH,
+                      request_id)
         elif self._horizon is not None \
                 and req.max_new_tokens - generated < self._horizon:
             self._horizon = req.max_new_tokens - generated
@@ -480,7 +523,7 @@ class Scheduler:
             generated[rid] += steps
             if left <= 0:
                 del self._active[rid]
-                self._log("retire", rid, "length")
+                self._log(_RETIRE_LENGTH, rid)
                 retired.append(rid)
             elif horizon is None or left < horizon:
                 horizon = left
@@ -498,14 +541,16 @@ class Scheduler:
         export with ``to_chrome_trace(time_unit=...)``.
         """
         # One pass over the log: rid -> step of each lifecycle event.
-        at: dict[str, dict[int, int]] = {
-            "enqueue": {}, "admit": {}, "retire": {}}
+        enqueued: dict[int, int] = {}
+        admitted: dict[int, int] = {}
+        retired: dict[int, int] = {}
         reason: dict[int, str] = {}
-        for e in self.events:
-            at[e.kind][e.request_id] = e.step
-            if e.kind == "retire":
-                reason[e.request_id] = e.reason
-        enqueued, admitted, retired = at["enqueue"], at["admit"], at["retire"]
+        at = (enqueued, admitted, retired, retired)  # by event code
+        for step, code, rid in zip(
+                self._log_steps, self._log_codes, self._log_rids):
+            at[code][rid] = step
+            if code >= _RETIRE_LENGTH:
+                reason[rid] = _KIND_REASON[code][1]
         tl = Timeline()
         for rid in sorted(enqueued):
             lane = f"request-{rid}"

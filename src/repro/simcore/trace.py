@@ -12,10 +12,14 @@ broken schedule).
 from __future__ import annotations
 
 import math
-from bisect import insort
+from array import array
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
+from itertools import islice
 
 __all__ = ["Span", "Timeline"]
+
+_NO_SPANS = ((), (), ())  # the columns of a lane never recorded
 
 
 @dataclass(frozen=True, order=True)
@@ -27,8 +31,11 @@ class Span:
     label: str = ""
 
     def __post_init__(self) -> None:
-        if self.end < self.start:
-            raise ValueError("span ends before it starts")
+        # Written as a range test so that NaN fails it too.
+        if not self.start <= self.end:
+            raise ValueError(
+                f"span must have start <= end, got [{self.start!r}, "
+                f"{self.end!r})")
 
     @property
     def duration(self) -> float:
@@ -37,25 +44,44 @@ class Span:
 
 
 class Timeline:
-    """Spans grouped by lane, kept sorted by start time."""
+    """Spans grouped by lane, kept sorted by ``(start, end, label)``.
+
+    Each lane is a ``(starts, ends, labels)`` triple of columns —
+    ``array("d")``, ``array("d")`` and ``list[str]``, about 24 bytes a
+    span — so times read back as floats. :meth:`spans` renders
+    :class:`Span` views on demand; the analysis helpers and exports
+    read the columns directly.
+    """
 
     def __init__(self) -> None:
-        self._lanes: dict[str, list[Span]] = {}
+        self._lanes: dict[str, tuple[array, array, list[str]]] = {}
         self._instants: dict[str, list[tuple[float, str]]] = {}
 
-    def record(self, lane: str, start: float, end: float, label: str = "") -> Span:
-        """Add a span to ``lane`` and return it."""
-        span = Span(start, end, label)
-        spans = self._lanes.setdefault(lane, [])
-        # Simulators append in time order; skip insort's O(log n)
-        # dataclass comparisons (equivalent to insort at the end). A
-        # later start decides the order without building Span's tuples.
-        if (not spans or start > spans[-1].start
-                or not (start < spans[-1].start or span < spans[-1])):
-            spans.append(span)
+    def record(self, lane: str, start: float, end: float, label: str = "") -> None:
+        """Add the span ``[start, end)`` to ``lane``."""
+        if not start <= end:  # a range test, so NaN fails it too
+            raise ValueError(
+                f"span must have start <= end, got [{start!r}, {end!r})")
+        cols = self._lanes.get(lane)
+        if cols is None:
+            cols = self._lanes[lane] = (array("d"), array("d"), [])
+        starts, ends, labels = cols
+        # Simulators append in time order; anything else is inserted
+        # where ``insort`` would put the (start, end, label) tuple.
+        if starts and (start < starts[-1] or start == starts[-1] and (
+                end < ends[-1] or end == ends[-1] and label < labels[-1])):
+            i = bisect_left(starts, start)
+            hi = bisect_right(starts, start, i)
+            while i < hi and (ends[i] < end
+                              or ends[i] == end and labels[i] <= label):
+                i += 1
+            starts.insert(i, start)
+            ends.insert(i, end)
+            labels.insert(i, label)
         else:
-            insort(spans, span)
-        return span
+            starts.append(start)
+            ends.append(end)
+            labels.append(label)
 
     def record_instant(self, lane: str, t: float, label: str = "") -> None:
         """Mark a point event on ``lane`` (a scheduler decision, an
@@ -80,15 +106,15 @@ class Timeline:
         per replica under ``replica{i}/`` prefixes into a single
         chrome-trace export. Returns ``self`` for chaining.
         """
-        for lane, spans in other._lanes.items():
+        for lane, cols in other._lanes.items():
             name = prefix + lane
             if name not in self._lanes:
-                # Spans are frozen and the source lane is sorted: share
-                # them instead of re-recording one by one.
-                self._lanes[name] = list(spans)
+                # The source lane is sorted: copy its columns whole.
+                self._lanes[name] = (array("d", cols[0]), array("d", cols[1]),
+                                     list(cols[2]))
                 continue
-            for s in spans:
-                self.record(name, s.start, s.end, s.label)
+            for start, end, label in zip(*cols):
+                self.record(name, start, end, label)
         for lane, instants in other._instants.items():
             for t, label in instants:
                 self.record_instant(prefix + lane, t, label)
@@ -99,29 +125,28 @@ class Timeline:
         return sorted(self._lanes)
 
     def spans(self, lane: str) -> list[Span]:
-        """Spans of one lane, ordered by start."""
-        return list(self._lanes.get(lane, []))
+        """Spans of one lane, ordered by start (fresh views)."""
+        return list(map(Span, *self._lanes.get(lane, _NO_SPANS)))
 
     def makespan(self) -> float:
         """End of the last span across all lanes (0.0 when empty)."""
-        ends = [s.end for spans in self._lanes.values() for s in spans]
-        return max(ends, default=0.0)
+        return max((max(ends) for _, ends, _ in self._lanes.values()),
+                   default=0.0)
 
     def busy_time(self, lane: str) -> float:
         """Total busy time of a lane, merging any overlapping spans."""
-        spans = self._lanes.get(lane, [])
+        starts, ends, _ = self._lanes.get(lane, _NO_SPANS)
+        if not starts:
+            return 0.0
         total = 0.0
-        cur_start = cur_end = None
-        for s in spans:
-            if cur_end is None or s.start > cur_end:
-                if cur_end is not None:
-                    total += cur_end - cur_start
-                cur_start, cur_end = s.start, s.end
-            else:
-                cur_end = max(cur_end, s.end)
-        if cur_end is not None:
-            total += cur_end - cur_start
-        return total
+        cur_start, cur_end = starts[0], ends[0]
+        for start, end in zip(starts, ends):
+            if start > cur_end:
+                total += cur_end - cur_start
+                cur_start, cur_end = start, end
+            elif end > cur_end:
+                cur_end = end
+        return total + (cur_end - cur_start)
 
     def utilization(self, lane: str, horizon: float | None = None) -> float:
         """Busy fraction of ``lane`` over ``horizon`` (default: makespan)."""
@@ -137,18 +162,16 @@ class Timeline:
 
     def has_overlap(self, lane: str) -> bool:
         """True if two spans on ``lane`` overlap (schedule validity check)."""
-        spans = self._lanes.get(lane, [])
-        for a, b in zip(spans, spans[1:]):
-            if b.start < a.end - 1e-15:
-                return True
-        return False
+        starts, ends, _ = self._lanes.get(lane, _NO_SPANS)
+        return any(start < end - 1e-15
+                   for end, start in zip(ends, islice(starts, 1, None)))
 
     def to_rows(self) -> list[tuple[str, float, float, str]]:
         """Flatten to (lane, start, end, label) rows for reporting."""
         return [
-            (lane, s.start, s.end, s.label)
+            (lane, start, end, label)
             for lane in self.lanes()
-            for s in self._lanes[lane]
+            for start, end, label in zip(*self._lanes[lane])
         ]
 
     def to_chrome_trace(self, *, time_unit: float = 1e-6) -> list[dict]:
@@ -163,14 +186,14 @@ class Timeline:
         events = []
         lane_order = sorted(set(self._lanes) | set(self._instants))
         for pid, lane in enumerate(lane_order):
-            for s in self._lanes.get(lane, []):
+            for start, end, label in zip(*self._lanes.get(lane, _NO_SPANS)):
                 events.append(
                     {
-                        "name": s.label or lane,
+                        "name": label or lane,
                         "cat": "sim",
                         "ph": "X",  # complete event
-                        "ts": s.start / time_unit,
-                        "dur": s.duration / time_unit,
+                        "ts": start / time_unit,
+                        "dur": (end - start) / time_unit,
                         "pid": 0,
                         "tid": pid,
                         "args": {"lane": lane},
