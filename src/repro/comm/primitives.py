@@ -17,6 +17,7 @@ All functions take *total payload bytes per rank* and return seconds.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from ..hardware.specs import LinkSpec
@@ -48,8 +49,8 @@ class CollectiveCost:
 
 
 def _check(nbytes: float, ranks: int) -> None:
-    if nbytes < 0:
-        raise ValueError("nbytes must be >= 0")
+    if not 0 <= nbytes < math.inf:
+        raise ValueError("nbytes must be finite and >= 0")
     if ranks < 1:
         raise ValueError("ranks must be >= 1")
 

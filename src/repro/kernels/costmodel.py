@@ -29,19 +29,25 @@ and raises on any difference, so a future non-affine op fails loudly
 instead of mispricing. ``chain_cost`` stays the generic path for
 arbitrary chains (expert FFNs, analysis, baselines) and the test oracle.
 
-Float span path. :meth:`KernelCostModel.layer_times` prices one shape at
-a whole span of KV lengths with no per-region objects: the closed forms,
-cached per token count as ``(regions, 1)`` float64 columns, broadcast
-over the span, and the regions fold in ``LayerCost.total_time``'s
-order. The same exactness below 2**53 makes each entry equal
-``layer_cost(...).total_time`` bit for bit. The serving stack prices its
-decode-run misses this way; ``layer_cost`` and :class:`RegionTime`
-stay for breakdowns (Figs. 10/11) and prompt passes.
+Float pricing. The serving stack reads only a layer's total, so a
+compiled layer never builds per-region objects to price one. Its
+closed forms are cached per token count as one row per region (weight
+bytes, the token-count parts of the byte and flop forms, the two
+rates), as Python floats and as float64 columns. :meth:`layer_cost`
+folds the rows into ``total_time`` in one float pass, region by region
+and left to right, and returns a :class:`LayerCost` that renders its
+:class:`RegionTime` tuple only when ``regions`` is first read.
+:meth:`KernelCostModel.layer_times` evaluates the columns over a whole
+span of KV lengths at once and folds the regions in the same order.
+The same exactness below 2**53 makes both totals equal the rendered
+regions' sum and ``chain_cost``'s total bit for bit. Prompt-pass misses
+go through ``layer_cost`` and decode-run misses through
+``layer_times``; the regions stay for breakdowns (Figs. 10/11).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 
 import numpy as np
 
@@ -108,16 +114,68 @@ class RegionTime:
         return "memory" if self.memory_time >= self.compute_time else "compute"
 
 
-@dataclass(frozen=True)
 class LayerCost:
-    """Aggregate cost of one transformer-layer invocation on one GPU."""
+    """Aggregate cost of one transformer-layer invocation on one GPU.
 
-    regions: tuple[RegionTime, ...]
+    ``total_time`` is the end-to-end layer time in seconds, the sum of
+    the regions' ``total`` taken left to right. A cost built from its
+    regions (``LayerCost(regions)``) sums them at once. One built by a
+    compiled layer holds the total from the layer's float pass and
+    renders ``regions`` on first read, so a caller that reads only the
+    total builds no :class:`RegionTime`. Either way it is immutable, and
+    ``==`` and ``hash`` go by ``regions``.
+    """
+
+    __slots__ = ("total_time", "_regions", "_layer", "_shape")
+
+    def __init__(self, regions: tuple[RegionTime, ...]) -> None:
+        # An explicit left fold, not ``sum``: from CPython 3.12 ``sum``
+        # compensates float rounding, and the compiled layers' float
+        # passes must equal this total bit for bit.
+        total = 0
+        for r in regions:
+            total += r.total
+        object.__setattr__(self, "_regions", regions)
+        object.__setattr__(self, "total_time", total)
+
+    @classmethod
+    def _compiled(cls, layer: "_CompiledLayer", shape: LayerShape,
+                  total_time: float) -> "LayerCost":
+        self = object.__new__(cls)
+        _set = object.__setattr__
+        _set(self, "_regions", None)
+        _set(self, "_layer", layer)
+        _set(self, "_shape", shape)
+        _set(self, "total_time", total_time)
+        return self
 
     @property
-    def total_time(self) -> float:
-        """End-to-end layer time in seconds."""
-        return sum(r.total for r in self.regions)
+    def regions(self) -> tuple[RegionTime, ...]:
+        """The fused regions' times, in execution order."""
+        if self._regions is None:
+            object.__setattr__(self, "_regions",
+                               self._layer.regions(self._shape))
+        return self._regions
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.regions == other.regions
+
+    def __hash__(self) -> int:
+        return hash((self.regions,))
+
+    def __repr__(self) -> str:
+        return f"LayerCost(regions={self.regions!r})"
+
+    def __reduce__(self):
+        return LayerCost, (self.regions,)
 
     @property
     def kernel_count(self) -> int:
@@ -170,38 +228,70 @@ class _CompiledLayer:
         self.forms = forms
         self.launch = model._launch_cost()
         self.dispatch = model.profile.dispatch_overhead
-        # tokens -> per-region (HBM bytes/s, math ops/s): the efficiencies
-        # depend on the token count only, which a decode run holds fixed.
-        self._rate_cache: dict[int, tuple[tuple[float, float], ...]] = {}
-        # tokens -> the closed forms as (regions, 1) float64 columns, see
-        # :meth:`times`.
-        self._column_cache: dict[int, tuple[np.ndarray, ...]] = {}
+        # tokens -> (rows, columns), see :meth:`_rows`.
+        self._row_cache: dict[
+            int, tuple[list[tuple[float, ...]], tuple[np.ndarray, ...]]] = {}
 
-    def _rates(self, t: int) -> tuple[tuple[float, float], ...]:
-        rates = self._rate_cache.get(t)
-        if rates is None:
-            rates = self._rate_cache[t] = tuple(
-                self.model._rates(f.has_weight_gemm, f.has_attention,
-                                  f.sbi_out_features, t)
-                for f in self.forms)
-        return rates
+    def _rows(self, t: int
+              ) -> tuple[list[tuple[float, ...]], tuple[np.ndarray, ...]]:
+        """The closed forms at ``t`` tokens, one row per region: weight
+        bytes, ``a0 + a1·t``, ``a2``, ``a3``, ``f0 + f1·t``, ``f2``,
+        ``f3``, then (HBM bytes/s, math ops/s). The efficiencies depend
+        on the token count only, so a row is the same for every KV
+        length. Returned as Python floats and as one ``(regions, 1)``
+        float64 column per field, holding the same values."""
+        cached = self._row_cache.get(t)
+        if cached is None:
+            model = self.model
+            rows = [
+                (f.weight_bytes, f.act[0] + f.act[1] * t, f.act[2], f.act[3],
+                 f.flops[0] + f.flops[1] * t, f.flops[2], f.flops[3],
+                 *model._rates(f.has_weight_gemm, f.has_attention,
+                               f.sbi_out_features, t))
+                for f in self.forms]
+            columns = tuple(np.array(rows, np.float64).T[:, :, None].copy())
+            cached = self._row_cache[t] = (rows, columns)
+        return cached
 
     def cost(self, shape: LayerShape) -> LayerCost:
+        """The layer at ``shape``, its total folded from the rows in
+        :meth:`regions`' operation order: ``RegionTime.total`` per
+        region, summed left to right as :class:`LayerCost` sums them."""
         t = shape.tokens
-        rates = self._rates(t)
+        kv = shape.kv_len
+        bk = shape.batch * kv
+        tk = t * kv
+        launch, dispatch = self.launch, self.dispatch
+        total = 0
+        for weight, a01, a2, a3, f01, f2, f3, mem_rate, math_rate in (
+                self._rows(t)[0]):
+            # ``max`` keeps its first argument unless the second is
+            # greater; the comparisons below do the same.
+            time = (weight + ((a01 + a2 * bk) + a3 * tk)) / mem_rate
+            flops = (f01 + f2 * bk) + f3 * tk
+            compute = flops / math_rate if flops else 0.0
+            if compute > time:
+                time = compute
+            if launch > time:
+                time = launch
+            total += time + dispatch
+        return LayerCost._compiled(self, shape, total)
+
+    def regions(self, shape: LayerShape) -> tuple[RegionTime, ...]:
+        """Every region's :class:`RegionTime` at ``shape``."""
+        t = shape.tokens
         bk = shape.batch * shape.kv_len
         tk = t * shape.kv_len
         launch, dispatch = self.launch, self.dispatch
         regions = []
-        for f, (mem_rate, math_rate) in zip(self.forms, rates):
-            a0, a1, a2, a3 = f.act
-            f0, f1, f2, f3 = f.flops
-            hbm = f.weight_bytes + (a0 + a1 * t + a2 * bk + a3 * tk)
-            flops = f0 + f1 * t + f2 * bk + f3 * tk
+        for f, (weight, a01, a2, a3, f01, f2, f3, mem_rate, math_rate) in zip(
+                self.forms, self._rows(t)[0]):
+            hbm = weight + ((a01 + a2 * bk) + a3 * tk)
+            flops = (f01 + f2 * bk) + f3 * tk
             regions.append(RegionTime(
                 f.name, hbm / mem_rate, flops / math_rate if flops else 0.0,
                 launch, hbm, flops, dispatch))
-        return LayerCost(tuple(regions))
+        return tuple(regions)
 
     def times(self, shape: LayerShape, kvs: np.ndarray) -> np.ndarray:
         """``cost(replace(shape, kv_len=kv)).total_time`` for each ``kv``
@@ -211,23 +301,9 @@ class _CompiledLayer:
         evaluated in :meth:`cost`'s operation order. Every count below
         2**53 is exact in float64 as in Python ints, so each entry is the
         scalar path's float. The rows fold with a sequential
-        ``np.add.accumulate``, ``LayerCost.total_time``'s left-to-right
-        sum."""
+        ``np.add.accumulate``, :meth:`cost`'s left-to-right sum."""
         t = shape.tokens
-        cols = self._column_cache.get(t)
-        if cols is None:
-            forms = self.forms
-            cols = self._column_cache[t] = tuple(
-                np.array(c, np.float64).reshape(-1, 1) for c in (
-                    [f.weight_bytes for f in forms],
-                    [f.act[0] + f.act[1] * t for f in forms],
-                    [f.act[2] for f in forms],
-                    [f.act[3] for f in forms],
-                    [f.flops[0] + f.flops[1] * t for f in forms],
-                    [f.flops[2] for f in forms],
-                    [f.flops[3] for f in forms],
-                    *zip(*self._rates(t))))
-        weight, a01, a2, a3, f01, f2, f3, mem_rate, math_rate = cols
+        weight, a01, a2, a3, f01, f2, f3, mem_rate, math_rate = self._rows(t)[1]
         # int64 rows: never the target of an in-place float op.
         bk = shape.batch * kvs
         tk = t * kvs
@@ -270,7 +346,8 @@ class KernelCostModel:
         ``ffn=False`` prices the layer without its FFN (an MoE layer's
         dense part). Equal bit for bit to :meth:`chain_cost` over
         ``transformer_layer_ops(shape, ffn=ffn)``, priced from the
-        layer's compiled closed forms.
+        layer's compiled closed forms. Its ``total_time`` comes from one
+        float pass; its ``regions`` are built only when first read.
         """
         return self._layer(shape, ffn).cost(shape)
 
@@ -369,8 +446,10 @@ class KernelCostModel:
         else:
             batch, tokens_per_seq = 2, max(1, limit // 2 + 1)
         check = shape(batch, tokens_per_seq, tokens_per_seq + 3)
-        if layer.cost(check) != self.chain_cost(
-                transformer_layer_ops(check, ffn=ffn), tokens=check.tokens):
+        got = layer.cost(check)
+        want = self.chain_cost(transformer_layer_ops(check, ffn=ffn),
+                               tokens=check.tokens)
+        if got != want or got.total_time.hex() != want.total_time.hex():
             raise RuntimeError(
                 f"compiled layer differs from its op chain at {check}: an "
                 f"op's bytes or flops are not affine in (tokens, batch*kv, "

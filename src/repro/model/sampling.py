@@ -9,6 +9,7 @@ compared seed-for-seed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,8 +33,8 @@ class SamplingConfig:
     greedy: bool = False
 
     def __post_init__(self) -> None:
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
+        if not 0 <= self.temperature < math.inf:
+            raise ValueError("temperature must be finite and >= 0")
         if self.top_k is not None and self.top_k < 1:
             raise ValueError("top_k must be >= 1")
         if self.top_p is not None and not 0 < self.top_p <= 1:

@@ -21,6 +21,7 @@ The stage-time inputs come from the kernel cost model (see
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from ..simcore import (
@@ -100,8 +101,8 @@ def _per_stage(value, num_stages: int, name: str) -> list[float]:
         times = [float(v) for v in value]
         if len(times) != num_stages:
             raise ValueError(f"{name} must have one entry per stage")
-    if min(times) <= 0:
-        raise ValueError(f"{name} entries must be positive")
+    if not all(0 < t < math.inf for t in times):
+        raise ValueError(f"{name} entries must be finite and positive")
     return times
 
 

@@ -12,6 +12,7 @@ are exactly reproducible.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Any
 
@@ -46,8 +47,9 @@ class Timeout:
     delay: float
 
     def __post_init__(self) -> None:
-        if self.delay < 0:
-            raise ValueError("cannot time-travel: delay must be >= 0")
+        if not 0 <= self.delay < math.inf:
+            raise ValueError("cannot time-travel: delay must be finite "
+                             "and >= 0")
 
 
 @dataclass(frozen=True)

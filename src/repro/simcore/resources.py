@@ -15,6 +15,7 @@ Two kinds cover everything the paper's schedules need:
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from typing import Generator
 
@@ -64,16 +65,16 @@ class BandwidthLink(SlotResource):
 
     def __init__(self, bandwidth: float, latency: float = 0.0, name: str = "") -> None:
         super().__init__(capacity=1, name=name or "link")
-        if bandwidth <= 0:
-            raise ValueError("bandwidth must be positive")
+        if not 0 < bandwidth < math.inf:
+            raise ValueError("bandwidth must be finite and positive")
         self.bandwidth = bandwidth
         self.latency = latency
         self.busy_time = 0.0  # accumulated occupancy, for utilization reports
 
     def occupancy(self, nbytes: float) -> float:
         """Time the link is held for one transfer of ``nbytes``."""
-        if nbytes < 0:
-            raise ValueError("nbytes must be >= 0")
+        if not 0 <= nbytes < math.inf:
+            raise ValueError("nbytes must be finite and >= 0")
         return self.latency + nbytes / self.bandwidth
 
 

@@ -65,6 +65,15 @@ class TestAlphaBeta:
         with pytest.raises(ValueError):
             allreduce_time(LINK, 1.0, 0)
 
+    @pytest.mark.parametrize("nbytes", [float("nan"), float("inf")])
+    def test_rejects_non_finite_bytes(self, nbytes):
+        for fn in (allreduce_time, allgather_time, alltoall_time,
+                   broadcast_time):
+            with pytest.raises(ValueError, match="finite"):
+                fn(LINK, nbytes, 4)
+        with pytest.raises(ValueError, match="finite"):
+            p2p_time(LINK, nbytes)
+
 
 @given(
     nbytes=st.floats(min_value=1.0, max_value=1e9),

@@ -4,14 +4,24 @@ op-chain path (``chain_cost`` over ``transformer_layer_ops``) is the
 oracle, and the two must agree bit for bit on every region field."""
 
 import dataclasses
+import functools
+import operator
+import pickle
 import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.bench.ablations import ablation_cuda_graph
-from repro.engine import DenseLatencyModel
+from repro.engine import (
+    BatchState,
+    DenseLatencyModel,
+    DenseStepCost,
+    MoELatencyModel,
+    MoEStepCost,
+)
 from repro.hardware import GPU_REGISTRY, A100_40GB, DType, dgx_a100_cluster
 from repro.kernels import (
     DEEPSPEED_FP16,
@@ -19,6 +29,7 @@ from repro.kernels import (
     PYTORCH_FP16,
     FusionStrategy,
     KernelCostModel,
+    LayerCost,
     LayerShape,
     Op,
     OpKind,
@@ -26,7 +37,7 @@ from repro.kernels import (
     transformer_layer_ops,
 )
 from repro.kernels import costmodel
-from repro.model import DENSE_ZOO
+from repro.model import DENSE_ZOO, MOE_PARALLELISM, MOE_ZOO
 
 
 def _bits(value):
@@ -107,6 +118,96 @@ def test_layer_times_match_layer_cost_bit_for_bit(case, offsets):
                          ffn=ffn).total_time for kv in kvs)
 
 
+@settings(max_examples=300, deadline=None)
+@given(case=_layer_cases())
+def test_compiled_total_matches_regions_and_chain_bit_for_bit(case):
+    """``total_time`` comes from the float pass, not from the regions:
+    it equals their left-to-right sum and the op chain's total by IEEE
+    bits."""
+    gpu, profile, shape, ffn, kv_step = case
+    model = KernelCostModel(gpu, profile)
+    for s in (shape, dataclasses.replace(shape, kv_len=shape.kv_len + kv_step)):
+        got = model.layer_cost(s, ffn=ffn)
+        total = got.total_time  # read before the regions are rendered
+        # ``sum`` adds floats left to right only up to CPython 3.11.
+        folded = functools.reduce(operator.add,
+                                  (r.total for r in got.regions), 0)
+        assert _hex([total]) == _hex([folded])
+        assert _hex([total]) == _hex([_oracle(model, s, ffn).total_time])
+
+
+_PROPERTIES = ("total_time", "kernel_count", "launch_time", "hbm_bytes",
+               "flops", "effective_bandwidth")
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_layer_cases())
+def test_compiled_layer_cost_behaves_like_one_built_from_regions(case):
+    gpu, profile, shape, ffn, _ = case
+    model = KernelCostModel(gpu, profile)
+    got = model.layer_cost(shape, ffn=ffn)
+    ref = LayerCost(_oracle(model, shape, ffn).regions)
+    for name in _PROPERTIES:
+        assert _bits(getattr(got, name)) == _bits(getattr(ref, name)), name
+    assert got == ref and ref == got
+    assert hash(got) == hash(ref)
+    assert repr(got) == repr(ref)
+    assert got.regions is got.regions  # rendered once
+    assert pickle.loads(pickle.dumps(got)) == ref
+    for name in ("regions", "total_time", "_regions"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(got, name, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(got, name)
+    assert got != model.layer_cost(
+        dataclasses.replace(shape, kv_len=shape.kv_len + 1), ffn=ffn)
+    assert got != ref.regions
+
+
+def _count_region_times(monkeypatch):
+    made = []
+    real = costmodel.RegionTime
+
+    def counting(*args, **kwargs):
+        made.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(costmodel, "RegionTime", counting)
+    return made
+
+
+def _prompt(prompt_len, shared_prefix_len=0):
+    return SimpleNamespace(prompt_len=prompt_len,
+                           shared_prefix_len=shared_prefix_len)
+
+
+@pytest.mark.parametrize("adapter", ["dense", "moe"])
+def test_prompt_pricing_builds_no_region_times(monkeypatch, adapter):
+    """A prompt-pass miss reads only ``layer_cost(...).total_time``, so
+    it renders no per-region objects."""
+    if adapter == "dense":
+        costs = DenseStepCost(DenseLatencyModel(
+            DENSE_ZOO["gpt-13b"], dgx_a100_cluster(1), tp=4))
+        kernels = costs.latency_model.kernel_model
+    else:
+        cfg = MOE_ZOO["1.3b-moe-128"]
+        costs = MoEStepCost(MoELatencyModel(
+            cfg, dgx_a100_cluster(16), MOE_PARALLELISM[cfg.name],
+            optimized=True))
+        kernels = costs.moe_model.kernel_model
+    idle = BatchState(0, 0)
+    # Compile the layer key and memoize the token-count terms (the MoE
+    # expert FFN is an op chain): 64 new tokens, as in every pass below.
+    costs.prompt_cost(idle, _prompt(64))
+    made = _count_region_times(monkeypatch)
+    for plen in (96, 100, 333):
+        assert costs.prompt_cost(idle, _prompt(plen, plen - 64)) > 0
+    assert not made
+    shape = LayerShape(hidden=1024, heads=16, batch=1, tokens_per_seq=64,
+                       kv_len=100)
+    assert kernels.layer_cost(shape).regions and made  # the hook counts
+
+
 def test_layer_times_validates_kv_lens():
     model = KernelCostModel(A100_40GB, DEEPSPEED_FP16)
     shape = LayerShape(hidden=1024, heads=16, batch=2, tokens_per_seq=4,
@@ -138,6 +239,24 @@ def test_self_check_rejects_non_affine_op(monkeypatch, batch):
     shape = LayerShape(hidden=1024, heads=16, batch=batch, tokens_per_seq=1,
                        kv_len=100)
     with pytest.raises(RuntimeError, match="not affine"):
+        model.layer_cost(shape)
+
+
+def test_self_check_compares_total_bits(monkeypatch):
+    """Equal regions are not enough: a float pass one ulp off its
+    regions' sum fails the compile."""
+    cost = costmodel._CompiledLayer.cost
+
+    def off_by_an_ulp(layer, shape):
+        got = cost(layer, shape)
+        return costmodel.LayerCost._compiled(
+            layer, shape, float(np.nextafter(got.total_time, 1.0)))
+
+    monkeypatch.setattr(costmodel._CompiledLayer, "cost", off_by_an_ulp)
+    model = KernelCostModel(A100_40GB, DEEPSPEED_FP16)
+    shape = LayerShape(hidden=1024, heads=16, batch=1, tokens_per_seq=1,
+                       kv_len=100)
+    with pytest.raises(RuntimeError, match="differs from its op chain"):
         model.layer_cost(shape)
 
 

@@ -1,5 +1,6 @@
 """Tests for the transformer-layer op graph (shapes, flops, byte accounting)."""
 
+import numpy as np
 import pytest
 
 from repro.hardware import DType
@@ -33,6 +34,18 @@ class TestLayerShape:
             shape(tp_degree=3)  # heads not divisible by tp
         with pytest.raises(ValueError):
             shape(batch=0)
+
+    @pytest.mark.parametrize("field", ["hidden", "heads", "batch",
+                                       "tokens_per_seq", "kv_len",
+                                       "tp_degree", "ffn_mult"])
+    @pytest.mark.parametrize("value", [float("nan"), 128.0, "128"])
+    def test_rejects_non_integer_fields(self, field, value):
+        # A NaN kv_len passed every comparison and priced a NaN layer.
+        with pytest.raises(TypeError, match=f"{field} must be an int"):
+            shape(**{field: value})
+
+    def test_accepts_numpy_integers(self):
+        assert shape(kv_len=np.int64(300)).kv_len == 300
 
 
 class TestLayerOps:

@@ -174,6 +174,17 @@ class TestSchedules:
                               gen_microbatches=2, gen_tokens=1,
                               prompt_stage_time=0, gen_stage_time=1)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0, 0.0])
+    @pytest.mark.parametrize("which", ["prompt_stage_time", "gen_stage_time"])
+    def test_rejects_non_finite_stage_times(self, which, bad):
+        # A NaN entry used to pass ``min(times) <= 0`` and the run
+        # returned a finite makespan.
+        kw = dict(num_stages=2, prompt_microbatches=2, gen_microbatches=2,
+                  gen_tokens=1, prompt_stage_time=1.0, gen_stage_time=1.0)
+        kw[which] = [bad, 1.0]
+        with pytest.raises(ValueError, match="finite and positive"):
+            simulate_pipeline(**kw)
+
 
 @given(
     stages=st.integers(min_value=1, max_value=5),

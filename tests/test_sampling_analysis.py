@@ -59,6 +59,9 @@ class TestSampling:
     def test_validation(self):
         with pytest.raises(ValueError):
             SamplingConfig(temperature=-1)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite"):
+                SamplingConfig(temperature=bad)
         with pytest.raises(ValueError):
             SamplingConfig(top_k=0)
         with pytest.raises(ValueError):

@@ -36,6 +36,11 @@ class TestSimulatorBasics:
         with pytest.raises(ValueError):
             Timeout(-1.0)
 
+    @pytest.mark.parametrize("delay", [float("nan"), float("inf")])
+    def test_non_finite_timeout_rejected(self, delay):
+        with pytest.raises(ValueError, match="finite"):
+            Timeout(delay)
+
     def test_two_processes_interleave(self):
         sim = Simulator()
         order = []
@@ -214,6 +219,13 @@ class TestResources:
         assert link.occupancy(20.0) == pytest.approx(2.5)
         with pytest.raises(ValueError):
             link.occupancy(-1.0)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_link_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            BandwidthLink(bandwidth=bad)
+        with pytest.raises(ValueError, match="finite"):
+            BandwidthLink(bandwidth=10.0).occupancy(bad)
 
     def test_transfers_queue_fifo(self):
         sim = Simulator()
