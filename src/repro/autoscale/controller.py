@@ -75,6 +75,9 @@ class AutoscaleConfig:
         if self.window_s is not None and not (
                 math.isfinite(self.window_s) and self.window_s > 0):
             raise ValueError("window_s must be finite and > 0 when given")
+        for name in ("queue_high_depth", "queue_low_depth", "aging_bonus"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0")
         if self.queue_low_depth > self.queue_high_depth:
             raise ValueError(
                 "queue_low_depth must not exceed queue_high_depth "
@@ -88,6 +91,8 @@ class AutoscaleConfig:
             raise ValueError("warmup_prompts and mean_prompt must be >= 1")
         if not 0.0 < self.slow_replica_ratio < 1.0:
             raise ValueError("slow_replica_ratio must be in (0, 1)")
+        if not 0.0 < self.ema_alpha <= 1.0:
+            raise ValueError("ema_alpha must be in (0, 1]")
 
     @property
     def resolved_window_s(self) -> float:

@@ -23,9 +23,25 @@ import math
 from collections import deque
 from dataclasses import dataclass
 
-import numpy as np
-
 __all__ = ["ReplicaSnapshot", "FleetSignals", "SignalCollector"]
+
+
+def _p99(values) -> float:
+    """``float(np.percentile(values, 99))`` of a non-empty sequence, in
+    floats: NumPy's default "linear" rule on the sorted values, with its
+    virtual index and its two-sided interpolation replayed operation for
+    operation, so every result is the same float."""
+    xs = sorted(values)
+    n = len(xs)
+    v = (n - 1) * 0.99
+    if v >= n - 1:
+        return float(xs[-1])
+    i = math.floor(v)
+    g = v - i
+    a, b = xs[i], xs[i + 1]
+    if g >= 0.5:
+        return float(b - (b - a) * (1 - g))
+    return float(a + (b - a) * g)
 
 
 @dataclass(frozen=True)
@@ -146,7 +162,7 @@ class SignalCollector:
         total_queue_depth = sum(s.queue_depth for s in live)
         active = sum(s.active_depth for s in live)
         capacity_slots = len(live) * max_batch
-        p99 = (float(np.percentile([t for _, t in self._ttft_window], 99))
+        p99 = (_p99(t for _, t in self._ttft_window)
                if self._ttft_window else None)
         return FleetSignals(
             time_s=now,

@@ -14,6 +14,7 @@ of a CUDA OOM.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 __all__ = ["OutOfDeviceMemory", "Reservation", "MemoryPool"]
@@ -45,8 +46,8 @@ class MemoryPool:
     _items: list[Reservation] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        if self.capacity <= 0:
-            raise ValueError("capacity must be positive")
+        if not 0 < self.capacity < math.inf:
+            raise ValueError("capacity must be finite and positive")
         if not 0 <= self.reserve_fraction < 1:
             raise ValueError("reserve_fraction must lie in [0, 1)")
 
@@ -67,8 +68,8 @@ class MemoryPool:
 
     def reserve(self, tag: str, nbytes: float) -> Reservation:
         """Reserve ``nbytes`` under ``tag``; raise if it does not fit."""
-        if nbytes < 0:
-            raise ValueError("cannot reserve a negative size")
+        if not 0 <= nbytes < math.inf:
+            raise ValueError("reservation size must be finite and >= 0")
         if nbytes > self.free:
             raise OutOfDeviceMemory(
                 f"cannot reserve {nbytes / 1e9:.2f} GB for {tag!r}: "

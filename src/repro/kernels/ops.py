@@ -18,6 +18,7 @@ capturing exactly the quantities Sec. III reasons about:
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 __all__ = ["OpKind", "Op", "TOKEN", "HEAD", "HIDDEN", "SEQUENCE"]
@@ -61,8 +62,9 @@ class Op:
 
     def __post_init__(self) -> None:
         for f in ("flops", "weight_bytes", "act_in_bytes", "act_out_bytes"):
-            if getattr(self, f) < 0:
-                raise ValueError(f"{f} must be >= 0 for op {self.name!r}")
+            if not 0 <= getattr(self, f) < math.inf:
+                raise ValueError(
+                    f"{f} must be finite and >= 0 for op {self.name!r}")
 
     @property
     def total_bytes(self) -> float:

@@ -57,6 +57,18 @@ class ExpertPlacement:
         if (seen < 1).any():
             missing = np.flatnonzero(seen < 1).tolist()
             raise ValueError(f"experts {missing} are assigned to no rank")
+        # ``rank_loads`` runs once per distinct token count while pricing:
+        # keep the replica counts, and one (ranks, width) index matrix per
+        # hosted-expert count, so a call is one division and one row sum
+        # per width.
+        by_width: dict[int, list[int]] = {}
+        for r, hosted in enumerate(self.ranks):
+            if hosted:
+                by_width.setdefault(len(hosted), []).append(r)
+        object.__setattr__(self, "_replicas", seen)
+        object.__setattr__(self, "_width_groups", tuple(
+            (np.array(rows), np.array([self.ranks[r] for r in rows]))
+            for rows in by_width.values()))
 
     @property
     def ep_degree(self) -> int:
@@ -65,34 +77,34 @@ class ExpertPlacement:
 
     @property
     def replicas(self) -> np.ndarray:
-        """Per-expert replica count across all ranks."""
-        counts = np.zeros(self.num_experts, dtype=np.int64)
-        for hosted in self.ranks:
-            for ex in hosted:
-                counts[ex] += 1
-        return counts
+        """Per-expert replica count across all ranks (a fresh array)."""
+        return self._replicas.copy()
 
     def replication_of(self, expert: int) -> int:
         """How many ranks host ``expert``."""
         if not 0 <= expert < self.num_experts:
             raise IndexError(f"expert {expert} out of range")
-        return int(self.replicas[expert])
+        return int(self._replicas[expert])
 
     def rank_loads(self, expert_loads: np.ndarray) -> np.ndarray:
         """Per-rank token loads given per-expert token loads.
 
         A replicated expert's load splits evenly across its replicas —
         the dispatch layer shards its tokens round-robin over the
-        hosting ranks.
+        hosting ranks. Each rank's load is NumPy's pairwise sum of its
+        experts' shares in hosted order, the same float as
+        ``share[list(hosted)].sum()``; a rank hosting nothing reads 0.
         """
         loads = np.asarray(expert_loads, dtype=np.float64)
         if loads.shape != (self.num_experts,):
             raise ValueError(
                 f"expected {self.num_experts} expert loads, got shape "
                 f"{loads.shape}")
-        share = loads / self.replicas
-        return np.array([share[list(hosted)].sum() if hosted else 0.0
-                         for hosted in self.ranks])
+        share = loads / self._replicas
+        out = np.zeros(self.ep_degree)
+        for rows, idx in self._width_groups:
+            out[rows] = share[idx].sum(axis=1)
+        return out
 
     def load_imbalance(self, expert_loads: np.ndarray) -> float:
         """Max/mean per-rank load ratio — the straggler factor skew-aware
@@ -150,8 +162,8 @@ def plan_placement(
     loads = np.asarray(expert_loads, dtype=np.float64)
     if loads.ndim != 1 or loads.size < 1:
         raise ValueError("expert_loads must be a 1-D vector")
-    if (loads < 0).any():
-        raise ValueError("expert loads must be non-negative")
+    if not (np.isfinite(loads) & (loads >= 0)).all():
+        raise ValueError("expert loads must be finite and non-negative")
     num_experts = loads.size
     if ep_degree < 1 or ep_degree > num_experts:
         raise ValueError("need 1 <= ep_degree <= num_experts")

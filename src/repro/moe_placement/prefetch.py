@@ -149,8 +149,11 @@ class SkewedDispatchSpec:
         probs = np.asarray(self.probs, dtype=np.float64)
         if probs.shape != (self.placement.num_experts,):
             raise ValueError("probs must have one entry per expert")
-        if (probs < 0).any() or probs.sum() <= 0:
-            raise ValueError("probs must be non-negative and sum > 0")
+        # Range form: a NaN entry fails every comparison, and a NaN
+        # load ratio would read as no skew (``max(1.0, nan)`` is 1.0).
+        if not ((probs >= 0).all() and 0 < probs.sum() < math.inf):
+            raise ValueError(
+                "probs must be finite, non-negative and sum > 0")
         object.__setattr__(self, "probs", probs / probs.sum())
         if self.top_k < 1:
             raise ValueError("top_k must be >= 1")

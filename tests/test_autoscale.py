@@ -10,7 +10,9 @@ autoscaler leaves the simulator's output bit-for-bit untouched.
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.autoscale import (
     AutoscaleConfig,
@@ -28,6 +30,7 @@ from repro.engine import (
     WorkloadTrace,
     synthesize_trace,
 )
+from repro.autoscale.signals import _p99
 from repro.fleet import FaultPlan, ReplicaFault, simulate_fleet
 
 COSTS = ClosureStepCost(prompt_time=lambda b, p: 0.02 + 0.001 * p,
@@ -101,6 +104,61 @@ class TestSignalCollector:
             SignalCollector(window_s=0.0)
         with pytest.raises(ValueError, match="ema_alpha"):
             SignalCollector(window_s=1.0, ema_alpha=0.0)
+
+    def test_window_keeps_samples_exactly_at_the_cutoff(self):
+        # A sample whose first token lands exactly at ``now - window_s``
+        # stays in the window; one a hair older falls out. The P99 each
+        # epoch equals NumPy's over the samples kept, by bits.
+        col = SignalCollector(window_s=2.0)
+        epochs = [
+            (1.0, [(0.25, 0.5), (0.5, 0.125), (1.0, 0.75)]),
+            (2.5, [(1.5, 0.375), (2.0, 0.25), (2.5, 1.5)]),
+            (3.0, [(3.0, 0.0625)]),  # cutoff 1.0: (1.0, 0.75) survives
+            (3.5, []),               # cutoff 1.5: (1.5, 0.375) survives
+            (6.0, [(4.0, 2.0), (5.5, 0.5)]),  # cutoff 4.0, hit by (4.0, 2.0)
+            (9.0, []),               # cutoff 7.0: the window empties
+        ]
+        seen: list[tuple[float, float]] = []
+        for now, samples in epochs:
+            seen.extend(samples)
+            sig = col.observe(now, [_snap(0)], max_batch=4,
+                              ttft_samples=samples)
+            kept = [t for ft, t in seen if ft >= now - 2.0]
+            assert sig.window_samples == len(kept)
+            if kept:
+                want = float(np.percentile(kept, 99))
+                assert sig.ttft_p99_s.hex() == want.hex()
+            else:
+                assert sig.ttft_p99_s is None
+
+
+_TTFTS = st.floats(min_value=1e-9, max_value=1e4, allow_nan=False,
+                   allow_infinity=False)
+
+
+class TestRollingP99:
+    """``_p99`` replays ``np.percentile(xs, 99)`` in floats."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(xs=st.lists(_TTFTS, min_size=1, max_size=500))
+    def test_equals_numpy_by_bits(self, xs):
+        assert _p99(xs).hex() == float(np.percentile(xs, 99)).hex()
+
+    @settings(max_examples=200, deadline=None)
+    @given(pool=st.lists(_TTFTS, min_size=1, max_size=4),
+           picks=st.lists(st.integers(0, 3), min_size=1, max_size=500))
+    def test_ties_equal_numpy_by_bits(self, pool, picks):
+        xs = [pool[i % len(pool)] for i in picks]
+        assert _p99(xs).hex() == float(np.percentile(xs, 99)).hex()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 50, 51, 100, 101, 102, 199,
+                                   200, 201, 499, 500])
+    def test_interpolation_edges(self, n):
+        # Both interpolation branches (fraction below 0.5, e.g. n = 100;
+        # at or above it, e.g. n = 51 and 2), a whole virtual index
+        # (n = 101, 201) and the clamp to the last element (n = 1).
+        xs = (np.random.default_rng(n).random(n) * 10.0).tolist()
+        assert _p99(xs).hex() == float(np.percentile(xs, 99)).hex()
 
 
 class TestScalePolicy:
@@ -290,6 +348,25 @@ class TestConfigValidation:
         (dict(epoch_s=math.nan), "epoch_s must be finite"),
         (dict(window_s=math.nan), "window_s must be finite"),
         (dict(cold_start_s=math.nan), "cold_start_s must be finite"),
+        # A NaN high watermark never triggers scale-out on queue depth,
+        # and a NaN aging bonus makes proposal order arbitrary.
+        (dict(queue_high_depth=math.nan), "queue_high_depth must be finite"),
+        (dict(queue_high_depth=math.inf), "queue_high_depth must be finite"),
+        (dict(queue_high_depth=-1.0, queue_low_depth=-2.0),
+         "queue_high_depth must be finite"),
+        (dict(queue_low_depth=math.nan), "queue_low_depth must be finite"),
+        (dict(queue_low_depth=-0.5), "queue_low_depth must be finite"),
+        (dict(queue_low_depth=math.inf, queue_high_depth=math.inf),
+         "queue_high_depth must be finite"),
+        (dict(aging_bonus=math.nan), "aging_bonus must be finite"),
+        (dict(aging_bonus=math.inf), "aging_bonus must be finite"),
+        (dict(aging_bonus=-0.25), "aging_bonus must be finite"),
+        # ``ema_alpha`` used to fail only when ``Autoscaler`` built its
+        # collector.
+        (dict(ema_alpha=math.nan), "ema_alpha"),
+        (dict(ema_alpha=0.0), "ema_alpha"),
+        (dict(ema_alpha=1.5), "ema_alpha"),
+        (dict(ema_alpha=math.inf), "ema_alpha"),
     ])
     def test_rejects(self, kw, match):
         with pytest.raises(ValueError, match=match):

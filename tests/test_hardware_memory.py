@@ -1,5 +1,7 @@
 """Tests for the device-memory reservation ledger."""
 
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -59,6 +61,23 @@ class TestMemoryPool:
             MemoryPool(capacity=0.0)
         with pytest.raises(ValueError):
             MemoryPool(capacity=1.0, reserve_fraction=1.0)
+
+    @pytest.mark.parametrize("capacity", [math.nan, math.inf])
+    def test_rejects_non_finite_capacity(self, capacity):
+        # A NaN capacity made ``free`` NaN, so a 1e30-byte reservation fit.
+        with pytest.raises(ValueError, match="capacity must be finite"):
+            MemoryPool(capacity=capacity)
+
+    @pytest.mark.parametrize("nbytes", [math.nan, math.inf, -1.0])
+    def test_rejects_non_finite_reservation(self, nbytes):
+        # ``reserve(tag, nan)`` used to make ``free`` NaN, after which every
+        # later reservation fit.
+        pool = MemoryPool(capacity=10.0, reserve_fraction=0.0)
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            pool.reserve("kv", nbytes)
+        assert pool.free == 10.0
+        with pytest.raises(OutOfDeviceMemory):
+            pool.reserve("kv", 1e30)
 
 
 @given(

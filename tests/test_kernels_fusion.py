@@ -93,6 +93,20 @@ class TestStrategies:
                 < counts[FusionStrategy.ELEMENTWISE] < counts[FusionStrategy.NONE])
 
 
+class TestOpValidation:
+    @pytest.mark.parametrize(
+        "field", ["flops", "weight_bytes", "act_in_bytes", "act_out_bytes"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+    def test_rejects_non_finite_or_negative_footprint(self, field, bad):
+        # ``< 0`` let NaN through, and a NaN op priced a NaN region.
+        sizes = dict(flops=1.0, weight_bytes=0.0, act_in_bytes=1.0,
+                     act_out_bytes=1.0)
+        sizes[field] = bad
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            Op("x", OpKind.ELEMENTWISE, tile_dims=frozenset({TOKEN}),
+               **sizes)
+
+
 class TestFusedRegionAccounting:
     def test_empty_region_rejected(self):
         with pytest.raises(ValueError):

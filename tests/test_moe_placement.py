@@ -7,6 +7,7 @@ all the way through the serving simulator and a one-replica fleet.
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.engine.costs import BatchState, MoEStepCost, PromptShape
 from repro.engine.moe import MoELatencyModel
@@ -170,6 +171,21 @@ class TestExpertPlacement:
             loads = np.full(experts, 100.0 / experts)
             assert p.load_imbalance(loads) == 1.0
 
+    def test_replicas_is_a_fresh_array(self):
+        p = ExpertPlacement(ranks=((0, 1), (0, 2)), num_experts=3)
+        loads = np.array([8.0, 2.0, 4.0])
+        before = p.rank_loads(loads)
+        counts = p.replicas
+        counts[:] = 7
+        np.testing.assert_array_equal(p.replicas, [2, 1, 1])
+        assert p.rank_loads(loads).tobytes() == before.tobytes()
+        assert p.replication_of(0) == 2
+
+    def test_rank_hosting_nothing_reads_zero(self):
+        p = ExpertPlacement(ranks=((0, 1), (), (1, 2, 0)), num_experts=3)
+        np.testing.assert_array_equal(
+            p.rank_loads(np.array([6.0, 4.0, 3.0])), [5.0, 0.0, 8.0])
+
     def test_validation(self):
         with pytest.raises(ValueError):  # expert 1 unassigned
             ExpertPlacement(ranks=((0,), (2,)), num_experts=3)
@@ -177,6 +193,77 @@ class TestExpertPlacement:
             ExpertPlacement(ranks=((0, 0), (1,)), num_experts=2)
         with pytest.raises(ValueError):  # out of range
             ExpertPlacement(ranks=((0, 5),), num_experts=2)
+
+
+def _rank_loads_reference(placement, expert_loads):
+    """One pairwise ``sum`` per rank over its experts' replica shares, in
+    hosted order: the per-rank definition ``rank_loads`` must equal."""
+    share = np.asarray(expert_loads, dtype=np.float64) / placement.replicas
+    return np.array([share[list(hosted)].sum() if hosted else 0.0
+                     for hosted in placement.ranks])
+
+
+@st.composite
+def _placements(draw):
+    """Uniform, planned (replicated + streamed) and irregular placements;
+    ranks host 0 to ~100 experts."""
+    kind = draw(st.sampled_from(["uniform", "planned", "irregular"]))
+    if kind == "uniform":
+        experts = draw(st.integers(1, 256))
+        ep = draw(st.integers(1, min(experts, 64)))
+        return uniform_placement(experts, ep)
+    if kind == "planned":
+        experts = draw(st.integers(8, 160))
+        ep = draw(st.integers(2, min(experts, 32)))
+        probs = zipf_expert_probs(experts, draw(st.floats(0.0, 2.0)),
+                                  seed=draw(st.integers(0, 99)))
+        try:
+            return plan_placement(
+                probs, ep, replication=draw(st.integers(1, min(ep, 4))),
+                num_hot=max(1, experts // 16),
+                slots_per_rank=-(-experts // ep) + 1).placement
+        except ValueError:  # no rank left for another replica
+            assume(False)
+    experts = draw(st.integers(1, 120))
+    num_ranks = draw(st.integers(1, 12))
+    hosted = [[] for _ in range(num_ranks)]
+    for ex in range(experts):
+        homes = draw(st.sets(st.integers(0, num_ranks - 1), min_size=1,
+                             max_size=3))
+        for r in homes:
+            hosted[r].append(ex)
+    order = draw(st.randoms(use_true_random=False))
+    for h in hosted:
+        order.shuffle(h)
+    return ExpertPlacement(ranks=tuple(tuple(h) for h in hosted),
+                           num_experts=experts)
+
+
+class TestRankLoadsDifferential:
+    """``rank_loads`` reduces each width group with one row sum; every
+    rank's float must equal the per-rank reference by bytes."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(placement=_placements(), seed=st.integers(0, 2**32 - 1))
+    def test_equals_per_rank_sums_by_bytes(self, placement, seed):
+        rng = np.random.default_rng(seed)
+        loads = rng.random(placement.num_experts) * 10.0 ** rng.uniform(
+            -6, 6, placement.num_experts)
+        got = placement.rank_loads(loads)
+        assert got.dtype == np.float64
+        assert got.tobytes() == _rank_loads_reference(
+            placement, loads).tobytes()
+
+    @pytest.mark.parametrize("ep", [4, 16, 128])
+    def test_wide_uniform_ranks_by_bytes(self, ep):
+        # 32 experts per rank at ep 4: NumPy's pairwise sum is not a left
+        # fold once a row has 8 or more entries.
+        placement = uniform_placement(128, ep)
+        rng = np.random.default_rng(ep)
+        for _ in range(50):
+            loads = rng.random(128) * 1e3
+            assert placement.rank_loads(loads).tobytes() == \
+                _rank_loads_reference(placement, loads).tobytes()
 
 
 class TestPlanPlacement:
@@ -227,6 +314,15 @@ class TestPlanPlacement:
             plan_placement(probs, 4, replication=8)  # r > ep
         with pytest.raises(ValueError):  # demotion demand impossible
             plan_placement(probs, 8, replication=8, num_hot=8)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_loads(self, bad):
+        # NaN passed ``(loads < 0).any()`` and yielded an arbitrary
+        # placement.
+        loads = np.full(8, 0.125)
+        loads[3] = bad
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            plan_placement(loads, 4, replication=2, num_hot=1)
 
 
 # -- prefetch ----------------------------------------------------------------
@@ -332,6 +428,14 @@ class TestSkewedDispatchSpec:
         with pytest.raises(ValueError):
             SkewedDispatchSpec(probs=np.full(4, 0.25), placement=placement,
                                streamed=(9,))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_probs(self, bad):
+        # ``[nan, 1, 1, 1]`` was accepted and ``load_ratio`` read 1.0,
+        # because ``max(1.0, nan)`` is 1.0.
+        with pytest.raises(ValueError, match="probs must be finite"):
+            SkewedDispatchSpec(probs=np.array([bad, 1.0, 1.0, 1.0]),
+                               placement=uniform_placement(4, 2))
 
     @pytest.mark.parametrize("fetch", [float("nan"), float("inf"), -1e-3])
     def test_rejects_bad_expert_fetch_time(self, fetch):
