@@ -73,10 +73,23 @@ def crash_demo() -> None:
           f"{faulted.tokens_discarded} generated tokens discarded")
     assert faulted.num_completed == len(trace.requests)  # nothing lost
 
+    events = faulted.timeline.to_chrome_trace()
     with tempfile.NamedTemporaryFile("w", suffix=".json",
                                      delete=False) as f:
-        json.dump({"traceEvents": faulted.timeline.to_chrome_trace()}, f)
+        json.dump({"traceEvents": events}, f)
         print(f"  fleet timeline (replica lanes + router) -> {f.name}")
+    # The exported trace tells the report's story: a server lane per
+    # replica, one router instant per placement, and the crash instant
+    # on replica 2 naming every request it requeued.
+    lanes = {e["args"]["lane"] for e in events}
+    assert {f"replica{i}/server" for i in range(NUM_REPLICAS)} <= lanes
+    routed = [e for e in events if e["args"]["lane"] == "router"]
+    assert len(routed) == len(faulted.routing)
+    assert all(e["ph"] == "i" for e in routed)
+    requeued = sum(d.retry for d in faulted.routing)
+    crashes = [(e["args"]["lane"], e["name"]) for e in events
+               if e["ph"] == "i" and e["name"].startswith("crash")]
+    assert crashes == [("replica2/server", f"crash ({requeued} requeued)")]
 
 
 def functional_demo() -> None:

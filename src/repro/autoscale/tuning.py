@@ -109,7 +109,6 @@ def tune_autoscaler(
                     policy=policy,
                     routing=routing,
                     autoscaler=cfg,
-                    detail="summary",
                 )
                 p99 = report.ttft_percentile(trace, 99.0)
                 candidates.append(AutoscaleCandidate(

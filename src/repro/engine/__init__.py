@@ -16,7 +16,6 @@ from .latency import DenseLatencyModel, LatencyReport, Workload
 from .moe import MoELatencyModel, MoEStepBreakdown
 from .scheduler import ADMISSION_POLICIES, SchedRequest, Scheduler, SchedulerEvent
 from .serving_sim import (
-    SUMMARY_DETAIL_THRESHOLD,
     Request,
     ServingReport,
     WorkloadTrace,
@@ -60,7 +59,6 @@ __all__ = [
     "Request",
     "ServingReport",
     "WorkloadTrace",
-    "SUMMARY_DETAIL_THRESHOLD",
     "simulate_serving",
     "synthesize_trace",
     "ThroughputPoint",

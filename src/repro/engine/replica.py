@@ -7,8 +7,9 @@ for every live sequence. :class:`_Replica` is that loop split into
 atomic actions, pricing the shared
 :class:`~repro.engine.scheduler.Scheduler`'s decisions with a
 :class:`~repro.engine.costs.StepCostModel` and keeping the analytical KV
-ledger (:class:`_KvTracker`) and a priced
-:class:`~repro.simcore.trace.Timeline`. The ledger's ``live`` dict
+ledger (:class:`_KvTracker`) and a log of one row per action, which
+the reports draw as a :class:`~repro.simcore.trace.Timeline` when it is
+read. The ledger's ``live`` dict
 (request id -> KV length) is the replica's one record of its running
 batch: every pass is priced from its size and running KV total, and
 each stretch walks it once. The requests themselves live in the
@@ -45,20 +46,29 @@ a per-step replica would have seen it.
 from __future__ import annotations
 
 import math
+from array import array
 from collections import deque
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..model.paged_kv import blocks_needed
-from ..simcore.trace import Timeline
+from ..simcore.trace import merged_length
 from .costs import BatchState, PromptShape, StepCostModel
-from .scheduler import SchedRequest, Scheduler
+from .scheduler import SchedRequest, Scheduler, _as_index
 
 if TYPE_CHECKING:
     from .serving_sim import Request
 
 _INF = math.inf
+
+# Action-log row kinds. Every row is ``(kind, start, end, a, b, c)``:
+# an admission has a = request id, b = cached prefix tokens and c = the
+# scheduler's arrival (_ADMIT_DONE: it retired in its prompt pass); a
+# decode stretch has a = batch, b = steps and c = the live KV total at
+# its start; _CRASH (a = requests requeued), _RECOVER and _RETIRE are
+# instants (start == end). Ids and counts are exact below 2**53.
+_ADMIT, _ADMIT_DONE, _DECODE, _CRASH, _RECOVER, _RETIRE = range(6)
 
 
 class _KvTracker:
@@ -97,6 +107,10 @@ class _KvTracker:
         num_layers: int = 1,
         prefix_sharing: bool = True,
     ) -> None:
+        # ``< 1`` alone lets NaN and fractional sizes through, which
+        # make NaN or fractional block counts.
+        block_size = _as_index("block_size", block_size)
+        num_layers = _as_index("num_layers", num_layers)
         if block_size < 1 or num_layers < 1:
             raise ValueError("block_size and num_layers must be >= 1")
         self.block_size = block_size
@@ -196,7 +210,7 @@ class _Replica:
     driver can run it alone or interleave it with others."""
 
     def __init__(self, index: int, *, max_batch: int, policy: str,
-                 costs: StepCostModel, kv: _KvTracker, full: bool = True,
+                 costs: StepCostModel, kv: _KvTracker,
                  join_time: float = 0.0,
                  ttft_sink: list[tuple[float, float]] | None = None) -> None:
         self.index = index
@@ -207,7 +221,6 @@ class _Replica:
         # Per-replica KV pool accounting: parked session prefixes live
         # (and die) with this replica; counters span incarnations.
         self.kv = kv
-        self.full = full  # full timelines vs summary (aggregated) spans
         self.now = join_time
         self.alive = True
         self.draining = False   # unroutable; finishes assigned work
@@ -224,7 +237,7 @@ class _Replica:
         self.first: dict[int, float] = {}
         self.finish: dict[int, float] = {}
         self.tokens = 0  # every token generated here, kept or discarded
-        self.timeline = Timeline()
+        self.log = array("d")  # six floats per action row
         # Closed up-time segments + the currently-open segment start;
         # crash/retire close a segment, recover opens the next.
         self.segments: list[tuple[float, float]] = []
@@ -347,12 +360,6 @@ class _Replica:
                     f"replica {self.index}: prompt pass of request {rid} "
                     f"priced at {dt!r} s; step costs must be finite and >= 0")
             now = self.now = start + dt
-            label = (f"prefill r{rid} (+{eff} cached)" if eff
-                     else f"prefill r{rid}")
-            self.timeline.record("server", start, now, label)
-            if self.full:
-                self.timeline.record(f"req-{rid}", s.arrival, start,
-                                     "queued")
             self.admit_start[rid] = start
             self.first[rid] = now  # prompt pass yields token 1
             if self.ttft_sink is not None:
@@ -360,11 +367,12 @@ class _Replica:
                 # clock ran through the crash), matching the report.
                 self.ttft_sink.append((now, now - request.arrival))
             self.tokens += 1
-            if sched.record_token(rid) is not None:
+            done = sched.record_token(rid) is not None
+            self.log.extend((_ADMIT_DONE if done else _ADMIT, start, now,
+                             rid, eff, s.arrival))
+            if done:
                 self.finish[rid] = now
                 kv.retire(request)
-                if self.full:
-                    self.timeline.record(f"req-{rid}", start, now, "decode")
                 on_complete(self.index, request, now)
             return "admit"
         batch = sched.num_active
@@ -421,14 +429,7 @@ class _Replica:
         now = self.now = ends.item(n - 1)
         retired = sched.record_tokens(n)
         self.tokens += n * batch
-        if self.full:
-            s_prev = start
-            for e in ends[:n].tolist():
-                self.timeline.record("server", s_prev, e, f"decode x{batch}")
-                s_prev = e
-        else:
-            self.timeline.record("server", start, now,
-                                 f"decode x{batch} ({n} steps)")
+        self.log.extend((_DECODE, start, now, batch, n, self.kv.total_kv))
         # Caches grow before retirement (a retiree participates in every
         # step of the stretch — it retires *at* the last one).
         self.kv.grow_all(n)
@@ -436,9 +437,6 @@ class _Replica:
             request = self.by_id[rid]
             self.finish[rid] = now
             self.kv.retire(request)
-            if self.full:
-                self.timeline.record(f"req-{rid}", self.first[rid], now,
-                                     "decode")
             on_complete(self.index, request, now)
         self._mid_round = False
 
@@ -476,8 +474,7 @@ class _Replica:
         for t, r in self.inbox:                # routed, never enqueued
             victims.append((max(t_requeue, t), r))
         self.inbox.clear()
-        self.timeline.record_instant("server", t_requeue,
-                                     f"crash ({len(victims)} requeued)")
+        self.log.extend((_CRASH, t_requeue, t_requeue, len(victims), 0, 0))
         return victims
 
     def recover(self, t: float) -> None:
@@ -498,7 +495,7 @@ class _Replica:
         self._mid_round = False
         self.now = max(self.now, t)
         self.seg_open = self.now
-        self.timeline.record_instant("server", self.now, "recover")
+        self.log.extend((_RECOVER, self.now, self.now, 0, 0, 0))
 
     def maybe_retire(self, t: float) -> bool:
         """Retire a draining replica the moment it runs dry (no active,
@@ -511,8 +508,8 @@ class _Replica:
             if self.seg_open is not None:
                 self.segments.append((self.seg_open, self.retire_time))
                 self.seg_open = None
-            self.timeline.record_instant("server", self.retire_time,
-                                         "retired")
+            self.log.extend((_RETIRE, self.retire_time, self.retire_time,
+                             0, 0, 0))
             return True
         return False
 
@@ -521,6 +518,13 @@ class _Replica:
     def completed_tokens(self) -> int:
         """Tokens of the requests that finished here (kept tokens)."""
         return sum(self.by_id[rid].gen_tokens for rid in self.finish)
+
+    def busy_time(self) -> float:
+        """Time in prompt passes and decode stretches (the server lane's
+        :meth:`~repro.simcore.trace.Timeline.busy_time`)."""
+        spans = np.array(self.log).reshape(-1, 6)
+        spans = spans[spans[:, 0] < _CRASH]
+        return merged_length(spans[:, 1].tolist(), spans[:, 2].tolist())
 
     def lifetime(self, makespan: float) -> tuple[tuple[float, float], ...]:
         """Up-time segments, the open one closed at ``makespan``."""

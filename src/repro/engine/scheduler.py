@@ -45,6 +45,14 @@ __all__ = [
 ]
 
 
+def _as_index(name: str, value) -> int:
+    """``value`` as an int; a float (NaN included) is a TypeError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class SchedRequest:
     """Scheduling-relevant metadata of one request (no tensors).
@@ -63,12 +71,7 @@ class SchedRequest:
 
     def __post_init__(self) -> None:
         # The lifecycle log stores ids in an int64 column.
-        try:
-            rid = operator.index(self.request_id)
-        except TypeError:
-            raise TypeError(
-                f"request_id must be an integer, got "
-                f"{self.request_id!r}") from None
+        rid = _as_index("request_id", self.request_id)
         if not -2**63 <= rid < 2**63:
             raise ValueError(
                 f"request_id must fit in int64, got {self.request_id!r}")
@@ -258,6 +261,8 @@ class Scheduler:
         policy: str | Callable[[Sequence[SchedRequest]], SchedRequest] = "fcfs",
         eos_token: int | None = None,
     ) -> None:
+        # ``< 1`` alone lets NaN and fractional counts through.
+        max_slots = _as_index("max_slots", max_slots)
         if max_slots < 1:
             raise ValueError("max_slots must be >= 1")
         if callable(policy):

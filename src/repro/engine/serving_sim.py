@@ -16,21 +16,26 @@ fleet simulator also runs, once per replica — which drives the same
 :class:`~repro.engine.generation.GenerationSession` uses and merely
 *prices* its decisions with the cost model, so the analytical and
 functional serving paths cannot diverge. The scheduler (with its event
-log) and a priced :class:`~repro.simcore.trace.Timeline` come back on
-the report for chrome-trace export.
+log) and a priced :class:`~repro.simcore.trace.Timeline`, drawn from
+the replica's action log when first read, come back on the report for
+chrome-trace export.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
 from ..rng import SeedLike, as_generator
 from ..simcore.trace import Timeline
-from .costs import StepCostModel
-from .replica import _KvTracker, _Replica
+from .costs import BatchState, StepCostModel
+from .replica import (_ADMIT_DONE, _CRASH, _DECODE, _RECOVER, _KvTracker,
+                      _Replica)
 from .report_stats import ReportStats
 from .scheduler import Scheduler
 
@@ -40,13 +45,7 @@ __all__ = [
     "synthesize_trace",
     "ServingReport",
     "simulate_serving",
-    "SUMMARY_DETAIL_THRESHOLD",
 ]
-
-#: ``detail="auto"`` switches to ``"summary"`` timelines at this trace
-#: size — per-request lanes allocate O(requests) span objects that
-#: nobody exporting only percentiles ever reads.
-SUMMARY_DETAIL_THRESHOLD = 10_000
 
 
 @dataclass(frozen=True)
@@ -251,14 +250,82 @@ class ServingReport(ReportStats):
     timeline: Timeline | None = field(default=None, compare=False)
 
 
-def _resolve_detail(detail: str, num_requests: int) -> bool:
-    """True for full per-step/per-request timelines, False for summary."""
-    if detail not in ("auto", "full", "summary"):
+def _full_detail(detail: str) -> bool:
+    """True to draw full timelines, False for summary ones."""
+    if detail not in ("full", "summary"):
         raise ValueError(
-            f"unknown detail {detail!r}; choose 'auto', 'full' or 'summary'")
-    if detail == "auto":
-        return num_requests < SUMMARY_DETAIL_THRESHOLD
+            f"unknown detail {detail!r}; choose 'full' or 'summary'")
     return detail == "full"
+
+
+class _RenderedTimeline(Timeline):
+    """A :class:`Timeline` that ``draw`` fills the first time its lanes
+    are read, so a run nobody traces never builds one."""
+
+    def __init__(self, draw: Callable[[Timeline], None]) -> None:
+        self._draw = draw
+
+    def __getattr__(self, name: str):
+        # Reached only while the lanes are missing, i.e. before the draw.
+        if name not in ("_lanes", "_instants"):
+            raise AttributeError(name)
+        drawn = Timeline()
+        self._draw(drawn)
+        self._lanes, self._instants = drawn._lanes, drawn._instants
+        del self._draw
+        return getattr(self, name)
+
+
+def _draw_replica(tl: Timeline, log: array, costs: StepCostModel,
+                  full: bool, first: dict[int, float],
+                  finish: dict[int, float], *, index: int = 0,
+                  slow: tuple[float, float] = (math.inf, 1.0),
+                  served: dict[int, int] | None = None) -> None:
+    """Draw one replica's action log onto ``tl``'s ``server`` lane and,
+    at full detail, its ``req-{id}`` lanes, re-pricing each decode
+    stretch as the replica did (``slow`` is its ``(slow_from,
+    slow_factor)``). A fleet passes ``served`` (request -> final
+    replica) and gets lanes prefixed ``replica{index}/``."""
+    prefix = "" if served is None else f"replica{index}/"
+    server = prefix + "server"
+    slow_from, slow_factor = slow
+    decoding: dict[int, str] = {}  # admitted here, retiring in a stretch
+    for kind, start, end, a, b, c in np.array(log).reshape(-1, 6).tolist():
+        a, b = int(a), int(b)
+        if kind == _DECODE:
+            if not full:
+                tl.record(server, start, end, f"decode x{a} ({b} steps)")
+                continue
+            run = costs.decode_run_cost(BatchState(a, int(c)), b)
+            if start >= slow_from:
+                run *= slow_factor
+            run[0] += start
+            ends = np.add.accumulate(run, out=run).tolist()
+            if ends[-1] != end:
+                raise ValueError(
+                    f"replica {index}: the decode stretch from t={start!r} "
+                    f"re-prices to end at {ends[-1]!r}, not at its recorded "
+                    f"{end!r}; full detail needs deterministic step costs")
+            for e in ends:
+                tl.record(server, start, e, f"decode x{a}")
+                start = e
+        elif kind >= _CRASH:
+            tl.record_instant(server, start, (
+                f"crash ({a} requeued)" if kind == _CRASH
+                else "recover" if kind == _RECOVER else "retired"))
+        else:
+            tl.record(server, start, end,
+                      f"prefill r{a} (+{b} cached)" if b else f"prefill r{a}")
+            if full:
+                lane = f"{prefix}req-{a}"
+                tl.record(lane, c, start, "queued")
+                if kind == _ADMIT_DONE:
+                    tl.record(lane, start, end, "decode")
+                else:
+                    decoding[a] = lane
+    for rid, lane in decoding.items():
+        if rid in finish and (served is None or served[rid] == index):
+            tl.record(lane, first[rid], finish[rid], "decode")
 
 
 def _ignore_completion(index: int, request: Request, t: float) -> None:
@@ -271,7 +338,7 @@ def simulate_serving(
     costs: StepCostModel,
     max_batch: int,
     policy: str = "fcfs",
-    detail: str = "auto",
+    detail: str = "full",
     kv_block_size: int = 16,
     kv_num_layers: int = 1,
     prefix_sharing: bool = True,
@@ -309,25 +376,23 @@ def simulate_serving(
     per-request times, same scheduler event log (the test suite holds
     them against a per-step oracle, ``tests/serving_oracle.py``).
 
-    ``detail`` controls timeline fidelity: ``"full"`` records per-step
-    server spans and per-request queued/decode lanes; ``"summary"``
-    records one aggregated server span per compressed stretch and skips
-    the per-request lanes (O(requests) span objects saved); ``"auto"``
-    (default) picks summary at :data:`SUMMARY_DETAIL_THRESHOLD` requests
-    and full below it. The *report* numbers are identical at every
-    level.
-
     The returned report carries the scheduler (event log, orderings) and
     a priced :class:`Timeline` — exportable with
-    ``timeline.to_chrome_trace()``.
+    ``timeline.to_chrome_trace()``. The replica keeps one log row per
+    action, and the timeline is drawn from it the first time it is read.
+    ``detail`` picks the drawn view; the run is the same either way.
+    ``"full"`` (default) draws per-step server spans and per-request
+    queued/decode lanes, re-pricing each decode stretch, so it needs
+    deterministic step costs. ``"summary"`` draws one server span per
+    compressed stretch and no per-request lanes.
     """
     if max_batch < 1:
         raise ValueError("max_batch must be >= 1")
-    full = _resolve_detail(detail, len(trace.requests))
+    full = _full_detail(detail)
     kv = _KvTracker(block_size=kv_block_size, num_layers=kv_num_layers,
                     prefix_sharing=prefix_sharing)
     server = _Replica(0, max_batch=max_batch, policy=policy, costs=costs,
-                      kv=kv, full=full)
+                      kv=kv)
     for r in trace.requests:
         server.deliver(r, r.arrival)
     while server.perform_action(_ignore_completion) is not None:
@@ -345,5 +410,7 @@ def simulate_serving(
         kv_blocks_saved=kv.saved_blocks,
         peak_kv_blocks=kv.peak_blocks,
         scheduler=server.sched,
-        timeline=server.timeline,
+        timeline=_RenderedTimeline(partial(
+            _draw_replica, log=server.log, costs=costs, full=full,
+            first=server.first, finish=server.finish)),
     )

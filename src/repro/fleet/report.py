@@ -4,8 +4,8 @@ The single-server :class:`~repro.engine.serving_sim.ServingReport`
 answers "can this deployment hold the SLA"; the fleet report answers
 the capacity-planning questions above it: how is load spread, what did
 a fault cost, where did the tail go. It aggregates one lane per replica
-plus the router's decision log, and merges every replica timeline into
-one multi-lane chrome-trace export.
+plus the router's decision log, and draws every replica's action log
+into one multi-lane chrome-trace export when its timeline is read.
 """
 
 from __future__ import annotations

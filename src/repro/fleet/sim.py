@@ -39,6 +39,7 @@ import heapq
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -49,13 +50,14 @@ from ..engine.costs import StepCostModel
 from ..engine.generation import GenerationSession
 from ..engine.replica import _KvTracker, _Replica
 from ..engine.scheduler import Scheduler
-from ..engine.serving_sim import Request, WorkloadTrace, _resolve_detail
+from ..engine.serving_sim import (Request, WorkloadTrace, _draw_replica,
+                                  _full_detail, _RenderedTimeline)
 from ..rng import SeedLike, as_generator
 from ..simcore.trace import Timeline
 from .faults import FaultPlan
 from .policies import RoutingPolicy
 from .report import FleetReport, ReplicaStats
-from .router import Router
+from .router import Router, RoutingDecision
 
 __all__ = [
     "simulate_fleet",
@@ -75,11 +77,33 @@ def _replica_stats(rep: _Replica) -> ReplicaStats:
         num_requests=len(rep.finish),
         tokens=completed,
         tokens_discarded=rep.tokens - completed,
-        busy_time=rep.timeline.busy_time("server"),
+        busy_time=rep.busy_time(),
         join_time=rep.join_time,
         retire_time=rep.retire_time,
         draining=rep.draining,
     )
+
+
+def _draw_fleet(tl: Timeline, replicas, costs: StepCostModel, full: bool,
+                first: dict[int, float], finish: dict[int, float],
+                served: dict[int, int], routing: tuple[RoutingDecision, ...],
+                autoscale_log: tuple[AutoscaleEvent, ...]) -> None:
+    """Draw every replica's lanes under ``replica{i}/``, then the router
+    and autoscaler decisions as instants on their own lanes.
+    ``replicas`` holds ``(log, (slow_from, slow_factor))`` per replica."""
+    for i, (log, slow) in enumerate(replicas):
+        _draw_replica(tl, log, costs, full, first, finish, index=i,
+                      slow=slow, served=served)
+    for d in routing:
+        tl.record_instant(
+            "router", d.time, f"r{d.request_id}->replica{d.replica}"
+            + (" (retry)" if d.retry else ""))
+    for ev in autoscale_log:
+        tl.record_instant(
+            "autoscale", ev.time_s,
+            ev.kind + (f" replica{ev.replica}"
+                       if ev.replica is not None else "")
+            + (f" ({ev.detail})" if ev.detail else ""))
 
 
 def simulate_fleet(
@@ -95,7 +119,7 @@ def simulate_fleet(
     kv_block_size: int = 16,
     kv_num_layers: int = 1,
     prefix_sharing: bool = True,
-    detail: str = "auto",
+    detail: str = "full",
     _max_run_steps: int | None = None,
 ) -> FleetReport:
     """Serve ``trace`` on ``num_replicas`` priced replicas behind a router.
@@ -137,9 +161,9 @@ def simulate_fleet(
     onset and retirements split its own. Each split falls exactly where
     per-step stepping would act, so reports are bit-for-bit independent
     of the compression.
-    ``detail`` has the single-server semantics (``"summary"`` skips
-    per-request lanes and aggregates per-stretch server spans;
-    ``"auto"`` switches on trace size). ``_max_run_steps`` caps every
+    ``detail`` picks the report's drawn timeline as for a single server
+    (lanes prefixed ``replica{i}/``, plus ``router`` and ``autoscale``
+    instants); the run is the same either way. ``_max_run_steps`` caps every
     stretch (``1`` forces the per-step reference behavior; equivalence
     tests use it as the oracle).
     """
@@ -147,7 +171,7 @@ def simulate_fleet(
         raise ValueError("num_replicas must be >= 1")
     if max_batch < 1:
         raise ValueError("max_batch must be >= 1")
-    full = _resolve_detail(detail, len(trace.requests))
+    full = _full_detail(detail)
     plan = fault_plan or FaultPlan()
     plan.validate_against(num_replicas)
     scaler = resolve_autoscaler(autoscaler)
@@ -160,7 +184,7 @@ def simulate_fleet(
                    prefix_sharing=prefix_sharing)
     replicas = [
         _Replica(i, max_batch=max_batch, policy=policy, costs=costs,
-                 kv=_KvTracker(**kv_opts), full=full, ttft_sink=ttft_sink)
+                 kv=_KvTracker(**kv_opts), ttft_sink=ttft_sink)
         for i in range(num_replicas)
     ]
     for i, (t, factor) in plan.slowdowns().items():
@@ -282,7 +306,7 @@ def simulate_fleet(
             t = joins.popleft()
             new_index = router.add_replica()
             rep = _Replica(new_index, max_batch=max_batch, policy=policy,
-                           costs=costs, kv=_KvTracker(**kv_opts), full=full,
+                           costs=costs, kv=_KvTracker(**kv_opts),
                            join_time=t, ttft_sink=ttft_sink)
             replicas.append(rep)
             autoscale_log.append(AutoscaleEvent(
@@ -344,21 +368,14 @@ def simulate_fleet(
             delays[rid] = rep.admit_start[rid] - request.arrival
             total_tokens += request.gen_tokens
     replica_stats = tuple(_replica_stats(rep) for rep in replicas)
-
-    timeline = Timeline()
-    for i, rep in enumerate(replicas):
-        timeline.merge(rep.timeline, prefix=f"replica{i}/")
-    for d in router.decisions:
-        timeline.record_instant(
-            "router", d.time,
-            f"r{d.request_id}->replica{d.replica}"
-            + (" (retry)" if d.retry else ""))
-    for ev in autoscale_log:
-        timeline.record_instant(
-            "autoscale", ev.time_s,
-            ev.kind + (f" replica{ev.replica}"
-                       if ev.replica is not None else "")
-            + (f" ({ev.detail})" if ev.detail else ""))
+    routing = tuple(router.decisions)
+    autoscale_log = tuple(autoscale_log)
+    timeline = _RenderedTimeline(partial(
+        _draw_fleet,
+        replicas=[(rep.log, (rep.slow_from, rep.slow_factor))
+                  for rep in replicas],
+        costs=costs, full=full, first=first, finish=finish,
+        served=replica_of, routing=routing, autoscale_log=autoscale_log))
 
     makespan = max(finish.values(), default=0.0)
     return FleetReport(
@@ -371,7 +388,7 @@ def simulate_fleet(
         total_tokens=total_tokens,
         tokens_discarded=sum(s.tokens_discarded for s in replica_stats),
         replica_stats=replica_stats,
-        routing=tuple(router.decisions),
+        routing=routing,
         prefix_hits=sum(rep.kv.hits for rep in replicas),
         prefix_hit_tokens=sum(rep.kv.hit_tokens for rep in replicas),
         kv_blocks_allocated=sum(rep.kv.allocated for rep in replicas),
@@ -381,7 +398,7 @@ def simulate_fleet(
                      if rep.crash_step is not None},
         schedulers=tuple(rep.sched for rep in replicas),
         timeline=timeline,
-        autoscale_log=tuple(autoscale_log),
+        autoscale_log=autoscale_log,
         telemetry=tuple(telemetry),
         replica_lifetimes={rep.index: rep.lifetime(makespan)
                            for rep in replicas},
@@ -473,7 +490,7 @@ def run_fleet_functional(
     kv_block_size: int = 16,
     kv_pool_blocks: int | None = None,
     prefix_sharing: bool = False,
-    detail: str = "auto",
+    detail: str = "full",
 ) -> FleetFunctionalResult:
     """Serve ``trace`` on real :class:`GenerationSession` replicas.
 

@@ -17,9 +17,25 @@ from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from itertools import islice
 
-__all__ = ["Span", "Timeline"]
+__all__ = ["Span", "Timeline", "merged_length"]
 
 _NO_SPANS = ((), (), ())  # the columns of a lane never recorded
+
+
+def merged_length(starts, ends) -> float:
+    """Time covered by the spans ``[starts[i], ends[i])``, given in start
+    order, counting overlaps once (0.0 for no spans)."""
+    if not starts:
+        return 0.0
+    total = 0.0
+    cur_start, cur_end = starts[0], ends[0]
+    for start, end in zip(starts, ends):
+        if start > cur_end:
+            total += cur_end - cur_start
+            cur_start, cur_end = start, end
+        elif end > cur_end:
+            cur_end = end
+    return total + (cur_end - cur_start)
 
 
 @dataclass(frozen=True, order=True)
@@ -102,19 +118,13 @@ class Timeline:
         """Copy every span and instant of ``other`` into this timeline,
         prefixing its lane names with ``prefix``.
 
-        Builds multi-server views: the fleet layer merges one timeline
-        per replica under ``replica{i}/`` prefixes into a single
-        chrome-trace export. Returns ``self`` for chaining.
+        Builds multi-server views, e.g. one timeline per replica under
+        ``replica{i}/`` prefixes in a single chrome-trace export. Returns
+        ``self`` for chaining.
         """
         for lane, cols in other._lanes.items():
-            name = prefix + lane
-            if name not in self._lanes:
-                # The source lane is sorted: copy its columns whole.
-                self._lanes[name] = (array("d", cols[0]), array("d", cols[1]),
-                                     list(cols[2]))
-                continue
             for start, end, label in zip(*cols):
-                self.record(name, start, end, label)
+                self.record(prefix + lane, start, end, label)
         for lane, instants in other._instants.items():
             for t, label in instants:
                 self.record_instant(prefix + lane, t, label)
@@ -136,17 +146,7 @@ class Timeline:
     def busy_time(self, lane: str) -> float:
         """Total busy time of a lane, merging any overlapping spans."""
         starts, ends, _ = self._lanes.get(lane, _NO_SPANS)
-        if not starts:
-            return 0.0
-        total = 0.0
-        cur_start, cur_end = starts[0], ends[0]
-        for start, end in zip(starts, ends):
-            if start > cur_end:
-                total += cur_end - cur_start
-                cur_start, cur_end = start, end
-            elif end > cur_end:
-                cur_end = end
-        return total + (cur_end - cur_start)
+        return merged_length(starts, ends)
 
     def utilization(self, lane: str, horizon: float | None = None) -> float:
         """Busy fraction of ``lane`` over ``horizon`` (default: makespan)."""

@@ -16,7 +16,8 @@ contracts at every action and delivery over a randomized configuration
 space; simultaneous arrivals and grid-valued step costs make ties
 common. Every drawn case
 is also run in the other stepping mode (compressed vs ``_max_run_steps=1``)
-and must give the same report and scheduler event logs.
+and must give the same report and scheduler event logs, and at full
+detail the same drawn timeline.
 """
 
 from functools import reduce
@@ -226,6 +227,16 @@ def test_every_action_is_the_scan_pick(case):
     twin = simulate_fleet(trace, costs=COSTS, **other)
     assert report == twin
     assert event_logs(report) == event_logs(twin)
+    # The timeline is drawn from each replica's action log: at full
+    # detail it re-prices every stretch, so both stepping modes must
+    # draw the same per-step spans, and the log's busy time must be the
+    # drawn server lane's.
+    if kwargs["detail"] == "full":
+        assert report.timeline.to_chrome_trace() == \
+            twin.timeline.to_chrome_trace()
+    for stats in report.replica_stats:
+        assert stats.busy_time == report.timeline.busy_time(
+            f"replica{stats.replica}/server")
 
 
 def test_simultaneous_idle_replicas_act_lowest_index_first():

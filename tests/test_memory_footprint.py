@@ -1,18 +1,22 @@
 """Memory regression tests for the records that grow with every action.
 
-The scheduler's lifecycle log and each Timeline lane are typed columns,
-so they keep a few bytes per entry instead of one Python object each.
+The scheduler's lifecycle log, each Timeline lane and each replica's
+action log are typed arrays, so they keep a few bytes per entry instead
+of one Python object each.
 ``tracemalloc`` attributes every allocation to the source line that
-made it, so the bytes a structure keeps are summed over the lines of
-the one method that appends to it.
+made it, so the bytes a structure keeps are summed over the lines that
+append to it.
 """
 
+import ast
 import gc
 import inspect
 import tracemalloc
 
+import repro.engine.replica as replica_mod
 from repro.engine import (ClosureStepCost, SchedRequest, Scheduler,
                           simulate_serving, synthesize_trace)
+from repro.engine.replica import _KvTracker, _Replica
 from repro.simcore import Timeline
 
 N = 10_000
@@ -23,8 +27,12 @@ def retained_by(func, build):
     that were allocated on a line of ``func``, and ``build``'s result
     (kept alive until the snapshot is taken)."""
     lines, first = inspect.getsourcelines(func)
-    own = range(first, first + len(lines))
-    filename = func.__code__.co_filename
+    return retained_on(func.__code__.co_filename,
+                       range(first, first + len(lines)), build)
+
+
+def retained_on(filename, own, build):
+    """:func:`retained_by` for the lines ``own`` of ``filename``."""
     gc.collect()
     tracemalloc.start()
     try:
@@ -75,6 +83,35 @@ def test_timeline_lane_keeps_at_most_26_bytes_per_span():
     size, tl = retained_by(Timeline.record, build)
     assert len(tl.spans("server")) == N
     assert size / N <= 26, f"{size / N:.1f} B per span"
+
+
+def test_action_log_keeps_at_most_52_bytes_per_action():
+    """One row of six float64s per action is 48 bytes; the bound allows
+    the array's growth slack on top (at most 1/16), not any per-row
+    object. Measured over every line that appends a row."""
+    tree = ast.parse(inspect.getsource(replica_mod))
+    own = {line for node in ast.walk(tree) if isinstance(node, ast.Call)
+           and ast.unparse(node.func) == "self.log.extend"
+           for line in range(node.lineno, node.end_lineno + 1)}
+    assert len(own) >= 5
+    trace = synthesize_trace(num_requests=N // 2, arrival_rate=200.0,
+                             mean_prompt=32, mean_gen=16, seed=0)
+    costs = ClosureStepCost(lambda b, p: 1e-3 + 1e-5 * p,
+                            lambda b: 1e-3 + 1e-4 * b)
+
+    def build():
+        rep = _Replica(0, max_batch=8, policy="fcfs", costs=costs,
+                       kv=_KvTracker())
+        for r in trace.requests:
+            rep.deliver(r, r.arrival)
+        while rep.perform_action(lambda *args: None) is not None:
+            pass
+        return rep
+
+    size, rep = retained_on(replica_mod.__file__, own, build)
+    rows = len(rep.log) // 6
+    assert rows >= N
+    assert size / rows <= 52, f"{size / rows:.1f} B per action"
 
 
 def test_full_detail_serving_retains_no_more_than_object_records():

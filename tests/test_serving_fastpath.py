@@ -12,9 +12,10 @@ slowdowns and every routing policy, and a one-replica fleet against the
 single-server simulator.
 """
 
+import itertools
+
 import pytest
 
-import repro.engine.serving_sim as serving_sim_mod
 from repro.engine import (
     ClosureStepCost,
     DenseLatencyModel,
@@ -138,16 +139,6 @@ class TestDetailLevels:
         assert len(summary.timeline.spans("server")) < \
             len(full.timeline.spans("server"))
 
-    def test_auto_switches_at_threshold(self, dense_cost, monkeypatch):
-        monkeypatch.setattr(serving_sim_mod, "SUMMARY_DETAIL_THRESHOLD", 20)
-        small = simulate_serving(_trace(n=10), costs=dense_cost,
-                                 max_batch=MAX_BATCH)
-        big = simulate_serving(_trace(n=25), costs=dense_cost,
-                               max_batch=MAX_BATCH)
-        assert any(lane.startswith("req-") for lane in small.timeline.lanes())
-        assert not any(lane.startswith("req-")
-                       for lane in big.timeline.lanes())
-
     def test_pending_arrival_does_not_chunk_a_long_stretch(self, dense_cost):
         """A 1000-token generation with the next arrival due only after it
         finishes decodes as one summary span: a pending delivery splits a
@@ -162,6 +153,24 @@ class TestDetailLevels:
                           "prefill r1", "decode x1 (3 steps)"]
         assert summary == simulate_serving_reference(
             trace, costs=dense_cost, max_batch=MAX_BATCH)
+
+    @pytest.mark.parametrize("detail", ["full", "summary"])
+    def test_full_render_checks_repriced_stretches(self, detail):
+        """Full detail re-prices every decode stretch from its log row,
+        so a step cost that changes between calls is caught when the
+        timeline is read; summary never re-prices."""
+        calls = itertools.count()
+        drifting = ClosureStepCost(lambda b, p: 0.5,
+                                   lambda b: 0.1 + 0.01 * next(calls))
+        trace = WorkloadTrace((Request(0, 0.0, 8, 6),))
+        report = simulate_serving(trace, costs=drifting, max_batch=MAX_BATCH,
+                                  detail=detail)
+        if detail == "summary":
+            assert len(report.timeline.spans("server")) == 2
+            return
+        with pytest.raises(ValueError,
+                           match=r"replica 0: the decode stretch from t=0\.5 "):
+            report.timeline.to_rows()
 
     def test_unknown_detail_rejected(self, dense_cost):
         with pytest.raises(ValueError, match="detail"):

@@ -158,6 +158,22 @@ class TestServingSimulator:
         with pytest.raises(ValueError):
             simulate_serving(trace, costs=costs, max_batch=0)
 
+    @pytest.mark.parametrize("kwargs,name", [
+        (dict(max_batch=_NAN), "max_slots"),
+        (dict(max_batch=2.5), "max_slots"),
+        (dict(max_batch=2, kv_block_size=2.5), "block_size"),
+        (dict(max_batch=2, kv_block_size=_NAN), "block_size"),
+        (dict(max_batch=2, kv_num_layers=1.5), "num_layers"),
+    ], ids=["batch-nan", "batch-frac", "block-frac", "block-nan",
+            "layers-frac"])
+    def test_non_integer_sizes_rejected(self, kwargs, name):
+        """NaN and fractional sizes passed the ``< 1`` guards: a NaN
+        batch was accepted and a NaN block size made NaN
+        ``kv_blocks_allocated``."""
+        trace = WorkloadTrace((Request(0, 0.0, 8, 3),))
+        with pytest.raises(TypeError, match=f"{name} must be an integer"):
+            simulate_serving(trace, costs=unit_costs(), **kwargs)
+
 
 _BAD_COSTS = [float("nan"), float("inf"), -0.1]
 
