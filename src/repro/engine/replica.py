@@ -12,9 +12,11 @@ the reports draw as a :class:`~repro.simcore.trace.Timeline` when it is
 read. The ledger's ``live`` dict
 (request id -> KV length) is the replica's one record of its running
 batch: every pass is priced from its size and running KV total, and
-each stretch walks it once. The requests themselves live in the
-replica's ``by_id``, which hands each one to the ledger at admission
-and retirement.
+each stretch walks it once. Requests are trace positions: the replica
+reads their fields from the trace's columns and writes each one's queue
+delay, first-token and finish time into arrays shared by every replica
+of a run (:class:`_Outcomes`), so it keeps no per-request record of its
+own.
 
 Both simulators drive it:
 :func:`~repro.engine.serving_sim.simulate_serving` runs one replica to
@@ -48,7 +50,7 @@ from __future__ import annotations
 import math
 from array import array
 from collections import deque
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -58,9 +60,16 @@ from .costs import BatchState, PromptShape, StepCostModel
 from .scheduler import SchedRequest, Scheduler, _as_index
 
 if TYPE_CHECKING:
-    from .serving_sim import Request
+    from .serving_sim import Request, _RequestColumns
 
 _INF = math.inf
+# The trace's session column holds this for "no session".
+_NO_SESSION = -2**63
+# The ledger's states skip BatchState's checks: its counts are valid by
+# construction.
+_new = object.__new__
+_set_batch = BatchState.batch.__set__
+_set_total_kv = BatchState.total_kv.__set__
 
 # Action-log row kinds. Every row is ``(kind, start, end, a, b, c)``:
 # an admission has a = request id, b = cached prefix tokens and c = the
@@ -133,31 +142,41 @@ class _KvTracker:
     def admit(self, r: Request) -> int:
         """Account one admission; returns the effective shared prefix
         (0 = full prefill) for prefix-aware prompt pricing."""
+        return self._admit(r.request_id, r.prompt_len, r.session,
+                           r.shared_prefix_len)
+
+    def _admit(self, rid: int, prompt_len: int, session: int | None,
+               shared_prefix_len: int) -> int:
+        # ``session`` is None or _NO_SESSION when unset; a request with a
+        # shared prefix always has one.
         eff = 0
-        if (self.prefix_sharing and r.shared_prefix_len
-                and r.session in self._parked):
-            ctx, parked_blocks = self._parked.pop(r.session)
-            eff = min(r.shared_prefix_len, ctx)
+        if (self.prefix_sharing and shared_prefix_len
+                and session in self._parked):
+            ctx, parked_blocks = self._parked.pop(session)
+            eff = min(shared_prefix_len, ctx)
             # Fork: the child aliases the prefix blocks; the parked
             # parent is freed, returning its suffix blocks to the pool.
             self._used -= parked_blocks - self._blocks(eff)
             self.hits += 1
             self.hit_tokens += eff
             self.saved_blocks += self._blocks(eff)
-        fresh = blocks_needed(r.prompt_len, block_size=self.block_size,
+        fresh = blocks_needed(prompt_len, block_size=self.block_size,
                               num_layers=self.num_layers,
                               shared_prefix_len=eff)
         self._used += fresh
         self.allocated += fresh
         if self._used > self.peak_blocks:
             self.peak_blocks = self._used
-        self.live[r.request_id] = r.prompt_len + 1
-        self.total_kv += r.prompt_len + 1
+        self.live[rid] = prompt_len + 1
+        self.total_kv += prompt_len + 1
         return eff
 
     def state(self) -> BatchState:
         """The live batch, priced as is."""
-        return BatchState(len(self.live), self.total_kv)
+        state = _new(BatchState)
+        _set_batch(state, len(self.live))
+        _set_total_kv(state, self.total_kv)
+        return state
 
     def grow_all(self, steps: int) -> None:
         """Every live request appends ``steps`` positions (one per
@@ -180,15 +199,19 @@ class _KvTracker:
 
     def retire(self, r: Request) -> None:
         """Release (or park) a finished request's cache."""
-        n = self.live.pop(r.request_id)
+        self._retire(r.request_id,
+                     _NO_SESSION if r.session is None else r.session)
+
+    def _retire(self, rid: int, session: int) -> None:
+        n = self.live.pop(rid)
         self.total_kv -= n
         pos = n - 1
         blocks = self._blocks(pos)
-        if self.prefix_sharing and r.session is not None:
-            prev = self._parked.get(r.session)
+        if self.prefix_sharing and session != _NO_SESSION:
+            prev = self._parked.get(session)
             if prev is not None:  # newer turn supersedes the parked one
                 self._used -= prev[1]
-            self._parked[r.session] = (pos, blocks)
+            self._parked[session] = (pos, blocks)
         else:
             self._used -= blocks
 
@@ -204,16 +227,39 @@ class _KvTracker:
         self._parked.clear()
 
 
+class _Outcomes:
+    """Per-request results of one run, indexed by trace position: the
+    queue delay (original arrival to the last admission), first-token
+    time and finish time, NaN until written. Every replica of a run
+    writes into the same arrays; a request requeued after a crash is
+    overwritten by its next admission, so the last write is the serving
+    replica's."""
+
+    __slots__ = ("delay", "first", "finish")
+
+    def __init__(self, n: int) -> None:
+        nan = array("d", [math.nan])
+        self.delay, self.first, self.finish = nan * n, nan * n, nan * n
+
+
 class _Replica:
     """One priced server: the continuous-batching loop as atomic actions
     (admit one request with its prompt pass, or decode a stretch), so a
-    driver can run it alone or interleave it with others."""
+    driver can run it alone or interleave it with others. Requests are
+    positions in ``requests``, the trace's columns; results go to
+    ``out``. The hot paths read the scheduler's queue and slot table
+    (``Scheduler._queue``, ``Scheduler._active``) directly, not through
+    its properties."""
 
-    def __init__(self, index: int, *, max_batch: int, policy: str,
+    def __init__(self, index: int, *, requests: _RequestColumns,
+                 out: _Outcomes, max_batch: int, policy: str,
                  costs: StepCostModel, kv: _KvTracker,
                  join_time: float = 0.0,
                  ttft_sink: list[tuple[float, float]] | None = None) -> None:
         self.index = index
+        self.requests = requests
+        self.out = out
+        self._find: Callable[[int], int] = requests.locator()
         self.max_batch = max_batch
         self.policy = policy
         self.sched = Scheduler(max_batch, policy=policy)
@@ -231,11 +277,10 @@ class _Replica:
         self.slow_factor = 1.0
         self.crash_step: int | None = None
         self._mid_round = False
-        self.inbox: deque[tuple[float, Request]] = deque()  # delivered, unenqueued
-        self.by_id: dict[int, Request] = {}
-        self.admit_start: dict[int, float] = {}
-        self.first: dict[int, float] = {}
-        self.finish: dict[int, float] = {}
+        # Delivered, unenqueued: (arrival, trace position).
+        self.inbox: deque[tuple[float, int]] = deque()
+        self.completed = 0  # requests that finished here
+        self.completed_tokens = 0  # their tokens (the kept ones)
         self.tokens = 0  # every token generated here, kept or discarded
         self.log = array("d")  # six floats per action row
         # Closed up-time segments + the currently-open segment start;
@@ -256,9 +301,10 @@ class _Replica:
 
     # -- delivery --------------------------------------------------------
 
-    def deliver(self, request: Request, t: float) -> None:
-        """Hand over a request arriving at ``t`` (enqueued by the first
-        action at or after ``t``). Deliveries must come in time order.
+    def deliver(self, pos: int, t: float) -> None:
+        """Hand over the request at trace position ``pos``, arriving at
+        ``t`` (enqueued by the first action at or after ``t``).
+        Deliveries must come in time order.
 
         A held decode stretch is first committed up to ``t``: only its
         steps starting strictly before ``t`` run, so the newcomer is
@@ -270,20 +316,15 @@ class _Replica:
             self._plan = None
             self._commit(start, ends, int(ends.searchsorted(t)) + 1,
                          on_complete)
-        self.inbox.append((t, request))
-        self.by_id[request.request_id] = request
+        self.inbox.append((t, pos))
 
     def _enqueue_arrived(self) -> None:
-        inbox, now = self.inbox, self.now
+        inbox, now, req = self.inbox, self.now, self.requests
         while inbox and inbox[0][0] <= now:
-            t, r = inbox.popleft()
+            t, pos = inbox.popleft()
             self.sched.enqueue(SchedRequest(
-                request_id=r.request_id,
-                prompt_len=r.prompt_len,
-                max_new_tokens=r.gen_tokens,
-                arrival=t,
-                tenant=r.tenant,
-            ))
+                req.ids[pos], req.prompt[pos], req.gen[pos], t,
+                req.tenant_names[req.tenant[pos]]))
 
     # -- the action interface --------------------------------------------
 
@@ -294,7 +335,8 @@ class _Replica:
             return self._plan_key
         if not self.alive or self.retired:
             return _INF
-        if self.sched.num_active or self.sched.num_waiting:
+        sched = self.sched
+        if sched._active or sched._queue:  # running or queued work
             return self.now
         if self.inbox:
             return max(self.now, self.inbox[0][0])  # idle fast-forward
@@ -307,9 +349,10 @@ class _Replica:
         pass) if possible, else decode a whole *stretch* of iterations.
         Returns what ran, or ``None`` when there is nothing to do.
 
-        ``on_complete(index, request, t)`` is called for every request
-        that finishes. ``t_limit`` bounds a decode stretch: only
-        iterations *starting* strictly before it are committed (the
+        ``on_complete(index, pos, t)`` is called for every request that
+        finishes (``pos`` is its trace position). ``t_limit`` bounds a
+        decode stretch: only iterations *starting* strictly before it
+        are committed (the
         fleet loop passes its next fault, join or control epoch, so a
         run splits exactly where a per-step replica would have yielded
         to the event loop). A replica's own inbox, the next length
@@ -335,19 +378,28 @@ class _Replica:
             return None
         if t > self.now:
             self.now = t
-        self._enqueue_arrived()
+        inbox = self.inbox
+        if inbox and inbox[0][0] <= self.now:
+            self._enqueue_arrived()
         sched = self.sched
         kv = self.kv
-        admitted = sched.admit(max_admit=1)
+        # A decode-only action (nothing queued, or no free slot) skips
+        # the scheduler's admission pass.
+        if sched._queue and len(sched._active) < self.max_batch:
+            admitted = sched.admit(max_admit=1)
+        else:
+            admitted = None
         if admitted:
             s = admitted[0]
             rid = s.request_id
-            request = self.by_id[rid]
+            req = self.requests
+            pos = self._find(rid)
             self._mid_round = True
             start = self.now
             # The riders: the live batch before the newcomer joins it.
             riders = kv.state()
-            eff = kv.admit(request)
+            eff = kv._admit(rid, s.prompt_len, req.session[pos],
+                            req.prefix[pos])
             # A prefix hit prices the unshared suffix only; ``eff == 0``
             # passes the scheduler's request through untouched.
             shape = (PromptShape(s.prompt_len, shared_prefix_len=eff)
@@ -360,22 +412,21 @@ class _Replica:
                     f"replica {self.index}: prompt pass of request {rid} "
                     f"priced at {dt!r} s; step costs must be finite and >= 0")
             now = self.now = start + dt
-            self.admit_start[rid] = start
-            self.first[rid] = now  # prompt pass yields token 1
+            # Delay and TTFT run from the *original* arrival (a retried
+            # request's clock ran through the crash).
+            arrival = req.arrival[pos]
+            self.out.delay[pos] = start - arrival
+            self.out.first[pos] = now  # prompt pass yields token 1
             if self.ttft_sink is not None:
-                # TTFT from the *original* arrival (a retried request's
-                # clock ran through the crash), matching the report.
-                self.ttft_sink.append((now, now - request.arrival))
+                self.ttft_sink.append((now, now - arrival))
             self.tokens += 1
             done = sched.record_token(rid) is not None
             self.log.extend((_ADMIT_DONE if done else _ADMIT, start, now,
                              rid, eff, s.arrival))
             if done:
-                self.finish[rid] = now
-                kv.retire(request)
-                on_complete(self.index, request, now)
+                self._finish(rid, pos, now, on_complete)
             return "admit"
-        batch = sched.num_active
+        batch = len(sched._active)
         if not batch:
             return None
         start = self.now
@@ -385,8 +436,8 @@ class _Replica:
         # limit, this replica's own next delivery, and — while still at
         # full speed — the slowdown onset.
         t_break = t_limit
-        if self.inbox and self.inbox[0][0] < t_break:
-            t_break = self.inbox[0][0]
+        if inbox and inbox[0][0] < t_break:
+            t_break = inbox[0][0]
         if start < slow_from < t_break:
             t_break = slow_from
         horizon = sched.decode_horizon()
@@ -425,7 +476,7 @@ class _Replica:
         """Commit the first ``n`` steps of a priced decode stretch from
         ``start`` (``ends[i]`` is step ``i``'s end time)."""
         sched = self.sched
-        batch = sched.num_active
+        batch = len(sched._active)
         now = self.now = ends.item(n - 1)
         retired = sched.record_tokens(n)
         self.tokens += n * batch
@@ -434,19 +485,25 @@ class _Replica:
         # step of the stretch — it retires *at* the last one).
         self.kv.grow_all(n)
         for rid in retired:
-            request = self.by_id[rid]
-            self.finish[rid] = now
-            self.kv.retire(request)
-            on_complete(self.index, request, now)
+            self._finish(rid, self._find(rid), now, on_complete)
         self._mid_round = False
+
+    def _finish(self, rid: int, pos: int, now: float, on_complete) -> None:
+        """Record request ``rid`` (at ``pos``) finishing at ``now``."""
+        req = self.requests
+        self.kv._retire(rid, req.session[pos])
+        self.out.finish[pos] = now
+        self.completed += 1
+        self.completed_tokens += req.gen[pos]
+        on_complete(self.index, pos, now)
 
     # -- crash handling --------------------------------------------------
 
-    def crash(self, t_fault: float, on_complete) -> list[tuple[float, Request]]:
+    def crash(self, t_fault: float, on_complete) -> list[tuple[float, int]]:
         """Kill the replica: finish the in-flight round so it dies at a
         scheduler step boundary, then surrender every unfinished request
         (queued, in flight, or undelivered) for requeueing. Returns
-        ``(requeue_time, request)`` victims in scheduler order."""
+        ``(requeue_time, position)`` victims in scheduler order."""
         while self._mid_round:
             # Per-step stepping: the in-flight round must finish exactly
             # where a per-step replica would, not run a whole stretch.
@@ -466,13 +523,14 @@ class _Replica:
         if self.seg_open is not None:
             self.segments.append((self.seg_open, t_requeue))
             self.seg_open = None
-        victims: list[tuple[float, Request]] = []
+        find = self._find
+        victims: list[tuple[float, int]] = []
         for rid in self.sched.active:          # in flight: output discarded
-            victims.append((t_requeue, self.by_id[rid]))
+            victims.append((t_requeue, find(rid)))
         for rid in self.sched.waiting:         # queued, never started
-            victims.append((t_requeue, self.by_id[rid]))
-        for t, r in self.inbox:                # routed, never enqueued
-            victims.append((max(t_requeue, t), r))
+            victims.append((t_requeue, find(rid)))
+        for t, pos in self.inbox:              # routed, never enqueued
+            victims.append((max(t_requeue, t), pos))
         self.inbox.clear()
         self.log.extend((_CRASH, t_requeue, t_requeue, len(victims), 0, 0))
         return victims
@@ -514,10 +572,6 @@ class _Replica:
         return False
 
     # -- reporting -------------------------------------------------------
-
-    def completed_tokens(self) -> int:
-        """Tokens of the requests that finished here (kept tokens)."""
-        return sum(self.by_id[rid].gen_tokens for rid in self.finish)
 
     def busy_time(self) -> float:
         """Time in prompt passes and decode stretches (the server lane's

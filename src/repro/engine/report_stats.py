@@ -19,10 +19,10 @@ class ReportStats:
     """Percentile/throughput views over a serving outcome.
 
     Consumers must provide ``finish_times`` and ``first_token_times``
-    (request id → absolute seconds), ``makespan``, and ``total_tokens``
-    (tokens of completed requests). All times are measured from each
-    request's *original* arrival — a retried request's clock keeps
-    running through a crash.
+    (mappings of request id → absolute seconds), ``makespan``, and
+    ``total_tokens`` (tokens of completed requests). All times are
+    measured from each request's *original* arrival — a retried
+    request's clock keeps running through a crash.
     """
 
     def latency(self, request) -> float:

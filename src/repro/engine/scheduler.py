@@ -70,14 +70,23 @@ class SchedRequest:
     tenant: str | None = None
 
     def __post_init__(self) -> None:
+        # Integers only: ``< 1`` alone lets NaN and fractional lengths
+        # through. One try block keeps the common case to three calls.
+        try:
+            rid = operator.index(self.request_id)
+            prompt_len = operator.index(self.prompt_len)
+            max_new_tokens = operator.index(self.max_new_tokens)
+        except TypeError:
+            for name in ("request_id", "prompt_len", "max_new_tokens"):
+                _as_index(name, getattr(self, name))
+            raise
         # The lifecycle log stores ids in an int64 column.
-        rid = _as_index("request_id", self.request_id)
         if not -2**63 <= rid < 2**63:
             raise ValueError(
                 f"request_id must fit in int64, got {self.request_id!r}")
-        if self.prompt_len < 1:
+        if prompt_len < 1:
             raise ValueError("prompt_len must be >= 1")
-        if self.max_new_tokens < 1:
+        if max_new_tokens < 1:
             raise ValueError("max_new_tokens must be >= 1")
         # Written as a range test so that NaN fails it too.
         if not 0 <= self.arrival < math.inf:
@@ -99,6 +108,13 @@ class SchedulerEvent:
 _ENQUEUE, _ADMIT, _RETIRE_LENGTH, _RETIRE_EOS = range(4)
 _KIND_REASON = (("enqueue", ""), ("admit", ""), ("retire", "length"),
                 ("retire", "eos"))
+
+
+def _check_slot_caps(slot_caps: dict[str, int] | None) -> None:
+    # A NaN cap fails every ``held >= cap`` test, disabling the cap.
+    for name, cap in (slot_caps or {}).items():
+        if _as_index(f"slot cap of tenant {name!r}", cap) < 1:
+            raise ValueError(f"slot cap of tenant {name!r} must be >= 1")
 
 
 def _fcfs(queue: Sequence[SchedRequest]) -> SchedRequest:
@@ -149,9 +165,7 @@ class TenantFairShare:
                 raise ValueError(
                     f"weight of tenant {name!r} must be finite and > 0, "
                     f"got {w!r}")
-        for name, cap in (slot_caps or {}).items():
-            if cap < 1:
-                raise ValueError(f"slot cap of tenant {name!r} must be >= 1")
+        _check_slot_caps(slot_caps)
         self.weights = dict(weights or {})
         self.slot_caps = dict(slot_caps or {})
         self.default_weight = default_weight
@@ -197,9 +211,7 @@ class TenantPriority:
         slot_caps: dict[str, int] | None = None,
         default_priority: int = 0,
     ) -> None:
-        for name, cap in (slot_caps or {}).items():
-            if cap < 1:
-                raise ValueError(f"slot cap of tenant {name!r} must be >= 1")
+        _check_slot_caps(slot_caps)
         self.priorities = dict(priorities or {})
         self.slot_caps = dict(slot_caps or {})
         self.default_priority = default_priority

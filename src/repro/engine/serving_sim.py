@@ -24,9 +24,12 @@ chrome-trace export.
 from __future__ import annotations
 
 import math
+import operator
 from array import array
+from collections.abc import Mapping, Sequence, ValuesView
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import repeat, starmap
 from typing import Callable
 
 import numpy as np
@@ -34,10 +37,10 @@ import numpy as np
 from ..rng import SeedLike, as_generator
 from ..simcore.trace import Timeline
 from .costs import BatchState, StepCostModel
-from .replica import (_ADMIT_DONE, _CRASH, _DECODE, _RECOVER, _KvTracker,
-                      _Replica)
+from .replica import (_ADMIT_DONE, _CRASH, _DECODE, _NO_SESSION, _RECOVER,
+                      _KvTracker, _Outcomes, _Replica)
 from .report_stats import ReportStats
-from .scheduler import Scheduler
+from .scheduler import Scheduler, _as_index
 
 __all__ = [
     "Request",
@@ -81,6 +84,20 @@ class Request:
     shared_prefix_len: int = 0
 
     def __post_init__(self) -> None:
+        # Integer fields must be ints: a float (NaN included) would pass
+        # the range tests below and fail deep inside a run.
+        try:
+            for v in (self.request_id, self.prompt_len, self.gen_tokens,
+                      self.turn_index, self.shared_prefix_len):
+                operator.index(v)
+            if self.session is not None:
+                operator.index(self.session)
+        except TypeError:
+            for name in ("request_id", "prompt_len", "gen_tokens",
+                         "turn_index", "shared_prefix_len", "session"):
+                if getattr(self, name) is not None:
+                    _as_index(name, getattr(self, name))
+            raise
         # A NaN arrival slips past ``< 0`` and never compares <= the
         # simulated clock, so it would stall the replay forever.
         if not math.isfinite(self.arrival):
@@ -104,9 +121,204 @@ class Request:
         return self.prompt_len + self.gen_tokens
 
 
+_FIELDS = operator.attrgetter(
+    "request_id", "arrival", "prompt_len", "gen_tokens", "session", "tenant",
+    "turn_index", "shared_prefix_len")
+_new = object.__new__
+
+
+def _make_request(tenant_names, rid, arrival, prompt, gen, session, code,
+                  turn, prefix) -> Request:
+    """One trace row as a :class:`Request`, built without re-checking
+    (its columns were checked); item stores are the cheapest build."""
+    r = _new(Request)
+    d = r.__dict__
+    d["request_id"] = rid
+    d["arrival"] = arrival
+    d["prompt_len"] = prompt
+    d["gen_tokens"] = gen
+    d["session"] = None if session == _NO_SESSION else session
+    d["tenant"] = tenant_names[code]
+    d["turn_index"] = turn
+    d["shared_prefix_len"] = prefix
+    return r
+
+
+def _int_column(name: str, values) -> np.ndarray:
+    """``values`` as an int64 array, each checked as ``_as_index`` checks
+    one request's field."""
+    a = np.asarray(values)
+    if a.dtype.kind not in "biu":
+        for v in a.tolist():
+            _as_index(name, v)
+    if a.dtype.kind == "u" and a.size and a.max() >= 2**63:
+        raise ValueError(f"{name} must fit in int64")
+    try:
+        return np.ascontiguousarray(a, dtype=np.int64)
+    except OverflowError:
+        raise ValueError(f"{name} must fit in int64") from None
+
+
+class _RequestColumns(Sequence):
+    """A trace's requests as typed columns, one entry per trace position.
+
+    ``ids`` is a ``range`` when the ids are consecutive, else int64;
+    ``arrival`` is float64; ``prompt``, ``gen``, ``turn`` and ``prefix``
+    are int64; ``session`` is int64 with ``-2**63`` for "no session";
+    ``tenant`` holds codes into ``tenant_names``. The columns are
+    checked once, against every rule :class:`Request` applies to one
+    request, and are never written afterwards. As a ``Sequence`` each
+    item is a :class:`Request` built on read, without re-checking.
+    """
+
+    __slots__ = ("ids", "arrival", "prompt", "gen", "session", "tenant",
+                 "tenant_names", "turn", "prefix", "_index")
+
+    def __init__(self, arrival, prompt_len, gen_tokens, *, request_id=None,
+                 session=None, tenant=None, turn_index=None,
+                 shared_prefix_len=None) -> None:
+        arrival = np.ascontiguousarray(arrival, dtype=np.float64)
+        n = arrival.size
+        if not n:
+            raise ValueError("a trace needs at least one request")
+        if not np.isfinite(arrival).all():
+            bad = arrival[~np.isfinite(arrival)][0].item()
+            raise ValueError(f"arrival must be a finite time, got {bad!r}")
+        prompt = _int_column("prompt_len", prompt_len)
+        gen = _int_column("gen_tokens", gen_tokens)
+        ids = (np.arange(n) if request_id is None
+               else _int_column("request_id", request_id))
+        zeros = np.zeros(n, np.int64)
+        turn = (zeros if turn_index is None
+                else _int_column("turn_index", turn_index))
+        prefix = (zeros if shared_prefix_len is None
+                  else _int_column("shared_prefix_len", shared_prefix_len))
+        unset = np.ones(n, bool)
+        if session is not None:
+            session = np.array(session)
+            if session.dtype == object:
+                unset = np.equal(session, None)
+                session[unset] = 0
+            else:
+                unset = np.zeros(n, bool)
+            session = _int_column("session", session)
+            if (session[~unset] == _NO_SESSION).any():
+                raise ValueError(f"session must be > {_NO_SESSION}")
+            session[unset] = _NO_SESSION
+        codes: dict = {}
+        if tenant is not None:
+            tenant = [codes.setdefault(t, len(codes)) for t in tenant]
+        if not (arrival.shape == prompt.shape == gen.shape == ids.shape
+                == turn.shape == prefix.shape == unset.shape == (n,)
+                and (tenant is None or len(tenant) == n)):
+            raise ValueError("trace columns must be 1-D and equally long")
+        if (arrival < 0).any() or (prompt < 1).any() or (gen < 1).any():
+            raise ValueError("invalid request parameters")
+        if (turn < 0).any():
+            raise ValueError("turn_index must be >= 0")
+        if ((prefix < 0) | (prefix >= prompt)).any():
+            raise ValueError(
+                "shared_prefix_len must satisfy 0 <= prefix < prompt_len")
+        if ((prefix > 0) & unset).any():
+            raise ValueError(
+                "shared_prefix_len needs a session to share with")
+        if (arrival[1:] < arrival[:-1]).any():
+            raise ValueError("requests must be sorted by arrival time")
+        if (np.diff(ids) == 1).all():
+            self.ids = range(int(ids[0]), int(ids[0]) + n)
+        elif np.unique(ids).size != n:
+            raise ValueError("request ids must be unique within a trace "
+                             "(duplicates would corrupt scheduler state)")
+        else:
+            self.ids = array("q", ids.tobytes())
+        self.tenant_names = tuple(codes) or (None,)
+        self.tenant = array("B" if len(codes) <= 256 else "I",
+                            tenant if tenant is not None else bytes(n))
+        self.arrival = array("d", arrival.tobytes())
+        self.prompt = array("q", prompt.tobytes())
+        self.gen = array("q", gen.tobytes())
+        self.session = (array("q", session.tobytes()) if session is not None
+                        else array("q", [_NO_SESSION]) * n)
+        self.turn = array("q", turn.tobytes())
+        self.prefix = array("q", prefix.tobytes())
+        self._index: dict[int, int] | None = None
+
+    @classmethod
+    def of(cls, requests) -> _RequestColumns:
+        """Columns of a sequence of :class:`Request` objects."""
+        rows = list(map(_FIELDS, requests))
+        if not rows:
+            raise ValueError("a trace needs at least one request")
+        ids, arrival, prompt, gen, session, tenant, turn, prefix = zip(*rows)
+        return cls(arrival, prompt, gen, request_id=ids, session=session,
+                   tenant=tenant, turn_index=turn, shared_prefix_len=prefix)
+
+    def locator(self) -> Callable[[int], int]:
+        """The id -> position lookup: ``range.index`` for consecutive
+        ids (ValueError on an unknown id), else one dict built on first
+        use (KeyError)."""
+        if isinstance(self.ids, range):
+            return self.ids.index
+        if self._index is None:
+            self._index = {rid: pos for pos, rid in enumerate(self.ids)}
+        return self._index.__getitem__
+
+    def ids_at(self, positions: np.ndarray) -> list[int]:
+        """The ids at ``positions``."""
+        if isinstance(self.ids, range):
+            return (positions + self.ids.start).tolist()
+        return np.frombuffer(self.ids, np.int64)[positions].tolist()
+
+    def __len__(self) -> int:
+        return len(self.arrival)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self[j] for j in range(*i.indices(len(self))))
+        n = len(self.arrival)
+        pos = _as_index("trace index", i)
+        if pos < 0:
+            pos += n
+        if not 0 <= pos < n:
+            raise IndexError("trace index out of range")
+        return _make_request(self.tenant_names, self.ids[pos],
+                             self.arrival[pos], self.prompt[pos],
+                             self.gen[pos], self.session[pos],
+                             self.tenant[pos], self.turn[pos],
+                             self.prefix[pos])
+
+    def __iter__(self):
+        return starmap(_make_request, zip(
+            repeat(self.tenant_names), self.ids, self.arrival, self.prompt,
+            self.gen, self.session, self.tenant, self.turn, self.prefix))
+
+    def _key(self) -> tuple:
+        return (self.ids, self.arrival, self.prompt, self.gen, self.session,
+                [self.tenant_names[c] for c in self.tenant], self.turn,
+                self.prefix)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, _RequestColumns):
+            return NotImplemented
+        return self is other or self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash((len(self), self.arrival[0], self.arrival[-1]))
+
+    def __repr__(self) -> str:
+        return f"<{len(self)} requests>"
+
+
 @dataclass(frozen=True)
 class WorkloadTrace:
     """A reproducible request trace.
+
+    ``requests`` may be any sequence of :class:`Request` objects; the
+    trace keeps them as typed columns (see :class:`_RequestColumns`),
+    checked once here, and ``requests`` becomes a read-only
+    ``Sequence[Request]`` that builds each request when it is read.
+    Simulators read the columns and key every per-request record on
+    trace position.
 
     ``expert_skew`` annotates MoE traces with the Zipf-s gate skew the
     workload was synthesized under (``None`` = unknown/uniform); the
@@ -114,32 +326,42 @@ class WorkloadTrace:
     worth sweeping.
     """
 
-    requests: tuple[Request, ...]
+    requests: Sequence[Request]
     expert_skew: float | None = None
 
+    @classmethod
+    def from_columns(cls, arrival, prompt_len, gen_tokens, *,
+                     request_id=None, session=None, tenant=None,
+                     turn_index=None, shared_prefix_len=None,
+                     expert_skew: float | None = None) -> WorkloadTrace:
+        """A trace built from one array-like per :class:`Request` field,
+        equally long and in arrival order, checked by the same rules
+        without building a :class:`Request`. ``request_id`` defaults to
+        ``0..n-1``; ``session`` entries may be ``None``; other omitted
+        columns take :class:`Request`'s defaults."""
+        return cls(_RequestColumns(
+            arrival, prompt_len, gen_tokens, request_id=request_id,
+            session=session, tenant=tenant, turn_index=turn_index,
+            shared_prefix_len=shared_prefix_len), expert_skew=expert_skew)
+
     def __post_init__(self) -> None:
-        if not self.requests:
-            raise ValueError("a trace needs at least one request")
         if self.expert_skew is not None and not (
                 math.isfinite(self.expert_skew) and self.expert_skew >= 0):
             raise ValueError("expert_skew must be finite and >= 0 when given")
-        arrivals = [r.arrival for r in self.requests]
-        if arrivals != sorted(arrivals):
-            raise ValueError("requests must be sorted by arrival time")
-        ids = [r.request_id for r in self.requests]
-        if len(set(ids)) != len(ids):
-            raise ValueError("request ids must be unique within a trace "
-                             "(duplicates would corrupt scheduler state)")
+        if not isinstance(self.requests, _RequestColumns):
+            object.__setattr__(self, "requests",
+                               _RequestColumns.of(self.requests))
 
     @property
     def duration(self) -> float:
         """Span of the arrival process."""
-        return self.requests[-1].arrival - self.requests[0].arrival
+        arrival = self.requests.arrival
+        return arrival[-1] - arrival[0]
 
     @property
     def total_gen_tokens(self) -> int:
         """Tokens the trace asks for."""
-        return sum(r.gen_tokens for r in self.requests)
+        return sum(self.requests.gen)
 
 
 def synthesize_trace(
@@ -206,19 +428,80 @@ def synthesize_trace(
     gens = np.maximum(1, rng.poisson(mean_gen, size=num_requests))
     sessions = (None if num_sessions is None
                 else rng.integers(0, num_sessions, size=num_requests))
-    return WorkloadTrace(
-        tuple(
-            Request(i, float(arrivals[i]), int(prompts[i]), int(gens[i]),
-                    session=None if sessions is None else int(sessions[i]))
-            for i in range(num_requests)
-        ),
-        expert_skew=expert_skew,
-    )
+    return WorkloadTrace.from_columns(arrivals, prompts, gens,
+                                      session=sessions,
+                                      expert_skew=expert_skew)
+
+
+class _RequestTimes(Mapping):
+    """A report's read-only ``request id -> seconds`` view over one
+    per-position float64 column, where NaN means "no value". Iterates
+    in trace order; keyed reads go through the trace's one id ->
+    position index. Equal to a ``dict`` holding the same items."""
+
+    __slots__ = ("_requests", "_values", "_find", "_len")
+
+    def __init__(self, requests: _RequestColumns, values: array) -> None:
+        self._requests = requests
+        self._values = values
+        self._find = requests.locator()
+        self._len = int(np.count_nonzero(~np.isnan(np.frombuffer(values))))
+
+    def __getitem__(self, rid) -> float:
+        try:
+            t = self._values[self._find(rid)]
+        except ValueError:  # not an id of the trace
+            raise KeyError(rid) from None
+        if t != t:
+            raise KeyError(rid)
+        return t
+
+    def __contains__(self, rid) -> bool:
+        try:
+            t = self._values[self._find(rid)]
+        except (KeyError, ValueError):
+            return False
+        return t == t
+
+    def __len__(self) -> int:
+        return self._len
+
+    def _set(self) -> np.ndarray:
+        """Positions holding a value, ascending."""
+        return np.flatnonzero(~np.isnan(np.frombuffer(self._values)))
+
+    def __iter__(self):
+        return iter(self._requests.ids_at(self._set()))
+
+    def values(self) -> ValuesView:
+        return _TimesValues(self)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({dict(self.items())!r})"
+
+
+class _TimesValues(ValuesView):
+    def __iter__(self):
+        m = self._mapping
+        return iter(np.frombuffer(m._values)[m._set()].tolist())
+
+
+def _report_times(requests: _RequestColumns,
+                  out: _Outcomes) -> dict[str, Mapping[int, float]]:
+    """The three per-request report fields, as views over ``out``."""
+    return {"finish_times": _RequestTimes(requests, out.finish),
+            "first_token_times": _RequestTimes(requests, out.first),
+            "queue_delays": _RequestTimes(requests, out.delay)}
 
 
 @dataclass(frozen=True)
 class ServingReport(ReportStats):
     """Outcome of replaying one trace.
+
+    ``finish_times``, ``first_token_times`` and ``queue_delays`` map
+    request id to seconds. :func:`simulate_serving` fills them with
+    read-only ``Mapping`` views over per-position arrays, iterating in
+    trace order; they compare equal to plain dicts of the same items.
 
     Percentile/throughput views (``latency``, ``ttft``,
     ``latency_percentile``, ``ttft_percentile``, ``tokens_per_second``,
@@ -237,9 +520,9 @@ class ServingReport(ReportStats):
     """
 
     makespan: float
-    finish_times: dict[int, float]
-    first_token_times: dict[int, float]
-    queue_delays: dict[int, float]
+    finish_times: Mapping[int, float]
+    first_token_times: Mapping[int, float]
+    queue_delays: Mapping[int, float]
     total_tokens: int
     prefix_hits: int = 0
     prefix_hit_tokens: int = 0
@@ -277,8 +560,8 @@ class _RenderedTimeline(Timeline):
 
 
 def _draw_replica(tl: Timeline, log: array, costs: StepCostModel,
-                  full: bool, first: dict[int, float],
-                  finish: dict[int, float], *, index: int = 0,
+                  full: bool, first: Mapping[int, float],
+                  finish: Mapping[int, float], *, index: int = 0,
                   slow: tuple[float, float] = (math.inf, 1.0),
                   served: dict[int, int] | None = None) -> None:
     """Draw one replica's action log onto ``tl``'s ``server`` lane and,
@@ -328,7 +611,7 @@ def _draw_replica(tl: Timeline, log: array, costs: StepCostModel,
             tl.record(lane, first[rid], finish[rid], "decode")
 
 
-def _ignore_completion(index: int, request: Request, t: float) -> None:
+def _ignore_completion(index: int, pos: int, t: float) -> None:
     """A lone server has no router to tell about completions."""
 
 
@@ -376,6 +659,12 @@ def simulate_serving(
     per-request times, same scheduler event log (the test suite holds
     them against a per-step oracle, ``tests/serving_oracle.py``).
 
+    The report's ``finish_times``, ``first_token_times`` and
+    ``queue_delays`` are read-only ``Mapping`` views over arrays the
+    replica writes by trace position, iterating in trace order; the run
+    builds no :class:`Request` (arrivals and fields come from the
+    trace's columns).
+
     The returned report carries the scheduler (event log, orderings) and
     a priced :class:`Timeline` — exportable with
     ``timeline.to_chrome_trace()``. The replica keeps one log row per
@@ -391,18 +680,29 @@ def simulate_serving(
     full = _full_detail(detail)
     kv = _KvTracker(block_size=kv_block_size, num_layers=kv_num_layers,
                     prefix_sharing=prefix_sharing)
-    server = _Replica(0, max_batch=max_batch, policy=policy, costs=costs,
-                      kv=kv)
-    for r in trace.requests:
-        server.deliver(r, r.arrival)
-    while server.perform_action(_ignore_completion) is not None:
-        pass
+    requests = trace.requests
+    out = _Outcomes(len(requests))
+    server = _Replica(0, requests=requests, out=out, max_batch=max_batch,
+                      policy=policy, costs=costs, kv=kv)
+    # Arrivals are delivered lazily: before each action the inbox holds
+    # every arrival up to the time that action can start (now, or the
+    # inbox head when idle) plus the first one after it, which is all
+    # the replica reads of it. A lone server never holds a stretch, so
+    # a delivery is a plain append.
+    arrivals, inbox = requests.arrival, server.inbox
+    n, k, last = len(arrivals), 0, -math.inf
+    while True:
+        while k < n and (not inbox or last <= server.now
+                         or last <= inbox[0][0]):
+            last = arrivals[k]
+            inbox.append((last, k))
+            k += 1
+        if server.perform_action(_ignore_completion) is None:
+            break
+    times = _report_times(requests, out)
     return ServingReport(
         makespan=server.now,
-        finish_times=server.finish,
-        first_token_times=server.first,
-        queue_delays={rid: t - server.by_id[rid].arrival
-                      for rid, t in server.admit_start.items()},
+        **times,
         total_tokens=server.tokens,
         prefix_hits=kv.hits,
         prefix_hit_tokens=kv.hit_tokens,
@@ -412,5 +712,6 @@ def simulate_serving(
         scheduler=server.sched,
         timeline=_RenderedTimeline(partial(
             _draw_replica, log=server.log, costs=costs, full=full,
-            first=server.first, finish=server.finish)),
+            first=times["first_token_times"],
+            finish=times["finish_times"])),
     )

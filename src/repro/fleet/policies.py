@@ -76,11 +76,18 @@ def _routable_of(view: FleetView, replica: int) -> bool:
 
 
 class RoutingPolicy:
-    """Base class: ``choose`` returns the replica index for one request."""
+    """Base class: ``choose`` returns the replica index for one request.
+
+    ``reads_request`` False declares a load-only policy: ``choose``
+    never looks at its request, so the fleet passes ``None`` instead of
+    building one. A subclass of a load-only policy whose ``choose``
+    reads the request sets it back to True.
+    """
 
     name = "base"
+    reads_request = True
 
-    def choose(self, request: Request, view: FleetView) -> int:
+    def choose(self, request: Request | None, view: FleetView) -> int:
         raise NotImplementedError
 
 
@@ -88,11 +95,12 @@ class RoundRobin(RoutingPolicy):
     """Cycle over replicas in index order, skipping dead ones."""
 
     name = "round_robin"
+    reads_request = False
 
     def __init__(self) -> None:
         self._next = 0
 
-    def choose(self, request: Request, view: FleetView) -> int:
+    def choose(self, request: Request | None, view: FleetView) -> int:
         for _ in range(view.num_replicas):
             cand = self._next % view.num_replicas
             self._next = cand + 1
@@ -110,8 +118,9 @@ class LeastOutstanding(RoutingPolicy):
     before."""
 
     name = "least_outstanding"
+    reads_request = False
 
-    def choose(self, request: Request, view: FleetView) -> int:
+    def choose(self, request: Request | None, view: FleetView) -> int:
         alive = view.alive_replicas()
         if not alive:
             raise RuntimeError("no live replica to route to")
@@ -136,6 +145,7 @@ class PowerOfTwoChoices(RoutingPolicy):
     """
 
     name = "power_of_two"
+    reads_request = False
 
     def __init__(self, seed: SeedLike = 0) -> None:
         self._rng = as_generator(seed)
@@ -169,7 +179,7 @@ class PowerOfTwoChoices(RoutingPolicy):
             a, b = b, a
         return a, b
 
-    def choose(self, request: Request, view: FleetView) -> int:
+    def choose(self, request: Request | None, view: FleetView) -> int:
         alive = view.alive_replicas()
         if not alive:
             raise RuntimeError("no live replica to route to")

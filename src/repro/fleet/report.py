@@ -10,6 +10,7 @@ into one multi-lane chrome-trace export when its timeline is read.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from ..autoscale.actions import AutoscaleEvent
@@ -56,12 +57,18 @@ class FleetReport(ReportStats):
     the first token that survived into the final output — a retried
     request's clock keeps running through the crash — and
     ``tokens_per_second`` counts only kept (non-discarded) tokens.
+
+    ``finish_times``, ``first_token_times`` and ``queue_delays`` hold
+    the completed requests only. :func:`~repro.fleet.sim.simulate_fleet`
+    fills them with read-only ``Mapping`` views over per-position
+    arrays, iterating in trace order; they compare equal to plain dicts
+    of the same items.
     """
 
     makespan: float
-    finish_times: dict[int, float]        # request -> completion time
-    first_token_times: dict[int, float]   # on the *serving* replica
-    queue_delays: dict[int, float]        # original arrival -> final admit
+    finish_times: Mapping[int, float]       # request -> completion time
+    first_token_times: Mapping[int, float]  # on the *serving* replica
+    queue_delays: Mapping[int, float]       # original arrival -> final admit
     replica_of: dict[int, int]            # final serving replica
     retried: frozenset[int]               # requests re-placed after a fault
     total_tokens: int                     # tokens of completed requests

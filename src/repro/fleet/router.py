@@ -93,10 +93,19 @@ class Router:
     def route(self, request: Request, time: float, *,
               retry: bool = False) -> int:
         """Place one request; returns the chosen replica index."""
+        return self.place(request.request_id, request.work_tokens, time,
+                          retry=retry, request=request)
+
+    def place(self, request_id: int, work_tokens: int, time: float, *,
+              retry: bool = False, request: Request | None = None) -> int:
+        """Place request ``request_id`` carrying ``work_tokens`` of
+        work; the policy sees ``request``, which may be ``None`` for a
+        load-only policy (see :class:`~repro.fleet.policies
+        .RoutingPolicy`). Returns the chosen replica index."""
         if not self._routable:
             raise RuntimeError(
                 "every replica has failed; the fleet cannot serve "
-                f"request {request.request_id}"
+                f"request {request_id}"
             )
         replica = self.policy.choose(request, self)
         if not (0 <= replica < len(self._alive)) \
@@ -105,15 +114,19 @@ class Router:
                 f"policy {self.policy.name!r} chose unusable replica "
                 f"{replica}"
             )
-        self._outstanding[replica] += request.work_tokens
+        self._outstanding[replica] += work_tokens
         self.decisions.append(
-            RoutingDecision(time, request.request_id, replica, retry))
+            RoutingDecision(time, request_id, replica, retry))
         return replica
 
     def complete(self, request: Request, replica: int) -> None:
         """Report a request finished on ``replica``; releases its load."""
+        self.release(replica, request.work_tokens)
+
+    def release(self, replica: int, work_tokens: int) -> None:
+        """Release ``work_tokens`` of finished work from ``replica``."""
         self._outstanding[replica] = max(
-            0.0, self._outstanding[replica] - request.work_tokens)
+            0.0, self._outstanding[replica] - work_tokens)
 
     def mark_failed(self, replica: int) -> None:
         """Take ``replica`` out of rotation; its load register clears

@@ -38,6 +38,7 @@ from __future__ import annotations
 import heapq
 import math
 from collections import deque
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -48,10 +49,10 @@ from ..autoscale.controller import Autoscaler, AutoscaleConfig, resolve_autoscal
 from ..autoscale.signals import FleetSignals, ReplicaSnapshot
 from ..engine.costs import StepCostModel
 from ..engine.generation import GenerationSession
-from ..engine.replica import _KvTracker, _Replica
+from ..engine.replica import _KvTracker, _Outcomes, _Replica
 from ..engine.scheduler import Scheduler
-from ..engine.serving_sim import (Request, WorkloadTrace, _draw_replica,
-                                  _full_detail, _RenderedTimeline)
+from ..engine.serving_sim import (WorkloadTrace, _draw_replica, _full_detail,
+                                  _RenderedTimeline, _report_times)
 from ..rng import SeedLike, as_generator
 from ..simcore.trace import Timeline
 from .faults import FaultPlan
@@ -70,13 +71,12 @@ _INF = math.inf
 
 
 def _replica_stats(rep: _Replica) -> ReplicaStats:
-    completed = rep.completed_tokens()
     return ReplicaStats(
         replica=rep.index,
         alive=rep.alive,
-        num_requests=len(rep.finish),
-        tokens=completed,
-        tokens_discarded=rep.tokens - completed,
+        num_requests=rep.completed,
+        tokens=rep.completed_tokens,
+        tokens_discarded=rep.tokens - rep.completed_tokens,
         busy_time=rep.busy_time(),
         join_time=rep.join_time,
         retire_time=rep.retire_time,
@@ -85,7 +85,7 @@ def _replica_stats(rep: _Replica) -> ReplicaStats:
 
 
 def _draw_fleet(tl: Timeline, replicas, costs: StepCostModel, full: bool,
-                first: dict[int, float], finish: dict[int, float],
+                first: Mapping[int, float], finish: Mapping[int, float],
                 served: dict[int, int], routing: tuple[RoutingDecision, ...],
                 autoscale_log: tuple[AutoscaleEvent, ...]) -> None:
     """Draw every replica's lanes under ``replica{i}/``, then the router
@@ -161,6 +161,12 @@ def simulate_fleet(
     onset and retirements split its own. Each split falls exactly where
     per-step stepping would act, so reports are bit-for-bit independent
     of the compression.
+    Arrivals are read from the trace's arrival column and per-request
+    times written into arrays by trace position, which the report's
+    ``finish_times``, ``first_token_times`` and ``queue_delays`` view
+    read-only, in trace order. A routing policy whose ``reads_request``
+    is true gets each request built on read; the load-only shipped
+    policies get ``None``.
     ``detail`` picks the report's drawn timeline as for a single server
     (lanes prefixed ``replica{i}/``, plus ``router`` and ``autoscale``
     instants); the run is the same either way. ``_max_run_steps`` caps every
@@ -180,11 +186,15 @@ def simulate_fleet(
         scaler.bind(costs=costs, initial_replicas=num_replicas)
         ttft_sink = []
 
+    requests = trace.requests
+    out = _Outcomes(len(requests))
+    rep_opts = dict(requests=requests, out=out, max_batch=max_batch,
+                    policy=policy, costs=costs)
     kv_opts = dict(block_size=kv_block_size, num_layers=kv_num_layers,
                    prefix_sharing=prefix_sharing)
     replicas = [
-        _Replica(i, max_batch=max_batch, policy=policy, costs=costs,
-                 kv=_KvTracker(**kv_opts), ttft_sink=ttft_sink)
+        _Replica(i, kv=_KvTracker(**kv_opts), ttft_sink=ttft_sink,
+                 **rep_opts)
         for i in range(num_replicas)
     ]
     for i, (t, factor) in plan.slowdowns().items():
@@ -206,8 +216,11 @@ def simulate_fleet(
     epoch_s = scaler.config.epoch_s if scaler is not None else _INF
     next_epoch_s = epoch_s
 
-    def on_complete(replica_index: int, request: Request, t: float) -> None:
-        router.complete(request, replica_index)
+    ids, prompt, gen = requests.ids, requests.prompt, requests.gen
+    reads_request = router.policy.reads_request
+
+    def on_complete(replica_index: int, pos: int, t: float) -> None:
+        router.release(replica_index, prompt[pos] + gen[pos])
 
     def snapshot(rep: _Replica) -> ReplicaSnapshot:
         return ReplicaSnapshot(
@@ -229,13 +242,12 @@ def simulate_fleet(
         router.mark_draining(index)
         rep.maybe_retire(t)
 
-    # Arrival stream: the trace plus post-crash requeues, start-time
-    # ordered (seq breaks ties in trace/requeue order).
-    heap: list[tuple[float, int, Request, bool]] = [
-        (r.arrival, seq, r, False) for seq, r in enumerate(trace.requests)
-    ]
-    heapq.heapify(heap)
-    seq = len(trace.requests)
+    # Arrival stream: the trace's arrival column, read by a cursor, and
+    # a heap of post-crash requeues (time, seq, position). At equal
+    # times the trace goes first, then requeues in crash order.
+    arrivals, num_requests, cursor = requests.arrival, len(requests), 0
+    heap: list[tuple[float, int, int]] = []
+    seq = 0
 
     # Replica action times, lazily invalidated: an entry is live while
     # it equals its replica's next_action_time(), and stale entries are
@@ -254,7 +266,10 @@ def simulate_fleet(
             heapq.heappush(acts, (t, i))
 
     while True:
-        t_arr = heap[0][0] if heap else _INF
+        t_arr = arrivals[cursor] if cursor < num_requests else _INF
+        retry = False
+        if heap and heap[0][0] < t_arr:
+            t_arr, retry = heap[0][0], True
         t_act, act_i = _INF, -1
         while acts:
             t, i = acts[0]
@@ -266,10 +281,10 @@ def simulate_fleet(
                    if fault_cursor < len(fault_events) else _INF)
         t_join = joins[0] if joins else _INF
         # Control epochs tick only while the run has work left — once
-        # the heap is drained and every replica is idle there is nothing
-        # to control and the loop must terminate.
+        # every arrival is delivered and every replica is idle there is
+        # nothing to control and the loop must terminate.
         t_epoch = (next_epoch_s
-                   if scaler is not None and (heap or t_act < _INF)
+                   if scaler is not None and (t_arr < _INF or t_act < _INF)
                    else _INF)
         # Faults, joins and epochs cut every replica's decode stretch;
         # an arrival cuts only the replica it is routed to (deliver).
@@ -298,16 +313,15 @@ def simulate_fleet(
                 continue
             victims = target.crash(t, on_complete)
             router.mark_failed(target_i)
-            for t_req, r in victims:
-                heapq.heappush(heap, (t_req, seq, r, True))
+            for t_req, pos in victims:
+                heapq.heappush(heap, (t_req, seq, pos))
                 seq += 1
             continue
         if t_join <= t_split and t_join <= t_act:
             t = joins.popleft()
             new_index = router.add_replica()
-            rep = _Replica(new_index, max_batch=max_batch, policy=policy,
-                           costs=costs, kv=_KvTracker(**kv_opts),
-                           join_time=t, ttft_sink=ttft_sink)
+            rep = _Replica(new_index, kv=_KvTracker(**kv_opts),
+                           join_time=t, ttft_sink=ttft_sink, **rep_opts)
             replicas.append(rep)
             autoscale_log.append(AutoscaleEvent(
                 t, "join", new_index, "cold start complete"))
@@ -340,9 +354,15 @@ def simulate_fleet(
                     t, action.kind, action.replica, action.reason))
             continue
         if t_arr <= t_act:
-            t, _, r, retry = heapq.heappop(heap)
-            target_i = router.route(r, t, retry=retry)
-            replicas[target_i].deliver(r, t)
+            if retry:
+                pos = heapq.heappop(heap)[2]
+            else:
+                pos, cursor = cursor, cursor + 1
+            # Only a policy that reads requests gets one, built on read.
+            target_i = router.place(
+                ids[pos], prompt[pos] + gen[pos], t_arr, retry=retry,
+                request=requests[pos] if reads_request else None)
+            replicas[target_i].deliver(pos, t_arr)
             push_action(target_i)
             continue
         rep = replicas[act_i]
@@ -352,21 +372,16 @@ def simulate_fleet(
         push_action(act_i)
 
     # -- assemble the report --------------------------------------------
-    # Placement lives in the router's log; everything per request lives
-    # on the replica that served it last.
+    # Placement lives in the router's log; the per-request arrays hold
+    # each request's last admission, which for a finished request is on
+    # the replica that served it. Unfinished requests report nothing.
     replica_of = router.assignments()
-    finish: dict[int, float] = {}
-    first: dict[int, float] = {}
-    delays: dict[int, float] = {}
-    total_tokens = 0
-    for rid, i in replica_of.items():
-        rep = replicas[i]
-        if rid in rep.finish:  # the serving replica's record is final
-            finish[rid] = rep.finish[rid]
-            first[rid] = rep.first[rid]
-            request = rep.by_id[rid]
-            delays[rid] = rep.admit_start[rid] - request.arrival
-            total_tokens += request.gen_tokens
+    unfinished = np.isnan(np.frombuffer(out.finish))
+    np.frombuffer(out.first)[unfinished] = np.nan
+    np.frombuffer(out.delay)[unfinished] = np.nan
+    times = _report_times(requests, out)
+    finish, first = times["finish_times"], times["first_token_times"]
+    total_tokens = sum(rep.completed_tokens for rep in replicas)
     replica_stats = tuple(_replica_stats(rep) for rep in replicas)
     routing = tuple(router.decisions)
     autoscale_log = tuple(autoscale_log)
@@ -380,9 +395,7 @@ def simulate_fleet(
     makespan = max(finish.values(), default=0.0)
     return FleetReport(
         makespan=makespan,
-        finish_times=finish,
-        first_token_times=first,
-        queue_delays=delays,
+        **times,
         replica_of=replica_of,
         retried=frozenset(d.request_id for d in router.decisions if d.retry),
         total_tokens=total_tokens,
@@ -443,7 +456,8 @@ def _replay_replica(model, trace: WorkloadTrace,
     """Re-enqueue one analytical replica's requests into a real session
     at the recorded scheduler steps; the session's own scheduler then
     re-makes every admission/retirement decision."""
-    by_id = {r.request_id: r for r in trace.requests}
+    requests = trace.requests
+    find = requests.locator()
     # enqueue_steps iterates in enqueue order, so each step's list keeps
     # the analytical enqueue order.
     enq: dict[int, list[int]] = {}
@@ -461,7 +475,7 @@ def _replay_replica(model, trace: WorkloadTrace,
             break  # the replica died at this boundary; discard the rest
         while qi < len(steps) and steps[qi] <= step:
             for rid in enq[steps[qi]]:
-                r = by_id[rid]
+                r = requests[find(rid)]
                 session.submit(prompts[rid],
                                max_new_tokens=r.gen_tokens,
                                request_id=rid, session=r.session,

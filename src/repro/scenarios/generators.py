@@ -38,7 +38,7 @@ from typing import Sequence
 import numpy as np
 
 from ..engine.scheduler import TenantFairShare
-from ..engine.serving_sim import Request, WorkloadTrace
+from ..engine.serving_sim import WorkloadTrace
 from ..rng import SeedLike, as_generator
 from .arrivals import draw_arrivals
 
@@ -138,22 +138,11 @@ def _assemble(
     order = sorted(range(len(raw)), key=lambda i: (raw[i][0], i))
     if num_requests is not None:
         order = order[:num_requests]
-    return WorkloadTrace(
-        tuple(
-            Request(
-                request_id=rid,
-                arrival=raw[i][0],
-                prompt_len=raw[i][3],
-                gen_tokens=raw[i][4],
-                session=raw[i][1],
-                tenant=tenants[i],
-                turn_index=raw[i][2],
-                shared_prefix_len=raw[i][5],
-            )
-            for rid, i in enumerate(order)
-        ),
-        expert_skew=expert_skew,
-    )
+    arrival, session, turn, prompt, gen, shared = zip(*(raw[i] for i in order))
+    return WorkloadTrace.from_columns(
+        arrival, prompt, gen, session=session,
+        tenant=[tenants[i] for i in order], turn_index=turn,
+        shared_prefix_len=shared, expert_skew=expert_skew)
 
 
 def chat_scenario(
@@ -318,11 +307,8 @@ def heavy_tailed_scenario(
     prompts = np.maximum(1, np.rint(rng.lognormal(
         np.log(median_prompt), prompt_sigma, size=num_requests)).astype(int))
     gens = np.minimum(max_gen, rng.zipf(gen_zipf_a, size=num_requests))
-    return WorkloadTrace(tuple(
-        Request(i, float(arrivals[i]), int(prompts[i]), int(gens[i]),
-                tenant=tenant)
-        for i in range(num_requests)
-    ))
+    return WorkloadTrace.from_columns(arrivals, prompts, gens,
+                                      tenant=[tenant] * num_requests)
 
 
 @dataclass(frozen=True)

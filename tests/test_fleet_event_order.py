@@ -97,21 +97,21 @@ def checked_fleet_run(trace, **kwargs):
                                                      start)
         return result
 
-    def checked_deliver(self, request, t):
+    def checked_deliver(self, pos, t):
         if self._plan is None:
-            return deliver(self, request, t)
+            return deliver(self, pos, t)
         start, n = self._plan[0], self._plan[2]
         costs = held[self.index]
-        step, done, active = (self.sched.step, len(self.finish),
+        step, done, active = (self.sched.step, self.completed,
                               self.sched.num_active)
-        deliver(self, request, t)
+        deliver(self, pos, t)
         committed = self.sched.step - step
         starts = list(accumulate(costs[:n - 1], add, initial=start))
         assert committed == sum(s < t for s in starts), (
             f"replica {self.index} committed {committed} of {n} held steps "
             f"at an arrival at {t!r}; step starts {starts}")
         assert committed < n
-        assert len(self.finish) == done and self.sched.num_active == active
+        assert self.completed == done and self.sched.num_active == active
         assert self._plan is None and self.now >= t
         cuts[0] += 1
         return None

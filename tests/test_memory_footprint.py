@@ -1,8 +1,11 @@
-"""Memory regression tests for the records that grow with every action.
+"""Memory regression tests for the records that grow with every action
+or request.
 
 The scheduler's lifecycle log, each Timeline lane and each replica's
 action log are typed arrays, so they keep a few bytes per entry instead
-of one Python object each.
+of one Python object each. A trace keeps its requests as typed columns,
+and a run keeps its per-request times in arrays indexed by trace
+position, which the reports read through ``Mapping`` views.
 ``tracemalloc`` attributes every allocation to the source line that
 made it, so the bytes a structure keeps are summed over the lines that
 append to it.
@@ -11,12 +14,18 @@ append to it.
 import ast
 import gc
 import inspect
+import math
 import tracemalloc
+from array import array
+
+import pytest
 
 import repro.engine.replica as replica_mod
-from repro.engine import (ClosureStepCost, SchedRequest, Scheduler,
-                          simulate_serving, synthesize_trace)
-from repro.engine.replica import _KvTracker, _Replica
+import repro.engine.serving_sim as serving_mod
+from repro.engine import (ClosureStepCost, Request, SchedRequest, Scheduler,
+                          WorkloadTrace, simulate_serving, synthesize_trace)
+from repro.engine.replica import _KvTracker, _Outcomes, _Replica
+from repro.engine.serving_sim import _RequestTimes
 from repro.simcore import Timeline
 
 N = 10_000
@@ -33,6 +42,12 @@ def retained_by(func, build):
 
 def retained_on(filename, own, build):
     """:func:`retained_by` for the lines ``own`` of ``filename``."""
+    return retained_in({filename: own}, build)
+
+
+def retained_in(owners, build):
+    """:func:`retained_on` summed over ``owners``, a dict of file name
+    to lines."""
     gc.collect()
     tracemalloc.start()
     try:
@@ -40,9 +55,12 @@ def retained_on(filename, own, build):
         snapshot = tracemalloc.take_snapshot()
     finally:
         tracemalloc.stop()
-    stats = snapshot.filter_traces(
-        [tracemalloc.Filter(True, filename)]).statistics("lineno")
-    return sum(s.size for s in stats if s.traceback[0].lineno in own), kept
+    size = 0
+    for stat in snapshot.statistics("lineno"):
+        frame = stat.traceback[0]
+        if frame.lineno in owners.get(frame.filename, ()):
+            size += stat.size
+    return size, kept
 
 
 def test_scheduler_log_keeps_at_most_24_bytes_per_event():
@@ -99,11 +117,14 @@ def test_action_log_keeps_at_most_52_bytes_per_action():
     costs = ClosureStepCost(lambda b, p: 1e-3 + 1e-5 * p,
                             lambda b: 1e-3 + 1e-4 * b)
 
+    requests = trace.requests
+
     def build():
-        rep = _Replica(0, max_batch=8, policy="fcfs", costs=costs,
+        rep = _Replica(0, requests=requests, out=_Outcomes(len(requests)),
+                       max_batch=8, policy="fcfs", costs=costs,
                        kv=_KvTracker())
-        for r in trace.requests:
-            rep.deliver(r, r.arrival)
+        for pos, t in enumerate(requests.arrival):
+            rep.deliver(pos, t)
         while rep.perform_action(lambda *args: None) is not None:
             pass
         return rep
@@ -135,3 +156,100 @@ def test_full_detail_serving_retains_no_more_than_object_records():
         tracemalloc.stop()
     assert len(report.timeline.lanes()) == 2001
     assert retained <= 3_270_214, f"{retained:,} B retained"
+
+
+COSTS = ClosureStepCost(lambda b, p: 1e-3 + 1e-5 * p,
+                        lambda b: 1e-3 + 1e-4 * b)
+
+
+def test_trace_keeps_at_most_64_bytes_per_request():
+    """Six eight-byte columns and one tenant-code byte are 49 bytes a
+    request (consecutive ids are a ``range``); a frozen ``Request``
+    each kept about 207. Counts everything the trace holds."""
+    def build():
+        return synthesize_trace(num_requests=N, arrival_rate=200.0,
+                                mean_prompt=32, mean_gen=16, seed=0)
+
+    build()  # NumPy's first-call allocations are not the trace's
+    gc.collect()
+    tracemalloc.start()
+    try:
+        trace = build()
+        gc.collect()
+        size = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(trace.requests) == N
+    assert size / N <= 64, f"{size / N:.1f} B per request"
+
+
+def test_serving_per_request_records_stay_columnar():
+    """The replica arrays (three float64s a request), the report views
+    and the id -> position index (a dict here: the ids are not
+    consecutive) measured 112.7 B a request on CPython 3.11; the bound
+    is that plus 10%. The run's action log is measured on its own."""
+    base = synthesize_trace(num_requests=N, arrival_rate=200.0,
+                            mean_prompt=32, mean_gen=16, seed=0)
+    rows = [Request(3 * r.request_id + 1, r.arrival, r.prompt_len,
+                    r.gen_tokens) for r in base.requests]
+    trace = WorkloadTrace(rows)
+    lines, first = inspect.getsourcelines(_Outcomes)
+    owners = {replica_mod.__file__: range(first, first + len(lines)),
+              serving_mod.__file__: range(1, 1 + len(
+                  inspect.getsource(serving_mod).splitlines()))}
+
+    def build():
+        report = simulate_serving(trace, costs=COSTS, max_batch=8,
+                                  detail="summary")
+        assert report.finish_times[1] > 0  # builds the id index
+        return report
+
+    size, report = retained_in(owners, build)
+    assert len(report.finish_times) == N
+    assert size / N <= 1.1 * 112.7, f"{size / N:.1f} B per request"
+
+
+class TestReportViews:
+    TRACE = WorkloadTrace((Request(5, 0.0, 4, 6), Request(9, 0.0, 4, 1),
+                           Request(7, 0.5, 4, 3)))
+
+    @pytest.fixture(scope="class")
+    def report(self):
+        return simulate_serving(self.TRACE, costs=COSTS, max_batch=2)
+
+    def test_iteration_follows_trace_order(self, report):
+        order = [r.request_id for r in self.TRACE.requests]
+        # Completion order differs: request 9 finishes first.
+        assert min(report.finish_times, key=report.finish_times.get) == 9
+        for view in (report.finish_times, report.first_token_times,
+                     report.queue_delays):
+            assert list(view) == order
+            assert [rid for rid, _ in view.items()] == order
+            assert list(view.values()) == [view[rid] for rid in order]
+
+    def test_equal_to_a_dict_in_both_orders(self, report):
+        plain = dict(report.finish_times)
+        assert report.finish_times == plain and plain == report.finish_times
+        assert report.finish_times != {**plain, 5: -1.0}
+        assert {**plain, 5: -1.0} != report.finish_times
+
+    def test_read_only(self, report):
+        with pytest.raises(TypeError):
+            report.finish_times[5] = 0.0
+        with pytest.raises(TypeError):
+            del report.queue_delays[5]
+
+    def test_missing_ids_raise_key_error(self, report):
+        for rid in (0, 6, -1, 2**70, "5"):
+            assert rid not in report.finish_times
+            with pytest.raises(KeyError):
+                report.finish_times[rid]
+        assert report.finish_times.get(6) is None
+
+    def test_unfinished_request_is_absent(self):
+        view = _RequestTimes(self.TRACE.requests,
+                             array("d", [1.0, math.nan, 2.0]))
+        assert len(view) == 2 and list(view) == [5, 7]
+        assert 9 not in view and view == {5: 1.0, 7: 2.0}
+        with pytest.raises(KeyError):
+            view[9]

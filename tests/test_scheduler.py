@@ -129,6 +129,15 @@ class TestTenantPolicies:
         with pytest.raises(ValueError):
             TenantFairShare(slot_caps={"a": 0})
 
+    @pytest.mark.parametrize("policy", [TenantFairShare, TenantPriority])
+    @pytest.mark.parametrize("cap", [float("nan"), 1.5])
+    def test_non_integer_slot_caps_rejected(self, policy, cap):
+        """A NaN cap failed every ``held >= cap`` test, so it disabled
+        the cap: 4 of 4 requests were admitted where a cap of 1 admits
+        1."""
+        with pytest.raises(TypeError, match="slot cap of tenant 'a'"):
+            policy(slot_caps={"a": cap})
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_fair_share_rejects_non_finite_weights(self, bad):
         # A NaN weight once passed the ``w <= 0`` guard and its tenant
@@ -228,6 +237,19 @@ class TestLifecycle:
             with pytest.raises(ValueError, match="arrival"):
                 SchedRequest(0, prompt_len=4, max_new_tokens=2,
                              arrival=arrival)
+
+    @pytest.mark.parametrize("kwargs,name", [
+        (dict(prompt_len=float("nan")), "prompt_len"),
+        (dict(prompt_len=2.5), "prompt_len"),
+        (dict(max_new_tokens=float("nan")), "max_new_tokens"),
+        (dict(max_new_tokens=2.5), "max_new_tokens"),
+    ])
+    def test_non_integer_lengths_rejected(self, kwargs, name):
+        """NaN passed the ``< 1`` guards: ``SchedRequest(0, nan, 3)``
+        was accepted."""
+        fields = dict(request_id=0, prompt_len=4, max_new_tokens=3)
+        with pytest.raises(TypeError, match=f"{name} must be an integer"):
+            SchedRequest(**{**fields, **kwargs})
 
 
 class TestBulkStepping:

@@ -90,6 +90,77 @@ class TestTraceSynthesis:
         with pytest.raises(ValueError, match="finite"):
             make()
 
+    @pytest.mark.parametrize("kwargs,name", [
+        (dict(request_id=1.5), "request_id"),
+        (dict(prompt_len=2.5), "prompt_len"),
+        (dict(gen_tokens=_NAN), "gen_tokens"),
+        (dict(turn_index=0.5), "turn_index"),
+        (dict(session=1, shared_prefix_len=1.5), "shared_prefix_len"),
+        (dict(session=_NAN), "session"),
+    ], ids=["id", "prompt", "gen-nan", "turn", "prefix", "session-nan"])
+    def test_non_integer_request_fields_rejected(self, kwargs, name):
+        """Every integer field is checked as an integer. ``gen_tokens``
+        NaN or 2.5 passed the ``< 1`` guard and the run died later
+        inside NumPy; a fractional ``prompt_len`` died as "batch and
+        total_kv must be ints"."""
+        fields = dict(request_id=0, arrival=0.0, prompt_len=4, gen_tokens=3)
+        with pytest.raises(TypeError, match=f"{name} must be an integer"):
+            Request(**{**fields, **kwargs})
+
+    def test_trace_columns_apply_the_request_rules(self):
+        """A trace built from request-like rows checks each column as
+        :class:`Request` checks one field."""
+        from types import SimpleNamespace
+
+        def row(**kw):
+            fields = dict(request_id=0, arrival=0.0, prompt_len=4,
+                          gen_tokens=3, session=None, tenant=None,
+                          turn_index=0, shared_prefix_len=0)
+            return SimpleNamespace(**{**fields, **kw})
+
+        with pytest.raises(TypeError, match="gen_tokens must be an integer"):
+            WorkloadTrace((row(gen_tokens=_NAN),))
+        with pytest.raises(TypeError, match="session must be an integer"):
+            WorkloadTrace((row(session=2.5),))
+        with pytest.raises(ValueError, match="finite"):
+            WorkloadTrace((row(arrival=_NAN),))
+        with pytest.raises(ValueError, match="needs a session"):
+            WorkloadTrace((row(shared_prefix_len=1),))
+        with pytest.raises(ValueError, match="int64"):
+            WorkloadTrace((row(request_id=2**63),))
+
+    def test_requests_are_built_on_read(self):
+        """``requests`` is a read-only sequence of equal requests."""
+        rows = (Request(5, 0.0, 4, 3, session=2, tenant="a"),
+                Request(9, 1.0, 6, 2, tenant="b", turn_index=1),
+                Request(7, 1.0, 5, 1, session=2, shared_prefix_len=3))
+        trace = WorkloadTrace(rows)
+        assert tuple(trace.requests) == rows
+        assert trace.requests[-1] == rows[-1]
+        assert trace.requests[1:] == rows[1:]
+        assert len(trace.requests) == 3 and rows[1] in trace.requests
+        with pytest.raises(IndexError):
+            trace.requests[3]
+        with pytest.raises(TypeError):
+            trace.requests[0] = rows[0]
+        assert trace == WorkloadTrace(list(rows))
+        assert trace != WorkloadTrace(rows[:2])
+        assert WorkloadTrace(trace.requests).requests is trace.requests
+
+    def test_from_columns_equals_the_request_trace(self):
+        rows = (Request(0, 0.0, 4, 3, session=2, tenant="a"),
+                Request(1, 1.0, 6, 2, tenant="b", turn_index=1),
+                Request(2, 1.0, 5, 1, session=2, shared_prefix_len=3))
+        trace = WorkloadTrace.from_columns(
+            [0.0, 1.0, 1.0], [4, 6, 5], [3, 2, 1], session=[2, None, 2],
+            tenant=["a", "b", None], turn_index=[0, 1, 0],
+            shared_prefix_len=[0, 0, 3], expert_skew=0.5)
+        assert tuple(trace.requests) == rows and trace.expert_skew == 0.5
+        with pytest.raises(ValueError, match="equally long"):
+            WorkloadTrace.from_columns([0.0, 1.0], [4, 6], [3])
+        with pytest.raises(ValueError, match="equally long"):
+            WorkloadTrace.from_columns([0.0], [4], [3], tenant=["a", "b"])
+
     def test_session_tags(self):
         t = synthesize_trace(num_requests=30, arrival_rate=5.0,
                              num_sessions=3, seed=2)
