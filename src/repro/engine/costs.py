@@ -58,11 +58,14 @@ fresh array the caller may overwrite.
 from __future__ import annotations
 
 import math
+import operator
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Callable, Protocol, runtime_checkable
 
 import numpy as np
+
+from .scheduler import _as_index
 
 __all__ = [
     "BatchState",
@@ -98,9 +101,18 @@ class PromptShape:
     shared_prefix_len: int = 0
 
     def __post_init__(self) -> None:
-        if self.prompt_len < 1:
+        # Integers only: the range tests alone let fractional lengths
+        # through. One try block keeps a prefix hit to two calls.
+        try:
+            prompt_len = operator.index(self.prompt_len)
+            prefix = operator.index(self.shared_prefix_len)
+        except TypeError:
+            for name in ("prompt_len", "shared_prefix_len"):
+                _as_index(name, getattr(self, name))
+            raise
+        if prompt_len < 1:
             raise ValueError("prompt_len must be >= 1")
-        if not 0 <= self.shared_prefix_len < self.prompt_len:
+        if not 0 <= prefix < prompt_len:
             raise ValueError(
                 "shared_prefix_len must satisfy 0 <= prefix < prompt_len")
 
@@ -161,6 +173,7 @@ class BatchState:
         """The state after ``steps`` decode iterations with this exact
         batch composition: every sequence's KV length grows by one per
         iteration (each generates one token per step)."""
+        steps = _as_index("steps", steps)
         if steps < 0:
             raise ValueError("steps must be >= 0")
         if steps == 0:
@@ -203,6 +216,8 @@ class StepCostModel(ABC):
         implementation is the per-step reference loop, one
         ``decode_cost`` call per step; the shipped adapters vectorize.
         """
+        if type(steps) is not int:  # the serving loop's exact ints skip it
+            steps = _as_index("steps", steps)
         if steps < 0:
             raise ValueError("steps must be >= 0")
         if steps == 0:

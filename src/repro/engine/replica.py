@@ -27,12 +27,14 @@ Decode is *event-compressed*: between scheduler-relevant events the
 batch composition is frozen, so a whole stretch of decode iterations is
 priced with one :meth:`~repro.engine.costs.StepCostModel.decode_run_cost`
 call, up to the next retirement, and committed with one bulk
-:meth:`~repro.engine.scheduler.Scheduler.record_tokens`. One in-place
-cumulative sum (``np.add.accumulate``, a sequential left fold: the
-per-step clock's own association) turns the priced run into exact step
-end times, and ``searchsorted`` on them finds where the stretch ends or
-is cut, so a stretch costs no Python work per step. Results are
-bit-for-bit those of per-step stepping.
+:meth:`~repro.engine.scheduler.Scheduler.record_tokens`. The stretch's
+clock is the per-step clock's own additions, folded one of two ways by
+the priced step count: up to ``_FOLD_MAX`` steps, ``now += cost`` over
+the run's floats, stopping at the first step end that reaches the
+break; beyond it, one in-place cumulative sum (``np.add.accumulate``, a
+sequential left fold) and one ``searchsorted``, so a long stretch costs
+no Python work per step. Results are bit-for-bit those of per-step
+stepping.
 
 Only events that can change a replica split its stretch: its own next
 delivery, its slowdown onset and retirements, plus the fleet-wide
@@ -78,6 +80,10 @@ _set_total_kv = BatchState.total_kv.__set__
 # its start; _CRASH (a = requests requeued), _RECOVER and _RETIRE are
 # instants (start == end). Ids and counts are exact below 2**53.
 _ADMIT, _ADMIT_DONE, _DECODE, _CRASH, _RECOVER, _RETIRE = range(6)
+# Decode stretches priced at most this many steps fold their clock in
+# Python floats, longer ones in NumPy: the measured crossover (replaying
+# the e2e workloads' stretches through both folds, docs/GUIDE.md).
+_FOLD_MAX = 32
 
 
 class _KvTracker:
@@ -293,8 +299,9 @@ class _Replica:
         # When set, the fleet's autoscaler collects (time, ttft) samples
         # here; None keeps the non-autoscaled path allocation-free.
         self.ttft_sink = ttft_sink
-        # A priced, uncommitted decode stretch (start, step end times,
-        # steps, on_complete) and the start of its last step; see
+        # A priced, uncommitted decode stretch (start, its step end times
+        # as an array or, for a short one, its step costs as a list,
+        # steps, on_complete, end) and the start of its last step; see
         # perform_action's ``t_arrival``.
         self._plan: tuple | None = None
         self._plan_key = _INF
@@ -312,10 +319,19 @@ class _Replica:
         is held only while ``t`` is at most its last step's start, so
         the cut retires nobody."""
         if self._plan is not None:
-            start, ends, _, on_complete = self._plan
+            start, run, _, on_complete, _ = self._plan
             self._plan = None
-            self._commit(start, ends, int(ends.searchsorted(t)) + 1,
-                         on_complete)
+            if type(run) is list:
+                # A short stretch keeps its step costs: re-fold them up
+                # to the first step starting at or after ``t``.
+                n, now = 1, start + run[0]
+                while now < t:
+                    now += run[n]
+                    n += 1
+            else:  # step end times
+                n = int(run.searchsorted(t)) + 1
+                now = run.item(n - 1)
+            self._commit(start, now, n, on_complete)
         self.inbox.append((t, pos))
 
     def _enqueue_arrived(self) -> None:
@@ -370,18 +386,21 @@ class _Replica:
         """
         plan = self._plan
         if plan is not None:
+            start, _, n, on_complete, now = plan
             self._plan = None
-            self._commit(*plan)
+            self._commit(start, now, n, on_complete)
             return "decode"
-        t = self.next_action_time()
-        if t == _INF:
+        if not self.alive or self.retired:
             return None
-        if t > self.now:
-            self.now = t
+        sched = self.sched
         inbox = self.inbox
+        if not (sched._active or sched._queue):
+            if not inbox:
+                return None
+            if inbox[0][0] > self.now:  # idle fast-forward
+                self.now = inbox[0][0]
         if inbox and inbox[0][0] <= self.now:
             self._enqueue_arrived()
-        sched = self.sched
         kv = self.kv
         # A decode-only action (nothing queued, or no free slot) skips
         # the scheduler's admission pass.
@@ -446,38 +465,51 @@ class _Replica:
         run = self.costs.decode_run_cost(kv.state(), horizon)
         if start >= slow_from:  # unslowed replicas skip the multiply
             run *= self.slow_factor
-        # ``np.add.accumulate`` is a sequential left fold, so with the
-        # start folded into the first cost every entry is bit-for-bit the
-        # per-step clock (``now += cost``) after that step. Costs >= 0
-        # keep the ends sorted; the first to reach the break ends it.
-        run[0] += start
-        ends = np.add.accumulate(run, out=run)
-        n = ends.size
-        now = ends.item(-1)
-        if now >= t_break:
-            n = min(int(ends.searchsorted(t_break)) + 1, n)
-            now = ends.item(n - 1)
+        # Either fold adds the costs to the clock one step at a time, as
+        # per-step stepping does, and ends the stretch at the first step
+        # end that reaches the break (costs >= 0 keep the ends sorted).
+        # Up to _FOLD_MAX steps a float loop beats NumPy's per-call cost;
+        # beyond it, one in-place ``np.add.accumulate`` (a sequential
+        # left fold, the start folded into the first cost) and one
+        # ``searchsorted`` do it with no Python work per step.
+        last = None  # the last step's start; the float fold keeps it
+        if horizon <= _FOLD_MAX:
+            run = run.tolist()
+            now = start
+            for n, cost in enumerate(run, 1):
+                last = now
+                now += cost
+                if now >= t_break:
+                    break
+        else:
+            run[0] += start
+            n = run.size
+            now = np.add.accumulate(run, out=run).item(-1)
+            if now >= t_break:
+                n = min(int(run.searchsorted(t_break)) + 1, n)
+                now = run.item(n - 1)
         if not start <= now < _INF:
             raise ValueError(
                 f"replica {self.index}: decode stretch of {n} steps x{batch} "
                 f"from t={start!r} ends at {now!r}; step costs must be "
                 f"finite and >= 0")
         if now >= t_arrival and n > 1:
-            last = ends.item(n - 2)
+            if last is None:
+                last = run.item(n - 2)
             if last >= t_arrival:
-                self._plan = (start, ends, n, on_complete)
+                self._plan = (start, run, n, on_complete, now)
                 self._plan_key = last
                 return "decode"
-        self._commit(start, ends, n, on_complete)
+        self._commit(start, now, n, on_complete)
         return "decode"
 
-    def _commit(self, start: float, ends: np.ndarray, n: int,
+    def _commit(self, start: float, now: float, n: int,
                 on_complete) -> None:
         """Commit the first ``n`` steps of a priced decode stretch from
-        ``start`` (``ends[i]`` is step ``i``'s end time)."""
+        ``start``, ending at ``now``."""
         sched = self.sched
         batch = len(sched._active)
-        now = self.now = ends.item(n - 1)
+        self.now = now
         retired = sched.record_tokens(n)
         self.tokens += n * batch
         self.log.extend((_DECODE, start, now, batch, n, self.kv.total_kv))

@@ -525,16 +525,23 @@ class Scheduler:
         """
         if steps < 1:
             raise ValueError("steps must be >= 1")
-        if not self._active:
+        horizon = self.decode_horizon()
+        if not horizon:
             raise ValueError("no active requests to record tokens for")
-        if steps > self.decode_horizon():
+        if steps > horizon:
             raise ValueError(
                 f"steps={steps} overruns the decode horizon "
-                f"({self.decode_horizon()}): a retirement would be skipped")
+                f"({horizon}): a retirement would be skipped")
+        generated = self._generated
+        if steps < horizon:  # nobody retires: every count moves alike
+            for rid in self._active:
+                generated[rid] += steps
+            self._horizon = horizon - steps
+            self._step += steps
+            return []
         self._step += steps - 1  # land on the retiring iteration
         retired: list[int] = []
-        generated = self._generated
-        horizon: int | None = None  # of the survivors
+        survivors: int | None = None  # their horizon
         for rid, req in list(self._active.items()):
             left = req.max_new_tokens - generated[rid] - steps
             generated[rid] += steps
@@ -542,9 +549,9 @@ class Scheduler:
                 del self._active[rid]
                 self._log(_RETIRE_LENGTH, rid)
                 retired.append(rid)
-            elif horizon is None or left < horizon:
-                horizon = left
-        self._horizon = horizon
+            elif survivors is None or left < survivors:
+                survivors = left
+        self._horizon = survivors
         self._step += 1
         return retired
 

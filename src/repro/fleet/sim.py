@@ -9,6 +9,12 @@ atomic actions (admit one request with its prompt pass, decode a
 stretch) let a global event loop interleave many replicas, arrivals,
 and scripted faults in start-time order.
 
+The loop keeps every replica's next action time in a list and a lazily
+invalidated heap, and re-reads a replica's time only after that replica
+acts or takes a delivery. Each pass reads the next arrival, fault, join
+and control epoch once, then runs every replica action due strictly
+before them back to back: no action can move those events.
+
 Two backends, one control plane:
 
 * :func:`simulate_fleet` — analytical: every replica prices the shared
@@ -50,7 +56,7 @@ from ..autoscale.signals import FleetSignals, ReplicaSnapshot
 from ..engine.costs import StepCostModel
 from ..engine.generation import GenerationSession
 from ..engine.replica import _KvTracker, _Outcomes, _Replica
-from ..engine.scheduler import Scheduler
+from ..engine.scheduler import Scheduler, _as_index
 from ..engine.serving_sim import (WorkloadTrace, _draw_replica, _full_detail,
                                   _RenderedTimeline, _report_times)
 from ..rng import SeedLike, as_generator
@@ -173,6 +179,7 @@ def simulate_fleet(
     stretch (``1`` forces the per-step reference behavior; equivalence
     tests use it as the oracle).
     """
+    num_replicas = _as_index("num_replicas", num_replicas)
     if num_replicas < 1:
         raise ValueError("num_replicas must be >= 1")
     if max_batch < 1:
@@ -249,19 +256,21 @@ def simulate_fleet(
     heap: list[tuple[float, int, int]] = []
     seq = 0
 
-    # Replica action times, lazily invalidated: an entry is live while
-    # it equals its replica's next_action_time(), and stale entries are
-    # dropped when they reach the top. Only a delivery or an action can
-    # lower a replica's time, so only those push a fresh entry (a
-    # replica holding a decode stretch is due at its last step's start,
-    # and a delivery cuts that back to the arrival). Crash, drain and
-    # retire raise it to inf; a recovered or joining replica is idle
-    # until its first delivery. (t, index) order picks the
-    # lowest index among equal times, as a full scan would.
+    # Replica action keys: ``due[i]`` is replica i's next_action_time(),
+    # cached, and a heap entry (t, i) is live while t == due[i]; stale
+    # entries are dropped when they reach the top. Only a delivery or an
+    # action can move a replica's time, so only those re-read it and
+    # push a fresh entry (a replica holding a decode stretch is due at
+    # its last step's start, and a delivery cuts that back to the
+    # arrival). A crash sets it to inf; a drained replica retires only
+    # once idle, when its key is inf already, and a recovered or joining
+    # replica is idle until its first delivery. (t, index) order picks
+    # the lowest index among equal times, as a full scan would.
     acts: list[tuple[float, int]] = []
+    due = [_INF] * num_replicas
 
     def push_action(i: int) -> None:
-        t = replicas[i].next_action_time()
+        t = due[i] = replicas[i].next_action_time()
         if t < _INF:
             heapq.heappush(acts, (t, i))
 
@@ -270,13 +279,9 @@ def simulate_fleet(
         retry = False
         if heap and heap[0][0] < t_arr:
             t_arr, retry = heap[0][0], True
-        t_act, act_i = _INF, -1
-        while acts:
-            t, i = acts[0]
-            if t == replicas[i].next_action_time():
-                t_act, act_i = t, i
-                break
+        while acts and acts[0][0] != due[acts[0][1]]:
             heapq.heappop(acts)
+        t_act = acts[0][0] if acts else _INF
         t_fault = (fault_events[fault_cursor][0]
                    if fault_cursor < len(fault_events) else _INF)
         t_join = joins[0] if joins else _INF
@@ -290,9 +295,32 @@ def simulate_fleet(
         # an arrival cuts only the replica it is routed to (deliver).
         t_cut = min(t_fault, t_join, t_epoch)
         t_split = min(t_arr, t_cut)
-        if min(t_split, t_act) == _INF:
+        # Every action due strictly before the next arrival, fault, join
+        # or epoch runs here, back to back: no action can move those, so
+        # they are read once per batch. At equal times the event goes
+        # first. The batch may leave every replica idle, which stops the
+        # epochs, so the events are read afresh after it.
+        if t_act < t_split:
+            while True:
+                i = acts[0][1]
+                rep = replicas[i]
+                rep.perform_action(on_complete, t_limit=t_cut,
+                                   t_arrival=t_arr, max_steps=_max_run_steps)
+                if rep.draining:
+                    rep.maybe_retire(rep.now)
+                t = due[i] = rep.next_action_time()
+                if t < _INF:
+                    heapq.heapreplace(acts, (t, i))
+                else:
+                    heapq.heappop(acts)
+                while acts and acts[0][0] != due[acts[0][1]]:
+                    heapq.heappop(acts)
+                if not acts or acts[0][0] >= t_split:
+                    break
+            continue
+        if t_split == _INF:
             break
-        if t_fault <= t_split and t_fault <= t_act:
+        if t_fault <= t_split:
             t, _, target_i, kind = fault_events[fault_cursor]
             fault_cursor += 1
             target = replicas[target_i]
@@ -312,25 +340,28 @@ def simulate_fleet(
                         t, "recover", target_i, "fault plan recovery"))
                 continue
             victims = target.crash(t, on_complete)
+            due[target_i] = _INF
             router.mark_failed(target_i)
             for t_req, pos in victims:
                 heapq.heappush(heap, (t_req, seq, pos))
                 seq += 1
             continue
-        if t_join <= t_split and t_join <= t_act:
+        if t_join <= t_split:
             t = joins.popleft()
             new_index = router.add_replica()
             rep = _Replica(new_index, kv=_KvTracker(**kv_opts),
                            join_time=t, ttft_sink=ttft_sink, **rep_opts)
             replicas.append(rep)
+            due.append(_INF)
             autoscale_log.append(AutoscaleEvent(
                 t, "join", new_index, "cold start complete"))
             continue
-        if t_epoch <= t_arr and t_epoch <= t_act:
+        if t_epoch <= t_arr:
             t = next_epoch_s
             next_epoch_s += epoch_s
             for rep in replicas:
-                rep.maybe_retire(t)
+                if rep.draining:
+                    rep.maybe_retire(t)
             samples = list(ttft_sink)
             ttft_sink.clear()
             signals, actions = scaler.epoch(
@@ -353,23 +384,16 @@ def simulate_fleet(
                 autoscale_log.append(AutoscaleEvent(
                     t, action.kind, action.replica, action.reason))
             continue
-        if t_arr <= t_act:
-            if retry:
-                pos = heapq.heappop(heap)[2]
-            else:
-                pos, cursor = cursor, cursor + 1
-            # Only a policy that reads requests gets one, built on read.
-            target_i = router.place(
-                ids[pos], prompt[pos] + gen[pos], t_arr, retry=retry,
-                request=requests[pos] if reads_request else None)
-            replicas[target_i].deliver(pos, t_arr)
-            push_action(target_i)
-            continue
-        rep = replicas[act_i]
-        rep.perform_action(on_complete, t_limit=t_cut, t_arrival=t_arr,
-                           max_steps=_max_run_steps)
-        rep.maybe_retire(rep.now)
-        push_action(act_i)
+        if retry:
+            pos = heapq.heappop(heap)[2]
+        else:
+            pos, cursor = cursor, cursor + 1
+        # Only a policy that reads requests gets one, built on read.
+        target_i = router.place(
+            ids[pos], prompt[pos] + gen[pos], t_arr, retry=retry,
+            request=requests[pos] if reads_request else None)
+        replicas[target_i].deliver(pos, t_arr)
+        push_action(target_i)
 
     # -- assemble the report --------------------------------------------
     # Placement lives in the router's log; the per-request arrays hold

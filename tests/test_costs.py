@@ -94,6 +94,18 @@ class TestBatchState:
         with pytest.raises(ValueError):
             PromptShape(0)
 
+    @pytest.mark.parametrize("args, name", [
+        ((2.5,), "prompt_len"), ((math.nan,), "prompt_len"),
+        ((128, 1.5), "shared_prefix_len"), ((128, math.nan),
+                                             "shared_prefix_len")])
+    def test_prompt_shape_takes_integers(self, args, name):
+        """A fractional length used to construct: the dense adapter then
+        failed deep in ``LayerShape`` and the closure adapter priced it
+        silently."""
+        with pytest.raises(TypeError, match=f"{name} must be an integer"):
+            PromptShape(*args)
+        assert PromptShape(np.int64(128), np.int32(4)).shared_prefix_len == 4
+
 
 class TestClosureStepCost:
     def test_wraps_closures(self):
@@ -400,6 +412,23 @@ class TestDecodeRunCost:
         assert s.advanced(3) == BatchState.of((8, 12))
         with pytest.raises(ValueError):
             s.advanced(-1)
+
+    @pytest.mark.parametrize("steps", [2.5, math.nan, math.inf])
+    def test_advanced_takes_integer_steps(self, steps):
+        """Used to fail as "batch and total_kv must be ints", naming a
+        derived value (a NumPy integer failed the same way)."""
+        s = BatchState.of((5, 9))
+        with pytest.raises(TypeError, match="steps must be an integer"):
+            s.advanced(steps)
+        assert s.advanced(np.int64(3)) == BatchState.of((8, 12))
+
+    @pytest.mark.parametrize("steps", [3.5, math.nan, math.inf])
+    def test_run_takes_integer_steps(self, dense_cost, steps):
+        """Used to reach NumPy and fail on a derived KV length."""
+        with pytest.raises(TypeError, match="steps must be an integer"):
+            dense_cost.decode_run_cost(BatchState.uniform(2, 16), steps)
+        assert dense_cost.decode_run_cost(BatchState.uniform(2, 16),
+                                          np.int64(3)).shape == (3,)
 
 
 class TestMoEServingEndToEnd:

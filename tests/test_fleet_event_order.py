@@ -20,6 +20,8 @@ and must give the same report and scheduler event logs, and at full
 detail the same drawn timeline.
 """
 
+import cProfile
+import pstats
 from functools import reduce
 from itertools import accumulate
 from operator import add
@@ -28,7 +30,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.autoscale import AutoscaleConfig
-from repro.engine import ClosureStepCost, Request, WorkloadTrace
+from repro.engine import (ClosureStepCost, Request, WorkloadTrace,
+                          synthesize_trace)
 from repro.engine.replica import _Replica
 from repro.fleet import FaultPlan, ReplicaFault, simulate_fleet
 
@@ -255,3 +258,59 @@ def test_simultaneous_idle_replicas_act_lowest_index_first():
         simulate_fleet(trace, num_replicas=4, max_batch=2, costs=COSTS,
                        routing="round_robin")
     assert order[:4] == [0, 1, 2, 3]
+
+
+def test_action_keys_are_read_once_per_action_and_delivery():
+    """The loop caches every replica's key: ``next_action_time`` runs
+    once after each action and once after each delivery, never to
+    validate the heap's top or inside ``perform_action``. The fleet
+    crashes, recovers and autoscales (joins and a drain), so every path
+    that moves a key is exercised. Call counts are exact under
+    cProfile."""
+    trace = synthesize_trace(num_requests=80, arrival_rate=20.0,
+                             mean_prompt=8, mean_gen=12, seed=3)
+    autoscaler = AutoscaleConfig(
+        min_replicas=1, max_replicas=5, ttft_slo_s=0.05, epoch_s=0.25,
+        sustain_epochs=1, queue_high_depth=0.5, queue_low_depth=0.5,
+        cold_start_s=0.1, window_s=0.5, scale_in_cooldown_s=0.2)
+    plan = FaultPlan((ReplicaFault(0, 1.0), ReplicaFault(0, 2.0,
+                                                        kind="recover")))
+    profile = cProfile.Profile()
+    profile.enable()
+    report = simulate_fleet(trace, num_replicas=2, costs=COSTS, max_batch=4,
+                            routing="least_outstanding", fault_plan=plan,
+                            autoscaler=autoscaler, detail="summary")
+    profile.disable()
+    calls: dict[str, int] = {}
+    for (path, _, name), stats in pstats.Stats(profile).stats.items():
+        if path.endswith("replica.py"):
+            calls[name] = calls.get(name, 0) + stats[1]
+    assert report.num_completed == len(trace.requests)
+    assert report.past_schedulers and report.retried  # crashed, recovered
+    kinds = {ev.kind for ev in report.autoscale_log}
+    assert {"join", "replace"} <= kinds
+    assert calls["next_action_time"] <= (calls["perform_action"]
+                                         + calls["deliver"])
+
+
+def test_epochs_tick_only_while_work_remains():
+    """A control epoch runs only while a request is undelivered or a
+    replica has work: after the last arrival, every epoch sees queued
+    or running requests, and the run ends with its last action rather
+    than one more epoch (which could still scale out)."""
+    # Two replicas cannot keep up, so the backlog drains for several
+    # epochs after the last arrival.
+    trace = synthesize_trace(num_requests=400, arrival_rate=30.0,
+                             mean_prompt=32, mean_gen=16, seed=13)
+    autoscaler = AutoscaleConfig(
+        min_replicas=1, max_replicas=2, ttft_slo_s=0.3, epoch_s=1.0,
+        sustain_epochs=2, scale_out_cooldown_s=2.0, mean_prompt=32)
+    report = simulate_fleet(trace, num_replicas=1, costs=COSTS, max_batch=4,
+                            routing="least_outstanding",
+                            autoscaler=autoscaler, detail="summary")
+    last_arrival = trace.requests[-1].arrival
+    late = [s for s in report.telemetry if s.time_s > last_arrival]
+    assert late, "the case must drain past its last arrival"
+    for signals in late:
+        assert signals.queue_depth or signals.slot_util, (
+            f"epoch at {signals.time_s} ran with no work left")

@@ -108,6 +108,13 @@ class TestHealthyFleet:
         with pytest.raises(ValueError, match="max_batch"):
             simulate_fleet(trace, num_replicas=2, max_batch=0, costs=COSTS)
 
+    @pytest.mark.parametrize("num_replicas", [2.5, float("nan")])
+    def test_num_replicas_must_be_an_integer(self, num_replicas):
+        """Used to fail inside ``range`` without naming the argument."""
+        with pytest.raises(TypeError, match="num_replicas must be an integer"):
+            simulate_fleet(_trace(n=5), num_replicas=num_replicas,
+                           max_batch=2, costs=COSTS)
+
 
 class TestCrashFailover:
     def test_crash_mid_trace_requeues_to_survivors(self):

@@ -332,6 +332,31 @@ class TestBulkStepping:
                          default=0)
             assert s.decode_horizon() == rescan
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_partial_runs_equal_per_step_replay(self, seed):
+        """Stretches shorter than the horizon retire nobody: counts,
+        steps, horizon and event log still match per-step stepping."""
+        bulk, single = self._mirror(seed)
+        rng = np.random.default_rng(seed)
+        while True:
+            bulk.admit()
+            single.admit()
+            if not bulk.num_active:
+                break
+            horizon = bulk.decode_horizon()
+            n = int(rng.integers(1, horizon + 1))
+            retired = bulk.record_tokens(n)
+            assert (retired == []) == (n < horizon)
+            for _ in range(n):
+                for rid in single.active:
+                    single.record_token(rid)
+                single.advance()
+            assert bulk.step == single.step
+            assert bulk.decode_horizon() == single.decode_horizon()
+            assert all(bulk.generated(rid) == single.generated(rid)
+                       for rid in single.active)
+        assert bulk.events == single.events
+
     def test_partial_run_retires_nobody(self):
         s = Scheduler(2)
         s.enqueue(_req(0, max_new=5))

@@ -16,6 +16,8 @@ import itertools
 
 import pytest
 
+import numpy as np
+
 from repro.engine import (
     ClosureStepCost,
     DenseLatencyModel,
@@ -28,6 +30,7 @@ from repro.engine import (
     simulate_serving,
     synthesize_trace,
 )
+from repro.engine.replica import _FOLD_MAX, _Replica
 from repro.fleet import FaultPlan, ReplicaFault, simulate_fleet
 from repro.hardware import dgx2_v100, dgx_a100_cluster
 from repro.model import DENSE_ZOO, MOE_PARALLELISM, MOE_ZOO, get_model
@@ -262,3 +265,102 @@ class TestFleetBitForBit:
         assert summary == full
         assert not any(lane.startswith("req-")
                        for lane in summary.timeline.lanes())
+
+
+class TestFoldBoundary:
+    """A stretch priced at most ``_FOLD_MAX`` steps folds its clock in
+    Python floats, a longer one in NumPy; each must be the per-step
+    clock. Horizons either side of the boundary, whole or cut by an
+    arrival, slowed mid-stretch or held and cut by a delivery, are held
+    against the per-step oracle and per-step fleet stepping."""
+
+    HORIZONS = (_FOLD_MAX - 1, _FOLD_MAX, _FOLD_MAX + 1)
+
+    @staticmethod
+    def _record_horizons(monkeypatch, cost):
+        """Collect the step count of every priced stretch."""
+        seen: list[int] = []
+        run_cost = type(cost).decode_run_cost
+
+        def recording(self, state, steps):
+            seen.append(steps)
+            return run_cost(self, state, steps)
+
+        monkeypatch.setattr(type(cost), "decode_run_cost", recording)
+        return seen
+
+    @staticmethod
+    def _mid_decode(cost, horizon):
+        """Halfway through a lone request's ``horizon``-step stretch."""
+        alone = WorkloadTrace((Request(0, 0.0, 16, horizon + 1),))
+        solo = simulate_serving(alone, costs=cost, max_batch=MAX_BATCH)
+        return alone, (solo.first_token_times[0] + solo.finish_times[0]) / 2
+
+    @pytest.mark.parametrize("horizon", HORIZONS)
+    def test_serving_equals_oracle(self, dense_cost, monkeypatch, horizon):
+        alone, mid = self._mid_decode(dense_cost, horizon)
+        cut = WorkloadTrace((*alone.requests, Request(1, mid, 24, 5)))
+        seen = self._record_horizons(monkeypatch, dense_cost)
+        for trace in (alone, cut):
+            fast = simulate_serving(trace, costs=dense_cost,
+                                    max_batch=MAX_BATCH, detail="full")
+            ref = simulate_serving_reference(trace, costs=dense_cost,
+                                             max_batch=MAX_BATCH)
+            assert fast == ref
+            assert _events(fast.scheduler) == _events(ref.scheduler)
+            assert fast.timeline.to_rows() == ref.timeline.to_rows()
+        assert horizon in seen
+
+    @pytest.mark.parametrize("horizon", HORIZONS)
+    def test_slowdown_onset_inside_a_stretch(self, dense_cost, horizon):
+        alone, mid = self._mid_decode(dense_cost, horizon)
+        kwargs = dict(num_replicas=1, costs=dense_cost, max_batch=MAX_BATCH,
+                      detail="full", fault_plan=FaultPlan((ReplicaFault(
+                          0, mid, "slowdown", factor=1.5),)))
+        fast = simulate_fleet(alone, **kwargs)
+        ref = simulate_fleet(alone, _max_run_steps=1, **kwargs)
+        assert fast == ref
+        assert fast.timeline.to_rows() == ref.timeline.to_rows()
+        assert fast.finish_times[0] > simulate_serving(
+            alone, costs=dense_cost, max_batch=MAX_BATCH).finish_times[0]
+
+    @pytest.mark.parametrize("horizon", HORIZONS)
+    def test_held_stretch_cut_by_a_delivery(self, dense_cost, monkeypatch,
+                                            horizon):
+        """Round robin sends request 2 to replica 0 mid-stretch; the
+        stretch was held past that arrival, so the delivery cuts it (a
+        short one by re-folding its step costs)."""
+        _, mid = self._mid_decode(dense_cost, horizon)
+        trace = WorkloadTrace((Request(0, 0.0, 16, horizon + 1),
+                               Request(1, 0.0, 16, horizon + 1),
+                               Request(2, mid, 24, 5)))
+        kwargs = dict(num_replicas=2, costs=dense_cost, max_batch=MAX_BATCH,
+                      routing="round_robin", detail="full")
+        ref = simulate_fleet(trace, _max_run_steps=1, **kwargs)
+        cut: list[type] = []
+        deliver = _Replica.deliver
+
+        def recording(self, pos, t):
+            if self._plan is not None:
+                cut.append(type(self._plan[1]))
+            return deliver(self, pos, t)
+
+        monkeypatch.setattr(_Replica, "deliver", recording)
+        fast = simulate_fleet(trace, **kwargs)
+        assert cut == [list if horizon <= _FOLD_MAX else np.ndarray]
+        assert fast == ref
+        for fast_s, ref_s in zip(fast.schedulers, ref.schedulers):
+            assert _events(fast_s) == _events(ref_s)
+        assert fast.timeline.to_rows() == ref.timeline.to_rows()
+
+    @pytest.mark.parametrize("horizon", (_FOLD_MAX - 1, _FOLD_MAX + 1))
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_step_cost_raises(self, horizon, bad):
+        costs = ClosureStepCost(lambda b, p: 0.1, lambda b: bad)
+        trace = WorkloadTrace((Request(0, 0.0, 16, horizon + 1),
+                               Request(1, 0.0, 16, horizon + 1)))
+        with pytest.raises(ValueError, match="decode stretch .* ends at"):
+            simulate_serving(trace, costs=costs, max_batch=MAX_BATCH)
+        with pytest.raises(ValueError, match="decode stretch .* ends at"):
+            simulate_fleet(trace, num_replicas=2, costs=costs,
+                           max_batch=MAX_BATCH)

@@ -147,6 +147,21 @@ class TestTraceSynthesis:
         assert trace != WorkloadTrace(rows[:2])
         assert WorkloadTrace(trace.requests).requests is trace.requests
 
+    def test_iteration_zips_the_columns(self, monkeypatch):
+        """Iterating builds each request from one pass over the columns,
+        not an indexed read per position; items equal indexed reads."""
+        from repro.engine.serving_sim import _RequestColumns
+
+        trace = synthesize_trace(num_requests=12, arrival_rate=5.0,
+                                 num_sessions=3, seed=4)
+        by_index = [trace.requests[i] for i in range(12)]
+
+        def refuse(self, i):
+            raise AssertionError("iteration read an item by index")
+
+        monkeypatch.setattr(_RequestColumns, "__getitem__", refuse)
+        assert list(trace.requests) == by_index
+
     def test_from_columns_equals_the_request_trace(self):
         rows = (Request(0, 0.0, 4, 3, session=2, tenant="a"),
                 Request(1, 1.0, 6, 2, tenant="b", turn_index=1),
