@@ -13,8 +13,9 @@ Demonstrated here:
 * :func:`~repro.fleet.simulate_fleet` — healthy vs faulted run, load
   shift, multi-lane chrome-trace export;
 * :func:`~repro.fleet.run_fleet_functional` — the same placements on
-  real model replicas, with every completed output (retries included)
-  identical to solo ``model.generate``;
+  real model replicas through a crash and a recovery, with every
+  completed output (retries included, and those finished by the
+  replica's pre-crash incarnation) identical to solo ``model.generate``;
 * :func:`~repro.fleet.tune_fleet_deployment` — splitting a GPU budget
   between tensor-parallel scale-up and replica scale-out under a P99
   TTFT SLA.
@@ -97,10 +98,15 @@ def functional_demo() -> None:
     cfg = ModelConfig(name="fleet-demo", hidden=48, layers=3, heads=6,
                       vocab=101, max_seq=64)
     model = DenseTransformer(cfg, seed=3)
-    trace = synthesize_trace(num_requests=24, arrival_rate=300.0,
+    trace = synthesize_trace(num_requests=24, arrival_rate=60.0,
                              mean_prompt=5, mean_gen=5, seed=4)
-    plan = FaultPlan((ReplicaFault(replica=0,
-                                   time=trace.duration + 0.01),))
+    # Replica 0 dies mid-trace and reboots with a fresh scheduler; what
+    # it finished before dying lives in its past incarnation's session.
+    plan = FaultPlan((
+        ReplicaFault(replica=0, time=trace.duration / 2),
+        ReplicaFault(replica=0, time=trace.duration * 3 / 4,
+                     kind="recover"),
+    ))
     prompts = synthesize_prompts(trace, vocab=cfg.vocab, seed=1)
     res = run_fleet_functional(
         model, trace, num_replicas=3,
@@ -112,9 +118,14 @@ def functional_demo() -> None:
         solo = model.generate(prompts[r.request_id][None, :],
                               r.gen_tokens)[0]
         assert np.array_equal(res.outputs[r.request_id], solo)
+    final = set(res.sessions[0].scheduler.retirement_order)
+    from_past = {rid for session in res.past_sessions[0]
+                 for rid in session.scheduler.retirement_order} - final
+    assert from_past and from_past <= set(res.outputs)
     print(f"  {res.report.num_completed} requests served on real replicas "
-          f"({len(res.report.retried)} retried after the crash); every "
-          "output identical to solo model.generate.")
+          f"({len(res.report.retried)} retried after the crash, "
+          f"{len(from_past)} read from replica 0's pre-crash incarnation); "
+          "every output identical to solo model.generate.")
 
 
 def tuning_demo() -> None:

@@ -22,6 +22,7 @@ import math
 from dataclasses import dataclass
 
 from ..engine.costs import BatchState, PromptShape, StepCostModel
+from ..engine.scheduler import _as_index
 from .actions import ScaleAction
 from .policy import ScalePolicy
 from .signals import FleetSignals, ReplicaSnapshot, SignalCollector
@@ -63,6 +64,12 @@ class AutoscaleConfig:
     ema_alpha: float = 0.3
 
     def __post_init__(self) -> None:
+        # Integers only: ``< 1`` alone lets NaN through, and a NaN
+        # sustain count or warm-up size silently disables the loop or
+        # its joins.
+        for name in ("min_replicas", "max_replicas", "sustain_epochs",
+                     "warmup_prompts", "mean_prompt"):
+            _as_index(name, getattr(self, name))
         if self.min_replicas < 1:
             raise ValueError("min_replicas must be >= 1")
         if self.max_replicas < self.min_replicas:

@@ -255,16 +255,22 @@ class _Replica:
     positions in ``requests``, the trace's columns; results go to
     ``out``. The hot paths read the scheduler's queue and slot table
     (``Scheduler._queue``, ``Scheduler._active``) directly, not through
-    its properties."""
+    its properties.
+
+    ``on_complete(index, pos, t)`` is called for every request that
+    finishes here (``pos`` is its trace position): the fleet releases
+    the request's work from the router, a lone server ignores it."""
 
     def __init__(self, index: int, *, requests: _RequestColumns,
                  out: _Outcomes, max_batch: int, policy: str,
                  costs: StepCostModel, kv: _KvTracker,
+                 on_complete: Callable[[int, int, float], None],
                  join_time: float = 0.0,
                  ttft_sink: list[tuple[float, float]] | None = None) -> None:
         self.index = index
         self.requests = requests
         self.out = out
+        self.on_complete = on_complete
         self._find: Callable[[int], int] = requests.locator()
         self.max_batch = max_batch
         self.policy = policy
@@ -301,7 +307,7 @@ class _Replica:
         self.ttft_sink = ttft_sink
         # A priced, uncommitted decode stretch (start, its step end times
         # as an array or, for a short one, its step costs as a list,
-        # steps, on_complete, end) and the start of its last step; see
+        # steps, end) and the start of its last step; see
         # perform_action's ``t_arrival``.
         self._plan: tuple | None = None
         self._plan_key = _INF
@@ -319,7 +325,7 @@ class _Replica:
         is held only while ``t`` is at most its last step's start, so
         the cut retires nobody."""
         if self._plan is not None:
-            start, run, _, on_complete, _ = self._plan
+            start, run, _, _ = self._plan
             self._plan = None
             if type(run) is list:
                 # A short stretch keeps its step costs: re-fold them up
@@ -331,7 +337,7 @@ class _Replica:
             else:  # step end times
                 n = int(run.searchsorted(t)) + 1
                 now = run.item(n - 1)
-            self._commit(start, now, n, on_complete)
+            self._commit(start, now, n)
         self.inbox.append((t, pos))
 
     def _enqueue_arrived(self) -> None:
@@ -358,23 +364,21 @@ class _Replica:
             return max(self.now, self.inbox[0][0])  # idle fast-forward
         return _INF
 
-    def perform_action(self, on_complete, *, t_limit: float = _INF,
+    def perform_action(self, *, t_limit: float = _INF,
                        t_arrival: float = _INF,
                        max_steps: int | None = None) -> str | None:
         """Run one atomic action: admit one request (paying its prompt
         pass) if possible, else decode a whole *stretch* of iterations.
         Returns what ran, or ``None`` when there is nothing to do.
 
-        ``on_complete(index, pos, t)`` is called for every request that
-        finishes (``pos`` is its trace position). ``t_limit`` bounds a
-        decode stretch: only iterations *starting* strictly before it
-        are committed (the
-        fleet loop passes its next fault, join or control epoch, so a
-        run splits exactly where a per-step replica would have yielded
-        to the event loop). A replica's own inbox, the next length
-        retirement, and a pending slowdown onset split the run the same
-        way. ``max_steps`` caps the stretch (``1`` recovers per-step
-        stepping, used by :meth:`crash`).
+        ``t_limit`` bounds a decode stretch: only iterations *starting*
+        strictly before it are committed (the fleet loop passes its next
+        fault, join or control epoch, so a run splits exactly where a
+        per-step replica would have yielded to the event loop). A
+        replica's own inbox, the next length retirement, and a pending
+        slowdown onset split the run the same way. ``max_steps`` caps
+        the stretch (``1`` recovers per-step stepping, used by
+        :meth:`crash`).
 
         ``t_arrival`` is the fleet's next arrival, which may go to any
         replica. A stretch whose last step starts at or after it is
@@ -386,9 +390,9 @@ class _Replica:
         """
         plan = self._plan
         if plan is not None:
-            start, _, n, on_complete, now = plan
+            start, _, n, now = plan
             self._plan = None
-            self._commit(start, now, n, on_complete)
+            self._commit(start, now, n)
             return "decode"
         if not self.alive or self.retired:
             return None
@@ -443,7 +447,7 @@ class _Replica:
             self.log.extend((_ADMIT_DONE if done else _ADMIT, start, now,
                              rid, eff, s.arrival))
             if done:
-                self._finish(rid, pos, now, on_complete)
+                self._finish(rid, pos, now)
             return "admit"
         batch = len(sched._active)
         if not batch:
@@ -497,14 +501,13 @@ class _Replica:
             if last is None:
                 last = run.item(n - 2)
             if last >= t_arrival:
-                self._plan = (start, run, n, on_complete, now)
+                self._plan = (start, run, n, now)
                 self._plan_key = last
                 return "decode"
-        self._commit(start, now, n, on_complete)
+        self._commit(start, now, n)
         return "decode"
 
-    def _commit(self, start: float, now: float, n: int,
-                on_complete) -> None:
+    def _commit(self, start: float, now: float, n: int) -> None:
         """Commit the first ``n`` steps of a priced decode stretch from
         ``start``, ending at ``now``."""
         sched = self.sched
@@ -517,21 +520,21 @@ class _Replica:
         # step of the stretch — it retires *at* the last one).
         self.kv.grow_all(n)
         for rid in retired:
-            self._finish(rid, self._find(rid), now, on_complete)
+            self._finish(rid, self._find(rid), now)
         self._mid_round = False
 
-    def _finish(self, rid: int, pos: int, now: float, on_complete) -> None:
+    def _finish(self, rid: int, pos: int, now: float) -> None:
         """Record request ``rid`` (at ``pos``) finishing at ``now``."""
         req = self.requests
         self.kv._retire(rid, req.session[pos])
         self.out.finish[pos] = now
         self.completed += 1
         self.completed_tokens += req.gen[pos]
-        on_complete(self.index, pos, now)
+        self.on_complete(self.index, pos, now)
 
     # -- crash handling --------------------------------------------------
 
-    def crash(self, t_fault: float, on_complete) -> list[tuple[float, int]]:
+    def crash(self, t_fault: float) -> list[tuple[float, int]]:
         """Kill the replica: finish the in-flight round so it dies at a
         scheduler step boundary, then surrender every unfinished request
         (queued, in flight, or undelivered) for requeueing. Returns
@@ -539,7 +542,7 @@ class _Replica:
         while self._mid_round:
             # Per-step stepping: the in-flight round must finish exactly
             # where a per-step replica would, not run a whole stretch.
-            if self.perform_action(on_complete, max_steps=1) is None:
+            if self.perform_action(max_steps=1) is None:
                 # The round cannot reach its decode (everything retired
                 # in prompt passes); close the step so the event log
                 # stays boundary-aligned for functional replay.
@@ -589,7 +592,10 @@ class _Replica:
 
     def maybe_retire(self, t: float) -> bool:
         """Retire a draining replica the moment it runs dry (no active,
-        queued, or undelivered work). Returns whether it retired now."""
+        queued, or undelivered work). Returns whether it retired now.
+        A draining replica takes no new work, so only its own actions, a
+        crash and a recovery change it: the fleet calls this at drain
+        start, after each of its actions, and at its recovery."""
         if (self.draining and self.alive and not self.retired
                 and not self.sched.num_active and not self.sched.num_waiting
                 and not self.inbox):

@@ -211,6 +211,15 @@ class TenantPriority:
         slot_caps: dict[str, int] | None = None,
         default_priority: int = 0,
     ) -> None:
+        # A NaN priority fails every comparison, so the pick would
+        # depend on queue order.
+        if not -math.inf < default_priority < math.inf:
+            raise ValueError(f"default_priority must be finite, got "
+                             f"{default_priority!r}")
+        for name, prio in (priorities or {}).items():
+            if not -math.inf < prio < math.inf:
+                raise ValueError(f"priority of tenant {name!r} must be "
+                                 f"finite, got {prio!r}")
         _check_slot_caps(slot_caps)
         self.priorities = dict(priorities or {})
         self.slot_caps = dict(slot_caps or {})

@@ -114,12 +114,6 @@ class Request:
             raise ValueError(
                 "shared_prefix_len needs a session to share with")
 
-    @property
-    def work_tokens(self) -> int:
-        """Total token work the request represents (prompt + generation);
-        the unit the fleet router balances across replicas."""
-        return self.prompt_len + self.gen_tokens
-
 
 _FIELDS = operator.attrgetter(
     "request_id", "arrival", "prompt_len", "gen_tokens", "session", "tenant",
@@ -683,7 +677,8 @@ def simulate_serving(
     requests = trace.requests
     out = _Outcomes(len(requests))
     server = _Replica(0, requests=requests, out=out, max_batch=max_batch,
-                      policy=policy, costs=costs, kv=kv)
+                      policy=policy, costs=costs, kv=kv,
+                      on_complete=_ignore_completion)
     # Arrivals are delivered lazily: before each action the inbox holds
     # every arrival up to the time that action can start (now, or the
     # inbox head when idle) plus the first one after it, which is all
@@ -697,7 +692,7 @@ def simulate_serving(
             last = arrivals[k]
             inbox.append((last, k))
             k += 1
-        if server.perform_action(_ignore_completion) is None:
+        if server.perform_action() is None:
             break
     times = _report_times(requests, out)
     return ServingReport(

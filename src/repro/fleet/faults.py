@@ -30,6 +30,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from ..engine.scheduler import _as_index
+
 __all__ = ["ReplicaFault", "FaultPlan"]
 
 _KINDS = ("crash", "recover", "slowdown")
@@ -46,7 +48,9 @@ class ReplicaFault:
     factor: float = 1.0  # slowdown multiplier; ignored for crash/recover
 
     def __post_init__(self) -> None:
-        if self.replica < 0:
+        # ``< 0`` alone lets NaN and fractional indices through, which
+        # fail only when the simulator indexes its replica list.
+        if _as_index("replica", self.replica) < 0:
             raise ValueError("replica index must be >= 0")
         if self.time < 0 or not math.isfinite(self.time):
             raise ValueError("fault time must be finite and >= 0")
@@ -59,7 +63,11 @@ class ReplicaFault:
 
 @dataclass(frozen=True)
 class FaultPlan:
-    """A reproducible set of faults applied to one fleet run."""
+    """A reproducible set of faults applied to one fleet run.
+
+    Crashes and recoveries are read in one order, :meth:`outages`: the
+    survivor check in :meth:`validate_against` sweeps it and the fleet
+    simulator walks it, so both see the same outage stream."""
 
     faults: tuple[ReplicaFault, ...] = ()
 
@@ -119,15 +127,8 @@ class FaultPlan:
                 )
         if not num_replicas:
             return
-        # Sweep the crash/recover timeline; at equal times recoveries
-        # apply first (the rejoining replica can absorb the victims of a
-        # simultaneous crash).
-        events = sorted(
-            ((f.time, 0 if f.kind == "recover" else 1, f.kind)
-             for f in self.faults if f.kind in ("crash", "recover")),
-        )
         down = 0
-        for time, _, kind in events:
+        for time, _, kind in self.outages():
             down += 1 if kind == "crash" else -1
             if down >= num_replicas:
                 raise ValueError(
@@ -135,23 +136,14 @@ class FaultPlan:
                     f"{num_replicas} are down at t={time}"
                 )
 
-    def crashes(self) -> dict[int, float]:
-        """First crash time per replica, for the replicas that crash."""
-        out: dict[int, float] = {}
-        for f in sorted(self.faults, key=lambda f: f.time):
-            if f.kind == "crash" and f.replica not in out:
-                out[f.replica] = f.time
-        return out
-
-    def crash_events(self) -> list[tuple[float, int]]:
-        """Every crash as ``(time, replica)``, time-ordered."""
-        return sorted((f.time, f.replica) for f in self.faults
-                      if f.kind == "crash")
-
-    def recover_events(self) -> list[tuple[float, int]]:
-        """Every recovery as ``(time, replica)``, time-ordered."""
-        return sorted((f.time, f.replica) for f in self.faults
-                      if f.kind == "recover")
+    def outages(self) -> list[tuple[float, int, str]]:
+        """Every crash and recovery as ``(time, replica, kind)``: by
+        time, a recovery before a crash at the same instant (the
+        rejoining replica can absorb the victims of a simultaneous
+        crash), then by replica."""
+        return sorted(((f.time, f.replica, f.kind) for f in self.faults
+                       if f.kind != "slowdown"),
+                      key=lambda o: (o[0], o[2] == "crash", o[1]))
 
     def slowdowns(self) -> dict[int, tuple[float, float]]:
         """``replica -> (from_time, factor)`` for the slowed replicas."""

@@ -43,36 +43,23 @@ __all__ = [
 
 
 class FleetView(Protocol):
-    """What a policy may observe: pool size, liveness, outstanding work.
-
-    Views may optionally expose ``weight(replica) -> float`` (autoscale
-    reweighting) and ``is_routable(replica) -> bool`` (liveness minus
-    draining); policies read them through :func:`_weight_of` /
-    :func:`_routable_of`, which default to 1.0 / ``is_alive`` so plain
-    views keep working unchanged.
-    """
+    """What a policy may observe: pool size, liveness, routability
+    (liveness minus draining), outstanding work and routing weight
+    (autoscale reweighting, 1.0 = full share). The fleet's
+    :class:`~repro.fleet.router.Router` is the one implementation."""
 
     @property
     def num_replicas(self) -> int: ...
 
     def is_alive(self, replica: int) -> bool: ...
 
+    def is_routable(self, replica: int) -> bool: ...
+
     def alive_replicas(self) -> Sequence[int]: ...
 
     def outstanding(self, replica: int) -> float: ...
 
-
-def _weight_of(view: FleetView, replica: int) -> float:
-    """A replica's routing weight; 1.0 on views without weights."""
-    weight = getattr(view, "weight", None)
-    return weight(replica) if weight is not None else 1.0
-
-
-def _routable_of(view: FleetView, replica: int) -> bool:
-    """Whether new work may go to ``replica``; liveness on plain views."""
-    routable = getattr(view, "is_routable", None)
-    return routable(replica) if routable is not None \
-        else view.is_alive(replica)
+    def weight(self, replica: int) -> float: ...
 
 
 class RoutingPolicy:
@@ -104,7 +91,7 @@ class RoundRobin(RoutingPolicy):
         for _ in range(view.num_replicas):
             cand = self._next % view.num_replicas
             self._next = cand + 1
-            if _routable_of(view, cand):
+            if view.is_routable(cand):
                 return cand
         raise RuntimeError("no live replica to route to")
 
@@ -113,9 +100,9 @@ class LeastOutstanding(RoutingPolicy):
     """Join the replica with the least *weighted* outstanding token work
     (outstanding divided by routing weight — a half-weighted replica
     looks twice as loaded; ties go to the lowest index, so routing is
-    deterministic). On views without weights every weight is 1.0 and
-    ``x / 1.0 == x`` exactly, so plain fleets route bit-for-bit as
-    before."""
+    deterministic). An unweighted replica has weight 1.0 and
+    ``x / 1.0 == x`` exactly, so reweighting changes nothing until it
+    is used."""
 
     name = "least_outstanding"
     reads_request = False
@@ -125,8 +112,7 @@ class LeastOutstanding(RoutingPolicy):
         if not alive:
             raise RuntimeError("no live replica to route to")
         return min(alive,
-                   key=lambda i: (view.outstanding(i) / _weight_of(view, i),
-                                  i))
+                   key=lambda i: (view.outstanding(i) / view.weight(i), i))
 
 
 class PowerOfTwoChoices(RoutingPolicy):
@@ -188,8 +174,8 @@ class PowerOfTwoChoices(RoutingPolicy):
         a, b = self._two_of(len(alive))
         a, b = alive[a], alive[b]
         # As min((a, b), key=...): b only on a strictly smaller key.
-        if (view.outstanding(b) / _weight_of(view, b), b) \
-                < (view.outstanding(a) / _weight_of(view, a), a):
+        if (view.outstanding(b) / view.weight(b), b) \
+                < (view.outstanding(a) / view.weight(a), a):
             return b
         return a
 
@@ -213,7 +199,7 @@ class SessionAffinity(RoutingPolicy):
         if request.session is None:
             return self.fallback.choose(request, view)
         pinned = self._pins.get(request.session)
-        if pinned is not None and _routable_of(view, pinned):
+        if pinned is not None and view.is_routable(pinned):
             return pinned
         target = self.fallback.choose(request, view)
         self._pins[request.session] = target

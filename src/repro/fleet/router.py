@@ -44,6 +44,10 @@ class Router:
     (:meth:`mark_recovered`), and biases load-aware policies with
     per-replica weights (:meth:`set_weight`). A router that never sees
     those calls behaves exactly as the static pool always has.
+
+    It is the one :class:`~repro.fleet.policies.FleetView` the policies
+    see. Work enters through :meth:`place` and leaves through
+    :meth:`release`, both counted in tokens.
     """
 
     def __init__(self, num_replicas: int,
@@ -90,18 +94,12 @@ class Router:
 
     # -- placement -------------------------------------------------------
 
-    def route(self, request: Request, time: float, *,
-              retry: bool = False) -> int:
-        """Place one request; returns the chosen replica index."""
-        return self.place(request.request_id, request.work_tokens, time,
-                          retry=retry, request=request)
-
-    def place(self, request_id: int, work_tokens: int, time: float, *,
+    def place(self, request_id: int, tokens: int, time: float, *,
               retry: bool = False, request: Request | None = None) -> int:
-        """Place request ``request_id`` carrying ``work_tokens`` of
-        work; the policy sees ``request``, which may be ``None`` for a
-        load-only policy (see :class:`~repro.fleet.policies
-        .RoutingPolicy`). Returns the chosen replica index."""
+        """Place request ``request_id`` carrying ``tokens`` of work
+        (prompt plus generation); the policy sees ``request``, which may
+        be ``None`` for a load-only policy (see :class:`~repro.fleet
+        .policies.RoutingPolicy`). Returns the chosen replica index."""
         if not self._routable:
             raise RuntimeError(
                 "every replica has failed; the fleet cannot serve "
@@ -114,19 +112,15 @@ class Router:
                 f"policy {self.policy.name!r} chose unusable replica "
                 f"{replica}"
             )
-        self._outstanding[replica] += work_tokens
+        self._outstanding[replica] += tokens
         self.decisions.append(
             RoutingDecision(time, request_id, replica, retry))
         return replica
 
-    def complete(self, request: Request, replica: int) -> None:
-        """Report a request finished on ``replica``; releases its load."""
-        self.release(replica, request.work_tokens)
-
-    def release(self, replica: int, work_tokens: int) -> None:
-        """Release ``work_tokens`` of finished work from ``replica``."""
+    def release(self, replica: int, tokens: int) -> None:
+        """Release ``tokens`` of finished work from ``replica``."""
         self._outstanding[replica] = max(
-            0.0, self._outstanding[replica] - work_tokens)
+            0.0, self._outstanding[replica] - tokens)
 
     def mark_failed(self, replica: int) -> None:
         """Take ``replica`` out of rotation; its load register clears
@@ -178,8 +172,3 @@ class Router:
     def assignments(self) -> dict[int, int]:
         """Final placement per request id (later retries overwrite)."""
         return {d.request_id: d.replica for d in self.decisions}
-
-    @property
-    def num_retries(self) -> int:
-        """Placements that were post-fault retries."""
-        return sum(1 for d in self.decisions if d.retry)

@@ -194,9 +194,16 @@ def simulate_fleet(
         ttft_sink = []
 
     requests = trace.requests
+    ids, prompt, gen = requests.ids, requests.prompt, requests.gen
+    router = Router(num_replicas, policy=routing)
+    reads_request = router.policy.reads_request
+
+    def on_complete(replica_index: int, pos: int, t: float) -> None:
+        router.release(replica_index, prompt[pos] + gen[pos])
+
     out = _Outcomes(len(requests))
     rep_opts = dict(requests=requests, out=out, max_batch=max_batch,
-                    policy=policy, costs=costs)
+                    policy=policy, costs=costs, on_complete=on_complete)
     kv_opts = dict(block_size=kv_block_size, num_layers=kv_num_layers,
                    prefix_sharing=prefix_sharing)
     replicas = [
@@ -207,27 +214,16 @@ def simulate_fleet(
     for i, (t, factor) in plan.slowdowns().items():
         replicas[i].slow_from = t
         replicas[i].slow_factor = factor
-    # Crash and recover events share one time-ordered stream; at equal
-    # times a recovery applies first (the survivor-count argument of
-    # FaultPlan.validate_against).
-    fault_events = sorted(
-        [(t, 0, i, "recover") for t, i in plan.recover_events()]
-        + [(t, 1, i, "crash") for t, i in plan.crash_events()])
+    # The plan's one outage order, which its validation swept too.
+    fault_events = plan.outages()
     fault_cursor = 0
 
-    router = Router(num_replicas, policy=routing)
     autoscale_log: list[AutoscaleEvent] = []
     telemetry: list[FleetSignals] = []
     # Pending scale-out boots: cold-start completion times, FIFO.
     joins: deque[float] = deque()
     epoch_s = scaler.config.epoch_s if scaler is not None else _INF
     next_epoch_s = epoch_s
-
-    ids, prompt, gen = requests.ids, requests.prompt, requests.gen
-    reads_request = router.policy.reads_request
-
-    def on_complete(replica_index: int, pos: int, t: float) -> None:
-        router.release(replica_index, prompt[pos] + gen[pos])
 
     def snapshot(rep: _Replica) -> ReplicaSnapshot:
         return ReplicaSnapshot(
@@ -304,8 +300,8 @@ def simulate_fleet(
             while True:
                 i = acts[0][1]
                 rep = replicas[i]
-                rep.perform_action(on_complete, t_limit=t_cut,
-                                   t_arrival=t_arr, max_steps=_max_run_steps)
+                rep.perform_action(t_limit=t_cut, t_arrival=t_arr,
+                                   max_steps=_max_run_steps)
                 if rep.draining:
                     rep.maybe_retire(rep.now)
                 t = due[i] = rep.next_action_time()
@@ -321,7 +317,7 @@ def simulate_fleet(
         if t_split == _INF:
             break
         if t_fault <= t_split:
-            t, _, target_i, kind = fault_events[fault_cursor]
+            t, target_i, kind = fault_events[fault_cursor]
             fault_cursor += 1
             target = replicas[target_i]
             if target.retired:
@@ -339,7 +335,7 @@ def simulate_fleet(
                     autoscale_log.append(AutoscaleEvent(
                         t, "recover", target_i, "fault plan recovery"))
                 continue
-            victims = target.crash(t, on_complete)
+            victims = target.crash(t)
             due[target_i] = _INF
             router.mark_failed(target_i)
             for t_req, pos in victims:
@@ -359,9 +355,6 @@ def simulate_fleet(
         if t_epoch <= t_arr:
             t = next_epoch_s
             next_epoch_s += epoch_s
-            for rep in replicas:
-                if rep.draining:
-                    rep.maybe_retire(t)
             samples = list(ttft_sink)
             ttft_sink.clear()
             signals, actions = scaler.epoch(
@@ -471,47 +464,6 @@ class FleetFunctionalResult:
         default_factory=dict)
 
 
-def _replay_replica(model, trace: WorkloadTrace,
-                    prompts: dict[int, np.ndarray], sched: Scheduler, *,
-                    max_batch: int, policy: str, crash_step: int | None,
-                    kv_block_size: int = 16,
-                    kv_pool_blocks: int | None = None,
-                    prefix_sharing: bool = False) -> GenerationSession:
-    """Re-enqueue one analytical replica's requests into a real session
-    at the recorded scheduler steps; the session's own scheduler then
-    re-makes every admission/retirement decision."""
-    requests = trace.requests
-    find = requests.locator()
-    # enqueue_steps iterates in enqueue order, so each step's list keeps
-    # the analytical enqueue order.
-    enq: dict[int, list[int]] = {}
-    for rid, step in sched.enqueue_steps.items():
-        enq.setdefault(step, []).append(rid)
-    steps = sorted(enq)
-    session = GenerationSession(model, max_concurrency=max_batch,
-                                policy=policy, kv_block_size=kv_block_size,
-                                kv_pool_blocks=kv_pool_blocks,
-                                prefix_sharing=prefix_sharing)
-    qi = 0
-    while True:
-        step = session.scheduler.step
-        if crash_step is not None and step >= crash_step:
-            break  # the replica died at this boundary; discard the rest
-        while qi < len(steps) and steps[qi] <= step:
-            for rid in enq[steps[qi]]:
-                r = requests[find(rid)]
-                session.submit(prompts[rid],
-                               max_new_tokens=r.gen_tokens,
-                               request_id=rid, session=r.session,
-                               tenant=r.tenant,
-                               shared_prefix_len=r.shared_prefix_len)
-            qi += 1
-        if not (session.num_active or session.num_waiting or qi < len(steps)):
-            break
-        session.step()
-    return session
-
-
 def run_fleet_functional(
     model,
     trace: WorkloadTrace,
@@ -575,27 +527,51 @@ def run_fleet_functional(
                     f"prompt for request {r.request_id} has {got} tokens, "
                     f"trace says {r.prompt_len}")
 
-    sessions = tuple(
-        _replay_replica(model, trace, prompts, sched,
-                        max_batch=max_batch, policy=policy,
-                        crash_step=report.crash_steps.get(i),
-                        kv_block_size=kv_block_size,
-                        kv_pool_blocks=kv_pool_blocks,
-                        prefix_sharing=prefix_sharing)
-        for i, sched in enumerate(report.schedulers)
-    )
+    requests = trace.requests
+    find = requests.locator()
+
+    def replay(sched: Scheduler, crash_step: int | None) -> GenerationSession:
+        """Re-enqueue one analytical incarnation's requests into a real
+        session at the recorded scheduler steps, stopping at its crash
+        step; the session's own scheduler then re-makes every
+        admission/retirement decision."""
+        # enqueue_steps iterates in enqueue order, so each step's list
+        # keeps the analytical enqueue order.
+        enq: dict[int, list[int]] = {}
+        for rid, step in sched.enqueue_steps.items():
+            enq.setdefault(step, []).append(rid)
+        steps = sorted(enq)
+        session = GenerationSession(
+            model, max_concurrency=max_batch, policy=policy,
+            kv_block_size=kv_block_size, kv_pool_blocks=kv_pool_blocks,
+            prefix_sharing=prefix_sharing)
+        qi = 0
+        while True:
+            step = session.scheduler.step
+            if crash_step is not None and step >= crash_step:
+                break  # the replica died at this boundary; discard the rest
+            while qi < len(steps) and steps[qi] <= step:
+                for rid in enq[steps[qi]]:
+                    r = requests[find(rid)]
+                    session.submit(prompts[rid],
+                                   max_new_tokens=r.gen_tokens,
+                                   request_id=rid, session=r.session,
+                                   tenant=r.tenant,
+                                   shared_prefix_len=r.shared_prefix_len)
+                qi += 1
+            if not (session.num_active or session.num_waiting
+                    or qi < len(steps)):
+                break
+            session.step()
+        return session
+
+    sessions = tuple(replay(sched, report.crash_steps.get(i))
+                     for i, sched in enumerate(report.schedulers))
     # Pre-crash incarnations of recovered replicas replay the same way;
     # each died at its recorded crash step.
     past_sessions = {
-        i: tuple(
-            _replay_replica(model, trace, prompts, sched,
-                            max_batch=max_batch, policy=policy,
-                            crash_step=crash_step,
-                            kv_block_size=kv_block_size,
-                            kv_pool_blocks=kv_pool_blocks,
-                            prefix_sharing=prefix_sharing)
-            for sched, crash_step in incarnations
-        )
+        i: tuple(replay(sched, crash_step)
+                 for sched, crash_step in incarnations)
         for i, incarnations in report.past_schedulers.items()
     }
 

@@ -292,6 +292,22 @@ class TestAutoscalerVerifier:
         _, second = scaler.epoch(2.0, snaps, pending_joins=1, max_batch=4)
         assert all(a.kind != "replace" for a in second)
 
+    def test_verify_skips_replace_in_flight_and_past_ceiling(self):
+        """The verifier's own replace guards: a second proposal for a
+        replica already being replaced is dropped (in the same epoch or
+        a later one), and no replacement boots while the drain/boot
+        overlap already sits at ``max_replicas + 1``."""
+        scaler = self._bind(Autoscaler(_cfg(min_replicas=1, max_replicas=2)))
+        twice = [ScaleAction("replace", replica=0, score=2.0),
+                 ScaleAction("replace", replica=0, score=1.0)]
+        admitted = scaler._verify(1.0, twice, capacity_replicas=1)
+        assert admitted == twice[:1]
+        assert scaler._verify(2.0, twice[1:], capacity_replicas=2) == []
+        other = [ScaleAction("replace", replica=1, score=1.0)]
+        assert scaler._verify(3.0, other, capacity_replicas=3) == []
+        assert scaler._replaced == {0}  # the ceiling reserved nothing
+        assert scaler._verify(4.0, other, capacity_replicas=2) == other
+
     def test_scale_in_blocked_at_min(self):
         scaler = self._bind(Autoscaler(_cfg(
             min_replicas=2, max_replicas=4, sustain_epochs=1,
@@ -370,6 +386,20 @@ class TestConfigValidation:
     ])
     def test_rejects(self, kw, match):
         with pytest.raises(ValueError, match=match):
+            _cfg(**kw)
+
+    @pytest.mark.parametrize("name", ["min_replicas", "max_replicas",
+                                      "sustain_epochs", "warmup_prompts",
+                                      "mean_prompt"])
+    @pytest.mark.parametrize("bad", [math.nan, 2.5])
+    def test_integer_fields_reject_floats(self, name, bad):
+        """NaN passed the ``< 1`` guards: ``warmup_prompts=nan`` admitted
+        scale-outs whose joins never came, ``sustain_epochs=nan`` turned
+        the loop off, and ``min_replicas=nan`` failed only at ``bind``."""
+        kw = {name: bad}
+        if name == "max_replicas":
+            kw["min_replicas"] = 1
+        with pytest.raises(TypeError, match=f"{name} must be an integer"):
             _cfg(**kw)
 
     def test_action_validation(self):

@@ -16,6 +16,7 @@ from repro.engine import (
     WorkloadTrace,
     synthesize_trace,
 )
+from repro.engine.replica import _Replica
 from repro.fleet import (
     FaultPlan,
     ReplicaFault,
@@ -112,6 +113,78 @@ def test_one_replica_functional_run(model):
     result = run_fleet_functional(model, trace, num_replicas=1, max_batch=2,
                                   prompts=prompts, costs=COSTS)
     _check_equivalence(result, model, trace, prompts)
+
+
+def _check_past_equivalence(result):
+    """Each pre-crash incarnation's session re-makes its analytical
+    scheduler's decisions up to that incarnation's crash step."""
+    report = result.report
+    assert report.past_schedulers.keys() == result.past_sessions.keys()
+    for i, incarnations in report.past_schedulers.items():
+        sessions = result.past_sessions[i]
+        assert len(sessions) == len(incarnations)
+        for session, (analytical, crash) in zip(sessions, incarnations):
+            assert _streams(session.scheduler, crash) \
+                == _streams(analytical, crash), (
+                f"replica {i}: a past incarnation's streams diverge")
+
+
+def test_recovered_replica_replays_every_incarnation(model):
+    """Replica 0 crashes and recovers twice, finishing requests before
+    each crash: those outputs live only in its past sessions, and each
+    past session re-makes its incarnation's decisions."""
+    trace = _trace(n=24, rate=40.0, seed=3)
+    plan = FaultPlan((ReplicaFault(0, 0.15),
+                      ReplicaFault(0, 0.25, kind="recover"),
+                      ReplicaFault(0, 0.4),
+                      ReplicaFault(0, 0.5, kind="recover")))
+    prompts = synthesize_prompts(trace, vocab=CFG.vocab, seed=1)
+    result = run_fleet_functional(
+        model, trace, num_replicas=2, max_batch=2, routing="round_robin",
+        fault_plan=plan, prompts=prompts, costs=COSTS)
+    assert result.report.num_completed == len(trace.requests)
+    _check_equivalence(result, model, trace, prompts)
+    _check_past_equivalence(result)
+    past = result.past_sessions[0]
+    assert len(past) == 2
+    assert all(s.scheduler.retirement_order for s in past)
+    # Finished before a crash: read from a past session, not the final.
+    past_done = {rid for s in past for rid in s.scheduler.retirement_order}
+    assert past_done <= set(result.outputs)
+    assert past_done.isdisjoint(result.sessions[0].scheduler.retirement_order)
+
+
+def test_crash_after_prompt_pass_retirements_only(model):
+    """A crash whose in-flight round cannot reach a decode, because its
+    admissions all retired in their prompt passes (one token each),
+    closes the scheduler step itself; the functional replay must still
+    agree at that crash step."""
+    trace = WorkloadTrace(tuple(
+        Request(i, t, 4, 1) for i, t in enumerate(
+            (0.0, 0.01, 0.2, 0.21, 0.22, 0.3))))
+    plan = FaultPlan((ReplicaFault(0, 0.1),
+                      ReplicaFault(0, 0.15, kind="recover"),
+                      ReplicaFault(0, 0.35)))
+    seen = []
+    crash = _Replica.crash
+
+    def spying_crash(self, *args):
+        sched = self.sched
+        seen.append(self._mid_round
+                    and not (sched.num_active or sched.num_waiting))
+        return crash(self, *args)
+
+    prompts = synthesize_prompts(trace, vocab=CFG.vocab, seed=2)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_Replica, "crash", spying_crash)
+        result = run_fleet_functional(
+            model, trace, num_replicas=2, max_batch=2,
+            routing="round_robin", fault_plan=plan, prompts=prompts,
+            costs=COSTS)
+    assert seen == [True, True]
+    assert result.report.num_completed == len(trace.requests)
+    _check_equivalence(result, model, trace, prompts)
+    _check_past_equivalence(result)
 
 
 def test_prompt_length_mismatch_rejected(model):

@@ -26,19 +26,25 @@ def _req(rid, prompt=4, gen=3, arrival=0.0, session=None):
                    gen_tokens=gen, session=session)
 
 
+def _place(router, r, time, *, retry=False):
+    """Place ``r`` as the fleet does: its prompt + generation tokens."""
+    return router.place(r.request_id, r.prompt_len + r.gen_tokens, time,
+                        retry=retry, request=r)
+
+
 class TestRouterAccounting:
     def test_outstanding_tracks_token_work(self):
         router = Router(2, policy="round_robin")
         r = _req(0, prompt=5, gen=7)
-        target = router.route(r, 0.0)
-        assert router.outstanding(target) == r.work_tokens == 12
-        router.complete(r, target)
+        target = _place(router, r, 0.0)
+        assert router.outstanding(target) == 12
+        router.release(target, 12)
         assert router.outstanding(target) == 0.0
 
     def test_mark_failed_removes_from_rotation(self):
         router = Router(3, policy="round_robin")
         router.mark_failed(1)
-        targets = {router.route(_req(i), 0.0) for i in range(6)}
+        targets = {_place(router, _req(i), 0.0) for i in range(6)}
         assert targets == {0, 2}
         assert router.alive_replicas() == [0, 2]
 
@@ -59,14 +65,13 @@ class TestRouterAccounting:
         router.mark_failed(0)
         router.mark_failed(1)
         with pytest.raises(RuntimeError, match="every replica has failed"):
-            router.route(_req(0), 0.0)
+            _place(router, _req(0), 0.0)
 
     def test_decision_log_and_retries(self):
         router = Router(2, policy="round_robin")
-        router.route(_req(0), 0.0)
-        router.route(_req(1), 0.5, retry=True)
+        _place(router, _req(0), 0.0)
+        _place(router, _req(1), 0.5, retry=True)
         assert [d.retry for d in router.decisions] == [False, True]
-        assert router.num_retries == 1
         assert router.assignments() == {0: 0, 1: 1}
 
     def test_validation(self):
@@ -85,43 +90,44 @@ class TestRouterAccounting:
 class TestPolicies:
     def test_round_robin_cycles(self):
         router = Router(3, policy="round_robin")
-        targets = [router.route(_req(i), 0.0) for i in range(6)]
+        targets = [_place(router, _req(i), 0.0) for i in range(6)]
         assert targets == [0, 1, 2, 0, 1, 2]
 
     def test_least_outstanding_joins_shortest_queue(self):
         router = Router(3, policy="least_outstanding")
-        a = router.route(_req(0, prompt=50, gen=50), 0.0)  # heavy
-        b = router.route(_req(1, prompt=1, gen=1), 0.0)
-        c = router.route(_req(2, prompt=1, gen=1), 0.0)
+        a = _place(router, _req(0, prompt=50, gen=50), 0.0)  # heavy
+        b = _place(router, _req(1, prompt=1, gen=1), 0.0)
+        c = _place(router, _req(2, prompt=1, gen=1), 0.0)
         assert a == 0 and b == 1 and c == 2  # ties break by index
         # Replica 0 is the most loaded; the next light request avoids it.
-        assert router.route(_req(3, prompt=1, gen=1), 0.0) != 0
+        assert _place(router, _req(3, prompt=1, gen=1), 0.0) != 0
 
     def test_power_of_two_deterministic_and_alive_only(self):
         runs = []
         for _ in range(2):
             router = Router(4, policy=PowerOfTwoChoices(seed=3))
-            runs.append([router.route(_req(i), 0.0) for i in range(12)])
+            runs.append([_place(router, _req(i), 0.0) for i in range(12)])
         assert runs[0] == runs[1]  # seeded -> reproducible
         router = Router(2, policy=PowerOfTwoChoices(seed=0))
         router.mark_failed(0)
-        assert all(router.route(_req(i), 0.0) == 1 for i in range(4))
+        assert all(_place(router, _req(i), 0.0) == 1 for i in range(4))
 
     def test_session_affinity_pins_and_repins(self):
         router = Router(3, policy=SessionAffinity())
-        first = router.route(_req(0, session=7), 0.0)
+        first = _place(router, _req(0, session=7), 0.0)
         # Later requests of the session follow the pin even when other
         # replicas are empty.
-        assert router.route(_req(1, session=7), 0.1) == first
+        assert _place(router, _req(1, session=7), 0.1) == first
         assert router.policy.pins == {7: first}
         router.mark_failed(first)
-        repinned = router.route(_req(2, session=7), 0.2)
+        repinned = _place(router, _req(2, session=7), 0.2)
         assert repinned != first and router.is_alive(repinned)
         assert router.policy.pins == {7: repinned}
 
     def test_session_affinity_fallback_for_unaffiliated(self):
         router = Router(2, policy=SessionAffinity(fallback=RoundRobin()))
-        targets = [router.route(_req(i, session=None), 0.0) for i in range(4)]
+        targets = [_place(router, _req(i, session=None), 0.0)
+                   for i in range(4)]
         assert targets == [0, 1, 0, 1]
         assert router.policy.pins == {}
 
@@ -218,14 +224,14 @@ class TestPowerOfTwoReplay:
             if op < 6:
                 req = _req(step, prompt=int(script.integers(1, 64)),
                            gen=int(script.integers(1, 64)))
-                target, ref_target = (router.route(req, float(step))
+                target, ref_target = (_place(router, req, float(step))
                                       for router in routers)
                 assert target == ref_target
                 placed.append((req, target))
             elif op == 6 and placed:
                 req, target = placed.pop(int(script.integers(0, len(placed))))
                 for router in routers:
-                    router.complete(req, target)
+                    router.release(target, req.prompt_len + req.gen_tokens)
             elif op == 7 and len(routable) > 1:
                 for router in routers:
                     router.mark_failed(replica)
@@ -267,6 +273,13 @@ class TestFaultPlan:
         with pytest.raises(ValueError, match="more than one crash"):
             FaultPlan((ReplicaFault(0, 1.0), ReplicaFault(0, 2.0)))
 
+    @pytest.mark.parametrize("replica", [float("nan"), 2.5])
+    def test_replica_must_be_an_integer(self, replica):
+        """A NaN or fractional index passed ``< 0`` and failed only when
+        ``simulate_fleet`` indexed its replica list with it."""
+        with pytest.raises(TypeError, match="replica must be an integer"):
+            ReplicaFault(replica, 1.0)
+
     @pytest.mark.parametrize("factor", [float("nan"), float("inf")])
     def test_slowdown_factor_must_be_finite(self, factor):
         with pytest.raises(ValueError, match="finite factor > 1"):
@@ -281,12 +294,24 @@ class TestFaultPlan:
             everyone.validate_against(2)
         everyone.validate_against(3)  # one survivor suffices
 
-    def test_accessors(self):
+    def test_outages_order(self):
+        """One order for crashes and recoveries: by time, a recovery
+        before a crash at the same instant, then by replica."""
         plan = FaultPlan((
-            ReplicaFault(0, 1.0),
+            ReplicaFault(2, 3.0),
             ReplicaFault(1, 2.0, kind="slowdown", factor=4.0),
+            ReplicaFault(0, 3.0, kind="recover"),
+            ReplicaFault(1, 3.0),
+            ReplicaFault(0, 1.0),
+            ReplicaFault(3, 3.0, kind="recover"),
+            ReplicaFault(3, 0.5),
+            ReplicaFault(1, 4.0, kind="recover"),
         ))
-        assert plan.crashes() == {0: 1.0}
+        assert plan.outages() == [
+            (0.5, 3, "crash"), (1.0, 0, "crash"), (3.0, 0, "recover"),
+            (3.0, 3, "recover"), (3.0, 1, "crash"), (3.0, 2, "crash"),
+            (4.0, 1, "recover"),
+        ]
         assert plan.slowdowns() == {1: (2.0, 4.0)}
 
 
@@ -304,10 +329,7 @@ class TestFaultPlanRecovery:
         plan = FaultPlan((ReplicaFault(0, 1.0),
                           ReplicaFault(0, 2.0, kind="recover"),
                           ReplicaFault(0, 3.0)))
-        assert plan.crash_events() == [(1.0, 0), (3.0, 0)]
-        assert plan.recover_events() == [(2.0, 0)]
-        # crashes() keeps its historic first-crash shape for old callers.
-        assert plan.crashes() == {0: 1.0}
+        plan.validate_against(2)
 
     def test_recover_must_come_after_its_crash(self):
         # Recoveries apply before crashes at one instant, so a

@@ -122,10 +122,10 @@ def test_action_log_keeps_at_most_52_bytes_per_action():
     def build():
         rep = _Replica(0, requests=requests, out=_Outcomes(len(requests)),
                        max_batch=8, policy="fcfs", costs=costs,
-                       kv=_KvTracker())
+                       kv=_KvTracker(), on_complete=lambda *args: None)
         for pos, t in enumerate(requests.arrival):
             rep.deliver(pos, t)
-        while rep.perform_action(lambda *args: None) is not None:
+        while rep.perform_action() is not None:
             pass
         return rep
 

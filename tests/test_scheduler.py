@@ -148,6 +148,17 @@ class TestTenantPolicies:
         with pytest.raises(ValueError, match="default_weight"):
             TenantFairShare(default_weight=bad)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"),
+                                     float("-inf")])
+    def test_priority_rejects_non_finite_priorities(self, bad):
+        # A NaN priority fails every comparison, so the pick depended on
+        # queue order: the NaN tenant won when queued first and lost when
+        # queued second.
+        with pytest.raises(ValueError, match="priority of tenant 'a'"):
+            TenantPriority(priorities={"a": bad, "b": 1.0})
+        with pytest.raises(ValueError, match="default_priority"):
+            TenantPriority(default_priority=bad)
+
 
 class TestLifecycle:
     def test_length_retirement_frees_slot(self):
