@@ -368,10 +368,15 @@ class _PassPricedCost(StepCostModel):
         # Every sequence gains one token per iteration, so the ceiling-mean
         # KV grows exactly +1 per step: the run is a contiguous slice of
         # this batch size's cost-vs-KV array, which ``decode_cost`` reads
-        # too.
-        kv0 = max(1, state.mean_kv)
-        return self._decode_passes(state.batch, kv0, kv0 + steps)[
-            kv0:kv0 + steps].copy()
+        # too. ``total_kv >= batch`` keeps the ceiling mean >= 1.
+        batch = state.batch
+        kv0 = -(-state.total_kv // batch)
+        end = kv0 + steps
+        entry = self._kv_runs.get(batch)
+        if (entry is not None and entry[0].size >= end
+                and entry[1].find(0, kv0, end) == -1):
+            return entry[0][kv0:end].copy()
+        return self._decode_passes(batch, kv0, end)[kv0:end].copy()
 
 
 class DenseStepCost(_PassPricedCost):

@@ -67,8 +67,8 @@ if TYPE_CHECKING:
 _INF = math.inf
 # The trace's session column holds this for "no session".
 _NO_SESSION = -2**63
-# The ledger's states skip BatchState's checks: its counts are valid by
-# construction.
+# Ledger states, scheduler requests and prefix-hit prompt shapes skip
+# their classes' checks: their fields are valid by construction.
 _new = object.__new__
 _set_batch = BatchState.batch.__set__
 _set_total_kv = BatchState.total_kv.__set__
@@ -111,8 +111,11 @@ class _KvTracker:
     Stretch discipline: callers grow every live request (retirees
     included — they participate in all of a stretch's steps) *before*
     retiring, matching the functional order of operations within a
-    decode step; block usage is monotone inside a stretch, so the peak
-    is exact.
+    decode step. Growth is lazy: :meth:`grow_all` only adds to
+    ``_grown``, and one :meth:`_sync` walk applies it and counts its
+    blocks, before anything frees blocks and when :attr:`peak_blocks`
+    or :attr:`allocated` is read. Usage only rises between syncs, so
+    the peak checked there is exact.
     """
 
     def __init__(
@@ -133,17 +136,55 @@ class _KvTracker:
         self.prefix_sharing = prefix_sharing
         # session -> (parked cache positions, blocks it occupies)
         self._parked: dict[int, tuple[int, int]] = {}
-        self.live: dict[int, int] = {}  # rid -> KV length, admission order
+        self._live: dict[int, int] = {}  # rid -> KV length - _grown
+        self._grown = 0    # steps every live request grew since _sync
         self.total_kv = 0  # sum(live.values())
-        self._used = 0
-        self.peak_blocks = 0
-        self.allocated = 0
+        self._used = 0     # blocks in use, less the growth since _sync
+        self._peak = 0
+        self._allocated = 0
         self.hits = 0
         self.hit_tokens = 0
         self.saved_blocks = 0
 
     def _blocks(self, positions: int) -> int:
         return self.num_layers * (-(-positions // self.block_size))
+
+    @property
+    def live(self) -> dict[int, int]:
+        """Request id -> KV length, in admission order (a copy)."""
+        return {rid: n + self._grown for rid, n in self._live.items()}
+
+    @property
+    def peak_blocks(self) -> int:
+        """Most pool blocks in use at once."""
+        self._sync()
+        return self._peak
+
+    @property
+    def allocated(self) -> int:
+        """Pool blocks allocated so far."""
+        self._sync()
+        return self._allocated
+
+    def _sync(self) -> None:
+        """Apply the growth since the last sync; check the peak."""
+        steps = self._grown
+        if steps:
+            # ceil(p / bs) == (p - 1) // bs + 1 for p >= 1, so a request
+            # caching p = n - 1 positions needs (n + steps - 2) // bs -
+            # (n - 2) // bs more blocks.
+            bs = self.block_size
+            live = self._live
+            grown = 0
+            for rid, n in live.items():
+                grown += (n + steps - 2) // bs - (n - 2) // bs
+                live[rid] = n + steps
+            self._grown = 0
+            delta = self.num_layers * grown
+            self._used += delta
+            self._allocated += delta
+        if self._used > self._peak:
+            self._peak = self._used
 
     def admit(self, r: Request) -> int:
         """Account one admission; returns the effective shared prefix
@@ -158,6 +199,7 @@ class _KvTracker:
         eff = 0
         if (self.prefix_sharing and shared_prefix_len
                 and session in self._parked):
+            self._sync()  # the fork frees blocks
             ctx, parked_blocks = self._parked.pop(session)
             eff = min(shared_prefix_len, ctx)
             # Fork: the child aliases the prefix blocks; the parked
@@ -169,39 +211,29 @@ class _KvTracker:
         fresh = blocks_needed(prompt_len, block_size=self.block_size,
                               num_layers=self.num_layers,
                               shared_prefix_len=eff)
+        pending = self._grown
+        if pending:  # take back the growth the next sync will count
+            bs = self.block_size
+            fresh -= self.num_layers * ((prompt_len - 1) // bs
+                                        - (prompt_len - 1 - pending) // bs)
         self._used += fresh
-        self.allocated += fresh
-        if self._used > self.peak_blocks:
-            self.peak_blocks = self._used
-        self.live[rid] = prompt_len + 1
+        self._allocated += fresh
+        self._live[rid] = prompt_len + 1 - pending
         self.total_kv += prompt_len + 1
         return eff
 
     def state(self) -> BatchState:
         """The live batch, priced as is."""
         state = _new(BatchState)
-        _set_batch(state, len(self.live))
+        _set_batch(state, len(self._live))
         _set_total_kv(state, self.total_kv)
         return state
 
     def grow_all(self, steps: int) -> None:
         """Every live request appends ``steps`` positions (one per
-        decode iteration of a stretch)."""
-        # ceil(p / bs) == (p - 1) // bs + 1 for p >= 1, so a request
-        # caching p = n - 1 positions needs (n + steps - 2) // bs -
-        # (n - 2) // bs more blocks.
-        bs = self.block_size
-        live = self.live
-        grown = 0
-        for rid, n in live.items():
-            grown += (n + steps - 2) // bs - (n - 2) // bs
-            live[rid] = n + steps
-        self.total_kv += steps * len(live)
-        delta = self.num_layers * grown
-        self._used += delta
-        self.allocated += delta
-        if self._used > self.peak_blocks:
-            self.peak_blocks = self._used
+        decode iteration of a stretch), counted at the next :meth:`_sync`."""
+        self._grown += steps
+        self.total_kv += steps * len(self._live)
 
     def retire(self, r: Request) -> None:
         """Release (or park) a finished request's cache."""
@@ -209,10 +241,11 @@ class _KvTracker:
                      _NO_SESSION if r.session is None else r.session)
 
     def _retire(self, rid: int, session: int) -> None:
-        n = self.live.pop(rid)
+        self._sync()
+        n = self._live.pop(rid)
         self.total_kv -= n
         pos = n - 1
-        blocks = self._blocks(pos)
+        blocks = self.num_layers * (-(-pos // self.block_size))
         if self.prefix_sharing and session != _NO_SESSION:
             prev = self._parked.get(session)
             if prev is not None:  # newer turn supersedes the parked one
@@ -224,9 +257,10 @@ class _KvTracker:
     def reset_live(self) -> None:
         """Drop all live (non-parked) accounting — a replica crash wipes
         in-flight caches; parked state dies with them too."""
-        for n in self.live.values():
+        self._sync()
+        for n in self._live.values():
             self._used -= self._blocks(n - 1)
-        self.live.clear()
+        self._live.clear()
         self.total_kv = 0
         for _, blocks in self._parked.values():
             self._used -= blocks
@@ -344,9 +378,12 @@ class _Replica:
         inbox, now, req = self.inbox, self.now, self.requests
         while inbox and inbox[0][0] <= now:
             t, pos = inbox.popleft()
-            self.sched.enqueue(SchedRequest(
-                req.ids[pos], req.prompt[pos], req.gen[pos], t,
-                req.tenant_names[req.tenant[pos]]))
+            s = _new(SchedRequest)
+            d = s.__dict__
+            d["request_id"], d["prompt_len"] = req.ids[pos], req.prompt[pos]
+            d["max_new_tokens"], d["arrival"] = req.gen[pos], t
+            d["tenant"] = req.tenant_names[req.tenant[pos]]
+            self.sched.enqueue(s)
 
     # -- the action interface --------------------------------------------
 
@@ -425,8 +462,11 @@ class _Replica:
                             req.prefix[pos])
             # A prefix hit prices the unshared suffix only; ``eff == 0``
             # passes the scheduler's request through untouched.
-            shape = (PromptShape(s.prompt_len, shared_prefix_len=eff)
-                     if eff else s)
+            shape = s
+            if eff:
+                shape = _new(PromptShape)
+                d = shape.__dict__
+                d["prompt_len"], d["shared_prefix_len"] = s.prompt_len, eff
             dt = self.costs.prompt_cost(riders, shape)
             if start >= self.slow_from:
                 dt *= self.slow_factor

@@ -272,7 +272,11 @@ class Scheduler:
     The lifecycle log is three parallel columns — ``array("q")`` steps,
     a ``bytearray`` of event codes and ``array("q")`` request ids, 17
     bytes per event. :attr:`events` is a rendered copy, not the log:
-    appending to it changes nothing.
+    appending to it changes nothing. Token counts are kept by offset: an
+    active request's ``_generated`` entry is its count minus ``_bulk``,
+    the steps :meth:`record_tokens` has committed (a retiree's is
+    absolute), so a stretch that retires nobody moves every count at
+    once. Per-token stepping leaves ``_bulk`` at 0.
     """
 
     def __init__(
@@ -307,7 +311,8 @@ class Scheduler:
         # the head in O(1) instead of list.remove's O(n) shift.
         self._queue: deque[SchedRequest] = deque()
         self._active: dict[int, SchedRequest] = {}  # admission order
-        self._generated: dict[int, int] = {}
+        self._generated: dict[int, int] = {}  # active: minus _bulk
+        self._bulk = 0  # steps committed by record_tokens
         # Cached decode_horizon() of a non-empty active set; None = stale.
         self._horizon: int | None = None
         self._step = 0
@@ -375,6 +380,8 @@ class Scheduler:
 
     def generated(self, request_id: int) -> int:
         """Tokens recorded for a request so far."""
+        if request_id in self._active:
+            return self._generated[request_id] + self._bulk
         return self._generated.get(request_id, 0)
 
     @property
@@ -415,18 +422,15 @@ class Scheduler:
 
     # -- lifecycle -----------------------------------------------------------
 
-    def _log(self, code: int, request_id: int) -> None:
-        self._log_steps.append(self._step)
-        self._log_codes.append(code)
-        self._log_rids.append(request_id)
-
     def enqueue(self, req: SchedRequest) -> None:
         """Add a request to the waiting queue."""
         if req.request_id in self._known:
             raise ValueError(f"request {req.request_id} already scheduled")
         self._known.add(req.request_id)
         self._queue.append(req)
-        self._log(_ENQUEUE, req.request_id)
+        self._log_steps.append(self._step)
+        self._log_codes.append(_ENQUEUE)
+        self._log_rids.append(req.request_id)
 
     def admit(
         self,
@@ -463,8 +467,10 @@ class Scheduler:
                     and cand.max_new_tokens < self._horizon:
                 self._horizon = cand.max_new_tokens
             self._active[cand.request_id] = cand
-            self._generated[cand.request_id] = 0
-            self._log(_ADMIT, cand.request_id)
+            self._generated[cand.request_id] = -self._bulk
+            self._log_steps.append(self._step)
+            self._log_codes.append(_ADMIT)
+            self._log_rids.append(cand.request_id)
             admitted.append(cand)
         return admitted
 
@@ -479,18 +485,21 @@ class Scheduler:
         if request_id not in self._active:
             raise KeyError(f"request {request_id} is not active")
         req = self._active[request_id]
-        generated = self._generated[request_id] = \
-            self._generated[request_id] + 1
+        stored = self._generated[request_id] + 1
+        generated = stored + self._bulk
         reason: str | None = None
         if self.eos_token is not None and token == self.eos_token:
             reason = "eos"
         elif generated >= req.max_new_tokens:
             reason = "length"
+        self._generated[request_id] = stored if reason is None else generated
         if reason is not None:
             del self._active[request_id]
             self._horizon = None  # the minimum may have left
-            self._log(_RETIRE_EOS if reason == "eos" else _RETIRE_LENGTH,
-                      request_id)
+            self._log_steps.append(self._step)
+            self._log_codes.append(
+                _RETIRE_EOS if reason == "eos" else _RETIRE_LENGTH)
+            self._log_rids.append(request_id)
         elif self._horizon is not None \
                 and req.max_new_tokens - generated < self._horizon:
             self._horizon = req.max_new_tokens - generated
@@ -518,7 +527,8 @@ class Scheduler:
             return 0
         if self._horizon is None:
             self._horizon = min(req.max_new_tokens - self._generated[rid]
-                                for rid, req in self._active.items())
+                                for rid, req in self._active.items()
+                                ) - self._bulk
         return self._horizon
 
     def record_tokens(self, steps: int) -> list[int]:
@@ -531,6 +541,8 @@ class Scheduler:
         round-trips. ``steps`` must not exceed :meth:`decode_horizon`,
         so only the final iteration can retire anyone. Returns the ids
         retired by that final iteration, in admission order.
+        A stretch that retires nobody is O(1) (it moves ``_bulk``); a
+        retiring one walks the active set once.
         """
         if steps < 1:
             raise ValueError("steps must be >= 1")
@@ -541,22 +553,23 @@ class Scheduler:
             raise ValueError(
                 f"steps={steps} overruns the decode horizon "
                 f"({horizon}): a retirement would be skipped")
-        generated = self._generated
+        bulk = self._bulk = self._bulk + steps
         if steps < horizon:  # nobody retires: every count moves alike
-            for rid in self._active:
-                generated[rid] += steps
             self._horizon = horizon - steps
             self._step += steps
             return []
         self._step += steps - 1  # land on the retiring iteration
+        generated = self._generated
         retired: list[int] = []
         survivors: int | None = None  # their horizon
         for rid, req in list(self._active.items()):
-            left = req.max_new_tokens - generated[rid] - steps
-            generated[rid] += steps
+            left = req.max_new_tokens - generated[rid] - bulk
             if left <= 0:
+                generated[rid] += bulk
                 del self._active[rid]
-                self._log(_RETIRE_LENGTH, rid)
+                self._log_steps.append(self._step)
+                self._log_codes.append(_RETIRE_LENGTH)
+                self._log_rids.append(rid)
                 retired.append(rid)
             elif survivors is None or left < survivors:
                 survivors = left

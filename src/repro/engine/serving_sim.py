@@ -669,7 +669,8 @@ def simulate_serving(
     deterministic step costs. ``"summary"`` draws one server span per
     compressed stretch and no per-request lanes.
     """
-    if max_batch < 1:
+    max_batch = _as_index("max_batch", max_batch)
+    if not 1 <= max_batch:
         raise ValueError("max_batch must be >= 1")
     full = _full_detail(detail)
     kv = _KvTracker(block_size=kv_block_size, num_layers=kv_num_layers,

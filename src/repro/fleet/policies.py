@@ -111,8 +111,13 @@ class LeastOutstanding(RoutingPolicy):
         alive = view.alive_replicas()
         if not alive:
             raise RuntimeError("no live replica to route to")
-        return min(alive,
-                   key=lambda i: (view.outstanding(i) / view.weight(i), i))
+        outstanding, weight = view.outstanding, view.weight
+        best, best_load = alive[0], outstanding(alive[0]) / weight(alive[0])
+        for i in alive[1:]:
+            load = outstanding(i) / weight(i)
+            if load < best_load:
+                best, best_load = i, load
+        return best
 
 
 class PowerOfTwoChoices(RoutingPolicy):

@@ -25,7 +25,7 @@ from .policies import RoutingPolicy, resolve_routing_policy
 __all__ = ["RoutingDecision", "Router"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RoutingDecision:
     """One placement: ``request_id`` went to ``replica`` at ``time``."""
 
@@ -33,6 +33,14 @@ class RoutingDecision:
     request_id: int
     replica: int
     retry: bool = False
+
+
+# ``Router.place`` fills its records' slots without the frozen __init__.
+_new = object.__new__
+_set_time = RoutingDecision.time.__set__
+_set_request_id = RoutingDecision.request_id.__set__
+_set_replica = RoutingDecision.replica.__set__
+_set_retry = RoutingDecision.retry.__set__
 
 
 class Router:
@@ -113,8 +121,12 @@ class Router:
                 f"{replica}"
             )
         self._outstanding[replica] += tokens
-        self.decisions.append(
-            RoutingDecision(time, request_id, replica, retry))
+        decision = _new(RoutingDecision)
+        _set_time(decision, time)
+        _set_request_id(decision, request_id)
+        _set_replica(decision, replica)
+        _set_retry(decision, retry)
+        self.decisions.append(decision)
         return replica
 
     def release(self, replica: int, tokens: int) -> None:

@@ -182,7 +182,8 @@ def simulate_fleet(
     num_replicas = _as_index("num_replicas", num_replicas)
     if num_replicas < 1:
         raise ValueError("num_replicas must be >= 1")
-    if max_batch < 1:
+    max_batch = _as_index("max_batch", max_batch)
+    if not 1 <= max_batch:
         raise ValueError("max_batch must be >= 1")
     full = _full_detail(detail)
     plan = fault_plan or FaultPlan()

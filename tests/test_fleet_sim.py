@@ -115,6 +115,14 @@ class TestHealthyFleet:
             simulate_fleet(_trace(n=5), num_replicas=num_replicas,
                            max_batch=2, costs=COSTS)
 
+    @pytest.mark.parametrize("max_batch", [2.5, float("nan")])
+    def test_max_batch_must_be_an_integer(self, max_batch):
+        """Passed the ``< 1`` guard and failed in the scheduler, naming
+        its ``max_slots`` instead of the caller's argument."""
+        with pytest.raises(TypeError, match="max_batch must be an integer"):
+            simulate_fleet(_trace(n=5), num_replicas=2,
+                           max_batch=max_batch, costs=COSTS)
+
 
 class TestCrashFailover:
     def test_crash_mid_trace_requeues_to_survivors(self):

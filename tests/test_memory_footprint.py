@@ -21,6 +21,7 @@ from array import array
 import pytest
 
 import repro.engine.replica as replica_mod
+import repro.engine.scheduler as scheduler_mod
 import repro.engine.serving_sim as serving_mod
 from repro.engine import (ClosureStepCost, Request, SchedRequest, Scheduler,
                           WorkloadTrace, simulate_serving, synthesize_trace)
@@ -64,7 +65,15 @@ def retained_in(owners, build):
 
 
 def test_scheduler_log_keeps_at_most_24_bytes_per_event():
-    """Three columns: an int64 step, a one-byte code and an int64 id."""
+    """Three columns: an int64 step, a one-byte code and an int64 id.
+    Measured over every line that appends to a column."""
+    tree = ast.parse(inspect.getsource(scheduler_mod))
+    own = {line for node in ast.walk(tree) if isinstance(node, ast.Call)
+           and ast.unparse(node.func) in (
+               "self._log_steps.append", "self._log_codes.append",
+               "self._log_rids.append")
+           for line in range(node.lineno, node.end_lineno + 1)}
+    assert len(own) >= 12  # enqueue, admit and both retirement paths
     requests = [SchedRequest(i, prompt_len=4, max_new_tokens=1 + i % 5)
                 for i in range(-(-N // 3))]
 
@@ -77,7 +86,7 @@ def test_scheduler_log_keeps_at_most_24_bytes_per_event():
             sched.record_tokens(sched.decode_horizon())
         return sched
 
-    size, sched = retained_by(Scheduler._log, build)
+    size, sched = retained_on(scheduler_mod.__file__, own, build)
     events = len(sched.events)
     assert events == 3 * len(requests) >= N
     assert size / events <= 24, f"{size / events:.1f} B per event"

@@ -376,6 +376,99 @@ class TestBulkStepping:
         assert s.generated(0) == 4
         assert s.step == 4
 
+    @settings(max_examples=300, deadline=None)
+    @given(ops=st.lists(st.tuples(
+        st.sampled_from(["enqueue", "admit", "token", "eos", "bulk",
+                         "advance"]),
+        st.integers(1, 6)), max_size=50))
+    def test_offset_counts_match_a_naive_counter(self, ops):
+        """Token counts kept by offset (``_bulk``) read exactly like a
+        per-request counter stepped token by token, for active and
+        retired requests alike, after any interleaving of the public
+        lifecycle calls."""
+        s = Scheduler(3, eos_token=0)
+        budget: dict[int, int] = {}
+        count: dict[int, int] = {}
+        queue: list[int] = []
+        active: list[int] = []  # admission order
+        events: list[tuple[int, str, int, str]] = []
+        step = 0
+
+        def retire(rid, reason):
+            active.remove(rid)
+            events.append((step, "retire", rid, reason))
+
+        for op, k in ops:
+            if op == "enqueue":
+                rid = len(budget)
+                budget[rid] = k
+                queue.append(rid)
+                events.append((step, "enqueue", rid, ""))
+                s.enqueue(_req(rid, max_new=k))
+            elif op == "admit":
+                s.admit(max_admit=k)
+                while queue and len(active) < 3 and k:
+                    rid = queue.pop(0)
+                    active.append(rid)
+                    count[rid] = 0
+                    events.append((step, "admit", rid, ""))
+                    k -= 1
+            elif op in ("token", "eos") and active:
+                rid = active[k % len(active)]
+                s.record_token(rid, token=0 if op == "eos" else 1)
+                count[rid] += 1
+                if op == "eos":
+                    retire(rid, "eos")
+                elif count[rid] >= budget[rid]:
+                    retire(rid, "length")
+            elif op == "bulk" and active:
+                n = min(k, s.decode_horizon())
+                s.record_tokens(n)
+                for _ in range(n):  # per-step replay of the stretch
+                    for rid in list(active):
+                        count[rid] += 1
+                        if count[rid] >= budget[rid]:
+                            retire(rid, "length")
+                    step += 1
+            elif op == "advance":
+                s.advance()
+                step += 1
+            assert s.step == step
+            assert {rid: s.generated(rid) for rid in budget} == {
+                rid: count.get(rid, 0) for rid in budget}
+            assert s.decode_horizon() == min(
+                (budget[rid] - count[rid] for rid in active), default=0)
+            assert s.active == active
+            assert s.retirement_order == [
+                rid for _, kind, rid, _ in events if kind == "retire"]
+            assert [(e.step, e.kind, e.request_id, e.reason)
+                    for e in s.events] == events
+
+    def test_stretch_without_retirement_writes_no_count(self):
+        """A stretch that retires nobody moves every active count through
+        the scheduler-wide offset: no per-request entry is written."""
+
+        class CountingDict(dict):
+            writes = 0
+
+            def __setitem__(self, key, value):
+                CountingDict.writes += 1
+                super().__setitem__(key, value)
+
+        s = Scheduler(4)
+        for rid, gen in enumerate((9, 12, 30, 7)):
+            s.enqueue(_req(rid, max_new=gen))
+        s.admit()
+        s.record_token(2)  # counts differ before the stretches
+        s._generated = CountingDict(s._generated)
+        assert s.record_tokens(3) == []
+        assert s.record_tokens(s.decode_horizon() - 1) == []
+        assert CountingDict.writes == 0
+        assert [s.generated(rid) for rid in range(4)] == [6, 6, 7, 6]
+        assert s.record_tokens(1) == [3]  # a retiring stretch writes
+        assert CountingDict.writes == 1
+        assert [s.generated(rid) for rid in range(4)] == [7, 7, 8, 7]
+
     def test_validation(self):
         s = Scheduler(1)
         with pytest.raises(ValueError, match="no active"):

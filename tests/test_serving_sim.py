@@ -245,8 +245,8 @@ class TestServingSimulator:
             simulate_serving(trace, costs=costs, max_batch=0)
 
     @pytest.mark.parametrize("kwargs,name", [
-        (dict(max_batch=_NAN), "max_slots"),
-        (dict(max_batch=2.5), "max_slots"),
+        (dict(max_batch=_NAN), "max_batch"),
+        (dict(max_batch=2.5), "max_batch"),
         (dict(max_batch=2, kv_block_size=2.5), "block_size"),
         (dict(max_batch=2, kv_block_size=_NAN), "block_size"),
         (dict(max_batch=2, kv_num_layers=1.5), "num_layers"),
@@ -255,7 +255,8 @@ class TestServingSimulator:
     def test_non_integer_sizes_rejected(self, kwargs, name):
         """NaN and fractional sizes passed the ``< 1`` guards: a NaN
         batch was accepted and a NaN block size made NaN
-        ``kv_blocks_allocated``."""
+        ``kv_blocks_allocated``. A bad batch is named as the caller's
+        ``max_batch``, not the scheduler's ``max_slots``."""
         trace = WorkloadTrace((Request(0, 0.0, 8, 3),))
         with pytest.raises(TypeError, match=f"{name} must be an integer"):
             simulate_serving(trace, costs=unit_costs(), **kwargs)
