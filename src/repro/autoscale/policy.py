@@ -125,7 +125,10 @@ class ScalePolicy:
                 self._slow_epochs.pop(snap.index, None)
                 self._propose_weight(actions, snap.index, 1.0)
                 continue
-            rel = rate / (sum(peers) / len(peers))
+            peer_total = 0  # a left fold: ``sum`` compensates from 3.12
+            for peer in peers:
+                peer_total += peer
+            rel = rate / (peer_total / len(peers))
             if rel < cfg.slow_replica_ratio:
                 seen = self._slow_epochs.get(snap.index, 0) + 1
                 self._slow_epochs[snap.index] = seen

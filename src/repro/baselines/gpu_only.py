@@ -98,11 +98,3 @@ class GPUOnlyBaseline:
         step = self.forward_pass_time(batch=batch, tokens_per_seq=1, kv_len=seq)
         return batch * gen_tokens / (prompt + gen_tokens * step)
 
-    def max_batch_pass_tflops(self, *, seq_len: int = 2048) -> float:
-        """Fig. 9b metric at the GPU-only batch ceiling."""
-        batch = self.max_batch(seq_len)
-        if batch < 1:
-            raise ValueError("model + activations exceed GPU memory")
-        t = self.forward_pass_time(batch=batch, tokens_per_seq=seq_len)
-        flops = batch * seq_len * self.config.flops_per_token(kv_len=seq_len)
-        return flops / t / 1e12

@@ -30,9 +30,12 @@ to every simulator as its required ``costs=`` argument:
 Every iteration is a forward pass of shape ``(batch, tokens_per_seq,
 kv)``, and the three model adapters differ only in what one pass costs.
 They share :class:`_PassPricedCost`, which prices both iteration kinds
-from a subclass's ``_price(batch, tokens_per_seq, kv)`` hook and
-memoizes each shape — a serving replay re-prices the same few shapes
-thousands of times. Each freshly priced pass is checked finite and
+from a subclass's ``_price(batch, tokens_per_seq, kv)`` hook into one
+store: per pass shape ``(batch, tokens_per_seq)``, a cost array indexed
+by the context before the pass's own tokens, ``kv - tokens_per_seq``,
+with a bytemask of its priced entries — a serving replay re-prices the
+same few shapes thousands of times, and an unshared prompt's pass is
+entry 0 of its shape. Each freshly priced pass is checked finite and
 non-negative once, so a broken latency model fails at its first bad
 shape instead of poisoning simulated time.
 
@@ -44,15 +47,19 @@ KV length just grows by one per iteration — so the event-compressed
 serving loop (:class:`~repro.engine.replica._Replica`) prices
 a whole stretch with one call instead of ``steps`` Python round-trips.
 The ABC ships a per-step reference fallback; the pass-priced adapters
-override it with an evaluate-once, slice-forever scheme: a per-batch
-cost-vs-KV array and a bytemask of its priced entries, which
-``decode_cost`` and a prompt's riders read too, so run pricing is
-bit-for-bit identical to the per-step path. Each contiguous unpriced
-KV span is priced by one ``_price_kvs(batch, kvs)`` call: the dense
-and MoE adapters evaluate it as one NumPy expression over the kernel
-model's compiled closed forms (equal by IEEE bits to pricing each entry
-alone), anything else one ``_price`` call per entry. Every run is a
-fresh array the caller may overwrite.
+override it with an evaluate-once, slice-forever scheme over the decode
+shapes' arrays, which ``decode_cost`` and a prompt's riders read too,
+so run pricing is bit-for-bit identical to the per-step path. Each
+contiguous unpriced KV span is priced by one ``_price_kvs(batch,
+tokens_per_seq, kvs)`` call: the dense and MoE adapters evaluate it as
+one NumPy expression over the kernel model's compiled closed forms
+(equal by IEEE bits to pricing each entry alone), anything else one
+``_price`` call per entry. A decode run prices just the span it needs.
+A prompt miss prices its own pass through ``_price`` and then, on the
+vector path, every other unpriced entry of its shape's array in one
+call, so a later chat turn with the same suffix length over another
+cached prefix finds its pass priced. Every run is a fresh array the
+caller may overwrite.
 """
 
 from __future__ import annotations
@@ -280,28 +287,34 @@ class _PassPricedCost(StepCostModel):
     decoding is ``(batch, 1, kv)`` at the batch's ceiling-mean KV length
     (exact for the linear-in-KV attention term). Model families differ
     only in what one pass costs, so a subclass implements :meth:`_price`
-    and this class does the rest: the two iteration kinds, a memo of
-    prompt passes, and per-batch cost-vs-KV arrays of decode passes.
-    A subclass may also override :meth:`_price_kvs` to price a span of
-    decode passes at once.
+    and this class does the rest: the two iteration kinds over one store,
+    a cost array per pass shape ``(batch, tokens_per_seq)`` indexed by
+    ``kv - tokens_per_seq`` and grown by doubling. A subclass may also
+    override :meth:`_price_kvs` to price a span of one shape's KV lengths
+    at once. A decode run then prices exactly the span it needs. A prompt
+    miss prices the asked pass alone, raising if it is bad, and then
+    every unpriced entry of its shape's array in one :meth:`_price_kvs`
+    call, keeping none of that fill if any entry is bad. Without the
+    vector hook a prompt miss prices just the asked pass.
     """
 
     def __init__(self) -> None:
-        self._memo: dict[tuple[int, int, int], float] = {}
-        # batch -> (decode-pass cost indexed by KV length, and a bytemask
-        # over the same indices: 1 = that entry is priced)
-        self._kv_runs: dict[int, tuple[np.ndarray, bytearray]] = {}
+        # (batch, tokens_per_seq) -> (pass cost indexed by the context
+        # before the pass's own tokens, kv - tokens_per_seq, and a
+        # bytemask over the same indices: 1 = that entry is priced)
+        self._spans: dict[tuple[int, int], tuple[np.ndarray, bytearray]] = {}
 
     @abstractmethod
     def _price(self, batch: int, tokens_per_seq: int, kv: int) -> float:
         """Seconds for one forward pass of this shape (unmemoized)."""
 
-    def _price_kvs(self, batch: int, kvs: np.ndarray) -> np.ndarray:
-        """Seconds of the decode passes ``(batch, 1, kv)`` for each ``kv``
-        in ``kvs``, as a float64 array (unmemoized); one :meth:`_price`
-        call per entry unless a subclass vectorizes."""
-        return np.array([self._price(batch, 1, kv) for kv in kvs.tolist()],
-                        np.float64)
+    def _price_kvs(self, batch: int, tokens_per_seq: int,
+                   kvs: np.ndarray) -> np.ndarray | None:
+        """Seconds of the passes ``(batch, tokens_per_seq, kv)`` for each
+        ``kv`` in ``kvs``, as a float64 array (unmemoized), or ``None``
+        when this adapter has no vector pricing: :meth:`_price` then
+        prices one entry at a time."""
+        return None
 
     def _bad(self, batch: int, tokens_per_seq: int, kv: int,
              got: float) -> ValueError:
@@ -310,73 +323,89 @@ class _PassPricedCost(StepCostModel):
             f"tokens_per_seq={tokens_per_seq}, kv={kv}) at {got!r} s; "
             f"costs must be finite and >= 0")
 
-    def _pass(self, batch: int, tokens_per_seq: int, kv: int) -> float:
-        key = (batch, tokens_per_seq, kv)
-        got = self._memo.get(key)
-        if got is None:
-            got = self._price(batch, tokens_per_seq, kv)
-            if not 0.0 <= got < math.inf:
-                raise self._bad(batch, tokens_per_seq, kv, got)
-            self._memo[key] = got
-        return got
-
-    def _decode_passes(self, batch: int, kv0: int, need: int) -> np.ndarray:
-        """This batch size's cost-vs-KV array, priced over ``[kv0,
-        need)``."""
-        entry = self._kv_runs.get(batch)
+    def _passes(self, batch: int, tokens_per_seq: int, c0: int,
+                need: int) -> tuple[np.ndarray, bytearray]:
+        """This pass shape's cost array and bytemask, priced over
+        ``[c0, need)``."""
+        key = (batch, tokens_per_seq)
+        entry = self._spans.get(key)
         if entry is None or entry[0].size < need:
             old, priced = entry or (np.empty(0), bytearray())
-            arr = np.empty(max(need, 64, 2 * old.size))
+            arr = np.empty(max(need, 2 * old.size))
             arr[: old.size] = old
             priced.extend(bytes(arr.size - old.size))
-            entry = self._kv_runs[batch] = (arr, priced)
+            entry = self._spans[key] = (arr, priced)
         arr, priced = entry
         # Stretches of one batch size overlap, continue and jump back, so
         # each unpriced span is found by a C scan over the bytemask and
         # priced, then checked, in one call.
-        lo = priced.find(0, kv0, need)
+        lo = priced.find(0, c0, need)
         while lo != -1:
             hi = priced.find(1, lo, need)
             if hi == -1:
                 hi = need
-            got = self._price_kvs(batch, np.arange(lo, hi))
+            kvs = np.arange(lo + tokens_per_seq, hi + tokens_per_seq)
+            got = self._price_kvs(batch, tokens_per_seq, kvs)
+            if got is None:
+                got = np.array([self._price(batch, tokens_per_seq, kv)
+                                for kv in kvs.tolist()], np.float64)
             ok = (got >= 0.0) & (got < math.inf)
             if not ok.all():
                 i = int(ok.argmin())
-                raise self._bad(batch, 1, lo + i, got.item(i))
+                raise self._bad(batch, tokens_per_seq, kvs.item(i),
+                                got.item(i))
             arr[lo:hi] = got
             priced[lo:hi] = b"\x01" * (hi - lo)
             lo = priced.find(0, hi, need)
-        return arr
+        return entry
 
     def prompt_cost(self, state: BatchState, request: _HasPromptLen) -> float:
-        plen = request.prompt_len
         # A prefix-hit prompt prefills only its unshared suffix, attending
-        # over the full context (the cached prefix is KV, not new tokens).
-        spl = getattr(request, "shared_prefix_len", 0)
-        cost = self._pass(1, plen - spl, plen)
+        # over the full context (the cached prefix is KV, not new tokens):
+        # its pass is entry ``c`` of the suffix's shape.
+        c = getattr(request, "shared_prefix_len", 0)
+        t = request.prompt_len - c
+        entry = self._spans.get((1, t))
+        if entry is not None and entry[0].size > c and entry[1][c]:
+            cost = entry[0].item(c)
+        else:  # the asked pass alone, then one vector fill of the rest
+            cost = self._price(1, t, t + c)
+            if not 0.0 <= cost < math.inf:
+                raise self._bad(1, t, t + c, cost)
+            arr, priced = self._passes(1, t, c + 1, c + 1)  # grown only
+            arr[c], priced[c] = cost, 1
+            lo = priced.find(0)
+            if lo != -1:
+                got = self._price_kvs(1, t, np.arange(lo + t, arr.size + t))
+                if got is not None and (
+                        (got >= 0.0) & (got < math.inf)).all():
+                    arr[lo:] = got
+                    priced[lo:] = b"\x01" * (arr.size - lo)
         if state.batch:  # the live batch rides along in the same iteration
-            kv = state.mean_kv
-            cost += self._decode_passes(state.batch, kv, kv + 1).item(kv)
+            c = state.mean_kv - 1
+            entry = self._spans.get((state.batch, 1))
+            if entry is None or entry[0].size <= c or not entry[1][c]:
+                entry = self._passes(state.batch, 1, c, c + 1)
+            cost += entry[0].item(c)
         return cost
 
     def decode_cost(self, state: BatchState) -> float:
-        kv = max(1, state.mean_kv)
-        return self._decode_passes(max(1, state.batch), kv, kv + 1).item(kv)
+        c = max(1, state.mean_kv) - 1
+        return self._passes(max(1, state.batch), 1, c, c + 1)[0].item(c)
 
     def _decode_run_cost(self, state: BatchState, steps: int) -> np.ndarray:
         # Every sequence gains one token per iteration, so the ceiling-mean
         # KV grows exactly +1 per step: the run is a contiguous slice of
-        # this batch size's cost-vs-KV array, which ``decode_cost`` reads
-        # too. ``total_kv >= batch`` keeps the ceiling mean >= 1.
+        # this batch size's cost array, which ``decode_cost`` reads too.
+        # ``total_kv >= batch`` keeps the ceiling mean >= 1 (entry >= 0).
         batch = state.batch
-        kv0 = -(-state.total_kv // batch)
-        end = kv0 + steps
-        entry = self._kv_runs.get(batch)
+        c0 = -(-state.total_kv // batch) - 1
+        end = c0 + steps
+        entry = self._spans.get((batch, 1))
         if (entry is not None and entry[0].size >= end
-                and entry[1].find(0, kv0, end) == -1):
-            return entry[0][kv0:end].copy()
-        return self._decode_passes(batch, kv0, end)[kv0:end].copy()
+                and entry[1].find(0, c0, end) == -1):
+            return entry[0][c0:end].copy()
+        return self._passes(batch, 1, c0, end)[0][c0:end].copy()
 
 
 class DenseStepCost(_PassPricedCost):
@@ -392,13 +421,14 @@ class DenseStepCost(_PassPricedCost):
         k, c = self.latency_model.step_time(batch, tokens_per_seq, kv)
         return k + c
 
-    def _price_kvs(self, batch: int, kvs: np.ndarray) -> np.ndarray:
+    def _price_kvs(self, batch: int, tokens_per_seq: int,
+                   kvs: np.ndarray) -> np.ndarray | None:
         # Vectorized only when the model offers it: a duck-typed latency
         # model with just ``step_time`` is priced one entry at a time.
         times = getattr(self.latency_model, "decode_pass_times", None)
         if times is None:
-            return super()._price_kvs(batch, kvs)
-        return times(batch, kvs)
+            return None
+        return times(batch, kvs, tokens_per_seq)
 
 
 class MoEStepCost(_PassPricedCost):
@@ -448,10 +478,12 @@ class MoEStepCost(_PassPricedCost):
         return self.moe_model.token_step(
             tokens, kv, load_ratio=ratio, stall_time=stall).total
 
-    def _price_kvs(self, batch: int, kvs: np.ndarray) -> np.ndarray:
-        ratio, stall = self._skew_terms(batch)
+    def _price_kvs(self, batch: int, tokens_per_seq: int,
+                   kvs: np.ndarray) -> np.ndarray:
+        tokens = batch * tokens_per_seq
+        ratio, stall = self._skew_terms(tokens)
         return self.moe_model.token_step_times(
-            batch, kvs, load_ratio=ratio, stall_time=stall)
+            tokens, kvs, load_ratio=ratio, stall_time=stall)
 
 
 class ZeroStepCost(_PassPricedCost):

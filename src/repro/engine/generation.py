@@ -399,11 +399,6 @@ class GenerationSession:
         return 0 if self.kv_allocator is None else self.kv_allocator.peak_used
 
     @property
-    def kv_blocks_parked(self) -> int:
-        """Pool blocks currently held by parked session prefixes."""
-        return self._parked_total
-
-    @property
     def forward_calls(self) -> int:
         """Model forwards issued so far (prefills + one per decode step)."""
         return self.decoder.forward_calls

@@ -198,13 +198,17 @@ class DenseLatencyModel:
         c1, head = self._token_terms(shape.tokens)
         return k1 * self.config.layers + head, c1 * self.config.layers
 
-    def decode_pass_times(self, batch: int, kv_lens) -> np.ndarray:
-        """Seconds of one decode pass ``(batch, 1, kv)`` at each KV length
-        in ``kv_lens``: ``sum(step_time(batch, 1, kv))`` bit for bit, in
-        that method's order, from one vectorized kernel evaluation."""
+    def decode_pass_times(self, batch: int, kv_lens,
+                          tokens_per_seq: int = 1) -> np.ndarray:
+        """Seconds of one pass ``(batch, tokens_per_seq, kv)`` at each KV
+        length in ``kv_lens`` (a decode pass by default, a prompt pass
+        with ``tokens_per_seq > 1``): ``sum(step_time(batch,
+        tokens_per_seq, kv))`` bit for bit, in that method's order, from
+        one vectorized kernel evaluation."""
         k1 = self.kernel_model.layer_times(
-            self._layer_shape(batch, 1, 1), kv_lens)
-        c1, head = self._token_terms(batch)
+            self._layer_shape(batch, tokens_per_seq, tokens_per_seq),
+            kv_lens)
+        c1, head = self._token_terms(batch * tokens_per_seq)
         layers = self.config.layers
         return (k1 * layers + head) + c1 * layers
 

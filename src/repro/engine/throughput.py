@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..hardware.topology import ClusterSpec
 from .latency import DenseLatencyModel, LatencyReport, Workload
 from .offload import kv_offload_stall_per_step, max_batch_size
 
@@ -123,10 +122,3 @@ def best_throughput(
             best = point
     assert best is not None
     return best
-
-
-def gpu_only_max_model_params(cluster: ClusterSpec, *, dtype_bytes: int = 2,
-                              headroom: float = 0.90) -> float:
-    """Largest parameter count a GPU-only deployment can hold (Fig. 9b's
-    25x comparison baseline)."""
-    return cluster.aggregate_gpu_memory * headroom / dtype_bytes

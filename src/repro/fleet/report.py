@@ -118,9 +118,11 @@ class FleetReport(ReportStats):
         """GPU cost of the run: total replica-up time summed over every
         lifetime segment (a replica down between crash and recover, or
         after retirement, accrues nothing)."""
-        return sum(end - start
-                   for segments in self.replica_lifetimes.values()
-                   for start, end in segments)
+        total = 0  # a left fold: ``sum`` compensates floats from 3.12
+        for segments in self.replica_lifetimes.values():
+            for start, end in segments:
+                total += end - start
+        return total
 
     @property
     def avg_replicas(self) -> float:

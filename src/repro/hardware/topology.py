@@ -141,10 +141,6 @@ class ClusterSpec:
             raise ValueError("no link from a device to itself")
         return self.node.intra_link if self.same_node(a, b) else self.inter_link
 
-    def gpu_host_link(self) -> LinkSpec:
-        """PCIe link from one GPU to its host (possibly shared)."""
-        return self.node.pcie
-
 
 def dgx_a100_cluster(num_nodes: int = 32) -> ClusterSpec:
     """The paper's main cluster: up to 32 DGX A100 boxes (256 GPUs)."""

@@ -465,10 +465,13 @@ class KernelCostModel:
         ) * self.profile.weight_traffic_scale
 
     def _region_weight_bytes(self, region: FusedRegion) -> float:
-        return sum(
-            op.weight_bytes * (self._weight_scale() if op.is_weight_gemm else 1.0)
-            for op in region.ops
-        )
+        # A left fold, as ``LayerCost`` sums (``sum`` compensates floats
+        # from CPython 3.12).
+        total = 0
+        for op in region.ops:
+            total += op.weight_bytes * (
+                self._weight_scale() if op.is_weight_gemm else 1.0)
+        return total
 
     def _gemm_out_features(self, region: FusedRegion, tokens: int) -> int:
         """Recover the (local) output width of the region's weight GeMM."""

@@ -82,11 +82,6 @@ class FusedRegion:
         """HBM traffic if each op ran standalone — the savings baseline."""
         return sum(op.total_bytes for op in self.ops)
 
-    @property
-    def contains_gemm(self) -> bool:
-        """True when the region includes a GeMM/attention contraction."""
-        return any(op.is_gemm for op in self.ops)
-
     def saved_bytes(self) -> float:
         """Activation traffic eliminated by fusing."""
         return self.unfused_bytes - self.hbm_bytes

@@ -97,10 +97,6 @@ class RaggedDecoder:
         """The KV cache backing one live row."""
         return self._find(row_id).cache
 
-    def row_len(self, row_id: int) -> int:
-        """Real tokens cached for one live row."""
-        return self._find(row_id).length
-
     # -- internals -----------------------------------------------------------
 
     def _attention(self, x, lw, layer_idx, rows, positions, new_lens):

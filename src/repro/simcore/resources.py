@@ -36,11 +36,6 @@ class SlotResource:
         self._in_use = 0
         self._queue: deque[Process] = deque()
 
-    @property
-    def in_use(self) -> int:
-        """Number of currently held slots."""
-        return self._in_use
-
     # engine-facing hooks -----------------------------------------------
 
     def _acquire(self, sim: Simulator, proc: Process) -> None:

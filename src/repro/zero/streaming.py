@@ -46,11 +46,6 @@ class StreamReport:
         bound = max(self.compute_time, self.fetch_time)
         return bound / self.makespan if self.makespan > 0 else 0.0
 
-    @property
-    def compute_utilization(self) -> float:
-        """Fraction of the makespan the GPU computes."""
-        return self.compute_time / self.makespan if self.makespan > 0 else 0.0
-
 
 def simulate_layer_stream(
     *,

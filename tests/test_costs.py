@@ -197,12 +197,50 @@ class _VectorKvLatency(_KvLatency):
         self.bad_from = bad_from
         self.spans = []
 
-    def decode_pass_times(self, batch, kv_lens):
+    def decode_pass_times(self, batch, kv_lens, tokens_per_seq=1):
         kvs = kv_lens.tolist()
         self.spans.append((batch, kvs))
         return np.array([math.nan if kv >= self.bad_from
                          else sum(self.step_time(batch, 1, kv))
                          for kv in kvs])
+
+
+class _VectorPassLatency(_KvLatency):
+    """A latency model with the vector pass method for any token count,
+    returning NaN at KV ``bad`` on both paths; records every scalar pass
+    and every span it is asked for."""
+
+    def __init__(self, bad):
+        self.bad = bad
+        self.asked = []
+        self.spans = []
+
+    def _seconds(self, batch, tokens_per_seq, kv):
+        if kv == self.bad:
+            return math.nan
+        return sum(_KvLatency.step_time(self, batch, tokens_per_seq, kv))
+
+    def step_time(self, batch, tokens_per_seq, kv_len):
+        self.asked.append((batch, tokens_per_seq, kv_len))
+        return self._seconds(batch, tokens_per_seq, kv_len), 0.0
+
+    def decode_pass_times(self, batch, kv_lens, tokens_per_seq=1):
+        kvs = kv_lens.tolist()
+        self.spans.append((batch, tokens_per_seq, kvs))
+        return np.array([self._seconds(batch, tokens_per_seq, kv)
+                         for kv in kvs])
+
+
+class _ForwardPassCounter:
+    """Exposes only a ZeRO engine's ``forward_pass``, counting calls."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = 0
+
+    def forward_pass(self, **shape):
+        self.calls += 1
+        return self.inner.forward_pass(**shape)
 
 
 class _StepTimeOnly:
@@ -253,6 +291,64 @@ class TestPassPriceGuard:
         # The good entries before the bad one were not kept either.
         assert cost.decode_cost(BatchState.uniform(1, 16)) == 1e-3 + 16e-6
         assert model.spans[-1] == (1, [16])
+
+    def test_prompt_fill_with_an_unasked_bad_entry_keeps_none(self):
+        """A prompt miss prices its own pass alone, then fills the rest
+        of its shape's array in one vector call. A bad entry the caller
+        did not ask for keeps none of the fill, and a later miss of the
+        same shape tries the fill again."""
+        model = _VectorPassLatency(bad=30)
+        cost = DenseStepCost(model)
+        idle = BatchState(0, 0)
+        want = 1e-3 * 8 + 1e-6 * 32
+        # Shape (1, 8) is indexed by the shared prefix: an unshared
+        # prompt is entry 0 and needs no fill.
+        cost.prompt_cost(idle, PromptShape(8))
+        assert model.asked == [(1, 8, 8)] and model.spans == []
+        # A 24-token prefix grows the array to 25 entries; the fill of
+        # KV 9..32 holds the bad KV 30.
+        assert cost.prompt_cost(idle, PromptShape(32, 24)) == want
+        assert model.asked[1:] == [(1, 8, 32)]
+        assert model.spans == [(1, 8, list(range(9, 33)))]
+        assert cost.prompt_cost(idle, PromptShape(32, 24)) == want
+        assert len(model.asked) == 2 and len(model.spans) == 1
+        cost.prompt_cost(idle, PromptShape(18, 10))
+        assert model.asked[2:] == [(1, 8, 18)]
+        assert model.spans[1:] == [(1, 8, list(range(9, 33)))]
+
+    def test_prompt_miss_raises_only_at_a_bad_asked_entry(self):
+        """Asking for the bad entry itself names it and fills nothing,
+        and asking again fails again. Once the model is fixed, one fill
+        keeps the whole array."""
+        model = _VectorPassLatency(bad=30)
+        cost = DenseStepCost(model)
+        idle = BatchState(0, 0)
+        for _ in range(2):
+            with pytest.raises(ValueError, match=(
+                    r"DenseStepCost priced a pass of shape \(batch=1, "
+                    r"tokens_per_seq=8, kv=30\) at nan s")):
+                cost.prompt_cost(idle, PromptShape(30, 22))
+        assert model.asked == [(1, 8, 30)] * 2 and model.spans == []
+        model.bad = -1
+        cost.prompt_cost(idle, PromptShape(30, 22))
+        assert model.spans == [(1, 8, list(range(8, 31)))]
+        for shared in range(23):
+            cost.prompt_cost(idle, PromptShape(8 + shared, shared))
+        assert len(model.asked) == 3 and len(model.spans) == 1
+
+    def test_per_entry_adapters_price_only_the_asked_prompt(self, dense_cost,
+                                                            zero_cost):
+        """Off the vector path a prompt miss prices just its own pass:
+        one pricing call per distinct asked prompt shape."""
+        duck = DenseStepCost(_StepTimeOnly(dense_cost.latency_model))
+        zero = ZeroStepCost(_ForwardPassCounter(zero_cost.zero_engine))
+        asks = [PromptShape(64), PromptShape(64, 16), PromptShape(80, 16),
+                PromptShape(80, 32), PromptShape(64), PromptShape(80, 16)]
+        for cost in (duck, zero):
+            for ask in asks:
+                cost.prompt_cost(BatchState(0, 0), ask)
+        assert duck.latency_model.calls == 4
+        assert zero.zero_engine.calls == 4
 
     def test_duck_typed_model_prices_per_entry_bit_identically(self,
                                                                dense_cost):

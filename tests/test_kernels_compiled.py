@@ -38,6 +38,11 @@ from repro.kernels import (
 )
 from repro.kernels import costmodel
 from repro.model import DENSE_ZOO, MOE_PARALLELISM, MOE_ZOO
+from repro.moe_placement import (
+    SkewedDispatchSpec,
+    plan_placement,
+    zipf_expert_probs,
+)
 
 
 def _bits(value):
@@ -330,3 +335,60 @@ def test_dense_decode_pass_times_match_step_time(model_name, profile, batch,
                               tp=4, profile=PROFILE_REGISTRY[profile])
     assert _hex(model.decode_pass_times(batch, kvs)) == _hex(
         sum(model.step_time(batch, 1, kv)) for kv in kvs)
+
+
+def _filled_prompt_span(costs, t, shared):
+    """Ask ``costs`` for the unshared prompt pass ``(1, t, t)`` and then
+    for ``(1, t, t + c)`` at each shared prefix ``c`` from an idle
+    server; return the KV lengths of the shape's array and their costs.
+    Every entry past the first came from a vector fill."""
+    for c in [0, *shared]:
+        costs.prompt_cost(BatchState(0, 0), _prompt(t + c, c))
+    arr, priced = costs._spans[(1, t)]
+    assert arr.size > max(shared) and priced.find(0) == -1
+    return [t + c for c in range(arr.size)], arr.tolist()
+
+
+def _prompt_tokens(limit):
+    """Suffix lengths on both sides of the small-batch threshold."""
+    return st.one_of(st.integers(1, limit), st.integers(limit + 1, 600))
+
+
+@settings(max_examples=40, deadline=None)
+@given(tp=st.sampled_from([1, 2, 4]),
+       profile=st.sampled_from(sorted(PROFILE_REGISTRY)),
+       t=_prompt_tokens(DEEPSPEED_FP16.small_batch_tokens),
+       shared=st.lists(st.integers(1, 400), min_size=1, max_size=3))
+def test_dense_prompt_span_matches_step_time(tp, profile, t, shared):
+    """Each entry of a filled prompt span equals ``sum(step_time(1, t,
+    kv))`` by IEEE bits, over TP degrees, FP16, INT8 and the baseline
+    profiles, for suffixes on both sides of the small-batch threshold."""
+    model = DenseLatencyModel(DENSE_ZOO["gpt-13b"], dgx_a100_cluster(1),
+                              tp=tp, profile=PROFILE_REGISTRY[profile])
+    kvs, got = _filled_prompt_span(DenseStepCost(model), t, shared)
+    assert _hex(got) == _hex(sum(model.step_time(1, t, kv)) for kv in kvs)
+
+
+@settings(max_examples=25, deadline=None)
+@given(t=_prompt_tokens(DEEPSPEED_FP16.small_batch_tokens),
+       shared=st.lists(st.integers(1, 400), min_size=1, max_size=3),
+       skew=st.floats(0.6, 1.6), optimized=st.booleans())
+def test_moe_prompt_span_matches_token_step(t, shared, skew, optimized):
+    """Each entry of a filled skew-priced MoE prompt span equals
+    ``token_step(t, kv, load_ratio=, stall_time=).total`` by IEEE
+    bits."""
+    cfg = MOE_ZOO["1.3b-moe-128"]
+    par = MOE_PARALLELISM[cfg.name]
+    model = MoELatencyModel(cfg, dgx_a100_cluster(16), par,
+                            optimized=optimized)
+    probs = zipf_expert_probs(cfg.moe.num_experts, skew, seed=3)
+    plan = plan_placement(probs, par.ep_degree, replication=2, num_hot=4)
+    spec = SkewedDispatchSpec(probs=probs, placement=plan.placement,
+                              streamed=plan.streamed, prefetch_hit_rate=0.5,
+                              expert_fetch_time=1e-4)
+    kvs, got = _filled_prompt_span(MoEStepCost(model, skew=spec), t,
+                                   shared)
+    ratio, stall = spec.load_ratio(t), spec.stall_time(t)
+    assert _hex(got) == _hex(
+        model.token_step(t, kv, load_ratio=ratio, stall_time=stall).total
+        for kv in kvs)
