@@ -27,14 +27,14 @@ Decode is *event-compressed*: between scheduler-relevant events the
 batch composition is frozen, so a whole stretch of decode iterations is
 priced with one :meth:`~repro.engine.costs.StepCostModel.decode_run_cost`
 call, up to the next retirement, and committed with one bulk
-:meth:`~repro.engine.scheduler.Scheduler.record_tokens`. The stretch's
-clock is the per-step clock's own additions, folded one of two ways by
-the priced step count: up to ``_FOLD_MAX`` steps, ``now += cost`` over
-the run's floats, stopping at the first step end that reaches the
-break; beyond it, one in-place cumulative sum (``np.add.accumulate``, a
-sequential left fold) and one ``searchsorted``, so a long stretch costs
-no Python work per step. Results are bit-for-bit those of per-step
-stepping.
+:meth:`~repro.engine.scheduler.Scheduler.record_tokens`. A priced
+stretch is its step end times, the per-step clock's own left fold
+(``now += cost``): a Python ``itertools.accumulate`` over the run's
+floats up to ``_FOLD_MAX`` steps, one in-place ``np.add.accumulate``
+beyond it, so a long stretch costs no Python work per step. One
+``bisect_left`` over those ends cuts the stretch at the first step end
+that reaches a break, in the loop and at a delivery alike. Results are
+bit-for-bit those of per-step stepping.
 
 Only events that can change a replica split its stretch: its own next
 delivery, its slowdown onset and retirements, plus the fleet-wide
@@ -51,7 +51,9 @@ from __future__ import annotations
 
 import math
 from array import array
+from bisect import bisect_left
 from collections import deque
+from itertools import accumulate
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -80,9 +82,10 @@ _set_total_kv = BatchState.total_kv.__set__
 # its start; _CRASH (a = requests requeued), _RECOVER and _RETIRE are
 # instants (start == end). Ids and counts are exact below 2**53.
 _ADMIT, _ADMIT_DONE, _DECODE, _CRASH, _RECOVER, _RETIRE = range(6)
-# Decode stretches priced at most this many steps fold their clock in
-# Python floats, longer ones in NumPy: the measured crossover (replaying
-# the e2e workloads' stretches through both folds, docs/GUIDE.md).
+# Decode stretches priced at most this many steps turn into step end
+# times in Python floats, longer ones in NumPy: the measured crossover
+# (replaying the e2e workloads' stretches through both folds,
+# docs/GUIDE.md). Either form is cut by the same ``bisect_left``.
 _FOLD_MAX = 32
 
 
@@ -339,9 +342,8 @@ class _Replica:
         # When set, the fleet's autoscaler collects (time, ttft) samples
         # here; None keeps the non-autoscaled path allocation-free.
         self.ttft_sink = ttft_sink
-        # A priced, uncommitted decode stretch (start, its step end times
-        # as an array or, for a short one, its step costs as a list,
-        # steps, end) and the start of its last step; see
+        # A priced, uncommitted decode stretch (start, its step end
+        # times, steps, end) and the start of its last step; see
         # perform_action's ``t_arrival``.
         self._plan: tuple | None = None
         self._plan_key = _INF
@@ -353,25 +355,17 @@ class _Replica:
         ``t`` (enqueued by the first action at or after ``t``).
         Deliveries must come in time order.
 
-        A held decode stretch is first committed up to ``t``: only its
-        steps starting strictly before ``t`` run, so the newcomer is
+        A held decode stretch is first committed up to ``t`` by the
+        loop's own cut, ``bisect_left`` over its step end times: only
+        its steps starting strictly before ``t`` run, so the newcomer is
         seen exactly where a per-step replica would see it. The stretch
         is held only while ``t`` is at most its last step's start, so
         the cut retires nobody."""
         if self._plan is not None:
-            start, run, _, _ = self._plan
+            start, ends, _, _ = self._plan
             self._plan = None
-            if type(run) is list:
-                # A short stretch keeps its step costs: re-fold them up
-                # to the first step starting at or after ``t``.
-                n, now = 1, start + run[0]
-                while now < t:
-                    now += run[n]
-                    n += 1
-            else:  # step end times
-                n = int(run.searchsorted(t)) + 1
-                now = run.item(n - 1)
-            self._commit(start, now, n)
+            n = bisect_left(ends, t) + 1
+            self._commit(start, float(ends[n - 1]), n)
         self.inbox.append((t, pos))
 
     def _enqueue_arrived(self) -> None:
@@ -413,9 +407,10 @@ class _Replica:
         fault, join or control epoch, so a run splits exactly where a
         per-step replica would have yielded to the event loop). A
         replica's own inbox, the next length retirement, and a pending
-        slowdown onset split the run the same way. ``max_steps`` caps
-        the stretch (``1`` recovers per-step stepping, used by
-        :meth:`crash`).
+        slowdown onset split the run the same way: the stretch ends at
+        the first of its step end times that reaches the earliest break
+        (one ``bisect_left``). ``max_steps`` caps the stretch (``1``
+        recovers per-step stepping, used by :meth:`crash`).
 
         ``t_arrival`` is the fleet's next arrival, which may go to any
         replica. A stretch whose last step starts at or after it is
@@ -509,39 +504,32 @@ class _Replica:
         run = self.costs.decode_run_cost(kv.state(), horizon)
         if start >= slow_from:  # unslowed replicas skip the multiply
             run *= self.slow_factor
-        # Either fold adds the costs to the clock one step at a time, as
-        # per-step stepping does, and ends the stretch at the first step
-        # end that reaches the break (costs >= 0 keep the ends sorted).
-        # Up to _FOLD_MAX steps a float loop beats NumPy's per-call cost;
-        # beyond it, one in-place ``np.add.accumulate`` (a sequential
-        # left fold, the start folded into the first cost) and one
-        # ``searchsorted`` do it with no Python work per step.
-        last = None  # the last step's start; the float fold keeps it
+        # The stretch's step end times, the per-step clock's own left
+        # fold from ``start``: in Python floats up to _FOLD_MAX steps,
+        # beyond it in place with one ``np.add.accumulate`` (no Python
+        # work per step). Costs >= 0 keep the ends sorted for
+        # ``bisect_left``; ``float`` keeps an array's items Python floats.
         if horizon <= _FOLD_MAX:
-            run = run.tolist()
-            now = start
-            for n, cost in enumerate(run, 1):
-                last = now
-                now += cost
-                if now >= t_break:
-                    break
+            ends = run.tolist()
+            ends[0] += start
+            ends = list(accumulate(ends))
         else:
             run[0] += start
-            n = run.size
-            now = np.add.accumulate(run, out=run).item(-1)
-            if now >= t_break:
-                n = min(int(run.searchsorted(t_break)) + 1, n)
-                now = run.item(n - 1)
+            ends = np.add.accumulate(run, out=run)
+        n = horizon
+        now = float(ends[-1])
+        if now >= t_break:
+            n = bisect_left(ends, t_break) + 1
+            now = float(ends[n - 1])
         if not start <= now < _INF:
             raise ValueError(
                 f"replica {self.index}: decode stretch of {n} steps x{batch} "
                 f"from t={start!r} ends at {now!r}; step costs must be "
                 f"finite and >= 0")
         if now >= t_arrival and n > 1:
-            if last is None:
-                last = run.item(n - 2)
+            last = float(ends[n - 2])  # the last step's start
             if last >= t_arrival:
-                self._plan = (start, run, n, now)
+                self._plan = (start, ends, n, now)
                 self._plan_key = last
                 return "decode"
         self._commit(start, now, n)

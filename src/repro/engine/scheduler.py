@@ -110,13 +110,6 @@ _KIND_REASON = (("enqueue", ""), ("admit", ""), ("retire", "length"),
                 ("retire", "eos"))
 
 
-def _check_slot_caps(slot_caps: dict[str, int] | None) -> None:
-    # A NaN cap fails every ``held >= cap`` test, disabling the cap.
-    for name, cap in (slot_caps or {}).items():
-        if _as_index(f"slot cap of tenant {name!r}", cap) < 1:
-            raise ValueError(f"slot cap of tenant {name!r} must be >= 1")
-
-
 def _fcfs(queue: Sequence[SchedRequest]) -> SchedRequest:
     """First come, first served: strict arrival/enqueue order."""
     return queue[0]
@@ -128,24 +121,65 @@ def _shortest_prompt(queue: Sequence[SchedRequest]) -> SchedRequest:
     return min(queue, key=lambda r: r.prompt_len)
 
 
-class TenantFairShare:
-    """Weighted fair-share admission across tenants.
+class _TenantPolicy:
+    """Admission across tenants: the queued request whose tenant ranks
+    lowest wins, ties broken by queue order. Subclasses supply only the
+    rank, :meth:`_rank`, of a tenant holding ``held`` slots.
 
-    Picks the queued request whose tenant currently holds the fewest
-    slots *per unit weight* (ties broken by queue order), so a tenant
-    flooding the queue cannot starve a light one: each admission goes to
-    the most under-served tenant with work waiting. ``slot_caps`` bounds
-    a tenant's concurrent slots; capped tenants are *skipped* (their
-    requests stay queued, in order) and the policy returns ``None`` —
-    stopping admission — only when every queued request is capped out.
+    ``slot_caps`` bounds a tenant's concurrent slots: capped tenants are
+    *skipped* (their requests stay queued, in order, without blocking
+    anyone else) and the pick is ``None`` — stopping admission — only
+    when every queued request is capped out.
 
     Stateless: the pick is a pure function of (queue, active), so the
     analytical and functional backends sharing one instance make
     identical decisions. Untagged requests (``tenant=None``) form their
-    own implicit tenant with ``default_weight``.
+    own implicit tenant.
     """
 
     tenant_aware = True
+
+    def __init__(self, slot_caps: dict[str, int] | None) -> None:
+        # A NaN cap fails every ``held >= cap`` test, disabling the cap.
+        for name, cap in (slot_caps or {}).items():
+            if _as_index(f"slot cap of tenant {name!r}", cap) < 1:
+                raise ValueError(f"slot cap of tenant {name!r} must be >= 1")
+        self.slot_caps = dict(slot_caps or {})
+
+    def _rank(self, tenant: str | None, held: int) -> float:
+        raise NotImplementedError
+
+    def __call__(
+        self,
+        queue: Sequence[SchedRequest],
+        active: Sequence[SchedRequest],
+    ) -> SchedRequest | None:
+        held: dict[str | None, int] = {}
+        for r in active:
+            held[r.tenant] = held.get(r.tenant, 0) + 1
+        best: SchedRequest | None = None
+        best_key: tuple[float, int] | None = None
+        for i, r in enumerate(queue):
+            n = held.get(r.tenant, 0)
+            cap = self.slot_caps.get(r.tenant)
+            if cap is not None and n >= cap:
+                continue
+            key = (self._rank(r.tenant, n), i)
+            if best_key is None or key < best_key:
+                best, best_key = r, key
+        return best
+
+
+class TenantFairShare(_TenantPolicy):
+    """Weighted fair-share admission across tenants.
+
+    Picks the queued request whose tenant currently holds the fewest
+    slots *per unit weight*, so a tenant flooding the queue cannot
+    starve a light one: each admission goes to the most under-served
+    tenant with work waiting. Untagged requests weigh
+    ``default_weight``. ``slot_caps`` bounds a tenant's concurrent
+    slots; a capped tenant's requests wait, in order.
+    """
 
     def __init__(
         self,
@@ -165,44 +199,22 @@ class TenantFairShare:
                 raise ValueError(
                     f"weight of tenant {name!r} must be finite and > 0, "
                     f"got {w!r}")
-        _check_slot_caps(slot_caps)
+        super().__init__(slot_caps)
         self.weights = dict(weights or {})
-        self.slot_caps = dict(slot_caps or {})
         self.default_weight = default_weight
 
-    def __call__(
-        self,
-        queue: Sequence[SchedRequest],
-        active: Sequence[SchedRequest],
-    ) -> SchedRequest | None:
-        held: dict[str | None, int] = {}
-        for r in active:
-            held[r.tenant] = held.get(r.tenant, 0) + 1
-        best: SchedRequest | None = None
-        best_key: tuple[float, int] | None = None
-        for i, r in enumerate(queue):
-            cap = self.slot_caps.get(r.tenant)
-            if cap is not None and held.get(r.tenant, 0) >= cap:
-                continue
-            weight = self.weights.get(r.tenant, self.default_weight)
-            key = (held.get(r.tenant, 0) / weight, i)
-            if best_key is None or key < best_key:
-                best, best_key = r, key
-        return best
+    def _rank(self, tenant: str | None, held: int) -> float:
+        return held / self.weights.get(tenant, self.default_weight)
 
 
-class TenantPriority:
+class TenantPriority(_TenantPolicy):
     """Strict-priority admission across tenants.
 
     Always admits from the highest-priority tenant with work queued
     (larger ``priorities`` value = more important; unlisted tenants get
-    ``default_priority``); within a tenant, queue order. ``slot_caps``
-    has :class:`TenantFairShare` semantics — a capped tenant's requests
-    wait without blocking lower-priority traffic, and ``None`` (stop
-    admission) comes back only when nothing admissible remains.
+    ``default_priority``); within a tenant, queue order. A capped
+    tenant's requests wait without blocking lower-priority traffic.
     """
-
-    tenant_aware = True
 
     def __init__(
         self,
@@ -220,30 +232,12 @@ class TenantPriority:
             if not -math.inf < prio < math.inf:
                 raise ValueError(f"priority of tenant {name!r} must be "
                                  f"finite, got {prio!r}")
-        _check_slot_caps(slot_caps)
+        super().__init__(slot_caps)
         self.priorities = dict(priorities or {})
-        self.slot_caps = dict(slot_caps or {})
         self.default_priority = default_priority
 
-    def __call__(
-        self,
-        queue: Sequence[SchedRequest],
-        active: Sequence[SchedRequest],
-    ) -> SchedRequest | None:
-        held: dict[str | None, int] = {}
-        for r in active:
-            held[r.tenant] = held.get(r.tenant, 0) + 1
-        best: SchedRequest | None = None
-        best_key: tuple[int, int] | None = None
-        for i, r in enumerate(queue):
-            cap = self.slot_caps.get(r.tenant)
-            if cap is not None and held.get(r.tenant, 0) >= cap:
-                continue
-            prio = self.priorities.get(r.tenant, self.default_priority)
-            key = (-prio, i)
-            if best_key is None or key < best_key:
-                best, best_key = r, key
-        return best
+    def _rank(self, tenant: str | None, held: int) -> float:
+        return -self.priorities.get(tenant, self.default_priority)
 
 
 #: Named admission policies. Plain entries are callables over the
@@ -356,27 +350,6 @@ class Scheduler:
     def free_slots(self) -> int:
         """Slots available for admission."""
         return self.max_slots - len(self._active)
-
-    @property
-    def queue_depth(self) -> int:
-        """Requests waiting for a slot (alias of :attr:`num_waiting`
-        under the autoscaler's signal vocabulary)."""
-        return len(self._queue)
-
-    @property
-    def waiting_tokens(self) -> int:
-        """Token work (prompt + requested generation) still queued.
-
-        The autoscaler's outstanding-work signal: unlike
-        :attr:`queue_depth` it weighs a queued 2k-token prompt heavier
-        than a queued 8-token probe."""
-        return sum(r.prompt_len + r.max_new_tokens for r in self._queue)
-
-    def oldest_waiting_arrival(self) -> float | None:
-        """Arrival time of the head-of-queue request, or ``None`` when
-        the queue is empty. ``now - oldest_waiting_arrival()`` bounds the
-        queueing delay the next admission will record."""
-        return self._queue[0].arrival if self._queue else None
 
     def generated(self, request_id: int) -> int:
         """Tokens recorded for a request so far."""

@@ -572,34 +572,3 @@ def test_event_streams_identical_when_no_prefill_retirement(eq_model):
     f_events = [(e.step, e.kind, e.request_id) for e in functional.events]
     a_events = [(e.step, e.kind, e.request_id) for e in rep.scheduler.events]
     assert f_events == a_events
-
-
-class TestQueueIntrospection:
-    """The autoscaler's signal feed: queue depth, waiting work, age."""
-
-    def test_queue_depth_tracks_enqueue_and_admit(self):
-        s = Scheduler(2)
-        assert s.queue_depth == 0
-        for rid in range(4):
-            s.enqueue(_req(rid))
-        assert s.queue_depth == 4
-        s.admit()
-        assert s.queue_depth == 2  # two took slots, two still wait
-        assert s.queue_depth == s.num_waiting
-
-    def test_waiting_tokens_sums_prompt_and_budget(self):
-        s = Scheduler(1)
-        s.enqueue(_req(0, prompt_len=10, max_new=5))
-        s.enqueue(_req(1, prompt_len=3, max_new=2))
-        assert s.waiting_tokens == (10 + 5) + (3 + 2)
-        s.admit()  # request 0 leaves the queue
-        assert s.waiting_tokens == 5
-
-    def test_oldest_waiting_arrival(self):
-        s = Scheduler(1)
-        assert s.oldest_waiting_arrival() is None
-        s.enqueue(_req(0, arrival=2.0))
-        s.enqueue(_req(1, arrival=5.0))
-        assert s.oldest_waiting_arrival() == 2.0
-        s.admit()
-        assert s.oldest_waiting_arrival() == 5.0

@@ -15,6 +15,7 @@ single-server simulator.
 import itertools
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import numpy as np
 
@@ -25,12 +26,14 @@ from repro.engine import (
     MoELatencyModel,
     MoEStepCost,
     Request,
+    StepCostModel,
     WorkloadTrace,
     ZeroStepCost,
     simulate_serving,
     synthesize_trace,
 )
-from repro.engine.replica import _FOLD_MAX, _Replica
+from repro.engine.replica import _FOLD_MAX, _KvTracker, _Outcomes, _Replica
+from repro.engine.serving_sim import _ignore_completion
 from repro.fleet import FaultPlan, ReplicaFault, simulate_fleet
 from repro.hardware import dgx2_v100, dgx_a100_cluster
 from repro.model import DENSE_ZOO, MOE_PARALLELISM, MOE_ZOO, get_model
@@ -364,3 +367,105 @@ class TestFoldBoundary:
         with pytest.raises(ValueError, match="decode stretch .* ends at"):
             simulate_fleet(trace, num_replicas=2, costs=costs,
                            max_batch=MAX_BATCH)
+
+
+class _DrawnCost(StepCostModel):
+    """Prices the prompt pass at ``prompt`` seconds and the decode run at
+    the drawn step ``costs``."""
+
+    def __init__(self, prompt, costs):
+        self.prompt, self.costs = prompt, costs
+
+    def prompt_cost(self, state, request):
+        return self.prompt
+
+    def decode_cost(self, state):
+        raise AssertionError("the serving loop prices whole runs")
+
+    def _decode_run_cost(self, state, steps):
+        assert steps == len(self.costs)
+        return np.array(self.costs)
+
+
+_STEP_COST = st.one_of(st.just(0.0), st.floats(0.0, 1.0))
+
+
+@st.composite
+def _stretch(draw):
+    """A prompt cost, the step costs of a 1–80 step stretch (either side
+    of ``_FOLD_MAX``, zero-cost steps included) and the per-step clock:
+    ``clock[i]`` is step ``i``'s start and ``clock[-1]`` the last end."""
+    prompt = draw(st.floats(0.0, 10.0))
+    steps = draw(st.integers(1, 80))
+    costs = draw(st.lists(_STEP_COST, min_size=steps, max_size=steps))
+    return prompt, costs, list(itertools.accumulate(costs, initial=prompt))
+
+
+def _time_in(start, end, times):
+    """A time in ``(start, end]``: one of ``times`` exactly, or between."""
+    exact = [t for t in times if start < t <= end]
+    between = st.floats(start, end, exclude_min=True)
+    return st.one_of(st.sampled_from(exact), between) if exact else between
+
+
+class TestCutRule:
+    """The one cut rule, ``bisect_left`` over a stretch's step end times,
+    held against a per-step ``now += cost`` loop on drawn costs: a lone
+    replica commits exactly the steps starting before the break, and a
+    held stretch exactly the steps starting before the delivery."""
+
+    @staticmethod
+    def _decoding(prompt, costs, *arrivals):
+        """A lone replica right after request 0's prompt pass, with one
+        more request for each later arrival time."""
+        trace = WorkloadTrace((Request(0, 0.0, 8, len(costs) + 1),
+                               *(Request(i, t, 8, 2)
+                                 for i, t in enumerate(arrivals, 1))))
+        rep = _Replica(0, requests=trace.requests,
+                       out=_Outcomes(len(trace.requests)),
+                       max_batch=2, policy="fcfs",
+                       costs=_DrawnCost(prompt, costs), kv=_KvTracker(),
+                       on_complete=_ignore_completion)
+        rep.deliver(0, 0.0)
+        assert rep.perform_action() == "admit" and rep.now == prompt
+        return rep
+
+    @staticmethod
+    def _per_step(prompt, costs, t):
+        """Steps starting before ``t`` and the clock after them."""
+        now, n = prompt, 0
+        for cost in costs:
+            if now >= t:
+                break
+            now += cost
+            n += 1
+        return n, now
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), stretch=_stretch())
+    def test_break_commits_steps_starting_before_it(self, data, stretch):
+        prompt, costs, clock = stretch
+        t_limit = data.draw(st.one_of(_time_in(prompt, clock[-1] + 1.0, clock),
+                                      st.just(float("inf"))))
+        rep = self._decoding(prompt, costs)
+        assert rep.perform_action(t_limit=t_limit) == "decode"
+        n, now = self._per_step(prompt, costs, t_limit)
+        assert rep.tokens - 1 == n
+        assert type(rep.now) is float and rep.now.hex() == now.hex()
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), stretch=_stretch())
+    def test_delivery_cuts_a_held_stretch(self, data, stretch):
+        prompt, costs, clock = stretch
+        assume(len(costs) > 1 and clock[-2] > prompt)
+        # An arrival at or before the last step's start holds the stretch.
+        t = data.draw(_time_in(prompt, clock[-2], clock))
+        rep = self._decoding(prompt, costs, t)
+        assert rep.perform_action(t_arrival=t) == "decode"
+        assert rep.tokens == 1 and rep._plan is not None
+        assert rep.next_action_time().hex() == clock[-2].hex()
+        rep.deliver(1, t)
+        n, now = self._per_step(prompt, costs, t)
+        assert rep.tokens - 1 == n < len(costs)
+        assert rep._plan is None and type(rep.now) is float
+        assert rep.now.hex() == now.hex()
