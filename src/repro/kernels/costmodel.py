@@ -29,25 +29,22 @@ and raises on any difference, so a future non-affine op fails loudly
 instead of mispricing. ``chain_cost`` stays the generic path for
 arbitrary chains (expert FFNs, analysis, baselines) and the test oracle.
 
-Float pricing. The serving stack reads only a layer's total, so a
-compiled layer never builds per-region objects to price one. Its
-closed forms are cached per token count as one row per region (weight
-bytes, the token-count parts of the byte and flop forms, the two
-rates), as Python floats and as float64 columns. :meth:`layer_cost`
-folds the rows into ``total_time`` in one float pass, region by region
-and left to right, and returns a :class:`LayerCost` that renders its
-:class:`RegionTime` tuple only when ``regions`` is first read.
-:meth:`KernelCostModel.layer_times` evaluates the columns over a whole
-span of KV lengths at once and folds the regions in the same order.
-The same exactness below 2**53 makes both totals equal the rendered
-regions' sum and ``chain_cost``'s total bit for bit. Prompt-pass misses
-go through ``layer_cost`` and decode-run misses through
-``layer_times``; the regions stay for breakdowns (Figs. 10/11).
+Two evaluators. A compiled layer caches its closed forms per token
+count as one row per region (weight bytes, the token-count parts of the
+byte and flop forms, the two rates), as Python floats and as float64
+columns. :meth:`KernelCostModel.layer_cost` evaluates the rows at one
+shape into :class:`RegionTime` objects, and :class:`LayerCost` folds
+their totals left to right. :meth:`KernelCostModel.layer_times`
+evaluates the columns over a whole span of KV lengths at once, with no
+per-region objects, and folds the regions in the same order. The same
+exactness below 2**53 makes a span's totals equal the regions' fold and
+``chain_cost``'s total bit for bit. Prompt-pass misses go through
+``layer_cost`` and decode-run misses through ``layer_times``.
 """
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -114,68 +111,27 @@ class RegionTime:
         return "memory" if self.memory_time >= self.compute_time else "compute"
 
 
+@dataclass(frozen=True)
 class LayerCost:
     """Aggregate cost of one transformer-layer invocation on one GPU.
 
-    ``total_time`` is the end-to-end layer time in seconds, the sum of
-    the regions' ``total`` taken left to right. A cost built from its
-    regions (``LayerCost(regions)``) sums them at once. One built by a
-    compiled layer holds the total from the layer's float pass and
-    renders ``regions`` on first read, so a caller that reads only the
-    total builds no :class:`RegionTime`. Either way it is immutable, and
-    ``==`` and ``hash`` go by ``regions``.
+    ``regions`` are the fused regions' times in execution order;
+    ``total_time`` is the end-to-end layer time in seconds, their
+    ``total`` summed left to right. Equality, hashing and ``repr`` go by
+    ``regions`` alone.
     """
 
-    __slots__ = ("total_time", "_regions", "_layer", "_shape")
+    regions: tuple[RegionTime, ...]
+    total_time: float = field(init=False, compare=False, repr=False)
 
-    def __init__(self, regions: tuple[RegionTime, ...]) -> None:
+    def __post_init__(self) -> None:
         # An explicit left fold, not ``sum``: from CPython 3.12 ``sum``
-        # compensates float rounding, and the compiled layers' float
-        # passes must equal this total bit for bit.
+        # compensates float rounding, and ``layer_times`` must equal this
+        # total bit for bit.
         total = 0
-        for r in regions:
+        for r in self.regions:
             total += r.total
-        object.__setattr__(self, "_regions", regions)
         object.__setattr__(self, "total_time", total)
-
-    @classmethod
-    def _compiled(cls, layer: "_CompiledLayer", shape: LayerShape,
-                  total_time: float) -> "LayerCost":
-        self = object.__new__(cls)
-        _set = object.__setattr__
-        _set(self, "_regions", None)
-        _set(self, "_layer", layer)
-        _set(self, "_shape", shape)
-        _set(self, "total_time", total_time)
-        return self
-
-    @property
-    def regions(self) -> tuple[RegionTime, ...]:
-        """The fused regions' times, in execution order."""
-        if self._regions is None:
-            object.__setattr__(self, "_regions",
-                               self._layer.regions(self._shape))
-        return self._regions
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.regions == other.regions
-
-    def __hash__(self) -> int:
-        return hash((self.regions,))
-
-    def __repr__(self) -> str:
-        return f"LayerCost(regions={self.regions!r})"
-
-    def __reduce__(self):
-        return LayerCost, (self.regions,)
 
     @property
     def kernel_count(self) -> int:
@@ -253,30 +209,6 @@ class _CompiledLayer:
             cached = self._row_cache[t] = (rows, columns)
         return cached
 
-    def cost(self, shape: LayerShape) -> LayerCost:
-        """The layer at ``shape``, its total folded from the rows in
-        :meth:`regions`' operation order: ``RegionTime.total`` per
-        region, summed left to right as :class:`LayerCost` sums them."""
-        t = shape.tokens
-        kv = shape.kv_len
-        bk = shape.batch * kv
-        tk = t * kv
-        launch, dispatch = self.launch, self.dispatch
-        total = 0
-        for weight, a01, a2, a3, f01, f2, f3, mem_rate, math_rate in (
-                self._rows(t)[0]):
-            # ``max`` keeps its first argument unless the second is
-            # greater; the comparisons below do the same.
-            time = (weight + ((a01 + a2 * bk) + a3 * tk)) / mem_rate
-            flops = (f01 + f2 * bk) + f3 * tk
-            compute = flops / math_rate if flops else 0.0
-            if compute > time:
-                time = compute
-            if launch > time:
-                time = launch
-            total += time + dispatch
-        return LayerCost._compiled(self, shape, total)
-
     def regions(self, shape: LayerShape) -> tuple[RegionTime, ...]:
         """Every region's :class:`RegionTime` at ``shape``."""
         t = shape.tokens
@@ -294,14 +226,15 @@ class _CompiledLayer:
         return tuple(regions)
 
     def times(self, shape: LayerShape, kvs: np.ndarray) -> np.ndarray:
-        """``cost(replace(shape, kv_len=kv)).total_time`` for each ``kv``
-        in ``kvs``, as one float64 array, bit for bit.
+        """``LayerCost(regions(replace(shape, kv_len=kv))).total_time``
+        for each ``kv`` in ``kvs``, as one float64 array, bit for bit.
 
         The regions form the rows of one ``(regions, len(kvs))`` grid,
-        evaluated in :meth:`cost`'s operation order. Every count below
+        evaluated in :meth:`regions`' operation order. Every count below
         2**53 is exact in float64 as in Python ints, so each entry is the
-        scalar path's float. The rows fold with a sequential
-        ``np.add.accumulate``, :meth:`cost`'s left-to-right sum."""
+        scalar :class:`RegionTime`'s float. The rows fold with a
+        sequential ``np.add.accumulate``, :class:`LayerCost`'s
+        left-to-right sum."""
         t = shape.tokens
         weight, a01, a2, a3, f01, f2, f3, mem_rate, math_rate = self._rows(t)[1]
         # int64 rows: never the target of an in-place float op.
@@ -346,10 +279,9 @@ class KernelCostModel:
         ``ffn=False`` prices the layer without its FFN (an MoE layer's
         dense part). Equal bit for bit to :meth:`chain_cost` over
         ``transformer_layer_ops(shape, ffn=ffn)``, priced from the
-        layer's compiled closed forms. Its ``total_time`` comes from one
-        float pass; its ``regions`` are built only when first read.
+        layer's compiled closed forms.
         """
-        return self._layer(shape, ffn).cost(shape)
+        return LayerCost(self._layer(shape, ffn).regions(shape))
 
     def layer_times(self, shape: LayerShape, kv_lens, *,
                     ffn: bool = True) -> np.ndarray:
@@ -446,10 +378,9 @@ class KernelCostModel:
         else:
             batch, tokens_per_seq = 2, max(1, limit // 2 + 1)
         check = shape(batch, tokens_per_seq, tokens_per_seq + 3)
-        got = layer.cost(check)
         want = self.chain_cost(transformer_layer_ops(check, ffn=ffn),
                                tokens=check.tokens)
-        if got != want or got.total_time.hex() != want.total_time.hex():
+        if layer.regions(check) != want.regions:
             raise RuntimeError(
                 f"compiled layer differs from its op chain at {check}: an "
                 f"op's bytes or flops are not affine in (tokens, batch*kv, "

@@ -113,6 +113,21 @@ class DenseTransformer:
 
     # -- building blocks ---------------------------------------------------
 
+    def layer_weights(self, layer: int) -> LayerWeights:
+        """Layer ``layer``'s weights: the one accessor every forward loop
+        reads them through, so a wrapper that manages residency (a
+        layer-streamed executor) runs the same loop."""
+        return self.layers[layer]
+
+    def embed(self, token_ids: np.ndarray, pos0: int = 0) -> np.ndarray:
+        """Input activations of ``(batch, seq)`` ids placed at positions
+        ``pos0..pos0+seq-1``: learned positions are added here, rotary
+        ones are applied inside attention."""
+        x = self.wte[token_ids]
+        if self.config.pos_encoding == "learned":
+            x = x + self.wpe[pos0 : pos0 + token_ids.shape[1]]
+        return x
+
     def attention_block(
         self,
         x: np.ndarray,
@@ -164,10 +179,9 @@ class DenseTransformer:
         seq = token_ids.shape[1]
         if pos0 + seq > self.config.max_seq:
             raise ValueError("sequence exceeds max_seq")
-        x = self.wte[token_ids]
-        if self.config.pos_encoding == "learned":
-            x = x + self.wpe[pos0 : pos0 + seq]
-        for i, lw in enumerate(self.layers):
+        x = self.embed(token_ids, pos0)
+        for i in range(self.config.layers):
+            lw = self.layer_weights(i)
             x = self.attention_block(x, lw, i, cache)
             x = self.mlp_block(x, lw, i)
         x = layer_norm(x, self.lnf_g, self.lnf_b)

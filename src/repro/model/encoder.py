@@ -37,6 +37,11 @@ class EncoderTransformer:
                 f"{config.name} is a decoder config; EncoderTransformer "
                 "expects decoder=False"
             )
+        if config.pos_encoding != "learned":
+            raise ValueError(
+                f"{config.name}: EncoderTransformer supports only "
+                f"pos_encoding='learned', got {config.pos_encoding!r}"
+            )
         self.config = config
         rng = as_generator(seed)
         h = config.hidden

@@ -66,12 +66,6 @@ class RaggedDecoder:
         self._cache_factory = cache_factory or (
             lambda: KVCache(model.config.layers)
         )
-        # Layer weights come through ``model.layer_weights(i)`` when the
-        # model manages residency (e.g. a layer-streamed executor), else
-        # straight from ``model.layers``.
-        self._layer = getattr(model, "layer_weights", None) or (
-            lambda i: model.layers[i]
-        )
         self._rows: list[_Row] = []
         self._row_ids = itertools.count()
         self._prefilled = False
@@ -147,7 +141,7 @@ class RaggedDecoder:
         if model.config.pos_encoding == "learned":
             x = x + model.wpe[positions]
         for i in range(model.config.layers):
-            lw = self._layer(i)
+            lw = model.layer_weights(i)
             x = self._attention(x, lw, i, rows, positions, new_lens)
             x = model.mlp_block(x, lw, i)
         x = layer_norm(x, model.lnf_g, model.lnf_b)

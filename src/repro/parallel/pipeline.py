@@ -90,7 +90,7 @@ def staged_forward(
     if caches is not None and len(caches) != len(stages):
         raise ValueError("one cache per stage required")
     pos0 = caches[0].seq_len(stages[0].start) if caches is not None else 0
-    x = model.wte[token_ids] + model.wpe[pos0 : pos0 + token_ids.shape[1]]
+    x = model.embed(token_ids, pos0)
     for plan in stages:
         cache = caches[plan.stage] if caches is not None else None
         for i in range(plan.start, plan.end):

@@ -96,7 +96,7 @@ def pipeline_generate_rank(
                     outputs[m].append(tok)
                     ids = tok
                 pos0 = cache.seq_len(plan.start)
-                x = model.wte[ids] + model.wpe[pos0 : pos0 + ids.shape[1]]
+                x = model.embed(ids, pos0)
                 x = _run_stage_layers(model, plan, x, cache)
                 if comm.size > 1:
                     comm.send(x, dest=comm.rank + 1, tag=_ACT_TAG_BASE + m)

@@ -162,9 +162,7 @@ def tp_forward(
     if hidden_in is None:
         token_ids = np.atleast_2d(token_ids)
         pos0 = cache.seq_len(lo) if cache is not None else 0
-        x = model.wte[token_ids]
-        if cfg.pos_encoding == "learned":
-            x = x + model.wpe[pos0 : pos0 + token_ids.shape[1]]
+        x = model.embed(token_ids, pos0)
     else:
         x = hidden_in
     rotary = cfg.pos_encoding == "rotary"

@@ -3,8 +3,11 @@
 This binds the functional pieces together as library code: a
 :class:`StreamedTransformer` keeps its layer weights in a
 :class:`~repro.zero.tiers.TieredWeightStore` (DRAM or NVMe), holds only a
-bounded window of layers "on GPU" at a time, and produces logits
-identical to the fully-resident reference. It also supports the
+bounded window of layers "on GPU" at a time, and runs the resident
+:class:`~repro.model.dense.DenseTransformer`'s own ``forward`` and
+``generate`` over a per-layer accessor that fetches each layer into
+that window, so its logits equal the resident model's by bytes for
+learned and rotary positions alike. It also supports the
 *pin-weights-in-GPU* alternative Sec. VI-A discusses and rejects, so the
 tradeoff (pinned layers avoid fetches but shrink the batch budget) can
 be measured rather than asserted.
@@ -15,9 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..hardware.topology import ClusterSpec
-from ..kernels.functional import layer_norm
 from ..model.dense import DenseTransformer
-from ..model.kvcache import KVCache
 from .tiers import Tier, TieredWeightStore
 
 __all__ = ["StreamedTransformer"]
@@ -78,10 +79,10 @@ class StreamedTransformer:
         """Streamed layers currently held (pinned layers excluded)."""
         return list(self._resident)
 
-    # -- decoder-facing surface ------------------------------------------
-    # RaggedDecoder / GenerationSession drive any model exposing config,
-    # embeddings, final norm, mlp_block and a per-layer weight accessor;
-    # delegating here lets the batched serving runtime execute directly
+    # -- the dense model's surface ------------------------------------------
+    # The dense forward loop, RaggedDecoder and GenerationSession read a
+    # model's config, embeddings, final norm, blocks and per-layer weight
+    # accessor; delegating them here runs each of those loops directly
     # over streamed weights, with residency enforced per layer touch.
 
     @property
@@ -109,42 +110,27 @@ class StreamedTransformer:
 
     def layer_weights(self, layer: int):
         """Fetch ``layer`` into the residency window and return its
-        weights — the accessor the ragged decoder calls per layer."""
+        weights — the accessor every forward loop calls per layer."""
         self._ensure_resident(layer)
         return self.model.layers[layer]
+
+    def embed(self, token_ids, pos0=0):
+        """Delegate to the wrapped model's embedding."""
+        return self.model.embed(token_ids, pos0)
+
+    def attention_block(self, x, lw, layer_idx, cache):
+        """Delegate to the wrapped model's attention block."""
+        return self.model.attention_block(x, lw, layer_idx, cache)
 
     def mlp_block(self, x, lw, layer_idx):
         """Delegate to the wrapped model's MLP block."""
         return self.model.mlp_block(x, lw, layer_idx)
 
     # -- execution -------------------------------------------------------
-
-    def forward(self, token_ids: np.ndarray, cache: KVCache | None = None) -> np.ndarray:
-        """Logits, computed layer by layer under the residency window."""
-        token_ids = np.atleast_2d(token_ids)
-        pos0 = cache.seq_len(0) if cache is not None else 0
-        x = self.model.wte[token_ids] + self.model.wpe[
-            pos0 : pos0 + token_ids.shape[1]
-        ]
-        for i, lw in enumerate(self.model.layers):
-            self._ensure_resident(i)
-            x = self.model.attention_block(x, lw, i, cache)
-            x = self.model.mlp_block(x, lw, i)
-        x = layer_norm(x, self.model.lnf_g, self.model.lnf_b)
-        return x @ self.model.wte.T
-
-    def generate(self, prompt_ids: np.ndarray, num_tokens: int) -> np.ndarray:
-        """Greedy decoding under layer streaming."""
-        prompt_ids = np.atleast_2d(prompt_ids)
-        out = prompt_ids.copy()
-        cache = KVCache(self.model.config.layers)
-        step = prompt_ids
-        for _ in range(num_tokens):
-            logits = self.forward(step, cache)
-            nxt = logits[:, -1].argmax(axis=-1)[:, None]
-            out = np.concatenate([out, nxt], axis=1)
-            step = nxt
-        return out
+    # The resident model's own loop and checks, fetching each layer
+    # through :meth:`layer_weights` as it is reached.
+    forward = DenseTransformer.forward
+    generate = DenseTransformer.generate
 
     # -- accounting ------------------------------------------------------
 

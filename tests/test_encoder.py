@@ -1,5 +1,7 @@
 """Tests for the functional bidirectional encoder."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -51,6 +53,9 @@ class TestEncoder:
             model.encode(np.array([[CFG.vocab]]))
         with pytest.raises(ValueError):
             model.encode(np.zeros((1, CFG.max_seq + 1), dtype=int))
+        rotary = dataclasses.replace(CFG, pos_encoding="rotary")
+        with pytest.raises(ValueError, match="pos_encoding"):
+            EncoderTransformer(rotary)
 
     def test_padding_mask_isolates_padded_tokens(self, model):
         """A padded batch must produce the same embeddings for the real

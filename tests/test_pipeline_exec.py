@@ -1,5 +1,7 @@
 """Tests: distributed pipelined generation == single-process generation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -52,3 +54,13 @@ class TestPipelinedGeneration:
         with pytest.raises(RuntimeError):
             # gen_tokens validated inside the rank program
             pipeline_spmd_generate(2, model, np.array([[1], [2]]), 0)
+
+
+class TestRotaryPipelinedGeneration(TestPipelinedGeneration):
+    """The same checks on a rotary model: stage 0 embeds through the
+    model, which adds no learned positions to it."""
+
+    @pytest.fixture(scope="class")
+    def model(self):
+        return DenseTransformer(
+            dataclasses.replace(CFG, pos_encoding="rotary"), seed=19)

@@ -5,7 +5,7 @@ import pytest
 
 from repro.kernels.functional import apply_rotary
 from repro.model import DenseTransformer, KVCache, ModelConfig
-from repro.parallel import tp_spmd_forward
+from repro.parallel import partition_layers, staged_forward, tp_spmd_forward
 
 ROT_CFG = ModelConfig(name="rot-test", hidden=32, layers=3, heads=4, vocab=61,
                       max_seq=48, pos_encoding="rotary")
@@ -119,6 +119,14 @@ class TestRotaryModel:
             np.testing.assert_allclose(
                 tp_spmd_forward(tp, model, ids), ref, atol=1e-10
             )
+
+    def test_staged_forward_exact_with_rotary(self, model):
+        """Stage boundaries carry activations; the first stage embeds
+        through the model, which adds no learned positions."""
+        ids = np.array([[5, 9, 2, 7]])
+        plans = partition_layers(ROT_CFG.layers, 3)
+        np.testing.assert_array_equal(staged_forward(model, plans, ids),
+                                      model.forward(ids))
 
     def test_checkpoint_roundtrip_preserves_encoding(self, model, tmp_path):
         from repro.model import load_checkpoint, save_checkpoint

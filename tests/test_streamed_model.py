@@ -1,10 +1,12 @@
 """Tests: the runnable ZeRO-Inference streamed transformer."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.hardware import lambda_a6000_workstation
-from repro.model import DenseTransformer, ModelConfig
+from repro.model import DenseTransformer, KVCache, ModelConfig
 from repro.zero import StreamedTransformer, Tier
 
 CFG = ModelConfig(name="stream-test", hidden=32, layers=5, heads=4, vocab=53,
@@ -19,11 +21,14 @@ def model():
 
 class TestStreamedForward:
     def test_logits_match_resident_model(self, model):
+        """The resident model's own loop: equal by bytes, cached too."""
         streamed = StreamedTransformer(model, WS, window=2)
         ids = np.array([[4, 8, 15, 16]])
-        np.testing.assert_allclose(
-            streamed.forward(ids), model.forward(ids), atol=1e-12
-        )
+        assert streamed.forward(ids).tobytes() == model.forward(ids).tobytes()
+        mine, ref = KVCache(CFG.layers), KVCache(CFG.layers)
+        for step in (ids[:, :3], ids[:, 3:]):
+            assert (streamed.forward(step, mine).tobytes()
+                    == model.forward(step, ref).tobytes())
 
     @pytest.mark.parametrize("window", [1, 2, 5])
     def test_any_window_size(self, model, window):
@@ -84,6 +89,16 @@ class TestFetchAccounting:
         assert some.fetches_per_forward() < none.fetches_per_forward()
 
 
+class TestRotaryStreamedForward(TestStreamedForward):
+    """The same checks on a rotary model, which takes no learned
+    positions."""
+
+    @pytest.fixture(scope="class")
+    def model(self):
+        return DenseTransformer(
+            dataclasses.replace(CFG, pos_encoding="rotary"), seed=29)
+
+
 class TestValidation:
     def test_bad_window(self, model):
         with pytest.raises(ValueError):
@@ -92,3 +107,10 @@ class TestValidation:
     def test_bad_pinned_count(self, model):
         with pytest.raises(ValueError):
             StreamedTransformer(model, WS, pinned_layers=99)
+
+    def test_forward_checks_ids_and_length(self, model):
+        streamed = StreamedTransformer(model, WS)
+        with pytest.raises(ValueError, match="vocabulary"):
+            streamed.forward(np.array([[CFG.vocab]]))
+        with pytest.raises(ValueError, match="max_seq"):
+            streamed.forward(np.zeros((1, CFG.max_seq + 1), dtype=int))
