@@ -15,8 +15,9 @@ to every simulator as its required ``costs=`` argument:
 * :class:`StepCostModel` — ``prompt_cost(state, request)`` prices
   admitting one prompt while ``state`` (the sequences already live)
   rides along in the same iteration (Sec. IV-C1's hybrid prompt+token
-  scheduling); ``decode_cost(state)`` prices one decode iteration that
-  generates one token for every sequence in ``state``;
+  scheduling); ``decode_run_cost(state, steps)`` prices ``steps``
+  consecutive decode iterations, each generating one token for every
+  sequence in ``state``, and ``decode_cost(state)`` is a run of one;
 * :class:`DenseStepCost` — wraps :class:`~repro.engine.latency
   .DenseLatencyModel`;
 * :class:`MoEStepCost` — wraps :class:`~repro.engine.moe
@@ -39,27 +40,22 @@ entry 0 of its shape. Each freshly priced pass is checked finite and
 non-negative once, so a broken latency model fails at its first bad
 shape instead of poisoning simulated time.
 
-Beyond the two scalar methods, every model prices whole *runs*:
-:meth:`StepCostModel.decode_run_cost` returns the per-iteration costs of
-``steps`` consecutive decode iterations in one NumPy evaluation. Between
-scheduler-relevant events the live batch's composition is frozen — every
-KV length just grows by one per iteration — so the event-compressed
-serving loop (:class:`~repro.engine.replica._Replica`) prices
-a whole stretch with one call instead of ``steps`` Python round-trips.
-The ABC ships a per-step reference fallback; the pass-priced adapters
-override it with an evaluate-once, slice-forever scheme over the decode
-shapes' arrays, which ``decode_cost`` and a prompt's riders read too,
-so run pricing is bit-for-bit identical to the per-step path. Each
-contiguous unpriced KV span is priced by one ``_price_kvs(batch,
-tokens_per_seq, kvs)`` call: the dense and MoE adapters evaluate it as
-one NumPy expression over the kernel model's compiled closed forms
-(equal by IEEE bits to pricing each entry alone), anything else one
-``_price`` call per entry. A decode run prices just the span it needs.
-A prompt miss prices its own pass through ``_price`` and then, on the
-vector path, every other unpriced entry of its shape's array in one
-call, so a later chat turn with the same suffix length over another
-cached prefix finds its pass priced. Every run is a fresh array the
-caller may overwrite.
+Decode is priced in whole *runs* by :meth:`StepCostModel
+.decode_run_cost`, the only decode method a cost model implements:
+between scheduler-relevant events the live batch's composition is
+frozen — every KV length just grows by one per iteration — so the
+event-compressed serving loop (:class:`~repro.engine.replica._Replica`)
+prices a whole stretch with one call. A pass-priced adapter's run is a
+slice of its batch size's decode array, which a prompt's riders read
+too. Each contiguous unpriced KV span is priced by one
+``_price_kvs(batch, tokens_per_seq, kvs)`` call: the dense and MoE
+adapters evaluate it as one NumPy expression over the kernel model's
+compiled closed forms (equal by IEEE bits to pricing each entry alone),
+anything else one ``_price`` call per entry. A prompt miss prices its
+own pass through ``_price`` and then, on the vector path, every other
+unpriced entry of its shape's array in one call, so a later chat turn
+with the same suffix length over another cached prefix finds its pass
+priced. Every run is a fresh array the caller may overwrite.
 """
 
 from __future__ import annotations
@@ -188,12 +184,26 @@ class BatchState:
         return BatchState(self.batch, self.total_kv + self.batch * steps)
 
 
+def _run_steps(state: BatchState, steps) -> int:
+    """``steps`` as an int, checked as every shipped ``decode_run_cost``
+    checks it: an integer ``>= 0``, over a non-empty batch unless 0."""
+    if type(steps) is not int:  # the serving loop's exact ints skip it
+        steps = _as_index("steps", steps)
+    if steps < 0:
+        raise ValueError("steps must be >= 0")
+    if steps and state.batch < 1:
+        raise ValueError("decode_run_cost needs a non-empty batch")
+    return steps
+
+
 class StepCostModel(ABC):
     """Prices a continuous-batching server's two iteration kinds.
 
     The serving/fleet simulators call these with states built from the
     shared scheduler, so every model family sees exactly the decisions
-    the dense path sees — only the seconds differ.
+    the dense path sees — only the seconds differ. A subclass implements
+    :meth:`prompt_cost` and :meth:`decode_run_cost`; :meth:`decode_cost`
+    is a run of one.
     """
 
     @abstractmethod
@@ -202,48 +212,25 @@ class StepCostModel(ABC):
         ``state`` sequences — the batch *excluding* the newcomer — each
         ride along for one decode token in the same iteration."""
 
-    @abstractmethod
     def decode_cost(self, state: BatchState) -> float:
         """Seconds for one decode iteration generating one token for
-        every sequence in ``state`` (``state.batch >= 1``)."""
+        every sequence in ``state`` (``state.batch >= 1``): the first
+        entry of a one-step :meth:`decode_run_cost`."""
+        return self.decode_run_cost(state, 1).item(0)
 
+    @abstractmethod
     def decode_run_cost(self, state: BatchState, steps: int) -> np.ndarray:
         """Per-iteration seconds of ``steps`` consecutive decode
         iterations starting from ``state``, as a fresh float64 array.
 
-        Element ``i`` equals ``decode_cost(state.advanced(i))``
-        bit-for-bit — the batch's composition is frozen across the run
-        and every KV length grows by one per iteration, which is exactly
-        the situation between two scheduler-relevant events. The serving
-        loop prices every step up to the next retirement, past where an
-        arrival may end the stretch, turns the run into step end times
-        in place and binary-searches them: an override of
-        :meth:`_decode_run_cost` must return a fresh float64 array (never
-        a view of a cache) of finite costs ``>= 0``. The base
-        implementation is the per-step reference loop, one
-        ``decode_cost`` call per step; the shipped adapters vectorize.
+        Element ``i`` prices the iteration at ``state.advanced(i)``: the
+        batch's composition is frozen across the run, which is exactly
+        the situation between two scheduler-relevant events. ``steps ==
+        0`` gives an empty array; any other run needs ``state.batch >=
+        1``. The serving loop turns the run into step end times in place
+        and binary-searches them, so its costs must be finite and ``>=
+        0``, in a float64 array that no cache shares.
         """
-        if type(steps) is not int:  # the serving loop's exact ints skip it
-            steps = _as_index("steps", steps)
-        if steps < 0:
-            raise ValueError("steps must be >= 0")
-        if steps == 0:
-            return np.empty(0)
-        if state.batch < 1:
-            raise ValueError("decode_run_cost needs a non-empty batch")
-        return self._decode_run_cost(state, steps)
-
-    def _decode_run_cost(self, state: BatchState, steps: int) -> np.ndarray:
-        # Per-step reference fallback: correct for any model, one Python
-        # round-trip per iteration.
-        out = np.empty(steps)
-        for i in range(steps):
-            c = out[i] = self.decode_cost(state)
-            if not 0.0 <= c < math.inf:
-                raise ValueError(f"decode step {i} of a run priced at {c!r} "
-                                 "s; step costs must be finite and >= 0")
-            state = state.advanced()
-        return out
 
 
 class ClosureStepCost(StepCostModel):
@@ -269,10 +256,9 @@ class ClosureStepCost(StepCostModel):
     def prompt_cost(self, state: BatchState, request: _HasPromptLen) -> float:
         return self._prompt_time(state.batch + 1, request.prompt_len)
 
-    def decode_cost(self, state: BatchState) -> float:
-        return self._step_time(state.batch)
-
-    def _decode_run_cost(self, state: BatchState, steps: int) -> np.ndarray:
+    def decode_run_cost(self, state: BatchState, steps: int) -> np.ndarray:
+        if not _run_steps(state, steps):
+            return np.empty(0)
         # KV-blind: one closure call broadcast across steps, as float64
         # even when ``step_time`` returns an int.
         return np.full(steps, self._step_time(state.batch), np.float64)
@@ -389,14 +375,13 @@ class _PassPricedCost(StepCostModel):
             cost += entry[0].item(c)
         return cost
 
-    def decode_cost(self, state: BatchState) -> float:
-        c = max(1, state.mean_kv) - 1
-        return self._passes(max(1, state.batch), 1, c, c + 1)[0].item(c)
-
-    def _decode_run_cost(self, state: BatchState, steps: int) -> np.ndarray:
+    def decode_run_cost(self, state: BatchState, steps: int) -> np.ndarray:
+        steps = _run_steps(state, steps)
+        if not steps:
+            return np.empty(0)
         # Every sequence gains one token per iteration, so the ceiling-mean
         # KV grows exactly +1 per step: the run is a contiguous slice of
-        # this batch size's cost array, which ``decode_cost`` reads too.
+        # this batch size's cost array, which a prompt's riders read too.
         # ``total_kv >= batch`` keeps the ceiling mean >= 1 (entry >= 0).
         batch = state.batch
         c0 = -(-state.total_kv // batch) - 1

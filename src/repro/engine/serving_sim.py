@@ -407,7 +407,8 @@ def synthesize_trace(
     # draw_arrivals validates the count and rate, WorkloadTrace the skew.
     if mean_prompt < 1 or mean_gen < 1:
         raise ValueError("mean lengths must be >= 1")
-    if num_sessions is not None and num_sessions < 1:
+    if num_sessions is not None and _as_index(
+            "num_sessions", num_sessions) < 1:
         raise ValueError("num_sessions must be >= 1 when given")
     rng = as_generator(seed)
     arrivals = draw_arrivals(

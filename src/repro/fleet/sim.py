@@ -185,6 +185,10 @@ def simulate_fleet(
     max_batch = _as_index("max_batch", max_batch)
     if not 1 <= max_batch:
         raise ValueError("max_batch must be >= 1")
+    if _max_run_steps is not None:
+        _max_run_steps = _as_index("_max_run_steps", _max_run_steps)
+        if _max_run_steps < 1:
+            raise ValueError("_max_run_steps must be >= 1 when given")
     full = _full_detail(detail)
     plan = fault_plan or FaultPlan()
     plan.validate_against(num_replicas)

@@ -29,14 +29,12 @@ and raises on any difference, so a future non-affine op fails loudly
 instead of mispricing. ``chain_cost`` stays the generic path for
 arbitrary chains (expert FFNs, analysis, baselines) and the test oracle.
 
-Two evaluators. A compiled layer caches its closed forms per token
-count as one row per region (weight bytes, the token-count parts of the
-byte and flop forms, the two rates), as Python floats and as float64
-columns. :meth:`KernelCostModel.layer_cost` evaluates the rows at one
-shape into :class:`RegionTime` objects, and :class:`LayerCost` folds
-their totals left to right. :meth:`KernelCostModel.layer_times`
-evaluates the columns over a whole span of KV lengths at once, with no
-per-region objects, and folds the regions in the same order. The same
+One evaluator. A compiled layer caches its closed forms per token count
+as float64 columns, one row per region, and evaluates them over a grid
+of regions by KV lengths. :meth:`KernelCostModel.layer_cost` reads one
+column into :class:`RegionTime` objects, which :class:`LayerCost` folds
+left to right; :meth:`KernelCostModel.layer_times` folds the grid's
+rows in the same order over a whole span of KV lengths. The same
 exactness below 2**53 makes a span's totals equal the regions' fold and
 ``chain_cost``'s total bit for bit. Prompt-pass misses go through
 ``layer_cost`` and decode-run misses through ``layer_times``.
@@ -184,66 +182,53 @@ class _CompiledLayer:
         self.forms = forms
         self.launch = model._launch_cost()
         self.dispatch = model.profile.dispatch_overhead
-        # tokens -> (rows, columns), see :meth:`_rows`.
-        self._row_cache: dict[
-            int, tuple[list[tuple[float, ...]], tuple[np.ndarray, ...]]] = {}
+        # tokens -> one ``(regions, 1)`` float64 column per field: weight
+        # bytes, ``a0 + a1·t``, ``a2``, ``a3``, ``f0 + f1·t``, ``f2``,
+        # ``f3``, then (HBM bytes/s, math ops/s). The efficiencies depend
+        # on the token count only, so a column serves every KV length.
+        self._columns: dict[int, tuple[np.ndarray, ...]] = {}
 
-    def _rows(self, t: int
-              ) -> tuple[list[tuple[float, ...]], tuple[np.ndarray, ...]]:
-        """The closed forms at ``t`` tokens, one row per region: weight
-        bytes, ``a0 + a1·t``, ``a2``, ``a3``, ``f0 + f1·t``, ``f2``,
-        ``f3``, then (HBM bytes/s, math ops/s). The efficiencies depend
-        on the token count only, so a row is the same for every KV
-        length. Returned as Python floats and as one ``(regions, 1)``
-        float64 column per field, holding the same values."""
-        cached = self._row_cache.get(t)
-        if cached is None:
+    def _grid(self, shape: LayerShape,
+              kvs: np.ndarray) -> tuple[np.ndarray, ...]:
+        """``(hbm_bytes, flops, memory_time, compute_time)`` of every
+        region (rows) at each KV length in ``kvs`` (columns)."""
+        t = shape.tokens
+        columns = self._columns.get(t)
+        if columns is None:
             model = self.model
-            rows = [
+            columns = self._columns[t] = tuple(np.array([
                 (f.weight_bytes, f.act[0] + f.act[1] * t, f.act[2], f.act[3],
                  f.flops[0] + f.flops[1] * t, f.flops[2], f.flops[3],
                  *model._rates(f.has_weight_gemm, f.has_attention,
                                f.sbi_out_features, t))
-                for f in self.forms]
-            columns = tuple(np.array(rows, np.float64).T[:, :, None].copy())
-            cached = self._row_cache[t] = (rows, columns)
-        return cached
-
-    def regions(self, shape: LayerShape) -> tuple[RegionTime, ...]:
-        """Every region's :class:`RegionTime` at ``shape``."""
-        t = shape.tokens
-        bk = shape.batch * shape.kv_len
-        tk = t * shape.kv_len
-        launch, dispatch = self.launch, self.dispatch
-        regions = []
-        for f, (weight, a01, a2, a3, f01, f2, f3, mem_rate, math_rate) in zip(
-                self.forms, self._rows(t)[0]):
-            hbm = weight + ((a01 + a2 * bk) + a3 * tk)
-            flops = (f01 + f2 * bk) + f3 * tk
-            regions.append(RegionTime(
-                f.name, hbm / mem_rate, flops / math_rate if flops else 0.0,
-                launch, hbm, flops, dispatch))
-        return tuple(regions)
-
-    def times(self, shape: LayerShape, kvs: np.ndarray) -> np.ndarray:
-        """``LayerCost(regions(replace(shape, kv_len=kv))).total_time``
-        for each ``kv`` in ``kvs``, as one float64 array, bit for bit.
-
-        The regions form the rows of one ``(regions, len(kvs))`` grid,
-        evaluated in :meth:`regions`' operation order. Every count below
-        2**53 is exact in float64 as in Python ints, so each entry is the
-        scalar :class:`RegionTime`'s float. The rows fold with a
-        sequential ``np.add.accumulate``, :class:`LayerCost`'s
-        left-to-right sum."""
-        t = shape.tokens
-        weight, a01, a2, a3, f01, f2, f3, mem_rate, math_rate = self._rows(t)[1]
-        # int64 rows: never the target of an in-place float op.
+                for f in self.forms], np.float64).T[:, :, None].copy())
+        weight, a01, a2, a3, f01, f2, f3, mem_rate, math_rate = columns
+        # int64 rows: never the target of an in-place float op. Every
+        # count below 2**53 is exact in float64 as in Python ints.
         bk = shape.batch * kvs
         tk = t * kvs
         hbm = weight + ((a01 + a2 * bk) + a3 * tk)
         flops = (f01 + f2 * bk) + f3 * tk
-        # ``flops / rate`` is 0.0 where ``flops`` is, the scalar's branch.
-        region = np.maximum(hbm / mem_rate, flops / math_rate)
+        # ``flops / rate`` is 0.0 where ``flops`` is, as in ``region_time``.
+        return hbm, flops, hbm / mem_rate, flops / math_rate
+
+    def regions(self, shape: LayerShape) -> tuple[RegionTime, ...]:
+        """Every region's :class:`RegionTime` at ``shape``."""
+        grid = self._grid(shape, np.array([shape.kv_len]))
+        hbm, flops, memory, compute = (g[:, 0].tolist() for g in grid)
+        launch, dispatch = self.launch, self.dispatch
+        return tuple(RegionTime(f.name, m, c, launch, b, x, dispatch)
+                     for f, m, c, b, x in zip(
+                         self.forms, memory, compute, hbm, flops))
+
+    def times(self, shape: LayerShape, kvs: np.ndarray) -> np.ndarray:
+        """``LayerCost(regions(replace(shape, kv_len=kv))).total_time``
+        for each ``kv`` in ``kvs``, as one float64 array, bit for bit:
+        each region's total from :meth:`_grid`, folded down the rows by
+        a sequential ``np.add.accumulate``, :class:`LayerCost`'s
+        left-to-right sum."""
+        _, _, memory, compute = self._grid(shape, kvs)
+        region = np.maximum(memory, compute)
         np.maximum(region, self.launch, out=region)
         region += self.dispatch
         return np.add.accumulate(region, axis=0)[-1]

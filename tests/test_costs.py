@@ -21,9 +21,7 @@ from repro.engine import (
     MoELatencyModel,
     MoEStepCost,
     PromptShape,
-    Request,
     StepCostModel,
-    WorkloadTrace,
     ZeroStepCost,
     simulate_serving,
     synthesize_trace,
@@ -372,10 +370,35 @@ class TestDenseStepCost:
         assert long > short
 
 
-class _PerStepFallback(ClosureStepCost):
-    """Prices runs with the ABC's per-step reference loop."""
+class TestDecodeEntry:
+    """``decode_run_cost`` is the one decode method a cost model
+    implements; ``decode_cost`` is a run of one."""
 
-    _decode_run_cost = StepCostModel._decode_run_cost
+    def test_decode_run_cost_is_abstract(self):
+        class StepOnly(StepCostModel):
+            def prompt_cost(self, state, request):
+                return 1.0
+
+            def decode_cost(self, state):
+                return 1.0
+
+        assert StepCostModel.__abstractmethods__ == {"prompt_cost",
+                                                     "decode_run_cost"}
+        with pytest.raises(TypeError, match="decode_run_cost"):
+            StepOnly()
+
+    @pytest.mark.parametrize("name", ["dense", "moe", "zero", "closure"])
+    def test_decode_cost_is_a_run_of_one(self, name, dense_cost, moe_cost,
+                                         zero_cost):
+        cost = {"dense": dense_cost, "moe": moe_cost, "zero": zero_cost,
+                "closure": ClosureStepCost(lambda b, p: 1.0,
+                                           lambda b: 1e-3 * b + 0.1),
+                }[name]
+        for state in (BatchState.uniform(1, 32), BatchState.uniform(4, 900),
+                      BatchState.of((17, 128, 301))):
+            step = cost.decode_cost(state)
+            assert type(step) is float
+            assert step.hex() == cost.decode_run_cost(state, 1)[0].hex()
 
 
 class TestDecodeRunCost:
@@ -436,15 +459,7 @@ class TestDecodeRunCost:
         run = cost.decode_run_cost(state, 5)
         assert run.tolist() == self._reference(cost, state, 5)
 
-    def test_base_class_fallback(self):
-        """A subclass that does not override _decode_run_cost gets the
-        per-step reference loop from the ABC."""
-        cost = _PerStepFallback(lambda b, p: 1.0, lambda b: 0.5 * b)
-        state = BatchState.uniform(2, 8)
-        assert cost.decode_run_cost(state, 4).tolist() == [1.0] * 4
-
-    @pytest.mark.parametrize("name", ["dense", "moe", "zero", "closure",
-                                      "fallback"])
+    @pytest.mark.parametrize("name", ["dense", "moe", "zero", "closure"])
     def test_caller_owns_the_returned_array(self, name, dense_cost, moe_cost,
                                             zero_cost):
         """The serving loop writes step end times into the run it gets
@@ -452,8 +467,6 @@ class TestDecodeRunCost:
         cost = {"dense": dense_cost, "moe": moe_cost, "zero": zero_cost,
                 "closure": ClosureStepCost(lambda b, p: 1.0,
                                            lambda b: 0.25 * b),
-                "fallback": _PerStepFallback(lambda b, p: 1.0,
-                                             lambda b: 0.5 * b),
                 }[name]
         state = BatchState.uniform(3, 40)
         run = cost.decode_run_cost(state, self.STEPS)
@@ -465,34 +478,14 @@ class TestDecodeRunCost:
 
     def test_closure_run_is_float64_for_int_step_times(self):
         """The serving loop folds fractional start times into the run in
-        place, so an int ``step_time`` must still price a float64 run."""
+        place, so an int ``step_time`` must still price a float64 run,
+        and a float one step."""
         cost = ClosureStepCost(lambda b, p: 1, lambda b: 1)
         run = cost.decode_run_cost(BatchState.uniform(2, 8), 3)
         assert run.dtype == np.float64
         assert run.tolist() == [1.0] * 3
-
-    def test_fallback_rejects_a_bad_mid_run_price(self):
-        """The serving loop binary-searches a run's running sum, so the
-        per-step fallback rejects a negative step anywhere in the run,
-        not just one that drags the run's end before its start."""
-
-        class DipAtKv20(_PerStepFallback):
-            def decode_cost(self, state):
-                return -0.5 if state.mean_kv == 20 else 1.0
-
-        cost = DipAtKv20(lambda b, p: 1.0, None)
-        state = BatchState.uniform(1, 16)
-        assert cost.decode_run_cost(state, 4).tolist() == [1.0] * 4
-        with pytest.raises(ValueError,
-                           match=r"decode step 4 of a run priced at -0.5 "
-                                 r"s"):
-            cost.decode_run_cost(state, 8)
-        # In a server: one request decoding through KV 20 while a second
-        # is due mid-stretch.
-        trace = WorkloadTrace((Request(0, 0.0, 15, 12),
-                               Request(1, 4.5, 15, 2)))
-        with pytest.raises(ValueError, match="priced at -0.5 s"):
-            simulate_serving(trace, costs=cost, max_batch=2)
+        step = cost.decode_cost(BatchState.uniform(2, 8))
+        assert type(step) is float and step == 1.0
 
     def test_validation(self, dense_cost):
         state = BatchState.uniform(2, 16)

@@ -108,6 +108,16 @@ class TestHealthyFleet:
         with pytest.raises(ValueError, match="max_batch"):
             simulate_fleet(trace, num_replicas=2, max_batch=0, costs=COSTS)
 
+    def test_max_run_steps_must_be_positive(self):
+        """0 used to fail mid-run with a bare ``IndexError`` from the
+        stretch fold."""
+        with pytest.raises(ValueError, match="_max_run_steps must be >= 1"):
+            simulate_fleet(_trace(n=5), num_replicas=2, max_batch=2,
+                           costs=COSTS, _max_run_steps=0)
+        with pytest.raises(TypeError, match="_max_run_steps must be an int"):
+            simulate_fleet(_trace(n=5), num_replicas=2, max_batch=2,
+                           costs=COSTS, _max_run_steps=1.5)
+
     @pytest.mark.parametrize("num_replicas", [2.5, float("nan")])
     def test_num_replicas_must_be_an_integer(self, num_replicas):
         """Used to fail inside ``range`` without naming the argument."""

@@ -15,6 +15,8 @@ holds:
   one shape's costs to another and move them).
 """
 
+import numpy as np
+
 from repro.engine import (
     DenseLatencyModel,
     DenseStepCost,
@@ -44,8 +46,8 @@ class _CountingLatency:
 
 
 class _ScalarCost(StepCostModel):
-    """Prices every pass with one ``step_time`` call and keeps nothing;
-    decode runs take the ABC's per-step loop."""
+    """Prices every pass with one ``step_time`` call and keeps nothing,
+    a decode run one step at a time."""
 
     def __init__(self, model):
         self.model = model
@@ -58,9 +60,11 @@ class _ScalarCost(StepCostModel):
             cost += sum(self.model.step_time(state.batch, 1, state.mean_kv))
         return cost
 
-    def decode_cost(self, state):
-        return sum(self.model.step_time(
-            max(1, state.batch), 1, max(1, state.mean_kv)))
+    def decode_run_cost(self, state, steps):
+        return np.array([
+            sum(self.model.step_time(state.batch, 1,
+                                     state.advanced(i).mean_kv))
+            for i in range(steps)], np.float64)
 
 
 # Committed figures for the run below. Before prompt passes shared the

@@ -331,8 +331,8 @@ class TestFoldBoundary:
     def test_held_stretch_cut_by_a_delivery(self, dense_cost, monkeypatch,
                                             horizon):
         """Round robin sends request 2 to replica 0 mid-stretch; the
-        stretch was held past that arrival, so the delivery cuts it (a
-        short one by re-folding its step costs)."""
+        stretch was held past that arrival, so the delivery cuts its step
+        end times at the arrival."""
         _, mid = self._mid_decode(dense_cost, horizon)
         trace = WorkloadTrace((Request(0, 0.0, 16, horizon + 1),
                                Request(1, 0.0, 16, horizon + 1),
@@ -379,10 +379,7 @@ class _DrawnCost(StepCostModel):
     def prompt_cost(self, state, request):
         return self.prompt
 
-    def decode_cost(self, state):
-        raise AssertionError("the serving loop prices whole runs")
-
-    def _decode_run_cost(self, state, steps):
+    def decode_run_cost(self, state, steps):
         assert steps == len(self.costs)
         return np.array(self.costs)
 

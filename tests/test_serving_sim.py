@@ -63,6 +63,14 @@ class TestTraceSynthesis:
         with pytest.raises(ValueError, match="unique"):
             WorkloadTrace((Request(3, 0.0, 1, 1), Request(3, 1.0, 1, 1)))
 
+    @pytest.mark.parametrize("num_sessions", [2.5, _NAN])
+    def test_num_sessions_must_be_an_integer(self, num_sessions):
+        """2.5 drew session ids from ``[0, 2.5)`` silently, and NaN failed
+        in NumPy without naming the argument."""
+        with pytest.raises(TypeError, match="num_sessions must be an integer"):
+            synthesize_trace(num_requests=4, arrival_rate=1.0,
+                             num_sessions=num_sessions)
+
     @pytest.mark.parametrize("make", [
         lambda: Request(0, _NAN, 4, 4),
         lambda: Request(0, _INF, 4, 4),
