@@ -35,11 +35,11 @@ class CPUOnlyBaseline:
 
     def fits(self) -> bool:
         """Whether the model fits host DRAM at all."""
-        return self.weight_bytes <= self.host.dram_bytes * 0.9
+        return self.weight_bytes <= self.host.usable_dram_bytes
 
     def max_model_params(self) -> float:
         """Largest parameter count this host can serve (FP32)."""
-        return self.host.dram_bytes * 0.9 / DType.FP32.itemsize
+        return self.host.usable_dram_bytes / DType.FP32.itemsize
 
     def forward_pass_time(self, *, batch: int, seq_len: int) -> float:
         """One forward pass: weight streaming from DRAM overlapped with

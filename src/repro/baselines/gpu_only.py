@@ -44,15 +44,15 @@ class GPUOnlyBaseline:
         """Resident model footprint."""
         return self.config.param_bytes(self.dtype)
 
-    def fits(self, *, headroom: float = 0.90) -> bool:
+    def fits(self) -> bool:
         """Whether the weights alone fit one GPU."""
-        return self.weight_bytes <= self.cluster.gpu.memory_bytes * headroom
+        return self.weight_bytes <= self.cluster.gpu.usable_bytes
 
-    def max_batch(self, seq_len: int, *, headroom: float = 0.90) -> int:
+    def max_batch(self, seq_len: int) -> int:
         """Largest batch after the weights claim their share."""
         if seq_len < 1:
             raise ValueError("seq_len must be >= 1")
-        free = self.cluster.gpu.memory_bytes * headroom - self.weight_bytes
+        free = self.cluster.gpu.usable_bytes - self.weight_bytes
         if free <= 0:
             return 0
         per_sample = seq_len * (

@@ -245,7 +245,7 @@ def ablation_pinned_weights() -> ExperimentResult:
     ws = lambda_a6000_workstation(1)
     cfg = get_model("gpt-neox-20b")
     rows = []
-    gpu_budget = ws.gpu.memory_bytes * 0.90
+    gpu_budget = ws.gpu.usable_bytes
     for pinned_frac in (0.0, 0.25, 0.5, 0.75):
         eng = ZeroInferenceEngine(cfg, ws, prefetch_depth=1)
         pinned_layers = int(cfg.layers * pinned_frac)

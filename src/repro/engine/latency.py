@@ -30,6 +30,7 @@ from ..kernels.graph import LayerShape
 from ..kernels.profiles import DEEPSPEED_FP16, ImplementationProfile
 from ..model.config import ModelConfig
 from ..parallel.schedules import ScheduleResult, simulate_pipeline
+from .scheduler import _as_index
 
 __all__ = ["Workload", "LatencyReport", "DenseLatencyModel"]
 
@@ -43,6 +44,8 @@ class Workload:
     gen_tokens: int
 
     def __post_init__(self) -> None:
+        for name in ("batch", "prompt_len", "gen_tokens"):
+            _as_index(name, getattr(self, name))
         if self.batch < 1 or self.prompt_len < 1 or self.gen_tokens < 0:
             raise ValueError("batch, prompt_len >= 1 and gen_tokens >= 0 required")
 
@@ -222,10 +225,6 @@ class DenseLatencyModel:
         t += self.lm_head_time(batch, tokens_per_seq) / self.pp
         return t
 
-    def _p2p_act_time(self, batch: int, tokens_per_seq: int) -> float:
-        nbytes = batch * tokens_per_seq * self.config.hidden * DType.FP16.itemsize
-        return p2p_time(self.cluster.inter_link, nbytes)
-
     # -- end to end ---------------------------------------------------------
 
     def estimate(self, workload: Workload) -> LatencyReport:
@@ -250,27 +249,43 @@ class DenseLatencyModel:
             )
         return self._estimate_pipelined(workload)
 
-    def _estimate_pipelined(self, workload: Workload) -> LatencyReport:
-        gen_mb = self.pp  # P micro-batches keeps every stage busy (Sec. IV-C1)
+    def pipeline_schedule(
+        self, workload: Workload
+    ) -> tuple[ScheduleResult, int, int]:
+        """The simulated micro-batch schedule of ``workload``, with the
+        generation and prompt micro-batch sizes it ran.
+
+        Generation splits the batch into ``pp`` micro-batches, which
+        keeps every stage busy (Sec. IV-C1); the prompt phase uses
+        ``hybrid_prompt_factor`` times as many. Each inter-stage hop
+        sends one generation micro-batch's FP16 activations.
+        """
+        gen_mb = self.pp
         prompt_mb = gen_mb * self.hybrid_prompt_factor
         mb_batch = max(1, workload.batch // gen_mb)
         pmb_batch = max(1, workload.batch // prompt_mb)
-        kv_end = workload.prompt_len + workload.gen_tokens
-
-        prompt_stage = self.stage_time(pmb_batch, workload.prompt_len,
-                                       workload.prompt_len)
-        gen_stage = self.stage_time(mb_batch, 1, kv_end)
-        result: ScheduleResult = simulate_pipeline(
+        p2p = 0.0
+        if self.pp > 1:
+            p2p = p2p_time(self.cluster.inter_link,
+                           mb_batch * self.config.hidden * DType.FP16.itemsize)
+        result = simulate_pipeline(
             num_stages=self.pp,
             prompt_microbatches=prompt_mb,
             gen_microbatches=gen_mb,
             gen_tokens=workload.gen_tokens,
-            prompt_stage_time=prompt_stage,
-            gen_stage_time=gen_stage,
-            p2p_time=self._p2p_act_time(mb_batch, 1),
+            prompt_stage_time=self.stage_time(
+                pmb_batch, workload.prompt_len, workload.prompt_len),
+            gen_stage_time=self.stage_time(
+                mb_batch, 1, workload.prompt_len + workload.gen_tokens),
+            p2p_time=p2p,
             lockstep_generation=self.lockstep_generation,
         )
-        gk, gc = self.layer_time(mb_batch, 1, kv_end)
+        return result, mb_batch, pmb_batch
+
+    def _estimate_pipelined(self, workload: Workload) -> LatencyReport:
+        result, mb_batch, _ = self.pipeline_schedule(workload)
+        gk, gc = self.layer_time(mb_batch, 1,
+                                 workload.prompt_len + workload.gen_tokens)
         per_token = (
             result.generation_time / workload.gen_tokens
             if workload.gen_tokens

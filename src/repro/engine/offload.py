@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from ..hardware.specs import DType
 from ..hardware.topology import ClusterSpec
 from ..model.config import ModelConfig
+from ..parallel.planner import memory_per_gpu
 from ..simcore import BandwidthLink, Simulator, Timeout, transfer
 
 __all__ = [
@@ -43,7 +44,6 @@ def max_batch_size(
     seq_len: int,
     offload_activations: bool = False,
     dtype: DType = DType.FP16,
-    headroom: float = 0.90,
 ) -> int:
     """Largest batch whose weights + resident KV fit per GPU.
 
@@ -52,24 +52,21 @@ def max_batch_size(
     resident, so the GPU budget stops limiting the batch — DRAM capacity
     takes over as the binding constraint.
     """
-    if min(tp, pp, seq_len) < 1:
-        raise ValueError("tp, pp and seq_len must be >= 1")
-    budget = cluster.gpu.memory_bytes * headroom
-    weights = config.total_params * dtype.itemsize / (tp * pp)
+    budget = cluster.gpu.usable_bytes
+    weights, kv_per_seq_gpu = memory_per_gpu(
+        config, tp, pp, batch=1, seq_len=seq_len, dtype=dtype)
     if weights >= budget:
         return 0
-    kv_per_seq_gpu = seq_len * config.kv_bytes_per_token(dtype) / (tp * pp)
     if not offload_activations:
         return int((budget - weights) / kv_per_seq_gpu)
     # Offloaded: GPU holds ~2 layers of cache; DRAM holds the rest.
     layers_per_stage = max(1, config.layers // pp)
     resident = kv_per_seq_gpu * min(2, layers_per_stage) / layers_per_stage
     gpu_bound = int((budget - weights) / max(resident, 1e-9))
-    dram_budget = cluster.node.host.dram_bytes * headroom
     kv_per_seq_node = (
         seq_len * config.kv_bytes_per_token(dtype) / pp
     )  # a node holds one stage's TP group
-    dram_bound = int(dram_budget / kv_per_seq_node)
+    dram_bound = int(cluster.node.host.usable_dram_bytes / kv_per_seq_node)
     return max(0, min(gpu_bound, dram_bound))
 
 
@@ -80,7 +77,6 @@ def moe_max_batch_size(
     *,
     seq_len: int,
     dtype: DType = DType.FP16,
-    headroom: float = 0.90,
 ) -> int:
     """Largest batch an MoE deployment's per-GPU memory sustains.
 
@@ -95,7 +91,7 @@ def moe_max_batch_size(
         raise ValueError(f"{config.name} is not an MoE model")
     if seq_len < 1:
         raise ValueError("seq_len must be >= 1")
-    budget = cluster.gpu.memory_bytes * headroom
+    budget = cluster.gpu.usable_bytes
     weights = (
         config.base_params / parallelism.mp_degree
         + config.expert_params
@@ -118,13 +114,11 @@ def kv_offload_overflow(
     batch: int,
     seq_len: int,
     dtype: DType = DType.FP16,
-    headroom: float = 0.90,
 ) -> float:
     """Per-GPU KV bytes that exceed GPU capacity and live in DRAM."""
-    weights = config.total_params * dtype.itemsize / (tp * pp)
-    capacity = cluster.gpu.memory_bytes * headroom - weights
-    kv = batch * seq_len * config.kv_bytes_per_token(dtype) / (tp * pp)
-    return max(0.0, kv - capacity)
+    weights, kv = memory_per_gpu(
+        config, tp, pp, batch=batch, seq_len=seq_len, dtype=dtype)
+    return max(0.0, kv - (cluster.gpu.usable_bytes - weights))
 
 
 def kv_offload_stall_per_step(

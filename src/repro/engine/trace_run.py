@@ -54,33 +54,16 @@ def trace_generation(
     Every micro-batch pass through a stage becomes, on each of that
     stage's ``tp`` GPU lanes, a kernel span followed by an all-reduce
     span (when tp > 1); inter-stage hops appear on ``p2p`` lanes. The
-    schedule itself comes from the same simulator the latency estimates
-    use, so the trace *is* the estimate, visualized.
+    schedule is :meth:`DenseLatencyModel.pipeline_schedule`, the one the
+    pipelined estimate reads, so the trace *is* the estimate, visualized.
     """
-    from ..parallel.schedules import simulate_pipeline
-
     pp, tp = model.pp, model.tp
-    gen_mb = pp if pp > 1 else 1
-    prompt_mb = gen_mb * model.hybrid_prompt_factor
-    mb_batch = max(1, workload.batch // gen_mb)
-    pmb_batch = max(1, workload.batch // prompt_mb)
-    kv_end = workload.prompt_len + workload.gen_tokens
-
-    result = simulate_pipeline(
-        num_stages=pp,
-        prompt_microbatches=prompt_mb,
-        gen_microbatches=gen_mb,
-        gen_tokens=workload.gen_tokens,
-        prompt_stage_time=model.stage_time(pmb_batch, workload.prompt_len,
-                                           workload.prompt_len),
-        gen_stage_time=model.stage_time(mb_batch, 1, kv_end),
-        p2p_time=model._p2p_act_time(mb_batch, 1) if pp > 1 else 0.0,
-        lockstep_generation=model.lockstep_generation,
-    )
+    result, mb_batch, pmb_batch = model.pipeline_schedule(workload)
 
     # Expand each stage span onto its tp GPU lanes, splitting the span
     # into the kernel portion and the all-reduce portion.
-    gk, gc = model.layer_time(mb_batch, 1, kv_end)
+    gk, gc = model.layer_time(mb_batch, 1,
+                              workload.prompt_len + workload.gen_tokens)
     comm_frac_gen = gc / (gk + gc) if (gk + gc) > 0 else 0.0
     pk, pc = model.layer_time(pmb_batch, workload.prompt_len,
                               workload.prompt_len)

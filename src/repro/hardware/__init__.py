@@ -1,11 +1,12 @@
-"""Hardware substrate: device specs, cluster topologies, memory accounting.
+"""Hardware substrate: device specs and cluster topologies.
 
 These are the published numbers of the paper's testbeds (Sec. VII-A4); the
 performance model consumes them, and substituting different specs lets a
-user explore other deployments.
+user explore other deployments. Capacity planning fills
+``specs.USABLE_FRACTION`` of each device, read through
+``GPUSpec.usable_bytes`` and ``CPUSpec.usable_dram_bytes``.
 """
 
-from .memory import MemoryPool, OutOfDeviceMemory, Reservation
 from .specs import (
     A100_40GB,
     A6000,
@@ -52,17 +53,14 @@ __all__ = [
     "INFINIBAND_HDR",
     "LinkSpec",
     "MS",
-    "MemoryPool",
     "NVLINK2",
     "NVLINK3",
     "NVME_RAID",
     "NVME_SINGLE",
     "NVMeSpec",
     "NodeSpec",
-    "OutOfDeviceMemory",
     "PCIE3_X16",
     "PCIE4_X16",
-    "Reservation",
     "US",
     "V100_32GB",
     "XEON_8280",

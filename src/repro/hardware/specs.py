@@ -43,6 +43,7 @@ __all__ = [
     "GPU_REGISTRY",
     "GB",
     "GiB",
+    "USABLE_FRACTION",
     "US",
     "MS",
 ]
@@ -51,6 +52,12 @@ GB = 1e9
 GiB = 2**30
 US = 1e-6
 MS = 1e-3
+
+#: Share of a device's memory that capacity planning may fill. The rest
+#: is left to the runtime (allocator fragmentation, workspaces, the CUDA
+#: context). Every batch cap and fit check reads it through
+#: :attr:`GPUSpec.usable_bytes` or :attr:`CPUSpec.usable_dram_bytes`.
+USABLE_FRACTION = 0.9
 
 
 class DType(enum.Enum):
@@ -126,6 +133,11 @@ class GPUSpec:
             return self.fp32_flops
         raise KeyError(dtype)
 
+    @property
+    def usable_bytes(self) -> float:
+        """Device memory that weights, KV cache and buffers may fill."""
+        return self.memory_bytes * USABLE_FRACTION
+
     def ideal_weight_read_time(self, nbytes: float) -> float:
         """Lower bound on reading ``nbytes`` of weights from device memory.
 
@@ -168,6 +180,11 @@ class CPUSpec:
     # Effective GEMM throughput of the host for the CPU-only baseline
     # (Sec. VII-D compares against a CPU-only solution).
     fp32_flops: float
+
+    @property
+    def usable_dram_bytes(self) -> float:
+        """DRAM that pinned weights or offloaded KV cache may fill."""
+        return self.dram_bytes * USABLE_FRACTION
 
     def weight_read_time(self, nbytes: float) -> float:
         """Time to stream ``nbytes`` of weights out of DRAM."""

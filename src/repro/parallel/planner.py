@@ -67,7 +67,6 @@ def plan_dense(
     batch: int = 1,
     seq_len: int = 2048,
     dtype: DType = DType.FP16,
-    activation_headroom: float = 0.90,
 ) -> ParallelPlan:
     """Choose the smallest TP x PP placement that fits.
 
@@ -76,7 +75,7 @@ def plan_dense(
     node still cannot hold the model, add pipeline stages node by node
     (Sec. IV-B).
     """
-    per_gpu_budget = cluster.gpu.memory_bytes * activation_headroom
+    per_gpu_budget = cluster.gpu.usable_bytes
     node_gpus = cluster.node.gpus_per_node
 
     # Attention heads shard across tensor ranks, so tp must divide them.

@@ -37,7 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..engine.scheduler import TenantFairShare
+from ..engine.scheduler import TenantFairShare, _as_index
 from ..engine.serving_sim import WorkloadTrace
 from ..rng import SeedLike, as_generator
 from .arrivals import draw_arrivals
@@ -54,6 +54,14 @@ __all__ = [
     "SCENARIOS",
     "make_scenario",
 ]
+
+
+def _check_integers(**values: int | None) -> None:
+    """Reject a count or length that is not an integer (2.5 and NaN
+    included), naming it; ``None`` means not given."""
+    for name, value in values.items():
+        if value is not None:
+            _as_index(name, value)
 
 
 def _check_positive(**values: float) -> None:
@@ -181,6 +189,9 @@ def chat_scenario(
     exactly that many earliest-arriving turns. Generations are floored
     at 2 tokens (see :func:`_causal_sessions`).
     """
+    _check_integers(num_sessions=num_sessions, mean_prompt=mean_prompt,
+                    mean_utterance=mean_utterance, mean_gen=mean_gen,
+                    num_requests=num_requests)
     if num_sessions < 1 or not (math.isfinite(session_rate)
                                 and session_rate > 0):
         raise ValueError(
@@ -241,6 +252,9 @@ def agentic_scenario(
     has, and the one where *without* sharing the KV pool refills the
     same context dozens of times.
     """
+    _check_integers(num_agents=num_agents, context_len=context_len,
+                    mean_observation=mean_observation, mean_gen=mean_gen,
+                    num_requests=num_requests)
     if num_agents < 1 or not (math.isfinite(agent_rate) and agent_rate > 0):
         raise ValueError(
             "num_agents >= 1 and a finite agent_rate > 0 required")
@@ -292,7 +306,9 @@ def heavy_tailed_scenario(
     ``arrival_shape`` passes through to
     :func:`~repro.scenarios.arrivals.draw_arrivals`.
     """
-    # draw_arrivals validates num_requests and arrival_rate.
+    _check_integers(num_requests=num_requests, median_prompt=median_prompt,
+                    max_gen=max_gen)
+    # draw_arrivals range-checks num_requests and arrival_rate.
     if median_prompt < 1 or not (math.isfinite(prompt_sigma)
                                  and prompt_sigma > 0):
         raise ValueError(
@@ -338,6 +354,9 @@ class TenantSpec:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("tenant name must be non-empty")
+        _check_integers(num_requests=self.num_requests,
+                        mean_prompt=self.mean_prompt, mean_gen=self.mean_gen,
+                        slot_cap=self.slot_cap)
         if not (math.isfinite(self.arrival_rate) and self.arrival_rate > 0) \
                 or self.num_requests < 1:
             raise ValueError(

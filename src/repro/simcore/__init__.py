@@ -1,6 +1,6 @@
 """Discrete-event simulation core used by schedule and overlap models."""
 
-from .engine import Process, SimulationError, Simulator, run_all
+from .engine import Process, SimulationError, Simulator
 from .events import Acquire, Event, Release, Timeout, Wait
 from .resources import BandwidthLink, SlotResource, transfer
 from .trace import Span, Timeline
@@ -18,6 +18,5 @@ __all__ = [
     "Timeline",
     "Timeout",
     "Wait",
-    "run_all",
     "transfer",
 ]

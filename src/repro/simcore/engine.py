@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Any, Generator, Iterable
+from typing import Any, Generator
 
 from .events import Acquire, Event, Release, Timeout, Wait
 
@@ -143,11 +143,3 @@ class Simulator:
     # Used by resources to resume a waiting process.
     def _resume(self, proc: Process, value: Any = None) -> None:
         self._schedule(proc, self.now, value)
-
-
-def run_all(gens: Iterable[Generator], until: float | None = None) -> float:
-    """Convenience: spawn every generator and run to completion."""
-    sim = Simulator()
-    for g in gens:
-        sim.spawn(g)
-    return sim.run(until=until)

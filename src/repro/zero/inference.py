@@ -105,13 +105,13 @@ class ZeroInferenceEngine:
         work = seq_len * 12 * self.config.hidden * self.dtype.itemsize
         return kv + work
 
-    def max_batch(self, seq_len: int, *, headroom: float = 0.90) -> int:
+    def max_batch(self, seq_len: int) -> int:
         """Largest batch the freed GPU memory sustains (Sec. VI-A: GPU
         memory buys batch, not pinned weights)."""
         if seq_len < 1:
             raise ValueError("seq_len must be >= 1")
         budget = (
-            self.cluster.gpu.memory_bytes * headroom * self.num_gpus
+            self.cluster.gpu.usable_bytes * self.num_gpus
             - self._buffer_bytes() * self.num_gpus
         )
         if budget <= 0:

@@ -39,14 +39,12 @@ class FetchEvent:
     time: float
 
 
-def placement_for(
-    total_bytes: float, cluster: ClusterSpec, *, reserve_gpu: bool = True
-) -> Tier:
+def placement_for(total_bytes: float, cluster: ClusterSpec) -> Tier:
     """ZeRO-Inference's placement rule: DRAM if the model fits there,
     otherwise NVMe (GPU memory is deliberately *not* used for pinning —
     it buys batch size instead, Sec. VI-A)."""
     host = cluster.node.host
-    if total_bytes <= host.dram_bytes * 0.9:
+    if total_bytes <= host.usable_dram_bytes:
         return Tier.DRAM
     nvme = cluster.node.nvme
     if nvme is not None and total_bytes <= nvme.capacity_bytes * 0.95:

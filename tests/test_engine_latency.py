@@ -23,6 +23,15 @@ class TestWorkload:
         with pytest.raises(ValueError):
             Workload(batch=1, prompt_len=1, gen_tokens=-1)
 
+    @pytest.mark.parametrize("field,bad", [("batch", float("nan")),
+                                           ("prompt_len", float("nan")),
+                                           ("gen_tokens", 2.5)])
+    def test_fields_must_be_integers(self, field, bad):
+        # These used to construct and fail later inside LayerShape.
+        kw = {"batch": 1, "prompt_len": 1, "gen_tokens": 1, field: bad}
+        with pytest.raises(TypeError, match=f"{field} must be an integer"):
+            Workload(**kw)
+
 
 class TestSingleGPU:
     def setup_method(self):

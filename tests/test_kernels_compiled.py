@@ -126,9 +126,8 @@ def test_layer_times_match_layer_cost_bit_for_bit(case, offsets):
 @settings(max_examples=300, deadline=None)
 @given(case=_layer_cases())
 def test_compiled_total_matches_regions_and_chain_bit_for_bit(case):
-    """``total_time`` comes from the float pass, not from the regions:
-    it equals their left-to-right sum and the op chain's total by IEEE
-    bits."""
+    """``total_time`` is the compiled regions' left-to-right sum: it
+    equals that fold and the op chain's total by IEEE bits."""
     gpu, profile, shape, ffn, kv_step = case
     model = KernelCostModel(gpu, profile)
     for s in (shape, dataclasses.replace(shape, kv_len=shape.kv_len + kv_step)):

@@ -180,6 +180,55 @@ class TestHeavyTailedScenario:
                                   gen_zipf_a=1.0)
 
 
+_NAN = float("nan")
+
+
+class TestIntegerGuards:
+    """Counts and lengths are integers: 2.5 used to draw 3 sessions,
+    and NaN either failed deep inside the generator or (a NaN median
+    prompt) quietly made every prompt 1 token."""
+
+    CASES = {
+        "chat.num_sessions": lambda v: chat_scenario(
+            num_sessions=v, session_rate=1.0),
+        "chat.mean_prompt": lambda v: chat_scenario(
+            num_sessions=2, session_rate=1.0, mean_prompt=v),
+        "chat.mean_utterance": lambda v: chat_scenario(
+            num_sessions=2, session_rate=1.0, mean_utterance=v),
+        "chat.num_requests": lambda v: chat_scenario(
+            num_sessions=2, session_rate=1.0, num_requests=v),
+        "agentic.num_agents": lambda v: agentic_scenario(
+            num_agents=v, agent_rate=1.0),
+        "agentic.context_len": lambda v: agentic_scenario(
+            num_agents=2, agent_rate=1.0, context_len=v),
+        "heavy_tailed.num_requests": lambda v: heavy_tailed_scenario(
+            num_requests=v, arrival_rate=1.0),
+        "heavy_tailed.median_prompt": lambda v: heavy_tailed_scenario(
+            num_requests=4, arrival_rate=1.0, median_prompt=v),
+        "heavy_tailed.max_gen": lambda v: heavy_tailed_scenario(
+            num_requests=4, arrival_rate=1.0, max_gen=v),
+        "TenantSpec.num_requests": lambda v: TenantSpec(
+            name="a", arrival_rate=1.0, num_requests=v),
+        "TenantSpec.mean_gen": lambda v: TenantSpec(
+            name="a", arrival_rate=1.0, num_requests=2, mean_gen=v),
+        "TenantSpec.slot_cap": lambda v: TenantSpec(
+            name="a", arrival_rate=1.0, num_requests=2, slot_cap=v),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("bad", [2.5, _NAN])
+    def test_rejects_a_non_integer(self, case, bad):
+        field = case.split(".")[1]
+        with pytest.raises(TypeError, match=f"{field} must be an integer"):
+            self.CASES[case](bad)
+
+    def test_integers_still_accepted(self):
+        assert len(chat_scenario(num_sessions=np.int64(2), session_rate=1.0,
+                                 num_requests=3, seed=0).requests) == 3
+        assert TenantSpec(name="a", arrival_rate=1.0, num_requests=2,
+                          slot_cap=1).slot_cap == 1
+
+
 class TestMultiTenant:
     SPECS = (
         TenantSpec(name="batch", arrival_rate=20.0, num_requests=30,
