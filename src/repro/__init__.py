@@ -7,8 +7,8 @@ Two coupled layers:
   INT8 quantization, tested for numerical equivalence against dense
   references (`repro.model`, `repro.parallel`, `repro.comm.functional`);
 * a **performance model** — hardware specs, collective cost models,
-  fusion-aware kernel rooflines, discrete-event pipeline/offload/stream
-  simulations, and engines that regenerate every table and figure of the
+  fusion-aware kernel rooflines, first-in-first-out pipeline/offload/
+  stream timing, and engines that regenerate every table and figure of the
   paper (`repro.hardware`, `repro.kernels`, `repro.engine`, `repro.zero`,
   `repro.baselines`, `repro.bench`).
 

@@ -6,9 +6,9 @@ Combines, per token step:
   the configured implementation profile and tensor-parallel degree,
 * two tensor-parallel all-reduces per layer over the intra-node fabric,
 * the language-model head GeMM on the last stage,
-* pipeline-parallel scheduling (when ``pp > 1``) via the discrete-event
-  schedule simulator — prompt and generation phases use the configured
-  micro-batch policy.
+* pipeline-parallel scheduling (when ``pp > 1``) via the pipeline
+  schedule recurrence (:func:`repro.parallel.simulate_pipeline`) —
+  prompt and generation phases use the configured micro-batch policy.
 
 The same class evaluates the FasterTransformer baseline by swapping the
 profile and schedule policy, which is how Fig. 6/8/13 comparisons are

@@ -7,11 +7,11 @@ Two concerns are modeled:
   DRAM — the "memory optimization" bar of Fig. 10b, since larger batches
   buy throughput;
 * **PCIe contention**: on DGX systems two GPUs share one PCIe link.
-  :func:`simulate_offload` runs both GPUs' per-layer offload streams
-  through the shared link in the discrete-event simulator, under either
-  the naive schedule (both offload every layer, colliding) or the
-  paper's odd/even schedule (each GPU offloads alternating layers,
-  staggered so the link never sees two requests at once) — Sec. IV-C3.
+  :func:`simulate_offload` queues both GPUs' per-layer offloads on
+  the shared link first in, first out, under either the naive schedule
+  (both offload every layer, colliding) or the paper's odd/even
+  schedule (each GPU offloads alternating layers, staggered so the link
+  never sees two requests at once) — Sec. IV-C3.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from ..hardware.specs import DType
 from ..hardware.topology import ClusterSpec
 from ..model.config import ModelConfig
 from ..parallel.planner import memory_per_gpu
-from ..simcore import BandwidthLink, Simulator, Timeout, transfer
+from .scheduler import _as_index
 
 __all__ = [
     "OffloadReport",
@@ -158,7 +158,7 @@ def kv_offload_stall_per_step(
 
 @dataclass(frozen=True)
 class OffloadReport:
-    """Result of simulating one token step's offload traffic."""
+    """Result of timing one token step's offload traffic."""
 
     scheme: str
     makespan: float
@@ -188,35 +188,31 @@ def simulate_offload(
     step, when roles swap), so transfers interleave without contention
     and each GPU sees the full link bandwidth when it needs it.
     """
+    num_layers = _as_index("num_layers", num_layers)
     if scheme not in ("naive", "odd_even"):
         raise ValueError(f"unknown scheme {scheme!r}")
     if (num_layers < 1 or not 0 <= bytes_per_layer < math.inf
             or not 0 < layer_compute_time < math.inf):
         raise ValueError("invalid workload parameters")
-
     pcie = cluster.node.pcie
-    sim = Simulator()
-    link = BandwidthLink(pcie.bandwidth, pcie.latency, name="shared-pcie")
+    hold = pcie.transfer_time(bytes_per_layer)
+    if not 0 <= hold < math.inf:
+        raise ValueError(f"invalid PCIe transfer time {hold!r} for "
+                         f"{pcie.name}")
 
-    def offload_proc(nbytes: float):
-        yield from transfer(link, nbytes)
-
-    def gpu_proc(gpu: int):
-        # Offloads are issued asynchronously (Sec. IV-C3 overlaps them with
-        # compute); the step only stalls if the link cannot drain in time.
-        for layer in range(num_layers):
-            yield Timeout(layer_compute_time)  # compute layer
-            mine = scheme == "naive" or layer % 2 == gpu
-            if mine:
-                sim.spawn(offload_proc(bytes_per_layer),
-                          name=f"offload-g{gpu}-l{layer}")
-
-    sim.spawn(gpu_proc(0), name="gpu0")
-    sim.spawn(gpu_proc(1), name="gpu1")
-    makespan = sim.run()
+    # Offloads are issued asynchronously as each layer's compute ends
+    # (Sec. IV-C3 overlaps them with compute), GPU 0's before GPU 1's;
+    # the step only stalls if the link cannot drain in time.
+    now = link_free = link_busy = 0.0
+    for layer in range(num_layers):
+        now += layer_compute_time
+        for gpu in (0, 1):
+            if scheme == "naive" or layer % 2 == gpu:
+                link_free = max(now, link_free) + hold
+                link_busy += hold
     return OffloadReport(
         scheme=scheme,
-        makespan=makespan,
-        link_busy=link.busy_time,
+        makespan=max(now, link_free),
+        link_busy=link_busy,
         compute_time=num_layers * layer_compute_time,
     )

@@ -1,6 +1,6 @@
 """RP003: simulations must replay bit-for-bit.
 
-The discrete-event core (:mod:`repro.simcore`), the serving replay
+The schedule timelines (:mod:`repro.simcore`), the serving replay
 (:mod:`repro.engine`), the fleet layer (:mod:`repro.fleet`) and the
 autoscale control loop (:mod:`repro.autoscale`) promise
 that the same trace and seed reproduce the same report — the

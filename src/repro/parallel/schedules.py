@@ -1,7 +1,7 @@
-"""Inference pipeline schedules (Sec. IV-C1, Figs. 2 and 3), simulated.
+"""Inference pipeline schedules (Sec. IV-C1, Figs. 2 and 3), timed.
 
-Three schedules are modeled, all over the same discrete-event machinery
-so their differences are purely the scheduling policy:
+Three schedules are modeled, all by the same first-in-first-out stage
+recurrence, so their differences are purely the scheduling policy:
 
 * **token-lockstep (baseline)** — Fig. 2a: generation proceeds at batch
   granularity; every micro-batch must finish token ``t`` before any
@@ -22,18 +22,12 @@ The stage-time inputs come from the kernel cost model (see
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
-from ..simcore import (
-    Acquire,
-    Event,
-    Release,
-    Simulator,
-    SlotResource,
-    Timeline,
-    Timeout,
-    Wait,
-)
+import numpy as np
+
+from ..simcore import Timeline
 
 __all__ = [
     "ScheduleKind",
@@ -54,7 +48,7 @@ class ScheduleKind:
 
 @dataclass(frozen=True)
 class ScheduleResult:
-    """Outcome of one pipeline-schedule simulation."""
+    """Outcome of one timed pipeline schedule."""
 
     kind: str
     timeline: Timeline
@@ -95,7 +89,7 @@ def dynamic_queue_span(
 
 def _per_stage(value, num_stages: int, name: str) -> list[float]:
     """Normalize a scalar or per-stage sequence of stage times."""
-    if np_isscalar(value):
+    if np.ndim(value) == 0:
         times = [float(value)] * num_stages
     else:
         times = [float(v) for v in value]
@@ -104,11 +98,6 @@ def _per_stage(value, num_stages: int, name: str) -> list[float]:
     if not all(0 < t < math.inf for t in times):
         raise ValueError(f"{name} entries must be finite and positive")
     return times
-
-
-def np_isscalar(value) -> bool:
-    """True for plain numbers (sequence-vs-scalar dispatch)."""
-    return isinstance(value, (int, float))
 
 
 def simulate_pipeline(
@@ -122,7 +111,7 @@ def simulate_pipeline(
     p2p_time: float = 0.0,
     lockstep_generation: bool = False,
 ) -> ScheduleResult:
-    """Simulate prompt processing followed by token generation.
+    """Time prompt processing followed by token generation.
 
     ``prompt_microbatches`` and ``gen_microbatches`` may differ (hybrid
     scheduling); the former must be a multiple of the latter so prompt
@@ -130,7 +119,17 @@ def simulate_pipeline(
     baseline Fig. 2a policy. Stage times may be scalars (uniform stages)
     or per-stage sequences (uneven layer splits make stage times
     heterogeneous, and the slowest stage paces the pipeline).
+    ``p2p_time`` is paid between consecutive stages.
     """
+    for name, count in (("num_stages", num_stages),
+                        ("prompt_microbatches", prompt_microbatches),
+                        ("gen_microbatches", gen_microbatches),
+                        ("gen_tokens", gen_tokens)):
+        try:
+            operator.index(count)
+        except TypeError:
+            raise TypeError(
+                f"{name} must be an integer, got {count!r}") from None
     if num_stages < 1:
         raise ValueError("num_stages must be >= 1")
     if prompt_microbatches < 1 or gen_microbatches < 1:
@@ -141,55 +140,44 @@ def simulate_pipeline(
         )
     if gen_tokens < 0:
         raise ValueError("gen_tokens must be >= 0")
+    if not 0 <= p2p_time < math.inf:
+        raise ValueError("p2p_time must be finite and >= 0")
     prompt_times = _per_stage(prompt_stage_time, num_stages, "prompt_stage_time")
     gen_times = _per_stage(gen_stage_time, num_stages, "gen_stage_time")
 
-    sim = Simulator()
+    # Every stage serves micro-batches first in, first out, stage times
+    # are positive and every micro-batch visits the stages in order, so
+    # none overtakes another: the service order is fixed before timing.
+    # All prompts enter stage 0 at t=0, before any generation micro-batch
+    # is ready. A micro-batch's next token enters stage 0 only after its
+    # previous token leaves the last stage, which puts it behind every
+    # earlier entry; so generation runs round-robin, token by token.
+    # Bubbles come out of the ``max`` terms below.
     timeline = Timeline()
-    stages = [SlotResource(1, name=f"stage{s}") for s in range(num_stages)]
+    free = [0.0] * num_stages  # when each stage finishes its last entry
 
-    prompt_done = [Event(f"prompt-{p}") for p in range(prompt_microbatches)]
+    def traverse(label: str, t: float, stage_times: list[float]) -> float:
+        """Pass one micro-batch ready at ``t`` through every stage and
+        return when it leaves the last one."""
+        for s, stage_time in enumerate(stage_times):
+            if s:
+                t += p2p_time
+            start = max(t, free[s])
+            t = free[s] = start + stage_time
+            timeline.record(f"stage{s}", start, t, label)
+        return t
+
+    prompt_finish = [traverse(f"P{p}", 0.0, prompt_times)
+                     for p in range(prompt_microbatches)]
     group = prompt_microbatches // gen_microbatches
+    ready = [max(prompt_finish[g * group:(g + 1) * group])
+             for g in range(gen_microbatches)]
+    for t in range(gen_tokens):
+        if lockstep_generation and t > 0:
+            ready = [max(ready)] * gen_microbatches  # the round's barrier
+        ready = [traverse(f"G{g}.t{t}", r, gen_times)
+                 for g, r in enumerate(ready)]
 
-    # Token-lockstep barrier machinery.
-    round_done = [Event(f"round-{t}") for t in range(gen_tokens + 1)]
-    finished_count = [0] * (gen_tokens + 1)
-    prompt_finish_time = [0.0]
-
-    def traverse(label: str, stage_times: list[float]):
-        """Process fragment: move one micro-batch through all stages."""
-        for s in range(num_stages):
-            yield Acquire(stages[s])
-            start = sim.now
-            yield Timeout(stage_times[s])
-            timeline.record(f"stage{s}", start, sim.now, label)
-            yield Release(stages[s])
-            if s < num_stages - 1 and p2p_time > 0:
-                yield Timeout(p2p_time)
-
-    def prompt_proc(p: int):
-        yield from traverse(f"P{p}", prompt_times)
-        prompt_finish_time[0] = max(prompt_finish_time[0], sim.now)
-        sim.trigger(prompt_done[p])
-
-    def gen_proc(g: int):
-        # Wait for this generation micro-batch's prompt constituents.
-        for p in range(g * group, (g + 1) * group):
-            yield Wait(prompt_done[p])
-        for t in range(gen_tokens):
-            if lockstep_generation and t > 0:
-                yield Wait(round_done[t - 1])
-            yield from traverse(f"G{g}.t{t}", gen_times)
-            finished_count[t] += 1
-            if finished_count[t] == gen_microbatches:
-                sim.trigger(round_done[t])
-
-    for p in range(prompt_microbatches):
-        sim.spawn(prompt_proc(p), name=f"prompt-{p}")
-    for g in range(gen_microbatches):
-        sim.spawn(gen_proc(g), name=f"gen-{g}")
-
-    makespan = sim.run()
     kind = (
         ScheduleKind.LOCKSTEP
         if lockstep_generation
@@ -202,7 +190,7 @@ def simulate_pipeline(
     return ScheduleResult(
         kind=kind,
         timeline=timeline,
-        makespan=makespan,
-        prompt_done=prompt_finish_time[0],
+        makespan=max(free),
+        prompt_done=max(prompt_finish),
         num_stages=num_stages,
     )

@@ -1,22 +1,5 @@
-"""Discrete-event simulation core used by schedule and overlap models."""
+"""Timeline tracing shared by the schedule models and the serving reports."""
 
-from .engine import Process, SimulationError, Simulator
-from .events import Acquire, Event, Release, Timeout, Wait
-from .resources import BandwidthLink, SlotResource, transfer
 from .trace import Span, Timeline
 
-__all__ = [
-    "Acquire",
-    "BandwidthLink",
-    "Event",
-    "Process",
-    "Release",
-    "SimulationError",
-    "Simulator",
-    "SlotResource",
-    "Span",
-    "Timeline",
-    "Timeout",
-    "Wait",
-    "transfer",
-]
+__all__ = ["Span", "Timeline"]

@@ -2,7 +2,7 @@
 
 The pipeline figures of the paper (Fig. 2, Fig. 3) are timeline diagrams;
 this module is their machine-readable counterpart. Each pipeline stage /
-link / GPU gets a *lane*, processes record ``(start, end, label)`` spans,
+link / GPU gets a *lane*, schedules record ``(start, end, label)`` spans,
 and the analysis helpers answer the questions the paper asks of the
 schedules: how big are the bubbles, what fraction of the makespan is each
 stage busy, do two spans on one lane ever overlap (which would indicate a

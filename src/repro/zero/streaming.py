@@ -1,31 +1,21 @@
 """Layer streaming with prefetch: the ZeRO-Inference execution pipeline.
 
 Sec. VI-B: while layer ``i`` computes, the prefetcher pulls layers
-``i+1 .. i+depth`` over PCIe into spare GPU buffers. The pipeline is
-simulated with the discrete-event engine: the PCIe link is an exclusive
-resource, prefetch buffers a bounded slot pool, and compute a serial
-stream — so the fetch/compute overlap, the prefetch-depth benefit
-(Fig. 10c) and its diminishing returns at high arithmetic intensity all
+``i+1 .. i+depth`` over PCIe into spare GPU buffers. One PCIe link
+fetches layers in order, ``depth + 1`` weight buffers bound how far it
+runs ahead, and one compute stream runs the layers in order; timing that
+recurrence makes the fetch/compute overlap, the prefetch-depth benefit
+(Fig. 10c) and its diminishing returns at high arithmetic intensity
 emerge rather than being asserted.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
-from ..simcore import (
-    Acquire,
-    Event,
-    Release,
-    Simulator,
-    SlotResource,
-    Timeline,
-    Timeout,
-    Wait,
-    transfer,
-)
-from ..simcore.resources import BandwidthLink
+from ..simcore import Timeline
 
 __all__ = ["StreamReport", "simulate_layer_stream"]
 
@@ -54,13 +44,20 @@ def simulate_layer_stream(
     compute_time_per_layer: float,
     prefetch_depth: int = 1,
 ) -> StreamReport:
-    """Simulate one forward pass of a layer-streamed model.
+    """Time one forward pass of a layer-streamed model.
 
     ``prefetch_depth`` is the number of layers fetched *ahead* of the one
     computing (0 = fully synchronous fetch-then-compute). Buffer count is
     ``prefetch_depth + 1`` — the GPU-memory cost Sec. VI-B trades for
     throughput.
     """
+    for name, count in (("num_layers", num_layers),
+                        ("prefetch_depth", prefetch_depth)):
+        try:
+            operator.index(count)
+        except TypeError:
+            raise TypeError(
+                f"{name} must be an integer, got {count!r}") from None
     if num_layers < 1:
         raise ValueError("num_layers must be >= 1")
     if prefetch_depth < 0:
@@ -69,33 +66,23 @@ def simulate_layer_stream(
             and 0 < compute_time_per_layer < math.inf):
         raise ValueError("invalid per-layer times")
 
-    sim = Simulator()
+    # Fetch i needs a free buffer: the one layer i - depth - 1 releases
+    # when its compute ends. Compute i needs fetch i and compute i - 1.
     timeline = Timeline()
-    pcie = BandwidthLink(bandwidth=1.0, latency=0.0, name="pcie")
-    buffers = SlotResource(prefetch_depth + 1, name="weight-buffers")
-    fetched = [Event(f"layer-{i}-ready") for i in range(num_layers)]
-
-    def fetcher():
-        for i in range(num_layers):
-            yield Acquire(buffers)  # a free weight buffer
-            start = sim.now
-            yield from transfer(pcie, fetch_time_per_layer)  # bw=1: time==bytes
-            timeline.record("pcie", start, sim.now, f"fetch-{i}")
-            sim.trigger(fetched[i])
-
-    def computer():
-        for i in range(num_layers):
-            yield Wait(fetched[i])
-            start = sim.now
-            yield Timeout(compute_time_per_layer)
-            timeline.record("gpu", start, sim.now, f"layer-{i}")
-            yield Release(buffers)  # weights of layer i no longer needed
-
-    sim.spawn(fetcher(), name="fetcher")
-    sim.spawn(computer(), name="computer")
-    makespan = sim.run()
+    fetch_end = compute_end = 0.0
+    compute_ends: list[float] = []
+    for i in range(num_layers):
+        start = fetch_end
+        if i > prefetch_depth:
+            start = max(start, compute_ends[i - prefetch_depth - 1])
+        fetch_end = start + fetch_time_per_layer
+        timeline.record("pcie", start, fetch_end, f"fetch-{i}")
+        start = max(fetch_end, compute_end)
+        compute_end = start + compute_time_per_layer
+        timeline.record("gpu", start, compute_end, f"layer-{i}")
+        compute_ends.append(compute_end)
     return StreamReport(
-        makespan=makespan,
+        makespan=compute_end,
         compute_time=num_layers * compute_time_per_layer,
         fetch_time=num_layers * fetch_time_per_layer,
         prefetch_depth=prefetch_depth,

@@ -1,9 +1,11 @@
 """Tests for activation offloading: capacity math and PCIe scheduling."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.engine import max_batch_size, simulate_offload
-from repro.hardware import dgx_a100_cluster
+from repro.hardware import LinkSpec, dgx_a100_cluster
 from repro.model import DENSE_ZOO
 
 CLUSTER = dgx_a100_cluster(8)
@@ -86,3 +88,35 @@ class TestPCIeScheduling:
         args = {"bytes_per_layer": 1.0, "layer_compute_time": 1.0, **kw}
         with pytest.raises(ValueError, match="invalid workload parameters"):
             simulate_offload(CLUSTER, num_layers=2, **args)
+
+    @pytest.mark.parametrize("scheme, makespan, link_busy", [
+        # Two 0.8125 s transfers per 1 s layer: the link falls behind.
+        ("naive", 7.5, 6.5),
+        # One per layer: each drains before the next layer ends.
+        ("odd_even", 4.8125, 3.25),
+    ])
+    def test_exact_contended_link(self, scheme, makespan, link_busy):
+        """A dyadic link (hold = 1/16 s + 768 B / 1024 B/s = 0.8125 s)
+        makes every link time exact."""
+        pcie = LinkSpec(name="pin", bandwidth=1024.0, latency=0.0625)
+        cluster = replace(CLUSTER, node=replace(CLUSTER.node, pcie=pcie))
+        rep = simulate_offload(cluster, num_layers=4, bytes_per_layer=768.0,
+                               layer_compute_time=1.0, scheme=scheme)
+        assert rep.makespan == makespan
+        assert rep.link_busy == link_busy
+        assert rep.compute_time == 4.0
+
+    @pytest.mark.parametrize("bandwidth, latency", [
+        (-1.0, 0.0), (float("nan"), 0.0), (1.0, -2.0), (1.0, float("inf")),
+    ])
+    def test_rejects_bad_link(self, bandwidth, latency):
+        pcie = LinkSpec(name="bad", bandwidth=bandwidth, latency=latency)
+        cluster = replace(CLUSTER, node=replace(CLUSTER.node, pcie=pcie))
+        with pytest.raises(ValueError, match="invalid PCIe transfer time"):
+            simulate_offload(cluster, num_layers=2, bytes_per_layer=1.0,
+                             layer_compute_time=1.0)
+
+    def test_rejects_non_integer_layer_count(self):
+        with pytest.raises(TypeError, match="num_layers must be an integer"):
+            simulate_offload(CLUSTER, num_layers=2.0, bytes_per_layer=1.0,
+                             layer_compute_time=1.0)

@@ -84,7 +84,7 @@ class TestStagedForward:
 
 class TestSchedules:
     def test_dynamic_queue_matches_closed_form(self):
-        """With M == P and no prompt skew, DES equals the analytic span."""
+        """With M == P and no prompt skew, the schedule matches the analytic span."""
         res = simulate_pipeline(
             num_stages=4, prompt_microbatches=4, gen_microbatches=4,
             gen_tokens=5, prompt_stage_time=1.0, gen_stage_time=1.0,
@@ -183,6 +183,74 @@ class TestSchedules:
                   gen_tokens=1, prompt_stage_time=1.0, gen_stage_time=1.0)
         kw[which] = [bad, 1.0]
         with pytest.raises(ValueError, match="finite and positive"):
+            simulate_pipeline(**kw)
+
+
+    @pytest.mark.parametrize("lockstep", [False, True])
+    def test_exact_spans_heterogeneous_hybrid(self, lockstep):
+        """Every span of a 3-stage hybrid schedule with a P2P hop, in
+        dyadic times so each value is exact. G0's first token waits for
+        P1 (its prompt group), and under lockstep each token waits for
+        the whole previous round."""
+        res = simulate_pipeline(
+            num_stages=3, prompt_microbatches=4, gen_microbatches=2,
+            gen_tokens=2, prompt_stage_time=[1.0, 2.0, 0.5],
+            gen_stage_time=[0.5, 0.25, 1.0], p2p_time=0.125,
+            lockstep_generation=lockstep)
+        prompts = [
+            [(0.0, 1.0), (1.0, 2.0), (2.0, 3.0), (3.0, 4.0)],
+            [(1.125, 3.125), (3.125, 5.125), (5.125, 7.125), (7.125, 9.125)],
+            [(3.25, 3.75), (5.25, 5.75), (7.25, 7.75), (9.25, 9.75)],
+        ]
+        gens = [
+            [(5.75, 6.25), (9.75, 10.25), (10.75, 11.25), (11.75, 12.25)],
+            [(9.125, 9.375), (10.375, 10.625), (11.375, 11.625),
+             (12.375, 12.625)],
+            [(9.75, 10.75), (10.75, 11.75), (11.75, 12.75), (12.75, 13.75)],
+        ]
+        if lockstep:
+            gens[0][2:] = [(11.75, 12.25), (12.25, 12.75)]
+            gens[1][2:] = [(12.375, 12.625), (12.875, 13.125)]
+            gens[2][2:] = [(12.75, 13.75), (13.75, 14.75)]
+        labels = ["P0", "P1", "P2", "P3", "G0.t0", "G1.t0", "G0.t1", "G1.t1"]
+        for s in range(3):
+            got = [(x.start, x.end, x.label)
+                   for x in res.timeline.spans(f"stage{s}")]
+            want = [(a, b, label) for (a, b), label
+                    in zip(prompts[s] + gens[s], labels)]
+            assert got == want
+        assert res.prompt_done == 9.75
+        assert res.makespan == (14.75 if lockstep else 13.75)
+        assert res.kind == (ScheduleKind.LOCKSTEP if lockstep
+                            else ScheduleKind.HYBRID)
+
+    @pytest.mark.parametrize("scalar", [np.int64(1), np.float32(1.0)])
+    def test_accepts_numpy_scalar_stage_times(self, scalar):
+        kw = dict(num_stages=2, prompt_microbatches=2, gen_microbatches=2,
+                  gen_tokens=1)
+        got = simulate_pipeline(prompt_stage_time=scalar,
+                                gen_stage_time=scalar, **kw)
+        ref = simulate_pipeline(prompt_stage_time=1.0, gen_stage_time=1.0,
+                                **kw)
+        assert got.makespan == ref.makespan == 5.0
+        assert got.timeline.to_rows() == ref.timeline.to_rows()
+
+    @pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf")])
+    def test_rejects_bad_p2p_time(self, bad):
+        # -1.0 and NaN used to be priced as no hop at all.
+        with pytest.raises(ValueError, match="p2p_time"):
+            simulate_pipeline(num_stages=2, prompt_microbatches=1,
+                              gen_microbatches=1, gen_tokens=1,
+                              prompt_stage_time=1.0, gen_stage_time=1.0,
+                              p2p_time=bad)
+
+    @pytest.mark.parametrize("name", ["num_stages", "prompt_microbatches",
+                                      "gen_microbatches", "gen_tokens"])
+    def test_rejects_non_integer_counts(self, name):
+        kw = dict(num_stages=2, prompt_microbatches=2, gen_microbatches=2,
+                  gen_tokens=1, prompt_stage_time=1.0, gen_stage_time=1.0)
+        kw[name] = 2.0
+        with pytest.raises(TypeError, match=f"{name} must be an integer"):
             simulate_pipeline(**kw)
 
 

@@ -132,6 +132,41 @@ class TestStreamingPipeline:
                                   compute_time_per_layer=compute)
 
 
+    @pytest.mark.parametrize("fetch, compute, pcie, gpu", [
+        # Fetch-bound: the link never idles and each layer computes as
+        # soon as it lands.
+        (2.0, 0.5,
+         [(0.0, 2.0), (2.0, 4.0), (4.0, 6.0), (6.0, 8.0), (8.0, 10.0)],
+         [(2.0, 2.5), (4.0, 4.5), (6.0, 6.5), (8.0, 8.5), (10.0, 10.5)]),
+        # Compute-bound: with one spare buffer, fetch i waits for layer
+        # i - 2's compute to free it.
+        (0.5, 2.0,
+         [(0.0, 0.5), (0.5, 1.0), (2.5, 3.0), (4.5, 5.0), (6.5, 7.0)],
+         [(0.5, 2.5), (2.5, 4.5), (4.5, 6.5), (6.5, 8.5), (8.5, 10.5)]),
+    ])
+    def test_exact_spans_with_shallow_prefetch(self, fetch, compute, pcie,
+                                               gpu):
+        r = simulate_layer_stream(num_layers=5, fetch_time_per_layer=fetch,
+                                  compute_time_per_layer=compute,
+                                  prefetch_depth=1)
+        assert [(s.start, s.end, s.label) for s in r.timeline.spans("pcie")] \
+            == [(a, b, f"fetch-{i}") for i, (a, b) in enumerate(pcie)]
+        assert [(s.start, s.end, s.label) for s in r.timeline.spans("gpu")] \
+            == [(a, b, f"layer-{i}") for i, (a, b) in enumerate(gpu)]
+        assert r.makespan == 10.5
+
+    @pytest.mark.parametrize("kw", [{"num_layers": 3.0},
+                                    {"prefetch_depth": 1.5},
+                                    {"prefetch_depth": float("nan")}])
+    def test_rejects_non_integer_counts(self, kw):
+        # prefetch_depth=1.5 used to build 2.5 buffers.
+        args = {"num_layers": 3, "fetch_time_per_layer": 1.0,
+                "compute_time_per_layer": 1.0, **kw}
+        (name,) = kw
+        with pytest.raises(TypeError, match=f"{name} must be an integer"):
+            simulate_layer_stream(**args)
+
+
 @given(
     layers=st.integers(min_value=1, max_value=40),
     fetch=st.floats(min_value=0.01, max_value=5.0),
