@@ -1,7 +1,6 @@
 """Benchmark harness: drivers regenerating every table and figure."""
 
 from .ablations import ALL_ABLATIONS
-from .compare import Delta, compare_results, format_deltas, load_archive
 from .figures import ALL_EXPERIMENTS
 from .runner import main, run
 from .tables import ExperimentResult, format_table
@@ -9,12 +8,8 @@ from .tables import ExperimentResult, format_table
 __all__ = [
     "ALL_ABLATIONS",
     "ALL_EXPERIMENTS",
-    "Delta",
     "ExperimentResult",
-    "compare_results",
-    "format_deltas",
     "format_table",
-    "load_archive",
     "main",
     "run",
 ]

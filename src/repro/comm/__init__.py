@@ -2,15 +2,13 @@
 in-process MPI-like communicator for SPMD NumPy execution."""
 
 from .functional import Communicator, World, spmd
-from .hierarchical import CommGroup, group_allreduce_time, hierarchical_allreduce_time
+from .hierarchical import CommGroup, hierarchical_allreduce_time
 from .pcc import PCCCost, baseline_alltoall, pcc_alltoall
 from .primitives import (
     CollectiveCost,
     allgather_time,
     allreduce_time,
     alltoall_time,
-    bruck_alltoall_time,
-    broadcast_time,
     naive_alltoall_time,
     p2p_time,
     reduce_scatter_time,
@@ -25,10 +23,7 @@ __all__ = [
     "allgather_time",
     "allreduce_time",
     "alltoall_time",
-    "bruck_alltoall_time",
     "baseline_alltoall",
-    "broadcast_time",
-    "group_allreduce_time",
     "hierarchical_allreduce_time",
     "naive_alltoall_time",
     "p2p_time",

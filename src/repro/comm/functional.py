@@ -124,15 +124,6 @@ class Communicator:
 
         return self._rendezvous(combine, np.asarray(array)).copy()
 
-    def gather_objects(self, obj: Any, root: int = 0) -> list[Any] | None:
-        """Gather arbitrary objects to ``root`` (rank order)."""
-
-        def combine(contrib: dict[int, Any]) -> list[Any]:
-            return [contrib[r] for r in range(self.size)]
-
-        result = self._rendezvous(combine, obj)
-        return result if self.rank == root else None
-
     def broadcast(self, array: np.ndarray | None, root: int = 0) -> np.ndarray:
         """Every rank receives root's array."""
 

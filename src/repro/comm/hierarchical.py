@@ -20,7 +20,7 @@ from .primitives import (
     reduce_scatter_time,
 )
 
-__all__ = ["CommGroup", "hierarchical_allreduce_time", "group_allreduce_time"]
+__all__ = ["CommGroup", "hierarchical_allreduce_time"]
 
 
 class CommGroup:
@@ -93,10 +93,3 @@ def hierarchical_allreduce_time(group: CommGroup, nbytes: float) -> CollectiveCo
         rs.latency_term + ar.latency_term + ag.latency_term,
         rs.bandwidth_term + ar.bandwidth_term + ag.bandwidth_term,
     )
-
-
-def group_allreduce_time(
-    cluster: ClusterSpec, nbytes: float, ranks: list[int]
-) -> float:
-    """Convenience wrapper returning total seconds for an all-reduce."""
-    return hierarchical_allreduce_time(CommGroup(cluster, ranks), nbytes).total

@@ -25,12 +25,10 @@ from ..hardware.specs import LinkSpec
 __all__ = [
     "CollectiveCost",
     "p2p_time",
-    "broadcast_time",
     "allreduce_time",
     "allgather_time",
     "reduce_scatter_time",
     "alltoall_time",
-    "bruck_alltoall_time",
     "naive_alltoall_time",
 ]
 
@@ -59,15 +57,6 @@ def p2p_time(link: LinkSpec, nbytes: float) -> float:
     """Point-to-point send of ``nbytes`` (pipeline stage boundary)."""
     _check(nbytes, 1)
     return link.transfer_time(nbytes)
-
-
-def broadcast_time(link: LinkSpec, nbytes: float, ranks: int) -> CollectiveCost:
-    """Binomial-tree broadcast: ceil(log2 p) staged sends."""
-    _check(nbytes, ranks)
-    if ranks == 1:
-        return CollectiveCost(0.0, 0.0)
-    steps = (ranks - 1).bit_length()
-    return CollectiveCost(steps * link.latency, steps * nbytes / link.bandwidth)
 
 
 def allreduce_time(link: LinkSpec, nbytes: float, ranks: int) -> CollectiveCost:
@@ -114,26 +103,6 @@ def alltoall_time(
     steps = ranks - 1
     moved = (ranks - 1) / ranks * nbytes
     return CollectiveCost(steps * alpha, moved / link.bandwidth)
-
-
-def bruck_alltoall_time(
-    link: LinkSpec, nbytes: float, ranks: int
-) -> CollectiveCost:
-    """Bruck's log-step all-to-all.
-
-    ``ceil(log2 p)`` rounds, each moving half the payload — latency
-    O(log p) instead of O(p), at the cost of ~log2(p)/2 x the bandwidth
-    volume. The classic tradeoff: wins for small messages at scale,
-    loses to pairwise exchange once the bandwidth term dominates
-    (cf. the PCC discussion of Sec. V-B, which attacks the same latency
-    term structurally instead of algorithmically).
-    """
-    _check(nbytes, ranks)
-    if ranks == 1:
-        return CollectiveCost(0.0, 0.0)
-    steps = (ranks - 1).bit_length()
-    moved = steps * nbytes / 2.0
-    return CollectiveCost(steps * link.latency, moved / link.bandwidth)
 
 
 def naive_alltoall_time(

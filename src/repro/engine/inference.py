@@ -149,8 +149,3 @@ class MoEInferenceEngine:
     def step_breakdown(self, *, batch: int = 8, kv_len: int = 228) -> MoEStepBreakdown:
         """Component decomposition of one token step."""
         return self.model.token_step(batch, kv_len)
-
-    def throughput_per_gpu(self, *, batch: int = 8, kv_len: int = 228) -> float:
-        """Generated tokens/s/GPU (Fig. 7's throughput axis)."""
-        lat = self.token_latency(batch=batch, kv_len=kv_len)
-        return batch / lat / self.parallelism.num_gpus

@@ -85,7 +85,14 @@ class MoEStepBreakdown:
 
 
 class MoELatencyModel:
-    """Latency of one MoE deployment, optimized (DeepSpeed) or baseline."""
+    """Latency of one MoE deployment, optimized (DeepSpeed) or baseline.
+
+    ``optimized=False`` is the PyTorch-MoE baseline of Sec. VII-A1 that
+    Figs. 7 and 11 compare against: sparse one-hot einsum gating, a
+    loop-of-sends all-to-all over all expert-parallel ranks, no expert
+    slicing and eager kernels. The functional counterpart of its gating
+    path is :meth:`repro.model.moe.MoELayer.forward_sparse_einsum`.
+    """
 
     def __init__(
         self,

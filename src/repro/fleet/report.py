@@ -17,7 +17,6 @@ from ..autoscale.actions import AutoscaleEvent
 from ..autoscale.signals import FleetSignals
 from ..engine.report_stats import ReportStats
 from ..engine.scheduler import Scheduler
-from ..engine.serving_sim import WorkloadTrace
 from ..simcore.trace import Timeline
 from .router import RoutingDecision
 
@@ -133,11 +132,3 @@ class FleetReport(ReportStats):
             return float(self.num_replicas)
         return self.replica_seconds / self.makespan
 
-    def per_replica_ttft_percentile(self, trace: WorkloadTrace, q: float,
-                                    replica: int) -> float:
-        """qth TTFT percentile over the requests one replica completed."""
-        vals = [self.ttft(r) for r in trace.requests
-                if self.replica_of.get(r.request_id) == replica]
-        if not vals:
-            raise ValueError(f"replica {replica} completed no requests")
-        return self._percentile(vals, q)

@@ -186,10 +186,6 @@ class CPUSpec:
         """DRAM that pinned weights or offloaded KV cache may fill."""
         return self.dram_bytes * USABLE_FRACTION
 
-    def weight_read_time(self, nbytes: float) -> float:
-        """Time to stream ``nbytes`` of weights out of DRAM."""
-        return nbytes / self.dram_bw
-
 
 @dataclass(frozen=True)
 class NVMeSpec:
@@ -200,10 +196,6 @@ class NVMeSpec:
     read_bw: float
     write_bw: float
     latency: float = 80 * US
-
-    def read_time(self, nbytes: float) -> float:
-        """Time for a bulk, pipelined read of ``nbytes``."""
-        return self.latency + nbytes / self.read_bw
 
 
 # --------------------------------------------------------------------------

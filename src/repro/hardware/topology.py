@@ -131,16 +131,6 @@ class ClusterSpec:
         g = self.node.gpus_per_node
         return DeviceId(global_rank // g, global_rank % g)
 
-    def same_node(self, a: DeviceId, b: DeviceId) -> bool:
-        """True when both devices share NVLink/NVSwitch."""
-        return a.node == b.node
-
-    def link_between(self, a: DeviceId, b: DeviceId) -> LinkSpec:
-        """The link class used for traffic between two GPUs."""
-        if a == b:
-            raise ValueError("no link from a device to itself")
-        return self.node.intra_link if self.same_node(a, b) else self.inter_link
-
 
 def dgx_a100_cluster(num_nodes: int = 32) -> ClusterSpec:
     """The paper's main cluster: up to 32 DGX A100 boxes (256 GPUs)."""

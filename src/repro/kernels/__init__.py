@@ -7,7 +7,6 @@ from .costmodel import KernelCostModel, LayerCost, RegionTime
 from .cuda_graph import CapturedGraph, GraphMismatch, GraphRunner
 from .fusion import FusedRegion, FusionStrategy, partition
 from .gemm import (
-    GemmKind,
     SBITilePlan,
     cublas_bw_efficiency,
     cublas_compute_efficiency,
@@ -42,7 +41,6 @@ __all__ = [
     "FASTER_TRANSFORMER_FP16",
     "FusedRegion",
     "FusionStrategy",
-    "GemmKind",
     "HEAD",
     "HIDDEN",
     "ImplementationProfile",

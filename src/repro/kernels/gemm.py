@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from ..hardware.specs import DType, GPUSpec
 
 __all__ = [
-    "GemmKind",
     "cublas_bw_efficiency",
     "cublas_compute_efficiency",
     "cutlass_int8_compute_efficiency",
@@ -37,14 +36,6 @@ __all__ = [
     "sbi_tile_plan",
     "SBITilePlan",
 ]
-
-
-class GemmKind:
-    """Names for the GeMM implementations the cost model can pick."""
-
-    CUBLAS = "cublas"
-    CUTLASS_INT8 = "cutlass-int8"
-    SBI = "sbi"
 
 
 def cublas_bw_efficiency(tokens: int) -> float:

@@ -4,7 +4,7 @@ The functional layer is SPMD: every rank runs the same program against
 its own shard and synchronizes through the rendezvous collectives of
 :class:`repro.comm.functional.Communicator` (``allreduce``,
 ``allgather``, ``alltoall``, ``broadcast``, ``reduce_scatter``,
-``barrier``, ``gather_objects``, ``split``). A collective reached by
+``barrier``, ``split``). A collective reached by
 only *some* ranks — because it sits under an ``if comm.rank == 0:``
 branch, or inside a loop whose trip count depends on the rank — leaves
 the others parked at the barrier forever: the classic SPMD deadlock
@@ -39,7 +39,6 @@ COLLECTIVES = frozenset({
     "broadcast",
     "reduce_scatter",
     "barrier",
-    "gather_objects",
     "split",
 })
 

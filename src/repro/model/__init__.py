@@ -21,7 +21,6 @@ from .gating import (
     expert_capacity,
     top1_gating,
     topk_gating,
-    topk_gating_vectorized,
 )
 from .kvcache import HostOffloadKVCache, KVCache
 from .moe import MoELayer
@@ -61,5 +60,4 @@ __all__ = [
     "save_checkpoint",
     "top1_gating",
     "topk_gating",
-    "topk_gating_vectorized",
 ]

@@ -28,7 +28,6 @@ __all__ = [
     "TopKGatingResult",
     "top1_gating",
     "topk_gating",
-    "topk_gating_vectorized",
     "expert_capacity",
     "build_expert_to_token_table",
 ]
@@ -175,60 +174,6 @@ def topk_gating(
                 counts[ex] += 1
 
     kept = token_expert >= 0
-    weight = np.where(kept, chosen_p, 0.0)
-    norm = weight.sum(axis=-1, keepdims=True)
-    weight = np.divide(weight, norm, out=np.zeros_like(weight), where=norm > 0)
-    return TopKGatingResult(
-        token_expert=token_expert,
-        token_slot=token_slot,
-        gate_weight=weight,
-        capacity=cap,
-        num_experts=e,
-        k=k,
-    )
-
-
-def topk_gating_vectorized(
-    gate_logits: np.ndarray, k: int, *, capacity_factor: float = 1.0
-) -> TopKGatingResult:
-    """Vectorized :func:`topk_gating` — identical results, no Python loop.
-
-    The slot a (token, choice) pair receives equals the number of
-    *earlier-priority* pairs targeting the same expert, where priority
-    orders by (token index, choice rank) — exactly the loop's visit
-    order. A stable sort by expert groups the pairs while preserving
-    priority order, so each pair's slot is its rank within its group —
-    an O(n log n), expert-count-independent scan (the inverse-mapping
-    construction Sec. V-C's table-based gating performs on device).
-    """
-    if gate_logits.ndim != 2:
-        raise ValueError("gate_logits must be (tokens, experts)")
-    s, e = gate_logits.shape
-    if not 1 <= k <= e:
-        raise ValueError(f"k must be in [1, {e}]")
-    probs = softmax(gate_logits, axis=-1)
-    order = np.argsort(-probs, axis=-1, kind="stable")[:, :k]
-    chosen_p = np.take_along_axis(probs, order, axis=-1)
-    cap = expert_capacity(s, e, capacity_factor * k)
-
-    flat_experts = order.reshape(-1)  # priority order: token-major, then rank
-    n = s * k
-    by_expert = np.argsort(flat_experts, kind="stable")
-    sorted_experts = flat_experts[by_expert]
-    new_group = np.empty(n, dtype=bool)
-    new_group[0] = True
-    np.not_equal(sorted_experts[1:], sorted_experts[:-1], out=new_group[1:])
-    group_start = np.maximum.accumulate(
-        np.where(new_group, np.arange(n), 0)
-    )
-    slots_sorted = np.arange(n) - group_start
-    flat_slots = np.empty(n, dtype=np.int64)
-    flat_slots[by_expert] = slots_sorted
-    flat_slots = flat_slots.reshape(s, k)
-
-    kept = flat_slots < cap
-    token_expert = np.where(kept, order, -1)
-    token_slot = np.where(kept, flat_slots, -1)
     weight = np.where(kept, chosen_p, 0.0)
     norm = weight.sum(axis=-1, keepdims=True)
     weight = np.divide(weight, norm, out=np.zeros_like(weight), where=norm > 0)

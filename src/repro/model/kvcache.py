@@ -65,15 +65,6 @@ class KVCache:
                 total += k.nbytes + v.nbytes
         return total
 
-    def trim(self, max_len: int) -> None:
-        """Drop entries beyond ``max_len`` positions (sliding-window use)."""
-        if max_len < 0:
-            raise ValueError("max_len must be >= 0")
-        for i in range(self.num_layers):
-            if self._k[i] is not None and self._k[i].shape[2] > max_len:
-                self._k[i] = self._k[i][:, :, :max_len].copy()
-                self._v[i] = self._v[i][:, :, :max_len].copy()
-
     def free(self) -> None:
         """Drop every cached tensor — the uniform retirement hook shared
         with :class:`~repro.model.paged_kv.PagedKVCache` so engines can

@@ -9,13 +9,14 @@ either raw per-expert count vectors (one per iteration, e.g. rows of
 :class:`~repro.model.gating.TopKGatingResult` objects from the
 functional gating path, and answers the two questions the placement and
 prefetch layers ask: *expected per-expert load next step* and *the n
-hottest / coldest experts*.
+hottest experts*.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from ..engine.scheduler import _as_index
 from ..model.gating import TopKGatingResult
 
 __all__ = ["GateHistoryPredictor", "gating_counts"]
@@ -41,6 +42,7 @@ class GateHistoryPredictor:
     """
 
     def __init__(self, num_experts: int, *, alpha: float = 0.25) -> None:
+        num_experts = _as_index("num_experts", num_experts)
         if num_experts < 1:
             raise ValueError("num_experts must be >= 1")
         if not 0.0 < alpha <= 1.0:
@@ -60,8 +62,9 @@ class GateHistoryPredictor:
             raise ValueError(
                 f"expected {self.num_experts} per-expert counts, got shape "
                 f"{counts.shape}")
-        if (counts < 0).any():
-            raise ValueError("token counts must be non-negative")
+        # Written as a range test so that NaN fails it too.
+        if not ((0 <= counts) & (counts < np.inf)).all():
+            raise ValueError("token counts must be finite and >= 0")
         if self.steps_observed == 0:
             self._ema_tokens = counts.copy()
         else:
@@ -73,20 +76,8 @@ class GateHistoryPredictor:
         """Expected per-expert token counts next step (EMA state)."""
         return self._ema_tokens.copy()
 
-    def predicted_probs(self) -> np.ndarray:
-        """Predicted gate distribution (uniform before any update)."""
-        total = self._ema_tokens.sum()
-        if total <= 0:
-            return np.full(self.num_experts, 1.0 / self.num_experts)
-        return self._ema_tokens / total
-
     def hot_experts(self, n: int | None = None) -> np.ndarray:
         """Expert ids sorted hottest-first (ties broken by lower id),
         truncated to the ``n`` hottest when given."""
         order = np.argsort(-self._ema_tokens, kind="stable")
-        return order if n is None else order[: max(0, n)]
-
-    def cold_experts(self, n: int | None = None) -> np.ndarray:
-        """Expert ids sorted coldest-first, truncated to ``n``."""
-        order = self.hot_experts()[::-1]
-        return order if n is None else order[: max(0, n)]
+        return order if n is None else order[: max(0, _as_index("n", n))]

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..engine.scheduler import _as_index
 from ..zero.streaming import simulate_layer_stream
 from .placement import ExpertPlacement, PlacementPlan
 from .predictor import GateHistoryPredictor
@@ -76,7 +77,7 @@ def simulate_expert_stream(
     counts = np.asarray(stream, dtype=np.float64)
     if counts.ndim != 2 or counts.shape[0] < 1:
         raise ValueError("stream must be (steps, num_experts) with >= 1 step")
-    if prefetch_slots < 0:
+    if _as_index("prefetch_slots", prefetch_slots) < 0:
         raise ValueError("prefetch_slots must be >= 0")
     if not (0 <= fetch_time_per_expert < math.inf
             and 0 <= compute_time_per_step < math.inf):

@@ -155,11 +155,6 @@ class Timeline:
             return 0.0
         return min(1.0, self.busy_time(lane) / horizon)
 
-    def bubble_time(self, lane: str, horizon: float | None = None) -> float:
-        """Idle time of ``lane`` within the horizon — the pipeline bubble."""
-        horizon = self.makespan() if horizon is None else horizon
-        return max(0.0, horizon - self.busy_time(lane))
-
     def has_overlap(self, lane: str) -> bool:
         """True if two spans on ``lane`` overlap (schedule validity check)."""
         starts, ends, _ = self._lanes.get(lane, _NO_SPANS)

@@ -6,14 +6,13 @@ from repro.baselines import (
     CPUOnlyBaseline,
     FasterTransformerBaseline,
     GPUOnlyBaseline,
-    PyTorchMoEBaseline,
     encoder_latency,
     et_comparison,
     kernel_ablation_configs,
     layer_latency_sweep,
 )
 from repro.hardware import A100_40GB, dgx_a100_cluster, lambda_a6000_workstation
-from repro.model import BERT_ZOO, DENSE_ZOO, MOE_PARALLELISM, MOE_ZOO, get_model
+from repro.model import BERT_ZOO, DENSE_ZOO, get_model
 
 CLUSTER = dgx_a100_cluster(8)
 WS = lambda_a6000_workstation(1)
@@ -38,17 +37,6 @@ class TestFasterTransformer:
         ft = FasterTransformerBaseline(DENSE_ZOO["gpt-13b"], CLUSTER)
         pt = ft.best_throughput(prompt_len=128, gen_tokens=8)
         assert pt.batch >= 1 and pt.tokens_per_second > 0
-
-
-class TestPyTorchMoE:
-    def test_baseline_properties(self):
-        name = "1.3b-moe-128"
-        b = PyTorchMoEBaseline(MOE_ZOO[name], dgx_a100_cluster(16),
-                               MOE_PARALLELISM[name])
-        assert b.token_latency() > 0
-        brk = b.step_breakdown()
-        assert brk.gating_time > 0
-        assert b.effective_bandwidth_per_gpu() > 0
 
 
 class TestMegatronAblation:

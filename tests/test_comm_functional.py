@@ -92,14 +92,6 @@ class TestCollectives:
         np.testing.assert_array_equal(outs[0], [3, 3, 3])
         np.testing.assert_array_equal(outs[2], [5, 5, 5])
 
-    def test_gather_objects(self):
-        def prog(comm):
-            return comm.gather_objects(f"r{comm.rank}", root=0)
-
-        outs = spmd(3, prog)
-        assert outs[0] == ["r0", "r1", "r2"]
-        assert outs[1] is None and outs[2] is None
-
 
 class TestPointToPoint:
     def test_ring_send_recv(self):

@@ -9,8 +9,6 @@ from repro.comm import (
     allreduce_time,
     alltoall_time,
     baseline_alltoall,
-    broadcast_time,
-    group_allreduce_time,
     hierarchical_allreduce_time,
     naive_alltoall_time,
     p2p_time,
@@ -27,7 +25,7 @@ class TestAlphaBeta:
         assert p2p_time(LINK, 200.0) == pytest.approx(0.01 + 2.0)
 
     def test_single_rank_collectives_are_free(self):
-        for fn in (allreduce_time, allgather_time, alltoall_time, broadcast_time):
+        for fn in (allreduce_time, allgather_time, alltoall_time):
             assert fn(LINK, 1e6, 1).total == 0.0
 
     def test_allreduce_moves_2p_minus_1_over_p(self):
@@ -44,10 +42,6 @@ class TestAlphaBeta:
         assert reduce_scatter_time(LINK, 64.0, 4).total == pytest.approx(
             allgather_time(LINK, 64.0, 4).total
         )
-
-    def test_broadcast_log_steps(self):
-        c = broadcast_time(LINK, 100.0, 8)
-        assert c.latency_term == pytest.approx(3 * 0.01)
 
     def test_alltoall_latency_linear_in_p(self):
         c16 = alltoall_time(LINK, 100.0, 16)
@@ -67,8 +61,7 @@ class TestAlphaBeta:
 
     @pytest.mark.parametrize("nbytes", [float("nan"), float("inf")])
     def test_rejects_non_finite_bytes(self, nbytes):
-        for fn in (allreduce_time, allgather_time, alltoall_time,
-                   broadcast_time):
+        for fn in (allreduce_time, allgather_time, alltoall_time):
             with pytest.raises(ValueError, match="finite"):
                 fn(LINK, nbytes, 4)
         with pytest.raises(ValueError, match="finite"):
@@ -106,8 +99,10 @@ class TestHierarchical:
         assert t == pytest.approx(expected)
 
     def test_cross_node_slower_than_intra_node(self):
-        intra = group_allreduce_time(self.cluster, 1e8, list(range(8)))
-        inter = group_allreduce_time(self.cluster, 1e8, list(range(16)))
+        intra = hierarchical_allreduce_time(
+            CommGroup(self.cluster, list(range(8))), 1e8).total
+        inter = hierarchical_allreduce_time(
+            CommGroup(self.cluster, list(range(16))), 1e8).total
         assert inter > intra
 
     def test_hierarchical_beats_flat_ib_ring(self):

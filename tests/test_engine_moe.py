@@ -90,13 +90,6 @@ class TestFacade:
         assert eng.parallelism.num_gpus == 256
         assert eng.token_latency() > 0
 
-    def test_throughput_per_gpu(self):
-        eng = MoEInferenceEngine("1.3b-moe-128")
-        tput = eng.throughput_per_gpu(batch=8)
-        assert tput == pytest.approx(
-            8 / eng.token_latency(batch=8) / 128
-        )
-
     def test_dense_model_rejected(self):
         with pytest.raises(ValueError):
             MoEInferenceEngine("gpt-13b")

@@ -54,15 +54,9 @@ class TestDynamicPool:
                           if rep.replica_of[r.request_id] != 0]
         assert served_by_late, "late joiners must have taken real load"
         # Fleet-wide percentiles must fold those requests in without
-        # blowing up, and per-replica percentiles work for any replica
-        # that completed at least one request.
+        # blowing up.
         assert rep.ttft_percentile(trace, 99) > 0.0
         assert rep.latency_percentile(trace, 99) > 0.0
-        for s in rep.replica_stats:
-            if s.num_requests > 0:
-                val = rep.per_replica_ttft_percentile(
-                    trace, 50, s.replica)
-                assert val >= 0.0
 
     def test_replica_seconds_sum_lifetime_segments(self):
         trace, rep = _scaled_report()
@@ -126,5 +120,3 @@ class TestStaticPoolUnchanged:
         idle = {s.replica: s for s in rep.replica_stats}[1]
         assert idle.num_requests == 0 and idle.tokens == 0
         assert rep.request_counts == (1, 0)
-        with pytest.raises(ValueError, match="completed no requests"):
-            rep.per_replica_ttft_percentile(trace, 99, 1)

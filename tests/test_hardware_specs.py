@@ -10,7 +10,6 @@ from repro.hardware import (
     GPU_REGISTRY,
     INFINIBAND_HDR,
     NVLINK3,
-    NVME_RAID,
     PCIE4_X16,
     V100_32GB,
     XEON_8280,
@@ -83,12 +82,5 @@ class TestLinks:
 
 
 class TestHostAndNVMe:
-    def test_nvme_read_time(self):
-        t = NVME_RAID.read_time(NVME_RAID.read_bw)
-        assert t == pytest.approx(NVME_RAID.latency + 1.0)
-
-    def test_host_weight_read(self):
-        assert XEON_8280.weight_read_time(XEON_8280.dram_bw) == pytest.approx(1.0)
-
     def test_dram_slower_than_hbm(self):
         assert XEON_8280.dram_bw < V100_32GB.mem_bw

@@ -125,16 +125,6 @@ class TestKVCache:
         with pytest.raises(IndexError):
             c.seq_len(-1)
 
-    def test_trim(self):
-        c = KVCache(1)
-        k = np.arange(8.0).reshape(1, 1, 8, 1)
-        c.append(0, k, k)
-        c.trim(5)
-        assert c.seq_len(0) == 5
-        np.testing.assert_array_equal(c.get(0)[0][0, 0, :, 0], np.arange(5.0))
-        with pytest.raises(ValueError):
-            c.trim(-1)
-
     def test_empty_construction(self):
         with pytest.raises(ValueError):
             KVCache(0)

@@ -1,11 +1,10 @@
-"""Tests for sampling strategies, Bruck all-to-all, and roofline analysis."""
+"""Tests for sampling strategies and roofline analysis."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.comm import alltoall_time, bruck_alltoall_time
-from repro.hardware import A100_40GB, LinkSpec
+from repro.hardware import A100_40GB
 from repro.kernels import (
     LayerShape,
     analyze_layer,
@@ -76,26 +75,6 @@ class TestSampling:
         cfg = SamplingConfig(temperature=1.3, top_p=0.9)
         toks = sample_next_token(logits, cfg, np.random.default_rng(seed))
         assert ((toks >= 0) & (toks < 13)).all()
-
-
-class TestBruck:
-    LINK = LinkSpec(name="t", bandwidth=1e9, latency=5e-6)
-
-    def test_log_latency_steps(self):
-        c = bruck_alltoall_time(self.LINK, 1e3, 64)
-        assert c.latency_term == pytest.approx(6 * 5e-6)
-
-    def test_small_message_crossover(self):
-        """Bruck wins for tiny payloads at scale; pairwise wins for big."""
-        small = 1e3
-        big = 1e9
-        assert (bruck_alltoall_time(self.LINK, small, 256).total
-                < alltoall_time(self.LINK, small, 256).total)
-        assert (bruck_alltoall_time(self.LINK, big, 256).total
-                > alltoall_time(self.LINK, big, 256).total)
-
-    def test_single_rank_free(self):
-        assert bruck_alltoall_time(self.LINK, 1e6, 1).total == 0.0
 
 
 class TestRooflineAnalysis:

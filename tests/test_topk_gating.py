@@ -131,106 +131,3 @@ def test_topk_invariants(tokens, experts, k):
         g.gate_weight.sum(-1)[kept_any], 1.0, atol=1e-9
     )
     assert (g.gate_weight.sum(-1)[~kept_any] == 0).all()
-
-
-class TestVectorizedTopK:
-    """The vectorized formulation equals the greedy loop exactly."""
-
-    @pytest.mark.parametrize("tokens,experts,k,cf", [
-        (16, 4, 2, 1.0), (33, 8, 3, 0.5), (7, 3, 1, 2.0), (64, 16, 2, 0.25),
-    ])
-    def test_matches_loop_version(self, tokens, experts, k, cf):
-        from repro.model import topk_gating_vectorized
-
-        logits = np.random.default_rng(tokens + experts).normal(
-            size=(tokens, experts))
-        a = topk_gating(logits, k, capacity_factor=cf)
-        b = topk_gating_vectorized(logits, k, capacity_factor=cf)
-        np.testing.assert_array_equal(a.token_expert, b.token_expert)
-        np.testing.assert_array_equal(a.token_slot, b.token_slot)
-        np.testing.assert_allclose(a.gate_weight, b.gate_weight, atol=1e-12)
-        assert a.capacity == b.capacity
-
-    @given(
-        tokens=st.integers(min_value=1, max_value=40),
-        experts=st.sampled_from([2, 4, 8]),
-        k=st.integers(min_value=1, max_value=2),
-        cf=st.sampled_from([0.25, 1.0, 4.0]),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_equivalence_property(self, tokens, experts, k, cf):
-        from repro.model import topk_gating_vectorized
-
-        logits = np.random.default_rng(tokens * 31 + experts).normal(
-            size=(tokens, experts))
-        a = topk_gating(logits, k, capacity_factor=cf)
-        b = topk_gating_vectorized(logits, k, capacity_factor=cf)
-        np.testing.assert_array_equal(a.token_expert, b.token_expert)
-        np.testing.assert_array_equal(a.token_slot, b.token_slot)
-
-    @given(
-        tokens=st.integers(min_value=1, max_value=48),
-        experts=st.sampled_from([4, 8, 16]),
-        k=st.integers(min_value=1, max_value=3),
-        skew=st.sampled_from([0.8, 1.2, 1.8]),
-        cf=st.sampled_from([0.25, 1.0, 2.0]),
-        seed=st.integers(min_value=0, max_value=2**16),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_equivalence_on_skewed_gates(self, tokens, experts, k, skew,
-                                         cf, seed):
-        """Zipf-skewed logits drive heavy capacity overflow — the regime
-        where the two formulations' tie-breaking could diverge."""
-        from repro.model import topk_gating_vectorized
-        from repro.moe_placement import zipf_gate_logits
-
-        logits = zipf_gate_logits(tokens, experts, skew, seed=seed)
-        a = topk_gating(logits, min(k, experts), capacity_factor=cf)
-        b = topk_gating_vectorized(logits, min(k, experts),
-                                   capacity_factor=cf)
-        np.testing.assert_array_equal(a.token_expert, b.token_expert)
-        np.testing.assert_array_equal(a.token_slot, b.token_slot)
-        np.testing.assert_array_equal(a.gate_weight, b.gate_weight)
-        assert a.capacity == b.capacity
-
-    @pytest.mark.parametrize("tokens,experts,k,cf", [
-        (32, 4, 1, 0.25),   # hard overflow: capacity 2 of 32 demands
-        (16, 8, 2, 0.125),  # capacity 1 everywhere
-        (24, 4, 3, 1.0),
-    ])
-    def test_equivalence_all_tokens_one_expert(self, tokens, experts, k, cf):
-        """Degenerate gate: every token's top choice is the same expert,
-        so nearly everything overflows into drops or secondary choices."""
-        from repro.model import topk_gating_vectorized
-
-        logits = np.random.default_rng(3).normal(size=(tokens, experts))
-        logits[:, 0] += 50.0  # expert 0 dominates every token
-        a = topk_gating(logits, k, capacity_factor=cf)
-        b = topk_gating_vectorized(logits, k, capacity_factor=cf)
-        np.testing.assert_array_equal(a.token_expert, b.token_expert)
-        np.testing.assert_array_equal(a.token_slot, b.token_slot)
-        np.testing.assert_array_equal(a.gate_weight, b.gate_weight)
-        # The degenerate regime really overflowed: expert 0 saturated.
-        kept0 = (a.token_expert == 0) & a.kept_pairs()
-        assert kept0.sum() == a.capacity
-
-    def test_vectorized_is_faster_at_scale(self):
-        """The point of vectorizing (guide: avoid Python loops)."""
-        import time
-
-        from repro.model import topk_gating_vectorized
-
-        logits = np.random.default_rng(0).normal(size=(16384, 64))
-
-        def best_of(fn, reps=3):
-            times = []
-            for _ in range(reps):
-                t0 = time.perf_counter()
-                fn(logits, 2)
-                times.append(time.perf_counter() - t0)
-            return min(times)
-
-        best_of(topk_gating_vectorized, reps=1)  # warm-up
-        loop_t = best_of(topk_gating)
-        vec_t = best_of(topk_gating_vectorized)
-        assert vec_t < loop_t
