@@ -376,14 +376,17 @@ class _PassPricedCost(StepCostModel):
         return cost
 
     def decode_run_cost(self, state: BatchState, steps: int) -> np.ndarray:
-        steps = _run_steps(state, steps)
-        if not steps:
-            return np.empty(0)
+        batch = state.batch
+        # The serving loop's exact ints >= 1 over a live batch skip the
+        # check; everything else goes through it.
+        if type(steps) is not int or steps < 1 or batch < 1:
+            steps = _run_steps(state, steps)
+            if not steps:
+                return np.empty(0)
         # Every sequence gains one token per iteration, so the ceiling-mean
         # KV grows exactly +1 per step: the run is a contiguous slice of
         # this batch size's cost array, which a prompt's riders read too.
         # ``total_kv >= batch`` keeps the ceiling mean >= 1 (entry >= 0).
-        batch = state.batch
         c0 = -(-state.total_kv // batch) - 1
         end = c0 + steps
         entry = self._spans.get((batch, 1))

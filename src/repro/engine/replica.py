@@ -54,11 +54,11 @@ from array import array
 from bisect import bisect_left
 from collections import deque
 from itertools import accumulate
+from struct import Struct
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from ..model.paged_kv import blocks_needed
 from ..simcore.trace import merged_length
 from .costs import BatchState, PromptShape, StepCostModel
 from .scheduler import SchedRequest, Scheduler, _as_index
@@ -69,8 +69,8 @@ if TYPE_CHECKING:
 _INF = math.inf
 # The trace's session column holds this for "no session".
 _NO_SESSION = -2**63
-# Ledger states, scheduler requests and prefix-hit prompt shapes skip
-# their classes' checks: their fields are valid by construction.
+# Priced batch states, scheduler requests and prefix-hit prompt shapes
+# skip their classes' checks: their fields are valid by construction.
 _new = object.__new__
 _set_batch = BatchState.batch.__set__
 _set_total_kv = BatchState.total_kv.__set__
@@ -80,8 +80,11 @@ _set_total_kv = BatchState.total_kv.__set__
 # scheduler's arrival (_ADMIT_DONE: it retired in its prompt pass); a
 # decode stretch has a = batch, b = steps and c = the live KV total at
 # its start; _CRASH (a = requests requeued), _RECOVER and _RETIRE are
-# instants (start == end). Ids and counts are exact below 2**53.
+# instants (start == end). Ids and counts are exact below 2**53. A row
+# is appended as one packed string (``_row``): ``frombytes`` copies it
+# whole, where ``extend`` parses every item.
 _ADMIT, _ADMIT_DONE, _DECODE, _CRASH, _RECOVER, _RETIRE = range(6)
+_row = Struct("6d").pack
 # Decode stretches priced at most this many steps turn into step end
 # times in Python floats, longer ones in NumPy: the measured crossover
 # (replaying the e2e workloads' stretches through both folds,
@@ -211,12 +214,11 @@ class _KvTracker:
             self.hits += 1
             self.hit_tokens += eff
             self.saved_blocks += self._blocks(eff)
-        fresh = blocks_needed(prompt_len, block_size=self.block_size,
-                              num_layers=self.num_layers,
-                              shared_prefix_len=eff)
+        # The blocks past the inherited prefix (``eff < prompt_len``).
+        bs = self.block_size
+        fresh = self.num_layers * (-(-prompt_len // bs) - (-(-eff // bs)))
         pending = self._grown
         if pending:  # take back the growth the next sync will count
-            bs = self.block_size
             fresh -= self.num_layers * ((prompt_len - 1) // bs
                                         - (prompt_len - 1 - pending) // bs)
         self._used += fresh
@@ -224,13 +226,6 @@ class _KvTracker:
         self._live[rid] = prompt_len + 1 - pending
         self.total_kv += prompt_len + 1
         return eff
-
-    def state(self) -> BatchState:
-        """The live batch, priced as is."""
-        state = _new(BatchState)
-        _set_batch(state, len(self._live))
-        _set_total_kv(state, self.total_kv)
-        return state
 
     def grow_all(self, steps: int) -> None:
         """Every live request appends ``steps`` positions (one per
@@ -294,14 +289,15 @@ class _Replica:
     (``Scheduler._queue``, ``Scheduler._active``) directly, not through
     its properties.
 
-    ``on_complete(index, pos, t)`` is called for every request that
-    finishes here (``pos`` is its trace position): the fleet releases
-    the request's work from the router, a lone server ignores it."""
+    ``on_complete(index, pos, t)``, unless ``None``, is called for every
+    request that finishes here (``pos`` is its trace position): the
+    fleet releases the request's work from the router; a lone server,
+    with no router to tell, passes ``None``."""
 
     def __init__(self, index: int, *, requests: _RequestColumns,
                  out: _Outcomes, max_batch: int, policy: str,
                  costs: StepCostModel, kv: _KvTracker,
-                 on_complete: Callable[[int, int, float], None],
+                 on_complete: Callable[[int, int, float], None] | None,
                  join_time: float = 0.0,
                  ttft_sink: list[tuple[float, float]] | None = None) -> None:
         self.index = index
@@ -452,7 +448,9 @@ class _Replica:
             self._mid_round = True
             start = self.now
             # The riders: the live batch before the newcomer joins it.
-            riders = kv.state()
+            riders = _new(BatchState)
+            _set_batch(riders, len(kv._live))
+            _set_total_kv(riders, kv.total_kv)
             eff = kv._admit(rid, s.prompt_len, req.session[pos],
                             req.prefix[pos])
             # A prefix hit prices the unshared suffix only; ``eff == 0``
@@ -479,8 +477,8 @@ class _Replica:
                 self.ttft_sink.append((now, now - arrival))
             self.tokens += 1
             done = sched.record_token(rid) is not None
-            self.log.extend((_ADMIT_DONE if done else _ADMIT, start, now,
-                             rid, eff, s.arrival))
+            self.log.frombytes(_row(_ADMIT_DONE if done else _ADMIT, start,
+                                    now, rid, eff, s.arrival))
             if done:
                 self._finish(rid, pos, now)
             return "admit"
@@ -501,7 +499,10 @@ class _Replica:
         horizon = sched.decode_horizon()
         if max_steps is not None and horizon > max_steps:
             horizon = max_steps
-        run = self.costs.decode_run_cost(kv.state(), horizon)
+        state = _new(BatchState)
+        _set_batch(state, batch)
+        _set_total_kv(state, kv.total_kv)
+        run = self.costs.decode_run_cost(state, horizon)
         if start >= slow_from:  # unslowed replicas skip the multiply
             run *= self.slow_factor
         # The stretch's step end times, the per-step clock's own left
@@ -543,7 +544,8 @@ class _Replica:
         self.now = now
         retired = sched.record_tokens(n)
         self.tokens += n * batch
-        self.log.extend((_DECODE, start, now, batch, n, self.kv.total_kv))
+        self.log.frombytes(_row(_DECODE, start, now, batch, n,
+                                self.kv.total_kv))
         # Caches grow before retirement (a retiree participates in every
         # step of the stretch — it retires *at* the last one).
         self.kv.grow_all(n)
@@ -558,7 +560,8 @@ class _Replica:
         self.out.finish[pos] = now
         self.completed += 1
         self.completed_tokens += req.gen[pos]
-        self.on_complete(self.index, pos, now)
+        if self.on_complete is not None:
+            self.on_complete(self.index, pos, now)
 
     # -- crash handling --------------------------------------------------
 
@@ -595,7 +598,8 @@ class _Replica:
         for t, pos in self.inbox:              # routed, never enqueued
             victims.append((max(t_requeue, t), pos))
         self.inbox.clear()
-        self.log.extend((_CRASH, t_requeue, t_requeue, len(victims), 0, 0))
+        self.log.frombytes(_row(_CRASH, t_requeue, t_requeue, len(victims),
+                                0, 0))
         return victims
 
     def recover(self, t: float) -> None:
@@ -616,7 +620,7 @@ class _Replica:
         self._mid_round = False
         self.now = max(self.now, t)
         self.seg_open = self.now
-        self.log.extend((_RECOVER, self.now, self.now, 0, 0, 0))
+        self.log.frombytes(_row(_RECOVER, self.now, self.now, 0, 0, 0))
 
     def maybe_retire(self, t: float) -> bool:
         """Retire a draining replica the moment it runs dry (no active,
@@ -632,8 +636,8 @@ class _Replica:
             if self.seg_open is not None:
                 self.segments.append((self.seg_open, self.retire_time))
                 self.seg_open = None
-            self.log.extend((_RETIRE, self.retire_time, self.retire_time,
-                             0, 0, 0))
+            self.log.frombytes(_row(_RETIRE, self.retire_time,
+                                    self.retire_time, 0, 0, 0))
             return True
         return False
 

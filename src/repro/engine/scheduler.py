@@ -346,11 +346,6 @@ class Scheduler:
         not-yet-admitted requests elsewhere."""
         return [r.request_id for r in self._queue]
 
-    @property
-    def free_slots(self) -> int:
-        """Slots available for admission."""
-        return self.max_slots - len(self._active)
-
     def generated(self, request_id: int) -> int:
         """Tokens recorded for a request so far."""
         if request_id in self._active:
@@ -419,7 +414,7 @@ class Scheduler:
         Returns the admitted requests in admission order.
         """
         admitted: list[SchedRequest] = []
-        while self._queue and self.free_slots > 0:
+        while self._queue and len(self._active) < self.max_slots:
             if max_admit is not None and len(admitted) >= max_admit:
                 break
             if self._tenant_aware:
@@ -511,15 +506,20 @@ class Scheduler:
         active request (no real tokens, so length retirement only)
         followed by :meth:`advance` — same generated counts, same event
         log, same step indices — without ``steps * batch`` Python
-        round-trips. ``steps`` must not exceed :meth:`decode_horizon`,
-        so only the final iteration can retire anyone. Returns the ids
+        round-trips. ``steps`` is an integer (a float is a TypeError) and
+        must not exceed :meth:`decode_horizon`, so only the final
+        iteration can retire anyone. Returns the ids
         retired by that final iteration, in admission order.
         A stretch that retires nobody is O(1) (it moves ``_bulk``); a
         retiring one walks the active set once.
         """
+        if type(steps) is not int:  # the serving loop's exact ints skip it
+            steps = _as_index("steps", steps)
         if steps < 1:
             raise ValueError("steps must be >= 1")
-        horizon = self.decode_horizon()
+        horizon = self._horizon
+        if horizon is None:
+            horizon = self.decode_horizon()
         if not horizon:
             raise ValueError("no active requests to record tokens for")
         if steps > horizon:

@@ -606,10 +606,6 @@ def _draw_replica(tl: Timeline, log: array, costs: StepCostModel,
             tl.record(lane, first[rid], finish[rid], "decode")
 
 
-def _ignore_completion(index: int, pos: int, t: float) -> None:
-    """A lone server has no router to tell about completions."""
-
-
 def simulate_serving(
     trace: WorkloadTrace,
     *,
@@ -680,7 +676,7 @@ def simulate_serving(
     out = _Outcomes(len(requests))
     server = _Replica(0, requests=requests, out=out, max_batch=max_batch,
                       policy=policy, costs=costs, kv=kv,
-                      on_complete=_ignore_completion)
+                      on_complete=None)
     # Arrivals are delivered lazily: before each action the inbox holds
     # every arrival up to the time that action can start (now, or the
     # inbox head when idle) plus the first one after it, which is all

@@ -113,10 +113,13 @@ def _decode_walks(run, monkeypatch) -> int:
 # runs made 38.33 and 55.82 calls per action and walked 2,000 and
 # 42,936 request entries. Before every priced stretch became its step
 # end times cut by one ``bisect_left``, they made 32.65 and 49.46 calls
-# per action (budgets 32.91 and 50.19).
+# per action (budgets 32.91 and 50.19). Before each action wrote its log
+# row as one packed string and built its batch states inline, with no
+# no-op completion callback and no repeat horizon read, the budgets were
+# 31.94 and 49.51.
 _BUDGETS = {
-    "dense_serving": (_dense_serving, 31.94, 1_606),
-    "moe_autoscaled_fleet": (_moe_autoscaled_fleet, 49.51, 24_484),
+    "dense_serving": (_dense_serving, 28.51, 1_606),
+    "moe_autoscaled_fleet": (_moe_autoscaled_fleet, 46.58, 24_484),
 }
 
 

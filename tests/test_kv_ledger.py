@@ -163,3 +163,25 @@ def test_stretches_walk_no_request_until_a_sync():
     assert kv.total_kv == 19 + 25 + 30
     # Cached positions 18, 24 and 29 need 5, 6 and 8 blocks per layer.
     assert kv.allocated == kv.peak_blocks == 2 * (5 + 6 + 8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), prompt_len=st.integers(1, 300),
+       block_size=st.integers(1, 32), num_layers=st.integers(1, 4))
+def test_admission_allocates_blocks_needed(data, prompt_len, block_size,
+                                           num_layers):
+    """An admission allocates exactly ``blocks_needed`` for its prompt
+    past the prefix it forks (``eff < prompt_len``), which the ledger
+    computes with its own ceiling arithmetic."""
+    eff = data.draw(st.integers(0, prompt_len - 1), label="eff")
+    kv = _KvTracker(block_size=block_size, num_layers=num_layers)
+    session = _NO_SESSION
+    if eff:  # park a turn caching exactly ``eff`` positions
+        session = 5
+        kv._admit(0, eff, session, 0)
+        kv._retire(0, session)
+    before = kv.allocated
+    assert kv._admit(1, prompt_len, session, eff) == eff
+    assert kv.allocated - before == blocks_needed(
+        prompt_len, block_size=block_size, num_layers=num_layers,
+        shared_prefix_len=eff)

@@ -118,7 +118,7 @@ def test_action_log_keeps_at_most_52_bytes_per_action():
     object. Measured over every line that appends a row."""
     tree = ast.parse(inspect.getsource(replica_mod))
     own = {line for node in ast.walk(tree) if isinstance(node, ast.Call)
-           and ast.unparse(node.func) == "self.log.extend"
+           and ast.unparse(node.func) == "self.log.frombytes"
            for line in range(node.lineno, node.end_lineno + 1)}
     assert len(own) >= 5
     trace = synthesize_trace(num_requests=N // 2, arrival_rate=200.0,

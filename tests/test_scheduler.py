@@ -376,6 +376,26 @@ class TestBulkStepping:
         assert s.generated(0) == 4
         assert s.step == 4
 
+    @pytest.mark.parametrize("steps", [2.5, 2.0, float("nan"), "2"])
+    def test_record_tokens_rejects_non_integer_steps(self, steps):
+        """A non-integer (a float, NaN and integral ones included, or a
+        string) is a TypeError naming ``steps``, and commits nothing."""
+        s = Scheduler(2)
+        s.enqueue(_req(0, max_new=5))
+        s.admit()
+        with pytest.raises(TypeError, match="steps"):
+            s.record_tokens(steps)
+        assert s.step == 0 and s.generated(0) == 0
+
+    def test_record_tokens_takes_integer_likes_as_ints(self):
+        """A NumPy integer commits its value, and the step stays an int."""
+        s = Scheduler(2)
+        s.enqueue(_req(0, max_new=5))
+        s.admit()
+        assert s.record_tokens(np.int64(3)) == []
+        assert s.step == 3 and type(s.step) is int
+        assert s.generated(0) == 3 and type(s.generated(0)) is int
+
     @settings(max_examples=300, deadline=None)
     @given(ops=st.lists(st.tuples(
         st.sampled_from(["enqueue", "admit", "token", "eos", "bulk",

@@ -33,7 +33,6 @@ from repro.engine import (
     synthesize_trace,
 )
 from repro.engine.replica import _FOLD_MAX, _KvTracker, _Outcomes, _Replica
-from repro.engine.serving_sim import _ignore_completion
 from repro.fleet import FaultPlan, ReplicaFault, simulate_fleet
 from repro.hardware import dgx2_v100, dgx_a100_cluster
 from repro.model import DENSE_ZOO, MOE_PARALLELISM, MOE_ZOO, get_model
@@ -422,7 +421,7 @@ class TestCutRule:
                        out=_Outcomes(len(trace.requests)),
                        max_batch=2, policy="fcfs",
                        costs=_DrawnCost(prompt, costs), kv=_KvTracker(),
-                       on_complete=_ignore_completion)
+                       on_complete=None)
         rep.deliver(0, 0.0)
         assert rep.perform_action() == "admit" and rep.now == prompt
         return rep
