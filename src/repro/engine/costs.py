@@ -47,15 +47,16 @@ frozen — every KV length just grows by one per iteration — so the
 event-compressed serving loop (:class:`~repro.engine.replica._Replica`)
 prices a whole stretch with one call. A pass-priced adapter's run is a
 slice of its batch size's decode array, which a prompt's riders read
-too. Each contiguous unpriced KV span is priced by one
-``_price_kvs(batch, tokens_per_seq, kvs)`` call: the dense and MoE
-adapters evaluate it as one NumPy expression over the kernel model's
-compiled closed forms (equal by IEEE bits to pricing each entry alone),
-anything else one ``_price`` call per entry. A prompt miss prices its
-own pass through ``_price`` and then, on the vector path, every other
-unpriced entry of its shape's array in one call, so a later chat turn
-with the same suffix length over another cached prefix finds its pass
-priced. Every run is a fresh array the caller may overwrite.
+too. A miss of either kind prices every unpriced entry of its shape's
+array in one ``_price_kvs(batch, tokens_per_seq, kvs)`` call: the dense
+and MoE adapters evaluate it as one NumPy expression over the kernel
+model's compiled closed forms (equal by IEEE bits to pricing each entry
+alone), so a shape is priced on its first miss and once per doubling,
+and a later chat turn with the same suffix length over another cached
+prefix finds its pass priced. Without that hook only the asked entries
+are priced, one ``_price`` call each. A prompt miss's own pass always
+goes through ``_price``. Every run is a fresh array the caller may
+overwrite.
 """
 
 from __future__ import annotations
@@ -165,7 +166,7 @@ class BatchState:
         """
         if not self.batch:
             return 0
-        return math.ceil(self.total_kv / self.batch)
+        return -(-self.total_kv // self.batch)  # exact past 2**53
 
     @classmethod
     def uniform(cls, batch: int, kv_len: int) -> "BatchState":
@@ -264,6 +265,10 @@ class ClosureStepCost(StepCostModel):
         return np.full(steps, self._step_time(state.batch), np.float64)
 
 
+# A shape not in the store: an empty cost array, fully priced.
+_UNPRICED = (np.empty(0), None)
+
+
 class _PassPricedCost(StepCostModel):
     """Shared pricing for adapters whose iterations are forward passes.
 
@@ -276,19 +281,20 @@ class _PassPricedCost(StepCostModel):
     and this class does the rest: the two iteration kinds over one store,
     a cost array per pass shape ``(batch, tokens_per_seq)`` indexed by
     ``kv - tokens_per_seq`` and grown by doubling. A subclass may also
-    override :meth:`_price_kvs` to price a span of one shape's KV lengths
-    at once. A decode run then prices exactly the span it needs. A prompt
-    miss prices the asked pass alone, raising if it is bad, and then
-    every unpriced entry of its shape's array in one :meth:`_price_kvs`
-    call, keeping none of that fill if any entry is bad. Without the
-    vector hook a prompt miss prices just the asked pass.
+    override :meth:`_price_kvs` to price many of one shape's KV lengths
+    at once. A miss then prices every unpriced entry of its shape's array
+    in one call: a bad asked entry raises, naming the first, and keeps
+    none of the asked ones; a bad unasked one keeps none of the rest. A
+    prompt miss's own pass is priced alone through :meth:`_price` first.
+    Without the vector hook a miss prices just the asked entries.
     """
 
     def __init__(self) -> None:
         # (batch, tokens_per_seq) -> (pass cost indexed by the context
         # before the pass's own tokens, kv - tokens_per_seq, and a
-        # bytemask over the same indices: 1 = that entry is priced)
-        self._spans: dict[tuple[int, int], tuple[np.ndarray, bytearray]] = {}
+        # bytemask over the same indices, 1 = that entry is priced, or
+        # None once every entry is)
+        self._spans: dict[tuple[int, int], tuple] = {}
 
     @abstractmethod
     def _price(self, batch: int, tokens_per_seq: int, kv: int) -> float:
@@ -309,41 +315,44 @@ class _PassPricedCost(StepCostModel):
             f"tokens_per_seq={tokens_per_seq}, kv={kv}) at {got!r} s; "
             f"costs must be finite and >= 0")
 
-    def _passes(self, batch: int, tokens_per_seq: int, c0: int,
-                need: int) -> tuple[np.ndarray, bytearray]:
-        """This pass shape's cost array and bytemask, priced over
-        ``[c0, need)``."""
+    def _passes(self, batch: int, tokens_per_seq: int, c0: int, end: int,
+                own: float | None = None) -> np.ndarray:
+        """This pass shape's cost array, priced over ``[c0, end)``;
+        ``own`` is entry ``c0``'s price if the caller took it already."""
         key = (batch, tokens_per_seq)
-        entry = self._spans.get(key)
-        if entry is None or entry[0].size < need:
-            old, priced = entry or (np.empty(0), bytearray())
-            arr = np.empty(max(need, 2 * old.size))
-            arr[: old.size] = old
-            priced.extend(bytes(arr.size - old.size))
-            entry = self._spans[key] = (arr, priced)
-        arr, priced = entry
-        # Stretches of one batch size overlap, continue and jump back, so
-        # each unpriced span is found by a C scan over the bytemask and
-        # priced, then checked, in one call.
-        lo = priced.find(0, c0, need)
-        while lo != -1:
-            hi = priced.find(1, lo, need)
-            if hi == -1:
-                hi = need
-            kvs = np.arange(lo + tokens_per_seq, hi + tokens_per_seq)
-            got = self._price_kvs(batch, tokens_per_seq, kvs)
-            if got is None:
-                got = np.array([self._price(batch, tokens_per_seq, kv)
-                                for kv in kvs.tolist()], np.float64)
-            ok = (got >= 0.0) & (got < math.inf)
-            if not ok.all():
-                i = int(ok.argmin())
-                raise self._bad(batch, tokens_per_seq, kvs.item(i),
-                                got.item(i))
-            arr[lo:hi] = got
-            priced[lo:hi] = b"\x01" * (hi - lo)
-            lo = priced.find(0, hi, need)
-        return entry
+        arr, priced = self._spans.get(key, _UNPRICED)
+        if arr.size < end:  # grow by doubling, the new tail unpriced
+            grow = max(end - arr.size, arr.size)
+            priced = bytearray(priced or b"\x01" * arr.size) + bytes(grow)
+            arr = np.concatenate((arr, np.empty(grow)))
+        elif priced is None or priced.find(0, c0, end) == -1:
+            return arr
+        if own is not None:
+            arr[c0], priced[c0] = own, 1
+        # The vector path prices every unpriced entry in one call, so a
+        # shape is filled on its first miss and again once per doubling;
+        # without it, only the asked entries are priced, one by one.
+        todo = np.flatnonzero(np.frombuffer(priced, np.uint8) == 0)
+        i, j = todo.searchsorted((c0, end)).tolist()
+        got = (self._price_kvs(batch, tokens_per_seq, todo + tokens_per_seq)
+               if todo.size else None)
+        if got is None:
+            todo, i, j = todo[i:j], 0, j - i
+            got = np.array([self._price(batch, tokens_per_seq, kv)
+                            for kv in (todo + tokens_per_seq).tolist()],
+                           np.float64)
+        ok = (got >= 0.0) & (got < math.inf)
+        if not ok[i:j].all():  # keep none of the asked entries
+            k = i + int(ok[i:j].argmin())
+            raise self._bad(batch, tokens_per_seq,
+                            todo.item(k) + tokens_per_seq, got.item(k))
+        if not ok.all():  # a bad unasked entry: keep only the asked ones
+            todo, got = todo[i:j], got[i:j]
+        arr[todo] = got
+        np.frombuffer(priced, np.uint8)[todo] = 1
+        # Once every entry is priced the mask goes, and hits skip the scan.
+        self._spans[key] = arr, (priced if priced.find(0) != -1 else None)
+        return arr
 
     def prompt_cost(self, state: BatchState, request: _HasPromptLen) -> float:
         # A prefix-hit prompt prefills only its unshared suffix, attending
@@ -351,28 +360,20 @@ class _PassPricedCost(StepCostModel):
         # its pass is entry ``c`` of the suffix's shape.
         c = getattr(request, "shared_prefix_len", 0)
         t = request.prompt_len - c
-        entry = self._spans.get((1, t))
-        if entry is not None and entry[0].size > c and entry[1][c]:
-            cost = entry[0].item(c)
-        else:  # the asked pass alone, then one vector fill of the rest
+        arr, priced = self._spans.get((1, t), _UNPRICED)
+        if arr.size > c and (priced is None or priced[c]):
+            cost = arr.item(c)
+        else:  # the asked pass on the scalar path, then the shared rule
             cost = self._price(1, t, t + c)
             if not 0.0 <= cost < math.inf:
                 raise self._bad(1, t, t + c, cost)
-            arr, priced = self._passes(1, t, c + 1, c + 1)  # grown only
-            arr[c], priced[c] = cost, 1
-            lo = priced.find(0)
-            if lo != -1:
-                got = self._price_kvs(1, t, np.arange(lo + t, arr.size + t))
-                if got is not None and (
-                        (got >= 0.0) & (got < math.inf)).all():
-                    arr[lo:] = got
-                    priced[lo:] = b"\x01" * (arr.size - lo)
+            self._passes(1, t, c, c + 1, cost)
         if state.batch:  # the live batch rides along in the same iteration
             c = state.mean_kv - 1
-            entry = self._spans.get((state.batch, 1))
-            if entry is None or entry[0].size <= c or not entry[1][c]:
-                entry = self._passes(state.batch, 1, c, c + 1)
-            cost += entry[0].item(c)
+            arr, priced = self._spans.get((state.batch, 1), _UNPRICED)
+            if arr.size <= c or priced is not None:
+                arr = self._passes(state.batch, 1, c, c + 1)
+            cost += arr.item(c)
         return cost
 
     def decode_run_cost(self, state: BatchState, steps: int) -> np.ndarray:
@@ -389,11 +390,10 @@ class _PassPricedCost(StepCostModel):
         # ``total_kv >= batch`` keeps the ceiling mean >= 1 (entry >= 0).
         c0 = -(-state.total_kv // batch) - 1
         end = c0 + steps
-        entry = self._spans.get((batch, 1))
-        if (entry is not None and entry[0].size >= end
-                and entry[1].find(0, c0, end) == -1):
-            return entry[0][c0:end].copy()
-        return self._passes(batch, 1, c0, end)[0][c0:end].copy()
+        arr, priced = self._spans.get((batch, 1), _UNPRICED)
+        if arr.size < end or priced is not None:
+            arr = self._passes(batch, 1, c0, end)
+        return arr[c0:end].copy()
 
 
 class DenseStepCost(_PassPricedCost):

@@ -411,8 +411,14 @@ class Scheduler:
         ``can_admit`` lets the backend veto the policy's candidate (e.g.
         not enough KV blocks); admission then *stops* rather than skipping
         ahead, so capacity pressure cannot starve or reorder requests.
+        ``max_admit``, an integer ``>= 0``, caps how many are admitted.
         Returns the admitted requests in admission order.
         """
+        if max_admit is not None:
+            if type(max_admit) is not int:  # the replica's exact 1 skips it
+                max_admit = _as_index("max_admit", max_admit)
+            if max_admit < 0:
+                raise ValueError(f"max_admit must be >= 0, got {max_admit}")
         admitted: list[SchedRequest] = []
         while self._queue and len(self._active) < self.max_slots:
             if max_admit is not None and len(admitted) >= max_admit:

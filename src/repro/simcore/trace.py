@@ -149,8 +149,11 @@ class Timeline:
         return merged_length(starts, ends)
 
     def utilization(self, lane: str, horizon: float | None = None) -> float:
-        """Busy fraction of ``lane`` over ``horizon`` (default: makespan)."""
+        """Busy fraction of ``lane`` over ``horizon`` (default: makespan;
+        0.0 for a horizon <= 0)."""
         horizon = self.makespan() if horizon is None else horizon
+        if math.isnan(horizon):
+            raise ValueError("horizon must not be NaN")
         if horizon <= 0:
             return 0.0
         return min(1.0, self.busy_time(lane) / horizon)

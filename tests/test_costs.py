@@ -65,6 +65,17 @@ class TestBatchState:
         assert s.total_kv == 406
         assert s.mean_kv == math.ceil(406 / 3)
 
+    @pytest.mark.parametrize("total_kv", [2**53, 2**53 + 1, 2**60 + 3])
+    def test_mean_kv_is_the_exact_integer_ceiling(self, total_kv):
+        """A float quotient gave ``BatchState(1, 2**53 + 1).mean_kv ==
+        2**53``; ``decode_run_cost`` reads the exact ceiling, so a
+        prompt's riders read another entry than a decode run did."""
+        for batch in (1, 3, 7):
+            state = BatchState(batch, total_kv)
+            assert state.mean_kv == -(-total_kv // batch)
+            assert (state.mean_kv - 1) * batch < total_kv <= (
+                state.mean_kv * batch)
+
     def test_uniform(self):
         assert BatchState.uniform(4, 128) == BatchState.of((128,) * 4)
         assert BatchState.uniform(0, 128) == BatchState(0, 0)
@@ -229,6 +240,17 @@ class _VectorPassLatency(_KvLatency):
                          for kv in kvs])
 
 
+class _RecordingLatency(_KvLatency):
+    """A latency model with only ``step_time``, recording every pass."""
+
+    def __init__(self):
+        self.asked = []
+
+    def step_time(self, batch, tokens_per_seq, kv_len):
+        self.asked.append((batch, tokens_per_seq, kv_len))
+        return super().step_time(batch, tokens_per_seq, kv_len)
+
+
 class _ForwardPassCounter:
     """Exposes only a ZeRO engine's ``forward_pass``, counting calls."""
 
@@ -275,9 +297,10 @@ class TestPassPriceGuard:
         assert cost.decode_cost(BatchState.uniform(4, 16)) == 0.0
 
     def test_vector_span_names_first_bad_kv_and_memoizes_nothing(self):
-        """A whole unpriced span is priced in one vector call and checked
-        at once: the first bad entry is named, and no entry of the span
-        is kept, so asking again prices (and fails) again."""
+        """A decode miss prices its shape's whole array in one vector call
+        and checks the asked entries first: the first bad asked KV is
+        named, and no entry is kept, so asking again prices (and fails)
+        again."""
         model = _VectorKvLatency(bad_from=20)
         cost = DenseStepCost(model)
         for _ in range(2):
@@ -285,10 +308,20 @@ class TestPassPriceGuard:
                     r"DenseStepCost priced a pass of shape \(batch=1, "
                     r"tokens_per_seq=1, kv=20\) at nan s")):
                 cost.decode_run_cost(BatchState.uniform(1, 16), 8)
-        assert model.spans == [(1, list(range(16, 24)))] * 2
+        # The run asks for KV 16..23; the array holds KV 1..23.
+        assert model.spans == [(1, list(range(1, 24)))] * 2
         # The good entries before the bad one were not kept either.
         assert cost.decode_cost(BatchState.uniform(1, 16)) == 1e-3 + 16e-6
-        assert model.spans[-1] == (1, [16])
+        assert model.spans[2:] == [(1, list(range(1, 17)))]
+        # Growing to KV 32 asks for KV 16..17: the bad unasked KVs 20..32
+        # keep none of the fill, only the asked KV 17, and the next miss
+        # tries the fill again.
+        assert cost.decode_run_cost(BatchState.uniform(1, 16), 2).tolist() \
+            == [1e-3 + 16e-6, 1e-3 + 17e-6]
+        assert model.spans[3:] == [(1, list(range(17, 33)))]
+        assert cost.decode_cost(BatchState.uniform(1, 17)) == 1e-3 + 17e-6
+        assert cost.decode_cost(BatchState.uniform(1, 18)) == 1e-3 + 18e-6
+        assert model.spans[4:] == [(1, list(range(18, 33)))]
 
     def test_prompt_fill_with_an_unasked_bad_entry_keeps_none(self):
         """A prompt miss prices its own pass alone, then fills the rest
@@ -304,15 +337,15 @@ class TestPassPriceGuard:
         cost.prompt_cost(idle, PromptShape(8))
         assert model.asked == [(1, 8, 8)] and model.spans == []
         # A 24-token prefix grows the array to 25 entries; the fill of
-        # KV 9..32 holds the bad KV 30.
+        # KV 9..31 holds the bad KV 30.
         assert cost.prompt_cost(idle, PromptShape(32, 24)) == want
         assert model.asked[1:] == [(1, 8, 32)]
-        assert model.spans == [(1, 8, list(range(9, 33)))]
+        assert model.spans == [(1, 8, list(range(9, 32)))]
         assert cost.prompt_cost(idle, PromptShape(32, 24)) == want
         assert len(model.asked) == 2 and len(model.spans) == 1
         cost.prompt_cost(idle, PromptShape(18, 10))
         assert model.asked[2:] == [(1, 8, 18)]
-        assert model.spans[1:] == [(1, 8, list(range(9, 33)))]
+        assert model.spans[1:] == [(1, 8, [*range(9, 18), *range(19, 32)])]
 
     def test_prompt_miss_raises_only_at_a_bad_asked_entry(self):
         """Asking for the bad entry itself names it and fills nothing,
@@ -329,10 +362,24 @@ class TestPassPriceGuard:
         assert model.asked == [(1, 8, 30)] * 2 and model.spans == []
         model.bad = -1
         cost.prompt_cost(idle, PromptShape(30, 22))
-        assert model.spans == [(1, 8, list(range(8, 31)))]
+        assert model.spans == [(1, 8, list(range(8, 30)))]
         for shared in range(23):
             cost.prompt_cost(idle, PromptShape(8 + shared, shared))
         assert len(model.asked) == 3 and len(model.spans) == 1
+
+    def test_per_entry_adapter_prices_exactly_the_asked_kvs(self):
+        """Without the vector hook, a miss prices just the unpriced
+        entries it asks for, one ``step_time`` call each, in KV order."""
+        model = _RecordingLatency()
+        cost = DenseStepCost(model)
+        cost.decode_run_cost(BatchState.uniform(2, 10), 4)
+        assert model.asked == [(2, 1, kv) for kv in range(10, 14)]
+        cost.decode_run_cost(BatchState.uniform(2, 8), 8)
+        assert model.asked[4:] == [(2, 1, kv) for kv in (8, 9, 14, 15)]
+        cost.prompt_cost(BatchState.uniform(2, 12), PromptShape(20, 4))
+        assert model.asked[8:] == [(1, 16, 20)]
+        cost.prompt_cost(BatchState.uniform(2, 40), PromptShape(20, 4))
+        assert model.asked[9:] == [(2, 1, 40)]
 
     def test_per_entry_adapters_price_only_the_asked_prompt(self, dense_cost,
                                                             zero_cost):
@@ -361,6 +408,64 @@ class TestPassPriceGuard:
             got = duck.decode_run_cost(state, steps).tolist()
             assert [v.hex() for v in got] == [v.hex() for v in want]
         assert duck.latency_model.calls == 40 + 25 + 5
+
+
+class _PerPassCost(StepCostModel):
+    """Prices every pass through an adapter's unmemoized ``_price`` hook
+    and keeps nothing, a decode run one step at a time."""
+
+    def __init__(self, adapter):
+        self.price = adapter._price
+
+    def prompt_cost(self, state, request):
+        plen = request.prompt_len
+        cost = self.price(1, plen - request.shared_prefix_len, plen)
+        if state.batch:
+            cost += self.price(state.batch, 1, state.mean_kv)
+        return cost
+
+    def decode_run_cost(self, state, steps):
+        return np.array([self.price(state.batch, 1,
+                                    state.advanced(i).mean_kv)
+                         for i in range(steps)], np.float64)
+
+
+@st.composite
+def _batch_states(draw, min_batch):
+    batch = draw(st.integers(min_batch, 8))
+    return BatchState(batch, draw(st.integers(batch, batch * 400)))
+
+
+_PRICING_CALLS = st.lists(st.one_of(
+    st.tuples(st.just("decode"), _batch_states(1), st.integers(1, 40)),
+    st.tuples(st.just("prompt"), _batch_states(0),
+              st.builds(lambda t, c: PromptShape(t + c, c),
+                        st.integers(1, 64), st.integers(0, 200)))),
+    min_size=1, max_size=12)
+
+
+class TestMissRule:
+    """Whatever order a pass shape's misses come in, filling its whole
+    array on the first one prices every pass as an uncached per-pass
+    pricer does, by IEEE bits."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(family=st.sampled_from(["dense", "moe"]), calls=_PRICING_CALLS)
+    def test_interleaved_misses_equal_per_pass_pricing(self, family, calls,
+                                                       dense_cost, moe_cost):
+        if family == "dense":
+            cost = DenseStepCost(dense_cost.latency_model)
+        else:
+            cost = MoEStepCost(moe_cost.moe_model)
+        want = _PerPassCost(cost)
+        for kind, state, arg in calls:
+            if kind == "decode":
+                got = cost.decode_run_cost(state, arg).tolist()
+                ref = want.decode_run_cost(state, arg).tolist()
+            else:
+                got = [cost.prompt_cost(state, arg)]
+                ref = [want.prompt_cost(state, arg)]
+            assert [v.hex() for v in got] == [v.hex() for v in ref]
 
 
 class TestDenseStepCost:

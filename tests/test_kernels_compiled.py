@@ -283,11 +283,12 @@ def _filled_prompt_span(costs, t, shared):
     """Ask ``costs`` for the unshared prompt pass ``(1, t, t)`` and then
     for ``(1, t, t + c)`` at each shared prefix ``c`` from an idle
     server; return the KV lengths of the shape's array and their costs.
-    Every entry past the first came from a vector fill."""
+    Every entry but the first two asked ones came from a vector fill, and
+    the fill leaves the array fully priced (its bytemask dropped)."""
     for c in [0, *shared]:
         costs.prompt_cost(BatchState(0, 0), _prompt(t + c, c))
     arr, priced = costs._spans[(1, t)]
-    assert arr.size > max(shared) and priced.find(0) == -1
+    assert arr.size > max(shared) and priced is None
     return [t + c for c in range(arr.size)], arr.tolist()
 
 

@@ -61,6 +61,33 @@ class TestAdmissionPolicies:
         with pytest.raises(ValueError, match="unknown policy"):
             Scheduler(1, policy="lifo")
 
+    @pytest.mark.parametrize("cap", [1.5, 1.0, float("nan"), "1"])
+    def test_max_admit_rejects_non_integers(self, cap):
+        """``max_admit=1.5`` used to admit two requests and NaN the whole
+        queue; a non-integer is a TypeError naming it, admitting none."""
+        s = Scheduler(4)
+        for rid in range(3):
+            s.enqueue(_req(rid))
+        with pytest.raises(TypeError, match="max_admit"):
+            s.admit(max_admit=cap)
+        assert s.num_waiting == 3 and not s.active
+
+    def test_max_admit_rejects_negatives(self):
+        s = Scheduler(4)
+        s.enqueue(_req(0))
+        with pytest.raises(ValueError, match="max_admit must be >= 0"):
+            s.admit(max_admit=-1)
+        assert s.num_waiting == 1
+
+    def test_max_admit_caps_admissions(self):
+        s = Scheduler(4)
+        for rid in range(4):
+            s.enqueue(_req(rid))
+        assert s.admit(max_admit=0) == []
+        assert [r.request_id for r in s.admit(max_admit=1)] == [0]
+        assert [r.request_id for r in s.admit(max_admit=np.int64(2))] == [1, 2]
+        assert [r.request_id for r in s.admit()] == [3]
+
     def test_registry_exposes_tenant_fair(self):
         assert "tenant_fair" in ADMISSION_POLICIES
         assert getattr(ADMISSION_POLICIES["tenant_fair"], "tenant_aware",

@@ -29,6 +29,16 @@ class TestTimeline:
         # s1 idles through s0's span: half the makespan is bubble.
         assert tl.utilization("s1") == pytest.approx(0.5)
 
+    def test_utilization_rejects_a_nan_horizon(self):
+        """NaN passed ``horizon <= 0`` and ``min(1.0, nan)`` read 1.0."""
+        tl = Timeline()
+        tl.record("s0", 0.0, 2.0)
+        with pytest.raises(ValueError, match="horizon"):
+            tl.utilization("s0", horizon=float("nan"))
+        assert tl.utilization("s0", horizon=0.0) == 0.0
+        assert tl.utilization("s0", horizon=-1.0) == 0.0
+        assert tl.utilization("s0", horizon=8.0) == 0.25
+
     def test_overlap_detection(self):
         tl = Timeline()
         tl.record("x", 0.0, 2.0)
