@@ -10,7 +10,7 @@ matter.
 
 from __future__ import annotations
 
-from ..hardware.specs import A100_40GB, GPUSpec
+from ..hardware.specs import A100_40GB
 from ..kernels.costmodel import KernelCostModel
 from ..kernels.graph import LayerShape
 from ..kernels.profiles import DEEPSPEED_FP16, ET_FP16
@@ -20,40 +20,34 @@ __all__ = ["encoder_latency", "et_comparison"]
 
 
 def encoder_latency(
-    config: ModelConfig,
-    gpu: GPUSpec = A100_40GB,
-    *,
-    batch: int = 1,
-    seq_len: int = 128,
-    profile=DEEPSPEED_FP16,
+    config: ModelConfig, *, profile=DEEPSPEED_FP16
 ) -> float:
-    """Full-model encoder latency (no KV cache: every token recomputed).
+    """Full-model encoder latency on an A100 at Fig. 12's batch 1,
+    sequence 128 (no KV cache: every token recomputed).
 
     An encoder layer is the same op chain as a decoder layer with
     ``kv_len == seq_len`` and no causal cache reuse.
     """
     if config.decoder:
         raise ValueError(f"{config.name} is a decoder; Fig. 12 uses encoders")
-    model = KernelCostModel(gpu, profile)
+    model = KernelCostModel(A100_40GB, profile)
     shape = LayerShape(
         hidden=config.hidden,
         heads=config.heads,
-        batch=batch,
-        tokens_per_seq=seq_len,
-        kv_len=seq_len,
+        batch=1,
+        tokens_per_seq=128,
+        kv_len=128,
         ffn_mult=config.ffn_mult,
     )
     return model.layer_cost(shape).total_time * config.layers
 
 
-def et_comparison(
-    gpu: GPUSpec = A100_40GB, *, models: tuple[str, ...] = ("distilbert", "bert-large")
-) -> dict[str, dict[str, float]]:
+def et_comparison() -> dict[str, dict[str, float]]:
     """Fig. 12's rows: per-model latency under E.T. and DeepSpeed kernels."""
     out: dict[str, dict[str, float]] = {}
-    for name in models:
+    for name in ("distilbert", "bert-large"):
         cfg = BERT_ZOO[name]
-        et = encoder_latency(cfg, gpu, profile=ET_FP16)
-        ds = encoder_latency(cfg, gpu, profile=DEEPSPEED_FP16)
+        et = encoder_latency(cfg, profile=ET_FP16)
+        ds = encoder_latency(cfg, profile=DEEPSPEED_FP16)
         out[name] = {"et": et, "deepspeed": ds, "speedup": et / ds}
     return out

@@ -16,33 +16,24 @@ from ..hardware.specs import DType
 from ..hardware.topology import ClusterSpec
 from ..kernels.costmodel import KernelCostModel
 from ..kernels.graph import LayerShape
-from ..kernels.profiles import DEEPSPEED_FP16, ImplementationProfile
+from ..kernels.profiles import DEEPSPEED_FP16
 from ..model.config import ModelConfig
 
 __all__ = ["GPUOnlyBaseline"]
 
 
 class GPUOnlyBaseline:
-    """Single-node inference with GPU-resident weights."""
+    """Single-node FP16 inference with GPU-resident weights."""
 
-    def __init__(
-        self,
-        config: ModelConfig,
-        cluster: ClusterSpec,
-        *,
-        profile: ImplementationProfile = DEEPSPEED_FP16,
-        dtype: DType = DType.FP16,
-    ) -> None:
+    def __init__(self, config: ModelConfig, cluster: ClusterSpec) -> None:
         self.config = config
         self.cluster = cluster
-        self.profile = profile
-        self.dtype = dtype
-        self.kernel_model = KernelCostModel(cluster.gpu, profile)
+        self.kernel_model = KernelCostModel(cluster.gpu, DEEPSPEED_FP16)
 
     @property
     def weight_bytes(self) -> float:
         """Resident model footprint."""
-        return self.config.param_bytes(self.dtype)
+        return self.config.param_bytes(DType.FP16)
 
     def fits(self) -> bool:
         """Whether the weights alone fit one GPU."""
@@ -56,8 +47,8 @@ class GPUOnlyBaseline:
         if free <= 0:
             return 0
         per_sample = seq_len * (
-            self.config.kv_bytes_per_token(self.dtype)
-            + 12 * self.config.hidden * self.dtype.itemsize
+            self.config.kv_bytes_per_token(DType.FP16)
+            + 12 * self.config.hidden * DType.FP16.itemsize
         )
         return int(free / per_sample)
 
@@ -76,7 +67,7 @@ class GPUOnlyBaseline:
             batch=batch,
             tokens_per_seq=tokens_per_seq,
             kv_len=kv_len,
-            dtype=self.dtype,
+            dtype=DType.FP16,
             ffn_mult=self.config.ffn_mult,
         )
         return self.kernel_model.layer_cost(shape).total_time * self.config.layers

@@ -37,10 +37,9 @@ def layer_latency_sweep(
     gpu: GPUSpec,
     *,
     batches: tuple[int, ...] = (1, 2, 4, 8, 16, 32),
-    kv_len: int = 128,
 ) -> dict[str, dict[int, float]]:
-    """Per-token model latency (all layers) for each ablation config and
-    batch size — the data behind Fig. 10a."""
+    """Per-token model latency (all layers) at KV length 128 for each
+    ablation config and batch size — the data behind Fig. 10a."""
     out: dict[str, dict[int, float]] = {}
     for profile in kernel_ablation_configs():
         model = KernelCostModel(gpu, profile)
@@ -51,7 +50,7 @@ def layer_latency_sweep(
                 heads=config.heads,
                 batch=b,
                 tokens_per_seq=1,
-                kv_len=kv_len,
+                kv_len=128,
                 ffn_mult=config.ffn_mult,
             )
             cost: LayerCost = model.layer_cost(shape)

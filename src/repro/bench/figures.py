@@ -113,18 +113,14 @@ def table2() -> ExperimentResult:
     )
 
 
-def fig6_dense_latency(
-    *, batches: tuple[int, ...] = (1, 4, 16, 32), models: tuple[str, ...] | None = None
-) -> ExperimentResult:
+def fig6_dense_latency() -> ExperimentResult:
     """Fig. 6: DS-FP16/INT8 vs FT-FP16 latency & throughput, prompt 128 /
     gen 8, across models and batch sizes."""
     cluster = dgx_a100_cluster(4)
-    names = models or tuple(FIG6_TP)
     rows = []
-    for name in names:
-        tp = FIG6_TP[name]
+    for name, tp in FIG6_TP.items():
         cfg = DENSE_ZOO[name]
-        for batch in batches:
+        for batch in (1, 4, 16, 32):
             w = Workload(batch=batch, prompt_len=128, gen_tokens=8)
             lat = {}
             for label, prof in (
@@ -160,10 +156,11 @@ def fig6_dense_latency(
     )
 
 
-def fig7_moe_latency(*, batch: int = 8) -> ExperimentResult:
+def fig7_moe_latency() -> ExperimentResult:
     """Fig. 7: DS-MoE vs PyTorch-MoE per-token latency and throughput on
-    up to 256 GPUs (prompt 128, generating 100 tokens)."""
+    up to 256 GPUs (batch 8, prompt 128, generating 100 tokens)."""
     cluster = dgx_a100_cluster(32)
+    batch = 8
     rows = []
     for name, cfg in MOE_ZOO.items():
         par = MOE_PARALLELISM[name]
@@ -443,10 +440,11 @@ def fig10c_prefetch() -> ExperimentResult:
     )
 
 
-def fig11_moe_bandwidth(*, batch: int = 8) -> ExperimentResult:
-    """Fig. 11: aggregate effective memory bandwidth of the 52B MoE model,
-    8 to 128 GPUs, DeepSpeed vs baseline."""
+def fig11_moe_bandwidth() -> ExperimentResult:
+    """Fig. 11: aggregate effective memory bandwidth of the 52B MoE model
+    at batch 8, 8 to 128 GPUs, DeepSpeed vs baseline."""
     cfg = MOE_ZOO["1.3b-moe-128"]
+    batch = 8
     rows = []
     for gpus in (8, 16, 32, 64, 128):
         cluster = dgx_a100_cluster(max(1, gpus // 8))
@@ -496,10 +494,11 @@ def fig12_et_comparison() -> ExperimentResult:
     )
 
 
-def fig13_hybrid_prompt(*, batch: int = 24) -> ExperimentResult:
-    """Fig. 13: prompt-processing latency and TFLOPS, DeepSpeed (hybrid
-    scheduling) vs FasterTransformer, 175B on 2x8 A100."""
+def fig13_hybrid_prompt() -> ExperimentResult:
+    """Fig. 13: prompt-processing latency and TFLOPS at batch 24,
+    DeepSpeed (hybrid scheduling) vs FasterTransformer, 175B on 2x8 A100."""
     cluster = dgx_a100_cluster(2)
+    batch = 24
     cfg = DENSE_ZOO["lm-175b"]
     w = Workload(batch=batch, prompt_len=512, gen_tokens=1)
     rows = []

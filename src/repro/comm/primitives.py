@@ -85,9 +85,7 @@ def reduce_scatter_time(link: LinkSpec, nbytes: float, ranks: int) -> Collective
     return allgather_time(link, nbytes, ranks)
 
 
-def alltoall_time(
-    link: LinkSpec, nbytes: float, ranks: int, *, latency_per_peer: float | None = None
-) -> CollectiveCost:
+def alltoall_time(link: LinkSpec, nbytes: float, ranks: int) -> CollectiveCost:
     """Pairwise-exchange all-to-all of ``nbytes`` held per rank.
 
     Each rank exchanges a distinct ``nbytes / p`` block with each of the
@@ -99,10 +97,9 @@ def alltoall_time(
     _check(nbytes, ranks)
     if ranks == 1:
         return CollectiveCost(0.0, 0.0)
-    alpha = link.latency if latency_per_peer is None else latency_per_peer
     steps = ranks - 1
     moved = (ranks - 1) / ranks * nbytes
-    return CollectiveCost(steps * alpha, moved / link.bandwidth)
+    return CollectiveCost(steps * link.latency, moved / link.bandwidth)
 
 
 def naive_alltoall_time(

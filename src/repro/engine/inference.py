@@ -13,15 +13,11 @@ small configurations; performance estimation works at any scale.
 
 from __future__ import annotations
 
-
-import numpy as np
-
 from ..hardware.topology import ClusterSpec, dgx_a100_cluster
 from ..kernels.profiles import DEEPSPEED_FP16, ImplementationProfile
-from ..model.config import MOE_PARALLELISM, ModelConfig, MoEParallelism, get_model
+from ..model.config import MOE_PARALLELISM, ModelConfig, get_model
 from ..model.dense import DenseTransformer
 from ..parallel.planner import ParallelPlan, plan_dense
-from ..rng import SeedLike
 from .latency import DenseLatencyModel, LatencyReport, Workload
 from .moe import MoELatencyModel, MoEStepBreakdown
 from .throughput import ThroughputPoint, best_throughput
@@ -40,16 +36,11 @@ class InferenceEngine:
         profile: ImplementationProfile = DEEPSPEED_FP16,
         tp: int | None = None,
         pp: int | None = None,
-        plan_batch: int = 1,
-        plan_seq: int = 2048,
-        hybrid_prompt_factor: int = 1,
-        lockstep_generation: bool = False,
     ) -> None:
         self.config = get_model(model) if isinstance(model, str) else model
         self.cluster = cluster or dgx_a100_cluster()
         if tp is None or pp is None:
-            plan = plan_dense(self.config, self.cluster, batch=plan_batch,
-                              seq_len=plan_seq)
+            plan = plan_dense(self.config, self.cluster)
             tp = tp if tp is not None else plan.tp
             pp = pp if pp is not None else plan.pp
             self.plan: ParallelPlan | None = plan
@@ -57,14 +48,7 @@ class InferenceEngine:
             self.plan = None
         self.profile = profile
         self.latency_model = DenseLatencyModel(
-            self.config,
-            self.cluster,
-            tp=tp,
-            pp=pp,
-            profile=profile,
-            hybrid_prompt_factor=hybrid_prompt_factor,
-            lockstep_generation=lockstep_generation,
-        )
+            self.config, self.cluster, tp=tp, pp=pp, profile=profile)
 
     @property
     def tp(self) -> int:
@@ -100,17 +84,16 @@ class InferenceEngine:
             offload_activations=offload_activations,
         )
 
-    def build_functional_model(self, *, seed: SeedLike = 0,
-                               dtype=np.float64) -> DenseTransformer:
-        """Materialize the runnable NumPy model (small configs only: the
-        weight arrays are allocated for real)."""
+    def build_functional_model(self) -> DenseTransformer:
+        """Materialize the runnable float64 NumPy model at seed 0 (small
+        configs only: the weight arrays are allocated for real)."""
         if self.config.total_params > 2e8:
             raise ValueError(
                 f"{self.config.name} has {self.config.total_params / 1e9:.1f}B "
                 "params; materializing that in NumPy is not what you want. "
                 "Use a small ModelConfig for functional runs."
             )
-        return DenseTransformer(self.config, seed=seed, dtype=dtype)
+        return DenseTransformer(self.config)
 
 
 class MoEInferenceEngine:
@@ -119,33 +102,30 @@ class MoEInferenceEngine:
     def __init__(
         self,
         model: str | ModelConfig,
-        cluster: ClusterSpec | None = None,
         *,
-        parallelism: MoEParallelism | None = None,
         optimized: bool = True,
     ) -> None:
+        """Deploys ``model`` at its Table II parallelism on as many DGX
+        A100 nodes as that needs."""
         self.config = get_model(model) if isinstance(model, str) else model
         if self.config.moe is None:
             raise ValueError(f"{self.config.name} is not an MoE model")
-        if parallelism is None:
-            if self.config.name not in MOE_PARALLELISM:
-                raise ValueError(
-                    f"no Table II parallelism recorded for {self.config.name}; "
-                    "pass `parallelism` explicitly"
-                )
-            parallelism = MOE_PARALLELISM[self.config.name]
+        if self.config.name not in MOE_PARALLELISM:
+            raise ValueError(
+                f"no Table II parallelism recorded for {self.config.name}")
+        parallelism = MOE_PARALLELISM[self.config.name]
         self.parallelism = parallelism
-        self.cluster = cluster or dgx_a100_cluster(
-            max(1, parallelism.num_gpus // 8)
-        )
+        self.cluster = dgx_a100_cluster(max(1, parallelism.num_gpus // 8))
         self.model = MoELatencyModel(
             self.config, self.cluster, parallelism, optimized=optimized
         )
 
-    def token_latency(self, *, batch: int = 8, kv_len: int = 228) -> float:
-        """Per generated-token latency (the Fig. 7 metric)."""
-        return self.model.token_latency(batch, kv_len)
+    def token_latency(self, *, batch: int = 8) -> float:
+        """Per generated-token latency at KV length 228 (the Fig. 7
+        metric)."""
+        return self.model.token_latency(batch, 228)
 
-    def step_breakdown(self, *, batch: int = 8, kv_len: int = 228) -> MoEStepBreakdown:
-        """Component decomposition of one token step."""
-        return self.model.token_step(batch, kv_len)
+    def step_breakdown(self) -> MoEStepBreakdown:
+        """Component decomposition of one token step at batch 8, KV
+        length 228."""
+        return self.model.token_step(8, 228)

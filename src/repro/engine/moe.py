@@ -37,7 +37,7 @@ from ..hardware.specs import DType
 from ..hardware.topology import ClusterSpec
 from ..kernels.costmodel import KernelCostModel
 from ..kernels.graph import LayerShape, moe_expert_ffn_ops
-from ..kernels.profiles import DEEPSPEED_FP16, PYTORCH_FP16, ImplementationProfile
+from ..kernels.profiles import DEEPSPEED_FP16, PYTORCH_FP16
 from ..model.config import ModelConfig, MoEParallelism
 from ..model.gating import expert_capacity
 
@@ -101,7 +101,6 @@ class MoELatencyModel:
         parallelism: MoEParallelism,
         *,
         optimized: bool = True,
-        profile: ImplementationProfile | None = None,
     ) -> None:
         if config.moe is None:
             raise ValueError(f"{config.name} is not an MoE model")
@@ -116,7 +115,7 @@ class MoELatencyModel:
         self.optimized = optimized
         # The baseline (Sec. VII-A1) is "a full-featured distributed
         # PyTorch implementation": eager kernels, no expert slicing.
-        self.profile = profile or (DEEPSPEED_FP16 if optimized else PYTORCH_FP16)
+        self.profile = DEEPSPEED_FP16 if optimized else PYTORCH_FP16
         self.expert_slicing = parallelism.expert_slicing if optimized else 1
         self.kernel_model = KernelCostModel(cluster.gpu, self.profile)
         self._mp_group = (
@@ -352,10 +351,10 @@ class MoELatencyModel:
         per_gpu_expert = expert_bytes / self.par.ep_degree
         return dense_shard + per_gpu_expert
 
-    def effective_bandwidth_per_gpu(self, batch: int, kv_len: int = 228) -> float:
-        """Achieved bytes/s per GPU — Fig. 11's metric."""
-        return self.bytes_read_per_gpu(batch) / self.token_latency(batch, kv_len)
+    def effective_bandwidth_per_gpu(self, batch: int) -> float:
+        """Achieved bytes/s per GPU at KV length 228 — Fig. 11's metric."""
+        return self.bytes_read_per_gpu(batch) / self.token_latency(batch, 228)
 
-    def aggregate_bandwidth(self, batch: int, kv_len: int = 228) -> float:
+    def aggregate_bandwidth(self, batch: int) -> float:
         """Cluster-wide achieved memory bandwidth."""
-        return self.effective_bandwidth_per_gpu(batch, kv_len) * self.par.num_gpus
+        return self.effective_bandwidth_per_gpu(batch) * self.par.num_gpus

@@ -43,7 +43,6 @@ def max_batch_size(
     pp: int,
     seq_len: int,
     offload_activations: bool = False,
-    dtype: DType = DType.FP16,
 ) -> int:
     """Largest batch whose weights + resident KV fit per GPU.
 
@@ -54,7 +53,7 @@ def max_batch_size(
     """
     budget = cluster.gpu.usable_bytes
     weights, kv_per_seq_gpu = memory_per_gpu(
-        config, tp, pp, batch=1, seq_len=seq_len, dtype=dtype)
+        config, tp, pp, batch=1, seq_len=seq_len)
     if weights >= budget:
         return 0
     if not offload_activations:
@@ -64,7 +63,7 @@ def max_batch_size(
     resident = kv_per_seq_gpu * min(2, layers_per_stage) / layers_per_stage
     gpu_bound = int((budget - weights) / max(resident, 1e-9))
     kv_per_seq_node = (
-        seq_len * config.kv_bytes_per_token(dtype) / pp
+        seq_len * config.kv_bytes_per_token(DType.FP16) / pp
     )  # a node holds one stage's TP group
     dram_bound = int(cluster.node.host.usable_dram_bytes / kv_per_seq_node)
     return max(0, min(gpu_bound, dram_bound))
@@ -76,7 +75,6 @@ def moe_max_batch_size(
     parallelism,
     *,
     seq_len: int,
-    dtype: DType = DType.FP16,
 ) -> int:
     """Largest batch an MoE deployment's per-GPU memory sustains.
 
@@ -96,11 +94,11 @@ def moe_max_batch_size(
         config.base_params / parallelism.mp_degree
         + config.expert_params
         / (parallelism.ep_degree * parallelism.expert_slicing)
-    ) * dtype.itemsize
+    ) * DType.FP16.itemsize
     if weights >= budget:
         return 0
     kv_per_seq_gpu = (
-        seq_len * config.kv_bytes_per_token(dtype) / parallelism.mp_degree
+        seq_len * config.kv_bytes_per_token(DType.FP16) / parallelism.mp_degree
     )
     return int((budget - weights) / kv_per_seq_gpu)
 
@@ -113,11 +111,10 @@ def kv_offload_overflow(
     pp: int,
     batch: int,
     seq_len: int,
-    dtype: DType = DType.FP16,
 ) -> float:
     """Per-GPU KV bytes that exceed GPU capacity and live in DRAM."""
     weights, kv = memory_per_gpu(
-        config, tp, pp, batch=batch, seq_len=seq_len, dtype=dtype)
+        config, tp, pp, batch=batch, seq_len=seq_len)
     return max(0.0, kv - (cluster.gpu.usable_bytes - weights))
 
 

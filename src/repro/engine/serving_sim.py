@@ -325,18 +325,18 @@ class WorkloadTrace:
 
     @classmethod
     def from_columns(cls, arrival, prompt_len, gen_tokens, *,
-                     request_id=None, session=None, tenant=None,
-                     turn_index=None, shared_prefix_len=None,
+                     session=None, tenant=None, turn_index=None,
+                     shared_prefix_len=None,
                      expert_skew: float | None = None) -> WorkloadTrace:
         """A trace built from one array-like per :class:`Request` field,
         equally long and in arrival order, checked by the same rules
-        without building a :class:`Request`. ``request_id`` defaults to
-        ``0..n-1``; ``session`` entries may be ``None``; other omitted
-        columns take :class:`Request`'s defaults."""
+        without building a :class:`Request`. Request ids are ``0..n-1``;
+        ``session`` entries may be ``None``; other omitted columns take
+        :class:`Request`'s defaults."""
         return cls(_RequestColumns(
-            arrival, prompt_len, gen_tokens, request_id=request_id,
-            session=session, tenant=tenant, turn_index=turn_index,
-            shared_prefix_len=shared_prefix_len), expert_skew=expert_skew)
+            arrival, prompt_len, gen_tokens, session=session, tenant=tenant,
+            turn_index=turn_index, shared_prefix_len=shared_prefix_len),
+            expert_skew=expert_skew)
 
     def __post_init__(self) -> None:
         if self.expert_skew is not None and not (

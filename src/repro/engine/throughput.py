@@ -66,7 +66,6 @@ def best_throughput(
     gen_tokens: int,
     offload_activations: bool = False,
     offload_scheme: str = "odd_even",
-    batch_cap: int | None = None,
 ) -> ThroughputPoint:
     """Sweep batch sizes and return the highest-throughput point.
 
@@ -85,8 +84,6 @@ def best_throughput(
         seq_len=seq,
         offload_activations=offload_activations,
     )
-    if batch_cap is not None:
-        cap = min(cap, batch_cap)
     if cap < 1:
         raise ValueError(
             f"{model.config.name} cannot run even batch 1 on this deployment"

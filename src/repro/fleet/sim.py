@@ -479,13 +479,10 @@ def run_fleet_functional(
     policy: str = "fcfs",
     routing: str | RoutingPolicy = "round_robin",
     fault_plan: FaultPlan | None = None,
-    autoscaler: Autoscaler | AutoscaleConfig | None = None,
     prompts: dict[int, np.ndarray] | None = None,
-    seed: SeedLike = 0,
     kv_block_size: int = 16,
     kv_pool_blocks: int | None = None,
     prefix_sharing: bool = False,
-    detail: str = "full",
 ) -> FleetFunctionalResult:
     """Serve ``trace`` on real :class:`GenerationSession` replicas.
 
@@ -499,8 +496,7 @@ def run_fleet_functional(
     restarts from scratch (no dead replica's token can leak).
 
     ``prompts`` maps request id to token ids (lengths must match the
-    trace); omitted, they are synthesized deterministically from
-    ``seed``.
+    trace); omitted, they are synthesized deterministically from seed 0.
 
     ``prefix_sharing`` turns on copy-on-write prefix reuse in *both*
     backends at once: each functional session parks and forks real
@@ -517,13 +513,11 @@ def run_fleet_functional(
     report = simulate_fleet(
         trace, num_replicas=num_replicas, costs=costs, max_batch=max_batch,
         policy=policy, routing=routing, fault_plan=fault_plan,
-        autoscaler=autoscaler, kv_block_size=kv_block_size,
-        kv_num_layers=model.config.layers, prefix_sharing=prefix_sharing,
-        detail=detail,
+        kv_block_size=kv_block_size, kv_num_layers=model.config.layers,
+        prefix_sharing=prefix_sharing,
     )
     if prompts is None:
-        prompts = synthesize_prompts(trace, vocab=model.config.vocab,
-                                     seed=seed)
+        prompts = synthesize_prompts(trace, vocab=model.config.vocab)
     else:
         for r in trace.requests:
             got = np.asarray(prompts[r.request_id]).size

@@ -16,14 +16,14 @@ from dataclasses import dataclass
 from ..hardware.specs import DType, GPUSpec
 from .costmodel import KernelCostModel
 from .graph import LayerShape
-from .profiles import DEEPSPEED_FP16, ImplementationProfile
+from .profiles import DEEPSPEED_FP16
 
 __all__ = ["RegionAnalysis", "machine_balance", "analyze_layer", "crossover_batch"]
 
 
-def machine_balance(gpu: GPUSpec, dtype: DType = DType.FP16) -> float:
-    """Flops per byte at which the roofline's two regimes meet."""
-    return gpu.peak_flops(dtype) / gpu.mem_bw
+def machine_balance(gpu: GPUSpec) -> float:
+    """FP16 flops per byte at which the roofline's two regimes meet."""
+    return gpu.peak_flops(DType.FP16) / gpu.mem_bw
 
 
 @dataclass(frozen=True)
@@ -42,13 +42,10 @@ class RegionAnalysis:
         return self.flops / self.hbm_bytes if self.hbm_bytes > 0 else float("inf")
 
 
-def analyze_layer(
-    gpu: GPUSpec,
-    shape: LayerShape,
-    profile: ImplementationProfile = DEEPSPEED_FP16,
-) -> list[RegionAnalysis]:
-    """Roofline placement of each fused region of one layer invocation."""
-    model = KernelCostModel(gpu, profile)
+def analyze_layer(gpu: GPUSpec, shape: LayerShape) -> list[RegionAnalysis]:
+    """Roofline placement of each fused region of one layer invocation
+    under DeepSpeed kernels."""
+    model = KernelCostModel(gpu, DEEPSPEED_FP16)
     cost = model.layer_cost(shape)
     out = []
     for r in cost.regions:
@@ -68,22 +65,19 @@ def crossover_batch(
     gpu: GPUSpec,
     hidden: int,
     heads: int,
-    *,
-    kv_len: int = 128,
-    profile: ImplementationProfile = DEEPSPEED_FP16,
-    max_batch: int = 1 << 16,
 ) -> int:
-    """Smallest token-generation batch whose layer is compute-bound.
+    """Smallest token-generation batch whose layer is compute-bound at
+    KV length 128 under DeepSpeed kernels.
 
     Below this batch the paper's bandwidth-centric kernels (Sec. III)
-    set the latency; above it, GeMM throughput does. Returns ``max_batch``
+    set the latency; above it, GeMM throughput does. Returns ``1 << 16``
     if the layer never crosses within the search range.
     """
-    model = KernelCostModel(gpu, profile)
-    lo, hi = 1, max_batch
+    model = KernelCostModel(gpu, DEEPSPEED_FP16)
+    lo, hi = 1, 1 << 16
     def bound_at(b: int) -> str:
         shape = LayerShape(hidden=hidden, heads=heads, batch=b,
-                           tokens_per_seq=1, kv_len=max(kv_len, 1))
+                           tokens_per_seq=1, kv_len=128)
         cost = model.layer_cost(shape)
         # The layer is compute-bound when its GeMM time is.
         gemm_regions = [r for r in cost.regions if "gemm" in r.name]
@@ -93,8 +87,8 @@ def crossover_batch(
 
     if bound_at(1) == "compute":
         return 1
-    if bound_at(max_batch) == "memory":
-        return max_batch
+    if bound_at(hi) == "memory":
+        return hi
     while lo + 1 < hi:
         mid = (lo + hi) // 2
         if bound_at(mid) == "compute":

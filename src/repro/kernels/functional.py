@@ -34,11 +34,11 @@ __all__ = [
 ]
 
 
-def layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float = 1e-5) -> np.ndarray:
-    """Layer normalization over the last axis."""
+def layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """Layer normalization over the last axis (epsilon 1e-5)."""
     mean = x.mean(axis=-1, keepdims=True)
     var = x.var(axis=-1, keepdims=True)
-    return (x - mean) / np.sqrt(var + eps) * gamma + beta
+    return (x - mean) / np.sqrt(var + 1e-5) * gamma + beta
 
 
 def gelu(x: np.ndarray) -> np.ndarray:
@@ -90,9 +90,9 @@ def apply_rotary(
     *,
     position_offset: int = 0,
     positions: np.ndarray | None = None,
-    theta: float = 10000.0,
 ) -> np.ndarray:
-    """Rotary position embedding (RoPE) over ``(batch, heads, seq, hd)``.
+    """Rotary position embedding (RoPE, base 10000) over ``(batch, heads,
+    seq, hd)``.
 
     Pairs of feature dimensions rotate by a position-dependent angle;
     because rotations compose, the Q.K inner product depends only on the
@@ -110,7 +110,7 @@ def apply_rotary(
     if hd % 2:
         raise ValueError("head_dim must be even for rotary embeddings")
     half = hd // 2
-    inv_freq = theta ** (-np.arange(half) / half)
+    inv_freq = 10000.0 ** (-np.arange(half) / half)
     if positions is None:
         pos = np.arange(x.shape[2]) + position_offset
         angles = pos[:, None] * inv_freq[None, :]  # (seq, half)

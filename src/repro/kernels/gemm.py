@@ -91,19 +91,16 @@ class SBITilePlan:
         )
 
 
-def sbi_tile_plan(
-    gpu: GPUSpec, out_features: int, dtype: DType, *, tile_cols: int = 64
-) -> SBITilePlan:
+def sbi_tile_plan(gpu: GPUSpec, out_features: int, dtype: DType) -> SBITilePlan:
     """Choose the SBI-GeMM tiling for ``out_features`` outputs.
 
-    One thread block produces ``tile_cols`` outputs. When that yields too
-    few tiles to occupy the SMs (small models), the input dimension is
-    split across a second kernel with an inter-tile reduction
-    (Sec. III-C1).
+    One thread block produces 64 outputs. When that yields too few tiles
+    to occupy the SMs (small models), the input dimension is split across
+    a second kernel with an inter-tile reduction (Sec. III-C1).
     """
     if out_features < 1:
         raise ValueError("out_features must be >= 1")
-    tiles = max(1, out_features // tile_cols)
+    tiles = max(1, out_features // 64)
     split = tiles < gpu.sm_count
     return SBITilePlan(
         output_tiles=tiles,

@@ -44,28 +44,27 @@ class QuantizedTensor:
         return self.data.nbytes + self.scale.nbytes
 
 
-def quantize_symmetric(w: np.ndarray, *, axis: int = 0) -> QuantizedTensor:
-    """Symmetric per-channel quantization, reducing over ``axis``.
-
-    The default ``axis=0`` gives per-output-column scales for an
-    ``(in, out)`` weight -- the layout :func:`int8_linear` consumes.
+def quantize_symmetric(w: np.ndarray) -> QuantizedTensor:
+    """Symmetric per-channel quantization, reducing over axis 0: one
+    scale per output column of an ``(in, out)`` weight -- the layout
+    :func:`int8_linear` consumes.
 
     Each channel c maps to ``round(w / scale_c)`` with
     ``scale_c = max|w_c| / 127``, so zero is exactly representable and the
     GeMM needs no zero-point corrections.
     """
-    absmax = np.abs(w).max(axis=axis, keepdims=True)
+    absmax = np.abs(w).max(axis=0, keepdims=True)
     # Guard all-zero channels (scale 1 quantizes them to exact zeros) and
     # subnormal channels whose absmax/127 would underflow to 0.
     tiny = np.finfo(np.float64).tiny
     scale = np.where(absmax > 0, np.maximum(absmax / _INT8_MAX, tiny), 1.0)
     q = np.clip(np.rint(w / scale), -_INT8_MAX, _INT8_MAX).astype(np.int8)
-    return QuantizedTensor(q, np.squeeze(scale, axis=axis))
+    return QuantizedTensor(q, np.squeeze(scale, axis=0))
 
 
-def dequantize(qt: QuantizedTensor, *, axis: int = 0) -> np.ndarray:
+def dequantize(qt: QuantizedTensor) -> np.ndarray:
     """Reconstruct the float tensor."""
-    scale = np.expand_dims(qt.scale, axis=axis)
+    scale = np.expand_dims(qt.scale, axis=0)
     return qt.data.astype(np.float64) * scale
 
 
@@ -86,8 +85,8 @@ def int8_linear(
     return y
 
 
-def quantization_error_bound(w: np.ndarray, *, axis: int = 0) -> float:
+def quantization_error_bound(w: np.ndarray) -> float:
     """Worst-case absolute error of symmetric INT8 quantization: half an
     LSB per element, i.e. ``scale / 2`` of the widest channel."""
-    absmax = np.abs(w).max(axis=axis)
+    absmax = np.abs(w).max(axis=0)
     return float(np.max(absmax) / _INT8_MAX / 2.0) if w.size else 0.0

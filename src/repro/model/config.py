@@ -230,7 +230,6 @@ def scaled_config(
     name: str | None = None,
     aspect: float = 128.0,
     head_dim: int = 128,
-    vocab: int = 51200,
     moe: MoESpec | None = None,
 ) -> ModelConfig:
     """Synthesize a GPT-family architecture for a parameter budget.
@@ -255,7 +254,7 @@ def scaled_config(
         hidden=hidden,
         layers=layers,
         heads=heads,
-        vocab=vocab,
+        vocab=51200,
         moe=moe,
         listed_params=target_params,
     )

@@ -28,10 +28,9 @@ __all__ = ["EncoderTransformer"]
 
 
 class EncoderTransformer:
-    """A runnable BERT-style bidirectional encoder."""
+    """A runnable BERT-style bidirectional encoder with float64 weights."""
 
-    def __init__(self, config: ModelConfig, *, seed: SeedLike = 0,
-                 dtype=np.float64) -> None:
+    def __init__(self, config: ModelConfig, *, seed: SeedLike = 0) -> None:
         if config.decoder:
             raise ValueError(
                 f"{config.name} is a decoder config; EncoderTransformer "
@@ -45,14 +44,14 @@ class EncoderTransformer:
         self.config = config
         rng = as_generator(seed)
         h = config.hidden
-        self.wte = (rng.standard_normal((config.vocab, h)) * 0.02).astype(dtype)
-        self.wpe = (rng.standard_normal((config.max_seq, h)) * 0.01).astype(dtype)
+        self.wte = rng.standard_normal((config.vocab, h)) * 0.02
+        self.wpe = rng.standard_normal((config.max_seq, h)) * 0.01
         self.layers: list[LayerWeights] = [
-            init_layer_weights(h, config.ffn_mult, rng, dtype)
+            init_layer_weights(h, config.ffn_mult, rng)
             for _ in range(config.layers)
         ]
-        self.lnf_g = np.ones(h, dtype=dtype)
-        self.lnf_b = np.zeros(h, dtype=dtype)
+        self.lnf_g = np.ones(h)
+        self.lnf_b = np.zeros(h)
 
     def encoder_block(
         self, x: np.ndarray, lw: LayerWeights, key_mask: np.ndarray | None

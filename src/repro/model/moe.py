@@ -30,7 +30,7 @@ __all__ = ["MoELayer"]
 
 
 class MoELayer:
-    """Top-1 gated position-wise MoE FFN block."""
+    """Top-1 gated position-wise MoE FFN block with float64 weights."""
 
     def __init__(
         self,
@@ -40,7 +40,6 @@ class MoELayer:
         ffn_mult: int = 4,
         capacity_factor: float = 1.0,
         seed: SeedLike = 0,
-        dtype=np.float64,
     ) -> None:
         if hidden < 1 or num_experts < 1:
             raise ValueError("hidden and num_experts must be >= 1")
@@ -50,11 +49,11 @@ class MoELayer:
         self.hidden = hidden
         self.num_experts = num_experts
         self.capacity_factor = capacity_factor
-        self.w_gate = (rng.standard_normal((hidden, num_experts)) * s).astype(dtype)
-        self.w_fc = (rng.standard_normal((num_experts, hidden, m)) * s).astype(dtype)
-        self.b_fc = np.zeros((num_experts, m), dtype=dtype)
-        self.w_proj = (rng.standard_normal((num_experts, m, hidden)) * s).astype(dtype)
-        self.b_proj = np.zeros((num_experts, hidden), dtype=dtype)
+        self.w_gate = rng.standard_normal((hidden, num_experts)) * s
+        self.w_fc = rng.standard_normal((num_experts, hidden, m)) * s
+        self.b_fc = np.zeros((num_experts, m))
+        self.w_proj = rng.standard_normal((num_experts, m, hidden)) * s
+        self.b_proj = np.zeros((num_experts, hidden))
 
     # -- expert math --------------------------------------------------------
 

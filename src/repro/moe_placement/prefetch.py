@@ -209,7 +209,6 @@ def calibrated_dispatch(
     *,
     top_k: int = 1,
     expert_fetch_time: float = 0.0,
-    predictor: GateHistoryPredictor | None = None,
     prefetch_slots: int = 8,
 ) -> SkewedDispatchSpec:
     """Build a dispatch spec whose hit rate is *measured*, not assumed.
@@ -218,12 +217,8 @@ def calibrated_dispatch(
     set and bakes the achieved hit rate into the returned spec — the
     honest number the pricing layer then applies to every step.
     """
-    report = simulate_expert_stream(
-        stream,
-        plan.streamed,
-        predictor=predictor,
-        prefetch_slots=prefetch_slots,
-    )
+    report = simulate_expert_stream(stream, plan.streamed,
+                                    prefetch_slots=prefetch_slots)
     return SkewedDispatchSpec(
         probs=probs,
         placement=plan.placement,

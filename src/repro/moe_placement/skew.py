@@ -81,13 +81,12 @@ def zipf_gate_logits(
     skew: float,
     *,
     seed: SeedLike = 0,
-    sharpness: float = 6.0,
 ) -> np.ndarray:
     """Gate logits whose argmax distribution is Zipf(``skew``)-skewed.
 
     Each token draws a preferred expert from
-    :func:`zipf_expert_probs` and receives a logit bump of
-    ``sharpness`` there over unit Gaussian noise — skewed enough to
+    :func:`zipf_expert_probs` and receives a logit bump of 6 there
+    over unit Gaussian noise — skewed enough to
     stress capacity overflow in the gating kernels while keeping
     realistic near-ties for the tie-breaking paths.
     """
@@ -97,5 +96,5 @@ def zipf_gate_logits(
     probs = zipf_expert_probs(num_experts, skew, seed=rng)
     preferred = rng.choice(num_experts, size=num_tokens, p=probs)
     logits = rng.standard_normal((num_tokens, num_experts))
-    logits[np.arange(num_tokens), preferred] += sharpness
+    logits[np.arange(num_tokens), preferred] += 6.0
     return logits

@@ -45,18 +45,17 @@ def memory_per_gpu(
     *,
     batch: int,
     seq_len: int,
-    dtype: DType = DType.FP16,
 ) -> tuple[float, float]:
-    """(weight bytes, KV bytes) per GPU for a TP x PP placement.
+    """(FP16 weight bytes, KV bytes) per GPU for a TP x PP placement.
 
     Weights divide across both axes; the KV cache divides by TP (heads are
     sharded) and by PP (each stage caches only its layers).
     """
     if min(tp, pp, batch, seq_len) < 1:
         raise ValueError("tp, pp, batch and seq_len must be >= 1")
-    weights = config.total_params * dtype.itemsize / (tp * pp)
+    weights = config.total_params * DType.FP16.itemsize / (tp * pp)
     # First stage also holds embeddings; amortize rather than special-case.
-    kv = batch * seq_len * config.kv_bytes_per_token(dtype) / (tp * pp)
+    kv = batch * seq_len * config.kv_bytes_per_token(DType.FP16) / (tp * pp)
     return weights, kv
 
 
@@ -66,9 +65,8 @@ def plan_dense(
     *,
     batch: int = 1,
     seq_len: int = 2048,
-    dtype: DType = DType.FP16,
 ) -> ParallelPlan:
-    """Choose the smallest TP x PP placement that fits.
+    """Choose the smallest TP x PP placement that fits FP16 weights.
 
     Strategy, mirroring the paper: grow TP in powers of two up to the
     node size (aggregate bandwidth cuts latency, Sec. IV-A); if a full
@@ -83,7 +81,7 @@ def plan_dense(
                   if t <= node_gpus and config.heads % t == 0]
 
     for tp in tp_options:
-        w, kv = memory_per_gpu(config, tp, 1, batch=batch, seq_len=seq_len, dtype=dtype)
+        w, kv = memory_per_gpu(config, tp, 1, batch=batch, seq_len=seq_len)
         if w + kv <= per_gpu_budget:
             return ParallelPlan(tp=tp, pp=1, gpus=tp,
                                 weight_bytes_per_gpu=w, kv_bytes_per_gpu=kv)
@@ -93,12 +91,12 @@ def plan_dense(
     # node-aligned, but nothing requires it).
     tp = tp_options[-1]
     for pp in range(2, min(cluster.num_gpus // tp, config.layers) + 1):
-        w, kv = memory_per_gpu(config, tp, pp, batch=batch, seq_len=seq_len, dtype=dtype)
+        w, kv = memory_per_gpu(config, tp, pp, batch=batch, seq_len=seq_len)
         if w + kv <= per_gpu_budget:
             return ParallelPlan(tp=tp, pp=pp, gpus=tp * pp,
                                 weight_bytes_per_gpu=w, kv_bytes_per_gpu=kv)
 
-    need = config.param_bytes(dtype) / 1e9
+    need = config.param_bytes(DType.FP16) / 1e9
     have = cluster.aggregate_gpu_memory / 1e9
     raise PlanError(
         f"{config.name} ({need:.0f} GB of weights) does not fit on "

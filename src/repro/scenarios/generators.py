@@ -292,19 +292,16 @@ def heavy_tailed_scenario(
     prompt_sigma: float = 1.0,
     gen_zipf_a: float = 2.5,
     max_gen: int = 2048,
-    arrival_shape: str = "poisson",
-    tenant: str | None = None,
     seed: SeedLike = 0,
 ) -> WorkloadTrace:
-    """Independent requests with heavy-tailed lengths.
+    """Independent untagged requests with heavy-tailed lengths and
+    Poisson arrivals.
 
     Prompts are lognormal — ``median_prompt`` sets the median,
     ``prompt_sigma`` the log-space spread (1.0 gives a ~7x P99/median
     ratio) — and generation lengths are Zipf(``gen_zipf_a``) clipped to
     ``max_gen``: most requests are tiny, a few are enormous, so mean-
     based capacity planning and naive FCFS admission both misbehave.
-    ``arrival_shape`` passes through to
-    :func:`~repro.scenarios.arrivals.draw_arrivals`.
     """
     _check_integers(num_requests=num_requests, median_prompt=median_prompt,
                     max_gen=max_gen)
@@ -318,13 +315,11 @@ def heavy_tailed_scenario(
     if max_gen < 1:
         raise ValueError("max_gen must be >= 1")
     rng = as_generator(seed)
-    arrivals = draw_arrivals(rng, num_requests, arrival_rate,
-                             arrival_shape=arrival_shape)
+    arrivals = draw_arrivals(rng, num_requests, arrival_rate)
     prompts = np.maximum(1, np.rint(rng.lognormal(
         np.log(median_prompt), prompt_sigma, size=num_requests)).astype(int))
     gens = np.minimum(max_gen, rng.zipf(gen_zipf_a, size=num_requests))
-    return WorkloadTrace.from_columns(arrivals, prompts, gens,
-                                      tenant=[tenant] * num_requests)
+    return WorkloadTrace.from_columns(arrivals, prompts, gens)
 
 
 @dataclass(frozen=True)
@@ -383,7 +378,6 @@ _SESSION_STRIDE = 1 << 24
 def multi_tenant_scenario(
     tenants: Sequence[TenantSpec],
     *,
-    expert_skew: float | None = None,
     seed: SeedLike = 0,
 ) -> WorkloadTrace:
     """Merge per-tenant sub-workloads into one tagged trace.
@@ -434,7 +428,7 @@ def multi_tenant_scenario(
             part = part[:spec.num_requests]
         raw.extend(part)
         tags.extend([spec.name] * len(part))
-    return _assemble(raw, tags, num_requests=None, expert_skew=expert_skew)
+    return _assemble(raw, tags, num_requests=None, expert_skew=None)
 
 
 def tenant_policy(tenants: Sequence[TenantSpec]) -> TenantFairShare:

@@ -22,7 +22,7 @@ from ..hardware.specs import DType
 from ..hardware.topology import ClusterSpec
 from ..kernels.costmodel import KernelCostModel
 from ..kernels.graph import LayerShape
-from ..kernels.profiles import DEEPSPEED_FP16, ImplementationProfile
+from ..kernels.profiles import DEEPSPEED_FP16
 from ..model.config import ModelConfig
 from .streaming import StreamReport, simulate_layer_stream
 from .tiers import Tier, placement_for
@@ -60,7 +60,8 @@ class ZeroPassReport:
 
 
 class ZeroInferenceEngine:
-    """Plan and evaluate ZeRO-Inference for one model on one machine."""
+    """Plan and evaluate FP16 ZeRO-Inference for one model on one
+    machine."""
 
     def __init__(
         self,
@@ -69,8 +70,6 @@ class ZeroInferenceEngine:
         *,
         num_gpus: int = 1,
         prefetch_depth: int = 1,
-        profile: ImplementationProfile = DEEPSPEED_FP16,
-        dtype: DType = DType.FP16,
     ) -> None:
         if num_gpus < 1 or num_gpus > cluster.num_gpus:
             raise ValueError(
@@ -82,17 +81,16 @@ class ZeroInferenceEngine:
         self.cluster = cluster
         self.num_gpus = num_gpus
         self.prefetch_depth = prefetch_depth
-        self.profile = profile
-        self.dtype = dtype
-        self.kernel_model = KernelCostModel(cluster.gpu, profile)
-        self.placement: Tier = placement_for(config.param_bytes(dtype), cluster)
+        self.kernel_model = KernelCostModel(cluster.gpu, DEEPSPEED_FP16)
+        self.placement: Tier = placement_for(config.param_bytes(DType.FP16),
+                                             cluster)
 
     # -- memory arithmetic ---------------------------------------------------
 
     @property
     def layer_bytes(self) -> float:
         """One transformer layer's weights — the streaming unit."""
-        return self.config.layer_weight_bytes(self.dtype)
+        return self.config.layer_weight_bytes(DType.FP16)
 
     def _buffer_bytes(self) -> float:
         """GPU memory held by weight buffers (prefetch_depth + 1 slots)."""
@@ -101,8 +99,8 @@ class ZeroInferenceEngine:
     def per_sample_bytes(self, seq_len: int) -> float:
         """GPU bytes one sequence costs: its KV cache plus working
         activations (hidden + QKV + FFN intermediates per live layer)."""
-        kv = seq_len * self.config.kv_bytes_per_token(self.dtype)
-        work = seq_len * 12 * self.config.hidden * self.dtype.itemsize
+        kv = seq_len * self.config.kv_bytes_per_token(DType.FP16)
+        work = seq_len * 12 * self.config.hidden * DType.FP16.itemsize
         return kv + work
 
     def max_batch(self, seq_len: int) -> int:
@@ -150,7 +148,7 @@ class ZeroInferenceEngine:
             batch=batch,
             tokens_per_seq=tokens_per_seq,
             kv_len=kv_len,
-            dtype=self.dtype,
+            dtype=DType.FP16,
             ffn_mult=self.config.ffn_mult,
         )
         base = self.kernel_model.layer_cost(shape).total_time

@@ -129,15 +129,15 @@ class TieredWeightStore:
             t += intra.latency + nbytes * (num_gpus - 1) / num_gpus / intra.bandwidth
         return t
 
-    def fetch(self, layer: int, *, num_gpus: int = 1) -> np.ndarray:
-        """Return the layer's weights, logging the modeled fetch."""
+    def fetch(self, layer: int) -> np.ndarray:
+        """Return the layer's weights, logging the modeled one-GPU fetch."""
         tier, data = self._blobs[layer]
         self.fetch_log.append(
             FetchEvent(
                 layer=layer,
                 tier=tier,
                 nbytes=float(data.nbytes),
-                time=self.fetch_time(layer, num_gpus=num_gpus),
+                time=self.fetch_time(layer),
             )
         )
         return data

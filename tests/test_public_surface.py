@@ -17,12 +17,27 @@ have no reader on purpose, each for the reason given: a *reference* or
 reads state through, or a *paper mechanism* a test pins. The list
 cannot go stale: an entry that is gone, or that has gained a reader,
 fails too.
+
+The same holds one level down, for parameters. Every defaulted
+parameter of a public function, a public method, or the ``__init__`` of
+a public class that is not a dataclass must be *passed* by some call in
+``src/``, ``tests/``, ``benchmarks/`` or ``examples/`` whose callee's
+last name component matches: by keyword, by enough positional arguments
+to reach it, or through a ``*args``/``**kwargs`` spread. A default that
+no call ever overrides is a constant, not an option. Dataclass fields
+are records (``GPUSpec``, ``Request``) and are out of scope. Matching
+on the last name alone over-counts calls, so it can hide a dead
+parameter; it misses only calls made through another name, such as a
+class held in a variable, and a parameter set that way goes in
+``KEPT_PARAMS`` with its reason, checked for staleness like ``KEPT``.
 """
 
 import ast
 import functools
 import re
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "repro"
@@ -113,6 +128,14 @@ KEPT = {
 }
 
 
+KEPT_PARAMS = {
+    "engine.scheduler:TenantPriority(slot_caps=)":
+        "input check: test_non_integer_slot_caps_rejected sets it through "
+        "a parametrized class, policy(slot_caps=), which the scan cannot "
+        "see",
+}
+
+
 def _public_defs(tree: ast.Module):
     """(qualified name, node) of every public top-level def and class,
     and of the public members of each such class."""
@@ -192,3 +215,119 @@ def test_kept_names_exist_and_are_still_unread():
     assert not gone, f"KEPT names that no longer exist: {gone}"
     assert not read, f"KEPT names that gained a reader: {read}"
 
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for deco in node.decorator_list:
+        target = deco.func if isinstance(deco, ast.Call) else deco
+        if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def _defaulted_params(tree: ast.Module):
+    """(qualified name, callee name, parameter, positional index) of each
+    defaulted parameter in scope; the index counts the arguments a call
+    supplies (``self`` and ``cls`` excluded) and is ``None`` for a
+    keyword-only parameter."""
+    for qual, node in _public_defs(tree):
+        if isinstance(node, ast.ClassDef):
+            fn = next((m for m in node.body if isinstance(m, ast.FunctionDef)
+                       and m.name == "__init__"), None)
+            if fn is None or _is_dataclass(node):
+                continue
+            bound = 1
+        else:
+            fn = node
+            bound = int("." in qual and not any(
+                getattr(d, "id", None) == "staticmethod"
+                for d in node.decorator_list))
+        args = fn.args
+        positional = args.posonlyargs + args.args
+        first = len(positional) - len(args.defaults)
+        for i, arg in enumerate(positional[first:], first):
+            yield qual, node.name, arg.arg, i - bound
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                yield qual, node.name, arg.arg, None
+
+
+def _passes(call: ast.Call, param: str, index: int | None) -> bool:
+    if (any(isinstance(a, ast.Starred) for a in call.args)
+            or any(k.arg in (None, param) for k in call.keywords)):
+        return True
+    return index is not None and len(call.args) > index
+
+
+def _param_scan(modules: dict[str, str],
+                callers: list[str]) -> tuple[set[str], set[str]]:
+    """(every defaulted parameter in scope, those no call passes), keyed
+    ``module:Qual(param=)``, over ``modules`` (dotted name -> source)
+    and the calls in ``callers`` (sources)."""
+    calls: dict[str, list[ast.Call]] = {}
+    for source in callers:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.attr if isinstance(f, ast.Attribute) else getattr(
+                    f, "id", None)
+                calls.setdefault(name, []).append(node)
+    defined: set[str] = set()
+    unpassed: set[str] = set()
+    for dotted, source in modules.items():
+        for qual, callee, param, index in _defaulted_params(
+                ast.parse(source)):
+            key = f"{dotted}:{qual}({param}=)"
+            defined.add(key)
+            if not any(_passes(c, param, index)
+                       for c in calls.get(callee, ())):
+                unpassed.add(key)
+    return defined, unpassed
+
+
+@functools.lru_cache(maxsize=None)
+def _repo_param_scan() -> tuple[frozenset[str], frozenset[str]]:
+    modules = {
+        ".".join(p.relative_to(PACKAGE).with_suffix("").parts): p.read_text()
+        for p in sorted(PACKAGE.rglob("*.py"))
+        if p.relative_to(PACKAGE).parts[0] != "lint"}
+    callers = [p.read_text()
+               for d in ("src", "tests", "benchmarks", "examples")
+               for p in sorted((ROOT / d).rglob("*.py"))]
+    defined, unpassed = _param_scan(modules, callers)
+    return frozenset(defined), frozenset(unpassed)
+
+
+def test_every_defaulted_parameter_is_passed_somewhere():
+    _, unpassed = _repo_param_scan()
+    dead = sorted(unpassed - KEPT_PARAMS.keys())
+    assert not dead, (
+        "defaulted parameters no call passes; make each default a "
+        "constant at its use site, or add it to KEPT_PARAMS with a "
+        f"reason: {dead}")
+
+
+def test_kept_params_exist_and_are_still_unpassed():
+    defined, unpassed = _repo_param_scan()
+    gone = sorted(KEPT_PARAMS.keys() - defined)
+    passed = sorted((KEPT_PARAMS.keys() & defined) - unpassed)
+    assert not gone, f"KEPT_PARAMS entries that no longer exist: {gone}"
+    assert not passed, f"KEPT_PARAMS entries a call now passes: {passed}"
+
+
+@pytest.mark.parametrize("module, callers, dead", [
+    pytest.param("def f(x, *, a=1, b=2): ...", "f(0, a=3)",
+                 {"m:f(b=)"}, id="keyword"),
+    pytest.param("def f(x, a=1, b=2): ...", "f(0, 1)",
+                 {"m:f(b=)"}, id="positional-boundary"),
+    pytest.param("def f(x, a=1, *, b=2): ...", "f(0, **kw)\nf(*xs)",
+                 set(), id="spread"),
+    pytest.param("class C:\n    def m(self, x, a=1, b=2): ...",
+                 "obj.m(0, 1)", {"m:C.m(b=)"}, id="method"),
+    pytest.param("class C:\n    def __init__(self, a=1, b=2): ...\n"
+                 "@dataclass\nclass D:\n    x: int = 0",
+                 "C(1)", {"m:C(b=)"}, id="constructor"),
+])
+def test_param_scan_on_inline_sources(module, callers, dead):
+    _, unpassed = _param_scan({"m": module}, [callers])
+    assert unpassed == dead
