@@ -24,6 +24,7 @@ counters we do not have.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from ..hardware.specs import DType, GPUSpec
@@ -91,6 +92,13 @@ class SBITilePlan:
         )
 
 
+def _as_int(name: str, value) -> int:
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an int, got {value!r}") from None
+
+
 def sbi_tile_plan(gpu: GPUSpec, out_features: int, dtype: DType) -> SBITilePlan:
     """Choose the SBI-GeMM tiling for ``out_features`` outputs.
 
@@ -98,7 +106,7 @@ def sbi_tile_plan(gpu: GPUSpec, out_features: int, dtype: DType) -> SBITilePlan:
     to occupy the SMs (small models), the input dimension is split across
     a second kernel with an inter-tile reduction (Sec. III-C1).
     """
-    if out_features < 1:
+    if _as_int("out_features", out_features) < 1:
         raise ValueError("out_features must be >= 1")
     tiles = max(1, out_features // 64)
     split = tiles < gpu.sm_count
@@ -119,7 +127,7 @@ def sbi_bw_efficiency(gpu: GPUSpec, tokens: int, out_features: int, dtype: DType
     for small output dims, and a mild occupancy ramp when output tiles
     barely cover the SMs.
     """
-    if tokens < 1:
+    if _as_int("tokens", tokens) < 1:
         raise ValueError("tokens must be >= 1")
     plan = sbi_tile_plan(gpu, out_features, dtype)
     eff = 0.87

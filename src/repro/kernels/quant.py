@@ -51,8 +51,18 @@ def quantize_symmetric(w: np.ndarray) -> QuantizedTensor:
 
     Each channel c maps to ``round(w / scale_c)`` with
     ``scale_c = max|w_c| / 127``, so zero is exactly representable and the
-    GeMM needs no zero-point corrections.
+    GeMM needs no zero-point corrections. An empty or non-finite weight
+    raises ``ValueError``: a NaN would quantize to 0 and an inf would
+    zero its whole channel.
     """
+    w = np.asarray(w)
+    if w.size == 0:
+        raise ValueError(f"cannot quantize an empty array of shape {w.shape}")
+    bad = np.argwhere(~np.isfinite(w))
+    if bad.size:
+        at = tuple(int(i) for i in bad[0])
+        raise ValueError(f"cannot quantize non-finite weight {w[at]} at "
+                         f"index {at}")
     absmax = np.abs(w).max(axis=0, keepdims=True)
     # Guard all-zero channels (scale 1 quantizes them to exact zeros) and
     # subnormal channels whose absmax/127 would underflow to 0.

@@ -56,6 +56,17 @@ class TestGemmCurves:
         with pytest.raises(ValueError):
             sbi_bw_efficiency(A100_40GB, 0, 1024, DType.FP16)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 100.5])
+    def test_non_integer_sizes_rejected(self, bad):
+        # Both ``x < 1`` guards let NaN through, and a float width used to
+        # get a one-tile plan.
+        with pytest.raises(TypeError, match="out_features must be an int"):
+            sbi_tile_plan(A100_40GB, bad, DType.FP16)
+        with pytest.raises(TypeError, match="out_features must be an int"):
+            sbi_bw_efficiency(A100_40GB, 1, bad, DType.FP16)
+        with pytest.raises(TypeError, match="tokens must be an int"):
+            sbi_bw_efficiency(A100_40GB, bad, 4096, DType.FP16)
+
     def test_tile_plan_small_model_splits_input_dim(self):
         small = sbi_tile_plan(A100_40GB, 1024, DType.FP16)
         big = sbi_tile_plan(A100_40GB, 12288, DType.FP16)

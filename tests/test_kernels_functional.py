@@ -190,6 +190,20 @@ class TestQuantization:
             int8_linear(np.ones((2, 2)),
                         quantize_symmetric(RNG.normal(size=(2, 2, 2))))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weight_rejected(self, bad):
+        # A NaN used to quantize to 0, and an inf set its channel's scale
+        # to inf, zeroing every weight in the channel.
+        w = np.ones((3, 2))
+        w[2, 1] = bad
+        with pytest.raises(ValueError, match=r"non-finite .* \(2, 1\)"):
+            quantize_symmetric(w)
+
+    @pytest.mark.parametrize("shape", [(0, 4), (4, 0)])
+    def test_empty_weight_rejected(self, shape):
+        with pytest.raises(ValueError, match=rf"empty .*{shape}"):
+            quantize_symmetric(np.zeros(shape))
+
 
 @given(
     w=arrays(np.float64, (16, 8),
