@@ -320,8 +320,10 @@ def test_kept_params_exist_and_are_still_unpassed():
                  {"m:f(b=)"}, id="keyword"),
     pytest.param("def f(x, a=1, b=2): ...", "f(0, 1)",
                  {"m:f(b=)"}, id="positional-boundary"),
-    pytest.param("def f(x, a=1, *, b=2): ...", "f(0, **kw)\nf(*xs)",
-                 set(), id="spread"),
+    pytest.param("def f(x, a=1, *, b=2): ...", "f(0, **kw)",
+                 set(), id="kwargs-spread"),
+    pytest.param("def f(x, a=1, *, b=2): ...", "f(*xs)",
+                 set(), id="args-spread"),
     pytest.param("class C:\n    def m(self, x, a=1, b=2): ...",
                  "obj.m(0, 1)", {"m:C.m(b=)"}, id="method"),
     pytest.param("class C:\n    def __init__(self, a=1, b=2): ...\n"
