@@ -65,8 +65,6 @@ def tune_autoscaler(
     epoch_grid: Sequence[float] | None = None,
     queue_high_grid: Sequence[float] | None = None,
     sustain_grid: Sequence[int] = (1, 2, 3),
-    policy: str = "fcfs",
-    routing: str = "least_outstanding",
 ) -> AutoscaleTuningResult:
     """Grid-search autoscaler knobs for ``trace`` under ``base``.
 
@@ -75,7 +73,8 @@ def tune_autoscaler(
     base values), simulating the fleet once per candidate. Preference
     order: meet the SLO, then fewest average replicas (GPU cost), then
     lowest P99 TTFT. ``num_replicas`` seeds the fleet (defaults to the
-    budget floor).
+    budget floor). Every candidate admits FCFS and routes to the least
+    outstanding replica.
     """
     # Local import: repro.fleet imports repro.autoscale at module level,
     # so the reverse edge must stay function-scoped.
@@ -87,6 +86,11 @@ def tune_autoscaler(
         queue_high_grid = (0.5 * base.queue_high_depth,
                            base.queue_high_depth,
                            2.0 * base.queue_high_depth)
+    for name, grid in (("epoch_grid", epoch_grid),
+                       ("queue_high_grid", queue_high_grid),
+                       ("sustain_grid", sustain_grid)):
+        if len(grid) == 0:
+            raise ValueError(f"{name} is empty; give at least one value")
     start_replicas = (base.min_replicas if num_replicas is None
                       else num_replicas)
 
@@ -106,8 +110,7 @@ def tune_autoscaler(
                     num_replicas=start_replicas,
                     costs=costs,
                     max_batch=max_batch,
-                    policy=policy,
-                    routing=routing,
+                    routing="least_outstanding",
                     autoscaler=cfg,
                 )
                 p99 = report.ttft_percentile(trace, 99.0)

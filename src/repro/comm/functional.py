@@ -124,11 +124,11 @@ class Communicator:
 
         return self._rendezvous(combine, np.asarray(array)).copy()
 
-    def broadcast(self, array: np.ndarray | None, root: int = 0) -> np.ndarray:
-        """Every rank receives root's array."""
+    def broadcast(self, array: np.ndarray | None) -> np.ndarray:
+        """Every rank receives rank 0's array."""
 
         def combine(contrib: dict[int, Any]) -> Any:
-            return contrib[root]
+            return contrib[0]
 
         out = self._rendezvous(combine, array)
         return np.array(out, copy=True)
@@ -150,10 +150,11 @@ class Communicator:
         table = self._rendezvous(combine, list(blocks))
         return [np.array(b, copy=True) for b in table[self.rank]]
 
-    def reduce_scatter(self, array: np.ndarray, axis: int = 0) -> np.ndarray:
-        """Sum across ranks, then return this rank's 1/size slice."""
+    def reduce_scatter(self, array: np.ndarray) -> np.ndarray:
+        """Sum across ranks, then return this rank's 1/size slice of the
+        first axis."""
         summed = self.allreduce(array, op="sum")
-        parts = np.array_split(summed, self.size, axis=axis)
+        parts = np.array_split(summed, self.size)
         return parts[self.rank].copy()
 
     # -- point to point --------------------------------------------------

@@ -25,6 +25,10 @@ from .primitives import CollectiveCost, allgather_time, alltoall_time
 
 __all__ = ["PCCCost", "pcc_alltoall", "baseline_alltoall"]
 
+# One local split/transform kernel (steps 1 and 4 in Fig. 5): fused
+# on-GPU data-layout work, effectively constant.
+_TRANSFORM_TIME = 2e-6
+
 
 @dataclass(frozen=True)
 class PCCCost:
@@ -72,7 +76,6 @@ def pcc_alltoall(
     tp_degree: int,
     *,
     direction: str = "tp_to_ep",
-    transform_time: float = 2e-6,
 ) -> PCCCost:
     """PCC-optimized all-to-all.
 
@@ -89,9 +92,8 @@ def pcc_alltoall(
         ``"tp_to_ep"`` (expert dispatch after a tensor-sliced operator; no
         all-gather needed) or ``"ep_to_tp"`` (combine before a
         tensor-sliced operator; requires the intra-MP all-gather).
-    transform_time:
-        Cost of the local split/transform kernels (steps 1 and 4 in
-        Fig. 5); fused on-GPU data-layout work, effectively constant.
+
+    Either direction runs two local transform kernels.
     """
     _validate(total_ranks, tp_degree)
     if direction not in ("tp_to_ep", "ep_to_tp"):
@@ -112,5 +114,4 @@ def pcc_alltoall(
     else:
         ag = CollectiveCost(0.0, 0.0)
 
-    n_transforms = 2 if direction == "ep_to_tp" else 2
-    return PCCCost(a2a, ag, n_transforms * transform_time)
+    return PCCCost(a2a, ag, 2 * _TRANSFORM_TIME)

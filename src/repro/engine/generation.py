@@ -13,12 +13,11 @@ while execution runs through a
 the whole live batch in **one** model forward, and admissions prefill
 together in one ragged pass.
 
-KV memory is block-granular by default (Sec. IV-B): each request's cache
-is a :class:`~repro.model.paged_kv.PagedKVCache` over one shared
+KV memory is block-granular (Sec. IV-B): each request's cache is a
+:class:`~repro.model.paged_kv.PagedKVCache` over one shared
 :class:`~repro.model.paged_kv.BlockAllocator`, blocks are reserved at
 admission (so the pool can never be oversubscribed) and returned the
-moment a request retires. ``offload_idle_kv`` instead parks idle caches
-in host memory (Sec. IV-C2), with cumulative PCIe-traffic counters.
+moment a request retires.
 
 Correctness contract (tested): every request's output equals running
 ``model.generate`` on that prompt alone, regardless of what else shares
@@ -33,7 +32,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..model.dense import DenseTransformer
-from ..model.kvcache import HostOffloadKVCache
 from ..model.paged_kv import BlockAllocator, PagedKVCache, blocks_needed
 from ..model.ragged import RaggedDecoder
 from ..model.sampling import SamplingConfig, sample_next_token
@@ -107,7 +105,6 @@ class GenerationSession:
         max_concurrency: int = 8,
         sampling: SamplingConfig | None = None,
         seed: SeedLike = 0,
-        offload_idle_kv: bool = False,
         policy: str | object = "fcfs",
         kv_block_size: int = 16,
         kv_pool_blocks: int | None = None,
@@ -119,11 +116,7 @@ class GenerationSession:
 
         ``kv_block_size``/``kv_pool_blocks`` shape the paged-KV pool
         (default pool: enough blocks for ``max_concurrency`` sequences of
-        ``max_seq``). ``offload_idle_kv`` switches to host-offload caches
-        instead: every request's KV parks in host memory between its
-        steps (Sec. IV-C2's policy, functionally);
-        :attr:`kv_bytes_offloaded`/:attr:`kv_bytes_fetched` expose the
-        induced PCIe traffic the performance model prices.
+        ``max_seq``).
 
         ``prefix_sharing`` keeps each session's most recent retired
         cache *parked* in the pool; the session's next turn (submitted
@@ -131,38 +124,24 @@ class GenerationSession:
         inheriting the shared prefix blocks by copy-on-write aliasing —
         and prefills only its unshared suffix. Parked blocks count
         against admission headroom and are evicted oldest-first under
-        pool pressure. Requires the paged-KV backend (not
-        ``offload_idle_kv``)."""
-        if prefix_sharing and offload_idle_kv:
-            raise ValueError(
-                "prefix_sharing requires the paged-KV backend; it cannot "
-                "be combined with offload_idle_kv")
+        pool pressure."""
         self.model = model
         self.eos_token = eos_token
         self.max_concurrency = max_concurrency
         self.sampling = sampling or SamplingConfig(greedy=True)
-        self.offload_idle_kv = offload_idle_kv
         self.scheduler = Scheduler(max_concurrency, policy=policy,
                                    eos_token=eos_token)
         self._rng = as_generator(seed)
         self._ids = itertools.count()
         layers = model.config.layers
-        if offload_idle_kv:
-            self.kv_allocator: BlockAllocator | None = None
-            self.kv_block_size = None
-            cache_factory = lambda: HostOffloadKVCache(layers)  # noqa: E731
-        else:
-            per_seq = blocks_needed(model.config.max_seq,
-                                    block_size=kv_block_size,
-                                    num_layers=layers)
-            pool = (max_concurrency * per_seq if kv_pool_blocks is None
-                    else kv_pool_blocks)
-            self.kv_allocator = BlockAllocator(pool)
-            self.kv_block_size = kv_block_size
-            cache_factory = lambda: PagedKVCache(  # noqa: E731
-                layers, self.kv_allocator, block_size=kv_block_size
-            )
-        self.decoder = RaggedDecoder(model, cache_factory=cache_factory)
+        per_seq = blocks_needed(model.config.max_seq,
+                                block_size=kv_block_size, num_layers=layers)
+        pool = (max_concurrency * per_seq if kv_pool_blocks is None
+                else kv_pool_blocks)
+        self.kv_allocator = BlockAllocator(pool)
+        self.kv_block_size = kv_block_size
+        self.decoder = RaggedDecoder(model, cache_factory=lambda: PagedKVCache(
+            layers, self.kv_allocator, block_size=kv_block_size))
         self.prefix_sharing = prefix_sharing
         # session -> parked prefix, in park order (oldest first for
         # eviction); a session holds at most one parked turn.
@@ -178,8 +157,6 @@ class GenerationSession:
         self._reserved_total = 0
         self._active: list[GenerationRequest] = []  # mirrors decoder row order
         self._finished: dict[int, GenerationRequest] = {}
-        self._kv_bytes_offloaded_retired = 0
-        self._kv_bytes_fetched_retired = 0
         self.steps_run = 0
         self.tokens_generated = 0
 
@@ -230,14 +207,13 @@ class GenerationSession:
             arrival=float(self.scheduler.step),
             tenant=tenant,
         )
-        if self.kv_allocator is not None:
-            need = self._blocks_for(sched_req)
-            if need > self.kv_allocator.num_blocks:
-                raise ValueError(
-                    f"request needs {need} KV blocks but the pool only has "
-                    f"{self.kv_allocator.num_blocks}; raise kv_pool_blocks "
-                    "or shorten prompt/max_new_tokens"
-                )
+        need = self._blocks_for(sched_req)
+        if need > self.kv_allocator.num_blocks:
+            raise ValueError(
+                f"request needs {need} KV blocks but the pool only has "
+                f"{self.kv_allocator.num_blocks}; raise kv_pool_blocks "
+                "or shorten prompt/max_new_tokens"
+            )
         self._reqs[req.request_id] = req
         self.scheduler.enqueue(sched_req)
         return req.request_id
@@ -279,8 +255,6 @@ class GenerationSession:
         prefix hit: the fork transfers the prefix blocks to this request,
         so they end up inside its reservation, not on top of it.
         """
-        if self.kv_allocator is None:
-            return True
         need = self._blocks_for(sched_req)
 
         def headroom() -> int:
@@ -360,43 +334,18 @@ class GenerationSession:
                 self._active.append(req)
             for req, tok in zip(reqs, tokens):
                 self._emit(req, int(tok))
-            self._park(reqs)
             # Loop: same-step retirements (max_new_tokens == 1 / instant
             # EOS) free slots the queue can backfill immediately.
 
-    def _park(self, reqs: list[GenerationRequest]) -> None:
-        """Offload the requests' (now idle) caches until their next step."""
-        if not self.offload_idle_kv:
-            return
-        for req in reqs:
-            if req.done or not isinstance(req.cache, HostOffloadKVCache):
-                continue
-            for layer in range(self.model.config.layers):
-                req.cache.offload(layer)
-
-    @property
-    def kv_bytes_offloaded(self) -> int:
-        """Cumulative KV bytes moved to the host (retired requests included)."""
-        live = sum(r.cache.bytes_offloaded for r in self._active
-                   if isinstance(r.cache, HostOffloadKVCache))
-        return self._kv_bytes_offloaded_retired + live
-
-    @property
-    def kv_bytes_fetched(self) -> int:
-        """Cumulative KV bytes paged back from the host (retired included)."""
-        live = sum(r.cache.bytes_fetched for r in self._active
-                   if isinstance(r.cache, HostOffloadKVCache))
-        return self._kv_bytes_fetched_retired + live
-
     @property
     def kv_blocks_in_use(self) -> int:
-        """Pool blocks currently backing live sequences (0 when offloading)."""
-        return 0 if self.kv_allocator is None else self.kv_allocator.used_blocks
+        """Pool blocks currently backing live sequences."""
+        return self.kv_allocator.used_blocks
 
     @property
     def peak_kv_blocks(self) -> int:
         """High-water pool occupancy, parked prefix caches included."""
-        return 0 if self.kv_allocator is None else self.kv_allocator.peak_used
+        return self.kv_allocator.peak_used
 
     @property
     def forward_calls(self) -> int:
@@ -413,15 +362,12 @@ class GenerationSession:
             self._retire(req)
 
     def _retire(self, req: GenerationRequest) -> None:
-        """Free the request's slot, row and KV memory; bank its counters.
+        """Free the request's slot, row and KV memory.
 
         With prefix sharing on, a session-tagged request's cache is
         *parked* instead of freed — the session's next turn forks it —
         superseding any previous parked turn of the same session.
         """
-        if isinstance(req.cache, HostOffloadKVCache):
-            self._kv_bytes_offloaded_retired += req.cache.bytes_offloaded
-            self._kv_bytes_fetched_retired += req.cache.bytes_fetched
         row_id = self._row_of.pop(req.request_id)
         if self.prefix_sharing and req.session is not None:
             cache = self.decoder.detach_row(row_id)
@@ -459,7 +405,6 @@ class GenerationSession:
             live = list(self._active)
             for req, tok in zip(live, tokens):
                 self._emit(req, int(tok))
-            self._park(live)
         self.steps_run += 1
         self.scheduler.advance()
         self._admit()  # backfill slots freed this step

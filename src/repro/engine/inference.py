@@ -120,10 +120,10 @@ class MoEInferenceEngine:
             self.config, self.cluster, parallelism, optimized=optimized
         )
 
-    def token_latency(self, *, batch: int = 8) -> float:
-        """Per generated-token latency at KV length 228 (the Fig. 7
-        metric)."""
-        return self.model.token_latency(batch, 228)
+    def token_latency(self) -> float:
+        """Per generated-token latency at batch 8, KV length 228 (the
+        Fig. 7 metric)."""
+        return self.model.token_latency(8, 228)
 
     def step_breakdown(self) -> MoEStepBreakdown:
         """Component decomposition of one token step at batch 8, KV

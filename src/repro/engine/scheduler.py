@@ -176,8 +176,8 @@ class TenantFairShare(_TenantPolicy):
     Picks the queued request whose tenant currently holds the fewest
     slots *per unit weight*, so a tenant flooding the queue cannot
     starve a light one: each admission goes to the most under-served
-    tenant with work waiting. Untagged requests weigh
-    ``default_weight``. ``slot_caps`` bounds a tenant's concurrent
+    tenant with work waiting. Unlisted tenants, untagged requests
+    included, weigh 1. ``slot_caps`` bounds a tenant's concurrent
     slots; a capped tenant's requests wait, in order.
     """
 
@@ -186,14 +186,9 @@ class TenantFairShare(_TenantPolicy):
         weights: dict[str, float] | None = None,
         *,
         slot_caps: dict[str, int] | None = None,
-        default_weight: float = 1.0,
     ) -> None:
         # ``not w > 0`` alone would let NaN through, and a NaN-weighted
         # tenant would win every pick.
-        if not (math.isfinite(default_weight) and default_weight > 0):
-            raise ValueError(
-                f"default_weight must be finite and > 0, got "
-                f"{default_weight!r}")
         for name, w in (weights or {}).items():
             if not (math.isfinite(w) and w > 0):
                 raise ValueError(
@@ -201,10 +196,9 @@ class TenantFairShare(_TenantPolicy):
                     f"got {w!r}")
         super().__init__(slot_caps)
         self.weights = dict(weights or {})
-        self.default_weight = default_weight
 
     def _rank(self, tenant: str | None, held: int) -> float:
-        return held / self.weights.get(tenant, self.default_weight)
+        return held / self.weights.get(tenant, 1.0)
 
 
 class TenantPriority(_TenantPolicy):
@@ -212,7 +206,7 @@ class TenantPriority(_TenantPolicy):
 
     Always admits from the highest-priority tenant with work queued
     (larger ``priorities`` value = more important; unlisted tenants get
-    ``default_priority``); within a tenant, queue order. A capped
+    0); within a tenant, queue order. A capped
     tenant's requests wait without blocking lower-priority traffic.
     """
 
@@ -221,23 +215,18 @@ class TenantPriority(_TenantPolicy):
         priorities: dict[str, int] | None = None,
         *,
         slot_caps: dict[str, int] | None = None,
-        default_priority: int = 0,
     ) -> None:
         # A NaN priority fails every comparison, so the pick would
         # depend on queue order.
-        if not -math.inf < default_priority < math.inf:
-            raise ValueError(f"default_priority must be finite, got "
-                             f"{default_priority!r}")
         for name, prio in (priorities or {}).items():
             if not -math.inf < prio < math.inf:
                 raise ValueError(f"priority of tenant {name!r} must be "
                                  f"finite, got {prio!r}")
         super().__init__(slot_caps)
         self.priorities = dict(priorities or {})
-        self.default_priority = default_priority
 
     def _rank(self, tenant: str | None, held: int) -> float:
-        return -self.priorities.get(tenant, self.default_priority)
+        return -self.priorities.get(tenant, 0)
 
 
 #: Named admission policies. Plain entries are callables over the
@@ -562,8 +551,7 @@ class Scheduler:
         """Render the event log as a step-indexed :class:`Timeline`.
 
         Each request gets a lane with its ``queued`` and ``active``
-        phases (a retirement during step ``s`` ends the span at ``s+1``);
-        export with ``to_chrome_trace(time_unit=...)``.
+        phases (a retirement during step ``s`` ends the span at ``s+1``).
         """
         # One pass over the log: rid -> step of each lifecycle event.
         enqueued: dict[int, int] = {}

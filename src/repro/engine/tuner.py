@@ -18,6 +18,7 @@ model the simulators run.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from ..hardware.topology import ClusterSpec
@@ -26,6 +27,7 @@ from .costs import DenseStepCost, MoEStepCost
 from .latency import DenseLatencyModel, Workload
 from .moe import MoELatencyModel
 from .offload import max_batch_size, moe_max_batch_size
+from .scheduler import _as_index
 from .throughput import candidate_batches
 
 __all__ = [
@@ -125,6 +127,13 @@ def _skewed_moe_costs(config, model, par, *, expert_skew: float, cap: int):
         yield replication, MoEStepCost(model, skew=spec)
 
 
+def _check_sla(name: str, sla: float | None) -> None:
+    """An SLA is ``None`` (no bound) or in ``(0, inf]``; NaN would pass
+    every ``latency > sla`` test and so read as no bound."""
+    if sla is not None and not 0 < sla <= math.inf:
+        raise ValueError(f"{name} must be None or in (0, inf], got {sla!r}")
+
+
 def _serving_cost_candidates(
     config: ModelConfig,
     cluster: ClusterSpec,
@@ -182,10 +191,12 @@ def tune_dense_deployment(
     (None = throughput-oriented, no bound). Raises ``ValueError`` when no
     feasible configuration exists.
     """
-    if prompt_len < 1 or gen_tokens < 1:
+    if (_as_index("prompt_len", prompt_len) < 1
+            or _as_index("gen_tokens", gen_tokens) < 1):
         raise ValueError("prompt_len and gen_tokens must be >= 1")
+    _check_sla("latency_sla", latency_sla)
     max_gpus = cluster.num_gpus if max_gpus is None else max_gpus
-    if max_gpus < 1:
+    if _as_index("max_gpus", max_gpus) < 1:
         raise ValueError("max_gpus must be >= 1")
     seq = prompt_len + gen_tokens
 

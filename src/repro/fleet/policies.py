@@ -188,25 +188,25 @@ class PowerOfTwoChoices(RoutingPolicy):
 class SessionAffinity(RoutingPolicy):
     """Pin each session to one replica; fall back for the rest.
 
-    The first request of a session is placed by ``fallback`` (default
-    :class:`LeastOutstanding`) and later ones follow it — the placement
+    The first request of a session is placed by
+    :class:`LeastOutstanding` and later ones follow it — the placement
     a prefix-cache or conversation-KV reuse scheme wants. A dead pinned
     replica triggers a re-pin through the fallback.
     """
 
     name = "session_affinity"
 
-    def __init__(self, fallback: RoutingPolicy | None = None) -> None:
-        self.fallback = fallback or LeastOutstanding()
+    def __init__(self) -> None:
+        self._fallback = LeastOutstanding()
         self._pins: dict[int, int] = {}
 
     def choose(self, request: Request, view: FleetView) -> int:
         if request.session is None:
-            return self.fallback.choose(request, view)
+            return self._fallback.choose(request, view)
         pinned = self._pins.get(request.session)
         if pinned is not None and view.is_routable(pinned):
             return pinned
-        target = self.fallback.choose(request, view)
+        target = self._fallback.choose(request, view)
         self._pins[request.session] = target
         return target
 

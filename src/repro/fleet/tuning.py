@@ -23,9 +23,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..engine.scheduler import _as_index
 from ..engine.serving_sim import WorkloadTrace
 from ..engine.throughput import candidate_batches
-from ..engine.tuner import _serving_cost_candidates
+from ..engine.tuner import _check_sla, _serving_cost_candidates
 from ..hardware.topology import ClusterSpec
 from ..model.config import ModelConfig
 from .faults import FaultPlan
@@ -61,7 +62,6 @@ def tune_fleet_deployment(
     *,
     gpu_budget: int,
     ttft_sla: float | None = None,
-    routing: str = "least_outstanding",
     policy: str = "fcfs",
     fault_plan: FaultPlan | None = None,
 ) -> FleetTuningResult:
@@ -76,15 +76,16 @@ def tune_fleet_deployment(
     granularity), MoE models a
     :class:`~repro.engine.costs.MoEStepCost` over a Table II-shaped
     MP x EP deployment (``tp`` then reports the MP degree) — and
-    replays ``trace`` through the fleet simulator under ``routing``,
-    the admission ``policy`` and the optional ``fault_plan``. The
+    replays ``trace`` through the fleet simulator under least-outstanding
+    routing, the admission ``policy`` and the optional ``fault_plan``. The
     winner's numbers are exactly what :func:`~repro.fleet.sim
     .simulate_fleet` reports for that deployment priced the same way.
     Ties on throughput go to the cheaper deployment. Raises
     ``ValueError`` when nothing feasible meets the SLA.
     """
-    if gpu_budget < 1:
+    if _as_index("gpu_budget", gpu_budget) < 1:
         raise ValueError("gpu_budget must be >= 1")
+    _check_sla("ttft_sla", ttft_sla)
     seq = max(r.prompt_len + r.gen_tokens for r in trace.requests)
 
     best: FleetTuningResult | None = None
@@ -105,14 +106,14 @@ def tune_fleet_deployment(
                 rep = simulate_fleet(
                     trace, num_replicas=replicas, costs=costs,
                     max_batch=max_batch, policy=policy,
-                    routing=routing, fault_plan=fault_plan,
+                    routing="least_outstanding", fault_plan=fault_plan,
                 )
                 ttft = rep.ttft_percentile(trace, 99)
                 if ttft_sla is not None and ttft > ttft_sla:
                     continue
                 cand = FleetTuningResult(
                     replicas=replicas, tp=tp, max_batch=max_batch,
-                    routing=routing,
+                    routing="least_outstanding",
                     tokens_per_second=rep.tokens_per_second,
                     ttft_p99=ttft,
                     latency_p99=rep.latency_percentile(trace, 99),

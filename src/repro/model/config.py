@@ -224,41 +224,30 @@ BERT_ZOO = {
 }
 
 
-def scaled_config(
-    target_params: float,
-    *,
-    name: str | None = None,
-    aspect: float = 128.0,
-    head_dim: int = 128,
-    moe: MoESpec | None = None,
-) -> ModelConfig:
+def scaled_config(target_params: float) -> ModelConfig:
     """Synthesize a GPT-family architecture for a parameter budget.
 
     Follows the empirical shape of Table I: depth and width grow together
-    with ``hidden ~ aspect * layers`` (GPT-3 style aspect ratios), hidden
-    rounded to a multiple of ``head_dim``. Useful for exploring "what
+    with ``hidden ~ 128 * layers`` (GPT-3 style aspect ratios), hidden
+    rounded to a multiple of the 128-wide head. Useful for exploring "what
     would an X-billion model cost on this cluster" beyond the zoo.
     """
     if target_params <= 0:
         raise ValueError("target_params must be positive")
-    if aspect <= 0 or head_dim < 1:
-        raise ValueError("aspect and head_dim must be positive")
+    aspect, head_dim = 128.0, 128
     # params ~ 12 * L * h^2 with h = aspect * L  =>  L = (P / (12 a^2))^(1/3)
     layers = max(1, round((target_params / (12.0 * aspect**2)) ** (1.0 / 3.0)))
     # Round the head count to a multiple of 4 so tensor parallelism has
     # room (Table I's models all satisfy this except GPT-2's 25 heads).
     heads = max(4, int(round(aspect * layers / head_dim / 4.0)) * 4)
-    hidden = heads * head_dim
-    cfg = ModelConfig(
-        name=name or f"gpt-{target_params / 1e9:.3g}b-synth",
-        hidden=hidden,
+    return ModelConfig(
+        name=f"gpt-{target_params / 1e9:.3g}b-synth",
+        hidden=heads * head_dim,
         layers=layers,
         heads=heads,
         vocab=51200,
-        moe=moe,
         listed_params=target_params,
     )
-    return cfg
 
 
 def get_model(name: str) -> ModelConfig:

@@ -37,7 +37,6 @@ class MoELayer:
         hidden: int,
         num_experts: int,
         *,
-        ffn_mult: int = 4,
         capacity_factor: float = 1.0,
         seed: SeedLike = 0,
     ) -> None:
@@ -45,7 +44,7 @@ class MoELayer:
             raise ValueError("hidden and num_experts must be >= 1")
         rng = as_generator(seed)
         s = 0.02
-        m = ffn_mult * hidden
+        m = 4 * hidden  # the GPT FFN width
         self.hidden = hidden
         self.num_experts = num_experts
         self.capacity_factor = capacity_factor

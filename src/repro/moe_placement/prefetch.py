@@ -3,16 +3,14 @@
 Experts demoted to the streamed tier (:func:`~repro.moe_placement.plan_placement`)
 live off-GPU and must be fetched over PCIe before they can run. The
 predictor names next step's likely-hot streamed experts; those are
-prefetched into spare weight buffers while the dense layers compute —
-the exact fetch/compute overlap pipeline of :mod:`repro.zero.streaming`.
-A prefetch *hit* hides (most of) the fetch; a *miss* stalls dispatch for
-one expert fetch.
+prefetched into spare weight buffers while the dense layers compute.
+A prefetch *hit* hides the fetch; a *miss* stalls dispatch for one
+expert fetch.
 
-:func:`simulate_expert_stream` replays a gate stream against a
-predictor to measure the achievable hit rate (and the overlap residue,
-via :func:`~repro.zero.streaming.simulate_layer_stream`);
-:class:`SkewedDispatchSpec` packages the resulting pricing hooks —
-``load_ratio`` and ``stall_time`` — that
+:func:`simulate_expert_stream` replays a gate stream against the
+predictor to measure the achievable hit rate (a hit/miss count, with no
+timing); :class:`SkewedDispatchSpec` packages the resulting pricing
+hooks — ``load_ratio`` and ``stall_time`` — that
 :class:`~repro.engine.costs.MoEStepCost` consumes without importing
 this package.
 """
@@ -25,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..engine.scheduler import _as_index
-from ..zero.streaming import simulate_layer_stream
 from .placement import ExpertPlacement, PlacementPlan
 from .predictor import GateHistoryPredictor
 
@@ -44,8 +41,6 @@ class PrefetchReport:
     steps: int
     prefetch_hits: int
     prefetch_misses: int
-    stall_s: float  # dispatch time lost to synchronous miss fetches
-    overlap_residue_s: float  # hit-fetch time the pipeline failed to hide
 
     @property
     def hit_rate(self) -> float:
@@ -58,30 +53,21 @@ def simulate_expert_stream(
     stream: np.ndarray,
     streamed: tuple[int, ...],
     *,
-    predictor: GateHistoryPredictor | None = None,
     prefetch_slots: int = 8,
-    fetch_time_per_expert: float = 0.0,
-    compute_time_per_step: float = 0.0,
-    prefetch_depth: int = 1,
 ) -> PrefetchReport:
     """Replay a ``(steps, num_experts)`` gate stream through the prefetcher.
 
     Each step, the predictor's EMA (built from *previous* steps only)
     ranks the streamed experts; the ``prefetch_slots`` hottest are
     prefetched. Streamed experts the step actually routes tokens to are
-    *hits* if prefetched, *misses* otherwise. Misses stall for one
-    synchronous fetch each; hit fetches overlap with step compute via
-    :func:`~repro.zero.streaming.simulate_layer_stream`, contributing
-    only the overlap residue. Pass zero times to measure hit rate alone.
+    *hits* if prefetched, *misses* otherwise. The stall a miss costs is
+    priced by :meth:`SkewedDispatchSpec.stall_time`, not here.
     """
     counts = np.asarray(stream, dtype=np.float64)
     if counts.ndim != 2 or counts.shape[0] < 1:
         raise ValueError("stream must be (steps, num_experts) with >= 1 step")
     if _as_index("prefetch_slots", prefetch_slots) < 0:
         raise ValueError("prefetch_slots must be >= 0")
-    if not (0 <= fetch_time_per_expert < math.inf
-            and 0 <= compute_time_per_step < math.inf):
-        raise ValueError("times must be finite and >= 0")
     num_experts = counts.shape[1]
     streamed_ids = np.asarray(sorted(set(int(e) for e in streamed)),
                               dtype=np.int64)
@@ -89,42 +75,22 @@ def simulate_expert_stream(
         0 <= streamed_ids.min() and streamed_ids.max() < num_experts
     ):
         raise ValueError("streamed expert id out of range")
-    if predictor is None:
-        predictor = GateHistoryPredictor(num_experts)
-    elif predictor.num_experts != num_experts:
-        raise ValueError("predictor/stream num_experts mismatch")
+    predictor = GateHistoryPredictor(num_experts)
 
     hits = misses = 0
-    stall_s = 0.0
-    overlap_residue_s = 0.0
-    residue_memo: dict[int, float] = {}
     for row in counts:
         predicted = predictor.predicted_loads()[streamed_ids]
         order = np.argsort(-predicted, kind="stable")
         prefetched = set(streamed_ids[order[:prefetch_slots]].tolist())
         needed = set(streamed_ids[row[streamed_ids] > 0].tolist())
         n_hit = len(needed & prefetched)
-        n_miss = len(needed) - n_hit
         hits += n_hit
-        misses += n_miss
-        stall_s += n_miss * fetch_time_per_expert
-        if n_hit and fetch_time_per_expert > 0 and compute_time_per_step > 0:
-            if n_hit not in residue_memo:
-                report = simulate_layer_stream(
-                    num_layers=n_hit,
-                    fetch_time_per_layer=fetch_time_per_expert,
-                    compute_time_per_layer=compute_time_per_step / n_hit,
-                    prefetch_depth=prefetch_depth,
-                )
-                residue_memo[n_hit] = report.makespan - report.compute_time
-            overlap_residue_s += residue_memo[n_hit]
+        misses += len(needed) - n_hit
         predictor.update(row)
     return PrefetchReport(
         steps=counts.shape[0],
         prefetch_hits=hits,
         prefetch_misses=misses,
-        stall_s=stall_s,
-        overlap_residue_s=overlap_residue_s,
     )
 
 

@@ -18,9 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..hardware.specs import DType
 from ..kernels.functional import layer_norm
-from ..model.config import ModelConfig
 from ..model.dense import DenseTransformer
 from ..model.kvcache import KVCache
 
@@ -43,13 +41,6 @@ class StagePlan:
     def num_layers(self) -> int:
         """Layers resident on this stage."""
         return self.end - self.start
-
-    def weight_bytes(self, config: ModelConfig, dtype: DType = DType.FP16) -> float:
-        """Parameter footprint of this stage (first stage adds embeddings)."""
-        w = self.num_layers * config.params_per_dense_layer * dtype.itemsize
-        if self.stage == 0:
-            w += config.embedding_params * dtype.itemsize
-        return w
 
 
 def partition_layers(num_layers: int, num_stages: int) -> list[StagePlan]:

@@ -130,29 +130,20 @@ def pipeline_spmd_generate(
     model: DenseTransformer,
     prompt_ids: np.ndarray,
     gen_tokens: int,
-    *,
-    num_microbatches: int | None = None,
 ) -> np.ndarray:
     """Run pipelined generation across ``num_stages`` in-process ranks.
 
-    ``prompt_ids`` is ``(batch, seq)``; the batch splits into
-    ``num_microbatches`` (default: the stage count, Sec. IV-C1's
-    recommendation) micro-batches of equal size.
+    ``prompt_ids`` is ``(batch, seq)``; the batch splits into equal
+    micro-batches, as many as the batch divides into up to the stage
+    count (Sec. IV-C1's recommendation).
     """
     from ..comm.functional import spmd
 
     prompt_ids = np.atleast_2d(prompt_ids)
     batch = prompt_ids.shape[0]
-    if num_microbatches is None:
-        # Default: as close to the stage count as the batch divides into.
-        num_microbatches = max(
-            m for m in range(1, min(num_stages, batch) + 1) if batch % m == 0
-        )
-    num_microbatches = min(num_microbatches, batch)
-    if batch % num_microbatches:
-        raise ValueError(
-            f"batch {batch} does not split into {num_microbatches} micro-batches"
-        )
+    num_microbatches = max(
+        m for m in range(1, min(num_stages, batch) + 1) if batch % m == 0
+    )
     mb = batch // num_microbatches
     prompts = [prompt_ids[i * mb : (i + 1) * mb] for i in range(num_microbatches)]
     results = spmd(num_stages, pipeline_generate_rank, model, prompts, gen_tokens)

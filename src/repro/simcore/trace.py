@@ -20,6 +20,7 @@ from itertools import islice
 __all__ = ["Span", "Timeline", "merged_length"]
 
 _NO_SPANS = ((), (), ())  # the columns of a lane never recorded
+_SECONDS_PER_US = 1e-6  # chrome-trace timestamps are microseconds
 
 
 def merged_length(starts, ends) -> float:
@@ -114,22 +115,6 @@ class Timeline:
         """Point events of one lane, ordered by time."""
         return list(self._instants.get(lane, []))
 
-    def merge(self, other: "Timeline", *, prefix: str = "") -> "Timeline":
-        """Copy every span and instant of ``other`` into this timeline,
-        prefixing its lane names with ``prefix``.
-
-        Builds multi-server views, e.g. one timeline per replica under
-        ``replica{i}/`` prefixes in a single chrome-trace export. Returns
-        ``self`` for chaining.
-        """
-        for lane, cols in other._lanes.items():
-            for start, end, label in zip(*cols):
-                self.record(prefix + lane, start, end, label)
-        for lane, instants in other._instants.items():
-            for t, label in instants:
-                self.record_instant(prefix + lane, t, label)
-        return self
-
     def lanes(self) -> list[str]:
         """Lane names in insertion-independent (sorted) order."""
         return sorted(self._lanes)
@@ -172,15 +157,11 @@ class Timeline:
             for start, end, label in zip(*self._lanes[lane])
         ]
 
-    def to_chrome_trace(self, *, time_unit: float = 1e-6) -> list[dict]:
-        """Export as Chrome ``chrome://tracing`` / Perfetto JSON events.
-
-        ``time_unit`` converts simulated seconds to trace microseconds
-        (default: seconds -> us). Load the JSON list under a
-        ``{"traceEvents": [...]}`` wrapper.
+    def to_chrome_trace(self) -> list[dict]:
+        """Export as Chrome ``chrome://tracing`` / Perfetto JSON events,
+        simulated seconds rendered as trace microseconds. Load the JSON
+        list under a ``{"traceEvents": [...]}`` wrapper.
         """
-        if not 0 < time_unit < math.inf:
-            raise ValueError("time_unit must be finite and positive")
         events = []
         lane_order = sorted(set(self._lanes) | set(self._instants))
         for pid, lane in enumerate(lane_order):
@@ -190,8 +171,8 @@ class Timeline:
                         "name": label or lane,
                         "cat": "sim",
                         "ph": "X",  # complete event
-                        "ts": start / time_unit,
-                        "dur": (end - start) / time_unit,
+                        "ts": start / _SECONDS_PER_US,
+                        "dur": (end - start) / _SECONDS_PER_US,
                         "pid": 0,
                         "tid": pid,
                         "args": {"lane": lane},
@@ -203,7 +184,7 @@ class Timeline:
                         "name": label or lane,
                         "cat": "sim",
                         "ph": "i",  # instant event
-                        "ts": t / time_unit,
+                        "ts": t / _SECONDS_PER_US,
                         "s": "t",  # thread-scoped marker
                         "pid": 0,
                         "tid": pid,

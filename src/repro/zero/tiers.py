@@ -98,36 +98,24 @@ class TieredWeightStore:
 
     # -- fetch path ----------------------------------------------------------
 
-    def fetch_time(self, layer: int, *, num_gpus: int = 1) -> float:
-        """Modeled time to bring one layer into GPU memory.
+    def fetch_time(self, layer: int) -> float:
+        """Modeled time to bring one layer into one GPU's memory.
 
         DRAM-resident layers stream at PCIe speed; NVMe-resident layers at
-        the slower of NVMe read and PCIe. With ``num_gpus``, each GPU
-        fetches a 1/N partition over its own PCIe lane and the shards
-        all-gather over the (much faster) GPU fabric (Sec. VI-B).
+        the slower of NVMe read and PCIe.
         """
-        if num_gpus < 1:
-            raise ValueError("num_gpus must be >= 1")
         tier, data = self._blobs[layer]
         nbytes = float(data.nbytes)
         node = self.cluster.node
         pcie: LinkSpec = node.pcie
         if tier is Tier.GPU:
             return 0.0
-        share = nbytes / num_gpus
         if tier is Tier.DRAM:
-            t = pcie.latency + share / pcie.bandwidth
-        else:
-            nvme: NVMeSpec = node.nvme
-            if nvme is None:
-                raise RuntimeError("cluster has no NVMe tier")
-            bw = min(nvme.read_bw, pcie.bandwidth * num_gpus) / num_gpus
-            t = nvme.latency + share / bw
-        if num_gpus > 1:
-            # Re-assemble partitions over the intra-node fabric.
-            intra = node.intra_link
-            t += intra.latency + nbytes * (num_gpus - 1) / num_gpus / intra.bandwidth
-        return t
+            return pcie.latency + nbytes / pcie.bandwidth
+        nvme: NVMeSpec = node.nvme
+        if nvme is None:
+            raise RuntimeError("cluster has no NVMe tier")
+        return nvme.latency + nbytes / min(nvme.read_bw, pcie.bandwidth)
 
     def fetch(self, layer: int) -> np.ndarray:
         """Return the layer's weights, logging the modeled one-GPU fetch."""

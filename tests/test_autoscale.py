@@ -698,6 +698,16 @@ class TestTuneAutoscaler:
         assert a.table == b.table
 
 
+    @pytest.mark.parametrize("grid", ["epoch_grid", "queue_high_grid",
+                                      "sustain_grid"])
+    def test_empty_grid_rejected(self, grid):
+        """An empty grid used to fail in ``min()`` without naming it."""
+        trace = _diurnal_trace(n=20, rate=40.0)
+        with pytest.raises(ValueError, match=f"{grid} is empty"):
+            tune_autoscaler(trace, self._base(), costs=COSTS, max_batch=4,
+                            **{grid: ()})
+
+
 def test_autoscaled_beats_fixed_fleet_of_equal_cost():
     """The headline property (acceptance (c), miniature edition): on a
     bursty diurnal trace the closed loop beats every fixed fleet of no

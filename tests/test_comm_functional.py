@@ -48,8 +48,8 @@ class TestCollectives:
 
     def test_broadcast(self):
         def prog(comm):
-            data = np.arange(5.0) if comm.rank == 1 else None
-            return comm.broadcast(data, root=1)
+            data = np.arange(5.0) if comm.rank == 0 else None
+            return comm.broadcast(data)
 
         for out in spmd(3, prog):
             np.testing.assert_array_equal(out, np.arange(5.0))
@@ -75,7 +75,7 @@ class TestCollectives:
 
     def test_reduce_scatter(self):
         def prog(comm):
-            return comm.reduce_scatter(np.ones(8), axis=0)
+            return comm.reduce_scatter(np.ones(8))
 
         outs = spmd(4, prog)
         for out in outs:
@@ -220,8 +220,8 @@ class TestStress:
                 elif op == 1:
                     acc = float(comm.allgather(x).sum())
                 elif op == 2:
-                    acc = float(comm.broadcast(x if comm.rank == 0 else None,
-                                               root=0)[0])
+                    acc = float(comm.broadcast(
+                        x if comm.rank == 0 else None)[0])
                 else:
                     blocks = [x[:1] for _ in range(comm.size)]
                     acc = float(np.concatenate(comm.alltoall(blocks)).sum())

@@ -156,7 +156,7 @@ class TestPCC:
 
     def test_tp_degree_one_matches_baseline_alltoall(self):
         base = baseline_alltoall(self.cluster, 1e6, 64)
-        opt = pcc_alltoall(self.cluster, 1e6, 64, tp_degree=1, transform_time=0.0)
+        opt = pcc_alltoall(self.cluster, 1e6, 64, tp_degree=1)
         assert opt.alltoall.total == pytest.approx(base.alltoall.total)
 
     def test_small_subgroup_falls_back_to_nvlink(self):

@@ -41,11 +41,11 @@ class TestExpertSlicing:
             spmd(2, prog)
 
     def test_indivisible_width(self):
-        layer = MoELayer(hidden=8, num_experts=2, ffn_mult=3, seed=1)
+        layer = MoELayer(hidden=8, num_experts=2, seed=1)
 
         def prog(comm):
             return expert_sliced_ffn(comm, layer, 0, np.zeros((1, 8)))
 
-        # ffn width 24 not divisible by 5 ranks (prime-ish check): use 5
+        # ffn width 32 is not divisible by 5 ranks
         with pytest.raises(RuntimeError):
             spmd(5, prog)

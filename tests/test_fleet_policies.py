@@ -125,7 +125,7 @@ class TestPolicies:
         assert router.policy.pins == {7: repinned}
 
     def test_session_affinity_fallback_for_unaffiliated(self):
-        router = Router(2, policy=SessionAffinity(fallback=RoundRobin()))
+        router = Router(2, policy=SessionAffinity())
         targets = [_place(router, _req(i, session=None), 0.0)
                    for i in range(4)]
         assert targets == [0, 1, 0, 1]

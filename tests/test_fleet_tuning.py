@@ -54,3 +54,19 @@ def test_fault_plan_constrains_fleet_shapes():
     # The crash names replica 1, so a single-replica fleet is excluded.
     assert best.replicas >= 2
     assert best.routing == "least_outstanding"
+
+
+@pytest.mark.parametrize("sla", [float("nan"), 0.0, -1.0])
+def test_bad_ttft_sla_rejected(sla):
+    """A NaN SLA failed every ``ttft > sla`` test, so it read as no
+    bound and the tuner returned a winner."""
+    with pytest.raises(ValueError, match="ttft_sla must be"):
+        tune_fleet_deployment(CFG, CLUSTER, _trace(), gpu_budget=2,
+                              ttft_sla=sla)
+
+
+@pytest.mark.parametrize("budget", [2.5, float("nan")])
+def test_non_integer_gpu_budget_rejected(budget):
+    """It used to raise from inside ``range()`` without naming it."""
+    with pytest.raises(TypeError, match="gpu_budget"):
+        tune_fleet_deployment(CFG, CLUSTER, _trace(), gpu_budget=budget)

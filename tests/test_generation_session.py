@@ -221,52 +221,3 @@ class TestBatchedDecodeRuntime:
         # Both are queued before the first step; the short prompt wins
         # the single slot despite being submitted second.
         assert session.scheduler.admission_order == [short, long]
-
-
-class TestIdleKVOffload:
-    """Sec. IV-C2's policy inside the serving loop: park idle caches on
-    the host; outputs must be unchanged and traffic accounted."""
-
-    def test_outputs_identical_with_offload(self, model):
-        plain = GenerationSession(model)
-        offl = GenerationSession(model, offload_idle_kv=True)
-        p = np.array([3, 1, 4])
-        rid_a = plain.submit(p, max_new_tokens=6)
-        rid_b = offl.submit(p, max_new_tokens=6)
-        out_a = plain.run()[rid_a].output_ids
-        out_b = offl.run()[rid_b].output_ids
-        np.testing.assert_array_equal(out_a, out_b)
-
-    def test_traffic_counters_move(self, model):
-        s = GenerationSession(model, offload_idle_kv=True, max_concurrency=2)
-        s.submit(np.array([1, 2]), max_new_tokens=4)
-        s.submit(np.array([5, 6, 7]), max_new_tokens=4)
-        s.step()
-        assert s.kv_bytes_offloaded > 0
-        s.step()
-        assert s.kv_bytes_fetched > 0
-
-    def test_interleaved_requests_still_exact(self, model):
-        s = GenerationSession(model, offload_idle_kv=True, max_concurrency=4)
-        prompts = [np.array([2, 4]), np.array([8]), np.array([9, 9, 9])]
-        rids = [s.submit(p, max_new_tokens=5) for p in prompts]
-        done = s.run()
-        for rid, p in zip(rids, prompts):
-            np.testing.assert_array_equal(
-                done[rid].output_ids, model.generate(p[None, :], 5)[0]
-            )
-
-    def test_counters_cumulative_across_retirement(self, model):
-        """Retiring a request must bank its traffic, not drop it."""
-        s = GenerationSession(model, offload_idle_kv=True, max_concurrency=2)
-        s.submit(np.array([1, 2]), max_new_tokens=3)
-        s.submit(np.array([5, 6, 7]), max_new_tokens=4)
-        s.step()
-        s.step()
-        mid_off, mid_fetch = s.kv_bytes_offloaded, s.kv_bytes_fetched
-        assert mid_off > 0 and mid_fetch > 0
-        s.run()
-        assert s.num_active == 0  # everything retired...
-        assert s.kv_bytes_offloaded >= mid_off  # ...but totals survived
-        assert s.kv_bytes_fetched >= mid_fetch
-        assert s.kv_bytes_offloaded > 0 and s.kv_bytes_fetched > 0

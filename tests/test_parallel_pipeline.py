@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.hardware import DType
 from repro.model import DenseTransformer, KVCache, ModelConfig
 from repro.parallel import (
     ScheduleKind,
@@ -38,15 +37,6 @@ class TestPartition:
             partition_layers(2, 3)
         with pytest.raises(ValueError):
             partition_layers(4, 0)
-
-    def test_first_stage_weight_includes_embeddings(self):
-        plans = partition_layers(CFG.layers, 2)
-        w0 = plans[0].weight_bytes(CFG, DType.FP16)
-        w1 = plans[1].weight_bytes(CFG, DType.FP16)
-        # stage 0 has 3 layers + embeddings, stage 1 has 2 layers
-        per_layer = CFG.params_per_dense_layer * 2
-        assert w0 == pytest.approx(3 * per_layer + CFG.embedding_params * 2)
-        assert w1 == pytest.approx(2 * per_layer)
 
 
 class TestStagedForward:

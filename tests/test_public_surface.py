@@ -20,20 +20,31 @@ fails too.
 
 The same holds one level down, for parameters. Every defaulted
 parameter of a public function, a public method, or the ``__init__`` of
-a public class that is not a dataclass must be *passed* by some call in
-``src/``, ``tests/``, ``benchmarks/`` or ``examples/`` whose callee's
-last name component matches: by keyword, by enough positional arguments
-to reach it, or through a ``*args``/``**kwargs`` spread. A default that
-no call ever overrides is a constant, not an option. Dataclass fields
-are records (``GPUSpec``, ``Request``) and are out of scope. Matching
-on the last name alone over-counts calls, so it can hide a dead
-parameter; it misses only calls made through another name, such as a
-class held in a variable, and a parameter set that way goes in
-``KEPT_PARAMS`` with its reason, checked for staleness like ``KEPT``.
+a public class that is not a dataclass must be *passed* by some call
+outside the tests: in ``src/``, ``benchmarks/`` or ``examples/``, or in
+a ```` ```python ```` block of ``README.md`` or ``docs/*.md``, whose
+callee's last name component matches: by keyword, by enough positional
+arguments to reach it, or through a ``*args``/``**kwargs`` spread. A
+default that only tests override is a knob no user turns: a constant,
+not an option. Dataclass fields are records (``GPUSpec``, ``Request``)
+and are out of scope. Matching on the last name alone over-counts
+calls, so it can hide a dead parameter; it misses calls made through
+another name, such as a method held in a variable. The parameters in
+``KEPT_PARAMS`` have no such caller on purpose, each for the reason
+given (a data input, a workload knob, a reference or oracle a test
+holds another mechanism against, a paper mechanism, a safety bound, or
+a call the scan cannot see), checked for staleness like ``KEPT``.
+
+Doc blocks count as callers, so they must not go stale: every block
+parses, and every keyword a block passes to a public ``repro`` callable
+(matched on its last name) is a parameter of one such callable, or one
+takes ``**kwargs``.
 """
 
 import ast
 import functools
+import importlib
+import inspect
 import re
 from pathlib import Path
 
@@ -128,11 +139,71 @@ KEPT = {
 }
 
 
+_CACHE = "data input: the KV cache a caller threads through decode steps"
+_WORKLOAD = "workload description: one knob of a generated scenario trace"
+_FUNCTIONAL_FLEET = ("reference: the functional fleet the simulated "
+                     "schedule is held against, configured like "
+                     "simulate_fleet")
+_TOP_K = "reference: the top-k width the EP dispatch is held against"
+
 KEPT_PARAMS = {
+    # -- data inputs ----------------------------------------------------------
+    "engine.generation:GenerationSession(eos_token=)":
+        "data input: the model's end-of-sequence token",
+    "engine.scheduler:TenantPriority(priorities=)":
+        "data input: the tenants' priority table",
     "engine.scheduler:TenantPriority(slot_caps=)":
-        "input check: test_non_integer_slot_caps_rejected sets it through "
-        "a parametrized class, policy(slot_caps=), which the scan cannot "
-        "see",
+        "data input: the tenants' concurrent-slot caps",
+    "model.encoder:EncoderTransformer(seed=)":
+        "data input: the seed of the encoder's weights",
+    "model.encoder:EncoderTransformer.pooled(attention_mask=)":
+        "data input: the padding mask of a ragged batch",
+    "model.paged_kv:blocks_needed(shared_prefix_len=)":
+        "data input: the prefix a request shares with its session",
+    "moe_placement.skew:zipf_gate_logits(seed=)":
+        "data input: the seed of the synthetic gate logits",
+    "moe_placement.placement:plan_placement(slots_per_rank=)":
+        "data input: resident expert slots a rank's memory holds",
+    "parallel.hybrid:hybrid_moe_block(cache=)": _CACHE,
+    "parallel.pipeline:staged_forward(caches=)": _CACHE,
+    "parallel.tensor_parallel:tp_forward(cache=)": _CACHE,
+    # -- workload description --------------------------------------------------
+    **{f"scenarios.generators:{fn}({param}=)": _WORKLOAD
+       for fn, params in (
+           ("chat_scenario", ("est_prefill_s", "est_step_s", "expert_skew",
+                              "mean_think_time", "mean_utterance", "tenant")),
+           ("agentic_scenario", ("context_len", "est_prefill_s",
+                                 "est_step_s", "mean_gen",
+                                 "mean_observation", "num_requests",
+                                 "tenant", "tool_time")),
+           ("heavy_tailed_scenario", ("median_prompt", "prompt_sigma")))
+       for param in params},
+    # -- references and oracles ------------------------------------------------
+    **{f"fleet.sim:run_fleet_functional({param}=)": _FUNCTIONAL_FLEET
+       for param in ("policy", "kv_block_size", "kv_pool_blocks",
+                     "prefix_sharing")},
+    "engine.costs:BatchState.advanced(steps=)":
+        "oracle: the per-step state decode_run_cost is held against",
+    "model.moe:MoELayer.forward_topk(k=)": _TOP_K,
+    "model.moe:MoELayer.forward_topk_reference(k=)": _TOP_K,
+    "parallel.expert_parallel:ep_moe_forward(k=)": _TOP_K,
+    # -- paper mechanisms ------------------------------------------------------
+    "model.dense:DenseTransformer(moe_layers=)":
+        "paper mechanism: MoE layers inside the dense stack (Sec. V)",
+    "zero.streamed_model:StreamedTransformer(tier=)":
+        "paper mechanism: DRAM or NVMe weight tier (Sec. VI-A)",
+    "zero.streamed_model:StreamedTransformer(pinned_layers=)":
+        "paper mechanism: layers pinned on the GPU (Sec. VI-B)",
+    # -- safety ----------------------------------------------------------------
+    "comm.functional:Communicator.recv(timeout=)":
+        "safety: bounds a receive that a broken program never matches",
+    # -- calls the scan cannot see ---------------------------------------------
+    "engine.latency:DenseLatencyModel.decode_pass_times(tokens_per_seq=)":
+        "scan miss: engine/costs.py passes it positionally through "
+        "getattr(latency_model, 'decode_pass_times')",
+    "kernels.costmodel:KernelCostModel.layer_times(ffn=)":
+        "scan miss: engine/moe.py passes ffn=False through a local "
+        "alias, times = self.kernel_model.layer_times",
 }
 
 
@@ -259,6 +330,24 @@ def _passes(call: ast.Call, param: str, index: int | None) -> bool:
     return index is not None and len(call.args) > index
 
 
+_PYTHON_BLOCK = re.compile(r"^```python\n(.*?)^```", re.M | re.S)
+
+
+def _python_blocks(markdown: str) -> list[str]:
+    """The sources of the ```python blocks of a markdown text."""
+    return _PYTHON_BLOCK.findall(markdown)
+
+
+@functools.lru_cache(maxsize=None)
+def _doc_blocks() -> tuple[tuple[str, str], ...]:
+    """(``path#index``, source) of every ```python block of README.md
+    and docs/*.md."""
+    docs = [ROOT / "README.md", *sorted((ROOT / "docs").glob("*.md"))]
+    return tuple((f"{path.relative_to(ROOT)}#{i}", block)
+                 for path in docs
+                 for i, block in enumerate(_python_blocks(path.read_text())))
+
+
 def _param_scan(modules: dict[str, str],
                 callers: list[str]) -> tuple[set[str], set[str]]:
     """(every defaulted parameter in scope, those no call passes), keyed
@@ -292,8 +381,9 @@ def _repo_param_scan() -> tuple[frozenset[str], frozenset[str]]:
         for p in sorted(PACKAGE.rglob("*.py"))
         if p.relative_to(PACKAGE).parts[0] != "lint"}
     callers = [p.read_text()
-               for d in ("src", "tests", "benchmarks", "examples")
+               for d in ("src", "benchmarks", "examples")
                for p in sorted((ROOT / d).rglob("*.py"))]
+    callers += [block for _, block in _doc_blocks()]
     defined, unpassed = _param_scan(modules, callers)
     return frozenset(defined), frozenset(unpassed)
 
@@ -302,9 +392,9 @@ def test_every_defaulted_parameter_is_passed_somewhere():
     _, unpassed = _repo_param_scan()
     dead = sorted(unpassed - KEPT_PARAMS.keys())
     assert not dead, (
-        "defaulted parameters no call passes; make each default a "
-        "constant at its use site, or add it to KEPT_PARAMS with a "
-        f"reason: {dead}")
+        "defaulted parameters no non-test call passes; make each default "
+        "a constant at its use site and delete the tests that served "
+        f"only other values, or add it to KEPT_PARAMS with a reason: {dead}")
 
 
 def test_kept_params_exist_and_are_still_unpassed():
@@ -329,7 +419,93 @@ def test_kept_params_exist_and_are_still_unpassed():
     pytest.param("class C:\n    def __init__(self, a=1, b=2): ...\n"
                  "@dataclass\nclass D:\n    x: int = 0",
                  "C(1)", {"m:C(b=)"}, id="constructor"),
+    pytest.param("def f(x, *, a=1, b=2): ...",
+                 "\n".join(_python_blocks(
+                     "Pass `a`:\n\n```python\nf(0, a=3)\n```\n\n"
+                     "```bash\nf(0, b=3)\n```\n")),
+                 {"m:f(b=)"}, id="doc-block"),
 ])
 def test_param_scan_on_inline_sources(module, callers, dead):
     _, unpassed = _param_scan({"m": module}, [callers])
     assert unpassed == dead
+
+
+def test_doc_blocks_parse():
+    """A block that fails to parse would drop its calls from the scan."""
+    bad = []
+    for where, block in _doc_blocks():
+        try:
+            ast.parse(block)
+        except SyntaxError as err:
+            bad.append(f"{where}: {err}")
+    assert _doc_blocks(), "no ```python blocks found in the docs"
+    assert not bad, f"doc blocks that do not parse: {bad}"
+
+
+@functools.lru_cache(maxsize=None)
+def _keywords_by_name() -> dict[str, list[frozenset[str] | None]]:
+    """Last name -> the parameter names of each public ``repro`` callable
+    of that name (``None`` for one that takes ``**kwargs``): functions,
+    classes (their constructors) and the methods of those classes."""
+    def params(obj) -> frozenset[str] | None:
+        try:
+            sig = inspect.signature(obj)
+        except (TypeError, ValueError):  # no signature: accept any keyword
+            return None
+        if any(p.kind is p.VAR_KEYWORD for p in sig.parameters.values()):
+            return None
+        return frozenset(sig.parameters)
+
+    found: dict[str, list[frozenset[str] | None]] = {}
+    for path in sorted(PACKAGE.rglob("*.py")):
+        rel = path.relative_to(PACKAGE).with_suffix("")
+        if rel.parts[0] == "lint" or rel.name == "__main__":
+            continue
+        parts = rel.parts[:-1] if rel.name == "__init__" else rel.parts
+        module = importlib.import_module(".".join(("repro", *parts)))
+        for name, obj in vars(module).items():
+            if (name.startswith("_") or getattr(obj, "__module__", None)
+                    != module.__name__):
+                continue
+            if inspect.isfunction(obj):
+                found.setdefault(name, []).append(params(obj))
+            elif inspect.isclass(obj):
+                found.setdefault(name, []).append(params(obj))
+                for attr, member in vars(obj).items():
+                    if not attr.startswith("_") and (
+                            inspect.isfunction(member) or isinstance(
+                                member, (staticmethod, classmethod))):
+                        found.setdefault(attr, []).append(
+                            params(getattr(obj, attr)))
+    return found
+
+
+def _stale_keywords(blocks) -> list[str]:
+    """``where: name(keyword=)`` for each keyword a block passes to a
+    public ``repro`` callable of that last name that none accepts."""
+    accepted = _keywords_by_name()
+    stale = []
+    for where, block in blocks:
+        for node in ast.walk(ast.parse(block)):
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            name = f.attr if isinstance(f, ast.Attribute) else getattr(
+                f, "id", None)
+            for kw in node.keywords:
+                if kw.arg is not None and name in accepted and not any(
+                        ps is None or kw.arg in ps for ps in accepted[name]):
+                    stale.append(f"{where}: {name}({kw.arg}=)")
+    return stale
+
+
+def test_doc_keywords_are_parameters():
+    stale = _stale_keywords(_doc_blocks())
+    assert not stale, f"doc blocks pass keywords no callable takes: {stale}"
+
+
+def test_stale_keyword_check_on_inline_block():
+    block = ("from repro.engine import GenerationSession\n"
+             "GenerationSession(model, eos_token=0, offload_idle_kv=True)\n")
+    assert _stale_keywords([("inline", block)]) == [
+        "inline: GenerationSession(offload_idle_kv=)"]

@@ -20,29 +20,18 @@ class TestScaledConfig:
         assert cfg.heads == 96
 
     def test_head_dim_respected(self):
-        cfg = scaled_config(30e9, head_dim=64)
-        assert cfg.hidden % 64 == 0
-        assert cfg.head_dim == 64
+        cfg = scaled_config(30e9)
+        assert cfg.hidden % 128 == 0
+        assert cfg.head_dim == 128
 
     def test_name_and_listed(self):
-        cfg = scaled_config(7e9, name="my-7b")
-        assert cfg.name == "my-7b"
+        cfg = scaled_config(7e9)
+        assert cfg.name == "gpt-7b-synth"
         assert cfg.listed_params == 7e9
-        auto = scaled_config(7e9)
-        assert "7" in auto.name
-
-    def test_moe_passthrough(self):
-        from repro.model import MoESpec
-
-        cfg = scaled_config(2e9, moe=MoESpec(16))
-        assert cfg.moe.num_experts == 16
-        assert cfg.expert_params > 0
 
     def test_validation(self):
         with pytest.raises(ValueError):
             scaled_config(0)
-        with pytest.raises(ValueError):
-            scaled_config(1e9, aspect=0)
 
     def test_usable_by_engines(self):
         from repro.engine import InferenceEngine

@@ -152,8 +152,6 @@ class TestTenantPolicies:
         with pytest.raises(ValueError):
             TenantFairShare(weights={"a": 0.0})
         with pytest.raises(ValueError):
-            TenantFairShare(default_weight=-1.0)
-        with pytest.raises(ValueError):
             TenantFairShare(slot_caps={"a": 0})
 
     @pytest.mark.parametrize("policy", [TenantFairShare, TenantPriority])
@@ -172,8 +170,6 @@ class TestTenantPolicies:
         # ahead of an idle tenant "b".
         with pytest.raises(ValueError, match="weight of tenant 'a'"):
             TenantFairShare(weights={"a": bad, "b": 1.0})
-        with pytest.raises(ValueError, match="default_weight"):
-            TenantFairShare(default_weight=bad)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"),
                                      float("-inf")])
@@ -183,8 +179,6 @@ class TestTenantPolicies:
         # queued second.
         with pytest.raises(ValueError, match="priority of tenant 'a'"):
             TenantPriority(priorities={"a": bad, "b": 1.0})
-        with pytest.raises(ValueError, match="default_priority"):
-            TenantPriority(default_priority=bad)
 
 
 class TestLifecycle:

@@ -64,36 +64,6 @@ class TestTimeline:
         rows = tl.to_rows()
         assert rows[0][0] == "a" and rows[1][0] == "b"
 
-    def test_merge_with_prefix(self):
-        a = Timeline()
-        a.record("server", 0.0, 1.0, "own")
-        b = Timeline()
-        b.record("server", 2.0, 3.0, "other")
-        b.record_instant("server", 2.5, "tick")
-        assert a.merge(b, prefix="replica1/") is a
-        assert a.lanes() == ["replica1/server", "server"]
-        assert [s.label for s in a.spans("replica1/server")] == ["other"]
-        assert a.instants("replica1/server") == [(2.5, "tick")]
-        assert a.makespan() == pytest.approx(3.0)
-        # Source timeline is untouched.
-        assert b.lanes() == ["server"]
-
-    def test_merge_without_prefix_interleaves(self):
-        a = Timeline()
-        a.record("l", 0.0, 1.0)
-        b = Timeline()
-        b.record("l", 0.5, 2.0)
-        a.merge(b)
-        assert a.busy_time("l") == pytest.approx(2.0)
-        assert a.has_overlap("l")
-
-    def test_merge_copies_new_lanes_independently(self):
-        b = Timeline()
-        b.record("server", 0.0, 1.0, "x")
-        a = Timeline().merge(b, prefix="r/")
-        b.record("server", 2.0, 3.0, "later")
-        assert [s.label for s in a.spans("r/server")] == ["x"]
-
     @given(spans=st.lists(st.tuples(
         st.sampled_from([0.0, 1.0, 2.0]), st.sampled_from([0.0, 1.0, 3.0]),
         st.sampled_from(["a", "b"])), max_size=12))

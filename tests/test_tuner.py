@@ -76,6 +76,34 @@ class TestTuner:
             tune_dense_deployment(DENSE_ZOO["gpt-13b"], CLUSTER,
                                   prompt_len=1, gen_tokens=1, max_gpus=0)
 
+    @pytest.mark.parametrize("sla", [float("nan"), 0.0, -1.0])
+    def test_bad_latency_sla_rejected(self, sla):
+        """A NaN SLA failed every ``latency > sla`` test, so it read as
+        no bound: the tuner returned a winner at batch 20,011."""
+        with pytest.raises(ValueError, match="latency_sla must be"):
+            tune_dense_deployment(DENSE_ZOO["gpt-13b"], dgx_a100_cluster(1),
+                                  prompt_len=8, gen_tokens=8,
+                                  latency_sla=sla)
+
+    def test_infinite_latency_sla_is_no_bound(self):
+        kw = dict(prompt_len=8, gen_tokens=8, max_gpus=2,
+                  hybrid_factors=(1,))
+        assert tune_dense_deployment(
+            DENSE_ZOO["gpt-13b"], CLUSTER, latency_sla=float("inf"),
+            **kw) == tune_dense_deployment(DENSE_ZOO["gpt-13b"], CLUSTER,
+                                           **kw)
+
+    @pytest.mark.parametrize("field", ["prompt_len", "gen_tokens",
+                                       "max_gpus"])
+    @pytest.mark.parametrize("bad", [2.5, float("nan")])
+    def test_non_integer_sizes_rejected(self, field, bad):
+        """These raised from inside ``range()`` or ``int()`` without
+        naming the argument."""
+        kw = dict(prompt_len=8, gen_tokens=8, max_gpus=2)
+        kw[field] = bad
+        with pytest.raises(TypeError, match=field):
+            tune_dense_deployment(DENSE_ZOO["gpt-13b"], CLUSTER, **kw)
+
     def test_per_gpu_metric(self):
         r = tune_dense_deployment(DENSE_ZOO["gpt-13b"], CLUSTER,
                                   prompt_len=128, gen_tokens=8, max_gpus=4,
@@ -142,8 +170,6 @@ class TestServingTuner:
 
     def test_validation(self):
         # gpu_budget is covered in tests/test_fleet_tuning.py.
-        for kwargs, match in (({"policy": "nope"}, "unknown policy"),
-                              ({"routing": "nope"}, "unknown routing")):
-            with pytest.raises(ValueError, match=match):
-                tune_fleet_deployment(DENSE_ZOO["gpt-13b"], CLUSTER,
-                                      self.TRACE, gpu_budget=4, **kwargs)
+        with pytest.raises(ValueError, match="unknown policy"):
+            tune_fleet_deployment(DENSE_ZOO["gpt-13b"], CLUSTER,
+                                  self.TRACE, gpu_budget=4, policy="nope")
