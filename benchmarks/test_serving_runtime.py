@@ -13,12 +13,13 @@ import numpy as np
 from repro.engine import (
     DenseLatencyModel,
     DenseStepCost,
-    GenerationSession,
     simulate_serving,
     synthesize_trace,
 )
+from repro.engine.generation import GenerationSession
 from repro.hardware import dgx_a100_cluster
-from repro.model import DENSE_ZOO, DenseTransformer, ModelConfig
+from repro.model import DENSE_ZOO, ModelConfig
+from repro.model.dense import DenseTransformer
 
 CFG = ModelConfig(name="bench-serving", hidden=32, layers=2, heads=4,
                   vocab=53, max_seq=64)

@@ -26,11 +26,12 @@ import numpy as np
 from repro.engine import (
     DenseLatencyModel,
     DenseStepCost,
-    GenerationSession,
     simulate_serving,
 )
+from repro.engine.generation import GenerationSession
 from repro.hardware import dgx_a100_cluster
-from repro.model import DENSE_ZOO, DenseTransformer, ModelConfig
+from repro.model import DENSE_ZOO, ModelConfig
+from repro.model.dense import DenseTransformer
 from repro.scenarios import chat_scenario, strip_prefix_sharing
 
 

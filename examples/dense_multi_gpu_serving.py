@@ -16,11 +16,14 @@ Run:  python examples/dense_multi_gpu_serving.py
 import numpy as np
 
 from repro.baselines import FasterTransformerBaseline
-from repro.comm import spmd
+from repro.comm.functional import spmd
 from repro.engine import DenseLatencyModel, Workload, best_throughput
 from repro.hardware import dgx_a100_cluster
-from repro.model import DENSE_ZOO, DenseTransformer, ModelConfig
-from repro.parallel import partition_layers, plan_dense, staged_forward, tp_forward
+from repro.model import DENSE_ZOO, ModelConfig
+from repro.model.dense import DenseTransformer
+from repro.parallel import plan_dense
+from repro.parallel.pipeline import partition_layers, staged_forward
+from repro.parallel.tensor_parallel import tp_forward
 
 
 def plan_and_schedule() -> None:

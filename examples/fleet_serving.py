@@ -12,7 +12,7 @@ Demonstrated here:
 
 * :func:`~repro.fleet.simulate_fleet` — healthy vs faulted run, load
   shift, multi-lane chrome-trace export;
-* :func:`~repro.fleet.run_fleet_functional` — the same placements on
+* :func:`~repro.fleet.functional.run_fleet_functional` — the same placements on
   real model replicas through a crash and a recovery, with every
   completed output (retries included, and those finished by the
   replica's pre-crash incarnation) identical to solo ``model.generate``;
@@ -37,13 +37,13 @@ from repro.engine import (
 from repro.fleet import (
     FaultPlan,
     ReplicaFault,
-    run_fleet_functional,
     simulate_fleet,
-    synthesize_prompts,
     tune_fleet_deployment,
 )
+from repro.fleet.functional import run_fleet_functional, synthesize_prompts
 from repro.hardware import dgx_a100_cluster
-from repro.model import DENSE_ZOO, DenseTransformer, ModelConfig
+from repro.model import DENSE_ZOO, ModelConfig
+from repro.model.dense import DenseTransformer
 
 NUM_REPLICAS = 4
 

@@ -23,12 +23,11 @@ from repro.kernels import (
     KernelCostModel,
     LayerShape,
     PYTORCH_FP16,
-    int8_linear,
     partition,
-    quantize_symmetric,
     sbi_tile_plan,
     transformer_layer_ops,
 )
+from repro.kernels.quant import int8_linear, quantize_symmetric
 
 
 def fusion_strategies() -> None:

@@ -14,11 +14,13 @@ Run:  python examples/moe_trillion_inference.py
 
 import numpy as np
 
-from repro.comm import baseline_alltoall, pcc_alltoall, spmd
+from repro.comm import baseline_alltoall, pcc_alltoall
+from repro.comm.functional import spmd
 from repro.engine import MoEInferenceEngine
 from repro.hardware import dgx_a100_cluster
-from repro.model import MOE_ZOO, MoELayer
-from repro.parallel import ep_moe_forward
+from repro.model import MOE_ZOO
+from repro.model.moe import MoELayer
+from repro.parallel.expert_parallel import ep_moe_forward
 
 
 def latency_tour() -> None:

@@ -15,7 +15,8 @@ import numpy as np
 from repro.engine import InferenceEngine
 from repro.hardware import dgx_a100_cluster
 from repro.kernels import DEEPSPEED_FP16, DEEPSPEED_INT8, FASTER_TRANSFORMER_FP16
-from repro.model import DenseTransformer, ModelConfig
+from repro.model import ModelConfig
+from repro.model.dense import DenseTransformer
 
 
 def performance_model_demo() -> None:

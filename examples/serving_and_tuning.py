@@ -4,7 +4,7 @@ Sec. I frames inference as meeting a latency SLA while maximizing
 throughput, over requests that arrive and finish independently. This
 example demonstrates the two extension features built on that framing:
 
-* :class:`~repro.engine.GenerationSession` — continuous batching over a
+* :class:`~repro.engine.generation.GenerationSession` — continuous batching over a
   real (tiny) model: one shared :class:`~repro.engine.Scheduler` admits
   requests into bounded slots (pluggable policy), every decode step is
   ONE batched forward over paged KV blocks, and every output is
@@ -29,14 +29,15 @@ import numpy as np
 from repro.engine import (
     DenseLatencyModel,
     DenseStepCost,
-    GenerationSession,
     simulate_serving,
     synthesize_trace,
     tune_dense_deployment,
 )
+from repro.engine.generation import GenerationSession
 from repro.fleet import simulate_fleet, tune_fleet_deployment
 from repro.hardware import dgx_a100_cluster
-from repro.model import DENSE_ZOO, DenseTransformer, ModelConfig
+from repro.model import DENSE_ZOO, ModelConfig
+from repro.model.dense import DenseTransformer
 
 
 def serving_demo() -> None:

@@ -17,7 +17,8 @@ import numpy as np
 
 from repro.baselines import CPUOnlyBaseline, GPUOnlyBaseline
 from repro.hardware import dgx2_v100, lambda_a6000_workstation
-from repro.model import DenseTransformer, ModelConfig, get_model
+from repro.model import ModelConfig, get_model
+from repro.model.dense import DenseTransformer
 from repro.zero import Tier, TieredWeightStore, ZeroInferenceEngine
 
 

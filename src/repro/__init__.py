@@ -1,16 +1,24 @@
 """repro: a reproduction of DeepSpeed Inference (SC'22).
 
-Two coupled layers:
+Two layers, with imports running one way:
 
 * a **functional engine** — NumPy transformer inference with real
   tensor/pipeline/expert-parallel execution, KV caching, MoE routing and
   INT8 quantization, tested for numerical equivalence against dense
-  references (`repro.model`, `repro.parallel`, `repro.comm.functional`);
+  references (the executor modules of `repro.model`, `repro.parallel`,
+  `repro.kernels` and `repro.zero`, plus `repro.comm.functional`,
+  `repro.engine.generation` and `repro.fleet.functional`);
 * a **performance model** — hardware specs, collective cost models,
   fusion-aware kernel rooflines, first-in-first-out pipeline/offload/
   stream timing, and engines that regenerate every table and figure of the
-  paper (`repro.hardware`, `repro.kernels`, `repro.engine`, `repro.zero`,
+  paper and run every serving and fleet simulation (`repro.hardware`,
+  `repro.kernels`, `repro.engine`, `repro.zero`, `repro.fleet`,
   `repro.baselines`, `repro.bench`).
+
+The functional engine may import the performance model; the performance
+model never imports the functional engine, so a simulation loads no
+executor. `tests/test_layering.py` lists the functional modules and
+holds the rule.
 
 Quick start::
 

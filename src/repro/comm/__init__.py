@@ -1,7 +1,7 @@
-"""Communication substrate: collective cost models and a functional,
-in-process MPI-like communicator for SPMD NumPy execution."""
+"""Communication substrate: collective cost models. The functional,
+in-process MPI-like communicator for SPMD NumPy execution lives in
+:mod:`repro.comm.functional`."""
 
-from .functional import Communicator, World, spmd
 from .hierarchical import CommGroup, hierarchical_allreduce_time
 from .pcc import PCCCost, baseline_alltoall, pcc_alltoall
 from .primitives import (
@@ -17,9 +17,7 @@ from .primitives import (
 __all__ = [
     "CollectiveCost",
     "CommGroup",
-    "Communicator",
     "PCCCost",
-    "World",
     "allgather_time",
     "allreduce_time",
     "alltoall_time",
@@ -29,5 +27,4 @@ __all__ = [
     "p2p_time",
     "pcc_alltoall",
     "reduce_scatter_time",
-    "spmd",
 ]

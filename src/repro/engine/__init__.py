@@ -1,5 +1,6 @@
 """Inference engines: dense and MoE latency/throughput models, activation
-offloading, and the user-facing facades."""
+offloading, and the user-facing facades. The functional generation
+session lives in :mod:`repro.engine.generation`."""
 
 from .costs import (
     BatchState,
@@ -10,7 +11,6 @@ from .costs import (
     StepCostModel,
     ZeroStepCost,
 )
-from .generation import GenerationRequest, GenerationSession
 from .inference import InferenceEngine, MoEInferenceEngine
 from .latency import DenseLatencyModel, LatencyReport, Workload
 from .moe import MoELatencyModel, MoEStepBreakdown
@@ -48,8 +48,6 @@ __all__ = [
     "ZeroStepCost",
     "moe_max_batch_size",
     "DenseLatencyModel",
-    "GenerationRequest",
-    "GenerationSession",
     "InferenceEngine",
     "LatencyReport",
     "MoEInferenceEngine",

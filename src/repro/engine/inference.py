@@ -6,9 +6,9 @@ latency model under the chosen implementation profile (Sec. III), and
 answers latency/throughput questions. ``MoEInferenceEngine`` does the
 same for the sparse models of Table II (Sec. V).
 
-Functional generation (actually producing tokens with the NumPy model)
-is exposed through :meth:`InferenceEngine.build_functional_model` for
-small configurations; performance estimation works at any scale.
+Both are analytical and work at any scale. To produce tokens, build the
+NumPy model of a small config directly with
+:class:`~repro.model.dense.DenseTransformer`.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from __future__ import annotations
 from ..hardware.topology import ClusterSpec, dgx_a100_cluster
 from ..kernels.profiles import DEEPSPEED_FP16, ImplementationProfile
 from ..model.config import MOE_PARALLELISM, ModelConfig, get_model
-from ..model.dense import DenseTransformer
 from ..parallel.planner import ParallelPlan, plan_dense
 from .latency import DenseLatencyModel, LatencyReport, Workload
 from .moe import MoELatencyModel, MoEStepBreakdown
@@ -83,17 +82,6 @@ class InferenceEngine:
             gen_tokens=gen_tokens,
             offload_activations=offload_activations,
         )
-
-    def build_functional_model(self) -> DenseTransformer:
-        """Materialize the runnable float64 NumPy model at seed 0 (small
-        configs only: the weight arrays are allocated for real)."""
-        if self.config.total_params > 2e8:
-            raise ValueError(
-                f"{self.config.name} has {self.config.total_params / 1e9:.1f}B "
-                "params; materializing that in NumPy is not what you want. "
-                "Use a small ModelConfig for functional runs."
-            )
-        return DenseTransformer(self.config)
 
 
 class MoEInferenceEngine:

@@ -38,8 +38,7 @@ from ..hardware.topology import ClusterSpec
 from ..kernels.costmodel import KernelCostModel
 from ..kernels.graph import LayerShape, moe_expert_ffn_ops
 from ..kernels.profiles import DEEPSPEED_FP16, PYTORCH_FP16
-from ..model.config import ModelConfig, MoEParallelism
-from ..model.gating import expert_capacity
+from ..model.config import ModelConfig, MoEParallelism, expert_capacity
 
 __all__ = ["MoEStepBreakdown", "MoELatencyModel"]
 

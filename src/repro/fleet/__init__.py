@@ -7,7 +7,7 @@ under pluggable routing policies, with scripted fault injection
 (:class:`FleetReport`), and deployment tuning under a GPU budget
 (:func:`tune_fleet_deployment`). Two backends share one control plane:
 :func:`simulate_fleet` prices decisions with the latency model;
-:func:`run_fleet_functional` executes them on real
+:func:`~repro.fleet.functional.run_fleet_functional` executes them on real
 :class:`~repro.engine.generation.GenerationSession` replicas with
 exact-output guarantees.
 """
@@ -24,18 +24,12 @@ from .policies import (
 )
 from .report import FleetReport, ReplicaStats
 from .router import Router, RoutingDecision
-from .sim import (
-    FleetFunctionalResult,
-    run_fleet_functional,
-    simulate_fleet,
-    synthesize_prompts,
-)
+from .sim import simulate_fleet
 from .tuning import FleetTuningResult, tune_fleet_deployment
 
 __all__ = [
     "ROUTING_POLICIES",
     "FaultPlan",
-    "FleetFunctionalResult",
     "FleetReport",
     "FleetTuningResult",
     "LeastOutstanding",
@@ -48,8 +42,6 @@ __all__ = [
     "RoutingPolicy",
     "SessionAffinity",
     "resolve_routing_policy",
-    "run_fleet_functional",
     "simulate_fleet",
-    "synthesize_prompts",
     "tune_fleet_deployment",
 ]

@@ -1,10 +1,10 @@
 """Inference-optimized transformer kernels (Sec. III): op graphs,
-Deep-Fusion partitioning, SBI-GeMM models, the roofline cost model,
-functional NumPy kernels and INT8 quantization."""
+Deep-Fusion partitioning, SBI-GeMM models and the roofline cost model.
+The functional NumPy kernels, INT8 quantization and CUDA-graph capture
+live in :mod:`.functional`, :mod:`.quant` and :mod:`.cuda_graph`."""
 
 from .analysis import RegionAnalysis, analyze_layer, crossover_batch, machine_balance
 from .costmodel import KernelCostModel, LayerCost, RegionTime
-from .cuda_graph import CapturedGraph, GraphMismatch, GraphRunner
 from .fusion import FusedRegion, FusionStrategy, partition
 from .gemm import (
     SBITilePlan,
@@ -26,13 +26,6 @@ from .profiles import (
     PYTORCH_FP16,
     ImplementationProfile,
 )
-from .quant import (
-    QuantizedTensor,
-    dequantize,
-    int8_linear,
-    quantization_error_bound,
-    quantize_symmetric,
-)
 
 __all__ = [
     "DEEPSPEED_FP16",
@@ -44,13 +37,10 @@ __all__ = [
     "HEAD",
     "HIDDEN",
     "ImplementationProfile",
-    "CapturedGraph",
     "RegionAnalysis",
     "analyze_layer",
     "crossover_batch",
     "machine_balance",
-    "GraphMismatch",
-    "GraphRunner",
     "KernelCostModel",
     "LayerCost",
     "LayerShape",
@@ -59,7 +49,6 @@ __all__ = [
     "OpKind",
     "PROFILE_REGISTRY",
     "PYTORCH_FP16",
-    "QuantizedTensor",
     "RegionTime",
     "SBITilePlan",
     "SEQUENCE",
@@ -67,12 +56,8 @@ __all__ = [
     "cublas_bw_efficiency",
     "cublas_compute_efficiency",
     "cutlass_int8_compute_efficiency",
-    "dequantize",
-    "int8_linear",
     "moe_expert_ffn_ops",
     "partition",
-    "quantization_error_bound",
-    "quantize_symmetric",
     "sbi_bw_efficiency",
     "sbi_tile_plan",
     "transformer_layer_ops",

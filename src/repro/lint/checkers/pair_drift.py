@@ -60,7 +60,7 @@ PAIRED_SEAMS: tuple[SeamPair, ...] = (
     ),
     SeamPair(
         left="repro.fleet.sim:simulate_fleet",
-        right="repro.fleet.sim:run_fleet_functional",
+        right="repro.fleet.functional:run_fleet_functional",
         shared_only=True,
         why="analytical control plane vs functional replay: shared "
             "kwargs configure the same scheduler decisions on both sides",

@@ -4,8 +4,8 @@
 through ``alloc()``/``share()`` and takes them back one ``free()`` at a
 time; :meth:`PagedKVCache.fork` mints a whole child cache whose blocks
 stay alive until *its* ``free()``. The dedup accounting the prefix-
-sharing stack reports (``kv_blocks_saved``, ``shared_blocks``, peak
-pool occupancy) is only as good as this pairing: a code path that drops
+sharing stack reports (``kv_blocks_saved``, refcounts, peak pool
+occupancy) is only as good as this pairing: a code path that drops
 a reference without freeing it strands blocks in the pool forever, and
 a double release corrupts a *different* owner's refcount.
 

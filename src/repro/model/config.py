@@ -13,6 +13,7 @@ total, and tests assert our architectural estimate is consistent with it.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from ..hardware.specs import DType
@@ -27,6 +28,8 @@ __all__ = [
     "BERT_ZOO",
     "get_model",
     "scaled_config",
+    "expert_capacity",
+    "expert_partition",
 ]
 
 
@@ -257,3 +260,44 @@ def get_model(name: str) -> ModelConfig:
             return zoo[name]
     known = sorted(list(DENSE_ZOO) + list(MOE_ZOO) + list(BERT_ZOO))
     raise KeyError(f"unknown model {name!r}; known: {', '.join(known)}")
+
+
+def _as_int(name: str, value) -> int:
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an int, got {value!r}") from None
+
+
+def expert_capacity(num_tokens: int, num_experts: int, capacity_factor: float) -> int:
+    """Slots per expert: ``ceil(factor * S / E)``, at least 1."""
+    if _as_int("num_tokens", num_tokens) < 1 or _as_int(
+            "num_experts", num_experts) < 1:
+        raise ValueError("num_tokens and num_experts must be >= 1")
+    if not 0 < capacity_factor < math.inf:
+        raise ValueError("capacity_factor must be finite and positive")
+    return max(1, math.ceil(capacity_factor * num_tokens / num_experts))
+
+
+def expert_partition(num_experts: int, ep_degree: int) -> list[range]:
+    """Contiguous expert ranges owned by each of ``ep_degree`` ranks.
+
+    Uneven splits are allowed: the first ``num_experts % ep_degree``
+    ranks own one extra expert, so rank sizes differ by at most one.
+    """
+    num_experts = _as_int("num_experts", num_experts)
+    ep_degree = _as_int("ep_degree", ep_degree)
+    if ep_degree < 1:
+        raise ValueError("ep_degree must be >= 1")
+    if ep_degree > num_experts:
+        raise ValueError(
+            f"cannot spread {num_experts} experts over {ep_degree} ranks"
+        )
+    base, rem = divmod(num_experts, ep_degree)
+    parts: list[range] = []
+    start = 0
+    for r in range(ep_degree):
+        size = base + (1 if r < rem else 0)
+        parts.append(range(start, start + size))
+        start += size
+    return parts

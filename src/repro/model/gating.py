@@ -16,30 +16,20 @@ dispatch), and tested for exact agreement.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..kernels.functional import softmax
+from .config import expert_capacity
 
 __all__ = [
     "GatingResult",
     "TopKGatingResult",
     "top1_gating",
     "topk_gating",
-    "expert_capacity",
     "build_expert_to_token_table",
 ]
-
-
-def expert_capacity(num_tokens: int, num_experts: int, capacity_factor: float) -> int:
-    """Slots per expert: ``ceil(factor * S / E)``, at least 1."""
-    if num_tokens < 1 or num_experts < 1:
-        raise ValueError("num_tokens and num_experts must be >= 1")
-    if not 0 < capacity_factor < math.inf:
-        raise ValueError("capacity_factor must be finite and positive")
-    return max(1, int(np.ceil(capacity_factor * num_tokens / num_experts)))
 
 
 @dataclass(frozen=True)
@@ -135,10 +125,6 @@ class TopKGatingResult:
     def num_tokens(self) -> int:
         """Tokens routed."""
         return self.token_expert.shape[0]
-
-    def kept_pairs(self) -> np.ndarray:
-        """Boolean mask over (token, choice) pairs that survived capacity."""
-        return self.token_expert >= 0
 
 
 def topk_gating(

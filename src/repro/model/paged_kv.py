@@ -83,7 +83,6 @@ class BlockAllocator:
         # scan the free list (O(n) per free); the set makes it O(1).
         self._free_set = set(self._free)
         self._refs = [0] * num_blocks
-        self._shared = 0  # blocks with refcount > 1, maintained inline
         self.peak_used = 0
 
     @property
@@ -95,11 +94,6 @@ class BlockAllocator:
     def used_blocks(self) -> int:
         """Blocks currently held by caches (shared blocks count once)."""
         return self.num_blocks - len(self._free)
-
-    @property
-    def shared_blocks(self) -> int:
-        """Blocks currently referenced by more than one cache."""
-        return self._shared
 
     def refcount(self, block: int) -> int:
         """Live references to ``block`` (0 for a free block)."""
@@ -131,8 +125,6 @@ class BlockAllocator:
         if self._refs[block] < 1:
             raise ValueError(f"cannot share free block {block}")
         self._refs[block] += 1
-        if self._refs[block] == 2:
-            self._shared += 1
         return block
 
     def free(self, block: int) -> None:
@@ -142,9 +134,7 @@ class BlockAllocator:
         if block in self._free_set:
             raise ValueError(f"double free of block {block}")
         self._refs[block] -= 1
-        if self._refs[block] == 1:
-            self._shared -= 1
-        elif self._refs[block] == 0:
+        if self._refs[block] == 0:
             self._free.append(block)
             self._free_set.add(block)
 

@@ -18,7 +18,7 @@ from .placement import (
     plan_placement,
     uniform_placement,
 )
-from .predictor import GateHistoryPredictor, gating_counts
+from .predictor import GateHistoryPredictor
 from .prefetch import (
     PrefetchReport,
     SkewedDispatchSpec,
@@ -34,7 +34,6 @@ __all__ = [
     "PrefetchReport",
     "SkewedDispatchSpec",
     "calibrated_dispatch",
-    "gating_counts",
     "plan_placement",
     "simulate_expert_stream",
     "synthesize_gate_stream",

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..parallel.expert_parallel import expert_partition
+from ..model.config import expert_partition
 
 __all__ = ["ExpertPlacement", "PlacementPlan", "plan_placement",
            "uniform_placement"]
@@ -132,7 +132,7 @@ class PlacementPlan:
 def uniform_placement(num_experts: int, ep_degree: int) -> ExpertPlacement:
     """The paper's baseline assignment: contiguous ranges, one replica
     each (uneven remainders spread one-per-rank, matching
-    :func:`~repro.parallel.expert_parallel.expert_partition`)."""
+    :func:`~repro.model.config.expert_partition`)."""
     parts = expert_partition(num_experts, ep_degree)
     return ExpertPlacement(
         ranks=tuple(tuple(p) for p in parts), num_experts=num_experts)

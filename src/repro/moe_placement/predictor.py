@@ -4,12 +4,10 @@ Gate distributions drift slowly relative to the decode cadence, so an
 exponential moving average over per-expert token counts is a strong
 next-step predictor ("Fast MoE Inference via Predictive Prefetching and
 Expert Replication" uses exactly this family). The predictor consumes
-either raw per-expert count vectors (one per iteration, e.g. rows of
-:func:`~repro.moe_placement.synthesize_gate_stream`) or live
-:class:`~repro.model.gating.TopKGatingResult` objects from the
-functional gating path, and answers the two questions the placement and
-prefetch layers ask: *expected per-expert load next step* and *the n
-hottest experts*.
+raw per-expert count vectors, one per iteration (e.g. rows of
+:func:`~repro.moe_placement.synthesize_gate_stream`), and answers the
+two questions the placement and prefetch layers ask: *expected
+per-expert load next step* and *the n hottest experts*.
 """
 
 from __future__ import annotations
@@ -17,19 +15,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..engine.scheduler import _as_index
-from ..model.gating import TopKGatingResult
 
-__all__ = ["GateHistoryPredictor", "gating_counts"]
-
-
-def gating_counts(result: TopKGatingResult) -> np.ndarray:
-    """Per-expert routed-token counts of one gating outcome.
-
-    Counts every kept ``(token, choice)`` pair — the token volume each
-    expert's FFN actually processes, which is what placement balances.
-    """
-    kept = result.token_expert[result.kept_pairs()]
-    return np.bincount(kept, minlength=result.num_experts).astype(np.float64)
+__all__ = ["GateHistoryPredictor"]
 
 
 class GateHistoryPredictor:
@@ -52,12 +39,9 @@ class GateHistoryPredictor:
         self.steps_observed = 0
         self._ema_tokens = np.zeros(num_experts)
 
-    def update(self, observation: TopKGatingResult | np.ndarray) -> None:
-        """Fold one iteration's gate outcome into the history."""
-        if isinstance(observation, TopKGatingResult):
-            counts = gating_counts(observation)
-        else:
-            counts = np.asarray(observation, dtype=np.float64)
+    def update(self, counts: np.ndarray) -> None:
+        """Fold one iteration's per-expert token counts into the history."""
+        counts = np.asarray(counts, dtype=np.float64)
         if counts.shape != (self.num_experts,):
             raise ValueError(
                 f"expected {self.num_experts} per-expert counts, got shape "

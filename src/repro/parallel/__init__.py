@@ -1,10 +1,8 @@
-"""Parallel execution: tensor slicing, pipeline stages and schedules,
-expert parallelism, and the placement planner (Secs. IV and V)."""
+"""Parallel deployment: the placement planner and the pipeline schedule
+simulator (Secs. IV and V). The functional executors (tensor slicing,
+pipeline stages, expert parallelism) live in the package's other
+modules."""
 
-from .expert_parallel import ep_moe_forward, expert_partition, expert_sliced_ffn
-from .hybrid import HybridGroups, hybrid_moe_block, make_hybrid_groups
-from .pipeline import StagePlan, partition_layers, staged_forward
-from .pipeline_exec import pipeline_generate_rank, pipeline_spmd_generate
 from .planner import ParallelPlan, PlanError, memory_per_gpu, plan_dense
 from .schedules import (
     ScheduleKind,
@@ -13,41 +11,15 @@ from .schedules import (
     fill_drain_span,
     simulate_pipeline,
 )
-from .quantized import (
-    QuantizedColumnParallelLinear,
-    QuantizedRowParallelLinear,
-    shard_quantize_column,
-    shard_quantize_row,
-)
-from .tensor_parallel import ShardedLayerWeights, shard_layer, tp_forward, tp_spmd_forward
 
 __all__ = [
     "ParallelPlan",
-    "QuantizedColumnParallelLinear",
-    "QuantizedRowParallelLinear",
-    "shard_quantize_column",
-    "shard_quantize_row",
     "PlanError",
     "ScheduleKind",
     "ScheduleResult",
-    "ShardedLayerWeights",
-    "StagePlan",
     "dynamic_queue_span",
-    "HybridGroups",
-    "ep_moe_forward",
-    "hybrid_moe_block",
-    "make_hybrid_groups",
-    "expert_partition",
-    "expert_sliced_ffn",
     "fill_drain_span",
     "memory_per_gpu",
-    "partition_layers",
-    "pipeline_generate_rank",
-    "pipeline_spmd_generate",
     "plan_dense",
-    "shard_layer",
     "simulate_pipeline",
-    "staged_forward",
-    "tp_forward",
-    "tp_spmd_forward",
 ]

@@ -15,31 +15,10 @@ from __future__ import annotations
 import numpy as np
 
 from ..comm.functional import Communicator
+from ..model.config import expert_partition
 from ..model.moe import MoELayer
 
-__all__ = ["expert_partition", "ep_moe_forward", "expert_sliced_ffn"]
-
-
-def expert_partition(num_experts: int, ep_degree: int) -> list[range]:
-    """Contiguous expert ranges owned by each of ``ep_degree`` ranks.
-
-    Uneven splits are allowed: the first ``num_experts % ep_degree``
-    ranks own one extra expert, so rank sizes differ by at most one.
-    """
-    if ep_degree < 1:
-        raise ValueError("ep_degree must be >= 1")
-    if ep_degree > num_experts:
-        raise ValueError(
-            f"cannot spread {num_experts} experts over {ep_degree} ranks"
-        )
-    base, rem = divmod(num_experts, ep_degree)
-    parts: list[range] = []
-    start = 0
-    for r in range(ep_degree):
-        size = base + (1 if r < rem else 0)
-        parts.append(range(start, start + size))
-        start += size
-    return parts
+__all__ = ["ep_moe_forward", "expert_sliced_ffn"]
 
 
 def expert_sliced_ffn(

@@ -1,14 +1,13 @@
-"""ZeRO-Inference: heterogeneous GPU+CPU+NVMe inference (Sec. VI)."""
+"""ZeRO-Inference: heterogeneous GPU+CPU+NVMe inference (Sec. VI). The
+functional streamed executor lives in :mod:`repro.zero.streamed_model`."""
 
 from .inference import ZeroInferenceEngine, ZeroPassReport
-from .streamed_model import StreamedTransformer
 from .streaming import StreamReport, simulate_layer_stream
 from .tiers import FetchEvent, Tier, TieredWeightStore, placement_for
 
 __all__ = [
     "FetchEvent",
     "StreamReport",
-    "StreamedTransformer",
     "Tier",
     "TieredWeightStore",
     "ZeroInferenceEngine",

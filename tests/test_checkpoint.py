@@ -3,12 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.model import (
-    DenseTransformer,
-    ModelConfig,
-    load_checkpoint,
-    save_checkpoint,
-)
+from repro.model import ModelConfig
+from repro.model.checkpoint import load_checkpoint, save_checkpoint
+from repro.model.dense import DenseTransformer
 from repro.model.checkpoint import checkpoint_layer_file
 
 CFG = ModelConfig(name="ckpt-test", hidden=32, layers=3, heads=4, vocab=47,

@@ -26,12 +26,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.engine import (ClosureStepCost, GenerationSession, Request,
-                          SchedRequest, Scheduler, WorkloadTrace,
-                          simulate_serving)
+from repro.engine import (ClosureStepCost, Request, SchedRequest,
+                          Scheduler, WorkloadTrace, simulate_serving)
+from repro.engine.generation import GenerationSession
 from repro.engine.scheduler import SchedulerEvent
 from repro.fleet import FaultPlan, ReplicaFault, simulate_fleet
-from repro.model import DenseTransformer, ModelConfig, SamplingConfig
+from repro.model import ModelConfig
+from repro.model.dense import DenseTransformer
+from repro.model.sampling import SamplingConfig
 from repro.simcore import Span, Timeline
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.comm import spmd
+from repro.comm.functional import spmd
 
 
 class TestCollectives:

@@ -5,7 +5,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.model import EncoderTransformer, ModelConfig
+from repro.model import ModelConfig
+from repro.model.encoder import EncoderTransformer
 
 CFG = ModelConfig(name="enc-test", hidden=32, layers=3, heads=4, vocab=59,
                   max_seq=32, decoder=False)

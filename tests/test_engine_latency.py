@@ -149,18 +149,3 @@ class TestInferenceEngineFacade:
         pt = eng.best_throughput(prompt_len=128, gen_tokens=8)
         assert pt.batch >= 1
         assert pt.tokens_per_second >= r.tokens_per_second
-
-    def test_functional_model_guard(self):
-        eng = InferenceEngine("gpt-13b", CLUSTER, tp=1, pp=1)
-        with pytest.raises(ValueError, match="NumPy"):
-            eng.build_functional_model()
-
-    def test_functional_model_for_small_config(self):
-        from repro.model import ModelConfig
-        import numpy as np
-
-        tiny = ModelConfig(name="t", hidden=32, layers=2, heads=4, vocab=50,
-                           max_seq=16)
-        eng = InferenceEngine(tiny, CLUSTER, tp=1, pp=1)
-        m = eng.build_functional_model()
-        assert m.forward(np.array([[1, 2]])).shape == (1, 2, 50)

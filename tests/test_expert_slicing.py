@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.comm import spmd
-from repro.model import MoELayer
-from repro.parallel import expert_sliced_ffn
+from repro.comm.functional import spmd
+from repro.model.moe import MoELayer
+from repro.parallel.expert_parallel import expert_sliced_ffn
 
 RNG = np.random.default_rng(47)
 

@@ -17,13 +17,10 @@ from repro.engine import (
     synthesize_trace,
 )
 from repro.engine.replica import _Replica
-from repro.fleet import (
-    FaultPlan,
-    ReplicaFault,
-    run_fleet_functional,
-    synthesize_prompts,
-)
-from repro.model import DenseTransformer, ModelConfig
+from repro.fleet import FaultPlan, ReplicaFault
+from repro.fleet.functional import run_fleet_functional, synthesize_prompts
+from repro.model import ModelConfig
+from repro.model.dense import DenseTransformer
 
 CFG = ModelConfig(name="fleet-eq", hidden=32, layers=2, heads=4, vocab=53,
                   max_seq=64)

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.engine import GenerationSession
-from repro.model import DenseTransformer, ModelConfig
+from repro.engine.generation import GenerationSession
+from repro.model import ModelConfig
+from repro.model.dense import DenseTransformer
 
 CFG = ModelConfig(name="gen-test", hidden=32, layers=3, heads=4, vocab=61,
                   max_seq=48)
@@ -109,7 +110,7 @@ class TestContinuousBatching:
 
 class TestSamplingInSession:
     def test_seeded_sampling_reproducible(self, model):
-        from repro.model import SamplingConfig
+        from repro.model.sampling import SamplingConfig
 
         def run(seed):
             s = GenerationSession(
@@ -122,7 +123,7 @@ class TestSamplingInSession:
         assert run(5) == run(5)
 
     def test_sampling_can_differ_from_greedy(self, model):
-        from repro.model import SamplingConfig
+        from repro.model.sampling import SamplingConfig
 
         greedy = GenerationSession(model)
         rid_g = greedy.submit(np.array([4, 9]), max_new_tokens=8)

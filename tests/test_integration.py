@@ -3,16 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.engine import GenerationSession
+from repro.engine.generation import GenerationSession
 from repro.hardware import lambda_a6000_workstation
-from repro.model import (
-    DenseTransformer,
-    ModelConfig,
-    load_checkpoint,
-    save_checkpoint,
-)
+from repro.model import ModelConfig
+from repro.model.checkpoint import load_checkpoint, save_checkpoint
+from repro.model.dense import DenseTransformer
 from repro.parallel import simulate_pipeline
-from repro.zero import StreamedTransformer
+from repro.zero.streamed_model import StreamedTransformer
 
 CFG = ModelConfig(name="integ-test", hidden=32, layers=4, heads=4, vocab=67,
                   max_seq=40)

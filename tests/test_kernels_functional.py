@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.kernels import (
+from repro.kernels.quant import (
     dequantize,
     int8_linear,
     quantization_error_bound,
@@ -180,7 +180,7 @@ class TestQuantization:
         )
 
     def test_bad_inputs(self):
-        from repro.kernels import QuantizedTensor
+        from repro.kernels.quant import QuantizedTensor
 
         with pytest.raises(TypeError):
             QuantizedTensor(np.zeros((2, 2), dtype=np.float32), np.ones(2))

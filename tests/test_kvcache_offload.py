@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.model import DenseTransformer, HostOffloadKVCache, KVCache, ModelConfig
+from repro.model import ModelConfig
+from repro.model.dense import DenseTransformer
+from repro.model.kvcache import HostOffloadKVCache, KVCache
 
 CFG = ModelConfig(name="kvoff-test", hidden=32, layers=4, heads=4, vocab=41,
                   max_seq=32)

@@ -1,5 +1,6 @@
 """Tests for the model zoo (Tables I and II)."""
 
+import numpy as np
 import pytest
 
 from repro.hardware import DType
@@ -10,6 +11,8 @@ from repro.model import (
     MOE_ZOO,
     ModelConfig,
     MoESpec,
+    expert_capacity,
+    expert_partition,
     get_model,
 )
 
@@ -155,3 +158,32 @@ class TestValidationAndLookup:
     def test_bert_zoo(self):
         assert BERT_ZOO["distilbert"].layers == 6
         assert BERT_ZOO["bert-base"].layers == 12
+
+
+class TestExpertSizing:
+    """Expert counts, token counts and EP degrees are integers: a float
+    is a TypeError naming the argument, not a fractional capacity."""
+
+    @pytest.mark.parametrize("args, name", [
+        ((2.5, 8, 1.0), "num_tokens"),
+        ((16, 2.5, 1.0), "num_experts"),
+        ((float("nan"), 8, 1.0), "num_tokens"),
+        ((16.0, 4, 1.0), "num_tokens"),
+    ])
+    def test_capacity_rejects_non_integer_sizes(self, args, name):
+        with pytest.raises(TypeError, match=f"{name} must be an int"):
+            expert_capacity(*args)
+
+    @pytest.mark.parametrize("args, name", [
+        ((8, 2.0), "ep_degree"),
+        ((8.0, 2), "num_experts"),
+        ((8, float("nan")), "ep_degree"),
+    ])
+    def test_partition_rejects_non_integer_sizes(self, args, name):
+        with pytest.raises(TypeError, match=f"{name} must be an int"):
+            expert_partition(*args)
+
+    def test_numpy_integers_accepted(self):
+        assert expert_capacity(np.int64(17), np.int32(4), 1.0) == 5
+        assert expert_partition(np.int64(10), np.int64(4)) == [
+            range(0, 3), range(3, 6), range(6, 8), range(8, 10)]

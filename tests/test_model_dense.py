@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.model import DenseTransformer, KVCache, ModelConfig
+from repro.model import ModelConfig
+from repro.model.dense import DenseTransformer
+from repro.model.kvcache import KVCache
 
 TINY = ModelConfig(name="tiny", hidden=32, layers=3, heads=4, vocab=97, max_seq=64)
 

@@ -4,15 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.model import (
-    DenseTransformer,
-    MoELayer,
-    ModelConfig,
-    MoESpec,
-    build_expert_to_token_table,
-    expert_capacity,
-    top1_gating,
-)
+from repro.model import ModelConfig, MoESpec, expert_capacity
+from repro.model.dense import DenseTransformer
+from repro.model.gating import build_expert_to_token_table, top1_gating
+from repro.model.moe import MoELayer
 
 RNG = np.random.default_rng(11)
 

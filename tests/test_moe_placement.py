@@ -15,14 +15,12 @@ from repro.engine.serving_sim import simulate_serving, synthesize_trace
 from repro.fleet.sim import simulate_fleet
 from repro.fleet.tuning import tune_fleet_deployment
 from repro.hardware.topology import dgx_a100_cluster
-from repro.model.config import MOE_PARALLELISM, MOE_ZOO
-from repro.model.gating import expert_capacity, topk_gating
+from repro.model.config import MOE_PARALLELISM, MOE_ZOO, expert_capacity
 from repro.moe_placement import (
     ExpertPlacement,
     GateHistoryPredictor,
     SkewedDispatchSpec,
     calibrated_dispatch,
-    gating_counts,
     plan_placement,
     simulate_expert_stream,
     synthesize_gate_stream,
@@ -119,15 +117,6 @@ class TestGateHistoryPredictor:
         pred.update(np.array([1.0, 9.0, 3.0, 3.0]))
         np.testing.assert_array_equal(pred.hot_experts(), [1, 2, 3, 0])
         np.testing.assert_array_equal(pred.hot_experts(2), [1, 2])
-
-    def test_consumes_gating_results(self):
-        logits = zipf_gate_logits(256, 8, 1.5, seed=4)
-        g = topk_gating(logits, 2, capacity_factor=2.0)
-        counts = gating_counts(g)
-        assert counts.sum() == g.kept_pairs().sum()
-        pred = GateHistoryPredictor(8)
-        pred.update(g)
-        np.testing.assert_array_equal(pred.predicted_loads(), counts)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.comm import spmd
-from repro.model import MoELayer
-from repro.parallel import ep_moe_forward, expert_partition
+from repro.comm.functional import spmd
+from repro.model.config import expert_partition
+from repro.model.moe import MoELayer
+from repro.parallel.expert_parallel import ep_moe_forward
 
 RNG = np.random.default_rng(21)
 

@@ -4,10 +4,13 @@ single-process reference for every MP x EP factorization."""
 import numpy as np
 import pytest
 
-from repro.comm import spmd
+from repro.comm.functional import spmd
 from repro.kernels.functional import layer_norm
-from repro.model import DenseTransformer, KVCache, MoELayer, ModelConfig
-from repro.parallel import make_hybrid_groups, hybrid_moe_block
+from repro.model import ModelConfig
+from repro.model.dense import DenseTransformer
+from repro.model.kvcache import KVCache
+from repro.model.moe import MoELayer
+from repro.parallel.hybrid import make_hybrid_groups, hybrid_moe_block
 
 CFG = ModelConfig(name="hybrid-test", hidden=32, layers=2, heads=4, vocab=41,
                   max_seq=24)

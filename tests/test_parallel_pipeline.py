@@ -4,15 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.model import DenseTransformer, KVCache, ModelConfig
+from repro.model import ModelConfig
+from repro.model.dense import DenseTransformer
+from repro.model.kvcache import KVCache
 from repro.parallel import (
     ScheduleKind,
     dynamic_queue_span,
     fill_drain_span,
-    partition_layers,
     simulate_pipeline,
-    staged_forward,
 )
+from repro.parallel.pipeline import partition_layers, staged_forward
 
 CFG = ModelConfig(name="pp-test", hidden=32, layers=5, heads=4, vocab=53, max_seq=32)
 

@@ -4,8 +4,8 @@ sharding composed)."""
 import numpy as np
 import pytest
 
-from repro.comm import spmd
-from repro.kernels import dequantize, int8_linear, quantize_symmetric
+from repro.comm.functional import spmd
+from repro.kernels.quant import dequantize, int8_linear, quantize_symmetric
 from repro.parallel.quantized import (
     shard_quantize_column,
     shard_quantize_row,

@@ -3,9 +3,15 @@
 import numpy as np
 import pytest
 
-from repro.comm import spmd
-from repro.model import DenseTransformer, KVCache, ModelConfig
-from repro.parallel import shard_layer, tp_forward, tp_spmd_forward
+from repro.comm.functional import spmd
+from repro.model import ModelConfig
+from repro.model.dense import DenseTransformer
+from repro.model.kvcache import KVCache
+from repro.parallel.tensor_parallel import (
+    shard_layer,
+    tp_forward,
+    tp_spmd_forward,
+)
 
 CFG = ModelConfig(name="tp-test", hidden=48, layers=2, heads=4, vocab=61, max_seq=32)
 

@@ -5,7 +5,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.model import DenseTransformer, ModelConfig
+from repro.model import ModelConfig
+from repro.model.dense import DenseTransformer
 from repro.parallel.pipeline_exec import pipeline_spmd_generate
 
 CFG = ModelConfig(name="pipe-exec", hidden=32, layers=6, heads=4, vocab=71,

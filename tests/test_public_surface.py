@@ -5,8 +5,9 @@ package: its module-level functions and classes, and the methods and
 nested classes of those classes, whose names do not start with ``_``.
 A name is *read* when it occurs as a word in
 
-* any ``src/`` Python file other than a package ``__init__``, outside
-  the name's own definition and its module's ``__all__``;
+* the code of any ``src/`` Python file other than a package
+  ``__init__``, outside the name's own definition and its module's
+  ``__all__``. Docstrings and comments there are prose, not readers;
 * ``benchmarks/``, ``examples/``, ``README.md``, ``DESIGN.md``,
   ``EXPERIMENTS.md`` or ``docs/``.
 
@@ -86,6 +87,9 @@ KEPT = {
         "reference: row shard then quantize, held against the layer",
     "parallel.quantized:QuantizedColumnParallelLinear.forward_local":
         "reference: one rank's slice, held against the gathered output",
+    "kernels.quant:dequantize":
+        "reference: the float tensor an INT8 tensor encodes, held to "
+        "quantization_error_bound",
     # -- observers ----------------------------------------------------------
     "simcore.trace:Timeline.has_overlap":
         "observer: schedule validity of every recorded lane",
@@ -132,6 +136,8 @@ KEPT = {
         "paper mechanism: gating plus dispatch time Sec. V-C cuts ~6x",
     "parallel.hybrid:make_hybrid_groups":
         "paper mechanism: Fig. 4's MP and EP sub-communicators",
+    "parallel.hybrid:hybrid_moe_block":
+        "paper mechanism: one MoE block under Fig. 4's TP + EP groups",
     "hardware.topology:NodeSpec.pcie_group":
         "paper mechanism: GPU pairs sharing a PCIe link (Sec. IV-C3)",
     "baselines.cpu_only:CPUOnlyBaseline.max_model_params":
@@ -179,7 +185,7 @@ KEPT_PARAMS = {
            ("heavy_tailed_scenario", ("median_prompt", "prompt_sigma")))
        for param in params},
     # -- references and oracles ------------------------------------------------
-    **{f"fleet.sim:run_fleet_functional({param}=)": _FUNCTIONAL_FLEET
+    **{f"fleet.functional:run_fleet_functional({param}=)": _FUNCTIONAL_FLEET
        for param in ("policy", "kv_block_size", "kv_pool_blocks",
                      "prefix_sharing")},
     "engine.costs:BatchState.advanced(steps=)":
@@ -221,28 +227,37 @@ def _public_defs(tree: ast.Module):
                         yield f"{node.name}.{member.name}", member
 
 
-def _all_lines(tree: ast.Module) -> set[int]:
-    """0-based line numbers of the module's ``__all__`` assignment."""
-    lines: set[int] = set()
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-                getattr(t, "id", None) == "__all__" for t in node.targets):
-            lines.update(range(node.lineno - 1, node.end_lineno))
-    return lines
+def _strip_prose(tree: ast.Module) -> ast.Module:
+    """``tree`` without its docstrings or its ``__all__`` assignment, in
+    place; ``ast`` keeps no comments, so unparsing it gives bare code."""
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                 ast.AsyncFunctionDef)):
+            continue
+        body = node.body
+        if (body and isinstance(body[0], ast.Expr)
+                and isinstance(body[0].value, ast.Constant)
+                and isinstance(body[0].value.value, str)):
+            body[:1] = [] if len(body) > 1 else [ast.Pass()]
+    tree.body = [node for node in tree.body if not (
+        isinstance(node, ast.Assign) and any(
+            getattr(t, "id", None) == "__all__" for t in node.targets))]
+    return tree
 
 
 @functools.lru_cache(maxsize=None)
 def _scan() -> tuple[frozenset[str], frozenset[str]]:
     """(every public name, the public names with no reader)."""
-    texts = [p for p in (ROOT / "src").rglob("*.py")
-             if p.name != "__init__.py"]
-    texts += [p for d in ("benchmarks", "examples")
-              for suffix in ("*.py", "*.md") for p in (ROOT / d).rglob(suffix)]
-    texts += [ROOT / n for n in ("README.md", "DESIGN.md", "EXPERIMENTS.md")]
-    texts += list((ROOT / "docs").rglob("*.md"))
+    texts = {p: ast.unparse(_strip_prose(ast.parse(p.read_text())))
+             for p in (ROOT / "src").rglob("*.py") if p.name != "__init__.py"}
+    docs = [p for d in ("benchmarks", "examples")
+            for suffix in ("*.py", "*.md") for p in (ROOT / d).rglob(suffix)]
+    docs += [ROOT / n for n in ("README.md", "DESIGN.md", "EXPERIMENTS.md")]
+    docs += list((ROOT / "docs").rglob("*.md"))
+    texts.update((p, p.read_text()) for p in docs)
     files_with: dict[str, set[Path]] = {}
-    for path in texts:
-        for word in set(WORD.findall(path.read_text())):
+    for path, text in texts.items():
+        for word in set(WORD.findall(text)):
             files_with.setdefault(word, set()).add(path)
 
     defined: set[str] = set()
@@ -252,21 +267,15 @@ def _scan() -> tuple[frozenset[str], frozenset[str]]:
         if rel.parts[0] == "lint":
             continue
         dotted = ".".join(rel.with_suffix("").parts)
-        source = module.read_text()
-        lines = source.splitlines()
-        tree = ast.parse(source)
-        exports = _all_lines(tree)
+        tree = _strip_prose(ast.parse(module.read_text()))
+        code = ast.unparse(tree)
         for qual, node in _public_defs(tree):
             key = f"{dotted}:{qual}"
             defined.add(key)
             if files_with.get(node.name, set()) - {module}:
                 continue
-            first = min([node.lineno]
-                        + [d.lineno for d in node.decorator_list]) - 1
-            rest = "\n".join(
-                line for i, line in enumerate(lines)
-                if i not in exports and not first <= i < node.end_lineno)
-            if not re.search(rf"\b{node.name}\b", rest):
+            word = re.compile(rf"\b{node.name}\b")
+            if len(word.findall(code)) == len(word.findall(ast.unparse(node))):
                 unread.add(key)
     return frozenset(defined), frozenset(unread)
 
@@ -440,6 +449,38 @@ def test_doc_blocks_parse():
             bad.append(f"{where}: {err}")
     assert _doc_blocks(), "no ```python blocks found in the docs"
     assert not bad, f"doc blocks that do not parse: {bad}"
+
+
+def _unresolved_imports(blocks) -> list[str]:
+    """``where: module.name`` for each name a block imports from
+    ``repro`` that the module does not have."""
+    bad = []
+    for where, block in blocks:
+        for node in ast.walk(ast.parse(block)):
+            if not (isinstance(node, ast.ImportFrom) and node.module
+                    and node.module.split(".")[0] == "repro"):
+                continue
+            for alias in node.names:
+                try:
+                    module = importlib.import_module(node.module)
+                    if not hasattr(module, alias.name):
+                        importlib.import_module(f"{node.module}.{alias.name}")
+                except ImportError:
+                    bad.append(f"{where}: {node.module}.{alias.name}")
+    return bad
+
+
+def test_doc_imports_resolve():
+    """A doc block whose import fails teaches a name that is gone."""
+    bad = _unresolved_imports(_doc_blocks())
+    assert not bad, f"doc blocks import names that do not exist: {bad}"
+
+
+def test_unresolved_import_check_on_inline_block():
+    block = ("from repro.engine import GenerationSession, simulate_serving\n"
+             "from repro.engine.generation import GenerationSession\n")
+    assert _unresolved_imports([("inline", block)]) == [
+        "inline: repro.engine.GenerationSession"]
 
 
 @functools.lru_cache(maxsize=None)

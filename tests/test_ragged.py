@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.model import DenseTransformer, ModelConfig
+from repro.model import ModelConfig
+from repro.model.dense import DenseTransformer
 from repro.model.ragged import RaggedDecoder
 
 LEARNED = ModelConfig(name="rag-l", hidden=32, layers=3, heads=4, vocab=67,

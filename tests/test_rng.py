@@ -10,7 +10,7 @@ from repro import SeedLike, as_generator
 from repro.engine.generation import GenerationSession
 from repro.engine.serving_sim import synthesize_trace
 from repro.fleet.policies import PowerOfTwoChoices, resolve_routing_policy
-from repro.fleet.sim import synthesize_prompts
+from repro.fleet.functional import synthesize_prompts
 from repro.model.config import ModelConfig
 from repro.model.dense import DenseTransformer
 from repro.model.encoder import EncoderTransformer

@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from repro.kernels.functional import apply_rotary
-from repro.model import DenseTransformer, KVCache, ModelConfig
-from repro.parallel import partition_layers, staged_forward, tp_spmd_forward
+from repro.model import ModelConfig
+from repro.model.dense import DenseTransformer
+from repro.model.kvcache import KVCache
+from repro.parallel.pipeline import partition_layers, staged_forward
+from repro.parallel.tensor_parallel import tp_spmd_forward
 
 ROT_CFG = ModelConfig(name="rot-test", hidden=32, layers=3, heads=4, vocab=61,
                       max_seq=48, pos_encoding="rotary")
@@ -129,7 +132,7 @@ class TestRotaryModel:
                                       model.forward(ids))
 
     def test_checkpoint_roundtrip_preserves_encoding(self, model, tmp_path):
-        from repro.model import load_checkpoint, save_checkpoint
+        from repro.model.checkpoint import load_checkpoint, save_checkpoint
 
         save_checkpoint(model, tmp_path / "c")
         loaded = load_checkpoint(tmp_path / "c")

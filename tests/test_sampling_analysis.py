@@ -11,7 +11,7 @@ from repro.kernels import (
     crossover_batch,
     machine_balance,
 )
-from repro.model import SamplingConfig, sample_next_token
+from repro.model.sampling import SamplingConfig, sample_next_token
 
 RNG = np.random.default_rng(61)
 

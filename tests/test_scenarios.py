@@ -24,8 +24,10 @@ from repro.engine import (
 from repro.engine.costs import BatchState, PromptShape
 from repro.engine.scheduler import TenantFairShare
 from repro.hardware import dgx2_v100, dgx_a100_cluster
-from repro.fleet.sim import run_fleet_functional, simulate_fleet
-from repro.model import DenseTransformer, ModelConfig
+from repro.fleet.functional import run_fleet_functional
+from repro.fleet.sim import simulate_fleet
+from repro.model import ModelConfig
+from repro.model.dense import DenseTransformer
 from repro.scenarios import (
     SCENARIOS,
     TenantSpec,

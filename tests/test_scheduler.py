@@ -7,19 +7,20 @@ from hypothesis import given, settings, strategies as st
 
 from repro.engine import (
     ClosureStepCost,
-    GenerationSession,
     Request,
     SchedRequest,
     Scheduler,
     WorkloadTrace,
     simulate_serving,
 )
+from repro.engine.generation import GenerationSession
 from repro.engine.scheduler import (
     ADMISSION_POLICIES,
     TenantFairShare,
     TenantPriority,
 )
-from repro.model import DenseTransformer, ModelConfig
+from repro.model import ModelConfig
+from repro.model.dense import DenseTransformer
 
 
 def _req(rid, prompt_len=4, max_new=3, arrival=0.0, tenant=None):

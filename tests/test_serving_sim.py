@@ -550,8 +550,9 @@ class TestWorkloadTraceEdges:
         assert rep.prefix_hit_tokens == 10
 
     def test_tenant_fields_survive_functional_fleet(self):
-        from repro.fleet.sim import run_fleet_functional
-        from repro.model import DenseTransformer, ModelConfig
+        from repro.fleet.functional import run_fleet_functional
+        from repro.model import ModelConfig
+        from repro.model.dense import DenseTransformer
 
         trace = self._tagged_trace()
         cfg = ModelConfig(name="edge-rt", hidden=32, layers=2, heads=4,

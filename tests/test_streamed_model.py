@@ -6,8 +6,11 @@ import numpy as np
 import pytest
 
 from repro.hardware import lambda_a6000_workstation
-from repro.model import DenseTransformer, KVCache, ModelConfig
-from repro.zero import StreamedTransformer, Tier
+from repro.model import ModelConfig
+from repro.model.dense import DenseTransformer
+from repro.model.kvcache import KVCache
+from repro.zero import Tier
+from repro.zero.streamed_model import StreamedTransformer
 
 CFG = ModelConfig(name="stream-test", hidden=32, layers=5, heads=4, vocab=53,
                   max_seq=32)
