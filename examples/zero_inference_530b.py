@@ -18,7 +18,8 @@ import numpy as np
 from repro.baselines import CPUOnlyBaseline, GPUOnlyBaseline
 from repro.hardware import dgx2_v100, lambda_a6000_workstation
 from repro.model import ModelConfig, get_model
-from repro.model.dense import DenseTransformer
+from repro.model.dense import (DenseTransformer, cached_attention, lm_head,
+                               run_layers)
 from repro.zero import Tier, TieredWeightStore, ZeroInferenceEngine
 
 
@@ -75,15 +76,13 @@ def functional_streaming() -> None:
                                for f in lw.__dataclass_fields__])
         store.put(i, blob, Tier.DRAM)
 
-    x = model.wte[ids] + model.wpe[: ids.shape[1]]
+    x = model.embed(ids)
+    attend = cached_attention(cfg, None)
     for i, lw in enumerate(model.layers):
         fetched = store.fetch(i)  # the layer's bytes cross "PCIe" here
         assert fetched.size == lw.num_params
-        x = model.attention_block(x, lw, i, None)
-        x = model.mlp_block(x, lw, i)
-    from repro.kernels.functional import layer_norm
-
-    logits = layer_norm(x, model.lnf_g, model.lnf_b) @ model.wte.T
+        x = run_layers(model, x, [i], attend)  # then the layer runs
+    logits = lm_head(model, x)
     np.testing.assert_allclose(logits, reference, atol=1e-12)
     print(f"  streamed {len(store.fetch_log)} layers "
           f"({sum(e.nbytes for e in store.fetch_log) / 1e6:.2f} MB), "

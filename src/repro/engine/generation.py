@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..model.dense import DenseTransformer
+from ..model.dense import DenseTransformer, check_tokens
 from ..model.paged_kv import BlockAllocator, PagedKVCache, blocks_needed
 from ..model.ragged import RaggedDecoder
 from ..model.sampling import SamplingConfig, sample_next_token
@@ -181,6 +181,7 @@ class GenerationSession:
         prompt = np.asarray(prompt_ids, dtype=int).ravel()
         if prompt.size == 0:
             raise ValueError("prompt must contain at least one token")
+        check_tokens(self.model.config, prompt, prompt.size)
         if max_new_tokens < 1:
             raise ValueError("max_new_tokens must be >= 1")
         if not 0 <= shared_prefix_len < prompt.size:

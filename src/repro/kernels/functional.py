@@ -1,11 +1,18 @@
 """Functional (NumPy) transformer kernels.
 
 These implement the math whose *performance* the cost model predicts.
-They exist so every optimized formulation in the paper can be checked for
-numerical equivalence against a straightforward reference: the fused
-region kernels compute exactly what their unfused op chains compute, the
-KV-cached attention matches full recomputation, and the MoE dense-table
-dispatch (in :mod:`repro.model.moe`) matches the sparse one-hot einsum.
+Functional executors write no bare ``@`` (the one exception is the INT8
+GeMM's integer-exact accumulate in :mod:`repro.kernels.quant`): every
+GEMM runs through :func:`linear` and every attention through
+:func:`scaled_dot_product_attention`, so the work an executor does can be
+recorded and held to the priced op chain. The fused region kernels are
+the executed code path, not only references: the shared decoder
+sublayers in :mod:`repro.model.dense` run region 1 as
+:func:`fused_layernorm_qkv` and the FFN's epilogue as
+:func:`fused_bias_gelu`, and each fused kernel computes exactly what its
+unfused op chain computes. :func:`fused_layernorm_mlp` is region 3's
+reference: the one FFN also serves MoE experts, whose tokens arrive
+already normed, so it starts after the layer-norm.
 
 Conventions: activations are ``(tokens, hidden)`` or
 ``(batch, seq, hidden)`` float32/float64 arrays (float64 default keeps
@@ -182,7 +189,8 @@ def scaled_dot_product_attention(
 # --------------------------------------------------------------------------
 # Fused-region kernels. Each computes, in one call, exactly what its
 # constituent ops compute — the functional counterpart of Deep-Fusion's
-# guarantee that fusion changes data movement, not semantics.
+# guarantee that fusion changes data movement, not semantics. The
+# decoder sublayers call them as the regions they execute.
 # --------------------------------------------------------------------------
 
 

@@ -4,25 +4,21 @@ The paper's kernels "support encoder, decoder, and sparsely gated MoE
 models" (Sec. VII-E6); the E.T. comparison runs on DistilBERT/BERT.
 An encoder block is the same op chain as a decoder block with
 bidirectional (non-causal) attention and no KV cache — which is exactly
-how this class composes the shared functional kernels.
+how this class composes the decoder's shared sublayers: its own
+padding-masked attention core inside
+:func:`~repro.model.dense.attention_sublayer`, then
+:func:`~repro.model.dense.mlp_sublayer`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..kernels.functional import (
-    bias_residual,
-    gelu,
-    layer_norm,
-    linear,
-    merge_heads,
-    scaled_dot_product_attention,
-    split_heads,
-)
+from ..kernels.functional import layer_norm, scaled_dot_product_attention
 from ..rng import SeedLike, as_generator
 from .config import ModelConfig
-from .dense import LayerWeights, init_layer_weights
+from .dense import (LayerWeights, attention_sublayer, check_tokens,
+                    init_layer_weights, mlp_sublayer)
 
 __all__ = ["EncoderTransformer"]
 
@@ -57,15 +53,13 @@ class EncoderTransformer:
         self, x: np.ndarray, lw: LayerWeights, key_mask: np.ndarray | None
     ) -> np.ndarray:
         """One block: bidirectional attention + FFN, pre-LN residuals."""
-        heads = self.config.heads
-        qkv = linear(layer_norm(x, lw.ln1_g, lw.ln1_b), lw.w_qkv, lw.b_qkv)
-        q, k, v = (split_heads(t, heads) for t in np.split(qkv, 3, axis=-1))
-        ctx = scaled_dot_product_attention(q, k, v, causal=False,
-                                           key_mask=key_mask)
-        x = bias_residual(linear(merge_heads(ctx), lw.w_out), lw.b_out, x)
-        normed = layer_norm(x, lw.ln2_g, lw.ln2_b)
-        ffn = linear(gelu(linear(normed, lw.w_fc, lw.b_fc)), lw.w_proj)
-        return x + ffn + lw.b_proj
+
+        def core(q, k, v):
+            return scaled_dot_product_attention(q, k, v, causal=False,
+                                                key_mask=key_mask)
+
+        x = attention_sublayer(x, lw, self.config.heads, core)
+        return mlp_sublayer(x, lw, None)
 
     def encode(
         self, token_ids: np.ndarray, attention_mask: np.ndarray | None = None
@@ -77,10 +71,7 @@ class EncoderTransformer:
         nor (in pooling) receive contribution.
         """
         token_ids = np.atleast_2d(token_ids)
-        if token_ids.max(initial=0) >= self.config.vocab or token_ids.min(initial=0) < 0:
-            raise ValueError("token id out of vocabulary range")
-        if token_ids.shape[1] > self.config.max_seq:
-            raise ValueError("sequence exceeds max_seq")
+        check_tokens(self.config, token_ids, token_ids.shape[1])
         if attention_mask is not None and attention_mask.shape != token_ids.shape:
             raise ValueError("attention_mask must match token_ids shape")
         x = self.wte[token_ids] + self.wpe[: token_ids.shape[1]]

@@ -16,8 +16,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..kernels.functional import gelu
+from ..kernels.functional import linear
 from ..rng import SeedLike, as_generator
+from .dense import ffn
 from .gating import (
     GatingResult,
     TopKGatingResult,
@@ -60,12 +61,12 @@ class MoELayer:
         """Apply expert ``expert``'s FFN to ``(n, hidden)`` tokens."""
         if not 0 <= expert < self.num_experts:
             raise IndexError(f"expert {expert} out of range")
-        h = gelu(tokens @ self.w_fc[expert] + self.b_fc[expert])
-        return h @ self.w_proj[expert] + self.b_proj[expert]
+        return ffn(tokens, self.w_fc[expert], self.b_fc[expert],
+                   self.w_proj[expert], self.b_proj[expert])
 
     def route(self, x2d: np.ndarray) -> GatingResult:
         """Gate ``(S, hidden)`` tokens."""
-        return top1_gating(x2d @ self.w_gate, capacity_factor=self.capacity_factor)
+        return top1_gating(linear(x2d, self.w_gate), capacity_factor=self.capacity_factor)
 
     # -- the two dispatch formulations ---------------------------------------
 
@@ -102,7 +103,7 @@ class MoELayer:
     def route_topk(self, x2d: np.ndarray, k: int) -> TopKGatingResult:
         """Top-``k`` gate ``(S, hidden)`` tokens."""
         return topk_gating(
-            x2d @ self.w_gate, k, capacity_factor=self.capacity_factor
+            linear(x2d, self.w_gate), k, capacity_factor=self.capacity_factor
         )
 
     def forward_topk(self, x: np.ndarray, k: int = 2) -> np.ndarray:

@@ -24,20 +24,13 @@ outputs, for both learned and rotary position encodings.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 import numpy as np
 
-from ..kernels.functional import (
-    apply_rotary,
-    bias_residual,
-    layer_norm,
-    linear,
-    merge_heads,
-    scaled_dot_product_attention,
-    split_heads,
-)
-from .dense import DenseTransformer
+from ..kernels.functional import apply_rotary, scaled_dot_product_attention
+from .dense import DenseTransformer, check_tokens, lm_head, run_layers
 from .kvcache import KVCache
 
 __all__ = ["RaggedDecoder"]
@@ -93,14 +86,11 @@ class RaggedDecoder:
 
     # -- internals -----------------------------------------------------------
 
-    def _attention(self, x, lw, layer_idx, rows, positions, new_lens):
-        """One attention block over ``rows``; appends each row's valid
-        slice of new K/V to that row's cache, then attends against the
-        gathered, right-padded union."""
-        cfg = self.model.config
-        qkv = linear(layer_norm(x, lw.ln1_g, lw.ln1_b), lw.w_qkv, lw.b_qkv)
-        q, k, v = (split_heads(t, cfg.heads) for t in np.split(qkv, 3, axis=-1))
-        if cfg.pos_encoding == "rotary":
+    def _attend(self, rows, positions, new_lens, layer_idx, q, k, v):
+        """The ragged attention core: appends each row's valid slice of
+        new K/V to that row's cache, then attends against the gathered,
+        right-padded union at per-row positions."""
+        if self.model.config.pos_encoding == "rotary":
             q = apply_rotary(q, positions=positions)
             k = apply_rotary(k, positions=positions)
         ks, vs = [], []
@@ -124,15 +114,13 @@ class RaggedDecoder:
         # Per-row caches hold only real tokens, so key positions are
         # simply 0..len-1; padded slots carry in-range ids but are masked.
         key_pos = np.broadcast_to(idx, (b, max_len))
-        ctx = scaled_dot_product_attention(
+        return scaled_dot_product_attention(
             q, kb, vb,
             causal=True,
             key_mask=key_valid,
             query_positions=positions,
             key_positions=key_pos,
         )
-        proj = linear(merge_heads(ctx), lw.w_out)
-        return bias_residual(proj, lw.b_out, x)
 
     def _forward(self, ids, positions, rows, new_lens) -> np.ndarray:
         self.forward_calls += 1
@@ -140,12 +128,10 @@ class RaggedDecoder:
         x = model.wte[ids]
         if model.config.pos_encoding == "learned":
             x = x + model.wpe[positions]
-        for i in range(model.config.layers):
-            lw = model.layer_weights(i)
-            x = self._attention(x, lw, i, rows, positions, new_lens)
-            x = model.mlp_block(x, lw, i)
-        x = layer_norm(x, model.lnf_g, model.lnf_b)
-        return x @ model.wte.T
+        x = run_layers(model, x, range(model.config.layers),
+                       functools.partial(self._attend, rows, positions,
+                                         new_lens))
+        return lm_head(model, x)
 
     # -- public API ----------------------------------------------------------
 
@@ -174,6 +160,8 @@ class RaggedDecoder:
         lengths = np.array([np.asarray(p).size for p in prompts])
         if (lengths < 1).any():
             raise ValueError("every prompt needs at least one token")
+        for p, n in zip(prompts, lengths):
+            check_tokens(self.model.config, p, n)
         if prefixes is None:
             prefixes = [None] * len(prompts)
         if len(prefixes) != len(prompts):
@@ -208,9 +196,7 @@ class RaggedDecoder:
             logits = self._forward(ids, positions, rows, new_lens)
         except Exception:
             for row in rows:  # return any partially allocated blocks
-                free = getattr(row.cache, "free", None)
-                if free is not None:
-                    free()
+                row.cache.free()
             raise
         self._rows.extend(rows)
         return [r.row_id for r in rows], logits[np.arange(b), new_lens - 1]
@@ -235,8 +221,7 @@ class RaggedDecoder:
         if tokens.shape[0] != self.batch:
             raise ValueError(f"expected {self.batch} tokens")
         positions = np.array([[row.length] for row in self._rows])
-        if int(positions.max()) >= self.model.config.max_seq:
-            raise ValueError("sequence exceeds max_seq")
+        check_tokens(self.model.config, tokens, int(positions.max()) + 1)
         logits = self._forward(
             tokens, positions, self._rows, np.ones(self.batch, dtype=int)
         )
@@ -249,9 +234,7 @@ class RaggedDecoder:
         their blocks to the shared pool immediately)."""
         for rid in row_ids:
             row = self._find(rid)
-            free = getattr(row.cache, "free", None)
-            if free is not None:
-                free()
+            row.cache.free()
             self._rows.remove(row)
 
     def detach_row(self, row_id: int):

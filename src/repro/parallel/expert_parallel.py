@@ -16,6 +16,7 @@ import numpy as np
 
 from ..comm.functional import Communicator
 from ..model.config import expert_partition
+from ..model.dense import ffn
 from ..model.moe import MoELayer
 
 __all__ = ["ep_moe_forward", "expert_sliced_ffn"]
@@ -31,10 +32,9 @@ def expert_sliced_ffn(
     Column-shards the up-projection (GeLU stays local to the shard),
     row-shards the down-projection, and all-reduces the partial outputs —
     the same two-shard structure as a Megatron FFN, applied to one
-    expert. Matches :meth:`MoELayer.expert_ffn` exactly.
+    expert: the shared :func:`~repro.model.dense.ffn` over weight slices,
+    reduced by the all-reduce.
     """
-    from ..kernels.functional import gelu  # local import avoids cycles
-
     if not 0 <= expert < layer.num_experts:
         raise IndexError(f"expert {expert} out of range")
     m = layer.w_fc.shape[2]
@@ -44,9 +44,9 @@ def expert_sliced_ffn(
         )
     cols = m // comm.size
     lo, hi = comm.rank * cols, (comm.rank + 1) * cols
-    h = gelu(tokens @ layer.w_fc[expert][:, lo:hi] + layer.b_fc[expert][lo:hi])
-    partial = h @ layer.w_proj[expert][lo:hi, :]
-    return comm.allreduce(partial) + layer.b_proj[expert]
+    return ffn(tokens, layer.w_fc[expert][:, lo:hi], layer.b_fc[expert][lo:hi],
+               layer.w_proj[expert][lo:hi, :], layer.b_proj[expert],
+               comm.allreduce)
 
 
 def _ep_dispatch(

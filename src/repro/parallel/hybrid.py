@@ -24,14 +24,16 @@ verifies the result equals the single-process reference for every
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from ..comm.functional import Communicator
-from ..kernels.functional import layer_norm
-from ..model.dense import DenseTransformer
+from ..model.dense import (DenseTransformer, attention_sublayer,
+                           cached_attention, mlp_sublayer)
 from ..model.moe import MoELayer
 from .expert_parallel import ep_moe_forward
-from .tensor_parallel import _tp_attention, shard_layer
+from .tensor_parallel import shard_layer
 
 __all__ = ["HybridGroups", "make_hybrid_groups", "hybrid_moe_block"]
 
@@ -84,16 +86,14 @@ def hybrid_moe_block(
     the tensor-parallel all-reduce keeps it replicated within each group.
     """
     cfg = model.config
-    sw = shard_layer(model.layers[layer_idx], cfg.heads, groups.tp_rank,
-                     groups.mp)
-    x = _tp_attention(x, sw, groups.tp_comm, layer_idx, cache,
-                      rotary=cfg.pos_encoding == "rotary")
+    lw = model.layer_weights(layer_idx)
+    sw = shard_layer(lw, cfg.heads, groups.tp_rank, groups.mp)
+    attend = functools.partial(cached_attention(cfg, cache), layer_idx)
+    x = attention_sublayer(x, sw, cfg.heads, attend, groups.tp_comm.allreduce)
 
     # MoE FFN: the activation is replicated across tensor ranks after the
     # attention all-reduce, so each tensor rank dispatches over only its
     # own expert-parallel subgroup (PCC's insight) and all arrive at the
     # same answer with no further synchronization.
-    lw = model.layers[layer_idx]
-    normed = layer_norm(x, lw.ln2_g, lw.ln2_b)
-    expert_out = ep_moe_forward(groups.ep_comm, moe, normed)
-    return x + expert_out
+    return mlp_sublayer(
+        x, lw, functools.partial(ep_moe_forward, groups.ep_comm, moe))

@@ -18,8 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..kernels.functional import layer_norm
-from ..model.dense import DenseTransformer
+from ..model.dense import DenseTransformer, cached_attention, lm_head, run_layers
 from ..model.kvcache import KVCache
 
 __all__ = ["StagePlan", "partition_layers", "staged_forward"]
@@ -84,9 +83,6 @@ def staged_forward(
     x = model.embed(token_ids, pos0)
     for plan in stages:
         cache = caches[plan.stage] if caches is not None else None
-        for i in range(plan.start, plan.end):
-            lw = model.layers[i]
-            x = model.attention_block(x, lw, i, cache)
-            x = model.mlp_block(x, lw, i)
-    x = layer_norm(x, model.lnf_g, model.lnf_b)
-    return x @ model.wte.T
+        x = run_layers(model, x, range(plan.start, plan.end),
+                       cached_attention(model.config, cache))
+    return lm_head(model, x)

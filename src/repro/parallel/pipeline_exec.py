@@ -19,28 +19,14 @@ from __future__ import annotations
 import numpy as np
 
 from ..comm.functional import Communicator
-from ..kernels.functional import layer_norm
-from ..model.dense import DenseTransformer
+from ..model.dense import DenseTransformer, cached_attention, lm_head, run_layers
 from ..model.kvcache import KVCache
-from .pipeline import StagePlan, partition_layers
+from .pipeline import partition_layers
 
 __all__ = ["pipeline_generate_rank", "pipeline_spmd_generate"]
 
 _ACT_TAG_BASE = 100  # activation messages: tag = base + micro-batch id
 _TOK_TAG_BASE = 900  # next-token feedback:  tag = base + micro-batch id
-
-
-def _run_stage_layers(
-    model: DenseTransformer,
-    plan: StagePlan,
-    x: np.ndarray,
-    cache: KVCache,
-) -> np.ndarray:
-    for i in range(plan.start, plan.end):
-        lw = model.layers[i]
-        x = model.attention_block(x, lw, i, cache)
-        x = model.mlp_block(x, lw, i)
-    return x
 
 
 def pipeline_generate_rank(
@@ -61,16 +47,16 @@ def pipeline_generate_rank(
         raise ValueError("need at least one micro-batch")
     stages = partition_layers(model.config.layers, comm.size)
     plan = stages[comm.rank]
+    layers = range(plan.start, plan.end)
     first, last = comm.rank == 0, comm.rank == comm.size - 1
     num_mb = len(prompts)
     caches = [KVCache(model.config.layers) for _ in range(num_mb)]
-    positions = [p.shape[1] for p in prompts]  # next position per mb
 
     outputs: list[list[np.ndarray]] = [[] for _ in range(num_mb)]
 
     def emit_token(x: np.ndarray, m: int) -> None:
         """Last stage: logits -> greedy token -> feed back to stage 0."""
-        logits = layer_norm(x, model.lnf_g, model.lnf_b) @ model.wte.T
+        logits = lm_head(model, x)
         nxt = logits[:, -1].argmax(axis=-1)[:, None]
         if comm.size > 1:
             comm.send(nxt, dest=0, tag=_TOK_TAG_BASE + m)
@@ -95,20 +81,15 @@ def pipeline_generate_rank(
                                     tag=_TOK_TAG_BASE + m)
                     outputs[m].append(tok)
                     ids = tok
-                pos0 = cache.seq_len(plan.start)
-                x = model.embed(ids, pos0)
-                x = _run_stage_layers(model, plan, x, cache)
-                if comm.size > 1:
-                    comm.send(x, dest=comm.rank + 1, tag=_ACT_TAG_BASE + m)
-                else:
-                    emit_token(x, m)
+                x = model.embed(ids, cache.seq_len(plan.start))
             else:
                 x = comm.recv(source=comm.rank - 1, tag=_ACT_TAG_BASE + m)
-                x = _run_stage_layers(model, plan, x, cache)
-                if not last:
-                    comm.send(x, dest=comm.rank + 1, tag=_ACT_TAG_BASE + m)
-                else:
-                    emit_token(x, m)
+            x = run_layers(model, x, layers,
+                           cached_attention(model.config, cache))
+            if last:
+                emit_token(x, m)
+            else:
+                comm.send(x, dest=comm.rank + 1, tag=_ACT_TAG_BASE + m)
 
     if not first:
         return None

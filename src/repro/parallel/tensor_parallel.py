@@ -10,52 +10,23 @@ Each transformer block splits across ``tp`` ranks:
 * FFN down-projection — row parallel, second all-reduce.
 
 Two all-reduces per layer, exactly as the paper (and Megatron-LM) state.
-The functions here both *shard weights* and *execute* the sharded model
-over the in-process communicator, and are tested to reproduce the dense
-reference logits exactly.
+:func:`shard_layer` slices one layer's weights for a rank, and
+:func:`tp_forward` runs the dense model's own layer loop over those
+slices with the all-reduce as its row-parallel reduction. At degree 1 the
+logits equal the dense reference bit for bit; above it they differ only
+by the all-reduce's re-association of the partial sums (tested to 1e-10).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..comm.functional import Communicator, spmd
-from ..kernels.functional import (
-    apply_rotary,
-    gelu,
-    layer_norm,
-    linear,
-    merge_heads,
-    scaled_dot_product_attention,
-    split_heads,
-)
-from ..model.dense import DenseTransformer, LayerWeights
+from ..model.dense import (DenseTransformer, LayerWeights, cached_attention,
+                           lm_head, run_layers)
 from ..model.kvcache import KVCache
 
-__all__ = ["ShardedLayerWeights", "shard_layer", "tp_forward", "tp_spmd_forward"]
-
-
-@dataclass
-class ShardedLayerWeights:
-    """One rank's slice of a transformer block under ``tp``-way slicing."""
-
-    rank: int
-    tp: int
-    local_heads: int
-    ln1_g: np.ndarray
-    ln1_b: np.ndarray
-    w_qkv: np.ndarray  # (h, 3h/tp) — this rank's heads for q, k and v
-    b_qkv: np.ndarray
-    w_out: np.ndarray  # (h/tp, h) — rows matching this rank's heads
-    b_out: np.ndarray  # applied once (by convention after the all-reduce)
-    ln2_g: np.ndarray
-    ln2_b: np.ndarray
-    w_fc: np.ndarray  # (h, mult*h/tp)
-    b_fc: np.ndarray
-    w_proj: np.ndarray  # (mult*h/tp, h)
-    b_proj: np.ndarray
+__all__ = ["shard_layer", "tp_forward", "tp_spmd_forward"]
 
 
 def _head_columns(w: np.ndarray, heads: int, rank: int, tp: int) -> np.ndarray:
@@ -70,8 +41,12 @@ def _head_columns(w: np.ndarray, heads: int, rank: int, tp: int) -> np.ndarray:
 
 def shard_layer(
     lw: LayerWeights, heads: int, rank: int, tp: int
-) -> ShardedLayerWeights:
-    """Slice one layer's weights for ``rank`` of ``tp``."""
+) -> LayerWeights:
+    """Slice one layer's weights for ``rank`` of ``tp``: this rank's
+    heads' QKV columns (column parallel), the matching ``w_out`` rows
+    (row parallel), and one ``tp``-th of the FFN's columns and rows. The
+    norms and the two output biases stay whole; each bias is added once,
+    after its all-reduce."""
     if tp < 1 or not 0 <= rank < tp:
         raise ValueError("need 0 <= rank < tp")
     if heads % tp:
@@ -84,10 +59,7 @@ def shard_layer(
     rows = h // tp
     mult_h = lw.w_fc.shape[1]
     cols = mult_h // tp
-    return ShardedLayerWeights(
-        rank=rank,
-        tp=tp,
-        local_heads=heads // tp,
+    return LayerWeights(
         ln1_g=lw.ln1_g,
         ln1_b=lw.ln1_b,
         w_qkv=np.concatenate([take_w(wq), take_w(wk), take_w(wv)], axis=1),
@@ -103,39 +75,20 @@ def shard_layer(
     )
 
 
-def _tp_attention(
-    x: np.ndarray,
-    sw: ShardedLayerWeights,
-    comm: Communicator,
-    layer_idx: int,
-    cache: KVCache | None,
-    *,
-    rotary: bool = False,
-) -> np.ndarray:
-    normed = layer_norm(x, sw.ln1_g, sw.ln1_b)
-    qkv = linear(normed, sw.w_qkv, sw.b_qkv)
-    q, k, v = np.split(qkv, 3, axis=-1)
-    q, k, v = (split_heads(t, sw.local_heads) for t in (q, k, v))
-    offset = 0
-    if cache is not None:
-        offset = cache.seq_len(layer_idx)
-    if rotary:  # head-local rotation: sharding by heads commutes with RoPE
-        q = apply_rotary(q, position_offset=offset)
-        k = apply_rotary(k, position_offset=offset)
-    if cache is not None:
-        k, v = cache.append(layer_idx, k, v)
-    ctx = scaled_dot_product_attention(q, k, v, causal=True, query_offset=offset)
-    partial = merge_heads(ctx) @ sw.w_out  # row-parallel partial sum
-    full = comm.allreduce(partial)  # the layer's first all-reduce
-    return x + full + sw.b_out
+class _RankShard:
+    """``model`` as one tensor-parallel rank runs it: the same layer loop,
+    with each layer's weights read through the model's accessor and
+    sliced to this rank's shard."""
 
+    def __init__(self, model, comm: Communicator) -> None:
+        self.model = model
+        self.comm = comm
+        self.config = model.config
+        self.moe_layers = model.moe_layers
 
-def _tp_mlp(x: np.ndarray, sw: ShardedLayerWeights, comm: Communicator) -> np.ndarray:
-    normed = layer_norm(x, sw.ln2_g, sw.ln2_b)
-    inter = gelu(linear(normed, sw.w_fc, sw.b_fc))
-    partial = inter @ sw.w_proj
-    full = comm.allreduce(partial)  # the layer's second all-reduce
-    return x + full + sw.b_proj
+    def layer_weights(self, layer: int) -> LayerWeights:
+        return shard_layer(self.model.layer_weights(layer), self.config.heads,
+                           self.comm.rank, self.comm.size)
 
 
 def tp_forward(
@@ -165,15 +118,11 @@ def tp_forward(
         x = model.embed(token_ids, pos0)
     else:
         x = hidden_in
-    rotary = cfg.pos_encoding == "rotary"
-    for i in range(lo, hi):
-        sw = shard_layer(model.layers[i], cfg.heads, comm.rank, comm.size)
-        x = _tp_attention(x, sw, comm, i, cache, rotary=rotary)
-        x = _tp_mlp(x, sw, comm)
+    x = run_layers(_RankShard(model, comm), x, range(lo, hi),
+                   cached_attention(cfg, cache), comm.allreduce)
     if return_hidden:
         return x
-    x = layer_norm(x, model.lnf_g, model.lnf_b)
-    return x @ model.wte.T
+    return lm_head(model, x)
 
 
 def tp_spmd_forward(

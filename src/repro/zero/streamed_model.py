@@ -80,10 +80,12 @@ class StreamedTransformer:
         return list(self._resident)
 
     # -- the dense model's surface ------------------------------------------
-    # The dense forward loop, RaggedDecoder and GenerationSession read a
-    # model's config, embeddings, final norm, blocks and per-layer weight
-    # accessor; delegating them here runs each of those loops directly
-    # over streamed weights, with residency enforced per layer touch.
+    # The one layer loop (``run_layers``) and every executor built on it —
+    # the dense forward, the staged and pipelined executors, tensor
+    # parallelism, RaggedDecoder and GenerationSession — read a model's
+    # config, embeddings, final norm, MoE blocks and per-layer weight
+    # accessor; delegating them here runs each of them directly over
+    # streamed weights, with residency enforced per layer touch.
 
     @property
     def config(self):
@@ -108,6 +110,11 @@ class StreamedTransformer:
     def lnf_b(self):
         return self.model.lnf_b
 
+    @property
+    def moe_layers(self):
+        """The wrapped model's MoE blocks (resident)."""
+        return self.model.moe_layers
+
     def layer_weights(self, layer: int):
         """Fetch ``layer`` into the residency window and return its
         weights — the accessor every forward loop calls per layer."""
@@ -117,14 +124,6 @@ class StreamedTransformer:
     def embed(self, token_ids, pos0=0):
         """Delegate to the wrapped model's embedding."""
         return self.model.embed(token_ids, pos0)
-
-    def attention_block(self, x, lw, layer_idx, cache):
-        """Delegate to the wrapped model's attention block."""
-        return self.model.attention_block(x, lw, layer_idx, cache)
-
-    def mlp_block(self, x, lw, layer_idx):
-        """Delegate to the wrapped model's MLP block."""
-        return self.model.mlp_block(x, lw, layer_idx)
 
     # -- execution -------------------------------------------------------
     # The resident model's own loop and checks, fetching each layer

@@ -151,6 +151,16 @@ class TestValidation:
         with pytest.raises(ValueError):
             GenerationSession(model, max_concurrency=0)
 
+    def test_prompt_checked_like_the_dense_model(self, model):
+        session = GenerationSession(model)
+        for bad in ([-3, 5], [CFG.vocab, 5]):
+            with pytest.raises(ValueError, match="vocabulary"):
+                session.submit(bad, max_new_tokens=2)
+        with pytest.raises(ValueError, match="max_seq"):
+            session.submit(np.ones(CFG.max_seq + 1, dtype=int),
+                           max_new_tokens=1)
+        assert session.num_waiting == 0
+
     def test_unknown_result(self, model):
         with pytest.raises(KeyError):
             GenerationSession(model).result(123)

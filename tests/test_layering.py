@@ -16,8 +16,15 @@ The rule is checked twice:
 * at runtime, in a fresh interpreter that runs a tiny serving and fleet
   simulation, imports the benchmark's workloads, and then finds no
   functional module in ``sys.modules``.
+
+Inside the functional layer, every matrix product runs through
+``kernels.functional``: no other functional module writes a bare ``@``,
+save the one allowlisted site in ``BARE_MATMUL``. So a recorder that
+wraps ``linear`` and ``scaled_dot_product_attention`` sees all the work
+an executor does (``tests/test_executed_work.py``).
 """
 
+import ast
 import functools
 import json
 import os
@@ -44,6 +51,13 @@ FUNCTIONAL = frozenset(f"repro.{name}" for name in (
 
 #: the NumPy executors every functional module runs on
 EXECUTORS = frozenset({"repro.kernels.functional", "repro.comm.functional"})
+
+#: the one bare ``@`` outside ``kernels.functional``, with its reason
+BARE_MATMUL = {
+    ("repro.kernels.quant", "x @ qweight.data.astype(np.float64)"):
+        "the INT8 GeMM's integer-exact float64 accumulate, which "
+        "dequantizes after the product rather than before",
+}
 
 
 @functools.lru_cache(maxsize=None)
@@ -131,3 +145,30 @@ def test_simulations_load_no_functional_module():
     assert "repro.fleet.sim" in loaded and "repro.engine.serving_sim" in loaded
     leaked = sorted(loaded & FUNCTIONAL)
     assert not leaked, f"a simulation loaded functional modules: {leaked}"
+
+
+def _bare_matmuls(module: str) -> list[tuple[int, str]]:
+    path = SRC.joinpath(*module.split(".")).with_suffix(".py")
+    source = path.read_text()
+    return [
+        (node.lineno, ast.get_source_segment(source, node))
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.BinOp, ast.AugAssign))
+        and isinstance(node.op, ast.MatMult)
+    ]
+
+
+def test_every_functional_gemm_runs_through_kernels_functional():
+    found = {
+        (module, segment): line
+        for module in FUNCTIONAL - {"repro.kernels.functional"}
+        for line, segment in _bare_matmuls(module)
+    }
+    stray = sorted(f"{module}:{line}: {segment}"
+                   for (module, segment), line in found.items()
+                   if (module, segment) not in BARE_MATMUL)
+    assert not stray, (
+        "bare @ in a functional executor; call kernels.functional.linear "
+        f"so executed work stays recorded: {stray}")
+    stale = sorted(set(BARE_MATMUL) - found.keys())
+    assert not stale, f"BARE_MATMUL lists sites that no longer exist: {stale}"

@@ -1,13 +1,19 @@
 """Tests: combined tensor + expert parallel MoE blocks (Fig. 4) match the
 single-process reference for every MP x EP factorization."""
 
+import functools
+
 import numpy as np
 import pytest
 
 from repro.comm.functional import spmd
-from repro.kernels.functional import layer_norm
 from repro.model import ModelConfig
-from repro.model.dense import DenseTransformer
+from repro.model.dense import (
+    DenseTransformer,
+    attention_sublayer,
+    cached_attention,
+    mlp_sublayer,
+)
 from repro.model.kvcache import KVCache
 from repro.model.moe import MoELayer
 from repro.parallel.hybrid import make_hybrid_groups, hybrid_moe_block
@@ -19,9 +25,9 @@ CFG = ModelConfig(name="hybrid-test", hidden=32, layers=2, heads=4, vocab=41,
 def reference_block(model, moe, layer_idx, x, cache=None):
     """Single-process MoE transformer block: attention + expert FFN."""
     lw = model.layers[layer_idx]
-    x = model.attention_block(x, lw, layer_idx, cache)
-    normed = layer_norm(x, lw.ln2_g, lw.ln2_b)
-    return x + moe.forward_dense_table(normed)
+    attend = functools.partial(cached_attention(CFG, cache), layer_idx)
+    x = attention_sublayer(x, lw, CFG.heads, attend)
+    return mlp_sublayer(x, lw, moe.forward_dense_table)
 
 
 @pytest.fixture(scope="module")

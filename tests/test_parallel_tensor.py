@@ -1,4 +1,7 @@
-"""Tests: tensor-parallel execution reproduces the dense reference exactly."""
+"""Tests: tensor-parallel execution reproduces the dense reference: bit
+for bit at degree 1, up to the all-reduce's re-association above it."""
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -7,6 +10,7 @@ from repro.comm.functional import spmd
 from repro.model import ModelConfig
 from repro.model.dense import DenseTransformer
 from repro.model.kvcache import KVCache
+from repro.model.moe import MoELayer
 from repro.parallel.tensor_parallel import (
     shard_layer,
     tp_forward,
@@ -60,6 +64,16 @@ class TestTPEquivalence:
         got = tp_spmd_forward(tp, model, ids)
         np.testing.assert_allclose(got, ref, atol=1e-10)
 
+    def test_moe_layers_run_like_the_dense_model(self):
+        """A rank runs the model's own loop, MoE blocks included: their
+        experts see the replicated post-all-reduce activations."""
+        moe = MoELayer(hidden=CFG.hidden, num_experts=4, capacity_factor=2.0,
+                       seed=5)
+        model = DenseTransformer(CFG, seed=3, moe_layers={1: moe})
+        ids = np.array([[5, 9, 2, 7]])
+        np.testing.assert_allclose(tp_spmd_forward(2, model, ids),
+                                   model.forward(ids), atol=1e-10)
+
     def test_all_ranks_agree(self, model):
         ids = np.array([[1, 2, 3]])
         results = spmd(2, tp_forward, model, ids)
@@ -98,3 +112,29 @@ class TestTPEquivalence:
 
         results = spmd(2, prog)
         np.testing.assert_allclose(results[0], ref, atol=1e-10)
+
+
+class TestDegreeOne:
+    @pytest.mark.parametrize("pos_encoding", ["learned", "rotary"])
+    def test_degree_one_is_the_dense_model_bit_for_bit(self, pos_encoding):
+        """One rank runs the dense model's own sublayers, biases included."""
+        cfg = dataclasses.replace(CFG, pos_encoding=pos_encoding)
+        model = DenseTransformer(cfg, seed=3)
+        rng = np.random.default_rng(11)
+        for lw in model.layers:
+            for name in ("ln1_b", "b_qkv", "b_out", "ln2_b", "b_fc", "b_proj"):
+                bias = getattr(lw, name)
+                bias[:] = rng.normal(scale=0.05, size=bias.shape)
+        ids = np.array([[5, 9, 2, 7], [1, 3, 3, 8]])
+        np.testing.assert_array_equal(tp_spmd_forward(1, model, ids),
+                                      model.forward(ids))
+
+        def decode(comm):
+            cache = KVCache(cfg.layers)
+            tp_forward(comm, model, ids[:, :3], cache)
+            return tp_forward(comm, model, ids[:, 3:], cache)
+
+        ref = KVCache(cfg.layers)
+        model.forward(ids[:, :3], ref)
+        np.testing.assert_array_equal(spmd(1, decode)[0],
+                                      model.forward(ids[:, 3:], ref))

@@ -69,12 +69,8 @@ KEPT = {
         "oracle: closed form the simulated dynamic queue must hit",
     "kernels.quant:quantization_error_bound":
         "oracle: the INT8 error bound quantize/dequantize is held to",
-    "kernels.functional:fused_layernorm_qkv":
-        "reference: Fig. 1c region 1, held equal to the unfused ops",
     "kernels.functional:fused_layernorm_mlp":
         "reference: Fig. 1c region 3, held equal to the unfused ops",
-    "kernels.functional:fused_bias_gelu":
-        "reference: the GeMM epilogue, held equal to bias then GeLU",
     "hardware.specs:GPUSpec.ideal_weight_read_time":
         "oracle: the HBM lower bound every priced layer must exceed",
     "kernels.analysis:machine_balance":

@@ -96,3 +96,20 @@ class TestRaggedValidation:
         dec.prefill([long])
         with pytest.raises(ValueError, match="max_seq"):
             dec.step(np.array([1]))
+
+    @pytest.mark.parametrize("bad", [-1, "vocab"])
+    def test_ids_checked_like_the_dense_model(self, model, bad):
+        bad = model.config.vocab if bad == "vocab" else bad
+        dec = RaggedDecoder(model)
+        with pytest.raises(ValueError, match="vocabulary"):
+            dec.add_rows([np.array([1, 2]), np.array([bad, 2])])
+        assert dec.batch == 0
+        dec.add_rows([np.array([1, 2])])
+        with pytest.raises(ValueError, match="vocabulary"):
+            dec.step(np.array([bad]))
+        assert dec.row_cache(dec.row_ids[0]).seq_len() == 2
+
+    def test_prompt_longer_than_max_seq_rejected(self, model):
+        long = np.ones(model.config.max_seq + 4, dtype=int)
+        with pytest.raises(ValueError, match="max_seq"):
+            RaggedDecoder(model).add_rows([long])

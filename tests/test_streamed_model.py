@@ -9,6 +9,7 @@ from repro.hardware import lambda_a6000_workstation
 from repro.model import ModelConfig
 from repro.model.dense import DenseTransformer
 from repro.model.kvcache import KVCache
+from repro.parallel.pipeline import partition_layers, staged_forward
 from repro.zero import Tier
 from repro.zero.streamed_model import StreamedTransformer
 
@@ -23,6 +24,17 @@ def model():
 
 
 class TestStreamedForward:
+    def test_staged_executor_streams_through_the_same_accessor(self, model):
+        """staged_forward reads weights through layer_weights, so it runs
+        over streamed weights and fetches what a streamed forward does."""
+        ids = np.array([[4, 8, 15, 16]])
+        staged = StreamedTransformer(model, WS, window=2)
+        got = staged_forward(staged, partition_layers(CFG.layers, 2), ids)
+        assert got.tobytes() == model.forward(ids).tobytes()
+        streamed = StreamedTransformer(model, WS, window=2)
+        streamed.forward(ids)
+        assert staged.fetches == streamed.fetches == CFG.layers
+
     def test_logits_match_resident_model(self, model):
         """The resident model's own loop: equal by bytes, cached too."""
         streamed = StreamedTransformer(model, WS, window=2)
