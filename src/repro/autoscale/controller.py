@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 
 from ..engine.costs import BatchState, PromptShape, StepCostModel
-from ..engine.scheduler import _as_index
+from ..model.config import _as_index
 from .actions import ScaleAction
 from .policy import ScalePolicy
 from .signals import FleetSignals, ReplicaSnapshot, SignalCollector

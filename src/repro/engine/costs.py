@@ -69,7 +69,7 @@ from typing import Callable, Protocol, runtime_checkable
 
 import numpy as np
 
-from .scheduler import _as_index
+from ..model.config import _as_index
 
 __all__ = [
     "BatchState",

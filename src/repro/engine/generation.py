@@ -11,13 +11,15 @@ analytical :func:`~repro.engine.serving_sim.simulate_serving` replays —
 while execution runs through a
 :class:`~repro.model.ragged.RaggedDecoder`: every :meth:`step` decodes
 the whole live batch in **one** model forward, and admissions prefill
-together in one ragged pass.
+together in one ragged pass. The decoder's rows are keyed by request id,
+so its row order is the session's only record of the live batch.
 
 KV memory is block-granular (Sec. IV-B): each request's cache is a
 :class:`~repro.model.paged_kv.PagedKVCache` over one shared
 :class:`~repro.model.paged_kv.BlockAllocator`, blocks are reserved at
 admission (so the pool can never be oversubscribed) and returned the
-moment a request retires.
+moment a request retires. A reservation is the request's worst case,
+recomputed from its prompt length and ``max_new_tokens`` when released.
 
 Correctness contract (tested): every request's output equals running
 ``model.generate`` on that prompt alone, regardless of what else shares
@@ -26,11 +28,11 @@ the engine.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..model.config import _as_index
 from ..model.dense import DenseTransformer, check_tokens
 from ..model.paged_kv import BlockAllocator, PagedKVCache, blocks_needed
 from ..model.ragged import RaggedDecoder
@@ -60,8 +62,6 @@ class GenerationRequest:
     prompt: np.ndarray  # (seq,) int
     max_new_tokens: int
     generated: list[int] = field(default_factory=list)
-    cache: object | None = None
-    done: bool = False
     finish_reason: str | None = None
     session: int | None = None
     tenant: str | None = None
@@ -132,7 +132,7 @@ class GenerationSession:
         self.scheduler = Scheduler(max_concurrency, policy=policy,
                                    eos_token=eos_token)
         self._rng = as_generator(seed)
-        self._ids = itertools.count()
+        self._next_id = 0  # the next auto id: past every submitted id
         layers = model.config.layers
         per_seq = blocks_needed(model.config.max_seq,
                                 block_size=kv_block_size, num_layers=layers)
@@ -152,10 +152,7 @@ class GenerationSession:
         self.kv_blocks_saved = 0
         self.prefix_evictions = 0
         self._reqs: dict[int, GenerationRequest] = {}
-        self._row_of: dict[int, int] = {}
-        self._reserved: dict[int, int] = {}  # request_id -> reserved blocks
-        self._reserved_total = 0
-        self._active: list[GenerationRequest] = []  # mirrors decoder row order
+        self._reserved_total = 0  # blocks reserved by admitted requests
         self._finished: dict[int, GenerationRequest] = {}
         self.steps_run = 0
         self.tokens_generated = 0
@@ -170,7 +167,9 @@ class GenerationSession:
 
         ``request_id`` lets a caller that already names its requests (the
         fleet layer routing a trace) keep its ids instead of the
-        session-assigned counter; duplicates raise ``ValueError``.
+        session-assigned ids, which continue past every submitted id;
+        duplicates raise ``ValueError``. A submit that raises leaves the
+        session unchanged.
         ``session``/``tenant`` tag the request for prefix sharing and
         tenant-aware admission; ``shared_prefix_len`` declares how many
         leading prompt tokens repeat the session's previous turn (the
@@ -189,12 +188,12 @@ class GenerationSession:
                 "shared_prefix_len must satisfy 0 <= prefix < prompt length")
         if shared_prefix_len and session is None:
             raise ValueError("shared_prefix_len needs a session to share with")
-        if request_id is None:
-            request_id = next(self._ids)
-        elif request_id in self._reqs:
+        request_id = _as_index(
+            "request_id", self._next_id if request_id is None else request_id)
+        if request_id in self._reqs:
             raise ValueError(f"request id {request_id} already submitted")
         req = GenerationRequest(
-            request_id=int(request_id),
+            request_id=request_id,
             prompt=prompt,
             max_new_tokens=max_new_tokens,
             session=session,
@@ -208,15 +207,16 @@ class GenerationSession:
             arrival=float(self.scheduler.step),
             tenant=tenant,
         )
-        need = self._blocks_for(sched_req)
+        need = self._blocks_for(req)
         if need > self.kv_allocator.num_blocks:
             raise ValueError(
                 f"request needs {need} KV blocks but the pool only has "
                 f"{self.kv_allocator.num_blocks}; raise kv_pool_blocks "
                 "or shorten prompt/max_new_tokens"
             )
-        self._reqs[req.request_id] = req
         self.scheduler.enqueue(sched_req)
+        self._reqs[req.request_id] = req
+        self._next_id = max(self._next_id, req.request_id + 1)
         return req.request_id
 
     @property
@@ -237,10 +237,10 @@ class GenerationSession:
 
     # -- the engine loop -------------------------------------------------
 
-    def _blocks_for(self, sched_req: SchedRequest) -> int:
+    def _blocks_for(self, req: GenerationRequest) -> int:
         """Worst-case pool blocks the request can occupy (its cache never
         exceeds ``prompt + max_new_tokens`` positions, capped by max_seq)."""
-        peak = min(sched_req.prompt_len + sched_req.max_new_tokens,
+        peak = min(req.prompt.size + req.max_new_tokens,
                    self.model.config.max_seq)
         return blocks_needed(peak, block_size=self.kv_block_size,
                              num_layers=self.model.config.layers)
@@ -256,14 +256,15 @@ class GenerationSession:
         prefix hit: the fork transfers the prefix blocks to this request,
         so they end up inside its reservation, not on top of it.
         """
-        need = self._blocks_for(sched_req)
+        req = self._reqs[sched_req.request_id]
+        need = self._blocks_for(req)
 
         def headroom() -> int:
             return (self.kv_allocator.num_blocks
                     - self._reserved_total - self._parked_total)
 
         while need > headroom() and self._parked:
-            own = self._reqs[sched_req.request_id].session
+            own = req.session
             victim = next((s for s in self._parked if s != own), None)
             if victim is None:  # only our own parent left — correctness
                 victim = own    # beats the hit; evict it and prefill fully
@@ -273,12 +274,8 @@ class GenerationSession:
             self.prefix_evictions += 1
         if need > headroom():
             return False
-        self._reserved[sched_req.request_id] = need
         self._reserved_total += need
         return True
-
-    def _release(self, request_id: int) -> None:
-        self._reserved_total -= self._reserved.pop(request_id, 0)
 
     def _fork_prefix(self, req: GenerationRequest):
         """Consume the request's session's parked cache, if any: fork the
@@ -309,32 +306,30 @@ class GenerationSession:
             num_layers=self.model.config.layers)
         return child
 
-    def _admit(self) -> None:
+    def _admit(self) -> list[int]:
         """Fill free slots per the scheduler's policy; prefill all
         admissions of a round together in one ragged forward (prefix
-        hits prefill only their unshared suffix)."""
+        hits prefill only their unshared suffix). Returns the ids of
+        requests that finished on their first token."""
+        finished: list[int] = []
         while True:
             admitted = self.scheduler.admit(can_admit=self._try_reserve)
             if not admitted:
-                return
+                return finished
             reqs = [self._reqs[s.request_id] for s in admitted]
             prefixes = [self._fork_prefix(r) for r in reqs]
             try:
-                row_ids, logits = self.decoder.add_rows(
-                    [r.prompt for r in reqs], prefixes=prefixes)
+                logits = self.decoder.add_rows(
+                    [r.request_id for r in reqs], [r.prompt for r in reqs],
+                    prefixes=prefixes)
             except Exception:
                 # add_rows frees every row cache (forked children
                 # included) on failure; only the reservations remain.
-                for s in admitted:
-                    self._release(s.request_id)
+                for req in reqs:
+                    self._reserved_total -= self._blocks_for(req)
                 raise
-            tokens = sample_next_token(logits, self.sampling, self._rng)
-            for req, row_id in zip(reqs, row_ids):
-                self._row_of[req.request_id] = row_id
-                req.cache = self.decoder.row_cache(row_id)
-                self._active.append(req)
-            for req, tok in zip(reqs, tokens):
-                self._emit(req, int(tok))
+            finished += self._emit(reqs, sample_next_token(
+                logits, self.sampling, self._rng))
             # Loop: same-step retirements (max_new_tokens == 1 / instant
             # EOS) free slots the queue can backfill immediately.
 
@@ -353,14 +348,19 @@ class GenerationSession:
         """Model forwards issued so far (prefills + one per decode step)."""
         return self.decoder.forward_calls
 
-    def _emit(self, req: GenerationRequest, token: int) -> None:
-        req.generated.append(token)
-        self.tokens_generated += 1
-        reason = self.scheduler.record_token(req.request_id, token)
-        if reason is not None:
-            req.done = True
-            req.finish_reason = reason
-            self._retire(req)
+    def _emit(self, reqs: list[GenerationRequest], tokens) -> list[int]:
+        """Append one token to each request; retire those that finish and
+        return their ids."""
+        finished = []
+        for req, token in zip(reqs, tokens.tolist()):
+            req.generated.append(token)
+            self.tokens_generated += 1
+            reason = self.scheduler.record_token(req.request_id, token)
+            if reason is not None:
+                req.finish_reason = reason
+                self._retire(req)
+                finished.append(req.request_id)
+        return finished
 
     def _retire(self, req: GenerationRequest) -> None:
         """Free the request's slot, row and KV memory.
@@ -369,9 +369,8 @@ class GenerationSession:
         *parked* instead of freed — the session's next turn forks it —
         superseding any previous parked turn of the same session.
         """
-        row_id = self._row_of.pop(req.request_id)
         if self.prefix_sharing and req.session is not None:
-            cache = self.decoder.detach_row(row_id)
+            cache = self.decoder.detach_row(req.request_id)
             ctx = cache.seq_len()
             prev = self._parked.pop(req.session, None)
             if prev is not None:
@@ -385,10 +384,9 @@ class GenerationSession:
                 charge=charge)
             self._parked_total += charge
         else:
-            self.decoder.drop_rows([row_id])  # blocks return to the pool
-        self._release(req.request_id)
-        req.cache = None  # free the KV memory (Sec. IV-B pressure)
-        self._active.remove(req)
+            # Blocks return to the pool (Sec. IV-B pressure).
+            self.decoder.drop_rows([req.request_id])
+        self._reserved_total -= self._blocks_for(req)
         self._finished[req.request_id] = req
 
     def step(self) -> list[int]:
@@ -397,19 +395,17 @@ class GenerationSession:
         The whole live batch decodes in **one** model forward, whatever
         its size. Returns the ids of requests that finished this step.
         """
-        before = set(self._finished)
-        self._admit()
-        if self._active:
-            last = np.array([r.generated[-1] for r in self._active])
-            logits = self.decoder.step(last)  # one batched forward
-            tokens = sample_next_token(logits, self.sampling, self._rng)
-            live = list(self._active)
-            for req, tok in zip(live, tokens):
-                self._emit(req, int(tok))
+        finished = self._admit()
+        if self.decoder.batch:
+            live = [self._reqs[rid] for rid in self.decoder.row_ids]
+            logits = self.decoder.step(  # one batched forward
+                [r.generated[-1] for r in live])
+            finished += self._emit(live, sample_next_token(
+                logits, self.sampling, self._rng))
         self.steps_run += 1
         self.scheduler.advance()
-        self._admit()  # backfill slots freed this step
-        return sorted(set(self._finished) - before)
+        finished += self._admit()  # backfill slots freed this step
+        return sorted(finished)
 
     def run(self, max_steps: int = 10_000) -> dict[int, GenerationRequest]:
         """Step until every submitted request finishes."""

@@ -28,9 +28,8 @@ from ..hardware.topology import ClusterSpec
 from ..kernels.costmodel import KernelCostModel
 from ..kernels.graph import LayerShape
 from ..kernels.profiles import DEEPSPEED_FP16, ImplementationProfile
-from ..model.config import ModelConfig
+from ..model.config import ModelConfig, _as_index
 from ..parallel.schedules import ScheduleResult, simulate_pipeline
-from .scheduler import _as_index
 
 __all__ = ["Workload", "LatencyReport", "DenseLatencyModel"]
 

@@ -21,9 +21,8 @@ from dataclasses import dataclass
 
 from ..hardware.specs import DType
 from ..hardware.topology import ClusterSpec
-from ..model.config import ModelConfig
+from ..model.config import ModelConfig, _as_index
 from ..parallel.planner import memory_per_gpu
-from .scheduler import _as_index
 
 __all__ = [
     "OffloadReport",

@@ -59,9 +59,10 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
+from ..model.config import _as_index
 from ..simcore.trace import merged_length
 from .costs import BatchState, PromptShape, StepCostModel
-from .scheduler import SchedRequest, Scheduler, _as_index
+from .scheduler import SchedRequest, Scheduler
 
 if TYPE_CHECKING:
     from .serving_sim import Request, _RequestColumns

@@ -33,6 +33,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+from ..model.config import _as_index
 from ..simcore.trace import Timeline
 
 __all__ = [
@@ -43,14 +44,6 @@ __all__ = [
     "TenantFairShare",
     "TenantPriority",
 ]
-
-
-def _as_index(name: str, value) -> int:
-    """``value`` as an int; a float (NaN included) is a TypeError."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise TypeError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)

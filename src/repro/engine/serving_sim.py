@@ -34,13 +34,14 @@ from typing import Callable
 
 import numpy as np
 
+from ..model.config import _as_index
 from ..rng import SeedLike, as_generator
 from ..simcore.trace import Timeline
 from .costs import BatchState, StepCostModel
 from .replica import (_ADMIT_DONE, _CRASH, _DECODE, _NO_SESSION, _RECOVER,
                       _KvTracker, _Outcomes, _Replica)
 from .report_stats import ReportStats
-from .scheduler import Scheduler, _as_index
+from .scheduler import Scheduler
 
 __all__ = [
     "Request",

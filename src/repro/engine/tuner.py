@@ -22,12 +22,11 @@ import math
 from dataclasses import dataclass
 
 from ..hardware.topology import ClusterSpec
-from ..model.config import ModelConfig, MoEParallelism
+from ..model.config import ModelConfig, MoEParallelism, _as_index
 from .costs import DenseStepCost, MoEStepCost
 from .latency import DenseLatencyModel, Workload
 from .moe import MoELatencyModel
 from .offload import max_batch_size, moe_max_batch_size
-from .scheduler import _as_index
 from .throughput import candidate_batches
 
 __all__ = [

@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ..engine.scheduler import _as_index
+from ..model.config import _as_index
 
 __all__ = ["ReplicaFault", "FaultPlan"]
 

@@ -45,9 +45,9 @@ from ..autoscale.controller import Autoscaler, AutoscaleConfig, resolve_autoscal
 from ..autoscale.signals import FleetSignals, ReplicaSnapshot
 from ..engine.costs import StepCostModel
 from ..engine.replica import _KvTracker, _Outcomes, _Replica
-from ..engine.scheduler import _as_index
 from ..engine.serving_sim import (WorkloadTrace, _draw_replica, _full_detail,
                                   _RenderedTimeline, _report_times)
+from ..model.config import _as_index
 from ..simcore.trace import Timeline
 from .faults import FaultPlan
 from .policies import RoutingPolicy

@@ -23,12 +23,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..engine.scheduler import _as_index
 from ..engine.serving_sim import WorkloadTrace
 from ..engine.throughput import candidate_batches
 from ..engine.tuner import _check_sla, _serving_cost_candidates
 from ..hardware.topology import ClusterSpec
-from ..model.config import ModelConfig
+from ..model.config import ModelConfig, _as_index
 from .faults import FaultPlan
 from .sim import simulate_fleet
 

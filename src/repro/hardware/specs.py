@@ -106,10 +106,6 @@ class GPUSpec:
     kernel_launch_overhead:
         CPU-side cost of launching one kernel, in seconds. Sec. III-D
         eliminates this via CUDA graphs.
-    cacheline_bytes:
-        L1 cache-line size (Sec. III-C3 leverages the full 128-byte line).
-    shared_mem_per_sm:
-        Shared-memory capacity per SM; bounds fusable tile footprints.
     """
 
     name: str
@@ -120,8 +116,6 @@ class GPUSpec:
     int8_ops: float
     sm_count: int
     kernel_launch_overhead: float = 3.5 * US
-    cacheline_bytes: int = 128
-    shared_mem_per_sm: int = 164 * 1024
 
     def peak_flops(self, dtype: DType) -> float:
         """Peak math throughput for ``dtype`` in ops/s."""
@@ -163,7 +157,6 @@ class LinkSpec:
     name: str
     bandwidth: float
     latency: float
-    duplex: bool = True
 
     def transfer_time(self, nbytes: float) -> float:
         """alpha-beta time to move ``nbytes`` across this link."""
@@ -194,7 +187,6 @@ class NVMeSpec:
     name: str
     capacity_bytes: float
     read_bw: float
-    write_bw: float
     latency: float = 80 * US
 
 
@@ -260,12 +252,10 @@ NVME_RAID = NVMeSpec(
     name="NVMe-RAID (DGX-2)",
     capacity_bytes=30e12,
     read_bw=25 * GB,
-    write_bw=12 * GB,
 )
 
 NVME_SINGLE = NVMeSpec(
     name="NVMe (workstation)",
     capacity_bytes=2e12,
     read_bw=6.5 * GB,
-    write_bw=3.0 * GB,
 )

@@ -29,7 +29,6 @@ class _Node:
 
     name: str
     fn: Callable
-    arg_shapes: tuple
 
 
 @dataclass
@@ -88,8 +87,7 @@ class GraphRunner:
             out = fn(probe)
             if not isinstance(out, np.ndarray):
                 raise TypeError(f"stage {name!r} must return an ndarray")
-            graph.nodes.append(_Node(name=name, fn=fn,
-                                     arg_shapes=(probe.shape,)))
+            graph.nodes.append(_Node(name=name, fn=fn))
             probe = out
         self.captures += 1
         return graph

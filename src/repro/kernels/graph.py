@@ -19,10 +19,10 @@ Shapes are parameterized the way inference sees them (Sec. IV-B):
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 from ..hardware.specs import DType
+from ..model.config import _as_index
 from .ops import HEAD, HIDDEN, Op, OpKind, TOKEN
 
 __all__ = ["LayerShape", "transformer_layer_ops", "moe_expert_ffn_ops"]
@@ -44,11 +44,7 @@ class LayerShape:
     def __post_init__(self) -> None:
         for name in ("hidden", "heads", "batch", "tokens_per_seq", "kv_len",
                      "tp_degree", "ffn_mult"):
-            try:
-                operator.index(getattr(self, name))
-            except TypeError:
-                raise TypeError(f"{name} must be an int, got "
-                                f"{getattr(self, name)!r}") from None
+            _as_index(name, getattr(self, name))
         if min(self.hidden, self.heads, self.batch, self.tokens_per_seq) < 1:
             raise ValueError("hidden, heads, batch and tokens_per_seq must be >= 1")
         if self.kv_len < self.tokens_per_seq:

@@ -57,8 +57,6 @@ class ImplementationProfile:
         Token threshold below which the small-batch path (SBI-GeMM +
         GeMM fusion) is selected (Sec. III-D distinguishes the two
         kernels).
-    supports_kv_cache:
-        Generative KV-caching support (E.T. lacks it, Sec. II-d).
     """
 
     name: str
@@ -70,7 +68,6 @@ class ImplementationProfile:
     dispatch_overhead: float = 0.0
     nongemm_bw_eff: float = 0.72
     small_batch_tokens: int = 16
-    supports_kv_cache: bool = True
     # Fraction of dense weight traffic actually read (E.T.'s pruning
     # shrinks its GeMM weight streams; 1.0 = dense).
     weight_traffic_scale: float = 1.0
@@ -110,7 +107,6 @@ ET_FP16 = ImplementationProfile(
     cuda_graph=False,
     dispatch_overhead=0.5e-6,
     nongemm_bw_eff=0.72,
-    supports_kv_cache=False,  # encoder-only kernels (Sec. II-d)
     weight_traffic_scale=0.70,  # E.T. prunes its GeMM weights
 )
 

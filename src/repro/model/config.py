@@ -262,16 +262,17 @@ def get_model(name: str) -> ModelConfig:
     raise KeyError(f"unknown model {name!r}; known: {', '.join(known)}")
 
 
-def _as_int(name: str, value) -> int:
+def _as_index(name: str, value) -> int:
+    """``value`` as an int; a float (NaN included) is a TypeError."""
     try:
         return operator.index(value)
     except TypeError:
-        raise TypeError(f"{name} must be an int, got {value!r}") from None
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
 
 
 def expert_capacity(num_tokens: int, num_experts: int, capacity_factor: float) -> int:
     """Slots per expert: ``ceil(factor * S / E)``, at least 1."""
-    if _as_int("num_tokens", num_tokens) < 1 or _as_int(
+    if _as_index("num_tokens", num_tokens) < 1 or _as_index(
             "num_experts", num_experts) < 1:
         raise ValueError("num_tokens and num_experts must be >= 1")
     if not 0 < capacity_factor < math.inf:
@@ -285,8 +286,8 @@ def expert_partition(num_experts: int, ep_degree: int) -> list[range]:
     Uneven splits are allowed: the first ``num_experts % ep_degree``
     ranks own one extra expert, so rank sizes differ by at most one.
     """
-    num_experts = _as_int("num_experts", num_experts)
-    ep_degree = _as_int("ep_degree", ep_degree)
+    num_experts = _as_index("num_experts", num_experts)
+    ep_degree = _as_index("ep_degree", ep_degree)
     if ep_degree < 1:
         raise ValueError("ep_degree must be >= 1")
     if ep_degree > num_experts:

@@ -119,7 +119,6 @@ class TopKGatingResult:
     gate_weight: np.ndarray  # (S, k) float, renormalized over kept slots
     capacity: int
     num_experts: int
-    k: int
 
     @property
     def num_tokens(self) -> int:
@@ -169,7 +168,6 @@ def topk_gating(
         gate_weight=weight,
         capacity=cap,
         num_experts=e,
-        k=k,
     )
 
 

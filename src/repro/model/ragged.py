@@ -14,8 +14,9 @@ gathering every row's cache, right-padding to the longest, and masking.
 :meth:`add_rows` prefills new sequences into the running batch (one
 forward for all joiners), :meth:`step` decodes one token for every row
 in **one** forward regardless of batch composition, and
-:meth:`drop_rows` retires rows, freeing their cache storage. The legacy
-fixed-batch API (:meth:`prefill` once + :meth:`step`) is preserved.
+:meth:`drop_rows` retires rows, freeing their cache storage. Rows are
+keyed by the caller's ids (a serving engine passes its request ids), so
+the decoder's row order is the only record of the live batch.
 
 Tested for *exact* agreement with running each prompt alone: padding,
 masking, per-row positions and cache layout must be invisible in the
@@ -25,7 +26,6 @@ outputs, for both learned and rotary position encodings.
 from __future__ import annotations
 
 import functools
-import itertools
 
 import numpy as np
 
@@ -34,17 +34,6 @@ from .dense import DenseTransformer, check_tokens, lm_head, run_layers
 from .kvcache import KVCache
 
 __all__ = ["RaggedDecoder"]
-
-
-class _Row:
-    """One live sequence: its cache and the real tokens stored so far."""
-
-    __slots__ = ("row_id", "cache", "length")
-
-    def __init__(self, row_id: int, cache, length: int) -> None:
-        self.row_id = row_id
-        self.cache = cache
-        self.length = length
 
 
 class RaggedDecoder:
@@ -59,9 +48,7 @@ class RaggedDecoder:
         self._cache_factory = cache_factory or (
             lambda: KVCache(model.config.layers)
         )
-        self._rows: list[_Row] = []
-        self._row_ids = itertools.count()
-        self._prefilled = False
+        self._rows: dict = {}  # caller's row id -> KV cache, batch order
         self.forward_calls = 0
 
     @property
@@ -70,23 +57,13 @@ class RaggedDecoder:
         return len(self._rows)
 
     @property
-    def row_ids(self) -> list[int]:
-        """Stable ids of the live rows, in batch order."""
-        return [r.row_id for r in self._rows]
-
-    def _find(self, row_id: int) -> _Row:
-        for row in self._rows:
-            if row.row_id == row_id:
-                return row
-        raise KeyError(f"row {row_id} is not live")
-
-    def row_cache(self, row_id: int):
-        """The KV cache backing one live row."""
-        return self._find(row_id).cache
+    def row_ids(self) -> list:
+        """The caller's ids of the live rows, in batch order."""
+        return list(self._rows)
 
     # -- internals -----------------------------------------------------------
 
-    def _attend(self, rows, positions, new_lens, layer_idx, q, k, v):
+    def _attend(self, caches, positions, new_lens, layer_idx, q, k, v):
         """The ragged attention core: appends each row's valid slice of
         new K/V to that row's cache, then attends against the gathered,
         right-padded union at per-row positions."""
@@ -94,15 +71,15 @@ class RaggedDecoder:
             q = apply_rotary(q, positions=positions)
             k = apply_rotary(k, positions=positions)
         ks, vs = [], []
-        for i, row in enumerate(rows):
-            kf, vf = row.cache.append(
+        for i, cache in enumerate(caches):
+            kf, vf = cache.append(
                 layer_idx, k[i : i + 1, :, : new_lens[i]],
                 v[i : i + 1, :, : new_lens[i]],
             )
             ks.append(kf)
             vs.append(vf)
         lens = np.array([t.shape[2] for t in ks])
-        b, max_len = len(rows), int(lens.max())
+        b, max_len = len(caches), int(lens.max())
         heads, hd = ks[0].shape[1], ks[0].shape[3]
         kb = np.zeros((b, heads, max_len, hd), dtype=ks[0].dtype)
         vb = np.zeros_like(kb)
@@ -122,14 +99,14 @@ class RaggedDecoder:
             key_positions=key_pos,
         )
 
-    def _forward(self, ids, positions, rows, new_lens) -> np.ndarray:
+    def _forward(self, ids, positions, caches, new_lens) -> np.ndarray:
         self.forward_calls += 1
         model = self.model
         x = model.wte[ids]
         if model.config.pos_encoding == "learned":
             x = x + model.wpe[positions]
         x = run_layers(model, x, range(model.config.layers),
-                       functools.partial(self._attend, rows, positions,
+                       functools.partial(self._attend, caches, positions,
                                          new_lens))
         return lm_head(model, x)
 
@@ -137,12 +114,15 @@ class RaggedDecoder:
 
     def add_rows(
         self,
+        row_ids: list,
         prompts: list[np.ndarray],
         *,
         prefixes: list | None = None,
-    ) -> tuple[list[int], np.ndarray]:
+    ) -> np.ndarray:
         """Prefill new sequences into the batch (one forward for all).
 
+        ``row_ids`` names the new rows, one caller's id per prompt; they
+        join the end of the batch in this order and must not be live.
         ``prefixes`` (optional, one entry per prompt) attaches a row to
         an existing KV cache — typically a
         :meth:`~repro.model.paged_kv.PagedKVCache.fork` holding a shared
@@ -152,11 +132,16 @@ class RaggedDecoder:
         the tokens the cache was built from), so only the remaining
         suffix runs through the forward, at positions ``n..len-1``.
 
-        Returns ``(row_ids, logits)``: stable ids for the new rows and
-        each new row's next-token logits, shape ``(len(prompts), vocab)``.
+        Returns each new row's next-token logits, shape
+        ``(len(prompts), vocab)``.
         """
         if not prompts:
             raise ValueError("need at least one prompt")
+        row_ids = list(row_ids)
+        fresh = set(row_ids).difference(self._rows)
+        if not len(row_ids) == len(fresh) == len(prompts):
+            raise ValueError("row_ids must name one new, distinct row per "
+                             f"prompt; got {row_ids}")
         lengths = np.array([np.asarray(p).size for p in prompts])
         if (lengths < 1).any():
             raise ValueError("every prompt needs at least one token")
@@ -185,77 +170,59 @@ class RaggedDecoder:
         # offset..len-1 (offset 0 for fresh rows); pads carry in-range
         # position ids but are masked out of attention.
         positions = offsets[:, None] + np.broadcast_to(idx, (b, max_new))
-        rows = [
-            _Row(next(self._row_ids),
-                 prefixes[i] if prefixes[i] is not None
-                 else self._cache_factory(),
-                 int(n))
-            for i, n in enumerate(lengths)
-        ]
+        caches = [c if c is not None else self._cache_factory()
+                  for c in prefixes]
         try:
-            logits = self._forward(ids, positions, rows, new_lens)
+            logits = self._forward(ids, positions, caches, new_lens)
         except Exception:
-            for row in rows:  # return any partially allocated blocks
-                row.cache.free()
+            for cache in caches:  # return any partially allocated blocks
+                cache.free()
             raise
-        self._rows.extend(rows)
-        return [r.row_id for r in rows], logits[np.arange(b), new_lens - 1]
-
-    def prefill(self, prompts: list[np.ndarray]) -> np.ndarray:
-        """Fixed-batch entry point: process mixed-length prompts; returns
-        each row's next-token logits, shape ``(batch, vocab)``. May only
-        be called once — use :meth:`add_rows` for dynamic batches."""
-        if self._prefilled or self._rows:
-            raise RuntimeError("prefill may only be called once; use "
-                               "add_rows to grow a live batch")
-        _, logits = self.add_rows(prompts)
-        self._prefilled = True
-        return logits
+        self._rows.update(zip(row_ids, caches))
+        return logits[np.arange(b), new_lens - 1]
 
     def step(self, tokens: np.ndarray) -> np.ndarray:
         """Append one token per row — **one forward** for the whole batch;
         returns next-token logits ``(batch, vocab)`` in row order."""
         if not self._rows:
-            raise RuntimeError("call prefill (or add_rows) first")
+            raise RuntimeError("no live rows; call add_rows first")
         tokens = np.asarray(tokens, dtype=int).reshape(-1, 1)
         if tokens.shape[0] != self.batch:
             raise ValueError(f"expected {self.batch} tokens")
-        positions = np.array([[row.length] for row in self._rows])
+        caches = list(self._rows.values())
+        positions = np.array([[c.seq_len()] for c in caches])
         check_tokens(self.model.config, tokens, int(positions.max()) + 1)
         logits = self._forward(
-            tokens, positions, self._rows, np.ones(self.batch, dtype=int)
+            tokens, positions, caches, np.ones(self.batch, dtype=int)
         )
-        for row in self._rows:
-            row.length += 1
         return logits[:, -1]
 
-    def drop_rows(self, row_ids: list[int]) -> None:
+    def drop_rows(self, row_ids: list) -> None:
         """Retire rows and free their cache storage (paged rows return
         their blocks to the shared pool immediately)."""
         for rid in row_ids:
-            row = self._find(rid)
-            row.cache.free()
-            self._rows.remove(row)
+            self._rows.pop(rid).free()
 
-    def detach_row(self, row_id: int):
+    def detach_row(self, row_id):
         """Retire a row but keep its cache alive; returns the cache.
 
         The prefix-sharing engine parks a finished conversation turn's
         cache this way so the next turn can :meth:`~repro.model.paged_kv
         .PagedKVCache.fork` it instead of re-prefilling; the caller owns
         the returned cache and must eventually ``free()`` it."""
-        row = self._find(row_id)
-        self._rows.remove(row)
-        return row.cache
+        return self._rows.pop(row_id)
 
     def generate(self, prompts: list[np.ndarray], num_tokens: int) -> list[np.ndarray]:
-        """Greedy-decode ``num_tokens`` per row; returns full sequences.
+        """Greedy-decode ``num_tokens`` per row of an empty decoder;
+        returns full sequences.
 
         Exactly equivalent to ``model.generate`` on each prompt alone.
         """
         if num_tokens < 1:
             raise ValueError("num_tokens must be >= 1")
-        logits = self.prefill(prompts)
+        if self._rows:
+            raise RuntimeError("generate needs an empty decoder")
+        logits = self.add_rows(range(len(prompts)), prompts)
         outs = [list(np.asarray(p).ravel()) for p in prompts]
         next_tok = logits.argmax(axis=-1)
         for i in range(self.batch):

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..engine.scheduler import _as_index
+from ..model.config import _as_index
 
 __all__ = ["GateHistoryPredictor"]
 

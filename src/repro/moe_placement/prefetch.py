@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..engine.scheduler import _as_index
+from ..model.config import _as_index
 from .placement import ExpertPlacement, PlacementPlan
 from .predictor import GateHistoryPredictor
 

@@ -22,11 +22,11 @@ The stage-time inputs come from the kernel cost model (see
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
+from ..model.config import _as_index
 from ..simcore import Timeline
 
 __all__ = [
@@ -125,11 +125,7 @@ def simulate_pipeline(
                         ("prompt_microbatches", prompt_microbatches),
                         ("gen_microbatches", gen_microbatches),
                         ("gen_tokens", gen_tokens)):
-        try:
-            operator.index(count)
-        except TypeError:
-            raise TypeError(
-                f"{name} must be an integer, got {count!r}") from None
+        _as_index(name, count)
     if num_stages < 1:
         raise ValueError("num_stages must be >= 1")
     if prompt_microbatches < 1 or gen_microbatches < 1:

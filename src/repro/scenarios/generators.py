@@ -37,8 +37,9 @@ from typing import Sequence
 
 import numpy as np
 
-from ..engine.scheduler import TenantFairShare, _as_index
+from ..engine.scheduler import TenantFairShare
 from ..engine.serving_sim import WorkloadTrace
+from ..model.config import _as_index
 from ..rng import SeedLike, as_generator
 from .arrivals import draw_arrivals
 

@@ -12,9 +12,9 @@ emerge rather than being asserted.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
+from ..model.config import _as_index
 from ..simcore import Timeline
 
 __all__ = ["StreamReport", "simulate_layer_stream"]
@@ -53,11 +53,7 @@ def simulate_layer_stream(
     """
     for name, count in (("num_layers", num_layers),
                         ("prefetch_depth", prefetch_depth)):
-        try:
-            operator.index(count)
-        except TypeError:
-            raise TypeError(
-                f"{name} must be an integer, got {count!r}") from None
+        _as_index(name, count)
     if num_layers < 1:
         raise ValueError("num_layers must be >= 1")
     if prefetch_depth < 0:

@@ -15,7 +15,9 @@ forward and holds them, per layer and per rank, to the priced ops:
 
 Cases: a prefill of 8 tokens and a cached decode of 1 token over 9
 positions, learned and rotary positions, on the dense executor and on
-tensor-parallel ranks at degree 1, 2 and 4.
+tensor-parallel ranks at degree 1, 2 and 4; and a serving session's
+prefix hit, whose admission forward over a forked paged cache must run
+only the unshared suffix, the pass ``DenseStepCost.prompt_cost`` prices.
 """
 
 import sys
@@ -27,6 +29,8 @@ import pytest
 
 import repro.kernels.functional as kf
 from repro.comm.functional import Communicator, spmd
+from repro.engine.costs import BatchState, DenseStepCost, PromptShape
+from repro.engine.generation import GenerationSession
 from repro.kernels.graph import LayerShape, transformer_layer_ops
 from repro.model import ModelConfig
 from repro.model.dense import DenseTransformer
@@ -103,6 +107,32 @@ def _run(log, executor, tp, pos_encoding, decode):
     return cfg, spmd(tp, prog)
 
 
+def _assert_layers_execute(cfg, calls, shape, priced_allreduces):
+    """One rank's records hold, layer by layer, the work
+    ``transformer_layer_ops(shape)`` prices."""
+    ops = {op.name: op for op in transformer_layer_ops(shape)}
+    itemsize = shape.dtype.itemsize
+    priced_gemms = [(ops[n].flops, ops[n].weight_bytes / itemsize)
+                    for n in GEMMS]
+    priced_attention = (ops["attention_scores"].flops,
+                        ops["attention_context"].flops)
+    gemms = [(2.0 * c[1] * c[2] * c[3], c[2] * c[3])
+             for c in calls if c[0] == "gemm"]
+    attention = [c[1:] for c in calls if c[0] == "attention"]
+    allreduces = [c[1] for c in calls if c[0] == "allreduce"]
+    # Four GEMMs per layer, then the LM head (priced outside the layer).
+    assert len(gemms) == 4 * cfg.layers + 1
+    assert gemms[-1][1] == cfg.hidden * cfg.vocab
+    assert len(attention) == cfg.layers
+    assert len(allreduces) == len(priced_allreduces) * cfg.layers
+    for layer in range(cfg.layers):
+        assert gemms[4 * layer : 4 * layer + 4] == priced_gemms
+        (b, heads, sq, d), (_, _, sk, _) = attention[layer]
+        contraction = 2.0 * b * heads * sq * sk * d
+        assert (contraction, contraction) == priced_attention
+        assert allreduces[2 * layer : 2 * layer + 2] == priced_allreduces
+
+
 @pytest.mark.parametrize("pos_encoding", ["learned", "rotary"])
 @pytest.mark.parametrize("decode", [False, True], ids=["prefill", "decode"])
 @pytest.mark.parametrize("executor,tp", [("dense", 1), ("tp", 1), ("tp", 2),
@@ -114,29 +144,55 @@ def test_each_rank_executes_the_priced_layer(records, executor, tp,
         hidden=cfg.hidden, heads=cfg.heads, batch=BATCH,
         tokens_per_seq=1 if decode else PROMPT,
         kv_len=PROMPT + 1 if decode else PROMPT, tp_degree=tp)
-    ops = {op.name: op for op in transformer_layer_ops(shape)}
-    itemsize = shape.dtype.itemsize
-    priced_gemms = [(ops[n].flops, ops[n].weight_bytes / itemsize)
-                    for n in GEMMS]
-    priced_attention = (ops["attention_scores"].flops,
-                        ops["attention_context"].flops)
     priced_allreduces = ([] if executor == "dense"
                          else [shape.tokens * cfg.hidden] * 2)
 
     assert len(ranks) == tp
     for calls in ranks:
-        gemms = [(2.0 * c[1] * c[2] * c[3], c[2] * c[3])
-                 for c in calls if c[0] == "gemm"]
-        attention = [c[1:] for c in calls if c[0] == "attention"]
-        allreduces = [c[1] for c in calls if c[0] == "allreduce"]
-        # Four GEMMs per layer, then the LM head (priced outside the layer).
-        assert len(gemms) == 4 * cfg.layers + 1
-        assert gemms[-1][1] == cfg.hidden * cfg.vocab
-        assert len(attention) == cfg.layers
-        assert len(allreduces) == len(priced_allreduces) * cfg.layers
-        for layer in range(cfg.layers):
-            assert gemms[4 * layer : 4 * layer + 4] == priced_gemms
-            (b, heads, sq, d), (_, _, sk, _) = attention[layer]
-            contraction = 2.0 * b * heads * sq * sk * d
-            assert (contraction, contraction) == priced_attention
-            assert allreduces[2 * layer : 2 * layer + 2] == priced_allreduces
+        _assert_layers_execute(cfg, calls, shape, priced_allreduces)
+
+
+class _RecordingLatency:
+    """A latency model that records each pass it is asked to price."""
+
+    def __init__(self):
+        self.passes = []
+
+    def step_time(self, batch, tokens_per_seq, kv_len):
+        self.passes.append((batch, tokens_per_seq, kv_len))
+        return 0.0, 0.0
+
+
+@pytest.mark.parametrize("pos_encoding", ["learned", "rotary"])
+def test_prefix_hit_executes_only_the_priced_suffix(records, pos_encoding):
+    """Turn 2 of a conversation forks turn 1's parked paged cache: its
+    admission forward runs only the unshared suffix, attending over the
+    whole prompt, exactly the pass ``prompt_cost`` prices for it."""
+    cfg = ModelConfig(name="work", hidden=32, layers=2, heads=4, vocab=37,
+                      max_seq=32, pos_encoding=pos_encoding)
+    session = GenerationSession(DenseTransformer(cfg, seed=0),
+                                prefix_sharing=True)
+    rng = np.random.default_rng(0)
+    prompt_len, shared = 18, 12
+    session.submit(rng.integers(0, cfg.vocab, 14), max_new_tokens=3,
+                   session=0)
+    session.run()  # parks 16 cached positions
+    mine = records[threading.current_thread().name]
+    mine.clear()
+    rid = session.submit(rng.integers(0, cfg.vocab, prompt_len),
+                         max_new_tokens=1, session=0,
+                         shared_prefix_len=shared)
+    # One token: the request retires at admission, so the step's only
+    # forward is the admission prefill.
+    assert session.step() == [rid]
+    reused = session.result(rid).prefix_reused
+    assert reused == shared
+
+    latency = _RecordingLatency()
+    DenseStepCost(latency).prompt_cost(BatchState(0, 0),
+                                       PromptShape(prompt_len, reused))
+    batch, tokens, kv_len = latency.passes[0]
+    assert (batch, tokens, kv_len) == (1, prompt_len - reused, prompt_len)
+    shape = LayerShape(hidden=cfg.hidden, heads=cfg.heads, batch=batch,
+                       tokens_per_seq=tokens, kv_len=kv_len)
+    _assert_layers_execute(cfg, list(mine), shape, [])

@@ -40,9 +40,9 @@ class TestSingleRequest:
 
     def test_cache_freed_on_finish(self, model):
         session = GenerationSession(model)
-        rid = session.submit(np.array([1, 2]), max_new_tokens=2)
-        done = session.run()
-        assert done[rid].cache is None
+        session.submit(np.array([1, 2]), max_new_tokens=2)
+        session.run()
+        assert session.kv_blocks_in_use == 0
 
     def test_explicit_request_id(self, model):
         """Callers replaying a recorded schedule (the fleet layer) pick
@@ -54,6 +54,29 @@ class TestSingleRequest:
             session.submit(np.array([3]), max_new_tokens=1, request_id=7)
         done = session.run()
         assert 7 in done
+
+    def test_auto_id_skips_explicit_ids(self, model):
+        """An auto-assigned id never reuses a caller's id, so each
+        request decodes its own prompt."""
+        session = GenerationSession(model)
+        first, second = np.array([1, 2, 3]), np.array([4, 5])
+        assert session.submit(first, max_new_tokens=3, request_id=0) == 0
+        rid = session.submit(second, max_new_tokens=3)
+        assert rid == 1
+        done = session.run()
+        for r, p in ((0, first), (rid, second)):
+            np.testing.assert_array_equal(done[r].output_ids,
+                                          model.generate(p[None, :], 3)[0])
+
+    def test_failed_submit_leaves_session_unchanged(self, model):
+        session = GenerationSession(model)
+        with pytest.raises(TypeError, match="max_new_tokens"):
+            session.submit(np.array([1, 2]), max_new_tokens=2.5)
+        with pytest.raises(TypeError, match="request_id"):
+            session.submit(np.array([1, 2]), max_new_tokens=2,
+                           request_id=1.5)
+        assert session.num_waiting == 0
+        assert session.submit(np.array([1, 2]), max_new_tokens=2) == 0
 
 
 class TestContinuousBatching:

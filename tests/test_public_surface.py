@@ -40,6 +40,17 @@ Doc blocks count as callers, so they must not go stale: every block
 parses, and every keyword a block passes to a public ``repro`` callable
 (matched on its last name) is a parameter of one such callable, or one
 takes ``**kwargs``.
+
+Dataclass fields get their own check: every field of every dataclass
+under ``src/repro`` (``lint`` aside) must be *read* somewhere in
+``src/``, ``benchmarks/``, ``examples/``, ``tests/`` or a doc block:
+loaded as an attribute of that name, or named in a string constant
+(``getattr(obj, "name")``, a tuple of field names). A class whose fields
+are walked whole (``fields``, ``asdict``, ``astuple`` or
+``__dataclass_fields__`` of its name, or of ``self`` in its body) counts
+as read. A field that is only written is state nobody uses. The fields
+in ``KEPT_FIELDS`` are report and log entries no code reads yet, each
+with its reason, checked for staleness like ``KEPT``.
 """
 
 import ast
@@ -546,3 +557,117 @@ def test_stale_keyword_check_on_inline_block():
              "GenerationSession(model, eos_token=0, offload_idle_kv=True)\n")
     assert _stale_keywords([("inline", block)]) == [
         "inline: GenerationSession(offload_idle_kv=)"]
+
+
+KEPT_FIELDS = {
+    "engine.latency:LatencyReport.kernel_time_per_step":
+        "report: the kernel share of one step, next to its comm share",
+    "engine.offload:OffloadReport.scheme":
+        "report: the offload schedule the makespan was timed under",
+    "zero.tiers:FetchEvent.layer":
+        "log: the layer one streamed fetch moved",
+    "zero.tiers:FetchEvent.tier":
+        "log: the tier one streamed fetch read from",
+}
+
+# Calls and attributes that walk every field of the dataclass they get.
+_FIELD_ITERATORS = frozenset({"__dataclass_fields__", "fields", "asdict",
+                              "astuple"})
+
+
+def _iterated_name(node: ast.AST) -> str | None:
+    """The name whose dataclass fields ``node`` walks, if it walks any."""
+    if isinstance(node, ast.Attribute) and node.attr in _FIELD_ITERATORS:
+        target = node.value
+    elif (isinstance(node, ast.Call) and len(node.args) == 1
+          and getattr(node.func, "attr", getattr(node.func, "id", None))
+          in _FIELD_ITERATORS):
+        target = node.args[0]
+    else:
+        return None
+    return target.id if isinstance(target, ast.Name) else None
+
+
+def _field_scan(modules: dict[str, str],
+                readers: list[str]) -> tuple[set[str], set[str]]:
+    """(every dataclass field of ``modules``, those nothing reads), keyed
+    ``module:Class.field``. A field is read when ``readers`` load it as
+    an attribute or name it in a string constant; a class whose fields
+    one of them walks (by class name, or through ``self`` in its own
+    body) counts as wholly read."""
+    words: set[str] = set()
+    iterated: set[str] = set()
+    for source in readers:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Attribute) and isinstance(
+                    node.ctx, ast.Load):
+                words.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(
+                    node.value, str):
+                words.add(node.value)
+            elif isinstance(node, ast.ClassDef) and any(
+                    _iterated_name(sub) == "self" for sub in ast.walk(node)):
+                iterated.add(node.name)
+            walked = _iterated_name(node)
+            if walked is not None:
+                iterated.add(walked)
+    defined: set[str] = set()
+    unread: set[str] = set()
+    for dotted, source in modules.items():
+        for cls in ast.walk(ast.parse(source)):
+            if not (isinstance(cls, ast.ClassDef) and _is_dataclass(cls)):
+                continue
+            for stmt in cls.body:
+                if not (isinstance(stmt, ast.AnnAssign)
+                        and isinstance(stmt.target, ast.Name)
+                        and "ClassVar" not in ast.unparse(stmt.annotation)):
+                    continue
+                key = f"{dotted}:{cls.name}.{stmt.target.id}"
+                defined.add(key)
+                if stmt.target.id not in words and cls.name not in iterated:
+                    unread.add(key)
+    return defined, unread
+
+
+@functools.lru_cache(maxsize=None)
+def _repo_field_scan() -> tuple[frozenset[str], frozenset[str]]:
+    modules = {
+        ".".join(p.relative_to(PACKAGE).with_suffix("").parts): p.read_text()
+        for p in sorted(PACKAGE.rglob("*.py"))
+        if p.relative_to(PACKAGE).parts[0] != "lint"}
+    readers = [p.read_text()
+               for d in ("src", "benchmarks", "examples", "tests")
+               for p in sorted((ROOT / d).rglob("*.py"))]
+    readers += [block for _, block in _doc_blocks()]
+    defined, unread = _field_scan(modules, readers)
+    return frozenset(defined), frozenset(unread)
+
+
+def test_every_dataclass_field_is_read():
+    _, unread = _repo_field_scan()
+    dead = sorted(unread - KEPT_FIELDS.keys())
+    assert not dead, (
+        "dataclass fields nothing reads; delete them with their writes, "
+        f"or add them to KEPT_FIELDS with a reason: {dead}")
+
+
+def test_kept_fields_exist_and_are_still_unread():
+    defined, unread = _repo_field_scan()
+    gone = sorted(KEPT_FIELDS.keys() - defined)
+    read = sorted((KEPT_FIELDS.keys() & defined) - unread)
+    assert not gone, f"KEPT_FIELDS entries that no longer exist: {gone}"
+    assert not read, f"KEPT_FIELDS entries that gained a reader: {read}"
+
+
+@pytest.mark.parametrize("reader, unread", [
+    pytest.param("r.a = 1", {"m:R.a", "m:R.b"}, id="store-only"),
+    pytest.param("print(r.a)", {"m:R.b"}, id="attribute-load"),
+    pytest.param("getattr(r, 'b')", {"m:R.a"}, id="string-constant"),
+    pytest.param("dataclasses.fields(R)", set(), id="fields-of-class"),
+    pytest.param("class R:\n    def f(self):\n"
+                 "        return list(self.__dataclass_fields__)",
+                 set(), id="fields-of-self"),
+])
+def test_field_scan_on_inline_sources(reader, unread):
+    module = "@dataclass\nclass R:\n    a: int\n    b: int = 0\n"
+    assert _field_scan({"m": module}, [reader])[1] == unread
