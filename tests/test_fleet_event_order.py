@@ -17,7 +17,10 @@ space; simultaneous arrivals and grid-valued step costs make ties
 common. Every drawn case
 is also run in the other stepping mode (compressed vs ``_max_run_steps=1``)
 and must give the same report and scheduler event logs, and at full
-detail the same drawn timeline.
+detail the same drawn timeline. A one-replica case with no faults and no
+autoscaler must also equal ``simulate_serving`` and the per-step oracle
+(``tests/serving_oracle.py``), report and event log alike, under every
+admission policy.
 """
 
 import cProfile
@@ -31,13 +34,19 @@ from hypothesis import given, settings, strategies as st
 
 from repro.autoscale import AutoscaleConfig
 from repro.engine import (ClosureStepCost, Request, WorkloadTrace,
-                          synthesize_trace)
+                          simulate_serving, synthesize_trace)
 from repro.engine.replica import _Replica
+from repro.engine.scheduler import TenantFairShare, TenantPriority
 from repro.fleet import FaultPlan, ReplicaFault, simulate_fleet
+from tests.serving_oracle import simulate_serving_reference
 
 COSTS = ClosureStepCost(prompt_time=lambda b, p: 0.02 + 0.001 * p,
                         step_time=lambda b: 0.01 + 0.001 * b)
 GRID_S = 0.05
+# Every admission policy, configured tenant-aware ones included.
+POLICIES = ("fcfs", "shortest_prompt", "tenant_fair",
+            TenantFairShare(weights={"a": 2.0}, slot_caps={"b": 1}),
+            TenantPriority(priorities={"a": 1, "b": -1}))
 
 
 def checked_fleet_run(trace, **kwargs):
@@ -152,18 +161,27 @@ def _traces(draw):
     slots = sorted(draw(st.lists(st.integers(0, 12), min_size=n,
                                  max_size=n)))
     sessions = draw(st.booleans())
-    return WorkloadTrace(tuple(
-        Request(request_id=i, arrival=k * GRID_S,
-                prompt_len=draw(st.integers(1, 16)),
-                gen_tokens=draw(st.integers(1, 16)),
-                session=draw(st.integers(0, 3)) if sessions else None)
-        for i, k in enumerate(slots)))
+    tenants = draw(st.booleans())
+    rows = []
+    for i, k in enumerate(slots):
+        prompt_len = draw(st.integers(1, 16))
+        rows.append(Request(
+            request_id=i, arrival=k * GRID_S, prompt_len=prompt_len,
+            gen_tokens=draw(st.integers(1, 16)),
+            session=draw(st.integers(0, 3)) if sessions else None,
+            tenant=(draw(st.sampled_from(["a", "b", None])) if tenants
+                    else None),
+            shared_prefix_len=(draw(st.integers(0, prompt_len - 1))
+                               if sessions else 0)))
+    return WorkloadTrace(tuple(rows))
 
 
 @st.composite
-def _fleet_cases(draw):
+def _fleet_cases(draw, alone=False):
+    """A fleet case; ``alone`` draws one replica, no faults and no
+    autoscaler: a fleet that must equal one server."""
     trace = draw(_traces())
-    num_replicas = draw(st.integers(1, 4))
+    num_replicas = 1 if alone else draw(st.integers(1, 4))
     faults = []
     if num_replicas > 1 and draw(st.booleans()):
         t_crash = draw(st.integers(0, 12)) * GRID_S
@@ -172,13 +190,13 @@ def _fleet_cases(draw):
             faults.append(ReplicaFault(
                 0, t_crash + draw(st.integers(1, 12)) * GRID_S,
                 kind="recover"))
-    if draw(st.booleans()):
+    if not alone and draw(st.booleans()):
         faults.append(ReplicaFault(
             draw(st.integers(0, num_replicas - 1)),
             draw(st.integers(0, 12)) * GRID_S, kind="slowdown",
             factor=draw(st.sampled_from([2.0, 3.0]))))
     autoscaler = None
-    if draw(st.booleans()):
+    if not alone and draw(st.booleans()):
         autoscaler = AutoscaleConfig(
             min_replicas=1, max_replicas=num_replicas + 2,
             ttft_slo_s=draw(st.sampled_from([0.05, 0.3])),
@@ -189,6 +207,7 @@ def _fleet_cases(draw):
     return trace, dict(
         num_replicas=num_replicas,
         max_batch=draw(st.integers(1, 4)),
+        policy=draw(st.sampled_from(POLICIES)),
         routing=draw(st.sampled_from(["round_robin", "least_outstanding",
                                       "power_of_two", "session_affinity"])),
         fault_plan=FaultPlan(tuple(faults)),
@@ -240,6 +259,32 @@ def test_every_action_is_the_scan_pick(case):
     for stats in report.replica_stats:
         assert stats.busy_time == report.timeline.busy_time(
             f"replica{stats.replica}/server")
+    if (kwargs["num_replicas"] == 1 and not kwargs["fault_plan"].faults
+            and kwargs["autoscaler"] is None):
+        assert_serves_alone(trace, report, kwargs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_fleet_cases(alone=True))
+def test_one_replica_fleet_serves_alone(case):
+    trace, kwargs = case
+    assert_serves_alone(trace, simulate_fleet(trace, costs=COSTS, **kwargs),
+                        kwargs)
+
+
+def assert_serves_alone(trace, report, kwargs):
+    """A one-replica fleet is one server: ``simulate_serving`` and the
+    per-step oracle give its report and its scheduler's event log."""
+    opts = dict(costs=COSTS, max_batch=kwargs["max_batch"],
+                policy=kwargs["policy"])
+    for alone in (simulate_serving(trace, detail=kwargs["detail"], **opts),
+                  simulate_serving_reference(trace, **opts)):
+        for name in ("makespan", "finish_times", "first_token_times",
+                     "queue_delays", "total_tokens", "prefix_hits",
+                     "prefix_hit_tokens", "kv_blocks_allocated",
+                     "kv_blocks_saved", "peak_kv_blocks"):
+            assert getattr(alone, name) == getattr(report, name), name
+        assert alone.scheduler.events == report.schedulers[0].events
 
 
 def test_simultaneous_idle_replicas_act_lowest_index_first():
