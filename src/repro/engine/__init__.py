@@ -14,7 +14,7 @@ from .costs import (
 from .inference import InferenceEngine, MoEInferenceEngine
 from .latency import DenseLatencyModel, LatencyReport, Workload
 from .moe import MoELatencyModel, MoEStepBreakdown
-from .scheduler import ADMISSION_POLICIES, SchedRequest, Scheduler, SchedulerEvent
+from .scheduler import ADMISSION_POLICIES, RequestTable, Scheduler, SchedulerEvent
 from .serving_sim import (
     Request,
     ServingReport,
@@ -41,7 +41,7 @@ __all__ = [
     "DenseStepCost",
     "MoEStepCost",
     "PromptShape",
-    "SchedRequest",
+    "RequestTable",
     "Scheduler",
     "SchedulerEvent",
     "StepCostModel",

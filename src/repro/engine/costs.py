@@ -91,9 +91,9 @@ class _HasPromptLen(Protocol):
 class PromptShape:
     """Minimal request stand-in for pricing: just the prompt shape.
 
-    Any object with a ``prompt_len`` attribute (``SchedRequest``, a
-    trace ``Request``) works where a "request" is expected; this class
-    exists for callers that have only the numbers.
+    Any object with a ``prompt_len`` attribute (a trace ``Request``)
+    works where a "request" is expected; this class exists for callers
+    that have only the numbers.
 
     ``shared_prefix_len`` marks the leading tokens whose KV already
     lives in a shared cache (a chat turn forked from its conversation):

@@ -11,8 +11,10 @@ analytical :func:`~repro.engine.serving_sim.simulate_serving` replays —
 while execution runs through a
 :class:`~repro.model.ragged.RaggedDecoder`: every :meth:`step` decodes
 the whole live batch in **one** model forward, and admissions prefill
-together in one ragged pass. The decoder's rows are keyed by request id,
-so its row order is the session's only record of the live batch.
+together in one ragged pass. Each submit appends a row to the scheduler's
+:class:`~repro.engine.scheduler.RequestTable`; scheduler and decoder key
+requests by that row, so the decoder's row order is the session's only
+record of the live batch.
 
 KV memory is block-granular (Sec. IV-B): each request's cache is a
 :class:`~repro.model.paged_kv.PagedKVCache` over one shared
@@ -38,7 +40,7 @@ from ..model.paged_kv import BlockAllocator, PagedKVCache, blocks_needed
 from ..model.ragged import RaggedDecoder
 from ..model.sampling import SamplingConfig, sample_next_token
 from ..rng import SeedLike, as_generator
-from .scheduler import SchedRequest, Scheduler
+from .scheduler import RequestTable, Scheduler
 
 __all__ = ["GenerationRequest", "GenerationSession"]
 
@@ -129,8 +131,8 @@ class GenerationSession:
         self.eos_token = eos_token
         self.max_concurrency = max_concurrency
         self.sampling = sampling or SamplingConfig(greedy=True)
-        self.scheduler = Scheduler(max_concurrency, policy=policy,
-                                   eos_token=eos_token)
+        self.scheduler = Scheduler(max_concurrency, RequestTable(),
+                                   policy=policy, eos_token=eos_token)
         self._rng = as_generator(seed)
         self._next_id = 0  # the next auto id: past every submitted id
         layers = model.config.layers
@@ -151,7 +153,8 @@ class GenerationSession:
         self.prefix_hit_tokens = 0
         self.kv_blocks_saved = 0
         self.prefix_evictions = 0
-        self._reqs: dict[int, GenerationRequest] = {}
+        self._reqs: list[GenerationRequest] = []  # by table row
+        self._ids: set[int] = set()  # every submitted id
         self._reserved_total = 0  # blocks reserved by admitted requests
         self._finished: dict[int, GenerationRequest] = {}
         self.steps_run = 0
@@ -181,6 +184,8 @@ class GenerationSession:
         if prompt.size == 0:
             raise ValueError("prompt must contain at least one token")
         check_tokens(self.model.config, prompt, prompt.size)
+        # ``< 1`` alone lets NaN and fractional counts through.
+        max_new_tokens = _as_index("max_new_tokens", max_new_tokens)
         if max_new_tokens < 1:
             raise ValueError("max_new_tokens must be >= 1")
         if not 0 <= shared_prefix_len < prompt.size:
@@ -190,7 +195,7 @@ class GenerationSession:
             raise ValueError("shared_prefix_len needs a session to share with")
         request_id = _as_index(
             "request_id", self._next_id if request_id is None else request_id)
-        if request_id in self._reqs:
+        if request_id in self._ids:
             raise ValueError(f"request id {request_id} already submitted")
         req = GenerationRequest(
             request_id=request_id,
@@ -200,13 +205,6 @@ class GenerationSession:
             tenant=tenant,
             shared_prefix_len=shared_prefix_len,
         )
-        sched_req = SchedRequest(
-            request_id=req.request_id,
-            prompt_len=int(prompt.size),
-            max_new_tokens=max_new_tokens,
-            arrival=float(self.scheduler.step),
-            tenant=tenant,
-        )
         need = self._blocks_for(req)
         if need > self.kv_allocator.num_blocks:
             raise ValueError(
@@ -214,10 +212,13 @@ class GenerationSession:
                 f"{self.kv_allocator.num_blocks}; raise kv_pool_blocks "
                 "or shorten prompt/max_new_tokens"
             )
-        self.scheduler.enqueue(sched_req)
-        self._reqs[req.request_id] = req
-        self._next_id = max(self._next_id, req.request_id + 1)
-        return req.request_id
+        pos = self.scheduler.table.append(  # checks the id fits in int64
+            request_id, prompt.size, max_new_tokens, tenant)
+        self.scheduler.enqueue(pos)
+        self._reqs.append(req)
+        self._ids.add(request_id)
+        self._next_id = max(self._next_id, request_id + 1)
+        return request_id
 
     @property
     def num_active(self) -> int:
@@ -245,7 +246,7 @@ class GenerationSession:
         return blocks_needed(peak, block_size=self.kv_block_size,
                              num_layers=self.model.config.layers)
 
-    def _try_reserve(self, sched_req: SchedRequest) -> bool:
+    def _try_reserve(self, pos: int) -> bool:
         """Admission gate: reserve the request's worst-case blocks now, so
         candidates admitted in the same round see each other's claims.
 
@@ -256,7 +257,7 @@ class GenerationSession:
         prefix hit: the fork transfers the prefix blocks to this request,
         so they end up inside its reservation, not on top of it.
         """
-        req = self._reqs[sched_req.request_id]
+        req = self._reqs[pos]
         need = self._blocks_for(req)
 
         def headroom() -> int:
@@ -316,19 +317,18 @@ class GenerationSession:
             admitted = self.scheduler.admit(can_admit=self._try_reserve)
             if not admitted:
                 return finished
-            reqs = [self._reqs[s.request_id] for s in admitted]
+            reqs = [self._reqs[pos] for pos in admitted]
             prefixes = [self._fork_prefix(r) for r in reqs]
             try:
                 logits = self.decoder.add_rows(
-                    [r.request_id for r in reqs], [r.prompt for r in reqs],
-                    prefixes=prefixes)
+                    admitted, [r.prompt for r in reqs], prefixes=prefixes)
             except Exception:
                 # add_rows frees every row cache (forked children
                 # included) on failure; only the reservations remain.
                 for req in reqs:
                     self._reserved_total -= self._blocks_for(req)
                 raise
-            finished += self._emit(reqs, sample_next_token(
+            finished += self._emit(admitted, sample_next_token(
                 logits, self.sampling, self._rng))
             # Loop: same-step retirements (max_new_tokens == 1 / instant
             # EOS) free slots the queue can backfill immediately.
@@ -348,29 +348,31 @@ class GenerationSession:
         """Model forwards issued so far (prefills + one per decode step)."""
         return self.decoder.forward_calls
 
-    def _emit(self, reqs: list[GenerationRequest], tokens) -> list[int]:
-        """Append one token to each request; retire those that finish and
-        return their ids."""
+    def _emit(self, rows: list[int], tokens) -> list[int]:
+        """Append one token to each row's request; retire those that
+        finish and return their ids."""
         finished = []
-        for req, token in zip(reqs, tokens.tolist()):
+        for pos, token in zip(rows, tokens.tolist()):
+            req = self._reqs[pos]
             req.generated.append(token)
             self.tokens_generated += 1
-            reason = self.scheduler.record_token(req.request_id, token)
+            reason = self.scheduler.record_token(pos, token)
             if reason is not None:
                 req.finish_reason = reason
-                self._retire(req)
+                self._retire(pos)
                 finished.append(req.request_id)
         return finished
 
-    def _retire(self, req: GenerationRequest) -> None:
+    def _retire(self, pos: int) -> None:
         """Free the request's slot, row and KV memory.
 
         With prefix sharing on, a session-tagged request's cache is
         *parked* instead of freed — the session's next turn forks it —
         superseding any previous parked turn of the same session.
         """
+        req = self._reqs[pos]
         if self.prefix_sharing and req.session is not None:
-            cache = self.decoder.detach_row(req.request_id)
+            cache = self.decoder.detach_row(pos)
             ctx = cache.seq_len()
             prev = self._parked.pop(req.session, None)
             if prev is not None:
@@ -385,7 +387,7 @@ class GenerationSession:
             self._parked_total += charge
         else:
             # Blocks return to the pool (Sec. IV-B pressure).
-            self.decoder.drop_rows([req.request_id])
+            self.decoder.drop_rows([pos])
         self._reserved_total -= self._blocks_for(req)
         self._finished[req.request_id] = req
 
@@ -397,10 +399,10 @@ class GenerationSession:
         """
         finished = self._admit()
         if self.decoder.batch:
-            live = [self._reqs[rid] for rid in self.decoder.row_ids]
+            rows = self.decoder.row_ids
             logits = self.decoder.step(  # one batched forward
-                [r.generated[-1] for r in live])
-            finished += self._emit(live, sample_next_token(
+                [self._reqs[pos].generated[-1] for pos in rows])
+            finished += self._emit(rows, sample_next_token(
                 logits, self.sampling, self._rng))
         self.steps_run += 1
         self.scheduler.advance()

@@ -9,14 +9,14 @@ atomic actions, pricing the shared
 :class:`~repro.engine.costs.StepCostModel` and keeping the analytical KV
 ledger (:class:`_KvTracker`) and a log of one row per action, which
 the reports draw as a :class:`~repro.simcore.trace.Timeline` when it is
-read. The ledger's ``live`` dict
-(request id -> KV length) is the replica's one record of its running
-batch: every pass is priced from its size and running KV total, and
-each stretch walks it once. Requests are trace positions: the replica
-reads their fields from the trace's columns and writes each one's queue
-delay, first-token and finish time into arrays shared by every replica
-of a run (:class:`_Outcomes`), so it keeps no per-request record of its
-own.
+read.
+
+Requests are trace positions from end to end, and the loop holds no
+object per request: a delivery enqueues the position, the scheduler's
+table is the trace's columns, the ledger's ``live`` dict (position ->
+KV length) is the replica's one record of its running batch, and each
+request's delivery, queue delay, first-token and finish time go into
+arrays shared by every replica of a run (:class:`_Outcomes`).
 
 Both simulators drive it:
 :func:`~repro.engine.serving_sim.simulate_serving` runs one replica to
@@ -62,16 +62,16 @@ import numpy as np
 from ..model.config import _as_index
 from ..simcore.trace import merged_length
 from .costs import BatchState, PromptShape, StepCostModel
-from .scheduler import SchedRequest, Scheduler
+from .scheduler import Scheduler
 
 if TYPE_CHECKING:
-    from .serving_sim import Request, _RequestColumns
+    from .serving_sim import _RequestColumns
 
 _INF = math.inf
 # The trace's session column holds this for "no session".
 _NO_SESSION = -2**63
-# Priced batch states, scheduler requests and prefix-hit prompt shapes
-# skip their classes' checks: their fields are valid by construction.
+# Priced batch states and prompt shapes skip their classes' checks:
+# their fields are valid by construction.
 _new = object.__new__
 _set_batch = BatchState.batch.__set__
 _set_total_kv = BatchState.total_kv.__set__
@@ -110,10 +110,12 @@ class _KvTracker:
     counters equal the functional allocator's measurements.
 
     :attr:`live` maps each running request to its KV length (cached
-    positions plus the token being generated), in admission order; a
-    request of KV length ``n`` caches ``n - 1`` positions.
-    :attr:`total_kv` is the running sum of those lengths, so the live
-    batch's :class:`BatchState` costs O(1).
+    positions plus the token being generated), in admission order, keyed
+    by trace position; a request of KV length ``n`` caches ``n - 1``
+    positions.
+    :attr:`total_kv` is the running sum of those lengths and
+    :attr:`batch` their count, so the live batch's :class:`BatchState`
+    is two reads.
 
     Stretch discipline: callers grow every live request (retirees
     included — they participate in all of a stretch's steps) *before*
@@ -143,9 +145,10 @@ class _KvTracker:
         self.prefix_sharing = prefix_sharing
         # session -> (parked cache positions, blocks it occupies)
         self._parked: dict[int, tuple[int, int]] = {}
-        self._live: dict[int, int] = {}  # rid -> KV length - _grown
+        self._live: dict[int, int] = {}  # pos -> KV length - _grown
         self._grown = 0    # steps every live request grew since _sync
         self.total_kv = 0  # sum(live.values())
+        self.batch = 0     # len(live)
         self._used = 0     # blocks in use, less the growth since _sync
         self._peak = 0
         self._allocated = 0
@@ -158,8 +161,8 @@ class _KvTracker:
 
     @property
     def live(self) -> dict[int, int]:
-        """Request id -> KV length, in admission order (a copy)."""
-        return {rid: n + self._grown for rid, n in self._live.items()}
+        """Trace position -> KV length, in admission order (a copy)."""
+        return {pos: n + self._grown for pos, n in self._live.items()}
 
     @property
     def peak_blocks(self) -> int:
@@ -183,9 +186,9 @@ class _KvTracker:
             bs = self.block_size
             live = self._live
             grown = 0
-            for rid, n in live.items():
+            for pos, n in live.items():
                 grown += (n + steps - 2) // bs - (n - 2) // bs
-                live[rid] = n + steps
+                live[pos] = n + steps
             self._grown = 0
             delta = self.num_layers * grown
             self._used += delta
@@ -193,14 +196,10 @@ class _KvTracker:
         if self._used > self._peak:
             self._peak = self._used
 
-    def admit(self, r: Request) -> int:
+    def _admit(self, pos: int, prompt_len: int, session: int | None,
+               shared_prefix_len: int) -> int:
         """Account one admission; returns the effective shared prefix
         (0 = full prefill) for prefix-aware prompt pricing."""
-        return self._admit(r.request_id, r.prompt_len, r.session,
-                           r.shared_prefix_len)
-
-    def _admit(self, rid: int, prompt_len: int, session: int | None,
-               shared_prefix_len: int) -> int:
         # ``session`` is None or _NO_SESSION when unset; a request with a
         # shared prefix always has one.
         eff = 0
@@ -224,25 +223,23 @@ class _KvTracker:
                                         - (prompt_len - 1 - pending) // bs)
         self._used += fresh
         self._allocated += fresh
-        self._live[rid] = prompt_len + 1 - pending
+        self._live[pos] = prompt_len + 1 - pending
         self.total_kv += prompt_len + 1
+        self.batch += 1
         return eff
 
     def grow_all(self, steps: int) -> None:
         """Every live request appends ``steps`` positions (one per
         decode iteration of a stretch), counted at the next :meth:`_sync`."""
         self._grown += steps
-        self.total_kv += steps * len(self._live)
+        self.total_kv += steps * self.batch
 
-    def retire(self, r: Request) -> None:
+    def _retire(self, pos: int, session: int) -> None:
         """Release (or park) a finished request's cache."""
-        self._retire(r.request_id,
-                     _NO_SESSION if r.session is None else r.session)
-
-    def _retire(self, rid: int, session: int) -> None:
         self._sync()
-        n = self._live.pop(rid)
+        n = self._live.pop(pos)
         self.total_kv -= n
+        self.batch -= 1
         pos = n - 1
         blocks = self.num_layers * (-(-pos // self.block_size))
         if self.prefix_sharing and session != _NO_SESSION:
@@ -260,25 +257,27 @@ class _KvTracker:
         for n in self._live.values():
             self._used -= self._blocks(n - 1)
         self._live.clear()
-        self.total_kv = 0
+        self.total_kv = self.batch = 0
         for _, blocks in self._parked.values():
             self._used -= blocks
         self._parked.clear()
 
 
 class _Outcomes:
-    """Per-request results of one run, indexed by trace position: the
-    queue delay (original arrival to the last admission), first-token
-    time and finish time, NaN until written. Every replica of a run
-    writes into the same arrays; a request requeued after a crash is
-    overwritten by its next admission, so the last write is the serving
+    """Per-request state of one run, indexed by trace position: the time
+    it last reached a replica, its queue delay (original arrival to the
+    last admission), first-token and finish time, NaN until written,
+    and the schedulers' shared duplicate-enqueue byte. Every replica of
+    a run writes into the same arrays, so the last write is the serving
     replica's."""
 
-    __slots__ = ("delay", "first", "finish")
+    __slots__ = ("delay", "first", "finish", "delivered", "held")
 
     def __init__(self, n: int) -> None:
         nan = array("d", [math.nan])
         self.delay, self.first, self.finish = nan * n, nan * n, nan * n
+        self.delivered = nan * n
+        self.held = bytearray(n)
 
 
 class _Replica:
@@ -305,10 +304,9 @@ class _Replica:
         self.requests = requests
         self.out = out
         self.on_complete = on_complete
-        self._find: Callable[[int], int] = requests.locator()
         self.max_batch = max_batch
         self.policy = policy
-        self.sched = Scheduler(max_batch, policy=policy)
+        self.sched = Scheduler(max_batch, requests, policy=policy, held=out.held)
         self.costs = costs
         # Per-replica KV pool accounting: parked session prefixes live
         # (and die) with this replica; counters span incarnations.
@@ -364,17 +362,6 @@ class _Replica:
             n = bisect_left(ends, t) + 1
             self._commit(start, float(ends[n - 1]), n)
         self.inbox.append((t, pos))
-
-    def _enqueue_arrived(self) -> None:
-        inbox, now, req = self.inbox, self.now, self.requests
-        while inbox and inbox[0][0] <= now:
-            t, pos = inbox.popleft()
-            s = _new(SchedRequest)
-            d = s.__dict__
-            d["request_id"], d["prompt_len"] = req.ids[pos], req.prompt[pos]
-            d["max_new_tokens"], d["arrival"] = req.gen[pos], t
-            d["tenant"] = req.tenant_names[req.tenant[pos]]
-            self.sched.enqueue(s)
 
     # -- the action interface --------------------------------------------
 
@@ -432,41 +419,40 @@ class _Replica:
                 return None
             if inbox[0][0] > self.now:  # idle fast-forward
                 self.now = inbox[0][0]
-        if inbox and inbox[0][0] <= self.now:
-            self._enqueue_arrived()
+        now = self.now
+        while inbox and inbox[0][0] <= now:  # enqueue what has arrived
+            t, pos = inbox.popleft()
+            self.out.delivered[pos] = t
+            sched.enqueue(pos)
         kv = self.kv
         # A decode-only action (nothing queued, or no free slot) skips
         # the scheduler's admission pass.
-        if sched._queue and len(sched._active) < self.max_batch:
+        if sched._queue and kv.batch < self.max_batch:
             admitted = sched.admit(max_admit=1)
         else:
             admitted = None
         if admitted:
-            s = admitted[0]
-            rid = s.request_id
+            pos = admitted[0]
             req = self.requests
-            pos = self._find(rid)
+            prompt_len = req.prompt[pos]
             self._mid_round = True
             start = self.now
             # The riders: the live batch before the newcomer joins it.
             riders = _new(BatchState)
-            _set_batch(riders, len(kv._live))
+            _set_batch(riders, kv.batch)
             _set_total_kv(riders, kv.total_kv)
-            eff = kv._admit(rid, s.prompt_len, req.session[pos],
+            eff = kv._admit(pos, prompt_len, req.session[pos],
                             req.prefix[pos])
-            # A prefix hit prices the unshared suffix only; ``eff == 0``
-            # passes the scheduler's request through untouched.
-            shape = s
-            if eff:
-                shape = _new(PromptShape)
-                d = shape.__dict__
-                d["prompt_len"], d["shared_prefix_len"] = s.prompt_len, eff
+            # A prefix hit prices the unshared suffix only.
+            shape = _new(PromptShape)
+            d = shape.__dict__
+            d["prompt_len"], d["shared_prefix_len"] = prompt_len, eff
             dt = self.costs.prompt_cost(riders, shape)
             if start >= self.slow_from:
                 dt *= self.slow_factor
             if not 0.0 <= dt < _INF:
                 raise ValueError(
-                    f"replica {self.index}: prompt pass of request {rid} "
+                    f"replica {self.index}: prompt pass of request {req.ids[pos]} "
                     f"priced at {dt!r} s; step costs must be finite and >= 0")
             now = self.now = start + dt
             # Delay and TTFT run from the *original* arrival (a retried
@@ -477,13 +463,13 @@ class _Replica:
             if self.ttft_sink is not None:
                 self.ttft_sink.append((now, now - arrival))
             self.tokens += 1
-            done = sched.record_token(rid) is not None
-            self.log.frombytes(_row(_ADMIT_DONE if done else _ADMIT, start,
-                                    now, rid, eff, s.arrival))
+            done = sched.record_token(pos) is not None
+            self.log.frombytes(_row(_ADMIT_DONE if done else _ADMIT, start, now,
+                                    req.ids[pos], eff, self.out.delivered[pos]))
             if done:
-                self._finish(rid, pos, now)
+                self._finish(pos, now)
             return "admit"
-        batch = len(sched._active)
+        batch = kv.batch
         if not batch:
             return None
         start = self.now
@@ -540,24 +526,23 @@ class _Replica:
     def _commit(self, start: float, now: float, n: int) -> None:
         """Commit the first ``n`` steps of a priced decode stretch from
         ``start``, ending at ``now``."""
-        sched = self.sched
-        batch = len(sched._active)
+        batch = self.kv.batch
         self.now = now
-        retired = sched.record_tokens(n)
+        retired = self.sched.record_tokens(n)
         self.tokens += n * batch
         self.log.frombytes(_row(_DECODE, start, now, batch, n,
                                 self.kv.total_kv))
         # Caches grow before retirement (a retiree participates in every
         # step of the stretch — it retires *at* the last one).
         self.kv.grow_all(n)
-        for rid in retired:
-            self._finish(rid, self._find(rid), now)
+        for pos in retired:
+            self._finish(pos, now)
         self._mid_round = False
 
-    def _finish(self, rid: int, pos: int, now: float) -> None:
-        """Record request ``rid`` (at ``pos``) finishing at ``now``."""
+    def _finish(self, pos: int, now: float) -> None:
+        """Record the request at ``pos`` finishing at ``now``."""
         req = self.requests
-        self.kv._retire(rid, req.session[pos])
+        self.kv._retire(pos, req.session[pos])
         self.out.finish[pos] = now
         self.completed += 1
         self.completed_tokens += req.gen[pos]
@@ -590,12 +575,8 @@ class _Replica:
         if self.seg_open is not None:
             self.segments.append((self.seg_open, t_requeue))
             self.seg_open = None
-        find = self._find
-        victims: list[tuple[float, int]] = []
-        for rid in self.sched.active:          # in flight: output discarded
-            victims.append((t_requeue, find(rid)))
-        for rid in self.sched.waiting:         # queued, never started
-            victims.append((t_requeue, find(rid)))
+        # In flight (output discarded), then queued (never started).
+        victims = [(t_requeue, pos) for pos in self.sched.surrender()]
         for t, pos in self.inbox:              # routed, never enqueued
             victims.append((max(t_requeue, t), pos))
         self.inbox.clear()
@@ -615,7 +596,8 @@ class _Replica:
                 f"replica {self.index} is alive; only a crashed replica "
                 f"can recover")
         self.past.append((self.sched, self.crash_step))
-        self.sched = Scheduler(self.max_batch, policy=self.policy)
+        self.sched = Scheduler(self.max_batch, self.requests, policy=self.policy,
+                               held=self.out.held)
         self.alive = True
         self.crash_step = None
         self._mid_round = False

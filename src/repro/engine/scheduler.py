@@ -8,15 +8,21 @@ be re-implemented per execution backend, or the functional engine and
 the analytical simulator drift apart.
 
 :class:`Scheduler` is that single authority. It is step-driven and knows
-nothing about tensors or wall-clock pricing: backends enqueue requests
-as they arrive, call :meth:`admit` to fill free slots under a pluggable
-policy, report every generated token through :meth:`record_token` (which
-owns EOS/length retirement), and call :meth:`advance` once per decode
-iteration. Every decision lands in the lifecycle log, the one
-lifecycle record (typed columns; ``events`` renders them):
-``enqueue_steps``, ``admission_order``, ``retirement_order`` and
-:meth:`to_timeline` (a :class:`~repro.simcore.trace.Timeline` for
-``to_chrome_trace`` export) each read it in one pass.
+nothing about tensors or wall-clock pricing. Requests are rows of a
+table of typed columns (the trace's own, or a :class:`RequestTable` the
+functional session appends to), and the scheduler keeps only their
+positions. Backends enqueue a row as it arrives, call :meth:`admit` to
+fill free slots under a pluggable policy (which reads the columns),
+report every generated token through :meth:`record_token` or a whole
+decode stretch through :meth:`record_tokens` (both own EOS/length
+retirement), and call :meth:`advance` once per decode iteration.
+
+Every decision lands in the lifecycle log, the one lifecycle record
+(typed columns of steps, event codes and request ids; ``events``
+renders them): ``enqueue_steps``, ``admission_order``,
+``retirement_order`` and :meth:`to_timeline` (a
+:class:`~repro.simcore.trace.Timeline` for ``to_chrome_trace`` export)
+each read it in one pass.
 
 Both :class:`~repro.engine.generation.GenerationSession` (real tensors)
 and :func:`~repro.engine.serving_sim.simulate_serving` (priced time)
@@ -27,17 +33,16 @@ and retirement decisions by construction.
 from __future__ import annotations
 
 import math
-import operator
 from array import array
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable
 
 from ..model.config import _as_index
 from ..simcore.trace import Timeline
 
 __all__ = [
-    "SchedRequest",
+    "RequestTable",
     "SchedulerEvent",
     "Scheduler",
     "ADMISSION_POLICIES",
@@ -46,45 +51,38 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SchedRequest:
-    """Scheduling-relevant metadata of one request (no tensors).
+class RequestTable:
+    """A growable request table, typed columns by row: int64 ``ids``,
+    ``prompt`` and ``gen`` (``max_new_tokens``), ``tenant`` codes into
+    ``tenant_names``, and the ``held`` byte of :class:`Scheduler`. A
+    trace's columns have the same fields but ``held``."""
 
-    ``tenant`` tags the request with its traffic class for the
-    tenant-aware admission policies (:class:`TenantFairShare`,
-    :class:`TenantPriority`); ``None`` means untagged — tenant-blind
-    policies never look at it.
-    """
+    __slots__ = ("ids", "prompt", "gen", "tenant", "tenant_names", "held")
 
-    request_id: int
-    prompt_len: int
-    max_new_tokens: int
-    arrival: float = 0.0
-    tenant: str | None = None
+    def __init__(self) -> None:
+        self.ids, self.prompt, self.gen = array("q"), array("q"), array("q")
+        self.tenant, self.held = array("I"), bytearray()
+        self.tenant_names: list[str | None] = []
 
-    def __post_init__(self) -> None:
+    def append(self, request_id: int, prompt_len: int, max_new_tokens: int,
+               tenant: str | None) -> int:
+        """Add a checked row (none on a failed check); returns its row."""
         # Integers only: ``< 1`` alone lets NaN and fractional lengths
-        # through. One try block keeps the common case to three calls.
-        try:
-            rid = operator.index(self.request_id)
-            prompt_len = operator.index(self.prompt_len)
-            max_new_tokens = operator.index(self.max_new_tokens)
-        except TypeError:
-            for name in ("request_id", "prompt_len", "max_new_tokens"):
-                _as_index(name, getattr(self, name))
-            raise
-        # The lifecycle log stores ids in an int64 column.
+        # through. The lifecycle log stores ids in an int64 column.
+        rid = _as_index("request_id", request_id)
         if not -2**63 <= rid < 2**63:
-            raise ValueError(
-                f"request_id must fit in int64, got {self.request_id!r}")
-        if prompt_len < 1:
-            raise ValueError("prompt_len must be >= 1")
-        if max_new_tokens < 1:
-            raise ValueError("max_new_tokens must be >= 1")
-        # Written as a range test so that NaN fails it too.
-        if not 0 <= self.arrival < math.inf:
-            raise ValueError(
-                f"arrival must be finite and >= 0, got {self.arrival!r}")
+            raise ValueError(f"request_id must fit in int64, got {rid!r}")
+        if (_as_index("prompt_len", prompt_len) < 1
+                or _as_index("max_new_tokens", max_new_tokens) < 1):
+            raise ValueError("prompt_len and max_new_tokens must be >= 1")
+        if tenant not in self.tenant_names:
+            self.tenant_names.append(tenant)
+        self.ids.append(rid)
+        self.prompt.append(prompt_len)
+        self.gen.append(max_new_tokens)
+        self.tenant.append(self.tenant_names.index(tenant))
+        self.held.append(0)
+        return len(self.ids) - 1
 
 
 @dataclass(frozen=True)
@@ -103,15 +101,15 @@ _KIND_REASON = (("enqueue", ""), ("admit", ""), ("retire", "length"),
                 ("retire", "eos"))
 
 
-def _fcfs(queue: Sequence[SchedRequest]) -> SchedRequest:
+def _fcfs(queue: deque[int], table, active: Iterable[int]) -> int:
     """First come, first served: strict arrival/enqueue order."""
     return queue[0]
 
 
-def _shortest_prompt(queue: Sequence[SchedRequest]) -> SchedRequest:
+def _shortest_prompt(queue: deque[int], table, active: Iterable[int]) -> int:
     """Shortest prompt first (ties broken by enqueue order — ``min`` is
     stable). Prioritizes cheap admissions when slots are scarce."""
-    return min(queue, key=lambda r: r.prompt_len)
+    return min(queue, key=table.prompt.__getitem__)
 
 
 class _TenantPolicy:
@@ -124,13 +122,11 @@ class _TenantPolicy:
     anyone else) and the pick is ``None`` — stopping admission — only
     when every queued request is capped out.
 
-    Stateless: the pick is a pure function of (queue, active), so the
-    analytical and functional backends sharing one instance make
+    Stateless: the pick is a pure function of (queue, table, active),
+    so the analytical and functional backends sharing one instance make
     identical decisions. Untagged requests (``tenant=None``) form their
     own implicit tenant.
     """
-
-    tenant_aware = True
 
     def __init__(self, slot_caps: dict[str, int] | None) -> None:
         # A NaN cap fails every ``held >= cap`` test, disabling the cap.
@@ -142,24 +138,23 @@ class _TenantPolicy:
     def _rank(self, tenant: str | None, held: int) -> float:
         raise NotImplementedError
 
-    def __call__(
-        self,
-        queue: Sequence[SchedRequest],
-        active: Sequence[SchedRequest],
-    ) -> SchedRequest | None:
+    def __call__(self, queue: deque[int], table, active: Iterable[int]) -> int | None:
+        names, codes = table.tenant_names, table.tenant
         held: dict[str | None, int] = {}
-        for r in active:
-            held[r.tenant] = held.get(r.tenant, 0) + 1
-        best: SchedRequest | None = None
+        for pos in active:
+            tenant = names[codes[pos]]
+            held[tenant] = held.get(tenant, 0) + 1
+        best: int | None = None
         best_key: tuple[float, int] | None = None
-        for i, r in enumerate(queue):
-            n = held.get(r.tenant, 0)
-            cap = self.slot_caps.get(r.tenant)
+        for i, pos in enumerate(queue):
+            tenant = names[codes[pos]]
+            n = held.get(tenant, 0)
+            cap = self.slot_caps.get(tenant)
             if cap is not None and n >= cap:
                 continue
-            key = (self._rank(r.tenant, n), i)
+            key = (self._rank(tenant, n), i)
             if best_key is None or key < best_key:
-                best, best_key = r, key
+                best, best_key = pos, key
         return best
 
 
@@ -222,14 +217,14 @@ class TenantPriority(_TenantPolicy):
         return -self.priorities.get(tenant, 0)
 
 
-#: Named admission policies. Plain entries are callables over the
-#: waiting queue; policies with a truthy ``tenant_aware`` attribute are
-#: called as ``policy(queue, active)`` and may return ``None`` to stop
+#: Named admission policies. Every policy, custom ones too, is called as
+#: ``policy(queue, table, active)`` with the queued rows (queue order),
+#: the request table and the active rows (admission order), none to be
+#: modified, and returns the row to admit next, or ``None`` to stop
 #: admission (everything admissible is capped out). ``"tenant_fair"``
 #: is an unweighted, uncapped :class:`TenantFairShare`; configured
-#: instances (weights, caps, priorities) are passed as the policy
-#: callable directly.
-ADMISSION_POLICIES: dict[str, Callable[..., SchedRequest | None]] = {
+#: instances are passed as the policy callable directly.
+ADMISSION_POLICIES: dict[str, Callable[..., int | None]] = {
     "fcfs": _fcfs,
     "shortest_prompt": _shortest_prompt,
     "tenant_fair": TenantFairShare(),
@@ -239,55 +234,53 @@ ADMISSION_POLICIES: dict[str, Callable[..., SchedRequest | None]] = {
 class Scheduler:
     """Request lifecycle: queue -> bounded slots -> retirement.
 
+    Requests are rows of ``table`` (a :class:`RequestTable`, or a
+    trace's columns), and the scheduler holds only their positions: a
+    queue, and one dict mapping each active row (admission order) to its
+    token count minus ``_bulk``, the steps :meth:`record_tokens` has
+    committed, so a stretch that retires nobody moves every count at
+    once. A row leaves the dict when it retires.
+
     ``policy`` names an entry of :data:`ADMISSION_POLICIES` or is a
-    callable picking the next request to admit from the waiting queue.
-    ``eos_token`` makes :meth:`record_token` retire a request the moment
-    it emits that token (reason ``"eos"``); length retirement at
-    ``max_new_tokens`` always applies.
+    callable with their signature. ``eos_token`` makes
+    :meth:`record_token` retire a request the moment it emits that token
+    (reason ``"eos"``); length retirement at the row's ``gen`` always
+    applies. ``held``, one byte per row set at enqueue, is the O(1)
+    duplicate-enqueue check; a fleet's replicas share one per run
+    (:meth:`surrender` releases a crashed replica's rows). It defaults
+    to the table's own ``held`` column.
 
     The lifecycle log is three parallel columns — ``array("q")`` steps,
     a ``bytearray`` of event codes and ``array("q")`` request ids, 17
     bytes per event. :attr:`events` is a rendered copy, not the log:
-    appending to it changes nothing. Token counts are kept by offset: an
-    active request's ``_generated`` entry is its count minus ``_bulk``,
-    the steps :meth:`record_tokens` has committed (a retiree's is
-    absolute), so a stretch that retires nobody moves every count at
-    once. Per-token stepping leaves ``_bulk`` at 0.
+    appending to it changes nothing.
     """
 
     def __init__(
         self,
         max_slots: int,
+        table,
         *,
-        policy: str | Callable[[Sequence[SchedRequest]], SchedRequest] = "fcfs",
+        policy: str | Callable[..., int | None] = "fcfs",
         eos_token: int | None = None,
+        held: bytearray | None = None,
     ) -> None:
         # ``< 1`` alone lets NaN and fractional counts through.
         max_slots = _as_index("max_slots", max_slots)
         if max_slots < 1:
             raise ValueError("max_slots must be >= 1")
-        if callable(policy):
-            self.policy_name = getattr(policy, "__name__", "custom")
-            self._pick = policy
-        else:
-            if policy not in ADMISSION_POLICIES:
-                raise ValueError(
-                    f"unknown policy {policy!r}; "
-                    f"choose from {sorted(ADMISSION_POLICIES)} or pass a callable"
-                )
-            self.policy_name = policy
-            self._pick = ADMISSION_POLICIES[policy]
-        # Tenant-aware policies see the active set too and may decline
-        # (return None) when every queued request is capped out.
-        self._tenant_aware = bool(getattr(self._pick, "tenant_aware", False))
+        if not callable(policy) and policy not in ADMISSION_POLICIES:
+            raise ValueError(
+                f"unknown policy {policy!r}; "
+                f"choose from {sorted(ADMISSION_POLICIES)} or pass a callable"
+            )
+        self._pick = policy if callable(policy) else ADMISSION_POLICIES[policy]
         self.max_slots = max_slots
         self.eos_token = eos_token
-        # deque is a registered Sequence, so policy callables index and
-        # scan it exactly as they did the old list; FCFS admissions pop
-        # the head in O(1) instead of list.remove's O(n) shift.
-        self._queue: deque[SchedRequest] = deque()
-        self._active: dict[int, SchedRequest] = {}  # admission order
-        self._generated: dict[int, int] = {}  # active: minus _bulk
+        self.table = table
+        self._held = table.held if held is None else held
+        self._queue: deque[int] = deque()
+        self._active: dict[int, int] = {}  # row -> count - _bulk
         self._bulk = 0  # steps committed by record_tokens
         # Cached decode_horizon() of a non-empty active set; None = stale.
         self._horizon: int | None = None
@@ -296,7 +289,6 @@ class Scheduler:
         self._log_steps = array("q")
         self._log_codes = bytearray()
         self._log_rids = array("q")
-        self._known: set[int] = set()  # O(1) duplicate-enqueue check
 
     # -- state views ---------------------------------------------------------
 
@@ -307,7 +299,7 @@ class Scheduler:
 
     @property
     def active(self) -> list[int]:
-        """Request ids holding slots, in admission order."""
+        """Rows holding slots, in admission order."""
         return list(self._active)
 
     @property
@@ -320,19 +312,9 @@ class Scheduler:
         """Requests queued for a slot."""
         return len(self._queue)
 
-    @property
-    def waiting(self) -> list[int]:
-        """Request ids still queued, in queue (enqueue) order.
-
-        The fleet layer drains this on a replica crash to requeue the
-        not-yet-admitted requests elsewhere."""
-        return [r.request_id for r in self._queue]
-
-    def generated(self, request_id: int) -> int:
-        """Tokens recorded for a request so far."""
-        if request_id in self._active:
-            return self._generated[request_id] + self._bulk
-        return self._generated.get(request_id, 0)
+    def generated(self, pos: int) -> int:
+        """Tokens recorded so far for the active row ``pos``."""
+        return self._active[pos] + self._bulk
 
     @property
     def enqueue_steps(self) -> dict[int, int]:
@@ -372,93 +354,101 @@ class Scheduler:
 
     # -- lifecycle -----------------------------------------------------------
 
-    def enqueue(self, req: SchedRequest) -> None:
-        """Add a request to the waiting queue."""
-        if req.request_id in self._known:
-            raise ValueError(f"request {req.request_id} already scheduled")
-        self._known.add(req.request_id)
-        self._queue.append(req)
+    def enqueue(self, pos: int) -> None:
+        """Add the table's row ``pos`` to the waiting queue."""
+        if self._held[pos]:
+            raise ValueError(f"request {self.table.ids[pos]} already scheduled")
+        self._held[pos] = 1
+        self._queue.append(pos)
         self._log_steps.append(self._step)
         self._log_codes.append(_ENQUEUE)
-        self._log_rids.append(req.request_id)
+        self._log_rids.append(self.table.ids[pos])
+
+    def surrender(self) -> list[int]:
+        """A crashed replica's victims: the active rows, then the queued
+        ones, their ``held`` bytes cleared for another scheduler. Slots,
+        queue and log stay as they are, for replay."""
+        rows = [*self._active, *self._queue]
+        for pos in rows:
+            self._held[pos] = 0
+        return rows
 
     def admit(
         self,
         *,
-        can_admit: Callable[[SchedRequest], bool] | None = None,
+        can_admit: Callable[[int], bool] | None = None,
         max_admit: int | None = None,
-    ) -> list[SchedRequest]:
-        """Move queued requests into free slots under the policy.
+    ) -> list[int]:
+        """Move queued rows into free slots under the policy.
 
-        ``can_admit`` lets the backend veto the policy's candidate (e.g.
-        not enough KV blocks); admission then *stops* rather than skipping
-        ahead, so capacity pressure cannot starve or reorder requests.
-        ``max_admit``, an integer ``>= 0``, caps how many are admitted.
-        Returns the admitted requests in admission order.
+        ``can_admit(pos)`` lets the backend veto the policy's candidate
+        (e.g. not enough KV blocks); admission then *stops* rather than
+        skipping ahead, so capacity pressure cannot starve or reorder
+        requests. ``max_admit``, an integer ``>= 0``, caps how many are
+        admitted. Returns the admitted rows in admission order.
         """
+        active = self._active
+        free = self.max_slots - len(active)
         if max_admit is not None:
             if type(max_admit) is not int:  # the replica's exact 1 skips it
                 max_admit = _as_index("max_admit", max_admit)
             if max_admit < 0:
                 raise ValueError(f"max_admit must be >= 0, got {max_admit}")
-        admitted: list[SchedRequest] = []
-        while self._queue and len(self._active) < self.max_slots:
-            if max_admit is not None and len(admitted) >= max_admit:
+            if max_admit < free:
+                free = max_admit
+        queue, pick, table = self._queue, self._pick, self.table
+        admitted: list[int] = []
+        while queue and free > 0:
+            pos = pick(queue, table, active)
+            if pos is None:  # everything admissible is capped out
                 break
-            if self._tenant_aware:
-                cand = self._pick(self._queue, tuple(self._active.values()))
-                if cand is None:  # everything admissible is capped out
-                    break
-            else:
-                cand = self._pick(self._queue)
-            if can_admit is not None and not can_admit(cand):
+            if can_admit is not None and not can_admit(pos):
                 break
-            if cand is self._queue[0]:  # FCFS and head-of-queue ties: O(1)
-                self._queue.popleft()
+            if pos == queue[0]:  # FCFS and head-of-queue ties: O(1)
+                queue.popleft()
             else:
-                self._queue.remove(cand)
-            if not self._active:
-                self._horizon = cand.max_new_tokens
-            elif self._horizon is not None \
-                    and cand.max_new_tokens < self._horizon:
-                self._horizon = cand.max_new_tokens
-            self._active[cand.request_id] = cand
-            self._generated[cand.request_id] = -self._bulk
+                queue.remove(pos)
+            gen = table.gen[pos]
+            if not active:
+                self._horizon = gen
+            elif self._horizon is not None and gen < self._horizon:
+                self._horizon = gen
+            active[pos] = -self._bulk
             self._log_steps.append(self._step)
             self._log_codes.append(_ADMIT)
-            self._log_rids.append(cand.request_id)
-            admitted.append(cand)
+            self._log_rids.append(table.ids[pos])
+            admitted.append(pos)
+            free -= 1
         return admitted
 
-    def record_token(self, request_id: int, token: int | None = None) -> str | None:
-        """Count one generated token; decide and apply retirement.
+    def record_token(self, pos: int, token: int | None = None) -> str | None:
+        """Count one generated token for the active row ``pos``; decide
+        and apply retirement.
 
         Returns ``"eos"`` / ``"length"`` when this token finishes the
         request (the slot is freed immediately), else ``None``. Backends
         without real tokens (the analytical simulator) pass no ``token``
         and rely on length retirement alone.
         """
-        if request_id not in self._active:
-            raise KeyError(f"request {request_id} is not active")
-        req = self._active[request_id]
-        stored = self._generated[request_id] + 1
-        generated = stored + self._bulk
+        active = self._active
+        stored = active[pos] + 1  # KeyError unless active
+        left = self.table.gen[pos] - stored - self._bulk
         reason: str | None = None
         if self.eos_token is not None and token == self.eos_token:
             reason = "eos"
-        elif generated >= req.max_new_tokens:
+        elif left <= 0:
             reason = "length"
-        self._generated[request_id] = stored if reason is None else generated
-        if reason is not None:
-            del self._active[request_id]
+        if reason is None:
+            active[pos] = stored
+            if self._horizon is not None and left < self._horizon:
+                self._horizon = left
+        else:
+            del active[pos]
             self._horizon = None  # the minimum may have left
             self._log_steps.append(self._step)
             self._log_codes.append(
                 _RETIRE_EOS if reason == "eos" else _RETIRE_LENGTH)
-            self._log_rids.append(request_id)
-        elif self._horizon is not None \
-                and req.max_new_tokens - generated < self._horizon:
-            self._horizon = req.max_new_tokens - generated
+            self._log_rids.append(self.table.ids[pos])
         return reason
 
     def advance(self) -> int:
@@ -482,9 +472,9 @@ class Scheduler:
         if not self._active:
             return 0
         if self._horizon is None:
-            self._horizon = min(req.max_new_tokens - self._generated[rid]
-                                for rid, req in self._active.items()
-                                ) - self._bulk
+            gen = self.table.gen
+            self._horizon = min(gen[pos] - n for pos, n
+                                in self._active.items()) - self._bulk
         return self._horizon
 
     def record_tokens(self, steps: int) -> list[int]:
@@ -496,7 +486,7 @@ class Scheduler:
         log, same step indices — without ``steps * batch`` Python
         round-trips. ``steps`` is an integer (a float is a TypeError) and
         must not exceed :meth:`decode_horizon`, so only the final
-        iteration can retire anyone. Returns the ids
+        iteration can retire anyone. Returns the rows
         retired by that final iteration, in admission order.
         A stretch that retires nobody is O(1) (it moves ``_bulk``); a
         retiring one walks the active set once.
@@ -520,18 +510,17 @@ class Scheduler:
             self._step += steps
             return []
         self._step += steps - 1  # land on the retiring iteration
-        generated = self._generated
+        active, gen, ids = self._active, self.table.gen, self.table.ids
         retired: list[int] = []
         survivors: int | None = None  # their horizon
-        for rid, req in list(self._active.items()):
-            left = req.max_new_tokens - generated[rid] - bulk
+        for pos, n in list(active.items()):
+            left = gen[pos] - n - bulk
             if left <= 0:
-                generated[rid] += bulk
-                del self._active[rid]
+                del active[pos]
                 self._log_steps.append(self._step)
                 self._log_codes.append(_RETIRE_LENGTH)
-                self._log_rids.append(rid)
-                retired.append(rid)
+                self._log_rids.append(ids[pos])
+                retired.append(pos)
             elif survivors is None or left < survivors:
                 survivors = left
         self._horizon = survivors

@@ -10,8 +10,9 @@ into one multi-lane chrome-trace export when its timeline is read.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from ..autoscale.actions import AutoscaleEvent
 from ..autoscale.signals import FleetSignals
@@ -61,19 +62,19 @@ class FleetReport(ReportStats):
     the completed requests only. :func:`~repro.fleet.sim.simulate_fleet`
     fills them with read-only ``Mapping`` views over per-position
     arrays, iterating in trace order; they compare equal to plain dicts
-    of the same items.
+    of the same items. ``routing``, every placement in order, is the
+    router's placement log, equal to a tuple of the same decisions;
+    ``replica_of`` and ``retried`` are drawn from it on first read.
     """
 
     makespan: float
     finish_times: Mapping[int, float]       # request -> completion time
     first_token_times: Mapping[int, float]  # on the *serving* replica
     queue_delays: Mapping[int, float]       # original arrival -> final admit
-    replica_of: dict[int, int]            # final serving replica
-    retried: frozenset[int]               # requests re-placed after a fault
     total_tokens: int                     # tokens of completed requests
     tokens_discarded: int                 # crash-wasted tokens
     replica_stats: tuple[ReplicaStats, ...]
-    routing: tuple[RoutingDecision, ...]
+    routing: Sequence[RoutingDecision]
     # KV accounting summed over every replica (past incarnations
     # included); ``peak_kv_blocks`` sums per-replica peaks — each
     # replica's pool is its own hardware, so the sum is the fleet's
@@ -95,6 +96,16 @@ class FleetReport(ReportStats):
         field(default_factory=dict, compare=False)
 
     # -- fleet aggregates -------------------------------------------------
+
+    @cached_property
+    def replica_of(self) -> dict[int, int]:
+        """Final serving replica per request: its last placement's."""
+        return {d.request_id: d.replica for d in self.routing}
+
+    @cached_property
+    def retried(self) -> frozenset[int]:
+        """Requests placed again after a fault."""
+        return frozenset(d.request_id for d in self.routing if d.retry)
 
     @property
     def num_completed(self) -> int:

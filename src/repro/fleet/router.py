@@ -17,6 +17,8 @@ the fleet-level analogue of the PR-1 decision-equivalence guarantee.
 from __future__ import annotations
 
 import math
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from ..engine.serving_sim import Request
@@ -35,12 +37,30 @@ class RoutingDecision:
     retry: bool = False
 
 
-# ``Router.place`` fills its records' slots without the frozen __init__.
-_new = object.__new__
-_set_time = RoutingDecision.time.__set__
-_set_request_id = RoutingDecision.request_id.__set__
-_set_replica = RoutingDecision.replica.__set__
-_set_retry = RoutingDecision.retry.__set__
+class _RoutingLog(Sequence):
+    """One entry per :meth:`Router.place`, as columns: time, trace
+    position, replica and retry. Each reads as a :class:`RoutingDecision`
+    naming request ``ids[position]``; equal to any such sequence."""
+
+    def __init__(self, ids: Sequence[int]) -> None:
+        self.ids = ids
+        self.time, self.pos = array("d"), array("q")
+        self.replica, self.retry = array("i"), bytearray()
+
+    def __len__(self) -> int:
+        return len(self.time)
+
+    def __getitem__(self, i: int) -> RoutingDecision:
+        return RoutingDecision(self.time[i], self.ids[self.pos[i]],
+                               self.replica[i], bool(self.retry[i]))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return tuple(self) == tuple(other)
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
 
 
 class Router:
@@ -55,11 +75,13 @@ class Router:
 
     It is the one :class:`~repro.fleet.policies.FleetView` the policies
     see. Work enters through :meth:`place` and leaves through
-    :meth:`release`, both counted in tokens.
+    :meth:`release`, both counted in tokens; ``log`` keeps every
+    placement by trace position (``ids[position]`` is its request id).
     """
 
     def __init__(self, num_replicas: int,
-                 policy: str | RoutingPolicy = "round_robin") -> None:
+                 policy: str | RoutingPolicy = "round_robin", *,
+                 ids: Sequence[int]) -> None:
         if num_replicas < 1:
             raise ValueError("num_replicas must be >= 1")
         self.policy = resolve_routing_policy(policy)
@@ -69,7 +91,7 @@ class Router:
         self._outstanding = [0.0] * num_replicas
         # alive_replicas(), rebuilt on every pool change.
         self._routable = list(range(num_replicas))
-        self.decisions: list[RoutingDecision] = []
+        self.log = _RoutingLog(ids)
 
     # -- FleetView (what policies may observe) ---------------------------
 
@@ -102,37 +124,37 @@ class Router:
 
     # -- placement -------------------------------------------------------
 
-    def place(self, request_id: int, tokens: int, time: float, *,
+    def place(self, pos: int, tokens: int, time: float, *,
               retry: bool = False, request: Request | None = None) -> int:
-        """Place request ``request_id`` carrying ``tokens`` of work
-        (prompt plus generation); the policy sees ``request``, which may
-        be ``None`` for a load-only policy (see :class:`~repro.fleet
-        .policies.RoutingPolicy`). Returns the chosen replica index."""
+        """Place the request at trace position ``pos`` carrying
+        ``tokens`` of work (prompt plus generation) at ``time``, logging
+        it; the policy sees ``request``, which may be ``None`` for a
+        load-only policy (see :class:`~repro.fleet.policies
+        .RoutingPolicy`). Returns the chosen replica index."""
         if not self._routable:
             raise RuntimeError(
-                "every replica has failed; the fleet cannot serve "
-                f"request {request_id}"
+                "every replica has failed; the fleet cannot serve the "
+                f"request at trace position {pos}"
             )
         replica = self.policy.choose(request, self)
-        if not (0 <= replica < len(self._alive)) \
-                or not self.is_routable(replica):
+        if not (0 <= replica < len(self._alive) and self._alive[replica]
+                and not self._draining[replica]):
             raise RuntimeError(
                 f"policy {self.policy.name!r} chose unusable replica "
                 f"{replica}"
             )
         self._outstanding[replica] += tokens
-        decision = _new(RoutingDecision)
-        _set_time(decision, time)
-        _set_request_id(decision, request_id)
-        _set_replica(decision, replica)
-        _set_retry(decision, retry)
-        self.decisions.append(decision)
+        log = self.log
+        log.time.append(time)
+        log.pos.append(pos)
+        log.replica.append(replica)
+        log.retry.append(retry)
         return replica
 
     def release(self, replica: int, tokens: int) -> None:
         """Release ``tokens`` of finished work from ``replica``."""
-        self._outstanding[replica] = max(
-            0.0, self._outstanding[replica] - tokens)
+        left = self._outstanding[replica] - tokens
+        self._outstanding[replica] = left if left > 0.0 else 0.0
 
     def mark_failed(self, replica: int) -> None:
         """Take ``replica`` out of rotation; its load register clears
@@ -178,9 +200,3 @@ class Router:
     def _pool_changed(self) -> None:
         self._routable = [i for i in range(len(self._alive))
                           if self.is_routable(i)]
-
-    # -- reporting -------------------------------------------------------
-
-    def assignments(self) -> dict[int, int]:
-        """Final placement per request id (later retries overwrite)."""
-        return {d.request_id: d.replica for d in self.decisions}

@@ -35,7 +35,7 @@ from __future__ import annotations
 import heapq
 import math
 from collections import deque
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from functools import partial
 
 import numpy as np
@@ -75,11 +75,12 @@ def _replica_stats(rep: _Replica) -> ReplicaStats:
 
 def _draw_fleet(tl: Timeline, replicas, costs: StepCostModel, full: bool,
                 first: Mapping[int, float], finish: Mapping[int, float],
-                served: dict[int, int], routing: tuple[RoutingDecision, ...],
+                routing: Sequence[RoutingDecision],
                 autoscale_log: tuple[AutoscaleEvent, ...]) -> None:
     """Draw every replica's lanes under ``replica{i}/``, then the router
     and autoscaler decisions as instants on their own lanes.
     ``replicas`` holds ``(log, (slow_from, slow_factor))`` per replica."""
+    served = {d.request_id: d.replica for d in routing}
     for i, (log, slow) in enumerate(replicas):
         _draw_replica(tl, log, costs, full, first, finish, index=i,
                       slow=slow, served=served)
@@ -182,8 +183,8 @@ def simulate_fleet(
         ttft_sink = []
 
     requests = trace.requests
-    ids, prompt, gen = requests.ids, requests.prompt, requests.gen
-    router = Router(num_replicas, policy=routing)
+    prompt, gen = requests.prompt, requests.gen
+    router = Router(num_replicas, policy=routing, ids=requests.ids)
     reads_request = router.policy.reads_request
 
     def on_complete(replica_index: int, pos: int, t: float) -> None:
@@ -371,7 +372,7 @@ def simulate_fleet(
             pos, cursor = cursor, cursor + 1
         # Only a policy that reads requests gets one, built on read.
         target_i = router.place(
-            ids[pos], prompt[pos] + gen[pos], t_arr, retry=retry,
+            pos, prompt[pos] + gen[pos], t_arr, retry=retry,
             request=requests[pos] if reads_request else None)
         replicas[target_i].deliver(pos, t_arr)
         push_action(target_i)
@@ -380,7 +381,6 @@ def simulate_fleet(
     # Placement lives in the router's log; the per-request arrays hold
     # each request's last admission, which for a finished request is on
     # the replica that served it. Unfinished requests report nothing.
-    replica_of = router.assignments()
     unfinished = np.isnan(np.frombuffer(out.finish))
     np.frombuffer(out.first)[unfinished] = np.nan
     np.frombuffer(out.delay)[unfinished] = np.nan
@@ -388,21 +388,19 @@ def simulate_fleet(
     finish, first = times["finish_times"], times["first_token_times"]
     total_tokens = sum(rep.completed_tokens for rep in replicas)
     replica_stats = tuple(_replica_stats(rep) for rep in replicas)
-    routing = tuple(router.decisions)
+    routing = router.log
     autoscale_log = tuple(autoscale_log)
     timeline = _RenderedTimeline(partial(
         _draw_fleet,
         replicas=[(rep.log, (rep.slow_from, rep.slow_factor))
                   for rep in replicas],
         costs=costs, full=full, first=first, finish=finish,
-        served=replica_of, routing=routing, autoscale_log=autoscale_log))
+        routing=routing, autoscale_log=autoscale_log))
 
     makespan = max(finish.values(), default=0.0)
     return FleetReport(
         makespan=makespan,
         **times,
-        replica_of=replica_of,
-        retried=frozenset(d.request_id for d in router.decisions if d.retry),
         total_tokens=total_tokens,
         tokens_discarded=sum(s.tokens_discarded for s in replica_stats),
         replica_stats=replica_stats,

@@ -14,26 +14,26 @@ from __future__ import annotations
 
 from repro.engine.costs import BatchState, PromptShape, StepCostModel
 from repro.engine.replica import _KvTracker
-from repro.engine.scheduler import SchedRequest, Scheduler
+from repro.engine.scheduler import Scheduler
 from repro.engine.serving_sim import ServingReport, WorkloadTrace
 from repro.simcore.trace import Timeline
 
 
 def batch_state_of(
     sched: Scheduler,
-    prompt_lens: dict[int, int],
     *,
     exclude: int | None = None,
 ) -> BatchState:
     """The live batch's :class:`BatchState` as seen by the scheduler.
 
     Each active sequence's KV length is its prompt plus the tokens
-    recorded so far; ``exclude`` drops one request id (used to price a
-    prompt pass against the *riders*, not the newcomer itself).
+    recorded so far; ``exclude`` drops one row (used to price a prompt
+    pass against the *riders*, not the newcomer itself).
     """
+    prompt = sched.table.prompt
     return BatchState.of(
-        prompt_lens[rid] + sched.generated(rid)
-        for rid in sched.active if rid != exclude
+        prompt[pos] + sched.generated(pos)
+        for pos in sched.active if pos != exclude
     )
 
 
@@ -51,14 +51,13 @@ def simulate_serving_reference(
     mean what they mean for ``simulate_serving``."""
     if max_batch < 1:
         raise ValueError("max_batch must be >= 1")
-    plens = {r.request_id: r.prompt_len for r in trace.requests}
-    sched = Scheduler(max_batch, policy=policy)
-    timeline = Timeline()
     requests = trace.requests
-    by_id = {r.request_id: r for r in requests}
+    sched = Scheduler(max_batch, requests, policy=policy,
+                      held=bytearray(len(requests)))
+    timeline = Timeline()
     kv = _KvTracker(block_size=kv_block_size, num_layers=kv_num_layers,
                     prefix_sharing=prefix_sharing)
-    cursor = 0  # arrival cursor: O(1) per drain, no per-call trace copy
+    cursor = 0  # arrival cursor: the next trace position to enqueue
     admit_at: dict[int, float] = {}
     now = 0.0
     finish: dict[int, float] = {}
@@ -69,15 +68,8 @@ def simulate_serving_reference(
     def enqueue_arrived() -> None:
         nonlocal cursor
         while cursor < len(requests) and requests[cursor].arrival <= now:
-            r = requests[cursor]
+            sched.enqueue(cursor)
             cursor += 1
-            sched.enqueue(SchedRequest(
-                request_id=r.request_id,
-                prompt_len=r.prompt_len,
-                max_new_tokens=r.gen_tokens,
-                arrival=r.arrival,
-                tenant=r.tenant,
-            ))
 
     while cursor < len(requests) or sched.num_waiting or sched.num_active:
         # Fast-forward to the next arrival when idle.
@@ -92,25 +84,27 @@ def simulate_serving_reference(
             admitted = sched.admit(max_admit=1)
             if not admitted:
                 break
-            s = admitted[0]
-            delays[s.request_id] = now - s.arrival
+            pos = admitted[0]
+            r = requests[pos]
+            rid = r.request_id
+            delays[rid] = now - r.arrival
             start = now
-            eff = kv.admit(by_id[s.request_id])
-            shape = (PromptShape(s.prompt_len, shared_prefix_len=eff)
-                     if eff else s)
+            eff = kv._admit(pos, r.prompt_len, requests.session[pos],
+                            r.shared_prefix_len)
             now += costs.prompt_cost(
-                batch_state_of(sched, plens, exclude=s.request_id), shape)
-            label = (f"prefill r{s.request_id} (+{eff} cached)" if eff
-                     else f"prefill r{s.request_id}")
+                batch_state_of(sched, exclude=pos),
+                PromptShape(r.prompt_len, shared_prefix_len=eff))
+            label = (f"prefill r{rid} (+{eff} cached)" if eff
+                     else f"prefill r{rid}")
             timeline.record("server", start, now, label)
-            timeline.record(f"req-{s.request_id}", s.arrival, start, "queued")
-            admit_at[s.request_id] = now
-            first[s.request_id] = now  # prompt pass yields token 1
+            timeline.record(f"req-{rid}", r.arrival, start, "queued")
+            admit_at[rid] = now
+            first[rid] = now  # prompt pass yields token 1
             total_tokens += 1
-            if sched.record_token(s.request_id) is not None:
-                finish[s.request_id] = now
-                kv.retire(by_id[s.request_id])
-                timeline.record(f"req-{s.request_id}", start, now, "decode")
+            if sched.record_token(pos) is not None:
+                finish[rid] = now
+                kv._retire(pos, requests.session[pos])
+                timeline.record(f"req-{rid}", start, now, "decode")
             enqueue_arrived()
         if not sched.num_active:
             continue
@@ -118,15 +112,17 @@ def simulate_serving_reference(
         # whatever the batch size (the batched-forward semantics).
         batch = sched.num_active
         start = now
-        now += costs.decode_cost(batch_state_of(sched, plens))
+        now += costs.decode_cost(batch_state_of(sched))
         timeline.record("server", start, now, f"decode x{batch}")
         total_tokens += batch
         kv.grow_all(1)  # every live cache appends this step's token
-        for rid in sched.active:
-            if sched.record_token(rid) is not None:
-                finish[rid] = now
-                kv.retire(by_id[rid])
-                timeline.record(f"req-{rid}", admit_at[rid], now, "decode")
+        for pos in sched.active:
+            if sched.record_token(pos) is not None:
+                r = requests[pos]
+                finish[r.request_id] = now
+                kv._retire(pos, requests.session[pos])
+                timeline.record(f"req-{r.request_id}",
+                                admit_at[r.request_id], now, "decode")
         sched.advance()
 
     return ServingReport(

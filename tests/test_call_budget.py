@@ -5,8 +5,11 @@ admission with its prompt pass, or one decode stretch), so this gate
 profiles two small fixed runs with ``cProfile`` and holds:
 
 * Python calls per action (``cProfile``'s total call count divided by
-  ``_Replica.perform_action`` calls) to the committed figure plus 2%,
-  slack for call-count drift inside NumPy's Python wrappers;
+  ``_Replica.perform_action`` calls) and per request (divided by the
+  requests served) to the committed figures plus 2%, slack for
+  call-count drift inside NumPy's Python wrappers. The per-request
+  figure fails on a new per-request object or call even when the
+  action count moves with it;
 * the per-request entries that decode commits walk (the scheduler's
   retiring ``record_tokens`` scans plus the KV ledger's growth syncs)
   to the committed count: a stretch that retires nobody walks none.
@@ -16,6 +19,7 @@ the pricing memo is full and the counts are exact from run to run.
 """
 
 import cProfile
+import functools
 import pstats
 
 import pytest
@@ -35,7 +39,7 @@ from repro.fleet import LeastOutstanding, simulate_fleet
 from repro.hardware import dgx_a100_cluster
 from repro.model import DENSE_ZOO, MOE_PARALLELISM, MOE_ZOO
 
-# Slack on calls per action for NumPy wrapper drift across versions.
+# Slack on call counts for NumPy wrapper drift across versions.
 _SLACK = 1.02
 
 
@@ -71,16 +75,21 @@ def _moe_autoscaled_fleet():
     return run
 
 
-def _calls_per_action(run) -> float:
+@functools.cache
+def _calls(name: str) -> tuple[float, float]:
+    """Python calls per action and per request of one run of ``name``
+    (profiled once for both tests)."""
+    run = _BUDGETS[name][0]()
     run()  # warm the pricing memo
     profile = cProfile.Profile()
     profile.enable()
-    run()
+    report = run()
     profile.disable()
     stats = pstats.Stats(profile)
     actions = sum(calls for (_, _, func), (_, calls, *_)
                   in stats.stats.items() if func == "perform_action")
-    return stats.total_calls / actions
+    return (stats.total_calls / actions,
+            stats.total_calls / len(report.finish_times))
 
 
 def _decode_walks(run, monkeypatch) -> int:
@@ -107,8 +116,8 @@ def _decode_walks(run, monkeypatch) -> int:
     return walked
 
 
-# Committed figures: (calls per action, decode-commit walks), measured
-# on CPython 3.11 with NumPy 2.4. Before
+# Committed figures: (calls per action, calls per request, decode-commit
+# walks), measured on CPython 3.11 with NumPy 2.4. Before
 # decode commits kept token counts and KV growth by offset, the same
 # runs made 38.33 and 55.82 calls per action and walked 2,000 and
 # 42,936 request entries. Before every priced stretch became its step
@@ -116,24 +125,37 @@ def _decode_walks(run, monkeypatch) -> int:
 # per action (budgets 32.91 and 50.19). Before each action wrote its log
 # row as one packed string and built its batch states inline, with no
 # no-op completion callback and no repeat horizon read, the budgets were
-# 31.94 and 49.51.
+# 31.94 and 49.51. Before the scheduler, the KV ledger and the router
+# kept per-request state as columns keyed by trace position (no
+# per-request scheduler record or routing record, no id -> position
+# lookups, the ledger's live count kept as a running figure), the
+# budgets were 28.51 and 46.58 calls per action (27.82 and 45.62
+# measured; 63.34 and 127.69 calls per request).
 _BUDGETS = {
-    "dense_serving": (_dense_serving, 28.51, 1_606),
-    "moe_autoscaled_fleet": (_moe_autoscaled_fleet, 46.58, 24_484),
+    "dense_serving": (_dense_serving, 23.06, 52.51, 1_606),
+    "moe_autoscaled_fleet": (_moe_autoscaled_fleet, 41.24, 115.42, 24_484),
 }
 
 
 @pytest.mark.parametrize("name", list(_BUDGETS))
 def test_calls_per_action_within_budget(name):
-    make, budget, _ = _BUDGETS[name]
-    got = _calls_per_action(make())
+    budget = _BUDGETS[name][1]
+    got = _calls(name)[0]
     assert got <= budget * _SLACK, (
         f"{name}: {got:.2f} Python calls per action, budget {budget}")
 
 
 @pytest.mark.parametrize("name", list(_BUDGETS))
+def test_calls_per_request_within_budget(name):
+    budget = _BUDGETS[name][2]
+    got = _calls(name)[1]
+    assert got <= budget * _SLACK, (
+        f"{name}: {got:.2f} Python calls per request, budget {budget}")
+
+
+@pytest.mark.parametrize("name", list(_BUDGETS))
 def test_decode_commit_walks_within_budget(name, monkeypatch):
-    make, _, budget = _BUDGETS[name]
+    make, _, _, budget = _BUDGETS[name]
     got = _decode_walks(make(), monkeypatch)
     assert got <= budget, (
         f"{name}: decode commits walked {got} request entries, "

@@ -26,7 +26,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.engine import (ClosureStepCost, Request, SchedRequest,
+from repro.engine import (ClosureStepCost, Request, RequestTable,
                           Scheduler, WorkloadTrace, simulate_serving)
 from repro.engine.generation import GenerationSession
 from repro.engine.scheduler import SchedulerEvent
@@ -259,28 +259,30 @@ def recording_schedulers():
         init(self, *args, **kw)
         logs[self] = []
 
-    def rec_enqueue(self, req):
-        enqueue(self, req)
+    def rec_enqueue(self, pos):
+        enqueue(self, pos)
         logs[self].append(SchedulerEvent(self.step, "enqueue",
-                                         req.request_id))
+                                         self.table.ids[pos]))
 
     def rec_admit(self, **kw):
         admitted = admit(self, **kw)
-        logs[self].extend(SchedulerEvent(self.step, "admit", r.request_id)
-                          for r in admitted)
+        logs[self].extend(SchedulerEvent(self.step, "admit",
+                                         self.table.ids[pos])
+                          for pos in admitted)
         return admitted
 
-    def rec_record_token(self, request_id, token=None):
-        reason = record_token(self, request_id, token)
+    def rec_record_token(self, pos, token=None):
+        reason = record_token(self, pos, token)
         if reason is not None:
             logs[self].append(SchedulerEvent(self.step, "retire",
-                                             request_id, reason))
+                                             self.table.ids[pos], reason))
         return reason
 
     def rec_record_tokens(self, steps):
         retired = record_tokens(self, steps)
-        logs[self].extend(SchedulerEvent(self.step - 1, "retire", rid,
-                                         "length") for rid in retired)
+        logs[self].extend(SchedulerEvent(self.step - 1, "retire",
+                                         self.table.ids[pos], "length")
+                          for pos in retired)
         return retired
 
     with pytest.MonkeyPatch.context() as mp:
@@ -324,17 +326,16 @@ class TestSchedulerLog:
         """Token rounds retire by EOS (a set bit of the drawn mask) or by
         length; bulk rounds retire by length at the horizon."""
         with recording_schedulers() as logs:
-            sched = Scheduler(slots, policy=policy, eos_token=EOS)
-            next_id = 0
+            table = RequestTable()
+            sched = Scheduler(slots, table, policy=policy, eos_token=EOS)
             for kind, a, b in ops:
                 if kind == "enqueue":
-                    sched.enqueue(SchedRequest(next_id, a, b))
-                    next_id += 1
+                    sched.enqueue(table.append(len(table.ids), a, b, None))
                 elif kind == "admit":
                     sched.admit(max_admit=a)
                 elif kind == "token" and sched.num_active:
-                    for i, rid in enumerate(sched.active):
-                        sched.record_token(rid, EOS if a >> i & 1 else 0)
+                    for i, pos in enumerate(sched.active):
+                        sched.record_token(pos, EOS if a >> i & 1 else 0)
                     sched.advance()
                 elif kind == "bulk" and sched.num_active:
                     sched.record_tokens(min(a, sched.decode_horizon()))
@@ -395,19 +396,21 @@ class TestSchedulerLog:
 
 class TestRequestIdGuard:
     """The log keeps request ids in an int64 column, so a non-integer id
-    is rejected where the request is built, naming the field."""
+    is rejected where the request's row is added, naming the field."""
 
     @pytest.mark.parametrize("rid", ["a", 1.0, None, 2**63])
     def test_rejects_non_int64_ids(self, rid):
+        table = RequestTable()
         with pytest.raises((TypeError, ValueError), match="request_id"):
-            SchedRequest(rid, prompt_len=1, max_new_tokens=1)
+            table.append(rid, 1, 1, None)
+        assert len(table.ids) == 0
 
     def test_accepts_numpy_ints(self):
-        sched = Scheduler(1)
-        sched.enqueue(SchedRequest(np.int64(5), prompt_len=1,
-                                   max_new_tokens=1))
+        table = RequestTable()
+        sched = Scheduler(1, table)
+        sched.enqueue(table.append(np.int64(5), 1, 1, None))
         sched.admit()
-        sched.record_token(5)
+        sched.record_token(0)
         assert sched.events == [SchedulerEvent(0, "enqueue", 5),
                                 SchedulerEvent(0, "admit", 5),
                                 SchedulerEvent(0, "retire", 5, "length")]

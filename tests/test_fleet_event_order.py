@@ -137,12 +137,14 @@ def checked_fleet_run(trace, **kwargs):
         try:
             report = simulate_fleet(trace, costs=COSTS, **kwargs)
         finally:
-            # Conservation: each ledger's running KV total is the sum of
-            # its live lengths, whether the run finished or failed.
+            # Conservation: each ledger's running KV total and count are
+            # the sum and number of its live lengths, whether the run
+            # finished or failed.
             for rep in replicas:
                 assert rep.kv.total_kv == sum(rep.kv.live.values()), (
                     f"replica {rep.index}: total_kv {rep.kv.total_kv} != "
                     f"{sum(rep.kv.live.values())}")
+                assert rep.kv.batch == len(rep.kv.live)
     assert [rep.index for rep in replicas] == list(range(len(replicas)))
     return report, actions[0], cuts[0]
 

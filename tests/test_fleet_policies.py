@@ -21,20 +21,32 @@ from repro.fleet import (
 )
 
 
+# Request ids by trace position, for the routers built here.
+IDS = range(1000)
+
+
 def _req(rid, prompt=4, gen=3, arrival=0.0, session=None):
     return Request(request_id=rid, arrival=arrival, prompt_len=prompt,
                    gen_tokens=gen, session=session)
 
 
 def _place(router, r, time, *, retry=False):
-    """Place ``r`` as the fleet does: its prompt + generation tokens."""
+    """Place ``r`` as the fleet does: its prompt + generation tokens, at
+    its trace position (its id, in these consecutive-id traces)."""
     return router.place(r.request_id, r.prompt_len + r.gen_tokens, time,
                         retry=retry, request=r)
 
 
+def _placements(router):
+    """The router's placement log as (time, position, replica, retry)
+    rows."""
+    log = router.log
+    return list(zip(log.time, log.pos, log.replica, map(bool, log.retry)))
+
+
 class TestRouterAccounting:
     def test_outstanding_tracks_token_work(self):
-        router = Router(2, policy="round_robin")
+        router = Router(2, policy="round_robin", ids=IDS)
         r = _req(0, prompt=5, gen=7)
         target = _place(router, r, 0.0)
         assert router.outstanding(target) == 12
@@ -42,14 +54,14 @@ class TestRouterAccounting:
         assert router.outstanding(target) == 0.0
 
     def test_mark_failed_removes_from_rotation(self):
-        router = Router(3, policy="round_robin")
+        router = Router(3, policy="round_robin", ids=IDS)
         router.mark_failed(1)
         targets = {_place(router, _req(i), 0.0) for i in range(6)}
         assert targets == {0, 2}
         assert router.alive_replicas() == [0, 2]
 
     def test_recovery_keeps_a_drain(self):
-        router = Router(4)
+        router = Router(4, ids=IDS)
         router.mark_draining(1)
         router.mark_failed(2)
         assert router.alive_replicas() == [0, 3]
@@ -61,40 +73,40 @@ class TestRouterAccounting:
         assert router.alive_replicas() == [0, 2, 3, 4]
 
     def test_all_dead_raises(self):
-        router = Router(2)
+        router = Router(2, ids=IDS)
         router.mark_failed(0)
         router.mark_failed(1)
         with pytest.raises(RuntimeError, match="every replica has failed"):
             _place(router, _req(0), 0.0)
 
     def test_decision_log_and_retries(self):
-        router = Router(2, policy="round_robin")
+        router = Router(2, policy="round_robin", ids=IDS)
         _place(router, _req(0), 0.0)
         _place(router, _req(1), 0.5, retry=True)
-        assert [d.retry for d in router.decisions] == [False, True]
-        assert router.assignments() == {0: 0, 1: 1}
+        assert _placements(router) == [(0.0, 0, 0, False),
+                                       (0.5, 1, 1, True)]
 
     def test_validation(self):
         with pytest.raises(ValueError, match="num_replicas"):
-            Router(0)
+            Router(0, ids=IDS)
 
     @pytest.mark.parametrize("weight", [float("nan"), float("inf")])
     def test_set_weight_rejects_non_finite(self, weight):
         """A NaN weight would otherwise win every least-outstanding
         comparison and send all traffic to one replica."""
-        router = Router(2, policy=LeastOutstanding())
+        router = Router(2, policy=LeastOutstanding(), ids=IDS)
         with pytest.raises(ValueError, match="weight must be finite"):
             router.set_weight(0, weight)
 
 
 class TestPolicies:
     def test_round_robin_cycles(self):
-        router = Router(3, policy="round_robin")
+        router = Router(3, policy="round_robin", ids=IDS)
         targets = [_place(router, _req(i), 0.0) for i in range(6)]
         assert targets == [0, 1, 2, 0, 1, 2]
 
     def test_least_outstanding_joins_shortest_queue(self):
-        router = Router(3, policy="least_outstanding")
+        router = Router(3, policy="least_outstanding", ids=IDS)
         a = _place(router, _req(0, prompt=50, gen=50), 0.0)  # heavy
         b = _place(router, _req(1, prompt=1, gen=1), 0.0)
         c = _place(router, _req(2, prompt=1, gen=1), 0.0)
@@ -105,15 +117,15 @@ class TestPolicies:
     def test_power_of_two_deterministic_and_alive_only(self):
         runs = []
         for _ in range(2):
-            router = Router(4, policy=PowerOfTwoChoices(seed=3))
+            router = Router(4, policy=PowerOfTwoChoices(seed=3), ids=IDS)
             runs.append([_place(router, _req(i), 0.0) for i in range(12)])
         assert runs[0] == runs[1]  # seeded -> reproducible
-        router = Router(2, policy=PowerOfTwoChoices(seed=0))
+        router = Router(2, policy=PowerOfTwoChoices(seed=0), ids=IDS)
         router.mark_failed(0)
         assert all(_place(router, _req(i), 0.0) == 1 for i in range(4))
 
     def test_session_affinity_pins_and_repins(self):
-        router = Router(3, policy=SessionAffinity())
+        router = Router(3, policy=SessionAffinity(), ids=IDS)
         first = _place(router, _req(0, session=7), 0.0)
         # Later requests of the session follow the pin even when other
         # replicas are empty.
@@ -125,7 +137,7 @@ class TestPolicies:
         assert router.policy.pins == {7: repinned}
 
     def test_session_affinity_fallback_for_unaffiliated(self):
-        router = Router(2, policy=SessionAffinity())
+        router = Router(2, policy=SessionAffinity(), ids=IDS)
         targets = [_place(router, _req(i, session=None), 0.0)
                    for i in range(4)]
         assert targets == [0, 1, 0, 1]
@@ -211,8 +223,8 @@ class TestPowerOfTwoReplay:
         reference while the routable set and weights keep changing."""
         rng = np.random.Generator(bitgen(5))
         ref_rng = np.random.Generator(bitgen(5))
-        routers = [Router(6, PowerOfTwoChoices(rng)),
-                   Router(6, _ChoicePowerOfTwo(ref_rng))]
+        routers = [Router(6, PowerOfTwoChoices(rng), ids=IDS),
+                   Router(6, _ChoicePowerOfTwo(ref_rng), ids=IDS)]
         script = np.random.default_rng(11)
         placed = []
         pool_sizes = set()
@@ -249,7 +261,7 @@ class TestPowerOfTwoReplay:
                 for router in routers:
                     router.set_weight(replica, weight)
             pool_sizes.add(len(routable))
-        assert routers[0].decisions == routers[1].decisions
+        assert _placements(routers[0]) == _placements(routers[1])
         assert _same_state(rng.bit_generator.state, ref_rng.bit_generator.state)
         assert pool_sizes >= {1, 2, 3, 4, 5, 6}  # one replica draws nothing
 

@@ -10,7 +10,8 @@ from repro.engine import (
     simulate_serving,
     synthesize_trace,
 )
-from repro.fleet import FaultPlan, ReplicaFault, simulate_fleet
+from repro.fleet import FaultPlan, ReplicaFault, Router, simulate_fleet
+from repro.fleet.router import RoutingDecision
 
 COSTS = ClosureStepCost(prompt_time=lambda b, p: 0.02 + 0.001 * p,
                         step_time=lambda b: 0.01 + 0.001 * b)
@@ -275,3 +276,56 @@ class TestRecovery:
         assert rep.num_completed == len(trace.requests)
         assert len(rep.replica_lifetimes[0]) == 2  # up, down, up, down
         assert rep.replica_stats[0].alive is False
+
+
+class TestPlacementViews:
+    """``routing`` is the router's placement log, read through its
+    columns, and ``replica_of`` and ``retried`` are drawn from it; they
+    equal the tuple, dict and frozenset a per-placement record would
+    give, built here from every ``Router.place`` call as it happens."""
+
+    @pytest.fixture(scope="class")
+    def run(self):
+        base = _trace(n=40, rate=400.0)
+        # Non-consecutive ids: keyed reads go through the id index.
+        trace = WorkloadTrace(tuple(
+            Request(3 * r.request_id + 1, r.arrival, r.prompt_len,
+                    r.gen_tokens) for r in base.requests))
+        plan = FaultPlan((ReplicaFault(1, trace.requests[-1].arrival
+                                       + 0.05),))
+        calls = []
+        place = Router.place
+
+        def recording_place(self, pos, tokens, time, **kw):
+            replica = place(self, pos, tokens, time, **kw)
+            calls.append(RoutingDecision(time, trace.requests[pos].request_id,
+                                         replica, kw.get("retry", False)))
+            return replica
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(Router, "place", recording_place)
+            report = simulate_fleet(trace, num_replicas=3, max_batch=4,
+                                    routing="least_outstanding",
+                                    fault_plan=plan, costs=COSTS)
+        return trace, report, calls
+
+    def test_equal_to_per_placement_records(self, run):
+        trace, report, calls = run
+        routing = tuple(calls)
+        replica_of = {d.request_id: d.replica for d in calls}
+        retried = frozenset(d.request_id for d in calls if d.retry)
+        assert retried and len(routing) == len(trace.requests) + len(retried)
+        assert report.routing == routing and routing == report.routing
+        assert tuple(report.routing) == routing
+        assert report.routing[-1] == routing[-1]
+        assert report.replica_of == replica_of
+        assert replica_of == report.replica_of
+        assert report.retried == retried and retried == report.retried
+        assert len(report.replica_of) == len(replica_of)
+
+    def test_replica_of_follows_trace_order(self, run):
+        trace, report, _ = run
+        assert list(report.replica_of) == [r.request_id
+                                           for r in trace.requests]
+        # A retried request's last placement is on a survivor.
+        assert all(report.replica_of[rid] != 1 for rid in report.retried)

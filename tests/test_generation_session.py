@@ -78,6 +78,32 @@ class TestSingleRequest:
         assert session.num_waiting == 0
         assert session.submit(np.array([1, 2]), max_new_tokens=2) == 0
 
+    @pytest.mark.parametrize("kwargs,name", [
+        (dict(max_new_tokens=float("nan")), "max_new_tokens"),
+        (dict(max_new_tokens=2.5), "max_new_tokens"),
+        (dict(max_new_tokens=2, request_id=2**63), "request_id"),
+        (dict(max_new_tokens=2, request_id=-2**63 - 1), "request_id"),
+    ])
+    def test_rejected_row_changes_nothing(self, model, kwargs, name):
+        """``nan < 1`` is False, so submit's own guard once let a NaN
+        ``max_new_tokens`` through, and an id outside int64 overflows
+        the lifecycle log's id column: both are caught before any state
+        changes."""
+        session = GenerationSession(model)
+        session.submit(np.array([3, 4]), max_new_tokens=2)
+        sched = session.scheduler
+
+        def state():
+            return (len(sched.table.ids), sched.events, sched.num_waiting,
+                    session._next_id, len(session._reqs))
+
+        before = state()
+        with pytest.raises((TypeError, ValueError), match=name):
+            session.submit(np.array([1, 2]), **kwargs)
+        assert state() == before
+        assert session.submit(np.array([1, 2]), max_new_tokens=2) == 1
+        assert sorted(session.run()) == [0, 1]
+
 
 class TestContinuousBatching:
     def test_concurrent_requests_independent(self, model):

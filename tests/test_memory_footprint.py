@@ -1,11 +1,12 @@
 """Memory regression tests for the records that grow with every action
 or request.
 
-The scheduler's lifecycle log, each Timeline lane and each replica's
-action log are typed arrays, so they keep a few bytes per entry instead
-of one Python object each. A trace keeps its requests as typed columns,
-and a run keeps its per-request times in arrays indexed by trace
-position, which the reports read through ``Mapping`` views.
+The scheduler's lifecycle log, each Timeline lane, each replica's
+action log and the router's placement log are typed arrays, so they
+keep a few bytes per entry instead of one Python object each. A trace
+keeps its requests as typed columns, and a run keeps its per-request
+state in arrays indexed by trace position, which the reports read
+through views; a scheduler keeps nothing per request past its slot.
 ``tracemalloc`` attributes every allocation to the source line that
 made it, so the bytes a structure keeps are summed over the lines that
 append to it.
@@ -23,10 +24,11 @@ import pytest
 import repro.engine.replica as replica_mod
 import repro.engine.scheduler as scheduler_mod
 import repro.engine.serving_sim as serving_mod
-from repro.engine import (ClosureStepCost, Request, SchedRequest, Scheduler,
+from repro.engine import (ClosureStepCost, Request, RequestTable, Scheduler,
                           WorkloadTrace, simulate_serving, synthesize_trace)
 from repro.engine.replica import _KvTracker, _Outcomes, _Replica
 from repro.engine.serving_sim import _RequestTimes
+from repro.fleet import Router
 from repro.simcore import Timeline
 
 N = 10_000
@@ -64,23 +66,29 @@ def retained_in(owners, build):
     return size, kept
 
 
+def _scheduler_log_lines():
+    """The lines of scheduler.py that append to a log column."""
+    tree = ast.parse(inspect.getsource(scheduler_mod))
+    return {line for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and ast.unparse(node.func) in (
+                "self._log_steps.append", "self._log_codes.append",
+                "self._log_rids.append")
+            for line in range(node.lineno, node.end_lineno + 1)}
+
+
 def test_scheduler_log_keeps_at_most_24_bytes_per_event():
     """Three columns: an int64 step, a one-byte code and an int64 id.
     Measured over every line that appends to a column."""
-    tree = ast.parse(inspect.getsource(scheduler_mod))
-    own = {line for node in ast.walk(tree) if isinstance(node, ast.Call)
-           and ast.unparse(node.func) in (
-               "self._log_steps.append", "self._log_codes.append",
-               "self._log_rids.append")
-           for line in range(node.lineno, node.end_lineno + 1)}
+    own = _scheduler_log_lines()
     assert len(own) >= 12  # enqueue, admit and both retirement paths
-    requests = [SchedRequest(i, prompt_len=4, max_new_tokens=1 + i % 5)
-                for i in range(-(-N // 3))]
+    table = RequestTable()
+    for i in range(-(-N // 3)):
+        table.append(i, 4, 1 + i % 5, None)
 
     def build():
-        sched = Scheduler(8)
-        for req in requests:
-            sched.enqueue(req)
+        sched = Scheduler(8, table)
+        for pos in range(len(table.ids)):
+            sched.enqueue(pos)
         while sched.num_waiting or sched.num_active:
             sched.admit()
             sched.record_tokens(sched.decode_horizon())
@@ -88,8 +96,54 @@ def test_scheduler_log_keeps_at_most_24_bytes_per_event():
 
     size, sched = retained_on(scheduler_mod.__file__, own, build)
     events = len(sched.events)
-    assert events == 3 * len(requests) >= N
+    assert events == 3 * len(table.ids) >= N
     assert size / events <= 24, f"{size / events:.1f} B per event"
+
+
+def test_finished_run_leaves_its_scheduler_no_per_request_state():
+    """A scheduler holds positions: a queue, one dict of active rows and
+    a duplicate-enqueue byte per row, which a run keeps once, outside
+    the scheduler. So what a finished run's scheduler retains besides
+    its lifecycle log (its own fields, at most ``max_batch`` entries
+    each, and CPython's free-listed objects) is the same for 5,000
+    requests as for 1,000; one byte per request would be 4,000 more."""
+    log_lines = _scheduler_log_lines()
+    n_lines = len(inspect.getsource(scheduler_mod).splitlines())
+    own = [line for line in range(1, n_lines + 1) if line not in log_lines]
+
+    def kept(n):
+        trace = synthesize_trace(num_requests=n, arrival_rate=200.0,
+                                 mean_prompt=32, mean_gen=16, seed=0)
+
+        def build():
+            return simulate_serving(trace, costs=COSTS, max_batch=8,
+                                    detail="summary")
+
+        size, report = retained_on(scheduler_mod.__file__, own, build)
+        assert len(report.finish_times) == n
+        return size
+
+    small, large = kept(1_000), kept(5_000)
+    assert large - small <= 1024, (
+        f"{small:,} B kept at 1,000 requests, {large:,} B at 5,000")
+
+
+def test_router_keeps_at_most_24_bytes_per_placement():
+    """Four columns: a float64 time, an int64 trace position, an int32
+    replica and a retry byte are 21 bytes a placement; the bound allows
+    the arrays' growth slack on top (at most 1/16), not any per-placement
+    object (a slotted ``RoutingDecision`` kept 128 B)."""
+    times = [0.01 * pos for pos in range(N)]
+
+    def build():
+        router = Router(4, ids=range(N))
+        for pos, t in enumerate(times):
+            router.place(pos, 8, t)
+        return router
+
+    size, router = retained_by(Router.place, build)
+    assert len(router.log.pos) == N
+    assert size / N <= 24, f"{size / N:.1f} B per placement"
 
 
 def test_timeline_lane_keeps_at_most_26_bytes_per_span():

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from repro.engine import (
     ClosureStepCost,
     Request,
-    SchedRequest,
+    RequestTable,
     Scheduler,
     WorkloadTrace,
     simulate_serving,
@@ -23,131 +23,145 @@ from repro.model import ModelConfig
 from repro.model.dense import DenseTransformer
 
 
-def _req(rid, prompt_len=4, max_new=3, arrival=0.0, tenant=None):
-    return SchedRequest(request_id=rid, prompt_len=prompt_len,
-                        max_new_tokens=max_new, arrival=arrival,
-                        tenant=tenant)
+def _sched(max_slots, **kwargs):
+    """A scheduler over a fresh request table."""
+    return Scheduler(max_slots, RequestTable(), **kwargs)
+
+
+def _enq(s, rid, prompt_len=4, max_new=3, tenant=None):
+    """Append request ``rid``'s row to ``s``'s table and enqueue it;
+    returns the row."""
+    pos = s.table.append(rid, prompt_len, max_new, tenant)
+    s.enqueue(pos)
+    return pos
+
+
+def _ids(s, rows):
+    """The request ids of ``s``'s table rows."""
+    return [s.table.ids[pos] for pos in rows]
 
 
 class TestAdmissionPolicies:
     def test_fcfs_admits_in_enqueue_order(self):
-        s = Scheduler(2, policy="fcfs")
+        s = _sched(2, policy="fcfs")
         for rid, plen in [(0, 9), (1, 1), (2, 5)]:
-            s.enqueue(_req(rid, prompt_len=plen))
+            _enq(s, rid, prompt_len=plen)
         admitted = s.admit()
-        assert [r.request_id for r in admitted] == [0, 1]
+        assert _ids(s, admitted) == [0, 1]
         assert s.num_waiting == 1
 
     def test_shortest_prompt_reorders(self):
-        s = Scheduler(2, policy="shortest_prompt")
+        s = _sched(2, policy="shortest_prompt")
         for rid, plen in [(0, 9), (1, 1), (2, 5)]:
-            s.enqueue(_req(rid, prompt_len=plen))
+            _enq(s, rid, prompt_len=plen)
         admitted = s.admit()
-        assert [r.request_id for r in admitted] == [1, 2]
+        assert _ids(s, admitted) == [1, 2]
 
     def test_shortest_prompt_ties_break_by_enqueue_order(self):
-        s = Scheduler(3, policy="shortest_prompt")
+        s = _sched(3, policy="shortest_prompt")
         for rid in (7, 3, 5):
-            s.enqueue(_req(rid, prompt_len=4))
-        assert [r.request_id for r in s.admit()] == [7, 3, 5]
+            _enq(s, rid, prompt_len=4)
+        assert _ids(s, s.admit()) == [7, 3, 5]
 
     def test_custom_policy_callable(self):
-        longest = lambda q: max(q, key=lambda r: r.prompt_len)  # noqa: E731
-        s = Scheduler(1, policy=longest)
+        def longest(queue, table, active):
+            return max(queue, key=table.prompt.__getitem__)
+
+        s = _sched(1, policy=longest)
         for rid, plen in [(0, 2), (1, 8)]:
-            s.enqueue(_req(rid, prompt_len=plen))
-        assert [r.request_id for r in s.admit()] == [1]
+            _enq(s, rid, prompt_len=plen)
+        assert _ids(s, s.admit()) == [1]
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError, match="unknown policy"):
-            Scheduler(1, policy="lifo")
+            _sched(1, policy="lifo")
 
     @pytest.mark.parametrize("cap", [1.5, 1.0, float("nan"), "1"])
     def test_max_admit_rejects_non_integers(self, cap):
         """``max_admit=1.5`` used to admit two requests and NaN the whole
         queue; a non-integer is a TypeError naming it, admitting none."""
-        s = Scheduler(4)
+        s = _sched(4)
         for rid in range(3):
-            s.enqueue(_req(rid))
+            _enq(s, rid)
         with pytest.raises(TypeError, match="max_admit"):
             s.admit(max_admit=cap)
         assert s.num_waiting == 3 and not s.active
 
     def test_max_admit_rejects_negatives(self):
-        s = Scheduler(4)
-        s.enqueue(_req(0))
+        s = _sched(4)
+        _enq(s, 0)
         with pytest.raises(ValueError, match="max_admit must be >= 0"):
             s.admit(max_admit=-1)
         assert s.num_waiting == 1
 
     def test_max_admit_caps_admissions(self):
-        s = Scheduler(4)
+        s = _sched(4)
         for rid in range(4):
-            s.enqueue(_req(rid))
+            _enq(s, rid)
         assert s.admit(max_admit=0) == []
-        assert [r.request_id for r in s.admit(max_admit=1)] == [0]
-        assert [r.request_id for r in s.admit(max_admit=np.int64(2))] == [1, 2]
-        assert [r.request_id for r in s.admit()] == [3]
+        assert _ids(s, s.admit(max_admit=1)) == [0]
+        assert _ids(s, s.admit(max_admit=np.int64(2))) == [1, 2]
+        assert _ids(s, s.admit()) == [3]
 
     def test_registry_exposes_tenant_fair(self):
         assert "tenant_fair" in ADMISSION_POLICIES
-        assert getattr(ADMISSION_POLICIES["tenant_fair"], "tenant_aware",
-                       False)
+        assert isinstance(ADMISSION_POLICIES["tenant_fair"], TenantFairShare)
 
 
 class TestTenantPolicies:
     def test_fair_share_balances_held_slots(self):
         """With tenant A already holding both slots, the next admission
         goes to B even though A's request queued first."""
-        s = Scheduler(3, policy=TenantFairShare())
-        s.enqueue(_req(0, tenant="a"))
-        s.enqueue(_req(1, tenant="a"))
-        s.enqueue(_req(2, tenant="a"))
-        s.enqueue(_req(3, tenant="b"))
+        s = _sched(3, policy=TenantFairShare())
+        _enq(s, 0, tenant="a")
+        _enq(s, 1, tenant="a")
+        _enq(s, 2, tenant="a")
+        _enq(s, 3, tenant="b")
         admitted = s.admit()
         # Round-robin by load: a (0 held), b (0 vs 1), then a again.
-        assert [(r.request_id, r.tenant) for r in admitted] == [
-            (0, "a"), (3, "b"), (1, "a")]
+        table = s.table
+        assert [(table.ids[pos], table.tenant_names[table.tenant[pos]])
+                for pos in admitted] == [(0, "a"), (3, "b"), (1, "a")]
 
     def test_fair_share_weights_bias_shares(self):
         """weight 2 tenants absorb two slots per one of weight 1."""
         pick = TenantFairShare(weights={"big": 2.0, "small": 1.0})
-        s = Scheduler(3, policy=pick)
+        s = _sched(3, policy=pick)
         for rid, t in [(0, "small"), (1, "big"), (2, "big"), (3, "small")]:
-            s.enqueue(_req(rid, tenant=t))
+            _enq(s, rid, tenant=t)
         admitted = s.admit()
         # loads: small 0/1 vs big 0/2 -> tie by queue order (0 first);
         # then big 0/2 beats small 1/1 twice.
-        assert [r.request_id for r in admitted] == [0, 1, 2]
+        assert _ids(s, admitted) == [0, 1, 2]
 
     def test_fair_share_slot_caps_stop_admission(self):
         pick = TenantFairShare(slot_caps={"a": 1})
-        s = Scheduler(4, policy=pick)
+        s = _sched(4, policy=pick)
         for rid in range(3):
-            s.enqueue(_req(rid, tenant="a"))
+            _enq(s, rid, tenant="a")
         admitted = s.admit()
-        assert [r.request_id for r in admitted] == [0]
+        assert _ids(s, admitted) == [0]
         assert s.num_waiting == 2  # capped, not dropped
         # A retirement frees the capped tenant's slot.
         s.record_token(0, token=None)
         s.record_token(0)
         s.record_token(0)
         assert s.num_active == 0
-        assert [r.request_id for r in s.admit()] == [1]
+        assert _ids(s, s.admit()) == [1]
 
     def test_fair_share_untagged_requests_pool_under_default(self):
-        s = Scheduler(2, policy=TenantFairShare())
-        s.enqueue(_req(0))
-        s.enqueue(_req(1, tenant="a"))
-        assert [r.request_id for r in s.admit()] == [0, 1]
+        s = _sched(2, policy=TenantFairShare())
+        _enq(s, 0)
+        _enq(s, 1, tenant="a")
+        assert _ids(s, s.admit()) == [0, 1]
 
     def test_priority_policy_prefers_high_priority_tenants(self):
         pick = TenantPriority(priorities={"gold": 2.0, "free": 0.0})
-        s = Scheduler(2, policy=pick)
+        s = _sched(2, policy=pick)
         for rid, t in [(0, "free"), (1, "free"), (2, "gold")]:
-            s.enqueue(_req(rid, tenant=t))
+            _enq(s, rid, tenant=t)
         admitted = s.admit()
-        assert [r.request_id for r in admitted] == [2, 0]
+        assert _ids(s, admitted) == [2, 0]
 
     def test_tenant_policies_validate(self):
         with pytest.raises(ValueError):
@@ -184,50 +198,69 @@ class TestTenantPolicies:
 
 class TestLifecycle:
     def test_length_retirement_frees_slot(self):
-        s = Scheduler(1)
-        s.enqueue(_req(0, max_new=2))
-        s.enqueue(_req(1, max_new=1))
+        s = _sched(1)
+        _enq(s, 0, max_new=2)
+        _enq(s, 1, max_new=1)
         s.admit()
         assert s.record_token(0) is None
         assert s.record_token(0) == "length"
         assert s.num_active == 0
         # The freed slot is immediately fillable (same-step backfill).
-        assert [r.request_id for r in s.admit()] == [1]
+        assert _ids(s, s.admit()) == [1]
 
     def test_eos_retirement(self):
-        s = Scheduler(1, eos_token=42)
-        s.enqueue(_req(0, max_new=10))
+        s = _sched(1, eos_token=42)
+        _enq(s, 0, max_new=10)
         s.admit()
         assert s.record_token(0, token=7) is None
         assert s.record_token(0, token=42) == "eos"
         assert s.retirement_order == [0]
 
     def test_record_token_requires_active(self):
-        s = Scheduler(1)
-        s.enqueue(_req(0))
+        s = _sched(1)
+        _enq(s, 0)
         with pytest.raises(KeyError):
             s.record_token(0)
 
     def test_duplicate_enqueue_rejected(self):
-        s = Scheduler(1)
-        s.enqueue(_req(0))
+        s = _sched(1)
+        pos = _enq(s, 0)
         with pytest.raises(ValueError, match="already"):
-            s.enqueue(_req(0))
+            s.enqueue(pos)
+        assert s.num_waiting == 1 and len(s.events) == 1
+
+    def test_shared_rows_move_only_when_surrendered(self):
+        """Schedulers sharing ``held`` (a fleet's replicas; here the
+        table's own) reject a row another one holds, until a crash
+        surrenders it; the surrendering scheduler keeps its state for
+        replay."""
+        table = RequestTable()
+        dead, alive = Scheduler(2, table), Scheduler(2, table)
+        for rid in range(3):
+            dead.enqueue(table.append(rid, 4, 3, None))
+        dead.admit(max_admit=1)
+        with pytest.raises(ValueError, match="already"):
+            alive.enqueue(1)
+        assert dead.surrender() == [0, 1, 2]
+        for pos in (2, 0, 1):
+            alive.enqueue(pos)
+        assert alive.surrender() == [2, 0, 1]
+        assert dead.active == [0] and dead.num_waiting == 2
 
     def test_can_admit_veto_stops_without_skipping(self):
-        s = Scheduler(4)
+        s = _sched(4)
         for rid, plen in [(0, 8), (1, 1)]:
-            s.enqueue(_req(rid, prompt_len=plen))
+            _enq(s, rid, prompt_len=plen)
         # Veto the head of the queue: admission must stop, not admit #1
         # over #0 (capacity pressure may not reorder FCFS).
-        admitted = s.admit(can_admit=lambda r: r.prompt_len < 4)
+        admitted = s.admit(can_admit=lambda pos: s.table.prompt[pos] < 4)
         assert admitted == []
         assert s.num_waiting == 2
 
     def test_event_log_and_orderings(self):
-        s = Scheduler(2)
-        s.enqueue(_req(0, max_new=1))
-        s.enqueue(_req(1, max_new=2))
+        s = _sched(2)
+        _enq(s, 0, max_new=1)
+        _enq(s, 1, max_new=2)
         s.admit()
         s.record_token(0)
         s.record_token(1)
@@ -242,34 +275,33 @@ class TestLifecycle:
         assert retire_steps == [0, 1]
 
     def test_waiting_and_enqueue_steps_accessors(self):
-        """The fleet layer reads both: ``waiting`` to requeue a dead
-        replica's queue, ``enqueue_steps`` to replay enqueues into a
-        functional session at the recorded step."""
-        s = Scheduler(1)
-        s.enqueue(_req(0))
-        s.enqueue(_req(1))
-        assert s.waiting == [0, 1]
+        """The fleet layer reads both: ``surrender`` to requeue a dead
+        replica's waiting rows, ``enqueue_steps`` to replay enqueues into
+        a functional session at the recorded step."""
+        s = _sched(1)
+        _enq(s, 0)
+        _enq(s, 1)
+        assert s.num_waiting == 2
         s.admit()
-        assert s.waiting == [1]
+        assert s.num_waiting == 1
         s.record_token(0)
         s.advance()
-        s.enqueue(_req(2))
+        _enq(s, 2)
         assert s.enqueue_steps == {0: 0, 1: 0, 2: 1}
         # The mapping is a copy: mutating it cannot corrupt the scheduler.
         s.enqueue_steps.clear()
         assert s.enqueue_steps == {0: 0, 1: 0, 2: 1}
+        assert s.surrender() == [0, 1, 2]  # active, then waiting
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            Scheduler(0)
+            _sched(0)
+        table = RequestTable()
         with pytest.raises(ValueError):
-            SchedRequest(0, prompt_len=0, max_new_tokens=1)
+            table.append(0, 0, 1, None)
         with pytest.raises(ValueError):
-            SchedRequest(0, prompt_len=1, max_new_tokens=0)
-        for arrival in (-1.0, float("nan"), float("inf")):
-            with pytest.raises(ValueError, match="arrival"):
-                SchedRequest(0, prompt_len=4, max_new_tokens=2,
-                             arrival=arrival)
+            table.append(0, 1, 0, None)
+        assert len(table.ids) == 0 and not table.tenant_names
 
     @pytest.mark.parametrize("kwargs,name", [
         (dict(prompt_len=float("nan")), "prompt_len"),
@@ -278,11 +310,14 @@ class TestLifecycle:
         (dict(max_new_tokens=2.5), "max_new_tokens"),
     ])
     def test_non_integer_lengths_rejected(self, kwargs, name):
-        """NaN passed the ``< 1`` guards: ``SchedRequest(0, nan, 3)``
-        was accepted."""
-        fields = dict(request_id=0, prompt_len=4, max_new_tokens=3)
+        """NaN passed the ``< 1`` guards: a row of prompt NaN was
+        accepted. A rejected row leaves the table unchanged."""
+        fields = dict(request_id=0, prompt_len=4, max_new_tokens=3,
+                      tenant="a")
+        table = RequestTable()
         with pytest.raises(TypeError, match=f"{name} must be an integer"):
-            SchedRequest(**{**fields, **kwargs})
+            table.append(**{**fields, **kwargs})
+        assert len(table.ids) == 0 and not table.tenant_names
 
 
 class TestBulkStepping:
@@ -296,16 +331,16 @@ class TestBulkStepping:
                  for rid in range(9)]
         pair = []
         for _ in range(2):
-            s = Scheduler(3)
+            s = _sched(3)
             for rid, plen, gen in specs:
-                s.enqueue(_req(rid, prompt_len=plen, max_new=gen))
+                _enq(s, rid, prompt_len=plen, max_new=gen)
             pair.append(s)
         return pair
 
     def test_horizon_counts_steps_to_next_length_retirement(self):
-        s = Scheduler(3)
+        s = _sched(3)
         for rid, gen in [(0, 5), (1, 2), (2, 9)]:
-            s.enqueue(_req(rid, max_new=gen))
+            _enq(s, rid, max_new=gen)
         assert s.decode_horizon() == 0  # nothing admitted yet
         s.admit()
         assert s.decode_horizon() == 2
@@ -346,14 +381,14 @@ class TestBulkStepping:
         """decode_horizon() is kept incrementally; after any mix of
         admissions, single tokens (EOS included) and bulk stretches it
         equals the minimum remaining budget over the active set."""
-        s = Scheduler(3, eos_token=0)
+        s = _sched(3, eos_token=0)
         budget: dict[int, int] = {}
         for op, k in ops:
             active = s.active
             if op == "enqueue":
                 rid = len(budget)
                 budget[rid] = k
-                s.enqueue(_req(rid, max_new=k))
+                _enq(s, rid, max_new=k)
             elif op == "admit":
                 s.admit(max_admit=k)
             elif op in ("token", "eos") and active:
@@ -391,8 +426,8 @@ class TestBulkStepping:
         assert bulk.events == single.events
 
     def test_partial_run_retires_nobody(self):
-        s = Scheduler(2)
-        s.enqueue(_req(0, max_new=5))
+        s = _sched(2)
+        _enq(s, 0, max_new=5)
         s.admit()
         assert s.record_tokens(4) == []
         assert s.generated(0) == 4
@@ -402,8 +437,8 @@ class TestBulkStepping:
     def test_record_tokens_rejects_non_integer_steps(self, steps):
         """A non-integer (a float, NaN and integral ones included, or a
         string) is a TypeError naming ``steps``, and commits nothing."""
-        s = Scheduler(2)
-        s.enqueue(_req(0, max_new=5))
+        s = _sched(2)
+        _enq(s, 0, max_new=5)
         s.admit()
         with pytest.raises(TypeError, match="steps"):
             s.record_tokens(steps)
@@ -411,8 +446,8 @@ class TestBulkStepping:
 
     def test_record_tokens_takes_integer_likes_as_ints(self):
         """A NumPy integer commits its value, and the step stays an int."""
-        s = Scheduler(2)
-        s.enqueue(_req(0, max_new=5))
+        s = _sched(2)
+        _enq(s, 0, max_new=5)
         s.admit()
         assert s.record_tokens(np.int64(3)) == []
         assert s.step == 3 and type(s.step) is int
@@ -425,10 +460,9 @@ class TestBulkStepping:
         st.integers(1, 6)), max_size=50))
     def test_offset_counts_match_a_naive_counter(self, ops):
         """Token counts kept by offset (``_bulk``) read exactly like a
-        per-request counter stepped token by token, for active and
-        retired requests alike, after any interleaving of the public
-        lifecycle calls."""
-        s = Scheduler(3, eos_token=0)
+        per-request counter stepped token by token, for every active
+        request, after any interleaving of the public lifecycle calls."""
+        s = _sched(3, eos_token=0)
         budget: dict[int, int] = {}
         count: dict[int, int] = {}
         queue: list[int] = []
@@ -446,7 +480,7 @@ class TestBulkStepping:
                 budget[rid] = k
                 queue.append(rid)
                 events.append((step, "enqueue", rid, ""))
-                s.enqueue(_req(rid, max_new=k))
+                _enq(s, rid, max_new=k)
             elif op == "admit":
                 s.admit(max_admit=k)
                 while queue and len(active) < 3 and k:
@@ -476,8 +510,8 @@ class TestBulkStepping:
                 s.advance()
                 step += 1
             assert s.step == step
-            assert {rid: s.generated(rid) for rid in budget} == {
-                rid: count.get(rid, 0) for rid in budget}
+            assert {rid: s.generated(rid) for rid in active} == {
+                rid: count[rid] for rid in active}
             assert s.decode_horizon() == min(
                 (budget[rid] - count[rid] for rid in active), default=0)
             assert s.active == active
@@ -497,25 +531,30 @@ class TestBulkStepping:
                 CountingDict.writes += 1
                 super().__setitem__(key, value)
 
-        s = Scheduler(4)
+            def __delitem__(self, key):
+                CountingDict.writes += 1
+                super().__delitem__(key)
+
+        s = _sched(4)
         for rid, gen in enumerate((9, 12, 30, 7)):
-            s.enqueue(_req(rid, max_new=gen))
+            _enq(s, rid, max_new=gen)
         s.admit()
         s.record_token(2)  # counts differ before the stretches
-        s._generated = CountingDict(s._generated)
+        s._active = CountingDict(s._active)
         assert s.record_tokens(3) == []
         assert s.record_tokens(s.decode_horizon() - 1) == []
         assert CountingDict.writes == 0
         assert [s.generated(rid) for rid in range(4)] == [6, 6, 7, 6]
         assert s.record_tokens(1) == [3]  # a retiring stretch writes
-        assert CountingDict.writes == 1
-        assert [s.generated(rid) for rid in range(4)] == [7, 7, 8, 7]
+        assert CountingDict.writes == 1  # the retiree leaves
+        assert s.active == [0, 1, 2]
+        assert [s.generated(rid) for rid in range(3)] == [7, 7, 8]
 
     def test_validation(self):
-        s = Scheduler(1)
+        s = _sched(1)
         with pytest.raises(ValueError, match="no active"):
             s.record_tokens(1)
-        s.enqueue(_req(0, max_new=3))
+        _enq(s, 0, max_new=3)
         s.admit()
         with pytest.raises(ValueError):
             s.record_tokens(0)
@@ -526,9 +565,9 @@ class TestBulkStepping:
 
 class TestTimelineExport:
     def test_queued_and_active_spans(self):
-        s = Scheduler(1)
-        s.enqueue(_req(0, max_new=1))
-        s.enqueue(_req(1, max_new=1))
+        s = _sched(1)
+        _enq(s, 0, max_new=1)
+        _enq(s, 1, max_new=1)
         s.admit()
         s.record_token(0)
         s.advance()

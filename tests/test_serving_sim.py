@@ -585,8 +585,8 @@ def test_kv_growth_counts_every_request_block_by_block(
     trace = WorkloadTrace(tuple(Request(i, 0.0, p, 1)
                                 for i, p in enumerate(prompts)))
     kv = _KvTracker(block_size=block_size, num_layers=num_layers)
-    for r in trace.requests:
-        kv.admit(r)
+    for pos, r in enumerate(trace.requests):
+        kv._admit(pos, r.prompt_len, None, 0)
     pos = list(prompts)
     for steps in stretches:
         kv.grow_all(steps)
