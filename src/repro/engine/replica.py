@@ -420,7 +420,7 @@ class _Replica:
             if inbox[0][0] > self.now:  # idle fast-forward
                 self.now = inbox[0][0]
         now = self.now
-        while inbox and inbox[0][0] <= now:  # enqueue what has arrived
+        while inbox and inbox[0][0] <= now:
             t, pos = inbox.popleft()
             self.out.delivered[pos] = t
             sched.enqueue(pos)
