@@ -285,9 +285,9 @@ class _Replica:
     (admit one request with its prompt pass, or decode a stretch), so a
     driver can run it alone or interleave it with others. Requests are
     positions in ``requests``, the trace's columns; results go to
-    ``out``. The hot paths read the scheduler's queue and slot table
-    (``Scheduler._queue``, ``Scheduler._active``) directly, not through
-    its properties.
+    ``out``. The hot paths read the scheduler's queue, slot table and
+    cached horizon (``Scheduler._queue``, ``_active``, ``_horizon``)
+    directly, not through its properties.
 
     ``on_complete(index, pos, t)``, unless ``None``, is called for every
     request that finishes here (``pos`` is its trace position): the
@@ -483,7 +483,7 @@ class _Replica:
             t_break = inbox[0][0]
         if start < slow_from < t_break:
             t_break = slow_from
-        horizon = sched.decode_horizon()
+        horizon = sched._horizon or sched.decode_horizon()  # None = stale
         if max_steps is not None and horizon > max_steps:
             horizon = max_steps
         state = _new(BatchState)
