@@ -72,14 +72,13 @@ class GPUOnlyBaseline:
         )
         return self.kernel_model.layer_cost(shape).total_time * self.config.layers
 
-    def generation_throughput(self, *, prompt_len: int, gen_tokens: int,
-                              batch: int | None = None) -> float:
-        """Generated tokens/s at the (default: maximum) batch."""
+    def generation_throughput(self, *, prompt_len: int,
+                              gen_tokens: int) -> float:
+        """Generated tokens/s at the maximum batch."""
         if gen_tokens < 1:
             raise ValueError("gen_tokens must be >= 1")
         seq = prompt_len + gen_tokens
-        if batch is None:
-            batch = self.max_batch(seq)
+        batch = self.max_batch(seq)
         if batch < 1:
             raise ValueError(
                 f"{self.config.name} leaves no KV room at seq {seq} on a "

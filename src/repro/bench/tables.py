@@ -18,12 +18,6 @@ class ExperimentResult:
     rows: list[dict[str, Any]]
     notes: list[str] = field(default_factory=list)
 
-    def column(self, name: str) -> list[Any]:
-        """All values of one column, in row order."""
-        if name not in self.columns:
-            raise KeyError(f"no column {name!r} in {self.exp_id}")
-        return [r.get(name) for r in self.rows]
-
     def render(self) -> str:
         """Human-readable report block."""
         lines = [f"== {self.exp_id}: {self.title} =="]

@@ -44,6 +44,9 @@ from .scheduler import RequestTable, Scheduler
 
 __all__ = ["GenerationRequest", "GenerationSession"]
 
+#: steps :meth:`GenerationSession.run` takes before it calls the run stuck
+_MAX_RUN_STEPS = 10_000
+
 
 @dataclass
 class GenerationRequest:
@@ -409,13 +412,13 @@ class GenerationSession:
         finished += self._admit()  # backfill slots freed this step
         return sorted(finished)
 
-    def run(self, max_steps: int = 10_000) -> dict[int, GenerationRequest]:
+    def run(self) -> dict[int, GenerationRequest]:
         """Step until every submitted request finishes."""
         steps = 0
         while self.scheduler.num_waiting or self.scheduler.num_active:
             self.step()
             steps += 1
-            if steps > max_steps:
+            if steps > _MAX_RUN_STEPS:
                 raise RuntimeError("generation did not terminate; check EOS "
                                    "and max_new_tokens settings")
         return dict(self._finished)

@@ -72,16 +72,11 @@ class InferenceEngine:
             Workload(batch=batch, prompt_len=prompt_len, gen_tokens=gen_tokens)
         )
 
-    def best_throughput(
-        self, *, prompt_len: int, gen_tokens: int, offload_activations: bool = False
-    ) -> ThroughputPoint:
+    def best_throughput(self, *, prompt_len: int,
+                        gen_tokens: int) -> ThroughputPoint:
         """Best-batch throughput sweep (the Fig. 8 methodology)."""
-        return best_throughput(
-            self.latency_model,
-            prompt_len=prompt_len,
-            gen_tokens=gen_tokens,
-            offload_activations=offload_activations,
-        )
+        return best_throughput(self.latency_model, prompt_len=prompt_len,
+                               gen_tokens=gen_tokens)
 
 
 class MoEInferenceEngine:

@@ -19,10 +19,8 @@ retirement), and call :meth:`advance` once per decode iteration.
 
 Every decision lands in the lifecycle log, the one lifecycle record
 (typed columns of steps, event codes and request ids; ``events``
-renders them): ``enqueue_steps``, ``admission_order``,
-``retirement_order`` and :meth:`to_timeline` (a
-:class:`~repro.simcore.trace.Timeline` for ``to_chrome_trace`` export)
-each read it in one pass.
+renders them): ``enqueue_steps``, ``admission_order`` and
+``retirement_order`` each read it in one pass.
 
 Both :class:`~repro.engine.generation.GenerationSession` (real tensors)
 and :func:`~repro.engine.serving_sim.simulate_serving` (priced time)
@@ -39,7 +37,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from ..model.config import _as_index
-from ..simcore.trace import Timeline
 
 __all__ = [
     "RequestTable",
@@ -526,38 +523,3 @@ class Scheduler:
         self._horizon = survivors
         self._step += 1
         return retired
-
-    # -- introspection ---------------------------------------------------
-
-    def to_timeline(self) -> Timeline:
-        """Render the event log as a step-indexed :class:`Timeline`.
-
-        Each request gets a lane with its ``queued`` and ``active``
-        phases (a retirement during step ``s`` ends the span at ``s+1``).
-        """
-        # One pass over the log: rid -> step of each lifecycle event.
-        enqueued: dict[int, int] = {}
-        admitted: dict[int, int] = {}
-        retired: dict[int, int] = {}
-        reason: dict[int, str] = {}
-        at = (enqueued, admitted, retired, retired)  # by event code
-        for step, code, rid in zip(
-                self._log_steps, self._log_codes, self._log_rids):
-            at[code][rid] = step
-            if code >= _RETIRE_LENGTH:
-                reason[rid] = _KIND_REASON[code][1]
-        tl = Timeline()
-        for rid in sorted(enqueued):
-            lane = f"request-{rid}"
-            enq = enqueued[rid]
-            adm = admitted.get(rid, self._step)
-            tl.record_instant(lane, enq, "enqueue")
-            if adm > enq:
-                tl.record(lane, enq, adm, "queued")
-            if rid in admitted:
-                end = retired.get(rid, self._step)
-                tl.record(lane, adm, end + 1, "active")
-            if rid in retired:
-                tl.record_instant(lane, retired[rid] + 1,
-                                  f"retire ({reason[rid]})")
-        return tl

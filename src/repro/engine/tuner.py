@@ -47,11 +47,6 @@ class TuningResult:
     tokens_per_second: float
     num_gpus: int
 
-    @property
-    def tokens_per_second_per_gpu(self) -> float:
-        """Cost-normalized throughput."""
-        return self.tokens_per_second / self.num_gpus
-
 
 def _tp_candidates(config: ModelConfig, cluster: ClusterSpec, max_gpus: int):
     """Power-of-two TP degrees that divide the head count and fit one

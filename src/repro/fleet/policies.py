@@ -25,8 +25,6 @@ from __future__ import annotations
 
 from typing import Callable, Protocol, Sequence
 
-import numpy as np
-
 from ..engine.serving_sim import Request
 from ..rng import SeedLike, as_generator
 
@@ -50,8 +48,6 @@ class FleetView(Protocol):
 
     @property
     def num_replicas(self) -> int: ...
-
-    def is_alive(self, replica: int) -> bool: ...
 
     def is_routable(self, replica: int) -> bool: ...
 
@@ -209,11 +205,6 @@ class SessionAffinity(RoutingPolicy):
         target = self._fallback.choose(request, view)
         self._pins[request.session] = target
         return target
-
-    @property
-    def pins(self) -> dict[int, int]:
-        """Current session -> replica pinning (a copy)."""
-        return dict(self._pins)
 
 
 ROUTING_POLICIES: dict[str, Callable[[], RoutingPolicy]] = {

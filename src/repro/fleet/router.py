@@ -100,10 +100,6 @@ class Router:
         """Size of the replica pool (dead and draining ones included)."""
         return len(self._alive)
 
-    def is_alive(self, replica: int) -> bool:
-        """Liveness of one replica."""
-        return self._alive[replica]
-
     def is_routable(self, replica: int) -> bool:
         """Whether new work may be placed on ``replica`` (alive and not
         draining)."""

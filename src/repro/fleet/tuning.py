@@ -48,11 +48,6 @@ class FleetTuningResult:
     num_gpus: int
     replication: int = 1  # expert replication factor (MoE, skewed traces)
 
-    @property
-    def tokens_per_second_per_gpu(self) -> float:
-        """Cost-normalized sustained throughput."""
-        return self.tokens_per_second / self.num_gpus
-
 
 def tune_fleet_deployment(
     config: ModelConfig,

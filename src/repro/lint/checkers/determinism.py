@@ -26,7 +26,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from ..core import Checker, Finding, ModuleInfo
+from ..core import Checker, Finding, ModuleInfo, own_nodes
 
 __all__ = ["SimDeterminismChecker"]
 
@@ -60,22 +60,6 @@ def _is_setish(node: ast.AST, set_names: set[str]) -> bool:
         return (_is_setish(node.left, set_names)
                 or _is_setish(node.right, set_names))
     return False
-
-
-def _scope_nodes(scope: ast.AST) -> list[ast.AST]:
-    """All nodes of one scope, stopping at nested function boundaries."""
-    out: list[ast.AST] = []
-
-    def visit(node: ast.AST) -> None:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                  ast.Lambda)):
-                continue
-            out.append(child)
-            visit(child)
-
-    visit(scope)
-    return out
 
 
 class SimDeterminismChecker(Checker):
@@ -154,7 +138,7 @@ class SimDeterminismChecker(Checker):
             if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
         ]
         for scope in scopes:
-            nodes = _scope_nodes(scope)
+            nodes = list(own_nodes(scope))
             set_names: set[str] = set()
             for node in nodes:
                 if isinstance(node, ast.Assign) and len(node.targets) == 1 \

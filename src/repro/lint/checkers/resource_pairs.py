@@ -36,7 +36,7 @@ import ast
 from typing import Iterator
 
 from ..core import Finding, ProjectChecker
-from ..project import FunctionSummary, ModuleSymbols, ProjectInfo
+from ..project import FunctionSummary, ModuleSymbols, ProjectInfo, dotted_name
 
 __all__ = ["ResourcePairChecker"]
 
@@ -95,7 +95,7 @@ class ResourcePairChecker(ProjectChecker):
         for symbols in project.symbols.values():
             if not self.applies_to(symbols.mod):
                 continue
-            for cls_name, summary in _scopes(symbols):
+            for cls_name, summary in symbols.summaries():
                 yield from self._check_function(
                     project, symbols, cls_name, summary)
 
@@ -110,12 +110,12 @@ class ResourcePairChecker(ProjectChecker):
 
         def frees_via_helper(call: ast.Call) -> set[str]:
             """Tracked names this call releases through a helper summary."""
-            raw = _dotted(call.func)
+            raw = dotted_name(call.func)
             if raw is None:
                 return set()
-            callee = project.resolve_call_name(symbols.module, raw,
-                                               cls=cls_name)
-            if callee is None or not callee.frees_params:
+            callee = project.resolve(symbols.module, raw, cls=cls_name)
+            if not isinstance(callee, FunctionSummary) \
+                    or not callee.frees_params:
                 return set()
             out: set[str] = set()
             positional = callee.positional()
@@ -311,22 +311,3 @@ def _captured_names(func: ast.AST) -> set[str]:
                 if isinstance(sub, ast.Name):
                     out.add(sub.id)
     return out
-
-
-def _scopes(symbols: ModuleSymbols):
-    for summary in symbols.functions.values():
-        yield None, summary
-    for cls in symbols.classes.values():
-        for summary in cls.methods.values():
-            yield cls.name, summary
-
-
-def _dotted(node: ast.AST) -> str | None:
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None

@@ -28,7 +28,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from ..core import Checker, Finding, ModuleInfo
+from ..core import Checker, Finding, ModuleInfo, own_nodes
 
 __all__ = ["UnitConsistencyChecker", "DEFAULT_UNIT_REGISTRY", "unit_of_name"]
 
@@ -78,24 +78,6 @@ _RATE_NUMERATORS = (("requests", "requests"), ("tokens", "tokens"),
                     ("steps", "steps"))
 
 _FLAGGED_BINOPS = (ast.Add, ast.Sub)
-
-
-def _own_returns(func: ast.AST) -> list[ast.Return]:
-    """``return`` statements belonging to ``func`` itself (nested defs
-    and lambdas return on their own behalf and are not descended into)."""
-    out: list[ast.Return] = []
-
-    def visit(node: ast.AST) -> None:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                  ast.Lambda)):
-                continue
-            if isinstance(child, ast.Return):
-                out.append(child)
-            visit(child)
-
-    visit(func)
-    return out
 
 
 def unit_of_name(name: str, registry: dict[str, str] | None = None) -> str | None:
@@ -248,8 +230,8 @@ class UnitConsistencyChecker(Checker):
                 declared = unit_of_name(node.name, registry)
                 if declared is None:
                     continue
-                for sub in _own_returns(node):
-                    if sub.value is None:
+                for sub in own_nodes(node):
+                    if not isinstance(sub, ast.Return) or sub.value is None:
                         continue
                     got = unit_of(sub.value)
                     if got and not _compatible(declared, got):

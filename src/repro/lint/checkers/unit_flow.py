@@ -59,17 +59,9 @@ class UnitFlowChecker(ProjectChecker):
             if not self.applies_to(mod):
                 continue
             registry = {k.lower(): v for k, v in mod.unit_notes.items()}
-            for cls_name, summary in self._scopes(symbols):
+            for cls_name, summary in symbols.summaries():
                 yield from self._check_scope(
                     project, mod, module, cls_name, summary, registry)
-
-    @staticmethod
-    def _scopes(symbols):
-        for summary in symbols.functions.values():
-            yield None, summary
-        for cls in symbols.classes.values():
-            for summary in cls.methods.values():
-                yield cls.name, summary
 
     def _check_scope(self, project: ProjectInfo, mod: ModuleInfo,
                      module: str, cls_name: str | None,
@@ -79,7 +71,8 @@ class UnitFlowChecker(ProjectChecker):
             raw = dotted_name(call.func)
             if raw is None:
                 return None
-            return project.resolve_call_name(module, raw, cls=cls_name)
+            callee = project.resolve(module, raw, cls=cls_name)
+            return callee if isinstance(callee, FunctionSummary) else None
 
         def unit_of(node: ast.AST) -> str | None:
             if isinstance(node, ast.Name):

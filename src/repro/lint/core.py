@@ -36,6 +36,7 @@ The CLI lives in :mod:`repro.lint.__main__`; run it as
 from __future__ import annotations
 
 import ast
+import functools
 import json
 import re
 from dataclasses import dataclass, field, replace
@@ -50,9 +51,11 @@ __all__ = [
     "LintResult",
     "ModuleInfo",
     "ProjectChecker",
+    "child_nodes",
     "iter_python_files",
     "load_file",
     "load_source",
+    "own_nodes",
     "run_lint",
 ]
 
@@ -119,10 +122,13 @@ class ModuleInfo:
     unit_notes: dict[str, str] = field(default_factory=dict)
     # line number -> codes disabled there (empty set = all codes)
     suppressions: dict[int, set[str]] = field(default_factory=dict)
-    # physical (first, last) line spans of statements, innermost last;
-    # lets a suppression on a wrapped statement's first or last line
-    # silence a finding reported anywhere inside the span
-    stmt_spans: list[tuple[int, int]] = field(default_factory=list)
+
+    @functools.cached_property
+    def stmt_spans(self) -> list[tuple[int, int]]:
+        """Physical (first, last) line spans of statements, innermost
+        last; lets a suppression on a wrapped statement's first or last
+        line silence a finding reported anywhere inside the span."""
+        return _statement_spans(self.tree)
 
     @property
     def is_package_init(self) -> bool:
@@ -205,6 +211,34 @@ class ProjectChecker(Checker):
 
     def check_project(self, project: "ProjectInfo") -> Iterator[Finding]:  # noqa: F821
         raise NotImplementedError
+
+
+# -- walking ---------------------------------------------------------------
+
+
+def child_nodes(node: ast.AST) -> list[ast.AST]:
+    """``ast.iter_child_nodes`` as a list, minus the ``ctx`` markers: the
+    walks built on it are the bulk of a lint run, and this halves them."""
+    out: list[ast.AST] = []
+    for name in node._fields:
+        value = getattr(node, name, None)
+        if value.__class__ is list:
+            out.extend([v for v in value if isinstance(v, ast.AST)])
+        elif isinstance(value, ast.AST) and name != "ctx":
+            out.append(value)
+    return out
+
+
+def own_nodes(scope: ast.AST) -> Iterator[ast.AST]:
+    """``scope``'s nodes in source order, not descending into nested
+    defs or lambdas (their bindings and returns are their own)."""
+    stack = child_nodes(scope)[::-1]
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda)):
+            stack.extend(reversed(child_nodes(node)))
 
 
 # -- loading ---------------------------------------------------------------
@@ -299,7 +333,6 @@ def load_source(
         tree=tree,
         unit_notes=unit_notes,
         suppressions=suppressions,
-        stmt_spans=_statement_spans(tree),
     )
 
 
@@ -315,7 +348,10 @@ def load_file(path: Path | str, *, root: Path | str | None = None) -> ModuleInfo
         display = path.resolve().relative_to(base.resolve()).as_posix()
     except ValueError:
         display = path.as_posix()
-    info = load_source(source, module=_module_name_of(path), path=display)
+    # Under ``root`` a module is named by its path there, wherever the
+    # checkout sits: examples/quickstart.py is ``examples.quickstart``.
+    module = _module_name_of(Path(display) if root is not None else path)
+    info = load_source(source, module=module, path=display)
     info.path = path
     return info
 

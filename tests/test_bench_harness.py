@@ -90,9 +90,3 @@ class TestTables:
     def test_empty_rows(self):
         out = format_table(["x"], [])
         assert "x" in out
-
-    def test_column_accessor(self):
-        res = ExperimentResult("t", "T", ["a"], [{"a": 1}, {"a": 2}])
-        assert res.column("a") == [1, 2]
-        with pytest.raises(KeyError):
-            res.column("zzz")

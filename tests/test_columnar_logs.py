@@ -11,7 +11,7 @@ bit-identical busy times and makespans, and the same overlap verdicts, rows and 
 The scheduler's lifecycle log is three columns (step, event code,
 request id). ``events`` must equal the event list rebuilt from the
 scheduler's public return values, and ``enqueue_steps``,
-``admission_order``, ``retirement_order`` and ``to_timeline()`` must
+``admission_order`` and ``retirement_order`` must
 equal what the list-based code derived from that event list — on a
 hypothesis-driven scheduler with EOS retirements, a functional session
 with EOS retirements, and serving and fleet runs.
@@ -218,31 +218,6 @@ def ref_retirement_order(events):
     return [e.request_id for e in events if e.kind == "retire"]
 
 
-def ref_to_timeline(events, final_step):
-    """``Scheduler.to_timeline`` as it read the event list."""
-    at = {"enqueue": {}, "admit": {}, "retire": {}}
-    reason = {}
-    for e in events:
-        at[e.kind][e.request_id] = e.step
-        if e.kind == "retire":
-            reason[e.request_id] = e.reason
-    enqueued, admitted, retired = at["enqueue"], at["admit"], at["retire"]
-    tl = RefTimeline()
-    for rid in sorted(enqueued):
-        lane = f"request-{rid}"
-        enq = enqueued[rid]
-        adm = admitted.get(rid, final_step)
-        tl.record_instant(lane, enq, "enqueue")
-        if adm > enq:
-            tl.record(lane, enq, adm, "queued")
-        if rid in admitted:
-            tl.record(lane, adm, retired.get(rid, final_step) + 1, "active")
-        if rid in retired:
-            tl.record_instant(lane, retired[rid] + 1,
-                              f"retire ({reason[rid]})")
-    return tl
-
-
 @contextmanager
 def recording_schedulers():
     """Patch ``Scheduler`` so every instance also keeps the event list
@@ -305,7 +280,6 @@ def assert_log_matches(sched: Scheduler, events: list) -> None:
         list(ref_enqueue_steps(events).items())
     assert sched.admission_order == ref_admission_order(events)
     assert sched.retirement_order == ref_retirement_order(events)
-    assert_same(sched.to_timeline(), ref_to_timeline(events, sched.step))
 
 
 EOS = 7

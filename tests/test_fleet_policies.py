@@ -69,7 +69,7 @@ class TestRouterAccounting:
         router.mark_recovered(2)
         router.mark_failed(1)  # crashes mid-drain...
         router.mark_recovered(1)  # ...and reboots still drained
-        assert router.is_alive(1) and not router.is_routable(1)
+        assert not router.is_routable(1)
         assert router.alive_replicas() == [0, 2, 3, 4]
 
     def test_all_dead_raises(self):
@@ -130,18 +130,16 @@ class TestPolicies:
         # Later requests of the session follow the pin even when other
         # replicas are empty.
         assert _place(router, _req(1, session=7), 0.1) == first
-        assert router.policy.pins == {7: first}
         router.mark_failed(first)
         repinned = _place(router, _req(2, session=7), 0.2)
-        assert repinned != first and router.is_alive(repinned)
-        assert router.policy.pins == {7: repinned}
+        assert repinned != first and repinned in router.alive_replicas()
+        assert _place(router, _req(3, session=7), 0.3) == repinned
 
     def test_session_affinity_fallback_for_unaffiliated(self):
         router = Router(2, policy=SessionAffinity(), ids=IDS)
         targets = [_place(router, _req(i, session=None), 0.0)
                    for i in range(4)]
         assert targets == [0, 1, 0, 1]
-        assert router.policy.pins == {}
 
     def test_registry_and_resolution(self):
         assert set(ROUTING_POLICIES) == {
@@ -228,6 +226,7 @@ class TestPowerOfTwoReplay:
         script = np.random.default_rng(11)
         placed = []
         pool_sizes = set()
+        dead: set[int] = set()
         for step in range(800):
             op = int(script.integers(0, 12))
             num = routers[0].num_replicas
@@ -245,12 +244,14 @@ class TestPowerOfTwoReplay:
                 for router in routers:
                     router.release(target, req.prompt_len + req.gen_tokens)
             elif op == 7 and len(routable) > 1:
+                dead.add(replica)
                 for router in routers:
                     router.mark_failed(replica)
             elif op == 8 and len(routable) > 3:  # drains are permanent
                 for router in routers:
                     router.mark_draining(replica)
-            elif op == 9 and not routers[0].is_alive(replica):
+            elif op == 9 and replica in dead:
+                dead.discard(replica)
                 for router in routers:
                     router.mark_recovered(replica)
             elif op == 10 and num < 12:

@@ -23,8 +23,6 @@ def test_meets_sla_within_budget():
     assert best.num_gpus == best.replicas * best.tp <= 4
     assert best.ttft_p99 <= 1.0
     assert best.tokens_per_second > 0
-    assert best.tokens_per_second_per_gpu == pytest.approx(
-        best.tokens_per_second / best.num_gpus)
 
 
 def test_budget_caps_the_search():

@@ -11,8 +11,9 @@ ones.
 
 The rule is checked twice:
 
-* statically, over the import graph of ``repro.lint``'s project pass,
-  which includes imports made inside functions;
+* statically, over the ``repro`` modules of the session's
+  ``repro.lint`` project pass (``tests/repo_project.py``), whose import
+  graph includes imports made inside functions;
 * at runtime, in a fresh interpreter that runs a tiny serving and fleet
   simulation, imports the benchmark's workloads, and then finds no
   functional module in ``sys.modules``.
@@ -30,11 +31,9 @@ import json
 import os
 import subprocess
 import sys
-from pathlib import Path
 
-from repro.lint import ProjectInfo, iter_python_files, load_file
+from tests.repo_project import ROOT, repo_project
 
-ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 
 FUNCTIONAL = frozenset(f"repro.{name}" for name in (
@@ -62,9 +61,9 @@ BARE_MATMUL = {
 
 @functools.lru_cache(maxsize=None)
 def _import_graph() -> dict[str, set[str]]:
-    files = iter_python_files([SRC / "repro"])
-    return ProjectInfo.build(load_file(p, root=ROOT) for p in files) \
-        .import_graph
+    return {module: targets
+            for module, targets in repo_project().import_graph.items()
+            if module == "repro" or module.startswith("repro.")}
 
 
 def _is_lint(module: str) -> bool:
@@ -148,11 +147,10 @@ def test_simulations_load_no_functional_module():
 
 
 def _bare_matmuls(module: str) -> list[tuple[int, str]]:
-    path = SRC.joinpath(*module.split(".")).with_suffix(".py")
-    source = path.read_text()
+    mod = repo_project().modules[module]
     return [
-        (node.lineno, ast.get_source_segment(source, node))
-        for node in ast.walk(ast.parse(source))
+        (node.lineno, ast.get_source_segment(mod.source, node))
+        for node in ast.walk(mod.tree)
         if isinstance(node, (ast.BinOp, ast.AugAssign))
         and isinstance(node.op, ast.MatMult)
     ]

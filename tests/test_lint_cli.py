@@ -8,8 +8,10 @@ through ``--write-baseline``.
 
 from __future__ import annotations
 
+import functools
 import json
 import textwrap
+import time
 from pathlib import Path
 
 import pytest
@@ -19,12 +21,25 @@ from repro.lint import (
     LintError,
     all_checkers,
     iter_python_files,
+    load_file,
     load_source,
     run_lint,
 )
 from repro.lint.__main__ import main
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+
+
+@functools.lru_cache(maxsize=None)
+def _full_tree_lint():
+    """(result, seconds) of one full-tree run, all eight rules, against
+    the shipped baseline."""
+    baseline = Baseline.load(REPO_ROOT / "lint-baseline.json")
+    t0 = time.monotonic()
+    result = run_lint([REPO_ROOT / "src" / "repro"], all_checkers(),
+                      baseline=baseline, root=REPO_ROOT)
+    return result, time.monotonic() - t0
+
 
 DIRTY = textwrap.dedent("""
     import numpy as np
@@ -225,11 +240,22 @@ class TestWalkerAndTree:
     def test_merged_tree_is_clean(self):
         """Acceptance criterion: the shipped tree lints clean with the
         shipped (empty-or-justified) baseline."""
-        baseline = Baseline.load(REPO_ROOT / "lint-baseline.json")
-        result = run_lint([REPO_ROOT / "src" / "repro"], all_checkers(),
-                          baseline=baseline, root=REPO_ROOT)
+        result, _ = _full_tree_lint()
         assert result.ok, "\n".join(f.format() for f in result.findings)
         assert result.files_checked > 90
+
+    def test_modules_are_named_by_their_path_under_root(self, tmp_path):
+        """Outside ``repro`` the dotted name is the path under ``root``,
+        whatever directory the checkout sits in."""
+        for rel, module in [
+                ("examples/quickstart.py", "examples.quickstart"),
+                ("benchmarks/e2e/workloads.py", "benchmarks.e2e.workloads"),
+                ("src/repro/engine/costs.py", "repro.engine.costs"),
+                ("src/repro/fleet/__init__.py", "repro.fleet")]:
+            path = tmp_path / "checkout" / rel
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text("x = 1\n")
+            assert load_file(path, root=tmp_path / "checkout").module == module
 
 
 class TestOccurrenceFingerprints:
@@ -445,10 +471,6 @@ class TestWallClock:
     def test_full_tree_lint_fits_the_ci_budget(self):
         """The whole-program pass must not turn the lint gate into the
         slow job: full tree, all eight rules, well under CI patience."""
-        import time
-        t0 = time.monotonic()
-        result = run_lint([REPO_ROOT / "src" / "repro"], all_checkers(),
-                          root=REPO_ROOT)
-        elapsed = time.monotonic() - t0
+        result, elapsed = _full_tree_lint()
         assert result.files_checked > 90
         assert elapsed < 30.0, f"full-tree lint took {elapsed:.1f}s"

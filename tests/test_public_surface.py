@@ -1,70 +1,66 @@
 """Every public name in ``repro`` has a reader other than the tests.
 
-The scan covers each module under ``src/repro`` except the ``lint``
-package: its module-level functions and classes, and the methods and
-nested classes of those classes, whose names do not start with ``_``.
-A name is *read* when it occurs as a word in
+The scans here query one :class:`~repro.lint.ProjectInfo` of ``src/``,
+``benchmarks/``, ``examples/`` and the ```` ```python ```` blocks of
+``README.md`` and ``docs/*.md``, built once per session
+(``tests/repo_project.py``).
 
-* the code of any ``src/`` Python file other than a package
-  ``__init__``, outside the name's own definition and its module's
-  ``__all__``. Docstrings and comments there are prose, not readers;
-* ``benchmarks/``, ``examples/``, ``README.md``, ``DESIGN.md``,
-  ``EXPERIMENTS.md`` or ``docs/``.
+The name scan covers each module under ``src/repro`` but the ``lint``
+package: its module-level functions and classes, and their methods,
+whose names do not start with ``_``. A *reader* is a code reference
+outside the name's own definition: a ``Name`` or ``Attribute`` load, or
+a ``getattr`` naming it as a constant. Prose (docstrings, comments,
+markdown), ``__all__`` entries and re-exports are not readers, and a
+definition never reads its same-named twin. A name only tests read is
+surface to delete with its tests. The names in ``KEPT`` have no reader
+on purpose, each for its reason: a *reference* or *oracle* a test holds
+another mechanism against, an *observer* a test reads state through, a
+*paper mechanism* a test pins, or a tested *substrate* or *extension*.
+An entry that is gone, or that has gained a reader, fails too.
 
-Re-exports and ``__all__`` entries are not readers: a name that only
-tests call is surface to delete with its tests. The names in ``KEPT``
-have no reader on purpose, each for the reason given: a *reference* or
-*oracle* a test holds another mechanism against, an *observer* a test
-reads state through, or a *paper mechanism* a test pins. The list
-cannot go stale: an entry that is gone, or that has gained a reader,
-fails too.
-
-The same holds one level down, for parameters. Every defaulted
-parameter of a public function, a public method, or the ``__init__`` of
-a public class that is not a dataclass must be *passed* by some call
-outside the tests: in ``src/``, ``benchmarks/`` or ``examples/``, or in
-a ```` ```python ```` block of ``README.md`` or ``docs/*.md``, whose
-callee's last name component matches: by keyword, by enough positional
-arguments to reach it, or through a ``*args``/``**kwargs`` spread. A
-default that only tests override is a knob no user turns: a constant,
-not an option. Dataclass fields are records (``GPUSpec``, ``Request``)
-and are out of scope. Matching on the last name alone over-counts
-calls, so it can hide a dead parameter; it misses calls made through
-another name, such as a method held in a variable. The parameters in
-``KEPT_PARAMS`` have no such caller on purpose, each for the reason
-given (a data input, a workload knob, a reference or oracle a test
-holds another mechanism against, a paper mechanism, a safety bound, or
-a call the scan cannot see), checked for staleness like ``KEPT``.
+The same holds for parameters. Every defaulted parameter of a public
+function, a public method, or the ``__init__`` of a public class that
+is not a dataclass must be *passed* by a call outside ``tests/``: by
+keyword, by enough positional arguments to reach it, or through a
+``*args``/``**kwargs`` spread. A call the project resolves (a local or
+imported name, a re-export, ``self.method``, a class as its
+constructor) passes parameters to its resolved callee only; a local
+bound once to ``x.attr`` or ``getattr(x, "attr")`` and then called is a
+call of ``attr``. Only an attribute call on a receiver the project
+cannot type (``obj.method(...)``) passes by last name, to every public
+method of that name, never to a module-level function or a
+constructor. A default only tests override is a constant, not an
+option. ``KEPT_PARAMS`` lists the exceptions, each with its reason (a
+data input, a workload knob, a reference or oracle, a paper mechanism,
+or a safety bound), checked for staleness like ``KEPT``.
 
 Doc blocks count as callers, so they must not go stale: every block
 parses, and every keyword a block passes to a public ``repro`` callable
 (matched on its last name) is a parameter of one such callable, or one
 takes ``**kwargs``.
 
-Dataclass fields get their own check: every field of every dataclass
-under ``src/repro`` (``lint`` aside) must be *read* somewhere in
-``src/``, ``benchmarks/``, ``examples/``, ``tests/`` or a doc block:
-loaded as an attribute of that name, or named in a string constant
-(``getattr(obj, "name")``, a tuple of field names). A class whose fields
-are walked whole (``fields``, ``asdict``, ``astuple`` or
-``__dataclass_fields__`` of its name, or of ``self`` in its body) counts
-as read. A field that is only written is state nobody uses. The fields
-in ``KEPT_FIELDS`` are report and log entries no code reads yet, each
-with its reason, checked for staleness like ``KEPT``.
+Every field of every dataclass under ``src/repro`` (``lint`` aside)
+must be *read* by the project or by a module of ``tests/``: loaded as an
+attribute of that name, or named in a string constant
+(``getattr(obj, "name")``, a tuple of field names). A class whose
+fields are walked whole (``fields``, ``asdict``, ``astuple`` or
+``__dataclass_fields__`` of its name, or of ``self`` in its body)
+counts as read. ``KEPT_FIELDS`` lists report and log entries no code
+reads yet, each with its reason, checked for staleness like ``KEPT``.
 """
 
 import ast
 import functools
 import importlib
-import inspect
-import re
-from pathlib import Path
+import itertools
 
 import pytest
 
-ROOT = Path(__file__).resolve().parents[1]
-PACKAGE = ROOT / "src" / "repro"
-WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+from repro.lint import ProjectInfo, load_source
+from repro.lint.project import ClassSummary, ModuleSymbols
+from tests.repo_project import doc_blocks as _doc_blocks
+from tests.repo_project import python_blocks as _python_blocks
+from tests.repo_project import repo_project, scan_tests
 
 KEPT = {
     # -- references and oracles ---------------------------------------------
@@ -97,6 +93,11 @@ KEPT = {
     "kernels.quant:dequantize":
         "reference: the float tensor an INT8 tensor encodes, held to "
         "quantization_error_bound",
+    "engine.costs:BatchState.advanced":
+        "oracle: the per-step state decode_run_cost is held against",
+    "kernels.analysis:crossover_batch":
+        "oracle: the batch where a region turns compute-bound, checked "
+        "against the roofline ridge",
     # -- observers ----------------------------------------------------------
     "simcore.trace:Timeline.has_overlap":
         "observer: schedule validity of every recorded lane",
@@ -138,6 +139,10 @@ KEPT = {
         "observer: a rank's position in its expert-parallel group",
     "engine.report_stats:ReportStats.tenant_latency_percentile":
         "observer: one tenant's latency tail, checked against its SLA",
+    "zero.tiers:TieredWeightStore.usage":
+        "observer: bytes resident in one weight tier",
+    "kernels.analysis:analyze_layer":
+        "observer: where each fused region of a layer sits on the roofline",
     # -- paper mechanisms ---------------------------------------------------
     "engine.moe:MoEStepBreakdown.moe_kernel_time":
         "paper mechanism: gating plus dispatch time Sec. V-C cuts ~6x",
@@ -149,6 +154,28 @@ KEPT = {
         "paper mechanism: GPU pairs sharing a PCIe link (Sec. IV-C3)",
     "baselines.cpu_only:CPUOnlyBaseline.max_model_params":
         "paper mechanism: Sec. VII-D's CPU-only capacity limit",
+    "model.kvcache:HostOffloadKVCache":
+        "paper mechanism: Sec. IV-C2's KV offload to host memory, "
+        "functionally exact",
+    "parallel.expert_parallel:expert_sliced_ffn":
+        "paper mechanism: Table II's expert slicing, run functionally",
+    "model.checkpoint:save_checkpoint":
+        "paper mechanism: the per-layer files ZeRO-Inference streams "
+        "from disk (Sec. VI-A)",
+    "model.checkpoint:load_checkpoint":
+        "paper mechanism: the per-layer files ZeRO-Inference streams "
+        "from disk (Sec. VI-A)",
+    # -- functional substrate and extensions --------------------------------
+    **{f"comm.functional:Communicator.{name}":
+       "substrate: an MPI collective of the functional communicator, one "
+       "of the set RP001's symmetry rule checks"
+       for name in ("barrier", "broadcast", "reduce_scatter")},
+    "model.encoder:EncoderTransformer":
+        "extension: BERT-class encoders with padding masks, the functional "
+        "model family beside the decoder",
+    "engine.scheduler:TenantPriority":
+        "extension: priority-tier tenant admission, configured by its "
+        "caller's table like TenantFairShare outside tenant_policy",
 }
 
 
@@ -161,6 +188,8 @@ _TOP_K = "reference: the top-k width the EP dispatch is held against"
 
 KEPT_PARAMS = {
     # -- data inputs ----------------------------------------------------------
+    "bench.runner:main(argv=)":
+        "data input: the command line, sys.argv[1:] when None",
     "engine.generation:GenerationSession(eos_token=)":
         "data input: the model's end-of-sequence token",
     "engine.scheduler:TenantPriority(priorities=)":
@@ -210,85 +239,62 @@ KEPT_PARAMS = {
     # -- safety ----------------------------------------------------------------
     "comm.functional:Communicator.recv(timeout=)":
         "safety: bounds a receive that a broken program never matches",
-    # -- calls the scan cannot see ---------------------------------------------
-    "engine.latency:DenseLatencyModel.decode_pass_times(tokens_per_seq=)":
-        "scan miss: engine/costs.py passes it positionally through "
-        "getattr(latency_model, 'decode_pass_times')",
-    "kernels.costmodel:KernelCostModel.layer_times(ffn=)":
-        "scan miss: engine/moe.py passes ffn=False through a local "
-        "alias, times = self.kernel_model.layer_times",
 }
 
 
-def _public_defs(tree: ast.Module):
-    """(qualified name, node) of every public top-level def and class,
-    and of the public members of each such class."""
-    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-    for node in tree.body:
-        if isinstance(node, kinds) and not node.name.startswith("_"):
-            yield node.name, node
-            if isinstance(node, ast.ClassDef):
-                for member in node.body:
-                    if (isinstance(member, kinds)
-                            and not member.name.startswith("_")):
-                        yield f"{node.name}.{member.name}", member
+def _repro_modules(project: ProjectInfo):
+    """(name under ``repro``, symbols) of each ``repro`` module in
+    ``project``, the ``lint`` package aside."""
+    for module, symbols in project.symbols.items():
+        if module.startswith("repro.") and not (
+                module + ".").startswith("repro.lint."):
+            yield module.removeprefix("repro."), symbols
 
 
-def _strip_prose(tree: ast.Module) -> ast.Module:
-    """``tree`` without its docstrings or its ``__all__`` assignment, in
-    place; ``ast`` keeps no comments, so unparsing it gives bare code."""
-    for node in ast.walk(tree):
-        if not isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
-                                 ast.AsyncFunctionDef)):
-            continue
-        body = node.body
-        if (body and isinstance(body[0], ast.Expr)
-                and isinstance(body[0].value, ast.Constant)
-                and isinstance(body[0].value.value, str)):
-            body[:1] = [] if len(body) > 1 else [ast.Pass()]
-    tree.body = [node for node in tree.body if not (
-        isinstance(node, ast.Assign) and any(
-            getattr(t, "id", None) == "__all__" for t in node.targets))]
-    return tree
+def _surface(project: ProjectInfo):
+    """(``module:Qual``, summary) of each public function and class of
+    ``repro``, and of each public method of such a class."""
+    for dotted, symbols in _repro_modules(project):
+        for name, summary in [*symbols.functions.items(),
+                              *symbols.classes.items()]:
+            if name.startswith("_"):
+                continue
+            yield f"{dotted}:{name}", summary
+            for method, fn in getattr(summary, "methods", {}).items():
+                if not method.startswith("_"):
+                    yield f"{dotted}:{name}.{method}", fn
+
+
+def _inline_project(modules: dict[str, str]) -> ProjectInfo:
+    """A project of ``modules`` (name -> source), each ``repro.<name>``."""
+    return ProjectInfo.build(load_source(source, module=f"repro.{name}")
+                             for name, source in modules.items())
+
+
+def _name_scan(project: ProjectInfo) -> tuple[set[str], set[str]]:
+    """(every public name, those no code outside their own definition
+    reads), keyed ``module:Qual``."""
+    defined: set[str] = set()
+    unread: set[str] = set()
+    for key, summary in _surface(project):
+        defined.add(key)
+        node = summary.node
+        own = range(min(n.lineno for n in [node, *node.decorator_list]),
+                    node.end_lineno + 1)
+        if not any(module != summary.module or line not in own
+                   for module, symbols in project.symbols.items()
+                   for line in symbols.reads.get(summary.name, ())):
+            unread.add(key)
+    return defined, unread
 
 
 @functools.lru_cache(maxsize=None)
-def _scan() -> tuple[frozenset[str], frozenset[str]]:
-    """(every public name, the public names with no reader)."""
-    texts = {p: ast.unparse(_strip_prose(ast.parse(p.read_text())))
-             for p in (ROOT / "src").rglob("*.py") if p.name != "__init__.py"}
-    docs = [p for d in ("benchmarks", "examples")
-            for suffix in ("*.py", "*.md") for p in (ROOT / d).rglob(suffix)]
-    docs += [ROOT / n for n in ("README.md", "DESIGN.md", "EXPERIMENTS.md")]
-    docs += list((ROOT / "docs").rglob("*.md"))
-    texts.update((p, p.read_text()) for p in docs)
-    files_with: dict[str, set[Path]] = {}
-    for path, text in texts.items():
-        for word in set(WORD.findall(text)):
-            files_with.setdefault(word, set()).add(path)
-
-    defined: set[str] = set()
-    unread: set[str] = set()
-    for module in sorted(PACKAGE.rglob("*.py")):
-        rel = module.relative_to(PACKAGE)
-        if rel.parts[0] == "lint":
-            continue
-        dotted = ".".join(rel.with_suffix("").parts)
-        tree = _strip_prose(ast.parse(module.read_text()))
-        code = ast.unparse(tree)
-        for qual, node in _public_defs(tree):
-            key = f"{dotted}:{qual}"
-            defined.add(key)
-            if files_with.get(node.name, set()) - {module}:
-                continue
-            word = re.compile(rf"\b{node.name}\b")
-            if len(word.findall(code)) == len(word.findall(ast.unparse(node))):
-                unread.add(key)
-    return frozenset(defined), frozenset(unread)
+def _repo_name_scan() -> tuple[set[str], set[str]]:
+    return _name_scan(repo_project())
 
 
 def test_every_public_name_has_a_reader():
-    _, unread = _scan()
+    _, unread = _repo_name_scan()
     orphans = sorted(unread - KEPT.keys())
     assert not orphans, (
         "public names only tests read; delete them with their tests, or "
@@ -296,112 +302,80 @@ def test_every_public_name_has_a_reader():
 
 
 def test_kept_names_exist_and_are_still_unread():
-    defined, unread = _scan()
+    defined, unread = _repo_name_scan()
     gone = sorted(KEPT.keys() - defined)
     read = sorted((KEPT.keys() & defined) - unread)
     assert not gone, f"KEPT names that no longer exist: {gone}"
     assert not read, f"KEPT names that gained a reader: {read}"
 
 
-
-def _is_dataclass(node: ast.ClassDef) -> bool:
-    for deco in node.decorator_list:
-        target = deco.func if isinstance(deco, ast.Call) else deco
-        if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
-            return True
-    return False
-
-
-def _defaulted_params(tree: ast.Module):
-    """(qualified name, callee name, parameter, positional index) of each
-    defaulted parameter in scope; the index counts the arguments a call
-    supplies (``self`` and ``cls`` excluded) and is ``None`` for a
-    keyword-only parameter."""
-    for qual, node in _public_defs(tree):
-        if isinstance(node, ast.ClassDef):
-            fn = next((m for m in node.body if isinstance(m, ast.FunctionDef)
-                       and m.name == "__init__"), None)
-            if fn is None or _is_dataclass(node):
-                continue
-            bound = 1
-        else:
-            fn = node
-            bound = int("." in qual and not any(
-                getattr(d, "id", None) == "staticmethod"
-                for d in node.decorator_list))
-        args = fn.args
-        positional = args.posonlyargs + args.args
-        first = len(positional) - len(args.defaults)
-        for i, arg in enumerate(positional[first:], first):
-            yield qual, node.name, arg.arg, i - bound
-        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
-            if default is not None:
-                yield qual, node.name, arg.arg, None
+@pytest.mark.parametrize("modules, unread", [
+    pytest.param({"a": "class Router:\n    def is_alive(self): ...",
+                  "b": "class FleetView:\n    def is_alive(self): ...",
+                  "run": "from repro.a import Router\n"
+                         "from repro.b import FleetView\n"
+                         "views = [Router(), FleetView()]"},
+                 {"a:Router.is_alive", "b:FleetView.is_alive"}, id="twins"),
+    pytest.param({"m": "def helper(): ...\ndef run():\n    helper()",
+                  "doc": '"""Call run() first."""\n# then run() again\n'},
+                 {"m:run"}, id="prose"),
+    pytest.param({"m": "def helper(): ...",
+                  "api": 'from repro.m import helper\n__all__ = ["helper"]'},
+                 {"m:helper"}, id="reexport"),
+    pytest.param({"m": "def run(): ...\ndef step(): ...",
+                  "doc": "\n".join(_python_blocks(
+                      "```python\nfrom repro import m\nm.run()\n"
+                      "x = getattr(m, 'step')\n```\n"
+                      "```bash\nstep()\n```\n"))},
+                 set(), id="doc-block"),
+])
+def test_name_scan_on_inline_sources(modules, unread):
+    _, found = _name_scan(_inline_project(modules))
+    assert found == unread
 
 
-def _passes(call: ast.Call, param: str, index: int | None) -> bool:
-    if (any(isinstance(a, ast.Starred) for a in call.args)
-            or any(k.arg in (None, param) for k in call.keywords)):
-        return True
-    return index is not None and len(call.args) > index
-
-
-_PYTHON_BLOCK = re.compile(r"^```python\n(.*?)^```", re.M | re.S)
-
-
-def _python_blocks(markdown: str) -> list[str]:
-    """The sources of the ```python blocks of a markdown text."""
-    return _PYTHON_BLOCK.findall(markdown)
-
-
-@functools.lru_cache(maxsize=None)
-def _doc_blocks() -> tuple[tuple[str, str], ...]:
-    """(``path#index``, source) of every ```python block of README.md
-    and docs/*.md."""
-    docs = [ROOT / "README.md", *sorted((ROOT / "docs").glob("*.md"))]
-    return tuple((f"{path.relative_to(ROOT)}#{i}", block)
-                 for path in docs
-                 for i, block in enumerate(_python_blocks(path.read_text())))
-
-
-def _param_scan(modules: dict[str, str],
-                callers: list[str]) -> tuple[set[str], set[str]]:
+def _param_scan(project: ProjectInfo) -> tuple[set[str], set[str]]:
     """(every defaulted parameter in scope, those no call passes), keyed
-    ``module:Qual(param=)``, over ``modules`` (dotted name -> source)
-    and the calls in ``callers`` (sources)."""
-    calls: dict[str, list[ast.Call]] = {}
-    for source in callers:
-        for node in ast.walk(ast.parse(source)):
-            if isinstance(node, ast.Call):
-                f = node.func
-                name = f.attr if isinstance(f, ast.Attribute) else getattr(
-                    f, "id", None)
-                calls.setdefault(name, []).append(node)
+    ``module:Qual(param=)``."""
+    resolved: dict[str, list] = {}
+    by_name: dict[str, list] = {}
+    for symbols in project.symbols.values():
+        for site in symbols.calls:
+            if site.callee is not None:
+                resolved.setdefault(site.callee, []).append(site)
+            elif site.raw is None or "." in site.raw:  # obj.method(...)
+                by_name.setdefault(site.name, []).append(site)
     defined: set[str] = set()
     unpassed: set[str] = set()
-    for dotted, source in modules.items():
-        for qual, callee, param, index in _defaulted_params(
-                ast.parse(source)):
-            key = f"{dotted}:{qual}({param}=)"
-            defined.add(key)
-            if not any(_passes(c, param, index)
-                       for c in calls.get(callee, ())):
-                unpassed.add(key)
+    for key, summary in _surface(project):
+        fn, sites = summary, resolved.get(summary.ref, [])
+        if isinstance(summary, ClassSummary):
+            fn = summary.methods.get("__init__")
+            if fn is None or summary.dataclass:
+                continue
+        elif "." in fn.qualname:
+            sites = sites + by_name.get(fn.name, [])
+        # the arguments a call supplies skip ``self`` and ``cls``
+        bound = int("." in fn.qualname and not any(
+            getattr(d, "id", None) == "staticmethod"
+            for d in fn.node.decorator_list))
+        index = {p.name: i - bound for i, p in enumerate(fn.positional())}
+        for param in fn.params:
+            if param.default is None:
+                continue
+            name = f"{key}({param.name}=)"
+            defined.add(name)
+            at = index.get(param.name)
+            if not any(site.spread or param.name in site.keywords
+                       or (at is not None and site.positional > at)
+                       for site in sites):
+                unpassed.add(name)
     return defined, unpassed
 
 
 @functools.lru_cache(maxsize=None)
-def _repo_param_scan() -> tuple[frozenset[str], frozenset[str]]:
-    modules = {
-        ".".join(p.relative_to(PACKAGE).with_suffix("").parts): p.read_text()
-        for p in sorted(PACKAGE.rglob("*.py"))
-        if p.relative_to(PACKAGE).parts[0] != "lint"}
-    callers = [p.read_text()
-               for d in ("src", "benchmarks", "examples")
-               for p in sorted((ROOT / d).rglob("*.py"))]
-    callers += [block for _, block in _doc_blocks()]
-    defined, unpassed = _param_scan(modules, callers)
-    return frozenset(defined), frozenset(unpassed)
+def _repo_param_scan() -> tuple[set[str], set[str]]:
+    return _param_scan(repo_project())
 
 
 def test_every_defaulted_parameter_is_passed_somewhere():
@@ -440,9 +414,18 @@ def test_kept_params_exist_and_are_still_unpassed():
                      "Pass `a`:\n\n```python\nf(0, a=3)\n```\n\n"
                      "```bash\nf(0, b=3)\n```\n")),
                  {"m:f(b=)"}, id="doc-block"),
+    pytest.param("class C:\n    def m(self, x, a=1, b=2): ...",
+                 "def g(obj):\n    run = obj.m\n    run(0, b=3)",
+                 {"m:C.m(a=)"}, id="local-alias"),
+    pytest.param("class C:\n    def m(self, x, a=1, b=2): ...",
+                 "def g(obj):\n    run = getattr(obj, 'm', None)\n"
+                 "    run(0, b=3)\n    getattr(obj, 'm')(0, a=1)",
+                 set(), id="constant-getattr"),
+    pytest.param("def m(x, a=1): ...\nclass C:\n    def m(self, x, b=2): ...",
+                 "obj.m(0, a=1, b=3)", {"m:m(a=)"}, id="shared-last-name"),
 ])
 def test_param_scan_on_inline_sources(module, callers, dead):
-    _, unpassed = _param_scan({"m": module}, [callers])
+    _, unpassed = _param_scan(_inline_project({"m": f"{module}\n{callers}"}))
     assert unpassed == dead
 
 
@@ -493,38 +476,25 @@ def test_unresolved_import_check_on_inline_block():
 @functools.lru_cache(maxsize=None)
 def _keywords_by_name() -> dict[str, list[frozenset[str] | None]]:
     """Last name -> the parameter names of each public ``repro`` callable
-    of that name (``None`` for one that takes ``**kwargs``): functions,
-    classes (their constructors) and the methods of those classes."""
-    def params(obj) -> frozenset[str] | None:
-        try:
-            sig = inspect.signature(obj)
-        except (TypeError, ValueError):  # no signature: accept any keyword
+    of that name: a function, a method, or a class (its ``__init__``, or
+    a dataclass's fields). ``None`` accepts any keyword: a callable that
+    takes ``**kwargs``, or a class whose constructor is inherited."""
+    def params(fn) -> frozenset[str] | None:
+        if any(p.kind == "kwarg" for p in fn.params):
             return None
-        if any(p.kind is p.VAR_KEYWORD for p in sig.parameters.values()):
-            return None
-        return frozenset(sig.parameters)
+        return frozenset(p.name for p in fn.params)
 
     found: dict[str, list[frozenset[str] | None]] = {}
-    for path in sorted(PACKAGE.rglob("*.py")):
-        rel = path.relative_to(PACKAGE).with_suffix("")
-        if rel.parts[0] == "lint" or rel.name == "__main__":
-            continue
-        parts = rel.parts[:-1] if rel.name == "__init__" else rel.parts
-        module = importlib.import_module(".".join(("repro", *parts)))
-        for name, obj in vars(module).items():
-            if (name.startswith("_") or getattr(obj, "__module__", None)
-                    != module.__name__):
-                continue
-            if inspect.isfunction(obj):
-                found.setdefault(name, []).append(params(obj))
-            elif inspect.isclass(obj):
-                found.setdefault(name, []).append(params(obj))
-                for attr, member in vars(obj).items():
-                    if not attr.startswith("_") and (
-                            inspect.isfunction(member) or isinstance(
-                                member, (staticmethod, classmethod))):
-                        found.setdefault(attr, []).append(
-                            params(getattr(obj, attr)))
+    for _, summary in _surface(repo_project()):
+        if not isinstance(summary, ClassSummary):
+            accepted = params(summary)
+        elif "__init__" in summary.methods:
+            accepted = params(summary.methods["__init__"])
+        elif summary.dataclass and not summary.node.bases:
+            accepted = frozenset(summary.fields)
+        else:
+            accepted = None
+        found.setdefault(summary.name, []).append(accepted)
     return found
 
 
@@ -532,19 +502,12 @@ def _stale_keywords(blocks) -> list[str]:
     """``where: name(keyword=)`` for each keyword a block passes to a
     public ``repro`` callable of that last name that none accepts."""
     accepted = _keywords_by_name()
-    stale = []
-    for where, block in blocks:
-        for node in ast.walk(ast.parse(block)):
-            if not isinstance(node, ast.Call):
-                continue
-            f = node.func
-            name = f.attr if isinstance(f, ast.Attribute) else getattr(
-                f, "id", None)
-            for kw in node.keywords:
-                if kw.arg is not None and name in accepted and not any(
-                        ps is None or kw.arg in ps for ps in accepted[name]):
-                    stale.append(f"{where}: {name}({kw.arg}=)")
-    return stale
+    return [f"{where}: {site.name}({kw}=)"
+            for where, block in blocks
+            for site in ModuleSymbols.scan(load_source(block)).calls
+            if site.name in accepted
+            for kw in sorted(site.keywords)
+            if not any(ps is None or kw in ps for ps in accepted[site.name])]
 
 
 def test_doc_keywords_are_parameters():
@@ -570,77 +533,34 @@ KEPT_FIELDS = {
         "log: the tier one streamed fetch read from",
 }
 
-# Calls and attributes that walk every field of the dataclass they get.
-_FIELD_ITERATORS = frozenset({"__dataclass_fields__", "fields", "asdict",
-                              "astuple"})
 
-
-def _iterated_name(node: ast.AST) -> str | None:
-    """The name whose dataclass fields ``node`` walks, if it walks any."""
-    if isinstance(node, ast.Attribute) and node.attr in _FIELD_ITERATORS:
-        target = node.value
-    elif (isinstance(node, ast.Call) and len(node.args) == 1
-          and getattr(node.func, "attr", getattr(node.func, "id", None))
-          in _FIELD_ITERATORS):
-        target = node.args[0]
-    else:
-        return None
-    return target.id if isinstance(target, ast.Name) else None
-
-
-def _field_scan(modules: dict[str, str],
-                readers: list[str]) -> tuple[set[str], set[str]]:
-    """(every dataclass field of ``modules``, those nothing reads), keyed
-    ``module:Class.field``. A field is read when ``readers`` load it as
-    an attribute or name it in a string constant; a class whose fields
-    one of them walks (by class name, or through ``self`` in its own
-    body) counts as wholly read."""
-    words: set[str] = set()
-    iterated: set[str] = set()
-    for source in readers:
-        for node in ast.walk(ast.parse(source)):
-            if isinstance(node, ast.Attribute) and isinstance(
-                    node.ctx, ast.Load):
-                words.add(node.attr)
-            elif isinstance(node, ast.Constant) and isinstance(
-                    node.value, str):
-                words.add(node.value)
-            elif isinstance(node, ast.ClassDef) and any(
-                    _iterated_name(sub) == "self" for sub in ast.walk(node)):
-                iterated.add(node.name)
-            walked = _iterated_name(node)
-            if walked is not None:
-                iterated.add(walked)
+def _field_scan(project: ProjectInfo,
+                readers) -> tuple[set[str], set[str]]:
+    """(every dataclass field of ``project``'s ``repro`` modules, those
+    no module of ``readers`` reads), keyed ``module:Class.field``."""
+    read: set[str] = set()
+    walked: set[str] = set()
+    for symbols in readers:
+        read |= symbols.attr_loads
+        read |= symbols.strings
+        walked |= symbols.field_walks
     defined: set[str] = set()
     unread: set[str] = set()
-    for dotted, source in modules.items():
-        for cls in ast.walk(ast.parse(source)):
-            if not (isinstance(cls, ast.ClassDef) and _is_dataclass(cls)):
-                continue
-            for stmt in cls.body:
-                if not (isinstance(stmt, ast.AnnAssign)
-                        and isinstance(stmt.target, ast.Name)
-                        and "ClassVar" not in ast.unparse(stmt.annotation)):
-                    continue
-                key = f"{dotted}:{cls.name}.{stmt.target.id}"
+    for dotted, symbols in _repro_modules(project):
+        for cls in symbols.classes.values():
+            for name in cls.fields:
+                key = f"{dotted}:{cls.name}.{name}"
                 defined.add(key)
-                if stmt.target.id not in words and cls.name not in iterated:
+                if name not in read and cls.name not in walked:
                     unread.add(key)
     return defined, unread
 
 
 @functools.lru_cache(maxsize=None)
-def _repo_field_scan() -> tuple[frozenset[str], frozenset[str]]:
-    modules = {
-        ".".join(p.relative_to(PACKAGE).with_suffix("").parts): p.read_text()
-        for p in sorted(PACKAGE.rglob("*.py"))
-        if p.relative_to(PACKAGE).parts[0] != "lint"}
-    readers = [p.read_text()
-               for d in ("src", "benchmarks", "examples", "tests")
-               for p in sorted((ROOT / d).rglob("*.py"))]
-    readers += [block for _, block in _doc_blocks()]
-    defined, unread = _field_scan(modules, readers)
-    return frozenset(defined), frozenset(unread)
+def _repo_field_scan() -> tuple[set[str], set[str]]:
+    project = repo_project()
+    return _field_scan(
+        project, itertools.chain(project.symbols.values(), scan_tests()))
 
 
 def test_every_dataclass_field_is_read():
@@ -670,4 +590,7 @@ def test_kept_fields_exist_and_are_still_unread():
 ])
 def test_field_scan_on_inline_sources(reader, unread):
     module = "@dataclass\nclass R:\n    a: int\n    b: int = 0\n"
-    assert _field_scan({"m": module}, [reader])[1] == unread
+    project = _inline_project({"m": module})
+    readers = [*project.symbols.values(),
+               ModuleSymbols.scan(load_source(reader))]
+    assert _field_scan(project, readers)[1] == unread

@@ -371,7 +371,6 @@ class TestBulkStepping:
         assert bulk.events == single.events
         assert bulk.admission_order == single.admission_order
         assert bulk.retirement_order == single.retirement_order
-        assert bulk.to_timeline().to_rows() == single.to_timeline().to_rows()
 
     @settings(max_examples=200, deadline=None)
     @given(ops=st.lists(st.tuples(
@@ -561,27 +560,6 @@ class TestBulkStepping:
         with pytest.raises(ValueError, match="horizon"):
             s.record_tokens(4)  # would skip the step-2 retirement
         assert s.record_tokens(3) == [0]
-
-
-class TestTimelineExport:
-    def test_queued_and_active_spans(self):
-        s = _sched(1)
-        _enq(s, 0, max_new=1)
-        _enq(s, 1, max_new=1)
-        s.admit()
-        s.record_token(0)
-        s.advance()
-        s.admit()
-        s.record_token(1)
-        tl = s.to_timeline()
-        spans1 = tl.spans("request-1")
-        labels = [sp.label for sp in spans1]
-        assert labels == ["queued", "active"]
-        assert spans1[0].start == 0 and spans1[0].end == 1
-        events = tl.to_chrome_trace()
-        assert any(e["ph"] == "i" and e["name"].startswith("retire")
-                   for e in events)
-        assert any(e["ph"] == "X" for e in events)
 
 
 # -- functional vs analytical equivalence (the tentpole guarantee) ----------

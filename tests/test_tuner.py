@@ -104,14 +104,6 @@ class TestTuner:
         with pytest.raises(TypeError, match=field):
             tune_dense_deployment(DENSE_ZOO["gpt-13b"], CLUSTER, **kw)
 
-    def test_per_gpu_metric(self):
-        r = tune_dense_deployment(DENSE_ZOO["gpt-13b"], CLUSTER,
-                                  prompt_len=128, gen_tokens=8, max_gpus=4,
-                                  hybrid_factors=(1,))
-        assert r.tokens_per_second_per_gpu == pytest.approx(
-            r.tokens_per_second / r.num_gpus
-        )
-
 
 class TestServingTuner:
     """Trace-level tuning (the fleet search): throughput under a P99
