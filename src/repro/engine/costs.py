@@ -57,6 +57,8 @@ prefix finds its pass priced. Without that hook only the asked entries
 are priced, one ``_price`` call each. A prompt miss's own pass always
 goes through ``_price``. Every run is a fresh array the caller may
 overwrite.
+A pass-priced adapter can also give a stretch's step end times with no
+run at all, off its decode grid (``_PassPricedCost._decode_grid``).
 """
 
 from __future__ import annotations
@@ -64,6 +66,7 @@ from __future__ import annotations
 import math
 import operator
 from abc import ABC, abstractmethod
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Protocol, runtime_checkable
 
@@ -228,9 +231,11 @@ class StepCostModel(ABC):
         batch's composition is frozen across the run, which is exactly
         the situation between two scheduler-relevant events. ``steps ==
         0`` gives an empty array; any other run needs ``state.batch >=
-        1``. The serving loop turns the run into step end times in place
-        and binary-searches them, so its costs must be finite and ``>=
-        0``, in a float64 array that no cache shares.
+        1``. Unless the model's decode grid gives the stretch's clock
+        (the pass-priced adapters, :meth:`_PassPricedCost._decode_grid`),
+        the serving loop folds the run into step end times in place and
+        binary-searches them, so its costs must be finite and ``>= 0``,
+        in a float64 array that no cache shares.
         """
 
 
@@ -267,6 +272,9 @@ class ClosureStepCost(StepCostModel):
 
 # A shape not in the store: an empty cost array, fully priced.
 _UNPRICED = (np.empty(0), None)
+# Decode grids serve starts whose binade has a normal spacing and a
+# finite top, and sums that float64 holds exactly.
+_GRID_MIN, _GRID_MAX, _EXACT = 2.0 ** -970, 2.0 ** 1023, 2.0 ** 53
 
 
 class _PassPricedCost(StepCostModel):
@@ -295,6 +303,8 @@ class _PassPricedCost(StepCostModel):
         # bytemask over the same indices, 1 = that entry is priced, or
         # None once every entry is)
         self._spans: dict[tuple[int, int], tuple] = {}
+        # batch -> the decode clock grid of one binade (_decode_grid)
+        self._grids: dict[int, tuple] = {}
 
     @abstractmethod
     def _price(self, batch: int, tokens_per_seq: int, kv: int) -> float:
@@ -394,6 +404,49 @@ class _PassPricedCost(StepCostModel):
         if arr.size < end or priced is not None:
             arr = self._passes(batch, 1, c0, end)
         return arr[c0:end].copy()
+
+    def _decode_grid(self, batch: int, total_kv: int, steps: int,
+                     start: float) -> tuple | None:
+        """The clock of a ``steps``-step decode stretch of the live batch
+        ``(batch, total_kv)`` from ``start``: ``(P, c0, P[c0], u, end)``,
+        step ``j`` ending at ``start + (P[c0 + j + 1] - P[c0]) * u``, bit
+        for bit the per-step ``now += cost`` fold; else ``None``.
+
+        Every double of ``start``'s binade ``[2**(e-1), 2**e)`` is a
+        multiple of ``u = 2**(e-53)``, so while the clock stays in it each
+        add is ``now + u * rint(cost / u)`` exactly, unless ``cost / u`` is
+        a rounding tie. ``P`` sums ``rint(cost / u)`` over the batch size's
+        cost array (exact in float64 below ``2**53``). Each batch size
+        keeps one grid, ``(P, binade low, binade top, u, tie entries)``,
+        built from a fully priced array; priced entries never change (the
+        array only grows), so it holds until its binade or size does. A
+        subclass that reprices ``decode_run_cost`` must override this."""
+        c0 = -(-total_kv // batch) - 1
+        stop = c0 + steps
+        grid = self._grids[batch] if batch in self._grids else None
+        if (grid is None or not grid[1] <= start < grid[2]
+                or stop >= grid[0].size):
+            arr, priced = self._spans.get((batch, 1), _UNPRICED)
+            if arr.size < stop or priced is not None:
+                arr = self._passes(batch, 1, c0, stop)
+                if self._spans[batch, 1][1] is not None:
+                    return None
+            if not _GRID_MIN <= start < _GRID_MAX:
+                return None
+            top = math.ldexp(1.0, math.frexp(start)[1])
+            u = top * 2.0 ** -53
+            q = arr / u
+            sums = np.zeros(arr.size + 1)
+            np.add.accumulate(np.rint(q), out=sums[1:])
+            ties = (q - np.floor(q) == 0.5).nonzero()[0].tolist()
+            grid = self._grids[batch] = (sums, top * 0.5, top, u, ties)
+        sums, _, top, u, ties = grid
+        last, base = sums[stop], sums[c0]
+        if not last < _EXACT or ties and (
+                bisect_left(ties, c0) != bisect_left(ties, stop)):
+            return None
+        end = start + float(last - base) * u
+        return (sums, c0, base, u, end) if end < top else None
 
 
 class DenseStepCost(_PassPricedCost):

@@ -24,17 +24,18 @@ completion, and :func:`~repro.fleet.sim.simulate_fleet` interleaves many
 behind a router, adding crashes, recoveries, slowdowns and drains.
 
 Decode is *event-compressed*: between scheduler-relevant events the
-batch composition is frozen, so a whole stretch of decode iterations is
-priced with one :meth:`~repro.engine.costs.StepCostModel.decode_run_cost`
-call, up to the next retirement, and committed with one bulk
-:meth:`~repro.engine.scheduler.Scheduler.record_tokens`. A priced
+batch composition is frozen, so a whole stretch of decode iterations,
+up to the next retirement, is priced at once and committed with one
+bulk :meth:`~repro.engine.scheduler.Scheduler.record_tokens`. A priced
 stretch is its step end times, the per-step clock's own left fold
-(``now += cost``): a Python ``itertools.accumulate`` over the run's
-floats up to ``_FOLD_MAX`` steps, one in-place ``np.add.accumulate``
-beyond it, so a long stretch costs no Python work per step. One
-``bisect_left`` over those ends cuts the stretch at the first step end
-that reaches a break, in the loop and at a delivery alike. Results are
-bit-for-bit those of per-step stepping.
+(``now += cost``): read in O(1) off a pass-priced cost model's decode
+grid (``_decode_grid``) and cut by one ``searchsorted``, or else (no
+grid, a slowed replica, a stretch the grid cannot give exactly) folded
+from its :meth:`~repro.engine.costs.StepCostModel.decode_run_cost` run,
+in Python floats up to ``_FOLD_MAX`` steps and by one in-place
+``np.add.accumulate`` beyond, and cut by one ``bisect_left``. Either
+form is cut at the first step end that reaches a break, in the loop and
+at a delivery alike, bit-for-bit as per-step stepping would.
 
 Only events that can change a replica split its stretch: its own next
 delivery, its slowdown onset and retirements, plus the fleet-wide
@@ -86,11 +87,20 @@ _set_total_kv = BatchState.total_kv.__set__
 # whole, where ``extend`` parses every item.
 _ADMIT, _ADMIT_DONE, _DECODE, _CRASH, _RECOVER, _RETIRE = range(6)
 _row = Struct("6d").pack
-# Decode stretches priced at most this many steps turn into step end
-# times in Python floats, longer ones in NumPy: the measured crossover
-# (replaying the e2e workloads' stretches through both folds,
-# docs/GUIDE.md). Either form is cut by the same ``bisect_left``.
+# A folded stretch of at most this many steps folds in Python floats, a
+# longer one in NumPy (their measured crossover); the grid beat the fold
+# at every length, so it takes every stretch it can (docs/GUIDE.md).
 _FOLD_MAX = 32
+
+
+def _grid_cut(grid: tuple, start: float, t: float) -> tuple[int, float]:
+    """``(steps, end)`` of a stretch from ``start`` with clock ``grid``
+    (a ``_decode_grid``) cut at ``t`` <= its end. Past ``start``, ``t`` is
+    in the grid's binade, so ``(t - start) / u`` is an exact integer."""
+    sums, c0, base, u, _ = grid
+    k = c0 + 1 if t <= start else int(
+        sums.searchsorted(base + (t - start) / u))
+    return k - c0, start + float(sums[k] - base) * u
 
 
 class _KvTracker:
@@ -308,6 +318,8 @@ class _Replica:
         self.policy = policy
         self.sched = Scheduler(max_batch, requests, policy=policy, held=out.held)
         self.costs = costs
+        # The cost model's optional exact decode clock (else runs fold).
+        self._grid = getattr(costs, "_decode_grid", None)
         # Per-replica KV pool accounting: parked session prefixes live
         # (and die) with this replica; counters span incarnations.
         self.kv = kv
@@ -359,8 +371,12 @@ class _Replica:
         if self._plan is not None:
             start, ends, _, _ = self._plan
             self._plan = None
-            n = bisect_left(ends, t) + 1
-            self._commit(start, float(ends[n - 1]), n)
+            if type(ends) is tuple:  # read off the cost model's grid
+                n, now = _grid_cut(ends, start, t)
+            else:
+                n = bisect_left(ends, t) + 1
+                now = float(ends[n - 1])
+            self._commit(start, now, n)
         self.inbox.append((t, pos))
 
     # -- the action interface --------------------------------------------
@@ -486,36 +502,47 @@ class _Replica:
         horizon = sched._horizon or sched.decode_horizon()  # None = stale
         if max_steps is not None and horizon > max_steps:
             horizon = max_steps
-        state = _new(BatchState)
-        _set_batch(state, batch)
-        _set_total_kv(state, kv.total_kv)
-        run = self.costs.decode_run_cost(state, horizon)
-        if start >= slow_from:  # unslowed replicas skip the multiply
-            run *= self.slow_factor
-        # The stretch's step end times, the per-step clock's own left
-        # fold from ``start``: in Python floats up to _FOLD_MAX steps,
-        # beyond it in place with one ``np.add.accumulate`` (no Python
-        # work per step). Costs >= 0 keep the ends sorted for
-        # ``bisect_left``; ``float`` keeps an array's items Python floats.
-        if horizon <= _FOLD_MAX:
-            ends = run.tolist()
-            ends[0] += start
-            ends = list(accumulate(ends))
-        else:
-            run[0] += start
-            ends = np.add.accumulate(run, out=run)
         n = horizon
-        now = float(ends[-1])
-        if now >= t_break:
-            n = bisect_left(ends, t_break) + 1
-            now = float(ends[n - 1])
+        ends = (self._grid(batch, kv.total_kv, horizon, start)
+                if start < slow_from and self._grid is not None else None)
+        if ends is not None:
+            now = ends[4]
+            if now >= t_break:
+                n, now = _grid_cut(ends, start, t_break)
+        else:
+            state = _new(BatchState)
+            _set_batch(state, batch)
+            _set_total_kv(state, kv.total_kv)
+            run = self.costs.decode_run_cost(state, horizon)
+            if start >= slow_from:  # unslowed replicas skip the multiply
+                run *= self.slow_factor
+            # The stretch's step end times, the per-step clock's own left
+            # fold from ``start``: in Python floats up to _FOLD_MAX steps,
+            # beyond it in place with one ``np.add.accumulate`` (no Python
+            # work per step). Costs >= 0 keep the ends sorted for
+            # ``bisect_left``; ``float`` keeps an array's items floats.
+            if horizon <= _FOLD_MAX:
+                ends = run.tolist()
+                ends[0] += start
+                ends = list(accumulate(ends))
+            else:
+                run[0] += start
+                ends = np.add.accumulate(run, out=run)
+            now = float(ends[-1])
+            if now >= t_break:
+                n = bisect_left(ends, t_break) + 1
+                now = float(ends[n - 1])
         if not start <= now < _INF:
             raise ValueError(
                 f"replica {self.index}: decode stretch of {n} steps x{batch} "
                 f"from t={start!r} ends at {now!r}; step costs must be "
                 f"finite and >= 0")
         if now >= t_arrival and n > 1:
-            last = float(ends[n - 2])  # the last step's start
+            if type(ends) is tuple:  # the last step's start
+                sums, c0, base, u, _ = ends
+                last = start + float(sums[c0 + n - 1] - base) * u
+            else:
+                last = float(ends[n - 2])
             if last >= t_arrival:
                 self._plan = (start, ends, n, now)
                 self._plan_key = last

@@ -10,11 +10,14 @@ with the minimum key, the lowest index among equal keys. Arrivals cut
 only the replica they are routed to: a delivery to a replica holding a
 stretch commits exactly the steps starting before the arrival and
 retires nobody. This test registers every ``_Replica`` of a run, wraps
-``perform_action`` and ``deliver`` (and ``decode_run_cost``, to re-sum
-each held stretch from its priced step costs), and checks those
-contracts at every action and delivery over a randomized configuration
-space; simultaneous arrivals and grid-valued step costs make ties
-common. Every drawn case
+``perform_action`` and ``deliver`` (re-pricing each held stretch's step
+costs from its batch state to re-sum it), and checks those contracts at
+every action and delivery over a randomized configuration space;
+simultaneous arrivals and grid-valued step costs make ties common. Each
+case draws one of two cost models: a closure pair, or a small
+pass-priced model that prices prefix hits at their suffix and whose
+decode stretches read their clock off its decode grid, with generations
+past ``_FOLD_MAX`` too. Every drawn case
 is also run in the other stepping mode (compressed vs ``_max_run_steps=1``)
 and must give the same report and scheduler event logs, and at full
 detail the same drawn timeline. A one-replica case with no faults and no
@@ -29,13 +32,15 @@ from functools import reduce
 from itertools import accumulate
 from operator import add
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.autoscale import AutoscaleConfig
-from repro.engine import (ClosureStepCost, Request, WorkloadTrace,
-                          simulate_serving, synthesize_trace)
-from repro.engine.replica import _Replica
+from repro.engine import (BatchState, ClosureStepCost, Request,
+                          WorkloadTrace, simulate_serving, synthesize_trace)
+from repro.engine.costs import _PassPricedCost
+from repro.engine.replica import _FOLD_MAX, _Replica
 from repro.engine.scheduler import TenantFairShare, TenantPriority
 from repro.fleet import FaultPlan, ReplicaFault, simulate_fleet
 from tests.serving_oracle import simulate_serving_reference
@@ -43,6 +48,21 @@ from tests.serving_oracle import simulate_serving_reference
 COSTS = ClosureStepCost(prompt_time=lambda b, p: 0.02 + 0.001 * p,
                         step_time=lambda b: 0.01 + 0.001 * b)
 GRID_S = 0.05
+
+
+class _TinyPassCost(_PassPricedCost):
+    """A pass-priced model in milliseconds: a pass of shape ``(batch,
+    tokens_per_seq, kv)`` pays per token and per attended KV entry, so a
+    prefix hit (a shorter suffix) is cheaper than its full prompt."""
+
+    def _price(self, batch, tokens_per_seq, kv):
+        return self._price_kvs(batch, tokens_per_seq, np.array([kv])).item(0)
+
+    def _price_kvs(self, batch, tokens_per_seq, kvs):
+        return (1e-3 + 3e-4 * batch * tokens_per_seq
+                + 1.3e-5 * batch * tokens_per_seq * kvs)
+
+
 # Every admission policy, configured tenant-aware ones included.
 POLICIES = ("fcfs", "shortest_prompt", "tenant_fair",
             TenantFairShare(weights={"a": 2.0}, slot_caps={"b": 1}),
@@ -58,19 +78,11 @@ def checked_fleet_run(trace, **kwargs):
     in_crash = [False]
     actions = [0]
     cuts = [0]
-    priced: list[list[float]] = []  # step costs the acting replica priced
     held: dict[int, list[float]] = {}  # replica -> held stretch's costs
     per_step = kwargs.get("_max_run_steps") == 1
-    init, perform, deliver, crash, run_cost = (
+    init, perform, deliver, crash = (
         _Replica.__init__, _Replica.perform_action, _Replica.deliver,
-        _Replica.crash, ClosureStepCost.decode_run_cost)
-
-    def copying_run_cost(self, *args, **kw):
-        # The replica writes step end times into the returned array, so
-        # keep a copy of the per-step costs as priced.
-        run = run_cost(self, *args, **kw)
-        priced.append(run.tolist())
-        return run
+        _Replica.crash)
 
     def registering_init(self, *args, **kw):
         init(self, *args, **kw)
@@ -93,15 +105,16 @@ def checked_fleet_run(trace, **kwargs):
                 f"loop ran replica {self.index} at "
                 f"{self.next_action_time()!r}; a scan picks {want}")
             actions[0] += 1
-        priced.clear()
         result = perform(self, *args, **kw)
         if self._plan is not None:
             # Per-step stepping never holds a stretch; a held one is
             # keyed exactly at its last step's start, summed here from
-            # the priced costs (slowed as the replica slows them).
+            # its step costs, priced again from the batch it started
+            # with (slowed as the replica slows them).
             assert not per_step, "a one-step stretch was held"
-            (costs,) = priced
             start, n = self._plan[0], self._plan[2]
+            costs = self.costs.decode_run_cost(
+                BatchState(self.kv.batch, self.kv.total_kv), n).tolist()
             if start >= self.slow_from:
                 costs = [c * self.slow_factor for c in costs]
             held[self.index] = costs
@@ -133,9 +146,8 @@ def checked_fleet_run(trace, **kwargs):
         mp.setattr(_Replica, "perform_action", checked_perform)
         mp.setattr(_Replica, "deliver", checked_deliver)
         mp.setattr(_Replica, "crash", flagged_crash)
-        mp.setattr(ClosureStepCost, "decode_run_cost", copying_run_cost)
         try:
-            report = simulate_fleet(trace, costs=COSTS, **kwargs)
+            report = simulate_fleet(trace, **kwargs)
         finally:
             # Conservation: each ledger's running KV total and count are
             # the sum and number of its live lengths, whether the run
@@ -157,7 +169,10 @@ def event_logs(report):
 
 
 @st.composite
-def _traces(draw):
+def _traces(draw, long=False):
+    """A trace; ``long`` lets generations run past ``_FOLD_MAX``."""
+    gens = (st.one_of(st.integers(1, 16), st.integers(_FOLD_MAX + 1, 64))
+            if long else st.integers(1, 16))
     n = draw(st.integers(2, 24))
     # Few distinct grid slots for many requests: simultaneous arrivals.
     slots = sorted(draw(st.lists(st.integers(0, 12), min_size=n,
@@ -169,7 +184,7 @@ def _traces(draw):
         prompt_len = draw(st.integers(1, 16))
         rows.append(Request(
             request_id=i, arrival=k * GRID_S, prompt_len=prompt_len,
-            gen_tokens=draw(st.integers(1, 16)),
+            gen_tokens=draw(gens),
             session=draw(st.integers(0, 3)) if sessions else None,
             tenant=(draw(st.sampled_from(["a", "b", None])) if tenants
                     else None),
@@ -182,7 +197,8 @@ def _traces(draw):
 def _fleet_cases(draw, alone=False):
     """A fleet case; ``alone`` draws one replica, no faults and no
     autoscaler: a fleet that must equal one server."""
-    trace = draw(_traces())
+    pass_priced = draw(st.booleans())
+    trace = draw(_traces(long=pass_priced))
     num_replicas = 1 if alone else draw(st.integers(1, 4))
     faults = []
     if num_replicas > 1 and draw(st.booleans()):
@@ -207,6 +223,7 @@ def _fleet_cases(draw, alone=False):
             cold_start_s=draw(st.sampled_from([0.0, 0.1])),
             window_s=0.5, scale_in_cooldown_s=0.2)
     return trace, dict(
+        costs=_TinyPassCost() if pass_priced else COSTS,
         num_replicas=num_replicas,
         max_batch=draw(st.integers(1, 4)),
         policy=draw(st.sampled_from(POLICIES)),
@@ -235,7 +252,7 @@ def test_every_action_is_the_scan_pick(case):
                 or "every replica has failed" not in str(exc):
             raise
         with pytest.raises(RuntimeError, match="every replica has failed"):
-            simulate_fleet(trace, costs=COSTS, **other)
+            simulate_fleet(trace, **other)
         return
     assert actions >= len(trace.requests)  # one admission each, at least
     assert report.num_completed == len(trace.requests)
@@ -248,7 +265,7 @@ def test_every_action_is_the_scan_pick(case):
         s.tokens_discarded for s in report.replica_stats)
     if kwargs["_max_run_steps"] == 1:
         assert cuts == 0
-    twin = simulate_fleet(trace, costs=COSTS, **other)
+    twin = simulate_fleet(trace, **other)
     assert report == twin
     assert event_logs(report) == event_logs(twin)
     # The timeline is drawn from each replica's action log: at full
@@ -270,14 +287,13 @@ def test_every_action_is_the_scan_pick(case):
 @given(case=_fleet_cases(alone=True))
 def test_one_replica_fleet_serves_alone(case):
     trace, kwargs = case
-    assert_serves_alone(trace, simulate_fleet(trace, costs=COSTS, **kwargs),
-                        kwargs)
+    assert_serves_alone(trace, simulate_fleet(trace, **kwargs), kwargs)
 
 
 def assert_serves_alone(trace, report, kwargs):
     """A one-replica fleet is one server: ``simulate_serving`` and the
     per-step oracle give its report and its scheduler's event log."""
-    opts = dict(costs=COSTS, max_batch=kwargs["max_batch"],
+    opts = dict(costs=kwargs["costs"], max_batch=kwargs["max_batch"],
                 policy=kwargs["policy"])
     for alone in (simulate_serving(trace, detail=kwargs["detail"], **opts),
                   simulate_serving_reference(trace, **opts)):

@@ -24,11 +24,15 @@ import pytest
 import repro.engine.replica as replica_mod
 import repro.engine.scheduler as scheduler_mod
 import repro.engine.serving_sim as serving_mod
-from repro.engine import (ClosureStepCost, Request, RequestTable, Scheduler,
-                          WorkloadTrace, simulate_serving, synthesize_trace)
+from repro.engine import (ClosureStepCost, DenseLatencyModel, DenseStepCost,
+                          Request, RequestTable, Scheduler, WorkloadTrace,
+                          simulate_serving, synthesize_trace)
+from repro.engine.costs import _PassPricedCost
 from repro.engine.replica import _KvTracker, _Outcomes, _Replica
 from repro.engine.serving_sim import _RequestTimes
 from repro.fleet import Router
+from repro.hardware import dgx_a100_cluster
+from repro.model import DENSE_ZOO
 from repro.simcore import Timeline
 
 N = 10_000
@@ -196,6 +200,34 @@ def test_action_log_keeps_at_most_52_bytes_per_action():
     rows = len(rep.log) // 6
     assert rows >= N
     assert size / rows <= 52, f"{size / rows:.1f} B per action"
+
+
+def test_decode_grids_keep_one_binade_per_batch_size():
+    """A pass-priced model keeps one decode clock grid per batch size, a
+    float64 prefix sum as long as its cost array plus its tie entries,
+    and drops a binade's grid when the clock leaves it. Over a serving
+    run whose clock crosses at least 10 binades, the grid store holds at
+    most one grid per decode batch size, in at most twice the bytes of
+    the decode cost arrays (bytes still held that ``_decode_grid``
+    allocated). Python-int prefix lists kept about five times those
+    bytes."""
+    costs = DenseStepCost(DenseLatencyModel(
+        DENSE_ZOO["gpt-13b"], dgx_a100_cluster(1), tp=4))
+    # Arrivals 1.5x apart from 10 ms: about one binade per two requests.
+    trace = WorkloadTrace(tuple(Request(i, 0.01 * 1.5 ** i, 32, 64)
+                                for i in range(30)))
+
+    def build():
+        return simulate_serving(trace, costs=costs, max_batch=4,
+                                detail="summary")
+
+    size, report = retained_by(_PassPricedCost._decode_grid, build)
+    first = min(report.first_token_times.values())
+    assert math.frexp(report.makespan)[1] - math.frexp(first)[1] >= 10
+    decode = {b: arr for (b, t), (arr, _) in costs._spans.items() if t == 1}
+    assert costs._grids and set(costs._grids) <= set(decode)
+    limit = 2 * sum(arr.nbytes for arr in decode.values())
+    assert size <= limit, f"grids hold {size:,} B; limit {limit:,}"
 
 
 def test_full_detail_serving_retains_no_more_than_object_records():

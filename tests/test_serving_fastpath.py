@@ -13,9 +13,10 @@ single-server simulator.
 """
 
 import itertools
+import math
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import numpy as np
 
@@ -32,6 +33,7 @@ from repro.engine import (
     simulate_serving,
     synthesize_trace,
 )
+from repro.engine.costs import _PassPricedCost
 from repro.engine.replica import _FOLD_MAX, _KvTracker, _Outcomes, _Replica
 from repro.fleet import FaultPlan, ReplicaFault, simulate_fleet
 from repro.hardware import dgx2_v100, dgx_a100_cluster
@@ -269,76 +271,105 @@ class TestFleetBitForBit:
                        for lane in summary.timeline.lanes())
 
 
+class _Gridless(StepCostModel):
+    """The dense model's prices without its decode grid, so the loop
+    folds every priced run."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def prompt_cost(self, state, request):
+        return self.inner.prompt_cost(state, request)
+
+    def decode_run_cost(self, state, steps):
+        return self.inner.decode_run_cost(state, steps)
+
+
 class TestFoldBoundary:
-    """A stretch priced at most ``_FOLD_MAX`` steps folds its clock in
-    Python floats, a longer one in NumPy; each must be the per-step
-    clock. Horizons either side of the boundary, whole or cut by an
-    arrival, slowed mid-stretch or held and cut by a delivery, are held
-    against the per-step oracle and per-step fleet stepping."""
+    """A dense stretch reads its clock off the model's decode grid at any
+    length; a model without a grid folds it, in Python floats up to
+    ``_FOLD_MAX`` steps and in NumPy beyond, as a slowed replica does.
+    Each form must be the per-step clock. Horizons either side of the
+    bound, whole or cut by an arrival, slowed mid-stretch or held and
+    cut by a delivery, are held against the per-step oracle and per-step
+    fleet stepping. Requests arrive at ``T0``, late enough for the grid
+    to be exact."""
 
     HORIZONS = (_FOLD_MAX - 1, _FOLD_MAX, _FOLD_MAX + 1)
+    T0 = 100.0
+
+    @staticmethod
+    def _costs(dense_cost):
+        """The dense model, with its grid and without."""
+        return dense_cost, _Gridless(dense_cost)
 
     @staticmethod
     def _record_horizons(monkeypatch, cost):
-        """Collect the step count of every priced stretch."""
+        """Collect the step count of every priced stretch, folded or read
+        off the grid."""
         seen: list[int] = []
-        run_cost = type(cost).decode_run_cost
+        cls = type(cost)
+        run_cost = cls.decode_run_cost
+        grid = getattr(cls, "_decode_grid", None)
 
         def recording(self, state, steps):
             seen.append(steps)
             return run_cost(self, state, steps)
 
-        monkeypatch.setattr(type(cost), "decode_run_cost", recording)
+        def recording_grid(self, batch, total_kv, steps, start):
+            seen.append(steps)
+            return grid(self, batch, total_kv, steps, start)
+
+        monkeypatch.setattr(cls, "decode_run_cost", recording)
+        if grid is not None:
+            monkeypatch.setattr(cls, "_decode_grid", recording_grid)
         return seen
 
-    @staticmethod
-    def _mid_decode(cost, horizon):
+    @classmethod
+    def _mid_decode(cls, cost, horizon):
         """Halfway through a lone request's ``horizon``-step stretch."""
-        alone = WorkloadTrace((Request(0, 0.0, 16, horizon + 1),))
+        alone = WorkloadTrace((Request(0, cls.T0, 16, horizon + 1),))
         solo = simulate_serving(alone, costs=cost, max_batch=MAX_BATCH)
         return alone, (solo.first_token_times[0] + solo.finish_times[0]) / 2
 
     @pytest.mark.parametrize("horizon", HORIZONS)
     def test_serving_equals_oracle(self, dense_cost, monkeypatch, horizon):
-        alone, mid = self._mid_decode(dense_cost, horizon)
-        cut = WorkloadTrace((*alone.requests, Request(1, mid, 24, 5)))
-        seen = self._record_horizons(monkeypatch, dense_cost)
-        for trace in (alone, cut):
-            fast = simulate_serving(trace, costs=dense_cost,
-                                    max_batch=MAX_BATCH, detail="full")
-            ref = simulate_serving_reference(trace, costs=dense_cost,
-                                             max_batch=MAX_BATCH)
-            assert fast == ref
-            assert _events(fast.scheduler) == _events(ref.scheduler)
-            assert fast.timeline.to_rows() == ref.timeline.to_rows()
-        assert horizon in seen
+        for cost in self._costs(dense_cost):
+            alone, mid = self._mid_decode(cost, horizon)
+            cut = WorkloadTrace((*alone.requests, Request(1, mid, 24, 5)))
+            seen = self._record_horizons(monkeypatch, cost)
+            for trace in (alone, cut):
+                fast = simulate_serving(trace, costs=cost,
+                                        max_batch=MAX_BATCH, detail="full")
+                ref = simulate_serving_reference(trace, costs=cost,
+                                                 max_batch=MAX_BATCH)
+                assert fast == ref
+                assert _events(fast.scheduler) == _events(ref.scheduler)
+                assert fast.timeline.to_rows() == ref.timeline.to_rows()
+            assert horizon in seen
+            monkeypatch.undo()
 
     @pytest.mark.parametrize("horizon", HORIZONS)
     def test_slowdown_onset_inside_a_stretch(self, dense_cost, horizon):
-        alone, mid = self._mid_decode(dense_cost, horizon)
-        kwargs = dict(num_replicas=1, costs=dense_cost, max_batch=MAX_BATCH,
-                      detail="full", fault_plan=FaultPlan((ReplicaFault(
-                          0, mid, "slowdown", factor=1.5),)))
-        fast = simulate_fleet(alone, **kwargs)
-        ref = simulate_fleet(alone, _max_run_steps=1, **kwargs)
-        assert fast == ref
-        assert fast.timeline.to_rows() == ref.timeline.to_rows()
-        assert fast.finish_times[0] > simulate_serving(
-            alone, costs=dense_cost, max_batch=MAX_BATCH).finish_times[0]
+        for cost in self._costs(dense_cost):
+            alone, mid = self._mid_decode(cost, horizon)
+            kwargs = dict(num_replicas=1, costs=cost, max_batch=MAX_BATCH,
+                          detail="full", fault_plan=FaultPlan((ReplicaFault(
+                              0, mid, "slowdown", factor=1.5),)))
+            fast = simulate_fleet(alone, **kwargs)
+            ref = simulate_fleet(alone, _max_run_steps=1, **kwargs)
+            assert fast == ref
+            assert fast.timeline.to_rows() == ref.timeline.to_rows()
+            assert fast.finish_times[0] > simulate_serving(
+                alone, costs=cost, max_batch=MAX_BATCH).finish_times[0]
 
     @pytest.mark.parametrize("horizon", HORIZONS)
     def test_held_stretch_cut_by_a_delivery(self, dense_cost, monkeypatch,
                                             horizon):
         """Round robin sends request 2 to replica 0 mid-stretch; the
         stretch was held past that arrival, so the delivery cuts its step
-        end times at the arrival."""
-        _, mid = self._mid_decode(dense_cost, horizon)
-        trace = WorkloadTrace((Request(0, 0.0, 16, horizon + 1),
-                               Request(1, 0.0, 16, horizon + 1),
-                               Request(2, mid, 24, 5)))
-        kwargs = dict(num_replicas=2, costs=dense_cost, max_batch=MAX_BATCH,
-                      routing="round_robin", detail="full")
-        ref = simulate_fleet(trace, _max_run_steps=1, **kwargs)
+        end times at the arrival: the grid's for the dense model (the
+        cost model's ``_decode_grid`` tuple), the folded ones without."""
         cut: list[type] = []
         deliver = _Replica.deliver
 
@@ -348,12 +379,22 @@ class TestFoldBoundary:
             return deliver(self, pos, t)
 
         monkeypatch.setattr(_Replica, "deliver", recording)
-        fast = simulate_fleet(trace, **kwargs)
-        assert cut == [list if horizon <= _FOLD_MAX else np.ndarray]
-        assert fast == ref
-        for fast_s, ref_s in zip(fast.schedulers, ref.schedulers):
-            assert _events(fast_s) == _events(ref_s)
-        assert fast.timeline.to_rows() == ref.timeline.to_rows()
+        for cost in self._costs(dense_cost):
+            _, mid = self._mid_decode(cost, horizon)
+            trace = WorkloadTrace((Request(0, self.T0, 16, horizon + 1),
+                                   Request(1, self.T0, 16, horizon + 1),
+                                   Request(2, mid, 24, 5)))
+            kwargs = dict(num_replicas=2, costs=cost, max_batch=MAX_BATCH,
+                          routing="round_robin", detail="full")
+            ref = simulate_fleet(trace, _max_run_steps=1, **kwargs)
+            cut.clear()
+            fast = simulate_fleet(trace, **kwargs)
+            assert cut == [tuple if cost is dense_cost
+                           else list if horizon <= _FOLD_MAX else np.ndarray]
+            assert fast == ref
+            for fast_s, ref_s in zip(fast.schedulers, ref.schedulers):
+                assert _events(fast_s) == _events(ref_s)
+            assert fast.timeline.to_rows() == ref.timeline.to_rows()
 
     @pytest.mark.parametrize("horizon", (_FOLD_MAX - 1, _FOLD_MAX + 1))
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
@@ -411,16 +452,17 @@ class TestCutRule:
     held stretch exactly the steps starting before the delivery."""
 
     @staticmethod
-    def _decoding(prompt, costs, *arrivals):
-        """A lone replica right after request 0's prompt pass, with one
-        more request for each later arrival time."""
+    def _decoding(prompt, costs, *arrivals, model=_DrawnCost):
+        """A lone replica right after request 0's prompt pass, priced by
+        ``model(prompt, costs)``, with one more request for each later
+        arrival time."""
         trace = WorkloadTrace((Request(0, 0.0, 8, len(costs) + 1),
                                *(Request(i, t, 8, 2)
                                  for i, t in enumerate(arrivals, 1))))
         rep = _Replica(0, requests=trace.requests,
                        out=_Outcomes(len(trace.requests)),
                        max_batch=2, policy="fcfs",
-                       costs=_DrawnCost(prompt, costs), kv=_KvTracker(),
+                       costs=model(prompt, costs), kv=_KvTracker(),
                        on_complete=None)
         rep.deliver(0, 0.0)
         assert rep.perform_action() == "admit" and rep.now == prompt
@@ -465,3 +507,103 @@ class TestCutRule:
         assert rep.tokens - 1 == n < len(costs)
         assert rep._plan is None and type(rep.now) is float
         assert rep.now.hex() == now.hex()
+
+
+class _DrawnPassCost(_PassPricedCost):
+    """Pass-priced: the prompt pass costs ``prompt`` seconds, and the
+    decode passes of a lone request with an 8-token prompt (cost array
+    entries 8 on) cost ``costs``; every other entry is free."""
+
+    def __init__(self, prompt, costs):
+        super().__init__()
+        self.prompt = prompt
+        self.table = np.array([0.0] * 8 + list(costs))
+
+    def prompt_cost(self, state, request):
+        return self.prompt
+
+    def _price(self, batch, tokens_per_seq, kv):
+        return self.table.item(kv - tokens_per_seq)
+
+    def _price_kvs(self, batch, tokens_per_seq, kvs):
+        return self.table[kvs - tokens_per_seq]
+
+
+def _ulp_grid(start):
+    """The spacing of the doubles in ``start``'s binade."""
+    return math.ldexp(1.0, math.frexp(start)[1] - 53)
+
+
+@st.composite
+def _grid_stretch(draw, held=False):
+    """A start, the step costs of a stretch of up to 56 steps (either
+    side of ``_FOLD_MAX``) and a break in ``(start, end]`` (``inf`` too
+    unless ``held``); a held stretch's break is at most its last step's
+    start. Starts span
+    binades: 0.0, subnormal and tiny, powers of two and their
+    predecessors. Costs include 0.0, exact rounding ties at the start's
+    grid, sub-grid costs, and costs that carry the clock out of its
+    binade."""
+    start = draw(st.one_of(
+        st.just(0.0),
+        st.floats(0.0, 2.0 ** -960, exclude_min=True),
+        st.integers(-40, 40).map(lambda k: 2.0 ** k),
+        st.integers(-40, 40).map(lambda k: math.nextafter(2.0 ** k, 0.0)),
+        st.floats(1e-3, 1e4)))
+    u = _ulp_grid(start)
+    scale = draw(st.sampled_from((4 * u, start / 512, start / 32)))
+    cost = st.one_of(st.just(0.0), st.floats(0.0, scale))
+    if draw(st.booleans()):  # a few ties, or none
+        cost = st.one_of(cost, st.integers(0, 6).map(lambda k: (k + 0.5) * u),
+                         cost, cost, cost, cost)
+    steps = draw(st.integers(1, 56))
+    costs = draw(st.lists(cost, min_size=steps, max_size=steps))
+    clock = list(itertools.accumulate(costs, initial=start))
+    end = clock[-2] if held else clock[-1]
+    assume(end > start)
+    t = draw(_time_in(start, end, clock) if held
+             else st.one_of(_time_in(start, end, clock), st.just(math.inf)))
+    return start, costs, t
+
+
+class TestGridClock:
+    """A pass-priced model's decode grid (``_decode_grid``) against the
+    per-step ``now += cost`` loop by ``float.hex``: a stretch read off
+    the grid, or folded where the grid is not exact, commits exactly
+    the steps starting before a break and ends where the per-step clock
+    does; a held one is keyed at its last step's start and cut by a
+    delivery the same way."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=_grid_stretch())
+    # The clock leaves the binade [1, 2) and each add rounds to the next
+    # binade's coarser grid.
+    @example(case=(math.nextafter(2.0, 0.0), [1e-7] * 40, math.inf))
+    # Every cost is a rounding tie at the odd start's grid.
+    @example(case=(1.0 + 2.0 ** -52, [2.0 ** -53] * 40, math.inf))
+    # The break is a step end: the cut takes the step ending there.
+    @example(case=(1.0, [2.0 ** -40] * 40, 1.0 + 20 * 2.0 ** -40))
+    def test_break_commits_steps_starting_before_it(self, case):
+        start, costs, t_limit = case
+        rep = TestCutRule._decoding(start, costs, model=_DrawnPassCost)
+        assert rep.perform_action(t_limit=t_limit) == "decode"
+        n, now = TestCutRule._per_step(start, costs, t_limit)
+        assert rep.tokens - 1 == n
+        assert type(rep.now) is float and rep.now.hex() == now.hex()
+
+    @settings(max_examples=120, deadline=None)
+    @given(case=_grid_stretch(held=True))
+    @example(case=(1.0, [2.0 ** -40] * 40, 1.0 + 20 * 2.0 ** -40))
+    def test_delivery_cuts_a_held_stretch(self, case):
+        start, costs, t = case
+        clock = list(itertools.accumulate(costs, initial=start))
+        rep = TestCutRule._decoding(start, costs, t, model=_DrawnPassCost)
+        assert rep.perform_action(t_arrival=t) == "decode"
+        assert rep.tokens == 1 and rep._plan is not None
+        assert rep.next_action_time().hex() == clock[-2].hex()
+        rep.deliver(1, t)
+        n, now = TestCutRule._per_step(start, costs, t)
+        assert rep.tokens - 1 == n < len(costs)
+        assert rep._plan is None and type(rep.now) is float
+        assert rep.now.hex() == now.hex()
+
